@@ -19,7 +19,6 @@ from typing import Optional
 
 from .errors import Infeasible, NotNormalized, UnsupportedL
 from .galois import (
-    Matrix,
     PrimeField,
     mds_vector_family,
     smallest_prime_at_least,

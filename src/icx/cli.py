@@ -36,6 +36,16 @@ def _parse_field(text):
     raise argparse.ArgumentTypeError(f"field must be p=<prime> or gf2m=<m>, got {text!r}")
 
 
+def _sample_count(text):
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return count
+
+
 def _emit(obj, out_path):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -91,7 +101,7 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
     p.add_argument(
         "--sample",
-        type=int,
+        type=_sample_count,
         metavar="N",
         help="when the tuple space exceeds the budget, check N seeded random tuples instead",
     )
@@ -109,7 +119,7 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
     p.add_argument(
         "--sample",
-        type=int,
+        type=_sample_count,
         metavar="N",
         help="when the tuple space exceeds the budget, check N seeded random tuples instead",
     )
@@ -217,19 +227,28 @@ def _cmd_scheme(args):
     if args.simulate:
         target = inst if args.family else model.normalize(inst, args.L)
         try:
-            result = schemes.simulate_exhaustive(target, built, budget=args.budget)
-            out["simulation"] = result.to_json()
-            out["simulation"]["mode"] = "exhaustive"
+            out["simulation"], ok = _simulate(target, built, args)
         except BudgetExceeded as exc:
-            if args.sample is None:
-                out["simulation"] = {"error": str(exc)}
-                return out, EXIT_BUDGET
-            result = schemes.simulate_sampled(target, built, args.sample)
-            out["simulation"] = result.to_json()
-            out["simulation"]["mode"] = "sampled"
-        if not result.ok:
+            out["simulation"] = {"error": str(exc)}
+            return out, EXIT_BUDGET
+        if not ok:
             code = EXIT_NEGATIVE
     return out, code
+
+
+def _simulate(inst, sch, args):
+    """Exhaustive simulation, or --sample N seeded tuples past the budget.
+
+    Returns the result's JSON, labelled with its mode, and whether it passed;
+    raises BudgetExceeded past the budget without --sample.
+    """
+    try:
+        result, mode = schemes.simulate_exhaustive(inst, sch, budget=args.budget), "exhaustive"
+    except BudgetExceeded:
+        if args.sample is None:
+            raise
+        result, mode = schemes.simulate_sampled(inst, sch, args.sample), "sampled"
+    return dict(result.to_json(), mode=mode), result.ok
 
 
 def _cmd_verify(args):
@@ -242,17 +261,8 @@ def _cmd_verify(args):
 def _cmd_simulate(args):
     inst = _load_instance(args.instance)
     sch = schemes.load_scheme(args.scheme)
-    try:
-        result = schemes.simulate_exhaustive(inst, sch, budget=args.budget)
-        mode = "exhaustive"
-    except BudgetExceeded:
-        if args.sample is None:
-            raise
-        result = schemes.simulate_sampled(inst, sch, args.sample)
-        mode = "sampled"
-    out = result.to_json()
-    out["mode"] = mode
-    return out, EXIT_OK if result.ok else EXIT_NEGATIVE
+    out, ok = _simulate(inst, sch, args)
+    return out, EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_transform(args):

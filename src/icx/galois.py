@@ -564,13 +564,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return a.intersect(b)
 
 
-def span_of_columns(field: Field, mats: Iterable[Matrix], ambient_dim: int) -> Subspace:
-    stacked = Matrix.hstack_all(field, mats)
-    if stacked.cols == 0:
-        return Subspace(field, ambient_dim, Matrix.zeros(field, ambient_dim, 0))
-    return Subspace.from_matrix(stacked)
-
-
 # ----------------------------------------------------------------------
 # Special vector families
 # ----------------------------------------------------------------------

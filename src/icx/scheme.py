@@ -11,20 +11,32 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one.  ``simulate_exhaustive`` is
-the ground-truth check: it enumerates every message tuple, encodes, decodes
-at every destination, and compares.
+the ground-truth check: it runs every message tuple through the scheme and
+compares what each destination decodes with what it wants.
+``simulate_sampled`` does the same for seeded pseudorandom tuples.
+
+Both go through one kernel.  For each (destination, message) it computes,
+once and exactly, the linear map from a message tuple to that destination's
+decoding error for the message, and applies the maps to batches of tuples.
+Exhaustive batches are lexicographic blocks, so the first counterexample is
+the lexicographically first tuple that fails; sampled batches are drawn from
+``random.Random(seed)`` one tuple after another, so a seed always reports
+the same failing tuple.  The arithmetic is exact int64 for every supported
+field (GF(p) with p < 2^31, GF(2^m) with m <= 32): float64 would start to
+round once a sum of products passes 2^53.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import random
 from dataclasses import dataclass
 from types import MappingProxyType
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import (
+    BadParams,
     BudgetExceeded,
     NoDecoderExists,
     ParseError,
@@ -205,8 +217,10 @@ def _independent_rows(mat: Matrix, need: int):
 
 
 # ----------------------------------------------------------------------
-# exhaustive zero-error simulation
+# zero-error simulation
 # ----------------------------------------------------------------------
+
+_BLOCK = 1 << 19  # tuples per enumerated block, unless one digit alone has more
 
 
 @dataclass(frozen=True)
@@ -229,224 +243,47 @@ class SimulationResult:
 def simulate_exhaustive(
     inst: Instance, scheme: LinearScheme, budget: int = DEFAULT_SIMULATION_BUDGET
 ) -> SimulationResult:
-    """Enumerate every message tuple, encode, decode everywhere, compare.
+    """Check every message tuple: encode, decode everywhere, compare.
 
     Tuples are scanned in lexicographic order (message 1's first stream is
     the most significant digit), so the first counterexample is well defined.
     Decoders come from the scheme or, for V-only schemes, from
-    ``synthesize_decoders``; if synthesis itself fails the scheme cannot be
-    simulated and the first tuple that breaks rank-mode validity is found by
-    the plain encode/compare sweep below.
+    ``synthesize_decoders``; if synthesis itself fails, a tuple fails at a
+    destination when an earlier tuple has the same broadcast word and the
+    same antidote symbols there but different desired symbols.
     """
     _check_scheme_matches(inst, scheme)
     q = scheme.field.order
-    msg_ids = scheme.message_ids()
-    streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
-    total = len(streams)
+    total = sum(scheme.stream_count(m) for m in scheme.message_ids())
     space = q**total
     if space > budget:
         raise BudgetExceeded(f"{q}^{total} = {space} tuples exceed budget {budget}")
     if total == 0:
         return SimulationResult(True, 1)
-
-    if scheme.U is not None:
-        working = scheme
-    else:
+    if scheme.U is None:
         try:
-            working = synthesize_decoders(inst, scheme)
+            scheme = synthesize_decoders(inst, scheme)
         except NoDecoderExists:
-            return _simulate_collision_scan(inst, scheme, streams, space)
+            pass  # no decoders: look for colliding tuples instead
+    kernel = _Kernel(inst, scheme)
 
-    decoders = _decoder_tables(inst, working)
-    use_numpy = isinstance(scheme.field, PrimeField) and scheme.field.p <= 2**20 or (
-        isinstance(scheme.field, BinaryField) and scheme.field.m <= 8
-    )
-    if use_numpy:
-        return _simulate_numpy(inst, working, streams, space, decoders)
-    return _simulate_python(inst, working, streams, space, decoders)
-
-
-def _decoder_tables(inst: Instance, scheme: LinearScheme):
-    """Per (m, k): the full decode matrix (U V_m)^-1 U."""
-    out = {}
-    for d in inst.destinations:
-        for m in sorted(d.wants):
-            u = scheme.U[(m, d.id)]
-            out[(m, d.id)] = (u @ scheme.V[m]).inverse() @ u
-    return out
-
-
-def _stream_slices(scheme: LinearScheme, streams):
-    pos = {m: [] for m in scheme.V}
-    for idx, (m, j) in enumerate(streams):
-        pos[m].append(idx)
-    return pos
-
-
-def _simulate_python(inst, scheme, streams, space, decoders):
-    f = scheme.field
-    pos = _stream_slices(scheme, streams)
-    vfull = Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()])
-    checked = 0
-    for digits in itertools.product(f.elements(), repeat=len(streams)):
-        checked += 1
-        s = [0] * scheme.n
-        for idx, x in enumerate(digits):
-            if x:
-                col = vfull.col(idx)
-                s = [f.add(a, f.mul(x, b)) for a, b in zip(s, col)]
-        for d in inst.destinations:
-            cancelled = list(s)
-            for i in sorted(d.has):
-                for idx in pos[i]:
-                    x = digits[idx]
-                    if x:
-                        col = scheme.V[i].col(idx - pos[i][0])
-                        cancelled = [f.sub(a, f.mul(x, b)) for a, b in zip(cancelled, col)]
-            for m in sorted(d.wants):
-                dec = decoders[(m, d.id)]
-                got = [0] * dec.rows
-                for r in range(dec.rows):
-                    acc = 0
-                    for c in range(dec.cols):
-                        acc = f.add(acc, f.mul(dec[r, c], cancelled[c]))
-                    got[r] = acc
-                want = [digits[idx] for idx in pos[m]]
-                if got != want:
-                    return SimulationResult(
-                        False,
-                        checked,
-                        counterexample=_tuple_by_message(scheme, streams, digits),
-                        destination=d.id,
-                        message=m,
-                    )
-    return SimulationResult(True, space)
-
-
-def _simulate_numpy(inst, scheme, streams, space, decoders):
-    """Vectorized enumeration of all q^total tuples.
-
-    Streams split into h leading "page" digits and k trailing "offset"
-    digits.  By linearity of encode and decode, each tuple's decode error is
-    the offset part's error plus a page constant, so the offset part is
-    evaluated once for all q^k offsets and condensed into a first-occurrence
-    table of error signatures; each page then contributes one constant shift
-    per (destination, message).  Every tuple's decoder output is accounted
-    for exactly, and pages are scanned in lexicographic order, so the first
-    failing tuple matches the naive scan.
-    """
-    import numpy as np
-
-    f = scheme.field
-    q = f.order
-    total = len(streams)
-    pos = _stream_slices(scheme, streams)
-    prime = isinstance(f, PrimeField)
-    vfull_m = Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()])
-    dtype = np.float64 if prime else np.int64
-    vfull = np.array(vfull_m.row_list(), dtype=dtype)
-    if not prime:
-        mul_table = np.zeros((q, q), dtype=dtype)
-        for a in range(q):
-            for b in range(q):
-                mul_table[a, b] = f.mul(a, b)
-
-    def gmul(mat, x):
-        """mat (r x c) times x (c x N) over the field, vectorized over N."""
-        if prime:
-            return (mat @ x) % q
-        r, c = mat.shape
-        out = np.zeros((r, x.shape[1]), dtype=dtype)
-        for i in range(r):
-            for kk in range(c):
-                a = int(mat[i, kk])
-                if a:
-                    out[i] ^= mul_table[a, x[kk].astype(np.int64)]
-        return out
-
-    # trailing digits enumerated in one block of size q^k
-    low_cap = max(q, 1 << 19)
-    k = 1
-    while k < total and q ** (k + 1) <= low_cap:
-        k += 1
-    h = total - k
-    nlow = q**k
-    weights = [q ** (total - 1 - s) for s in range(total)]
-
-    idx = np.arange(nlow, dtype=np.int64)
-    x_low = np.empty((k, nlow), dtype=np.int64)
-    for r in range(k):
-        x_low[r] = (idx // (q ** (k - 1 - r))) % q
-    x_low = x_low.astype(dtype)
-    del idx
-
-    # Per (destination, message): first-occurrence table of offset-part error
-    # signatures, plus the exact page-constant matrix for the leading digits.
-    pairs = []
-    for dpos, d in enumerate(inst.destinations):
-        keep = [s for s, (mid, _) in enumerate(streams) if mid not in d.has]
-        keep_low = [s for s in keep if s >= h]
-        keep_high = [s for s in keep if s < h]
-        y_low = (
-            gmul(vfull[:, keep_low], x_low[[s - h for s in keep_low]])
-            if keep_low
-            else None
-        )
-        for m in sorted(d.wants):
-            dmat_exact = decoders[(m, d.id)]
-            dmat = np.array(dmat_exact.row_list(), dtype=dtype)
-            lm = scheme.stream_count(m)
-            if y_low is not None:
-                err = gmul(dmat, y_low)
-            else:
-                err = np.zeros((lm, nlow), dtype=dtype)
-            own = np.zeros((lm, nlow), dtype=dtype)
-            for r, s in enumerate(pos[m]):
-                if s >= h:
-                    own[r] = x_low[s - h]
-            err = (err - own) % q if prime else err.astype(np.int64) ^ own.astype(np.int64)
-            sig = np.zeros(nlow, dtype=np.int64)
-            for r in range(lm):
-                sig = sig * q + err[r].astype(np.int64)
-            values, first_idx = np.unique(sig, return_index=True)
-            present = sorted(zip((int(i) for i in first_idx), (int(v) for v in values)))
-            page_mat = (dmat_exact @ vfull_m.take_cols(keep_high)).row_list() if keep_high else []
-            own_high = [(r, s) for r, s in enumerate(pos[m]) if s < h]
-            pairs.append((dpos, d.id, m, lm, present, keep_high, page_mat, own_high))
-
-    npages = q**h
-    for page in range(npages):
-        x_high = [(page // (q ** (h - 1 - j))) % q for j in range(h)] if h else []
-        first_bad = None  # (global tuple index, destination position, message)
-        for dpos, did, m, lm, present, keep_high, page_mat, own_high in pairs:
-            cvals = [0] * lm
-            for r in range(lm):
-                acc = 0
-                for j, s in enumerate(keep_high):
-                    acc = f.add(acc, f.mul(page_mat[r][j], x_high[s]))
-                cvals[r] = acc
-            for r, s in own_high:
-                cvals[r] = f.sub(cvals[r], x_high[s])
-            # tuple fails iff offset signature != encode(-c)
-            target = 0
-            for r in range(lm):
-                target = target * q + f.neg(cvals[r])
-            for fidx, val in present:
-                if val != target:
-                    cand = (page * nlow + fidx, dpos, m)
-                    if first_bad is None or cand < first_bad:
-                        first_bad = cand
-                    break
-        if first_bad is not None:
-            first, dpos, m = first_bad
-            digits = tuple(int(first // w) % q for w in weights)
-            return SimulationResult(
-                False,
-                first + 1,
-                counterexample=_tuple_by_message(scheme, streams, digits),
-                destination=inst.destinations[dpos].id,
-                message=m,
-            )
+    # A tuple's index is sum_s x_s q^(total-1-s).  The digits split, from the
+    # least significant end, into levels of at most _BLOCK tuples.  A tuple's
+    # error is the sum of its levels' errors, and a level whose digits are all
+    # zero adds none.  So if some tuple of the lowest level fails (all other
+    # digits zero), the first of them is the first failing tuple; if none
+    # does, that level never changes an error and the scan moves up a level.
+    end, weight = total, 1
+    while end:
+        k = 1
+        while k < end and q ** (k + 1) <= _BLOCK:
+            k += 1
+        hit = kernel.first_lex_failure(end - k, end)
+        if hit is not None:
+            index = hit[0] * weight
+            digits = [index // q ** (total - 1 - s) % q for s in range(total)]
+            return kernel.result(digits, hit[1], index + 1)
+        end, weight = end - k, weight * q**k
     return SimulationResult(True, space)
 
 
@@ -457,96 +294,169 @@ def simulate_sampled(
 
     The fallback for spaces beyond the exhaustive budget: a passing result
     means no counterexample among `count` sampled tuples, nothing more.
+    ``random.Random(seed)`` draws each tuple's digits in stream order, one
+    tuple after another, so a seed always checks the same tuples.
     """
-    import random as _random
-
+    if count < 1:
+        raise BadParams(f"sample count must be at least 1, got {count}")
     _check_scheme_matches(inst, scheme)
-    f = scheme.field
     working = scheme if scheme.U is not None else synthesize_decoders(inst, scheme)
-    decoders = _decoder_tables(inst, working)
-    msg_ids = scheme.message_ids()
-    streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
-    pos = _stream_slices(scheme, streams)
-    rnd = _random.Random(seed)
-    vfull = Matrix.hstack_all(f, [scheme.V[m] for m in msg_ids])
-    for trial in range(count):
-        digits = tuple(rnd.randrange(f.order) for _ in streams)
-        s = [0] * scheme.n
-        for idx, x in enumerate(digits):
-            if x:
-                col = vfull.col(idx)
-                s = [f.add(a, f.mul(x, b)) for a, b in zip(s, col)]
-        for d in inst.destinations:
-            cancelled = list(s)
-            for i in sorted(d.has):
-                for idx in pos[i]:
-                    x = digits[idx]
-                    if x:
-                        col = scheme.V[i].col(idx - pos[i][0])
-                        cancelled = [f.sub(a, f.mul(x, b)) for a, b in zip(cancelled, col)]
-            for m in sorted(d.wants):
-                dec = decoders[(m, d.id)]
-                got = [
-                    _dot(f, dec.row(r), cancelled) for r in range(dec.rows)
-                ]
-                if got != [digits[idx] for idx in pos[m]]:
-                    return SimulationResult(
-                        False,
-                        trial + 1,
-                        counterexample=_tuple_by_message(scheme, streams, digits),
-                        destination=d.id,
-                        message=m,
-                    )
+    kernel = _Kernel(inst, working)
+    rnd = random.Random(seed)
+    q = scheme.field.order
+    total = len(kernel.streams)
+    size = max(1, _BLOCK // max(total, len(kernel.owner), 1))
+    for done in range(0, count, size):
+        batch = [[rnd.randrange(q) for _ in range(total)] for _ in range(min(size, count - done))]
+        hit = kernel.first_failure(batch)
+        if hit is not None:
+            return kernel.result(batch[hit[0]], hit[1], done + hit[0] + 1)
     return SimulationResult(True, count)
 
 
-def _dot(f, row, vec):
-    acc = 0
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
+class _Int64Field:
+    """Exact arithmetic on numpy int64 arrays of canonical field elements.
+
+    GF(p), p < 2^31: a product of two residues is below 2^62 and is reduced
+    before anything is added to it.  GF(2^m), m <= 32: addition is XOR, and
+    c * x is the XOR of c * 2^b over the set bits b of x.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def add(self, a, b):
+        import numpy as np
+
+        f = self.field
+        if isinstance(f, BinaryField):
+            return a ^ b
+        s = a + b
+        np.subtract(s, f.p, out=s, where=s >= f.p)
+        return s
+
+    def outer(self, col, x):
+        """The array of products col[i] * x[j]."""
+        import numpy as np
+
+        f = self.field
+        if isinstance(f, PrimeField):
+            return np.multiply.outer(col, x) % f.p
+        out = np.zeros((len(col), len(x)), dtype=np.int64)
+        for b in range(f.m):
+            times = np.array([f.mul(int(c), 1 << b) for c in col], dtype=np.int64)
+            out ^= np.multiply.outer(times, (x >> b) & 1)
+        return out
 
 
-def _simulate_collision_scan(inst, scheme, streams, space):
-    """Fallback for undecodable V-only schemes: find two tuples a destination
-    cannot tell apart (same broadcast word and same antidote symbols, different
-    desired symbols), scanning in lexicographic order."""
-    f = scheme.field
-    pos = _stream_slices(scheme, streams)
-    seen = {}  # (destination, encoded word, antidote digits) -> earlier tuple
-    checked = 0
-    for digits in itertools.product(f.elements(), repeat=len(streams)):
-        checked += 1
-        s = [0] * scheme.n
-        for idx, x in enumerate(digits):
-            if x:
-                m, j = streams[idx]
-                col = scheme.V[m].col(j)
-                s = [f.add(a, f.mul(x, b)) for a, b in zip(s, col)]
+class _Kernel:
+    """Exact error maps of a scheme, applied to batches of message tuples.
+
+    Row r of E belongs to the check owner[r] = (destination id, message), in
+    destination order and then message order.  A tuple x fails a check iff
+    that check's rows of E x are nonzero.  With combiners U the rows are the
+    decoder (U V_m)^-1 U applied to the non-antidote part of the word, minus
+    x_m.  Without, they are x_m minus the same coordinates of the
+    lexicographically least tuple with the same word and antidote symbols as
+    x.  Those tuples are x + y for y in the null space of [V; antidote rows];
+    if its basis rows b_i are in reduced echelon form with pivots s_i, the
+    least of them is x - sum_i x_{s_i} b_i.
+    """
+
+    def __init__(self, inst: Instance, scheme: LinearScheme):
+        import numpy as np
+
+        f = scheme.field
+        msg_ids = scheme.message_ids()
+        self.streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
+        total = len(self.streams)
+        pos = {m: [s for s, (i, _) in enumerate(self.streams) if i == m] for m in msg_ids}
+        eye = Matrix.identity(f, total)
+        vfull = Matrix.hstack_all(f, [scheme.V[m] for m in msg_ids])
+        rows, self.owner = [], []
         for d in inst.destinations:
-            side = tuple(digits[idx] for i in sorted(d.has) for idx in pos[i])
-            key = (d.id, tuple(s), side)
-            if key in seen:
-                for m in sorted(d.wants):
-                    if any(seen[key][idx] != digits[idx] for idx in pos[m]):
-                        return SimulationResult(
-                            False,
-                            checked,
-                            counterexample=_tuple_by_message(scheme, streams, digits),
-                            destination=d.id,
-                            message=m,
-                        )
+            if scheme.U is None:
+                side = eye.take_rows([s for i in sorted(d.has) for s in pos[i]])
+                same = Matrix.from_rows(f, vfull.row_list() + side.row_list()).nullspace()
+                basis = same.transpose().rref()
+                pivots = [next(c for c, e in enumerate(basis.row(r)) if e) for r in range(basis.rows)]
+                to_least = basis.transpose() @ eye.take_rows(pivots)  # x -> x - least such tuple
             else:
-                seen[key] = digits
-    return SimulationResult(True, space)
+                heard = Matrix.hstack_all(
+                    f,
+                    [
+                        Matrix.zeros(f, scheme.n, scheme.stream_count(i)) if i in d.has else scheme.V[i]
+                        for i in msg_ids
+                    ],
+                )
+            for m in sorted(d.wants):
+                if scheme.U is None:
+                    err = to_least.take_rows(pos[m])
+                else:
+                    u = scheme.U[(m, d.id)]
+                    err = ((u @ scheme.V[m]).inverse() @ u @ heard).add(eye.take_rows(pos[m]).neg())
+                rows += err.row_list()
+                self.owner += [(d.id, m)] * err.rows
+        self.E = np.array(rows, dtype=np.int64).reshape(len(rows), total)
+        self.gf = _Int64Field(f)
+
+    def first_lex_failure(self, start: int, end: int):
+        """(index, row) of the first failing tuple among those whose digits
+        outside start..end-1 are zero, in lexicographic order, or None.
+
+        The block of errors is built one digit at a time, from the least
+        significant, out of the products digit * column.  Rows go in chunks,
+        so that no array holds more than max(q, _BLOCK) entries.
+        """
+        import numpy as np
+
+        q = self.gf.field.order
+        chunk = max(1, _BLOCK // q ** (end - start))
+        digits = np.arange(q, dtype=np.int64)
+        best = None
+        for lo in range(0, len(self.E), chunk):
+            E = self.E[lo : lo + chunk, start:end]
+            errs = np.zeros((len(E), 1), dtype=np.int64)
+            for s in reversed(range(end - start)):
+                table = self.gf.outer(E[:, s], digits)
+                errs = self.gf.add(table[:, :, None], errs[:, None, :]).reshape(len(E), -1)
+            hit = _first_nonzero(errs)
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = (hit[0], lo + hit[1])
+        return best
+
+    def first_failure(self, tuples):
+        """(position, row) of the first failing tuple of a list of digit lists, or None."""
+        import numpy as np
+
+        X = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(self.streams))
+        errs = np.zeros((len(self.E), len(tuples)), dtype=np.int64)
+        for s in range(len(self.streams)):
+            errs = self.gf.add(errs, self.gf.outer(self.E[:, s], X[:, s]))
+        return _first_nonzero(errs)
+
+    def result(self, digits, row: int, checked: int) -> SimulationResult:
+        counterexample = {}
+        for (m, _), x in zip(self.streams, digits):
+            counterexample.setdefault(m, []).append(int(x))
+        destination, message = self.owner[row]
+        return SimulationResult(
+            False,
+            checked,
+            counterexample={m: tuple(v) for m, v in counterexample.items()},
+            destination=destination,
+            message=message,
+        )
 
 
-def _tuple_by_message(scheme, streams, digits):
-    out = {}
-    for (m, j), x in zip(streams, digits):
-        out.setdefault(m, []).append(x)
-    return {m: tuple(v) for m, v in out.items()}
+def _first_nonzero(errs):
+    """(column, row) of the first nonzero column of errs and its first nonzero row, or None."""
+    bad = errs != 0
+    cols = bad.any(axis=0)
+    if not cols.any():
+        return None
+    col = int(cols.argmax())
+    return col, int(bad[:, col].argmax())
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import BadParams
 from .galois import (
-    BinaryField,
     Field,
     Matrix,
     PrimeField,
@@ -26,7 +25,6 @@ from .galois import (
 )
 from .model import (
     Destination,
-    FamilyTag,
     Instance,
     _x_network_instance,
     gen_neighboring_antidotes,

@@ -1,0 +1,87 @@
+"""Naive per-tuple simulation: the independent reference for icx's batched kernel.
+
+Each message tuple is encoded and decoded on its own with the field's scalar
+operations, so nothing here shares code with the vectorised simulator beyond
+the scheme and decoder objects.
+"""
+
+import itertools
+import random
+
+from icx.errors import NoDecoderExists
+from icx.scheme import synthesize_decoders
+
+
+def simulate(inst, scheme, tuples):
+    """Check tuples (one digit per stream, messages in id order) one by one.
+
+    Decoders are the scheme's combiners or, for V-only schemes, those of
+    ``synthesize_decoders``.  When synthesis fails, a tuple fails at a
+    destination when an earlier tuple had the same broadcast word and the
+    same antidote symbols there but different desired symbols.  Returns
+    (ok, tuples_checked, counterexample, destination, message).
+    """
+    f = scheme.field
+    streams = [(m, j) for m in scheme.message_ids() for j in range(scheme.stream_count(m))]
+    pos = {m: [s for s, (i, _) in enumerate(streams) if i == m] for m in scheme.V}
+    try:
+        working = scheme if scheme.U is not None else synthesize_decoders(inst, scheme)
+    except NoDecoderExists:
+        decoders = None
+    else:
+        decoders = {}
+        for d in inst.destinations:
+            for m in d.wants:
+                u = working.U[(m, d.id)]
+                decoders[(m, d.id)] = (u @ scheme.V[m]).inverse() @ u
+    seen = {}  # (destination, encoded word, antidote digits) -> earliest tuple
+    checked = 0
+    for digits in tuples:
+        checked += 1
+        word = [0] * scheme.n
+        for (m, j), x in zip(streams, digits):
+            word = [f.add(a, f.mul(x, b)) for a, b in zip(word, scheme.V[m].col(j))]
+        for d in inst.destinations:
+            if decoders is None:
+                side = tuple(digits[s] for i in sorted(d.has) for s in pos[i])
+                earlier = seen.setdefault((d.id, tuple(word), side), digits)
+            else:
+                cancelled = list(word)
+                for s in (s for i in sorted(d.has) for s in pos[i]):
+                    m, j = streams[s]
+                    col = scheme.V[m].col(j)
+                    cancelled = [f.sub(a, f.mul(digits[s], b)) for a, b in zip(cancelled, col)]
+            for m in sorted(d.wants):
+                want = [digits[s] for s in pos[m]]
+                if decoders is None:
+                    got = [earlier[s] for s in pos[m]]
+                else:
+                    dec = decoders[(m, d.id)]
+                    got = [_dot(f, dec.row(r), cancelled) for r in range(dec.rows)]
+                if got != want:
+                    counterexample = {}
+                    for (i, _), x in zip(streams, digits):
+                        counterexample.setdefault(i, []).append(x)
+                    return False, checked, {i: tuple(v) for i, v in counterexample.items()}, d.id, m
+    return True, checked, None, None, None
+
+
+def _dot(f, row, vec):
+    acc = 0
+    for a, b in zip(row, vec):
+        acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
+def lexicographic_tuples(scheme):
+    """Every message tuple, message 1's first stream the most significant digit."""
+    total = sum(scheme.stream_count(m) for m in scheme.V)
+    return itertools.product(range(scheme.field.order), repeat=total)
+
+
+def sampled_tuples(scheme, count, seed=0):
+    """The tuples simulate_sampled draws: each stream's digit in turn, tuple after tuple."""
+    total = sum(scheme.stream_count(m) for m in scheme.V)
+    rnd = random.Random(seed)
+    for _ in range(count):
+        yield tuple(rnd.randrange(scheme.field.order) for _ in range(total))

@@ -74,6 +74,27 @@ def test_scheme_family_verify_simulate_sampled(capsys):
     assert obj["simulation"]["ok"] is True and obj["simulation"]["mode"] == "sampled"
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("verb", ["scheme", "simulate"])
+def test_sample_must_be_positive(tmp_path, capsys, verb, value):
+    if verb == "scheme":
+        argv = ["scheme", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2", "--simulate"]
+    else:
+        _, out, _ = invoke(capsys, "example", "1")
+        ex = json.loads(out)
+        inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+        inst_path.write_text(json.dumps(ex["instance"]) + "\n", encoding="utf-8")
+        scheme_path.write_text(json.dumps(ex["scheme"]) + "\n", encoding="utf-8")
+        argv = ["simulate", str(inst_path), str(scheme_path), "--budget", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--sample", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --sample: expected an integer >= 1" in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
 def test_scheme_simulate_budget_exit(capsys):
     code, out, _ = invoke(
         capsys,

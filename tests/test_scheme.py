@@ -1,13 +1,14 @@
 """Scheme verification, decoder synthesis, simulation, dimension audit."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import reference_simulation as reference
 from icx.errors import (
+    BadParams,
     BudgetExceeded,
     NoDecoderExists,
     ParseError,
@@ -15,17 +16,18 @@ from icx.errors import (
     UnsupportedFamily,
 )
 from icx.galois import BinaryField, Matrix, PrimeField
-from icx.model import Destination, Instance, gen_neighboring_antidotes
+from icx.model import Destination, Instance, gen_neighboring_antidotes, gen_neighboring_interference
 from icx.scheme import (
     LinearScheme,
     dimension_audit,
     parse_scheme,
     serialize_scheme,
     simulate_exhaustive,
+    simulate_sampled,
     synthesize_decoders,
     verify,
 )
-from icx.symmetric import build_antidote_scheme, builtin_example
+from icx.symmetric import build_antidote_scheme, build_interference_scheme, builtin_example
 
 
 def three_cycle_instance():
@@ -239,6 +241,156 @@ def test_three_way_agreement_on_random_schemes():
     assert agree > 60
 
 
+def random_case(rnd, field, max_streams, max_n=3):
+    """Random instance and scheme; about half the schemes carry random invertible combiners."""
+    M = rnd.randrange(1, 4)
+    L = {}
+    for m in range(1, M + 1):
+        L[m] = rnd.randrange(0 if m > 1 else 1, 3)
+        if sum(L.values()) > max_streams:
+            L[m] = 0
+    n = rnd.randrange(1, max_n + 1)
+    dests = []
+    for k in range(1, rnd.randrange(2, 5)):
+        wants = {rnd.randrange(1, M + 1)}
+        has = {m for m in range(1, M + 1) if m not in wants and rnd.random() < 0.4}
+        dests.append(Destination(k, frozenset(wants), frozenset(has)))
+    inst = Instance(M, tuple(dests))
+
+    def rand_matrix(rows, cols):
+        return Matrix(field, rows, cols, tuple(rnd.randrange(field.order) for _ in range(rows * cols)))
+
+    V = {m: rand_matrix(n, L[m]) for m in range(1, M + 1)}
+    if rnd.random() < 0.5:
+        for _ in range(3):
+            U = {(m, d.id): rand_matrix(L[m], n) for d in dests for m in d.wants}
+            if all((U[(m, k)] @ V[m]).rank() == L[m] for m, k in U):
+                return inst, LinearScheme(field, n, V, U), "decoders"
+    scheme = LinearScheme(field, n, V)
+    try:
+        synthesize_decoders(inst, scheme)
+    except NoDecoderExists:
+        return inst, scheme, "collision"
+    return inst, scheme, "decodable"
+
+
+def outcome(res):
+    return (res.ok, res.tuples_checked, res.counterexample, res.destination, res.message)
+
+
+def check_sampled(inst, scheme, kind, count, seed):
+    if kind == "collision":
+        with pytest.raises(NoDecoderExists):
+            simulate_sampled(inst, scheme, count, seed=seed)
+        return
+    expected = reference.simulate(inst, scheme, reference.sampled_tuples(scheme, count, seed))
+    assert outcome(simulate_sampled(inst, scheme, count, seed=seed)) == expected
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), BinaryField(2)], ids=repr)
+def test_simulation_matches_reference(field):
+    """Both simulators give the naive per-tuple reference's exact result:
+    verdict, tuples checked, first counterexample, destination and message."""
+    rnd = random.Random(field.order)
+    kinds = {"decoders": 0, "decodable": 0, "collision": 0}
+    failures = 0
+    for case in range(120):
+        inst, scheme, kind = random_case(rnd, field, max_streams=5 if field.order == 2 else 4)
+        kinds[kind] += 1
+        expected = reference.simulate(inst, scheme, reference.lexicographic_tuples(scheme))
+        assert outcome(simulate_exhaustive(inst, scheme)) == expected, (case, kind)
+        failures += not expected[0]
+        check_sampled(inst, scheme, kind, 40, seed=case)
+    assert min(kinds.values()) >= 10 and 10 <= failures <= 110
+
+
+def large_field_cases(field):
+    """Hand-made one- and two-stream schemes with known first failures."""
+    rnd = random.Random(field.order)
+
+    def entries(count):
+        return tuple(rnd.randrange(1, field.order) for _ in range(count))
+
+    V = {m: Matrix(field, 1, 1, entries(1)) for m in (1, 2)}
+    U = {key: Matrix(field, 1, 1, entries(1)) for key in ((1, 1), (2, 2))}
+    pair = Instance(2, (Destination(1, frozenset({1}), frozenset()), Destination(2, frozenset({2}), frozenset({1}))))
+    single = Instance(1, (Destination(1, frozenset({1}), frozenset()),))
+    wide = {m: Matrix(field, 2, 1, (m == 1, m == 2)) for m in (1, 2)}
+    return [
+        (pair, LinearScheme(field, 1, V, U), "decoders"),  # message 2 interferes at destination 1
+        (pair, LinearScheme(field, 1, V), "collision"),  # first collision at tuple (1, 0)
+        (pair, LinearScheme(field, 2, wide), "decodable"),
+        (single, LinearScheme(field, 1, {1: Matrix(field, 1, 1, (0,))}), "collision"),
+        (single, LinearScheme(field, 1, {1: V[1]}), "decodable"),
+    ]
+
+
+@pytest.mark.parametrize("field", [PrimeField(1048583), BinaryField(12)], ids=repr)
+def test_simulation_matches_reference_large_fields(field):
+    """Fields with more than 2^20 elements, or of degree above 8.  The
+    reference scans only the first 4097 tuples: a result within them must
+    match exactly, and past them no counterexample may come earlier."""
+    prefix = 4097
+    for case, (inst, scheme, kind) in enumerate(large_field_cases(field)):
+        res = simulate_exhaustive(inst, scheme, budget=field.order**2)
+        tuples = itertools.islice(reference.lexicographic_tuples(scheme), prefix)
+        expected = reference.simulate(inst, scheme, tuples)
+        if not expected[0] or expected[1] < prefix:
+            assert outcome(res) == expected, (case, kind)
+        else:
+            assert res.ok or res.tuples_checked >= prefix, (case, kind)
+        check_sampled(inst, scheme, kind, 30, seed=case)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2147483647), PrimeField(1048583), BinaryField(12), BinaryField(32)],
+    ids=repr,
+)
+def test_int64_field_arithmetic_exact(field):
+    """The kernel's array arithmetic equals scalar field arithmetic, also
+    where products exceed 2^53 and float64 would round."""
+    import numpy as np
+
+    from icx.scheme import _Int64Field
+
+    rnd = random.Random(3)
+    top = field.order - 1
+    col = [top, 1, 0] + [rnd.randrange(field.order) for _ in range(5)]
+    x = [top, 0, 1] + [rnd.randrange(field.order) for _ in range(60)]
+    gf = _Int64Field(field)
+    prod = gf.outer(np.array(col, dtype=np.int64), np.array(x, dtype=np.int64))
+    assert prod.tolist() == [[field.mul(c, v) for v in x] for c in col]
+    total = gf.add(prod[0], prod[3])
+    assert total.tolist() == [field.add(field.mul(col[0], v), field.mul(col[3], v)) for v in x]
+
+
+def test_sampled_counterexample_pinned():
+    """A flipped combiner entry fails on the fourth tuple seed 11 draws; the
+    tuple and its position are those of the per-tuple sampler this kernel
+    replaced, so the same tuples are drawn in the same order."""
+    inst = gen_neighboring_interference(9, 1, 2)
+    scheme = synthesize_decoders(inst, build_interference_scheme(9, 1, 2))
+    U = dict(scheme.U)
+    u = U[(1, 1)]
+    U[(1, 1)] = Matrix(u.field, u.rows, u.cols, tuple(e ^ (i == 2) for i, e in enumerate(u.entries)))
+    res = simulate_sampled(inst, LinearScheme(scheme.field, scheme.n, scheme.V, U), 50, seed=11)
+    assert res.to_json() == {
+        "ok": False,
+        "tuples_checked": 4,
+        "counterexample": {"1": [0], "2": [1], "3": [1], "4": [0], "5": [0], "6": [1], "7": [1], "8": [1], "9": [0]},
+        "destination": 1,
+        "message": 1,
+    }
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_sampled_count_must_be_positive(count):
+    ex = builtin_example(1)
+    with pytest.raises(BadParams):
+        simulate_sampled(ex.instance, ex.scheme, count)
+
+
 # ----------------------------------------------------------------------
 # dimension audit
 # ----------------------------------------------------------------------
@@ -318,43 +470,3 @@ def test_scheme_file_gf2m_field():
     again = parse_scheme(serialize_scheme(ex.scheme))
     assert again.field == BinaryField(4)
     assert verify(ex.instance, again).valid
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**30))
-def test_simulation_python_numpy_agree(seed):
-    """The vectorized path must match the naive per-tuple reference exactly."""
-    from icx.scheme import _decoder_tables, _simulate_numpy, _simulate_python
-
-    rnd = random.Random(seed)
-    field = rnd.choice([PrimeField(2), PrimeField(3), BinaryField(2)])
-    M = rnd.randrange(2, 4)
-    n = rnd.randrange(2, 4)
-    dests = []
-    for k in range(1, rnd.randrange(2, 4)):
-        wants = {rnd.randrange(1, M + 1)}
-        rest = [m for m in range(1, M + 1) if m not in wants]
-        has = {m for m in rest if rnd.random() < 0.4}
-        dests.append(Destination(k, frozenset(wants), frozenset(has)))
-    inst = Instance(M, tuple(dests))
-    V = {m: Matrix(field, n, 1, tuple(rnd.randrange(field.order) for _ in range(n))) for m in range(1, M + 1)}
-    U = {}
-    for d in dests:
-        for m in d.wants:
-            U[(m, d.id)] = Matrix(field, 1, n, tuple(rnd.randrange(field.order) for _ in range(n)))
-    try:
-        scheme = LinearScheme(field, n, V, U)
-        dec = _decoder_tables(inst, scheme)
-    except Exception:
-        return
-    streams = [(m, 0) for m in sorted(V)]
-    space = field.order ** len(streams)
-    rp = _simulate_python(inst, scheme, streams, space, dec)
-    rn = _simulate_numpy(inst, scheme, streams, space, dec)
-    assert (rp.ok, rp.tuples_checked, rp.counterexample, rp.destination, rp.message) == (
-        rn.ok,
-        rn.tuples_checked,
-        rn.counterexample,
-        rn.destination,
-        rn.message,
-    )
