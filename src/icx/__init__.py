@@ -15,9 +15,7 @@ from .galois import (
     PrimeField,
     Subspace,
     mds_vector_family,
-    rank_and_nullspace,
     spread_family,
-    subspace_intersect,
 )
 from .model import (
     Destination,

@@ -10,10 +10,29 @@ bit-exact across runs.
 Matrices are immutable, dense, row-major.  Subspaces carry a reduced
 column echelon basis, which makes subspace equality a plain entry
 comparison.
+
+Every elimination (rank, rref, null spaces, inverse, column echelon form)
+goes through one kernel, ``_rref``, which picks its path from the field and
+the matrix size alone:
+
+* GF(2): rows packed into Python ints, one byte per entry, reduced by XOR.
+* GF(p), p > 2, at most NUMPY_MIN_ENTRIES entries: Python lists, with the
+  row operation ``(x - c*y) % p`` written inline.
+* GF(p), p > 2, larger: numpy int64.  p < 2^31, so a product of two
+  residues is below 2^62 and is reduced before it is subtracted; nothing
+  overflows.  numpy is imported only here.
+* GF(2^m): Python lists, with the field's own multiplication.
+
+Each path computes the reduced row echelon form, which is unique, so the
+results do not depend on the path.  The list and int paths are
+``EchelonBasis``, which callers also use on its own: it takes vectors one at
+a time and reports how much each grows the rank (subspace membership,
+sliding windows, greedy choices of rows or columns).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -256,17 +275,179 @@ Field = PrimeField | BinaryField
 
 
 def field_from_json(obj: dict) -> Field:
+    """The field of a JSON spec; ValueError for anything malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError("field spec must be an object")
+
+    def integer(key):
+        value = obj[key]
+        if type(value) is not int:  # bool is a subclass of int, and is rejected too
+            raise ValueError(f"'{key}' must be an integer, got {value!r}")
+        return value
+
     kind = obj.get("kind")
     if kind == "prime":
-        return PrimeField(obj["p"])
+        return PrimeField(integer("p"))
     if kind == "gf2m":
-        return BinaryField(obj["m"], obj.get("poly", 0))
+        return BinaryField(integer("m"), integer("poly") if "poly" in obj else 0)
     raise ValueError(f"unknown field kind {kind!r}")
 
 
 def _same_field(a: Field, b: Field):
     if a != b:
         raise FieldMismatch(f"mixed fields {a} and {b}")
+
+
+# ----------------------------------------------------------------------
+# Elimination kernel
+# ----------------------------------------------------------------------
+
+# GF(p), p > 2: matrices with more entries than this are eliminated in numpy
+# int64, smaller ones in Python lists.  Timed on random dense matrices over
+# GF(5) and GF(37), lists win up to about 100 entries (numpy's per-call
+# overhead), numpy from about 150, and the two are within noise between.
+NUMPY_MIN_ENTRIES = 128
+
+
+class EchelonBasis:
+    """Reduced row echelon basis of the span of vectors added one at a time.
+
+    Every basis row has a 1 in its pivot column and a 0 in the pivot column
+    of every other row.  So, sorted by pivot, the rows are the nonzero rows of
+    the reduced row echelon form of all vectors added so far, in whatever
+    order they came.  ``add`` returns the rank growth, 0 or 1.
+
+    Vectors are sequences of n canonical field elements.  Over GF(2) a row
+    is one int with entry j in bit 8j, so ``int.from_bytes`` and
+    ``int.to_bytes`` convert and a row operation is one XOR; over other
+    fields it is a list (see the module docstring).
+    """
+
+    __slots__ = ("field", "n", "pivots", "rows", "_p")
+
+    def __init__(self, field: Field, n: int):
+        self.field = field
+        self.n = n
+        self.pivots: list = []  # pivot column of each row, in insertion order
+        self.rows: list = []  # replaced, never changed in place, as rows are reduced
+        self._p = field.p if isinstance(field, PrimeField) else 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def copy(self) -> "EchelonBasis":
+        other = EchelonBasis(self.field, self.n)
+        other.pivots = self.pivots[:]
+        other.rows = self.rows[:]
+        return other
+
+    def add(self, vec: Sequence[int]) -> int:
+        """Reduce vec against the basis and keep what is left, if nonzero."""
+        n = self.n
+        if len(vec) != n:
+            raise DimensionMismatch(f"vector of length {len(vec)} for a basis of {n}-vectors")
+        pivots, rows = self.pivots, self.rows
+        if len(pivots) == n:
+            return 0
+        p = self._p
+        if p == 2:
+            new = int.from_bytes(bytes(vec), "little")
+            for c, b in zip(pivots, rows):
+                if new >> 8 * c & 1:
+                    new ^= b
+            if not new:
+                return 0
+            c = (new & -new).bit_length() >> 3  # the lowest set bit is bit 8c
+            for i, b in enumerate(rows):
+                if b >> 8 * c & 1:
+                    rows[i] = b ^ new
+        elif p:
+            for c, b in zip(pivots, rows):
+                t = vec[c]
+                if t:
+                    vec = [(x - t * y) % p for x, y in zip(vec, b)]
+            c = next((j for j, x in enumerate(vec) if x), None)
+            if c is None:
+                return 0
+            inv = pow(vec[c], p - 2, p)
+            new = [x * inv % p for x in vec]
+            for i, b in enumerate(rows):
+                t = b[c]
+                if t:
+                    rows[i] = [(x - t * y) % p for x, y in zip(b, new)]
+        else:
+            f = self.field
+            mul = f.mul
+            for c, b in zip(pivots, rows):
+                t = vec[c]
+                if t:
+                    vec = [x ^ mul(t, y) for x, y in zip(vec, b)]
+            c = next((j for j, x in enumerate(vec) if x), None)
+            if c is None:
+                return 0
+            inv = f.inv(vec[c])
+            new = [mul(inv, x) for x in vec]
+            for i, b in enumerate(rows):
+                t = b[c]
+                if t:
+                    rows[i] = [x ^ mul(t, y) for x, y in zip(b, new)]
+        pivots.append(c)
+        rows.append(new)
+        return 1
+
+    def echelon_rows(self) -> tuple:
+        """(basis rows as lists sorted by pivot, their pivot columns)."""
+        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
+        if self._p == 2:
+            rows = [list(self.rows[i].to_bytes(self.n, "little")) for i in order]
+        else:
+            rows = [list(self.rows[i]) for i in order]
+        return rows, [self.pivots[i] for i in order]
+
+
+def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
+    """(nonzero rows of the reduced row echelon form of rows, pivot columns).
+
+    Every whole-matrix elimination in icx ends here.  GF(p), p > 2, with
+    more than NUMPY_MIN_ENTRIES entries goes to numpy; everything else to
+    EchelonBasis.  The reduced row echelon form is unique, so the two agree
+    exactly.
+    """
+    if isinstance(field, PrimeField) and field.p > 2 and len(rows) * ncols > NUMPY_MIN_ENTRIES:
+        return _rref_int64(field.p, rows, ncols)
+    basis = EchelonBasis(field, ncols)
+    for row in rows:
+        basis.add(row)
+    return basis.echelon_rows()
+
+
+def _rref_int64(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
+    """Gauss-Jordan elimination over GF(p), 2 < p < 2^31, in numpy int64.
+
+    Entries stay canonical residues below 2^31, so a product of two is below
+    2^62 and is reduced before it is subtracted: nothing overflows.
+    """
+    import numpy as np
+
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        hit = np.flatnonzero(a[r:, c])
+        if not hit.size:
+            continue
+        i = r + int(hit[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        coef = a[:, c].copy()
+        coef[r] = 0
+        a[:, c:] = (a[:, c:] - np.multiply.outer(coef, a[r, c:]) % p) % p
+        pivots.append(c)
+    return a[: len(pivots)].tolist(), pivots
 
 
 # ----------------------------------------------------------------------
@@ -295,13 +476,20 @@ class Matrix:
 
     # -- constructors ---------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, field: Field, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """A matrix of canonical entries computed in this module, not re-checked."""
+        m = object.__new__(cls)
+        vars(m).update(field=field, rows=rows, cols=cols, entries=entries)
+        return m
+
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, (0,) * (rows * cols))
+        return Matrix._trusted(field, rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(
+        return Matrix._trusted(
             field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
         )
 
@@ -342,6 +530,9 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
+    def _row_tuples(self) -> list:
+        return [self.row(i) for i in range(self.rows)]
+
     # -- arithmetic -----------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -351,8 +542,14 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        out = []
         ocols = other.cols
+        if isinstance(f, PrimeField):
+            # Python ints do not overflow: one reduction per dot product.
+            p = f.p
+            bcols = [other.col(j) for j in range(ocols)]
+            out = [sum(map(operator.mul, arow, bcol)) % p for arow in self._row_tuples() for bcol in bcols]
+            return Matrix._trusted(f, self.rows, ocols, tuple(out))
+        out = []
         for i in range(self.rows):
             arow = self.row(i)
             for j in range(ocols):
@@ -362,16 +559,16 @@ class Matrix:
                     if a:
                         b = other.entries[k * ocols + j]
                         if b:
-                            acc = f.add(acc, f.mul(a, b))
+                            acc ^= f.mul(a, b)
                 out.append(acc)
-        return Matrix(f, self.rows, ocols, tuple(out))
+        return Matrix._trusted(f, self.rows, ocols, tuple(out))
 
     def add(self, other: "Matrix") -> "Matrix":
         _same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
         f = self.field
-        return Matrix(
+        return Matrix._trusted(
             f,
             self.rows,
             self.cols,
@@ -380,18 +577,19 @@ class Matrix:
 
     def neg(self) -> "Matrix":
         f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
+        return Matrix._trusted(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
 
     def scale(self, c: int) -> "Matrix":
         f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
+        c = f.canonical(c)
+        return Matrix._trusted(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._trusted(
             self.field,
             self.cols,
             self.rows,
-            tuple(self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)),
+            tuple(e for j in range(self.cols) for e in self.col(j)),
         )
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -402,7 +600,7 @@ class Matrix:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, tuple(out))
+        return Matrix._trusted(self.field, self.rows, self.cols + other.cols, tuple(out))
 
     @staticmethod
     def hstack_all(field: Field, mats: Iterable["Matrix"]) -> "Matrix":
@@ -414,98 +612,67 @@ class Matrix:
         for i in range(rows):
             for m in mats:
                 out.extend(m.row(i))
-        return Matrix(field, rows, sum(m.cols for m in mats), tuple(out))
+        return Matrix._trusted(field, rows, sum(m.cols for m in mats), tuple(out))
 
     def take_cols(self, js: Sequence[int]) -> "Matrix":
         out = []
         for i in range(self.rows):
             row = self.row(i)
             out.extend(row[j] for j in js)
-        return Matrix(self.field, self.rows, len(js), tuple(out))
+        return Matrix._trusted(self.field, self.rows, len(js), tuple(out))
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
         out = []
         for i in idx:
             out.extend(self.row(i))
-        return Matrix(self.field, len(idx), self.cols, tuple(out))
+        return Matrix._trusted(self.field, len(idx), self.cols, tuple(out))
 
-    # -- elimination ----------------------------------------------------
-
-    def _rref(self):
-        """Reduced row echelon form; returns (rows as lists, pivot columns)."""
-        f = self.field
-        a = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if a[i][c] != 0), None)
-            if pr is None:
-                continue
-            a[r], a[pr] = a[pr], a[r]
-            inv = f.inv(a[r][c])
-            a[r] = [f.mul(inv, x) for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c] != 0:
-                    coef = a[i][c]
-                    a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return a, pivots
+    # -- elimination (all through _rref) --------------------------------
 
     def rref(self) -> "Matrix":
-        a, _ = self._rref()
-        return Matrix.from_rows(self.field, a) if self.rows else self
+        rows, _ = _rref(self.field, self._row_tuples(), self.cols)
+        entries = [e for row in rows for e in row]
+        entries += [0] * (self.rows * self.cols - len(entries))
+        return Matrix._trusted(self.field, self.rows, self.cols, tuple(entries))
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        _, pivots = self._rref()
-        return len(pivots)
+        return len(_rref(self.field, self._row_tuples(), self.cols)[1])
 
     def nullspace(self) -> "Matrix":
         """Columns form a basis of {x : self @ x = 0}."""
         f = self.field
         if self.cols == 0:
             return Matrix.zeros(f, 0, 0)
-        a, pivots = self._rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        cols = []
-        for fc in free:
-            v = [0] * self.cols
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(a[r][fc])
-            cols.append(v)
-        return Matrix.from_cols(f, cols) if cols else Matrix.zeros(f, self.cols, 0)
+        rows, pivots = _rref(f, self._row_tuples(), self.cols)
+        is_pivot = set(pivots)
+        free = [c for c in range(self.cols) if c not in is_pivot]
+        out = [[0] * len(free) for _ in range(self.cols)]
+        for k, fc in enumerate(free):
+            out[fc][k] = 1
+            for row, pc in zip(rows, pivots):
+                out[pc][k] = f.neg(row[fc])
+        return Matrix._trusted(f, self.cols, len(free), tuple(e for row in out for e in row))
 
     def left_nullspace(self) -> "Matrix":
         """Rows form a basis of {y : y @ self = 0}."""
-        ns = self.transpose().nullspace()
-        return ns.transpose()
+        return self.transpose().nullspace().transpose()
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        aug = self.hstack(Matrix.identity(self.field, self.rows))
-        a, pivots = aug._rref()
-        if pivots != list(range(self.rows)):
+        n = self.rows
+        aug = [self.row(i) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        rows, pivots = _rref(self.field, aug, 2 * n)
+        if pivots != list(range(n)):
             raise DivisionByZero("matrix is singular")
-        return Matrix.from_rows(self.field, [row[self.rows :] for row in a])
+        return Matrix._trusted(self.field, n, n, tuple(e for row in rows for e in row[n:]))
 
     def column_echelon(self) -> "Matrix":
         """Reduced column echelon form with zero columns dropped."""
-        red = self.transpose().rref()
-        rows = [list(red.row(i)) for i in range(red.rows) if any(red.row(i))]
-        if not rows:
-            return Matrix.zeros(self.field, self.rows, 0)
-        return Matrix.from_rows(self.field, rows).transpose()
-
-
-def rank_and_nullspace(m: Matrix) -> tuple[int, Matrix]:
-    """Rank of m and a basis (as columns) of its right nullspace."""
-    return m.rank(), m.nullspace()
+        cols, _ = _rref(self.field, [self.col(j) for j in range(self.cols)], self.rows)
+        return Matrix._trusted(
+            self.field, self.rows, len(cols), tuple(col[i] for i in range(self.rows) for col in cols)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -532,8 +699,15 @@ class Subspace:
             raise ValueError("subspace basis must be in reduced column echelon form")
 
     @staticmethod
+    def _trusted(basis: Matrix) -> "Subspace":
+        """The span of a basis this module put in reduced column echelon form."""
+        s = object.__new__(Subspace)
+        vars(s).update(field=basis.field, ambient_dim=basis.rows, basis=basis)
+        return s
+
+    @staticmethod
     def from_matrix(mat: Matrix) -> "Subspace":
-        return Subspace(mat.field, mat.rows, mat.column_echelon())
+        return Subspace._trusted(mat.column_echelon())
 
     @property
     def dim(self) -> int:
@@ -542,8 +716,10 @@ class Subspace:
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        col = Matrix.from_cols(self.field, [list(vec)])
-        return self.basis.hstack(col).rank() == self.dim
+        basis = EchelonBasis(self.field, self.ambient_dim)
+        for j in range(self.dim):
+            basis.add(self.basis.col(j))
+        return basis.add([self.field.canonical(x) for x in vec]) == 0
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel method: nullspace of [A | -B] projected through A."""
@@ -551,17 +727,10 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
         a, b = self.basis, other.basis
-        if a.cols == 0 or b.cols == 0:
-            return Subspace(self.field, self.ambient_dim, Matrix.zeros(self.field, self.ambient_dim, 0))
-        ns = a.hstack(b.neg()).nullspace()
-        x_part = ns.take_rows(range(a.cols)) if ns.cols else Matrix.zeros(self.field, a.cols, 0)
-        return Subspace.from_matrix(a @ x_part) if ns.cols else Subspace(
-            self.field, self.ambient_dim, Matrix.zeros(self.field, self.ambient_dim, 0)
-        )
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
+        ns = a.hstack(b.neg()).nullspace() if a.cols and b.cols else None
+        if ns is None or ns.cols == 0:
+            return Subspace._trusted(Matrix.zeros(self.field, self.ambient_dim, 0))
+        return Subspace.from_matrix(a @ ns.take_rows(range(a.cols)))
 
 
 # ----------------------------------------------------------------------

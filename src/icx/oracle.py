@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadParams, BudgetExceeded
-from .galois import Field, Matrix, PrimeField
+from .galois import EchelonBasis, Field, Matrix, PrimeField
 from .model import Instance
 from .scheme import LinearScheme
 
@@ -80,38 +80,38 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     if 2 ** len(free) > budget:
         raise BudgetExceeded(f"2^{len(free)} fitting matrices exceed budget {budget}")
 
-    base = [1 << m for m in range(K)]  # unit diagonal, rows as bitmasks
-
-    def rank_rows(rows):
-        rows = list(rows)
-        r = 0
-        for bit in range(K):
-            mask = 1 << bit
-            piv = next((i for i in range(r, K) if rows[i] & mask), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(K):
-                if i != r and rows[i] & mask:
-                    rows[i] ^= rows[r]
-            r += 1
-        return r
-
-    best = None
-    best_rows = None
-    for bits in range(2 ** len(free)):
-        rows = list(base)
-        for idx, (m, mp) in enumerate(free):
-            if bits >> idx & 1:
-                rows[m - 1] |= 1 << (mp - 1)
-        r = rank_rows(rows)
-        if best is None or r < best:
-            best, best_rows = r, rows
-
+    # Matrix number `bits` sets free position idx when bit idx is set.  Row
+    # m's free positions are consecutive bits, more significant for larger m,
+    # so nested loops over the choices of rows K, K-1, ..., 1 meet the
+    # matrices in numeric order, and matrices that share rows K..m share the
+    # echelon basis of those rows.  A rank never falls as rows are added, so
+    # rows already at the best rank found cannot lead to a smaller one.
+    choices = []
+    for m in range(1, K + 1):
+        spots = [mp for i, mp in free if i == m]
+        rows = []
+        for bits in range(2 ** len(spots)):
+            row = [1 if j == m else 0 for j in range(1, K + 1)]
+            for idx, mp in enumerate(spots):
+                row[mp - 1] |= bits >> idx & 1
+            rows.append(row)
+        choices.append(rows)
     gf2 = PrimeField(2)
-    fitting = Matrix.from_rows(
-        gf2, [[best_rows[i] >> j & 1 for j in range(K)] for i in range(K)]
-    )
+    best, best_rows = K + 1, None
+
+    def search(m, basis, below):
+        nonlocal best, best_rows
+        if m == 0:
+            best, best_rows = basis.rank, below
+            return
+        for row in choices[m - 1]:
+            grown = basis.copy()
+            grown.add(row)
+            if grown.rank < best:
+                search(m - 1, grown, [row] + below)
+
+    search(K, EchelonBasis(gf2, K), [])
+    fitting = Matrix.from_rows(gf2, best_rows)
     scheme = _scheme_from_fitting(inst, fitting, demand, best)
     return OracleResult(
         query=f"minrank over GF(2), {K} messages",
@@ -196,28 +196,19 @@ def _projective_reps(field: Field, n: int) -> list:
 
 
 def _scalar_assignment_valid(inst, field, beams) -> bool:
-    """Rank-mode validity specialized to one beam per message."""
+    """Rank-mode validity specialized to one beam per message: at every
+    destination the desired beams are independent, and adding the
+    interference beams to them grows the rank by the interference's own rank."""
+    n = len(beams[0])
     for d in inst.destinations:
-        desired = [beams[m - 1] for m in sorted(d.wants)]
-        interference = [beams[i - 1] for i in sorted(inst.interferers(d))]
-        rows = desired + interference
-        joint = _rank(field, rows)
-        if joint != _rank(field, desired) + _rank(field, interference):
-            return False
-        if _rank(field, desired) != len(desired):
+        joint = EchelonBasis(field, n)
+        for m in d.wants:
+            if not joint.add(beams[m - 1]):
+                return False
+        interference = EchelonBasis(field, n)
+        for i in inst.interferers(d):
+            interference.add(beams[i - 1])
+            joint.add(beams[i - 1])
+        if joint.rank != len(d.wants) + interference.rank:
             return False
     return True
-
-
-def _rank(field, vectors) -> int:
-    basis = []
-    for v in vectors:
-        v = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if v[lead] != 0:
-                c = field.div(v[lead], b[lead])
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            basis.append(v)
-    return len(basis)

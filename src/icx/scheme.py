@@ -38,12 +38,13 @@ from typing import Mapping, Optional
 from .errors import (
     BadParams,
     BudgetExceeded,
+    DivisionByZero,
     NoDecoderExists,
     ParseError,
     SchemeMalformed,
     UnsupportedFamily,
 )
-from .galois import BinaryField, Field, Matrix, PrimeField, field_from_json
+from .galois import BinaryField, EchelonBasis, Field, Matrix, PrimeField, field_from_json
 from .model import Instance
 
 DEFAULT_SIMULATION_BUDGET = 2**24
@@ -206,11 +207,11 @@ def _independent_rows(mat: Matrix, need: int):
         return None
     if need == 0:
         return []
+    basis = EchelonBasis(mat.field, mat.cols)
     chosen = []
     for i in range(mat.rows):
-        cand = chosen + [i]
-        if mat.take_rows(cand).rank() == len(cand):
-            chosen = cand
+        if basis.add(mat.row(i)):
+            chosen.append(i)
             if len(chosen) == need:
                 return chosen
     return None
@@ -250,7 +251,10 @@ def simulate_exhaustive(
     Decoders come from the scheme or, for V-only schemes, from
     ``synthesize_decoders``; if synthesis itself fails, a tuple fails at a
     destination when an earlier tuple has the same broadcast word and the
-    same antidote symbols there but different desired symbols.
+    same antidote symbols there but different desired symbols.  A combiner
+    with U_{m,k} V_m singular fails without a scan: the counterexample is
+    zero except that x_m is a nonzero kernel vector of U_{m,k} V_m, and
+    ``tuples_checked`` is 1.
     """
     _check_scheme_matches(inst, scheme)
     q = scheme.field.order
@@ -265,7 +269,10 @@ def simulate_exhaustive(
             scheme = synthesize_decoders(inst, scheme)
         except NoDecoderExists:
             pass  # no decoders: look for colliding tuples instead
-    kernel = _Kernel(inst, scheme)
+    try:
+        kernel = _Kernel(inst, scheme)
+    except _SingularDecoder as exc:
+        return exc.result
 
     # A tuple's index is sum_s x_s q^(total-1-s).  The digits split, from the
     # least significant end, into levels of at most _BLOCK tuples.  A tuple's
@@ -295,13 +302,17 @@ def simulate_sampled(
     The fallback for spaces beyond the exhaustive budget: a passing result
     means no counterexample among `count` sampled tuples, nothing more.
     ``random.Random(seed)`` draws each tuple's digits in stream order, one
-    tuple after another, so a seed always checks the same tuples.
+    tuple after another, so a seed always checks the same tuples.  A
+    singular U_{m,k} V_m is reported as in ``simulate_exhaustive``.
     """
     if count < 1:
         raise BadParams(f"sample count must be at least 1, got {count}")
     _check_scheme_matches(inst, scheme)
     working = scheme if scheme.U is not None else synthesize_decoders(inst, scheme)
-    kernel = _Kernel(inst, working)
+    try:
+        kernel = _Kernel(inst, working)
+    except _SingularDecoder as exc:
+        return exc.result
     rnd = random.Random(seed)
     q = scheme.field.order
     total = len(kernel.streams)
@@ -349,6 +360,19 @@ class _Int64Field:
         return out
 
 
+class _SingularDecoder(Exception):
+    """Some U_{m,k} V_m is singular, so no decoder exists to build an error map.
+
+    ``result`` names the tuple that is zero except x_m, a nonzero vector of
+    the kernel of U_{m,k} V_m.  Through U_{m,k}, destination k sees the same
+    from it as from the all-zero tuple, so it cannot decode m from both.
+    """
+
+    def __init__(self, result: "SimulationResult"):
+        super().__init__(result)
+        self.result = result
+
+
 class _Kernel:
     """Exact error maps of a scheme, applied to batches of message tuples.
 
@@ -394,7 +418,14 @@ class _Kernel:
                     err = to_least.take_rows(pos[m])
                 else:
                     u = scheme.U[(m, d.id)]
-                    err = ((u @ scheme.V[m]).inverse() @ u @ heard).add(eye.take_rows(pos[m]).neg())
+                    uv = u @ scheme.V[m]
+                    try:
+                        decoder = uv.inverse() @ u
+                    except DivisionByZero:
+                        x = {i: (0,) * scheme.stream_count(i) for i in msg_ids}
+                        x[m] = uv.nullspace().col(0)
+                        raise _SingularDecoder(SimulationResult(False, 1, x, d.id, m)) from None
+                    err = (decoder @ heard).add(eye.take_rows(pos[m]).neg())
                 rows += err.row_list()
                 self.owner += [(d.id, m)] * err.rows
         self.E = np.array(rows, dtype=np.int64).reshape(len(rows), total)
@@ -515,14 +546,16 @@ def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
     jmax = K - A - 1
     if jmax < 1:
         raise UnsupportedFamily("no interference to audit when A >= K-1")
-    f = scheme.field
-    alpha = []
-    for j in range(1, jmax + 1):
-        total = 0
-        for i in range(1, K + 1):
-            window = [(i - 1 + t) % K + 1 for t in range(j)]
-            total += Matrix.hstack_all(f, [scheme.V[m] for m in window]).rank()
-        alpha.append(total)
+    # One incremental pass per start i: after V_{i+j-1}'s columns are added,
+    # the basis spans the window of size j.
+    cols = {m: [v.col(c) for c in range(v.cols)] for m, v in scheme.V.items()}
+    alpha = [0] * jmax
+    for i in range(K):
+        basis = EchelonBasis(scheme.field, scheme.n)
+        for j in range(jmax):
+            for col in cols[(i + j) % K + 1]:
+                basis.add(col)
+            alpha[j] += basis.rank
     checks = []
     for j in range(1, jmax + 1):
         bound = Fraction(U + j, U + 1) * alpha[0]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TranslationFailed
-from .galois import Matrix, Subspace
+from .galois import EchelonBasis, Matrix, Subspace
 from .model import Destination, Instance, _normalize_groupcast_tracked
 from .scheme import LinearScheme, _independent_rows
 
@@ -112,20 +112,17 @@ def _complement_columns(v: Matrix) -> Matrix:
 
     Deterministic: greedily append identity columns that grow the rank.
     """
-    f = v.field
     n = v.rows
-    cur = v
+    basis = EchelonBasis(v.field, n)
+    for j in range(v.cols):
+        basis.add(v.col(j))
     picked = []
-    eye = Matrix.identity(f, n)
-    rank = v.rank()
     for j in range(n):
-        if rank + len(picked) == n:
+        if basis.rank == n:
             break
-        cand = cur.hstack(eye.take_cols([j]))
-        if cand.rank() > cur.rank():
-            cur = cand
+        if basis.add([1 if i == j else 0 for i in range(n)]):
             picked.append(j)
-    return eye.take_cols(picked)
+    return Matrix.identity(v.field, n).take_cols(picked)
 
 
 def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:

@@ -6,7 +6,6 @@ import pytest
 
 from icx.alignment import build_scalar_scheme, check_feasibility
 from icx.bounds import (
-    BoundCertificate,
     chain_bounds,
     simple_bounds,
     symmetric_capacity,

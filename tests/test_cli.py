@@ -1,11 +1,18 @@
 """End-to-end CLI behaviour: verbs, exit codes, JSON shape, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import icx
 from icx.cli import run
-from icx.model import serialize_instance
+from icx.model import gen_neighboring_antidotes, save_instance, serialize_instance
+from icx.scheme import save_scheme
+from icx.symmetric import build_antidote_scheme
 
 from conftest import make_instance
 
@@ -132,19 +139,82 @@ def test_scheme_infeasible_instance_exit1(tmp_path, capsys, infeasible_m4k3):
     assert json.loads(out)["witness"] == [1, 4, 3]
 
 
-def test_verify_and_simulate_files(tmp_path, capsys):
+def example1_files(tmp_path, capsys, edit_scheme=None):
+    """Paths of example 1's instance and scheme files, the scheme JSON edited in place."""
     code, out, _ = invoke(capsys, "example", "1")
     ex = json.loads(out)
+    if edit_scheme is not None:
+        edit_scheme(ex["scheme"])
     inst_path = tmp_path / "inst.json"
     scheme_path = tmp_path / "scheme.json"
     inst_path.write_text(json.dumps(ex["instance"]) + "\n", encoding="utf-8")
     scheme_path.write_text(json.dumps(ex["scheme"]) + "\n", encoding="utf-8")
-    code, out, _ = invoke(capsys, "verify", str(inst_path), str(scheme_path))
+    return str(inst_path), str(scheme_path)
+
+
+def test_verify_and_simulate_files(tmp_path, capsys):
+    inst_path, scheme_path = example1_files(tmp_path, capsys)
+    code, out, _ = invoke(capsys, "verify", inst_path, scheme_path)
     assert code == 0 and json.loads(out)["valid"] is True
-    code, out, _ = invoke(capsys, "verify", str(inst_path), str(scheme_path), "--mode", "rank")
+    code, out, _ = invoke(capsys, "verify", inst_path, scheme_path, "--mode", "rank")
     assert code == 0 and json.loads(out)["mode"] == "rank"
-    code, out, _ = invoke(capsys, "simulate", str(inst_path), str(scheme_path))
+    code, out, _ = invoke(capsys, "simulate", inst_path, scheme_path)
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_simulate_singular_decoder_exit_1(tmp_path, capsys):
+    inst_path, scheme_path = example1_files(tmp_path, capsys, lambda s: s["U"].update({"1@1": [[1, 0]]}))
+    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "mode": "exhaustive",
+        "ok": False,
+        "tuples_checked": 1,
+        "counterexample": {"1": [1], "2": [0], "3": [0]},
+        "destination": 1,
+        "message": 1,
+    }
+    code, out, _ = invoke(capsys, "verify", inst_path, scheme_path)
+    assert code == 1
+    assert "property2, destination 1, message 1" in json.loads(out)["diagnostics"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "prime", "p": "5"}, {"kind": "prime", "p": 5.0}, {"kind": "gf2m", "m": "3"}],
+    ids=["p-string", "p-float", "m-string"],
+)
+def test_bad_field_spec_one_line_error(tmp_path, capsys, spec):
+    inst_path, scheme_path = example1_files(tmp_path, capsys, lambda s: s.update(field=spec))
+    code, out, err = invoke(capsys, "verify", inst_path, scheme_path)
+    assert out == ""
+    assert err.startswith("error: bad field spec: ") and err.count("\n") == 1
+    _, garbage_path = example1_files(tmp_path, capsys, lambda s: s.update(n=0))
+    garbage_code, _, _ = invoke(capsys, "verify", inst_path, garbage_path)
+    assert code == garbage_code == 1
+
+
+def test_verify_and_bounds_do_not_load_numpy(tmp_path):
+    """Elimination below the size crossover stays in Python, so CLI calls that
+    do not simulate never pay for importing numpy."""
+    inst_path, scheme_path = str(tmp_path / "inst.json"), str(tmp_path / "scheme.json")
+    save_instance(gen_neighboring_antidotes(8, 1, 2), inst_path)
+    save_scheme(build_antidote_scheme(8, 1, 2), scheme_path)
+    script = (
+        "import sys\n"
+        "from icx.cli import run\n"
+        "i, s = sys.argv[1:]\n"
+        "codes = [run(['verify', i, s]), run(['verify', i, s, '--mode', 'rank']), run(['bounds', i])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = pathlib.Path(icx.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, inst_path, scheme_path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_transform_verb(tmp_path, capsys, groupcast_m2k3):

@@ -25,10 +25,8 @@ from icx.galois import (
     Subspace,
     is_irreducible_gf2,
     mds_vector_family,
-    rank_and_nullspace,
     smallest_prime_at_least,
     spread_family,
-    subspace_intersect,
 )
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), BinaryField(2), BinaryField(3), BinaryField(4)]
@@ -148,11 +146,13 @@ def _brute_force_rank(m: Matrix) -> int:
 
 def test_rank_and_nullspace_trivial():
     gf3 = PrimeField(3)
-    r, ns = rank_and_nullspace(Matrix.identity(gf3, 2))
+    m = Matrix.identity(gf3, 2)
+    r, ns = m.rank(), m.nullspace()
     assert r == 2 and ns.cols == 0
 
     gf2 = PrimeField(2)
-    r, ns = rank_and_nullspace(Matrix.from_rows(gf2, [[1, 1], [1, 1]]))
+    m = Matrix.from_rows(gf2, [[1, 1], [1, 1]])
+    r, ns = m.rank(), m.nullspace()
     assert r == 1
     assert ns.col_list() == [[1, 1]]
 
@@ -234,11 +234,11 @@ def test_subspace_intersect_trivial():
     e = Matrix.identity(gf2, 3)
     a = Subspace.from_matrix(e.take_cols([0, 1]))
     b = Subspace.from_matrix(e.take_cols([1, 2]))
-    got = subspace_intersect(a, b)
+    got = a.intersect(b)
     assert got.dim == 1
     assert got.basis.col_list() == [[0, 1, 0]]
     # idempotence on identical subspaces
-    assert subspace_intersect(a, a) == a
+    assert a.intersect(a) == a
 
 
 def test_subspace_intersect_dimension_mismatch():
@@ -246,7 +246,7 @@ def test_subspace_intersect_dimension_mismatch():
     a = Subspace.from_matrix(Matrix.identity(gf2, 2))
     b = Subspace.from_matrix(Matrix.identity(gf2, 3))
     with pytest.raises(DimensionMismatch):
-        subspace_intersect(a, b)
+        a.intersect(b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,7 +264,7 @@ def test_random_3dim_intersections_in_gf5_4(seed):
                 return Subspace.from_matrix(m)
 
     a, b = random_subspace(), random_subspace()
-    got = subspace_intersect(a, b)
+    got = a.intersect(b)
     assert got.dim >= 2
     common = _enumerate_span(a) & _enumerate_span(b)
     assert _enumerate_span(got) == common

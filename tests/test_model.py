@@ -15,7 +15,6 @@ from icx.model import (
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
-    instance_to_json,
     normalize,
     parse_instance,
     serialize_instance,

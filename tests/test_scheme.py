@@ -196,6 +196,22 @@ def test_simulate_collision_counterexample():
     assert res.counterexample is not None
 
 
+def test_singular_decoder_is_a_counterexample():
+    """U_{1,1} V_1 = 0: destination 1's combiner sees the same from x_1 = 1
+    as from x_1 = 0, so simulation fails there, as verify does."""
+    ex = builtin_example(1)
+    f = ex.scheme.field
+    U = dict(ex.scheme.U)
+    U[(1, 1)] = Matrix.from_rows(f, [[1, 0]])
+    sch = LinearScheme(f, ex.scheme.n, ex.scheme.V, U)
+    assert "property2, destination 1, message 1" in verify(ex.instance, sch).to_json()["diagnostics"]
+    for res in (simulate_exhaustive(ex.instance, sch), simulate_sampled(ex.instance, sch, 10)):
+        assert (res.ok, res.tuples_checked, res.destination, res.message) == (False, 1, 1, 1)
+        assert res.counterexample == {1: (1,), 2: (0,), 3: (0,)}
+        x1 = Matrix.from_cols(f, [list(res.counterexample[1])])
+        assert (U[(1, 1)] @ sch.V[1] @ x1).is_zero()
+
+
 def test_simulate_budget():
     ex = builtin_example(3)
     with pytest.raises(BudgetExceeded):
@@ -463,6 +479,16 @@ def test_scheme_file_rejects_garbage():
         parse_scheme('{"field": {"kind": "prime", "p": 2}, "n": 2, "V": {"one": [[1],[0]]}}')
     with pytest.raises(ParseError):
         parse_scheme("not json")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"kind": "prime", "p": "5"}', '{"kind": "prime", "p": 5.0}', '{"kind": "gf2m", "m": "3"}',
+     '{"kind": "prime", "p": true}', '{"kind": "gf2m", "m": 3, "poly": false}', '[5]'],
+)
+def test_scheme_file_rejects_non_integer_field_spec(spec):
+    with pytest.raises(ParseError, match="bad field spec"):
+        parse_scheme('{"field": %s, "n": 1, "V": {"1": [[1]]}}' % spec)
 
 
 def test_scheme_file_gf2m_field():

@@ -10,7 +10,6 @@ from icx.model import validate
 from icx.scheme import LinearScheme, simulate_exhaustive, synthesize_decoders, verify
 from icx.symmetric import builtin_example
 from icx.unicast import (
-    UnicastMap,
     groupcast_rank_chain,
     scheme_to_groupcast,
     scheme_to_unicast,
