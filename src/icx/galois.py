@@ -15,19 +15,18 @@ Every elimination (rank, rref, null spaces, inverse, column echelon form)
 goes through one kernel, ``_rref``, which picks its path from the field and
 the matrix size alone:
 
-* GF(2): rows packed into Python ints, one byte per entry, reduced by XOR.
-* GF(p), p > 2, at most NUMPY_MIN_ENTRIES entries: Python lists, with the
-  row operation ``(x - c*y) % p`` written inline.
-* GF(p), p > 2, larger: numpy int64.  p < 2^31, so a product of two
-  residues is below 2^62 and is reduced before it is subtracted; nothing
-  overflows.  numpy is imported only here.
+* GF(p), at most NUMPY_MIN_ENTRIES entries: Python lists, with the row
+  operation ``(x - c*y) % p`` written inline.
+* GF(p), larger: numpy int64.  p < 2^31, so a product of two residues is
+  below 2^62 and is reduced before it is subtracted; nothing overflows.
+  numpy is imported only here.
 * GF(2^m): Python lists, with the field's own multiplication.
 
 Each path computes the reduced row echelon form, which is unique, so the
-results do not depend on the path.  The list and int paths are
-``EchelonBasis``, which callers also use on its own: it takes vectors one at
-a time and reports how much each grows the rank (subspace membership,
-sliding windows, greedy choices of rows or columns).
+results do not depend on the path.  The list paths are ``EchelonBasis``,
+which callers also use on its own: it takes vectors one at a time and
+reports how much each grows the rank (subspace membership, sliding windows,
+greedy choices of rows or columns).
 """
 
 from __future__ import annotations
@@ -302,7 +301,7 @@ def _same_field(a: Field, b: Field):
 # Elimination kernel
 # ----------------------------------------------------------------------
 
-# GF(p), p > 2: matrices with more entries than this are eliminated in numpy
+# GF(p): matrices with more entries than this are eliminated in numpy
 # int64, smaller ones in Python lists.  Timed on random dense matrices over
 # GF(5) and GF(37), lists win up to about 100 entries (numpy's per-call
 # overhead), numpy from about 150, and the two are within noise between.
@@ -317,10 +316,7 @@ class EchelonBasis:
     the reduced row echelon form of all vectors added so far, in whatever
     order they came.  ``add`` returns the rank growth, 0 or 1.
 
-    Vectors are sequences of n canonical field elements.  Over GF(2) a row
-    is one int with entry j in bit 8j, so ``int.from_bytes`` and
-    ``int.to_bytes`` convert and a row operation is one XOR; over other
-    fields it is a list (see the module docstring).
+    Vectors are sequences of n canonical field elements; rows are lists.
     """
 
     __slots__ = ("field", "n", "pivots", "rows", "_p")
@@ -329,18 +325,12 @@ class EchelonBasis:
         self.field = field
         self.n = n
         self.pivots: list = []  # pivot column of each row, in insertion order
-        self.rows: list = []  # replaced, never changed in place, as rows are reduced
+        self.rows: list = []
         self._p = field.p if isinstance(field, PrimeField) else 0
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "EchelonBasis":
-        other = EchelonBasis(self.field, self.n)
-        other.pivots = self.pivots[:]
-        other.rows = self.rows[:]
-        return other
 
     def add(self, vec: Sequence[int]) -> int:
         """Reduce vec against the basis and keep what is left, if nonzero."""
@@ -351,18 +341,7 @@ class EchelonBasis:
         if len(pivots) == n:
             return 0
         p = self._p
-        if p == 2:
-            new = int.from_bytes(bytes(vec), "little")
-            for c, b in zip(pivots, rows):
-                if new >> 8 * c & 1:
-                    new ^= b
-            if not new:
-                return 0
-            c = (new & -new).bit_length() >> 3  # the lowest set bit is bit 8c
-            for i, b in enumerate(rows):
-                if b >> 8 * c & 1:
-                    rows[i] = b ^ new
-        elif p:
+        if p:
             for c, b in zip(pivots, rows):
                 t = vec[c]
                 if t:
@@ -399,22 +378,18 @@ class EchelonBasis:
     def echelon_rows(self) -> tuple:
         """(basis rows as lists sorted by pivot, their pivot columns)."""
         order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        if self._p == 2:
-            rows = [list(self.rows[i].to_bytes(self.n, "little")) for i in order]
-        else:
-            rows = [list(self.rows[i]) for i in order]
-        return rows, [self.pivots[i] for i in order]
+        return [list(self.rows[i]) for i in order], [self.pivots[i] for i in order]
 
 
 def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """(nonzero rows of the reduced row echelon form of rows, pivot columns).
 
-    Every whole-matrix elimination in icx ends here.  GF(p), p > 2, with
-    more than NUMPY_MIN_ENTRIES entries goes to numpy; everything else to
+    Every whole-matrix elimination in icx ends here.  GF(p) with more than
+    NUMPY_MIN_ENTRIES entries goes to numpy; everything else to
     EchelonBasis.  The reduced row echelon form is unique, so the two agree
     exactly.
     """
-    if isinstance(field, PrimeField) and field.p > 2 and len(rows) * ncols > NUMPY_MIN_ENTRIES:
+    if isinstance(field, PrimeField) and len(rows) * ncols > NUMPY_MIN_ENTRIES:
         return _rref_int64(field.p, rows, ncols)
     basis = EchelonBasis(field, ncols)
     for row in rows:
@@ -423,7 +398,7 @@ def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
 
 
 def _rref_int64(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
-    """Gauss-Jordan elimination over GF(p), 2 < p < 2^31, in numpy int64.
+    """Gauss-Jordan elimination over GF(p), p < 2^31, in numpy int64.
 
     Entries stay canonical residues below 2^31, so a product of two is below
     2^62 and is reduced before it is subtracted: nothing overflows.

@@ -80,37 +80,21 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     if 2 ** len(free) > budget:
         raise BudgetExceeded(f"2^{len(free)} fitting matrices exceed budget {budget}")
 
-    # Matrix number `bits` sets free position idx when bit idx is set.  Row
-    # m's free positions are consecutive bits, more significant for larger m,
-    # so nested loops over the choices of rows K, K-1, ..., 1 meet the
-    # matrices in numeric order, and matrices that share rows K..m share the
-    # echelon basis of those rows.  A rank never falls as rows are added, so
-    # rows already at the best rank found cannot lead to a smaller one.
-    choices = []
-    for m in range(1, K + 1):
-        spots = [mp for i, mp in free if i == m]
-        rows = []
-        for bits in range(2 ** len(spots)):
-            row = [1 if j == m else 0 for j in range(1, K + 1)]
-            for idx, mp in enumerate(spots):
-                row[mp - 1] |= bits >> idx & 1
-            rows.append(row)
-        choices.append(rows)
     gf2 = PrimeField(2)
     best, best_rows = K + 1, None
+    unit = Matrix.identity(gf2, K).row_list()
+    for bits in range(2 ** len(free)):
+        rows = [row[:] for row in unit]
+        for idx, (m, mp) in enumerate(free):
+            if bits >> idx & 1:
+                rows[m - 1][mp - 1] = 1
+        basis = EchelonBasis(gf2, K)
+        for row in rows:
+            if basis.add(row) and basis.rank == best:
+                break  # the rank only grows: this matrix cannot beat the best
+        else:
+            best, best_rows = basis.rank, rows
 
-    def search(m, basis, below):
-        nonlocal best, best_rows
-        if m == 0:
-            best, best_rows = basis.rank, below
-            return
-        for row in choices[m - 1]:
-            grown = basis.copy()
-            grown.add(row)
-            if grown.rank < best:
-                search(m - 1, grown, [row] + below)
-
-    search(K, EchelonBasis(gf2, K), [])
     fitting = Matrix.from_rows(gf2, best_rows)
     scheme = _scheme_from_fitting(inst, fitting, demand, best)
     return OracleResult(

@@ -6,7 +6,7 @@ import pytest
 
 from icx.bounds import simple_bounds
 from icx.errors import BadParams, BudgetExceeded
-from icx.galois import Matrix
+from icx.galois import Matrix, PrimeField
 from icx.model import gen_neighboring_antidotes
 from icx.oracle import best_scalar_scheme, minrank_gf2
 from icx.scheme import LinearScheme, simulate_exhaustive, verify
@@ -113,3 +113,36 @@ def test_best_scalar_budget_limits():
     big = make_instance(7, [({k}, set()) for k in range(1, 8)])
     with pytest.raises(BudgetExceeded):
         best_scalar_scheme(big, 2, 2)
+
+
+# Witness fitting matrices as computed before minrank_gf2 used galois'
+# elimination kernel.  The search keeps the first matrix of least rank in
+# numeric order of the free entries, so these must not drift.
+MINRANK_WITNESSES = [
+    ((5, 1, 1), 3, [[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]]),
+    ((5, 1, 2), 2, [[1, 1, 0, 0, 1], [1, 1, 1, 1, 0], [0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1]]),
+    ((4, 1, 1), 2, [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("params, value, witness", MINRANK_WITNESSES, ids=["K5-U1-D1", "K5-U1-D2", "K4-U1-D1"])
+def test_minrank_witness_pinned(params, value, witness):
+    res = minrank_gf2(gen_neighboring_antidotes(*params))
+    assert res.value == value
+    assert res.witness_matrix.row_list() == witness
+
+
+def test_minrank_witness_is_first_of_several_minimal():
+    # antidotes K=4 U=1 D=1: several fitting matrices reach rank 2, and the
+    # witness is the first of them with free entry idx as bit idx
+    inst = gen_neighboring_antidotes(4, 1, 1)
+    free = [(m, mp) for m in range(1, 5) for mp in sorted(inst.destination(m).has)]
+    minimal = []
+    for bits in range(2 ** len(free)):
+        rows = Matrix.identity(PrimeField(2), 4).row_list()
+        for idx, (m, mp) in enumerate(free):
+            rows[m - 1][mp - 1] = bits >> idx & 1
+        if Matrix.from_rows(PrimeField(2), rows).rank() == 2:
+            minimal.append(rows)
+    assert len(minimal) > 1
+    assert minrank_gf2(inst).witness_matrix.row_list() == minimal[0]
