@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
-from .errors import BudgetExceeded, UnsupportedFamily
-from .model import Instance, normalize
+from .errors import BadParams, BudgetExceeded
+from .model import Instance, check_family, normalize
 from .alignment import partition
 
 DEFAULT_CHAIN_MAX_N = 4
@@ -40,10 +41,28 @@ class BoundCertificate:
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     def evaluate(self, rates: Mapping[int, Fraction]) -> Fraction:
-        return sum((Fraction(rates[m]) for m in self.terms), Fraction(0))
+        return Fraction(*self._sum(rates))
 
     def violated_by(self, rates: Mapping[int, Fraction]) -> bool:
-        return self.evaluate(rates) > self.rhs
+        num, den = self._sum(rates)
+        return num * self.rhs.denominator > self.rhs.numerator * den
+
+    def _sum(self, rates) -> tuple:
+        """The sum of the term rates as (numerator, denominator > 0), in
+        integers over the lcm of the rates' denominators.  Rates other than
+        ints and Fractions go through Fraction() first."""
+        num, den = 0, 1
+        for m in self.terms:
+            r = rates[m]
+            if not isinstance(r, (int, Fraction)):
+                r = Fraction(r)
+            d = r.denominator
+            if den % d:
+                lcm = den // gcd(den, d) * d
+                num *= lcm // den
+                den = lcm
+            num += r.numerator * (den // d)
+        return num, den
 
     def to_json(self) -> dict:
         return {
@@ -107,68 +126,94 @@ def chain_bounds(
     of the realizing destinations' demand sets by N.  Destination demand sets
     enter with multiplicity; the same message may appear twice in the terms.
 
-    Raises BudgetExceeded (with the certificates found so far attached) when
-    the enumeration exceeds `budget` visited states.
+    The search is depth first: start messages in increasing order, then
+    neighbours in increasing order, each link through its realizing
+    destinations in increasing order.  Every path, the single-message
+    starts included, counts as one visited state.  Of the certificates with equal terms and rhs, the first
+    met is kept, with the first closing destination k in instance order.
+
+    Raises BadParams unless maxN >= 1 and budget >= 1, and BudgetExceeded
+    (with the certificates found so far attached) when the enumeration
+    exceeds `budget` visited states.
     """
+    if maxN < 1 or budget < 1:
+        raise BadParams(f"chain search needs maxN >= 1 and budget >= 1, got maxN={maxN}, budget={budget}")
     norm = normalize(inst, L)
     part = partition(norm)
     by_pair = {}
     for (a, b, k) in part.edges:
         by_pair.setdefault((a, b), []).append(k)
         by_pair.setdefault((b, a), []).append(k)
-    for dests in by_pair.values():
-        dests.sort()
-    adjacency = {}
-    for (a, b) in by_pair:
-        adjacency.setdefault(a, set()).add(b)
-
-    dest_by_id = {d.id: d for d in norm.destinations}
-    terminals = {}  # message -> list of destination ids desiring it
+    wants = {d.id: tuple(sorted(d.wants)) for d in norm.destinations}
+    # message a -> its links (b, realizer j, the terms the link adds: b and
+    # j's sorted wants), by b and then j ascending
+    links = {}
+    for (a, b), dests in sorted(by_pair.items()):
+        links.setdefault(a, []).extend((b, j, (b,) + wants[j]) for j in sorted(dests))
+    closers = {}  # message -> [(k, antidotes of k)] for the destinations k desiring it
     for d in norm.destinations:
         for m in d.wants:
-            terminals.setdefault(m, []).append(d.id)
+            closers.setdefault(m, []).append((d.id, d.has))
+    width = L + 1  # terms per link: every destination of norm desires L messages
 
-    certs = {}
+    M = norm.num_messages
+    certs = {}  # (terms, N) -> certificate
     visited = 0
 
-    def emit(path, links):
-        head = path[0]
-        tail = path[-1]
-        for k in terminals.get(tail, ()):
-            if head in dest_by_id[k].has:
-                continue
-            terms = list(path)
-            for j in links:
-                terms.extend(sorted(dest_by_id[j].wants))
-            cert = BoundCertificate(
-                "chain", tuple(terms), Fraction(len(path) - 1), tuple(path[:1]) + tuple(
-                    x for pair in zip(links, path[1:]) for x in pair
-                ) + (k,),
-            )
-            certs.setdefault((cert.terms, cert.rhs), cert)
+    def exceeded(begun):
+        return BudgetExceeded(
+            f"chain enumeration exceeded {budget} states ({len(certs)} certificates found, "
+            f"{begun} of {M} start messages begun)",
+            partial=_ordered(certs),
+        )
 
-    def extend(path, links):
-        nonlocal visited
+    for start in range(1, M + 1):
         visited += 1
         if visited > budget:
-            raise BudgetExceeded(
-                f"chain enumeration exceeded {budget} states",
-                partial=sorted(certs.values(), key=_sort_key),
-            )
-        if len(path) > 1:
-            emit(path, links)
-        if len(path) - 1 >= maxN:
-            return
-        tail = path[-1]
-        for nxt in sorted(adjacency.get(tail, ())):
-            if nxt in path:
-                continue
-            for j in by_pair[(tail, nxt)]:
-                extend(path + [nxt], links + [j])
+            raise exceeded(start - 1)
+        # the chain as start, realizer, message, ..., realizer, tail; its
+        # messages; its term multiset; and pending[i], the links not yet
+        # tried out of its i-th message (an explicit stack, so the depth is
+        # not bounded by the interpreter's recursion limit)
+        chain, on_path, terms = [start], {start}, [start]
+        pending = [iter(links.get(start, ()))]
+        while pending:
+            N = len(pending)
+            for nxt, j, added in pending[-1]:
+                if nxt in on_path:
+                    continue
+                visited += 1
+                if visited > budget:
+                    raise exceeded(start)
+                chain += (j, nxt)
+                terms += added
+                for k, has in closers.get(nxt, ()):
+                    if start not in has:
+                        key = (tuple(sorted(terms)), N)
+                        if key not in certs:
+                            cert = BoundCertificate("chain", key[0], N, tuple(chain) + (k,))
+                            certs[(cert.terms, N)] = cert
+                        break
+                if N < maxN:
+                    on_path.add(nxt)
+                    pending.append(iter(links.get(nxt, ())))
+                    break
+                del terms[-width:]
+                del chain[-2:]
+            else:
+                pending.pop()
+                if pending:  # retract the link whose extensions are exhausted
+                    on_path.discard(chain[-1])
+                    del terms[-width:]
+                    del chain[-2:]
+    return _ordered(certs)
 
-    for start in range(1, norm.num_messages + 1):
-        extend([start], [])
-    return sorted(certs.values(), key=_sort_key)
+
+def _ordered(certs: dict) -> list:
+    """Chain certificates in _sort_key order: the kind is always "chain" and
+    (rhs, terms) is unique, so sorting the (terms, N) keys by (N, terms)
+    gives the same order without comparing Fractions."""
+    return [certs[key] for key in sorted(certs, key=lambda key: (key[1], key[0]))]
 
 
 # ----------------------------------------------------------------------
@@ -193,11 +238,12 @@ def symmetric_capacity(inst: Instance) -> tuple:
     Returns (capacity as Fraction, BoundCertificate).  The certificate for
     neighboring interference is the decode-chain window of D+1 consecutive
     messages; for the X family it is the L(L+1)/2-message genie set; for
-    neighboring antidotes it is the all-messages sum bound K * C.
+    neighboring antidotes it is the all-messages sum bound K * C.  Raises
+    UnsupportedFamily when the instance is untagged or is not the family its
+    tag names.
     """
+    check_family(inst)
     fam = inst.family
-    if fam is None or fam.kind == "custom":
-        raise UnsupportedFamily("instance carries no symmetric family tag")
     if fam.kind == "neighboring-antidotes":
         K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
         A = U + D
@@ -219,14 +265,12 @@ def symmetric_capacity(inst: Instance) -> tuple:
             ("neighboring-interference", K, U, D, 1),
         )
         return value, cert
-    if fam.kind == "x-network":
-        K, L = fam.param("K"), fam.param("L")
-        value = Fraction(2, L * (L + 1))
-        cert = BoundCertificate(
-            "genie-chain",
-            tuple(x_outer_bound_messages(K, L)),
-            Fraction(1),
-            ("x-network", K, L, 1),
-        )
-        return value, cert
-    raise UnsupportedFamily(f"unknown family kind {fam.kind!r}")
+    K, L = fam.param("K"), fam.param("L")  # x-network
+    value = Fraction(2, L * (L + 1))
+    cert = BoundCertificate(
+        "genie-chain",
+        tuple(x_outer_bound_messages(K, L)),
+        Fraction(1),
+        ("x-network", K, L, 1),
+    )
+    return value, cert

@@ -36,7 +36,7 @@ def _parse_field(text):
     raise argparse.ArgumentTypeError(f"field must be p=<prime> or gf2m=<m>, got {text!r}")
 
 
-def _sample_count(text):
+def _positive_int(text):
     try:
         count = int(text)
     except ValueError:
@@ -101,7 +101,7 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
     p.add_argument(
         "--sample",
-        type=_sample_count,
+        type=_positive_int,
         metavar="N",
         help="when the tuple space exceeds the budget, check N seeded random tuples instead",
     )
@@ -119,7 +119,7 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
     p.add_argument(
         "--sample",
-        type=_sample_count,
+        type=_positive_int,
         metavar="N",
         help="when the tuple space exceeds the budget, check N seeded random tuples instead",
     )
@@ -141,8 +141,8 @@ def _build_parser():
     p.add_argument("--chain", action="store_true")
     p.add_argument("--family", action="store_true")
     p.add_argument("--L", type=int, help="demand size for chain bounds")
-    p.add_argument("--maxN", type=int, default=bounds.DEFAULT_CHAIN_MAX_N)
-    p.add_argument("--budget", type=int, default=bounds.DEFAULT_CHAIN_BUDGET)
+    p.add_argument("--maxN", type=_positive_int, default=bounds.DEFAULT_CHAIN_MAX_N)
+    p.add_argument("--budget", type=_positive_int, default=bounds.DEFAULT_CHAIN_BUDGET)
     add_out(p)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")

@@ -9,11 +9,12 @@ can be applied without pattern-matching raw sets.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParams, CannotNormalize, ParseError
+from .errors import BadParams, CannotNormalize, ParseError, UnsupportedFamily
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
@@ -307,6 +308,42 @@ def _x_network_instance(K: int, L: int) -> Instance:
     return Instance(M, tuple(dests), FamilyTag.make("x-network", K=K, L=L))
 
 
+_FAMILIES = {
+    "neighboring-antidotes": (("K", "U", "D"), gen_neighboring_antidotes),
+    "neighboring-interference": (("K", "U", "D"), gen_neighboring_interference),
+    "x-network": (("K", "L"), _x_network_instance),
+}
+
+
+def check_family(inst: Instance) -> None:
+    """Raise UnsupportedFamily unless the instance is the family its tag names:
+    the same messages, and the same destinations as (wants, has) pairs,
+    counted with multiplicity and ignoring ids."""
+    fam = inst.family
+    if fam is None or fam.kind == "custom":
+        raise UnsupportedFamily("instance carries no symmetric family tag")
+    names, generate = _FAMILIES[fam.kind]
+    try:
+        params = [fam.param(name) for name in names]
+    except KeyError as exc:
+        raise UnsupportedFamily(f"{fam.kind} tag lacks parameter {exc.args[0]!r}") from None
+    K = params[0]
+    size = K * params[1] if fam.kind == "x-network" else K
+    # compare the sizes first, so a tag is never expanded beyond the instance
+    same_size = size >= 1 and inst.num_messages == size and len(inst.destinations) == K
+    try:
+        if same_size and _destination_sets(generate(*params)) == _destination_sets(inst):
+            return
+    except BadParams:  # the parameters lie outside the family
+        pass
+    tag = " ".join(f"{name}={value}" for name, value in zip(names, params))
+    raise UnsupportedFamily(f"instance is not the {fam.kind} family {tag} that its tag names")
+
+
+def _destination_sets(inst: Instance) -> Counter:
+    return Counter((d.wants, d.has) for d in inst.destinations)
+
+
 # ----------------------------------------------------------------------
 # instance files (JSON)
 # ----------------------------------------------------------------------
@@ -338,10 +375,15 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         raise ParseError("'messages' must be an integer")
     family = None
     if "family" in obj and obj["family"] is not None:
+        if not isinstance(obj["family"], dict):
+            raise ParseError("'family' must be an object")
         fam = dict(obj["family"])
         kind = fam.pop("kind", None)
         if kind is None:
             raise ParseError("family needs a 'kind'")
+        for name, value in fam.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParseError(f"family parameter {name!r} must be an integer")
         try:
             family = FamilyTag.make(kind, **fam)
         except BadParams as exc:

@@ -1,5 +1,6 @@
 """Outer-bound certificates: simple, chain, and family formulas."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,15 +12,17 @@ from icx.bounds import (
     symmetric_capacity,
     x_outer_bound_messages,
 )
-from icx.errors import BudgetExceeded, UnsupportedFamily
+from icx.errors import BadParams, BudgetExceeded, UnsupportedFamily
+from icx.galois import Matrix, PrimeField
 from icx.model import (
     Destination,
+    FamilyTag,
     Instance,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
 )
-from icx.scheme import verify
+from icx.scheme import LinearScheme, verify
 from icx.symmetric import (
     build_antidote_scheme,
     build_interference_scheme,
@@ -130,6 +133,23 @@ def test_chain_budget_exceeded():
     assert exc.value.partial is not None
 
 
+@pytest.mark.parametrize("maxN, budget", [(0, 10), (-1, 10), (2, 0), (2, -5)])
+def test_chain_search_must_not_be_empty(infeasible_m4k3, maxN, budget):
+    with pytest.raises(BadParams):
+        chain_bounds(infeasible_m4k3, 2, maxN=maxN, budget=budget)
+
+
+def test_chain_search_deeper_than_recursion_limit():
+    # messages k+1 and k+2 align at destination k, so the chains from
+    # message 1 run once round the circle of 1200 messages
+    inst = gen_neighboring_interference(1200, 0, 2)
+    with pytest.raises(BudgetExceeded) as exc:
+        chain_bounds(inst, 1, maxN=1200, budget=3000)
+    longest = exc.value.partial[-1]
+    assert longest.rhs == 1199 > sys.getrecursionlimit()
+    assert longest.provenance[:5] == (1, 1200, 2, 1, 3)
+
+
 def test_chain_provenance_records_path(infeasible_m4k3):
     certs = chain_bounds(infeasible_m4k3, 2)
     cert = next(c for c in certs if c.terms == (1, 2, 3, 4))
@@ -202,6 +222,45 @@ def test_x_outer_bound_messages_match_window():
 def test_capacity_requires_tag():
     with pytest.raises(UnsupportedFamily):
         symmetric_capacity(builtin_example(1).instance)
+
+
+def tampered_antidotes():
+    """Tagged antidotes K=5 U=1 D=1, but every destination holds every other
+    message, so rate 1 is achievable and the family's "sum R <= 2" is not."""
+    return make_instance(
+        5,
+        [({k}, {1, 2, 3, 4, 5} - {k}) for k in range(1, 6)],
+        FamilyTag.make("neighboring-antidotes", K=5, U=1, D=1),
+    )
+
+
+def test_capacity_rejects_tampered_tag():
+    inst = tampered_antidotes()
+    field = PrimeField(2)
+    one = {m: Matrix.from_rows(field, [[1]]) for m in range(1, 6)}
+    rate_one = LinearScheme(field, 1, one)
+    assert verify(inst, rate_one).valid
+    with pytest.raises(UnsupportedFamily, match="not the neighboring-antidotes family K=5 U=1 D=1"):
+        symmetric_capacity(inst)
+
+
+def test_capacity_checks_tag_against_destinations():
+    # ids and destination order are ignored
+    inst = gen_neighboring_antidotes(7, 1, 2)
+    dests = tuple(Destination(10 - d.id, d.wants, d.has) for d in reversed(inst.destinations))
+    assert symmetric_capacity(Instance(7, dests, inst.family))[0] == Fraction(1, 3)
+    tag = FamilyTag.make("neighboring-interference", K=10, U=1, D=2)  # 3 does not divide 10
+    window = [({k}, set(range(1, 11)) - {(k + off - 1) % 10 + 1 for off in (-1, 0, 1, 2)}) for k in range(1, 11)]
+    cases = [
+        Instance(7, dests[1:], inst.family),  # one destination fewer
+        Instance(7, dests[:1] * 7, inst.family),  # right size, wrong multiset
+        Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=7, U=1)),  # D missing
+        Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=10**9, U=1, D=2)),
+        make_instance(10, window, tag),
+    ]
+    for case in cases:
+        with pytest.raises(UnsupportedFamily):
+            symmetric_capacity(case)
 
 
 def test_capacity_example3_tagged_value():

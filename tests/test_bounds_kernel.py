@@ -1,0 +1,174 @@
+"""The chain-bound search and certificate arithmetic of bounds against the
+naive reference.
+
+``tests/reference_bounds.py`` holds the plain depth-first search, which
+builds a certificate for every closing destination and deduplicates
+afterwards, and the Fraction-sum evaluation.  The outputs must agree
+exactly: every certificate's JSON, provenance included, in order; whether
+the budget is exceeded; and the partial list attached when it is.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_bounds as ref
+from icx.bounds import (
+    DEFAULT_CHAIN_BUDGET,
+    BoundCertificate,
+    chain_bounds,
+    simple_bounds,
+    symmetric_capacity,
+)
+from icx.errors import BudgetExceeded
+from icx.model import (
+    Destination,
+    Instance,
+    RateVector,
+    gen_neighboring_antidotes,
+    gen_neighboring_interference,
+    gen_x_network,
+)
+
+from conftest import make_instance
+
+BUDGETS = [1, 7, 50, 5000, DEFAULT_CHAIN_BUDGET]
+FAMILIES = {
+    "interference-K12-U2-D3": lambda: gen_neighboring_interference(12, 2, 3),
+    "interference-K20-U3-D4": lambda: gen_neighboring_interference(20, 3, 4),
+    "antidotes-K12-U0-D4": lambda: gen_neighboring_antidotes(12, 0, 4),
+    "xnetwork-K8-L3": lambda: gen_x_network(8, 3),
+}
+
+
+def outcome(search, inst, L, maxN, budget):
+    try:
+        return "complete", [c.to_json() for c in search(inst, L, maxN=maxN, budget=budget)]
+    except BudgetExceeded as exc:
+        return "budget", [c.to_json() for c in exc.partial]
+
+
+def assert_same_search(inst, L, maxN, budget):
+    got = outcome(chain_bounds, inst, L, maxN, budget)
+    assert got == outcome(ref.chain_bounds, inst, L, maxN, budget)
+    return got
+
+
+def random_groupcast(rnd):
+    """M in 2..6, K in 1..6, demand size L or L+1 (split by normalization),
+    destination ids shuffled."""
+    while True:
+        M = rnd.randrange(2, 7)
+        K = rnd.randrange(1, 7)
+        L = rnd.choice([1, 2])
+        if M < L + 1:
+            continue
+        ids = rnd.sample(range(1, K + 1), K)
+        dests = []
+        for k in ids:
+            wants = frozenset(rnd.sample(range(1, M + 1), L + (rnd.random() < 0.2)))
+            has = frozenset(m for m in range(1, M + 1) if m not in wants and rnd.random() < 0.45)
+            dests.append(Destination(k, wants, has))
+        return Instance(M, tuple(dests)), L
+
+
+RANDOM_CASES = [random_groupcast(random.Random(seed)) for seed in range(200)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("maxN", [3, 4])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_chain_search_matches_reference(family, maxN, budget):
+    inst = FAMILIES[family]()
+    assert_same_search(inst, next(iter(inst.demand_sizes())), maxN, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_full_chain_search_matches_reference(N, budget):
+    M = N + 2
+    inst = make_instance(M, [({m}, set()) for m in range(1, M + 1)])
+    assert_same_search(inst, 1, N, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_random_groupcast_chain_search_matches_reference(budget):
+    kinds = set()
+    for inst, L in RANDOM_CASES:
+        kind, certs = assert_same_search(inst, L, inst.num_messages, budget)
+        kinds.add((kind, bool(certs)))
+    if budget == DEFAULT_CHAIN_BUDGET:
+        assert kinds == {("complete", True), ("complete", False)}
+    elif budget > 1:
+        assert ("budget", True) in kinds
+
+
+def test_budget_exceeded_reports_progress():
+    inst = gen_neighboring_antidotes(12, 0, 4)
+    with pytest.raises(BudgetExceeded) as exc:
+        chain_bounds(inst, 1, maxN=3)
+    assert str(exc.value) == (
+        f"chain enumeration exceeded {DEFAULT_CHAIN_BUDGET} states "
+        f"({len(exc.value.partial)} certificates found, 4 of 12 start messages begun)"
+    )
+
+
+# ----------------------------------------------------------------------
+# certificate arithmetic
+# ----------------------------------------------------------------------
+
+POOL = [Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1)]
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    certs = []
+    for inst, L in RANDOM_CASES[:40]:
+        certs += simple_bounds(inst) + chain_bounds(inst, L, maxN=inst.num_messages)
+    for inst in (gen_neighboring_antidotes(8, 1, 2), gen_neighboring_interference(9, 1, 2), gen_x_network(6, 2)):
+        certs += simple_bounds(inst) + chain_bounds(inst, next(iter(inst.demand_sizes())), maxN=3)
+        certs.append(symmetric_capacity(inst)[1])
+    certs.append(BoundCertificate("chain", (), 1, ()))  # evaluates to 0
+    return certs
+
+
+def random_rates(rnd, M, values):
+    return {m: rnd.choice(values) for m in range(1, M + 1)}
+
+
+@pytest.mark.parametrize("kind", ["mixed-denominators", "rate-vector", "ints", "floats"])
+def test_evaluate_matches_reference(certificates, kind):
+    rnd = random.Random(kind)
+    seen = set()
+    for cert in certificates:
+        M = max(cert.terms, default=1)
+        if kind == "mixed-denominators":
+            rates = random_rates(rnd, M, POOL + [0, 1])
+        elif kind == "rate-vector":
+            rates = RateVector(tuple(random_rates(rnd, M, POOL).values()))
+        elif kind == "ints":
+            rates = random_rates(rnd, M, [0, 1, 2])
+        else:
+            rates = random_rates(rnd, M, [0.0, 0.25, 1 / 3, 1.0])
+        value = cert.evaluate(rates)
+        assert type(value) is Fraction
+        assert value == ref.evaluate(cert, rates)
+        assert cert.violated_by(rates) == ref.violated_by(cert, rates)
+        seen.add(cert.violated_by(rates))
+    assert seen == {True, False}
+
+
+def test_certificate_at_equality_is_not_violated():
+    cert = BoundCertificate("chain", (1, 2, 2, 3), Fraction(4, 3), (1, 1, 2, 3))
+    for rates in (
+        {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)},
+        {1: Fraction(2, 3), 2: Fraction(1, 6), 3: Fraction(1, 3)},
+        RateVector((Fraction(0), Fraction(1, 2), Fraction(1, 3))),
+    ):
+        assert cert.evaluate(rates) == cert.rhs == ref.evaluate(cert, rates)
+        assert not cert.violated_by(rates)
+        assert not ref.violated_by(cert, rates)
+    assert BoundCertificate("simple", (1, 2), 2, ()).evaluate({1: 1, 2: 1}) == 2
+    assert not BoundCertificate("simple", (1, 2), 2, ()).violated_by({1: 1, 2: 1})
+    assert BoundCertificate("simple", (1, 2), 2, ()).violated_by({1: 1, 2: Fraction(1, 10**30) + 1})

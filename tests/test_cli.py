@@ -10,7 +10,7 @@ import pytest
 
 import icx
 from icx.cli import run
-from icx.model import gen_neighboring_antidotes, save_instance, serialize_instance
+from icx.model import FamilyTag, gen_neighboring_antidotes, save_instance, serialize_instance
 from icx.scheme import save_scheme
 from icx.symmetric import build_antidote_scheme
 
@@ -245,6 +245,61 @@ def test_bounds_family_certificate(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["family"]["capacity_per_message"] == "1/3"
     assert obj["family"]["certificate"]["terms"] == [1, 2, 3]
+
+
+def assert_one_line_error(code, out, err, expected_code, message):
+    assert code == expected_code
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_bounds_family_rejects_tampered_tag(tmp_path, capsys):
+    """An antidotes K=5 U=1 D=1 tag on destinations that hold every other
+    message: the family certificate "sum R <= 2" would be violated by rate 1."""
+    inst = make_instance(
+        5, [({k}, {1, 2, 3, 4, 5} - {k}) for k in range(1, 6)],
+        FamilyTag.make("neighboring-antidotes", K=5, U=1, D=1),
+    )
+    path = write_instance(tmp_path, inst)
+    for argv in (["bounds", path, "--family"], ["bounds", path]):
+        assert_one_line_error(
+            *invoke(capsys, *argv), 2,
+            "instance is not the neighboring-antidotes family K=5 U=1 D=1 that its tag names",
+        )
+
+
+@pytest.mark.parametrize("value", ['"5"', "true"], ids=["string", "bool"])
+@pytest.mark.parametrize("verb", ["validate", "bounds"])
+def test_family_parameter_must_be_integer(tmp_path, capsys, verb, value):
+    text = serialize_instance(gen_neighboring_antidotes(5, 1, 1)).replace('"K": 5', f'"K": {value}')
+    assert f'"K": {value}' in text
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [verb, str(path)] + (["--family"] if verb == "bounds" else [])
+    assert_one_line_error(*invoke(capsys, *argv), 1, "family parameter 'K' must be an integer")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("flag", ["--maxN", "--budget"])
+def test_chain_search_flags_must_be_positive(tmp_path, capsys, infeasible_m4k3, flag, value):
+    path = write_instance(tmp_path, infeasible_m4k3)
+    with pytest.raises(SystemExit) as exc:
+        run(["bounds", path, "--chain", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected an integer >= 1" in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
+def test_bounds_budget_reports_progress(tmp_path, capsys):
+    # states 1-3 are [1], [1, 2] and [1, 3], which share one certificate;
+    # the fourth would be message 2 on its own
+    path = write_instance(tmp_path, make_instance(3, [({m}, set()) for m in (1, 2, 3)]))
+    assert_one_line_error(
+        *invoke(capsys, "bounds", path, "--chain", "--maxN", "1", "--budget", "3"), 3,
+        "chain enumeration exceeded 3 states (1 certificates found, 1 of 3 start messages begun)",
+    )
 
 
 def test_oracle_minrank_verb(tmp_path, capsys):

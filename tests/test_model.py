@@ -1,5 +1,6 @@
 """Instance model, normalization, generators, and file round-trips."""
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from icx.model import (
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
+    instance_to_json,
     normalize,
     parse_instance,
     serialize_instance,
@@ -292,6 +294,21 @@ def test_family_tag_roundtrip():
     inst = gen_x_network(6, 2)
     again = parse_instance(serialize_instance(inst))
     assert again.family == FamilyTag.make("x-network", K=6, L=2)
+
+
+@pytest.mark.parametrize("family", [
+    '{"kind": "neighboring-antidotes", "K": "5", "U": 1, "D": 1}',
+    '{"kind": "neighboring-antidotes", "K": true, "U": 1, "D": 1}',
+    '{"kind": "x-network", "K": 6, "L": 2.0}',
+    '{"kind": "x-network", "K": 6, "L": null}',
+    '["neighboring-antidotes", 5, 1, 1]',
+    '"neighboring-antidotes"',
+], ids=["string", "bool", "float", "null", "list", "string-tag"])
+def test_parse_rejects_non_integer_family_parameters(family):
+    obj = instance_to_json(gen_neighboring_antidotes(5, 1, 1))
+    obj["family"] = json.loads(family)
+    with pytest.raises(ParseError):
+        parse_instance(json.dumps(obj))
 
 
 def test_rate_vector_bounds():
