@@ -2,20 +2,14 @@
 
 Exit codes: 0 success; 1 the artifact is invalid/infeasible or a
 counterexample was found; 2 usage error; 3 budget exceeded.  Identical
-inputs produce byte-identical outputs.  ICX_THREADS caps the numeric
-backend's thread pool (results are deterministic regardless).
+inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-if "ICX_THREADS" in os.environ:  # must happen before numpy is first imported
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["ICX_THREADS"])
 
 from . import alignment, bounds, model, oracle, scheme as schemes, symmetric, unicast
 from .errors import BudgetExceeded, IcxError

@@ -363,6 +363,11 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def instance_from_json(obj: dict, check: bool = True) -> Instance:
     if not isinstance(obj, dict):
         raise ParseError("instance file must contain a JSON object")
@@ -371,7 +376,7 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         raise ParseError(f"unknown instance keys: {sorted(unknown)}")
     if "messages" not in obj or "destinations" not in obj:
         raise ParseError("instance file needs 'messages' and 'destinations'")
-    if not isinstance(obj["messages"], int):
+    if not _is_int(obj["messages"]):
         raise ParseError("'messages' must be an integer")
     family = None
     if "family" in obj and obj["family"] is not None:
@@ -382,7 +387,7 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         if kind is None:
             raise ParseError("family needs a 'kind'")
         for name, value in fam.items():
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ParseError(f"family parameter {name!r} must be an integer")
         try:
             family = FamilyTag.make(kind, **fam)
@@ -398,10 +403,10 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         for key in _DEST_KEYS:
             if key not in dobj:
                 raise ParseError(f"destination #{i + 1}: missing '{key}'")
-        if not isinstance(dobj["id"], int):
+        if not _is_int(dobj["id"]):
             raise ParseError(f"destination #{i + 1}: 'id' must be an integer")
         for key in ("wants", "has"):
-            if not isinstance(dobj[key], list) or not all(isinstance(x, int) for x in dobj[key]):
+            if not isinstance(dobj[key], list) or not all(map(_is_int, dobj[key])):
                 raise ParseError(f"destination #{i + 1}: '{key}' must be a list of integers")
         dests.append(Destination(dobj["id"], frozenset(dobj["wants"]), frozenset(dobj["has"])))
     inst = Instance(obj["messages"], tuple(dests), family)

@@ -11,19 +11,18 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one.  ``simulate_exhaustive`` is
-the ground-truth check: it runs every message tuple through the scheme and
-compares what each destination decodes with what it wants.
-``simulate_sampled`` does the same for seeded pseudorandom tuples.
+the ground-truth check: it decides, for every message tuple, whether each
+destination decodes what it wants.  ``simulate_sampled`` does the same for
+seeded pseudorandom tuples.
 
-Both go through one kernel.  For each (destination, message) it computes,
-once and exactly, the linear map from a message tuple to that destination's
-decoding error for the message, and applies the maps to batches of tuples.
-Exhaustive batches are lexicographic blocks, so the first counterexample is
-the lexicographically first tuple that fails; sampled batches are drawn from
-``random.Random(seed)`` one tuple after another, so a seed always reports
-the same failing tuple.  The arithmetic is exact int64 for every supported
-field (GF(p) with p < 2^31, GF(2^m) with m <= 32): float64 would start to
-round once a sum of products passes 2^53.
+Both start from one exact linear map E over the field, from a message tuple
+to every destination's decoding error for every message it wants.  A tuple
+fails iff its error is nonzero, so every tuple passes iff E = 0, and no
+tuples need enumerating.  When E is nonzero, the lexicographically first
+failing tuple is the unit tuple at E's last nonzero column; its position
+follows in closed form.  The sampler draws from ``random.Random(seed)`` one
+tuple after another and stops at the first with a nonzero error, so a seed
+always reports the same failing tuple.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .errors import (
     SchemeMalformed,
     UnsupportedFamily,
 )
-from .galois import BinaryField, EchelonBasis, Field, Matrix, PrimeField, field_from_json
-from .model import Instance
+from .galois import EchelonBasis, Field, Matrix, field_from_json
+from .model import Instance, check_family
 
 DEFAULT_SIMULATION_BUDGET = 2**24
 
@@ -221,9 +220,6 @@ def _independent_rows(mat: Matrix, need: int):
 # zero-error simulation
 # ----------------------------------------------------------------------
 
-_BLOCK = 1 << 19  # tuples per enumerated block, unless one digit alone has more
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     ok: bool
@@ -244,17 +240,23 @@ class SimulationResult:
 def simulate_exhaustive(
     inst: Instance, scheme: LinearScheme, budget: int = DEFAULT_SIMULATION_BUDGET
 ) -> SimulationResult:
-    """Check every message tuple: encode, decode everywhere, compare.
+    """Decide, for every message tuple, whether each destination decodes it.
 
-    Tuples are scanned in lexicographic order (message 1's first stream is
-    the most significant digit), so the first counterexample is well defined.
+    Tuples are ordered lexicographically (message 1's first stream is the
+    most significant digit), so the first counterexample is well defined.
     Decoders come from the scheme or, for V-only schemes, from
     ``synthesize_decoders``; if synthesis itself fails, a tuple fails at a
     destination when an earlier tuple has the same broadcast word and the
     same antidote symbols there but different desired symbols.  A combiner
-    with U_{m,k} V_m singular fails without a scan: the counterexample is
-    zero except that x_m is a nonzero kernel vector of U_{m,k} V_m, and
+    with U_{m,k} V_m singular fails at once: the counterexample is zero
+    except that x_m is a nonzero kernel vector of U_{m,k} V_m, and
     ``tuples_checked`` is 1.
+
+    Nothing is enumerated.  The error map E is linear, so every tuple passes
+    iff E = 0.  Otherwise let s be E's last nonzero column: every tuple
+    before the unit tuple e_s has digits only in streams after s, whose
+    columns are zero, and e_s fails.  It is tuple number q^(total-1-s) + 1,
+    and the failing check is the first nonzero row of column s.
     """
     _check_scheme_matches(inst, scheme)
     q = scheme.field.order
@@ -273,24 +275,11 @@ def simulate_exhaustive(
         kernel = _Kernel(inst, scheme)
     except _SingularDecoder as exc:
         return exc.result
-
-    # A tuple's index is sum_s x_s q^(total-1-s).  The digits split, from the
-    # least significant end, into levels of at most _BLOCK tuples.  A tuple's
-    # error is the sum of its levels' errors, and a level whose digits are all
-    # zero adds none.  So if some tuple of the lowest level fails (all other
-    # digits zero), the first of them is the first failing tuple; if none
-    # does, that level never changes an error and the scan moves up a level.
-    end, weight = total, 1
-    while end:
-        k = 1
-        while k < end and q ** (k + 1) <= _BLOCK:
-            k += 1
-        hit = kernel.first_lex_failure(end - k, end)
-        if hit is not None:
-            index = hit[0] * weight
-            digits = [index // q ** (total - 1 - s) % q for s in range(total)]
-            return kernel.result(digits, hit[1], index + 1)
-        end, weight = end - k, weight * q**k
+    for s in reversed(range(total)):
+        col = kernel.E.col(s)
+        if any(col):
+            unit = [int(t == s) for t in range(total)]
+            return kernel.result(unit, _first_nonzero(col), q ** (total - 1 - s) + 1)
     return SimulationResult(True, space)
 
 
@@ -302,8 +291,9 @@ def simulate_sampled(
     The fallback for spaces beyond the exhaustive budget: a passing result
     means no counterexample among `count` sampled tuples, nothing more.
     ``random.Random(seed)`` draws each tuple's digits in stream order, one
-    tuple after another, so a seed always checks the same tuples.  A
-    singular U_{m,k} V_m is reported as in ``simulate_exhaustive``.
+    tuple after another, so a seed always checks the same tuples.  If the
+    error map is zero every tuple passes and none is drawn.  A singular
+    U_{m,k} V_m is reported as in ``simulate_exhaustive``.
     """
     if count < 1:
         raise BadParams(f"sample count must be at least 1, got {count}")
@@ -313,51 +303,21 @@ def simulate_sampled(
         kernel = _Kernel(inst, working)
     except _SingularDecoder as exc:
         return exc.result
+    if kernel.E.is_zero():
+        return SimulationResult(True, count)
+    f = scheme.field
     rnd = random.Random(seed)
-    q = scheme.field.order
-    total = len(kernel.streams)
-    size = max(1, _BLOCK // max(total, len(kernel.owner), 1))
-    for done in range(0, count, size):
-        batch = [[rnd.randrange(q) for _ in range(total)] for _ in range(min(size, count - done))]
-        hit = kernel.first_failure(batch)
-        if hit is not None:
-            return kernel.result(batch[hit[0]], hit[1], done + hit[0] + 1)
+    for drawn in range(1, count + 1):
+        x = [rnd.randrange(f.order) for _ in kernel.streams]
+        row = _first_nonzero((kernel.E @ Matrix.from_cols(f, [x])).entries)
+        if row is not None:
+            return kernel.result(x, row, drawn)
     return SimulationResult(True, count)
 
 
-class _Int64Field:
-    """Exact arithmetic on numpy int64 arrays of canonical field elements.
-
-    GF(p), p < 2^31: a product of two residues is below 2^62 and is reduced
-    before anything is added to it.  GF(2^m), m <= 32: addition is XOR, and
-    c * x is the XOR of c * 2^b over the set bits b of x.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-
-    def add(self, a, b):
-        import numpy as np
-
-        f = self.field
-        if isinstance(f, BinaryField):
-            return a ^ b
-        s = a + b
-        np.subtract(s, f.p, out=s, where=s >= f.p)
-        return s
-
-    def outer(self, col, x):
-        """The array of products col[i] * x[j]."""
-        import numpy as np
-
-        f = self.field
-        if isinstance(f, PrimeField):
-            return np.multiply.outer(col, x) % f.p
-        out = np.zeros((len(col), len(x)), dtype=np.int64)
-        for b in range(f.m):
-            times = np.array([f.mul(int(c), 1 << b) for c in col], dtype=np.int64)
-            out ^= np.multiply.outer(times, (x >> b) & 1)
-        return out
+def _first_nonzero(entries):
+    """Index of the first nonzero entry, or None."""
+    return next((i for i, e in enumerate(entries) if e), None)
 
 
 class _SingularDecoder(Exception):
@@ -374,7 +334,7 @@ class _SingularDecoder(Exception):
 
 
 class _Kernel:
-    """Exact error maps of a scheme, applied to batches of message tuples.
+    """The exact error map E of a scheme, from message tuples to decoding errors.
 
     Row r of E belongs to the check owner[r] = (destination id, message), in
     destination order and then message order.  A tuple x fails a check iff
@@ -388,8 +348,6 @@ class _Kernel:
     """
 
     def __init__(self, inst: Instance, scheme: LinearScheme):
-        import numpy as np
-
         f = scheme.field
         msg_ids = scheme.message_ids()
         self.streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
@@ -403,7 +361,7 @@ class _Kernel:
                 side = eye.take_rows([s for i in sorted(d.has) for s in pos[i]])
                 same = Matrix.from_rows(f, vfull.row_list() + side.row_list()).nullspace()
                 basis = same.transpose().rref()
-                pivots = [next(c for c, e in enumerate(basis.row(r)) if e) for r in range(basis.rows)]
+                pivots = [_first_nonzero(basis.row(r)) for r in range(basis.rows)]
                 to_least = basis.transpose() @ eye.take_rows(pivots)  # x -> x - least such tuple
             else:
                 heard = Matrix.hstack_all(
@@ -428,48 +386,12 @@ class _Kernel:
                     err = (decoder @ heard).add(eye.take_rows(pos[m]).neg())
                 rows += err.row_list()
                 self.owner += [(d.id, m)] * err.rows
-        self.E = np.array(rows, dtype=np.int64).reshape(len(rows), total)
-        self.gf = _Int64Field(f)
-
-    def first_lex_failure(self, start: int, end: int):
-        """(index, row) of the first failing tuple among those whose digits
-        outside start..end-1 are zero, in lexicographic order, or None.
-
-        The block of errors is built one digit at a time, from the least
-        significant, out of the products digit * column.  Rows go in chunks,
-        so that no array holds more than max(q, _BLOCK) entries.
-        """
-        import numpy as np
-
-        q = self.gf.field.order
-        chunk = max(1, _BLOCK // q ** (end - start))
-        digits = np.arange(q, dtype=np.int64)
-        best = None
-        for lo in range(0, len(self.E), chunk):
-            E = self.E[lo : lo + chunk, start:end]
-            errs = np.zeros((len(E), 1), dtype=np.int64)
-            for s in reversed(range(end - start)):
-                table = self.gf.outer(E[:, s], digits)
-                errs = self.gf.add(table[:, :, None], errs[:, None, :]).reshape(len(E), -1)
-            hit = _first_nonzero(errs)
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = (hit[0], lo + hit[1])
-        return best
-
-    def first_failure(self, tuples):
-        """(position, row) of the first failing tuple of a list of digit lists, or None."""
-        import numpy as np
-
-        X = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(self.streams))
-        errs = np.zeros((len(self.E), len(tuples)), dtype=np.int64)
-        for s in range(len(self.streams)):
-            errs = self.gf.add(errs, self.gf.outer(self.E[:, s], X[:, s]))
-        return _first_nonzero(errs)
+        self.E = Matrix(f, len(rows), total, tuple(e for row in rows for e in row))
 
     def result(self, digits, row: int, checked: int) -> SimulationResult:
         counterexample = {}
         for (m, _), x in zip(self.streams, digits):
-            counterexample.setdefault(m, []).append(int(x))
+            counterexample.setdefault(m, []).append(x)
         destination, message = self.owner[row]
         return SimulationResult(
             False,
@@ -478,16 +400,6 @@ class _Kernel:
             destination=destination,
             message=message,
         )
-
-
-def _first_nonzero(errs):
-    """(column, row) of the first nonzero column of errs and its first nonzero row, or None."""
-    bad = errs != 0
-    cols = bad.any(axis=0)
-    if not cols.any():
-        return None
-    col = int(cols.argmax())
-    return col, int(bad[:, col].argmax())
 
 
 # ----------------------------------------------------------------------
@@ -536,10 +448,15 @@ class DimensionAudit:
 
 
 def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
-    """Window-dimension accounting for neighboring-antidotes schemes."""
+    """Window-dimension accounting for neighboring-antidotes schemes.
+
+    The tag's K, U and D are used only once ``check_family`` has confirmed
+    that the instance is that family.
+    """
     fam = inst.family
     if fam is None or fam.kind != "neighboring-antidotes":
         raise UnsupportedFamily("dimension audit requires the neighboring-antidotes family tag")
+    check_family(inst)
     _check_scheme_matches(inst, scheme)
     K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
     A = U + D

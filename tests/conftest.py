@@ -6,7 +6,7 @@ describe their structure (message count / destination count / demand size).
 
 import pytest
 
-from icx.model import Destination, Instance
+from icx.model import Destination, FamilyTag, Instance
 
 
 def make_instance(num_messages, dests, family=None):
@@ -69,3 +69,14 @@ def pentagon_notation():
 def groupcast_m2k3():
     """M=2, K=3; the middle destination wants both messages."""
     return make_instance(2, [({1}, set()), ({1, 2}, set()), ({2}, set())])
+
+
+@pytest.fixture
+def tampered_antidotes():
+    """Tagged antidotes K=5 U=1 D=1, but every destination holds every other
+    message, so rate 1 is achievable and the family's "sum R <= 2" is not."""
+    return make_instance(
+        5,
+        [({k}, {1, 2, 3, 4, 5} - {k}) for k in range(1, 6)],
+        FamilyTag.make("neighboring-antidotes", K=5, U=1, D=1),
+    )

@@ -1,11 +1,10 @@
-"""Naive per-tuple simulation: the independent reference for icx's batched kernel.
+"""Naive per-tuple simulation: the independent reference for icx's simulators.
 
 Each message tuple is encoded and decoded on its own with the field's scalar
-operations, so nothing here shares code with the vectorised simulator beyond
-the scheme and decoder objects.
+operations, so nothing here shares code with the closed-form simulator
+beyond the scheme and decoder objects.
 """
 
-import itertools
 import random
 
 from icx.errors import NoDecoderExists
@@ -74,9 +73,22 @@ def _dot(f, row, vec):
 
 
 def lexicographic_tuples(scheme):
-    """Every message tuple, message 1's first stream the most significant digit."""
+    """Every message tuple, message 1's first stream the most significant digit.
+
+    An odometer, so a field of 2^31 elements costs nothing up front.
+    """
     total = sum(scheme.stream_count(m) for m in scheme.V)
-    return itertools.product(range(scheme.field.order), repeat=total)
+    top = scheme.field.order - 1
+    digits = [0] * total
+    while True:
+        yield tuple(digits)
+        s = total - 1
+        while s >= 0 and digits[s] == top:
+            digits[s] = 0
+            s -= 1
+        if s < 0:
+            return
+        digits[s] += 1
 
 
 def sampled_tuples(scheme, count, seed=0):

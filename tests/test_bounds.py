@@ -224,18 +224,8 @@ def test_capacity_requires_tag():
         symmetric_capacity(builtin_example(1).instance)
 
 
-def tampered_antidotes():
-    """Tagged antidotes K=5 U=1 D=1, but every destination holds every other
-    message, so rate 1 is achievable and the family's "sum R <= 2" is not."""
-    return make_instance(
-        5,
-        [({k}, {1, 2, 3, 4, 5} - {k}) for k in range(1, 6)],
-        FamilyTag.make("neighboring-antidotes", K=5, U=1, D=1),
-    )
-
-
-def test_capacity_rejects_tampered_tag():
-    inst = tampered_antidotes()
+def test_capacity_rejects_tampered_tag(tampered_antidotes):
+    inst = tampered_antidotes
     field = PrimeField(2)
     one = {m: Matrix.from_rows(field, [[1]]) for m in range(1, 6)}
     rate_one = LinearScheme(field, 1, one)

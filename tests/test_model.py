@@ -311,6 +311,20 @@ def test_parse_rejects_non_integer_family_parameters(family):
         parse_instance(json.dumps(obj))
 
 
+@pytest.mark.parametrize("template", [
+    '{"messages": X, "destinations": [{"id": 1, "wants": [1], "has": []}]}',
+    '{"messages": 1, "destinations": [{"id": X, "wants": [1], "has": []}]}',
+    '{"messages": 1, "destinations": [{"id": 1, "wants": [X], "has": []}]}',
+    '{"messages": 2, "destinations": [{"id": 1, "wants": [2], "has": [X]}]}',
+], ids=["messages", "id", "wants", "has"])
+def test_parse_rejects_bool_for_integer(template):
+    """true is an int to Python but not a number in JSON; with 1 instead
+    the same file parses, so the bool alone is refused."""
+    parse_instance(template.replace("X", "1"))
+    with pytest.raises(ParseError):
+        parse_instance(template.replace("X", "true"))
+
+
 def test_rate_vector_bounds():
     RateVector((0, 1, "1/2"))
     with pytest.raises(ValueError):

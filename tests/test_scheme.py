@@ -16,7 +16,13 @@ from icx.errors import (
     UnsupportedFamily,
 )
 from icx.galois import BinaryField, Matrix, PrimeField
-from icx.model import Destination, Instance, gen_neighboring_antidotes, gen_neighboring_interference
+from icx.model import (
+    Destination,
+    FamilyTag,
+    Instance,
+    gen_neighboring_antidotes,
+    gen_neighboring_interference,
+)
 from icx.scheme import (
     LinearScheme,
     dimension_audit,
@@ -341,9 +347,14 @@ def large_field_cases(field):
     ]
 
 
-@pytest.mark.parametrize("field", [PrimeField(1048583), BinaryField(12)], ids=repr)
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(1048583), PrimeField(2147483647), BinaryField(12), BinaryField(32)],
+    ids=repr,
+)
 def test_simulation_matches_reference_large_fields(field):
-    """Fields with more than 2^20 elements, or of degree above 8.  The
+    """Fields with more than 2^20 elements, or of degree above 8, up to the
+    largest supported, where products of two elements pass 2^53.  The
     reference scans only the first 4097 tuples: a result within them must
     match exactly, and past them no counterexample may come earlier."""
     prefix = 4097
@@ -356,29 +367,6 @@ def test_simulation_matches_reference_large_fields(field):
         else:
             assert res.ok or res.tuples_checked >= prefix, (case, kind)
         check_sampled(inst, scheme, kind, 30, seed=case)
-
-
-@pytest.mark.parametrize(
-    "field",
-    [PrimeField(2147483647), PrimeField(1048583), BinaryField(12), BinaryField(32)],
-    ids=repr,
-)
-def test_int64_field_arithmetic_exact(field):
-    """The kernel's array arithmetic equals scalar field arithmetic, also
-    where products exceed 2^53 and float64 would round."""
-    import numpy as np
-
-    from icx.scheme import _Int64Field
-
-    rnd = random.Random(3)
-    top = field.order - 1
-    col = [top, 1, 0] + [rnd.randrange(field.order) for _ in range(5)]
-    x = [top, 0, 1] + [rnd.randrange(field.order) for _ in range(60)]
-    gf = _Int64Field(field)
-    prod = gf.outer(np.array(col, dtype=np.int64), np.array(x, dtype=np.int64))
-    assert prod.tolist() == [[field.mul(c, v) for v in x] for c in col]
-    total = gf.add(prod[0], prod[3])
-    assert total.tolist() == [field.add(field.mul(col[0], v), field.mul(col[3], v)) for v in x]
 
 
 def test_sampled_counterexample_pinned():
@@ -449,6 +437,25 @@ def test_audit_requires_family():
     ex = builtin_example(1)
     with pytest.raises(UnsupportedFamily):
         dimension_audit(ex.instance, ex.scheme)
+
+
+def test_audit_rejects_tag_of_another_instance():
+    """A K=9 tag on five messages once raised KeyError: 6."""
+    inst = gen_neighboring_antidotes(5, 1, 1)
+    lying = Instance(5, inst.destinations, FamilyTag.make("neighboring-antidotes", K=9, U=1, D=1))
+    with pytest.raises(UnsupportedFamily, match="not the neighboring-antidotes family K=9 U=1 D=1"):
+        dimension_audit(lying, build_antidote_scheme(5, 1, 1))
+
+
+def test_audit_rejects_tampered_tag(tampered_antidotes):
+    """Every destination holds every other message: a rate-1 scheme verifies,
+    so the K=5 U=1 D=1 accounting must not be applied to it."""
+    inst = tampered_antidotes
+    field = PrimeField(2)
+    rate_one = LinearScheme(field, 1, {m: Matrix.from_rows(field, [[1]]) for m in range(1, 6)})
+    assert verify(inst, rate_one).valid
+    with pytest.raises(UnsupportedFamily, match="not the neighboring-antidotes family K=5 U=1 D=1"):
+        dimension_audit(inst, rate_one)
 
 
 # ----------------------------------------------------------------------
