@@ -15,17 +15,13 @@ block length always fits the component count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import Infeasible, NotNormalized, UnsupportedL
-from .galois import (
-    PrimeField,
-    mds_vector_family,
-    smallest_prime_at_least,
-    spread_family,
-)
 from .model import Instance, normalize
-from .scheme import LinearScheme
+
+if TYPE_CHECKING:  # the partition is pure combinatorics; only the builders need fields
+    from .scheme import LinearScheme
 
 
 class _UnionFind:
@@ -139,6 +135,9 @@ def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
     beams seen after antidote cancellation at any destination are independent.
     Verifies against normalize(inst, L).
     """
+    from .galois import PrimeField, mds_vector_family, smallest_prime_at_least
+    from .scheme import LinearScheme
+
     verdict = check_feasibility(inst, L)
     if not verdict.feasible:
         raise Infeasible(verdict.witness)
@@ -159,6 +158,9 @@ def build_rate_half_vector_scheme(inst: Instance, L: int = 1) -> LinearScheme:
     family of (n/2)-dim subspaces of GF(2)^n, with n the smallest even block
     length whose family has at least Z members.
     """
+    from .galois import PrimeField, spread_family
+    from .scheme import LinearScheme
+
     if L != 1:
         raise UnsupportedL("the spread construction is stated for single demands (L=1)")
     verdict = check_feasibility(inst, L)

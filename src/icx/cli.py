@@ -11,9 +11,8 @@ import argparse
 import json
 import sys
 
-from . import alignment, bounds, model, oracle, scheme as schemes, symmetric, unicast
-from .errors import BudgetExceeded, IcxError
-from .galois import BinaryField, PrimeField
+# Each handler imports the modules its verb needs, so a call loads no others.
+from .errors import BudgetExceeded, IcxError, Infeasible, ParseError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -22,6 +21,8 @@ EXIT_BUDGET = 3
 
 
 def _parse_field(text):
+    from .galois import BinaryField, PrimeField
+
     kind, _, value = text.partition("=")
     if kind == "p":
         return PrimeField(int(value))
@@ -49,8 +50,15 @@ def _emit(obj, out_path):
         sys.stdout.write(text)
 
 
+def _given(**kwargs):
+    """The options set on the command line; the rest keep the library's defaults."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def _load_instance(path):
-    return model.load_instance(path)
+    from .model import load_instance
+
+    return load_instance(path)
 
 
 def _build_parser():
@@ -92,7 +100,7 @@ def _build_parser():
     )
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument(
         "--sample",
         type=_positive_int,
@@ -110,7 +118,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="exhaustive zero-error simulation")
     p.add_argument("instance")
     p.add_argument("scheme")
-    p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument(
         "--sample",
         type=_positive_int,
@@ -135,8 +143,8 @@ def _build_parser():
     p.add_argument("--chain", action="store_true")
     p.add_argument("--family", action="store_true")
     p.add_argument("--L", type=int, help="demand size for chain bounds")
-    p.add_argument("--maxN", type=_positive_int, default=bounds.DEFAULT_CHAIN_MAX_N)
-    p.add_argument("--budget", type=_positive_int, default=bounds.DEFAULT_CHAIN_BUDGET)
+    p.add_argument("--maxN", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int)
     add_out(p)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
@@ -146,7 +154,7 @@ def _build_parser():
     g.add_argument("--scalar-search", action="store_true")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=int)
     add_out(p)
 
     p = sub.add_parser("example", help="built-in worked examples 1..3")
@@ -154,13 +162,15 @@ def _build_parser():
     p.add_argument("--field", type=_parse_field, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--budget", type=int, default=schemes.DEFAULT_SIMULATION_BUDGET)
+    p.add_argument("--budget", type=int)
     add_out(p)
 
     return top
 
 
 def _cmd_gen(args):
+    from . import model
+
     if args.family == "antidotes":
         inst = model.gen_neighboring_antidotes(args.K, args.U, args.D)
     elif args.family == "interference":
@@ -171,6 +181,8 @@ def _cmd_gen(args):
 
 
 def _cmd_validate(args):
+    from . import model
+
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = model.parse_instance(fh.read(), check=False)
     problems = model.validate(inst)
@@ -179,12 +191,16 @@ def _cmd_validate(args):
 
 
 def _cmd_check_feasibility(args):
+    from . import alignment
+
     inst = _load_instance(args.instance)
     verdict = alignment.check_feasibility(inst, args.L)
     return verdict.to_json(), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
 def _family_scheme(args):
+    from . import model, symmetric
+
     if args.family == "antidotes":
         inst = model.gen_neighboring_antidotes(args.K, args.U, args.D)
         built = symmetric.build_antidote_scheme(args.K, args.U, args.D)
@@ -198,6 +214,8 @@ def _family_scheme(args):
 
 
 def _cmd_scheme(args):
+    from . import alignment, model, scheme as schemes
+
     if bool(args.family) == bool(args.instance):
         raise IcxError("pass exactly one of --family or --instance")
     if args.family:
@@ -236,8 +254,11 @@ def _simulate(inst, sch, args):
     Returns the result's JSON, labelled with its mode, and whether it passed;
     raises BudgetExceeded past the budget without --sample.
     """
+    from . import scheme as schemes
+
+    budget = _given(budget=args.budget)
     try:
-        result, mode = schemes.simulate_exhaustive(inst, sch, budget=args.budget), "exhaustive"
+        result, mode = schemes.simulate_exhaustive(inst, sch, **budget), "exhaustive"
     except BudgetExceeded:
         if args.sample is None:
             raise
@@ -246,6 +267,8 @@ def _simulate(inst, sch, args):
 
 
 def _cmd_verify(args):
+    from . import scheme as schemes
+
     inst = _load_instance(args.instance)
     sch = schemes.load_scheme(args.scheme)
     report = schemes.verify(inst, sch, mode=args.mode)
@@ -253,6 +276,8 @@ def _cmd_verify(args):
 
 
 def _cmd_simulate(args):
+    from . import scheme as schemes
+
     inst = _load_instance(args.instance)
     sch = schemes.load_scheme(args.scheme)
     out, ok = _simulate(inst, sch, args)
@@ -260,12 +285,16 @@ def _cmd_simulate(args):
 
 
 def _cmd_transform(args):
+    from . import unicast
+
     inst = _load_instance(args.instance)
     umap = unicast.to_unicast(inst, args.L, with_auxiliaries=not args.no_aux)
     return unicast.unicast_transform_report(umap), EXIT_OK
 
 
 def _cmd_bounds(args):
+    from . import bounds
+
     inst = _load_instance(args.instance)
     want_all = not (args.simple or args.chain or args.family)
     out = {}
@@ -279,9 +308,8 @@ def _cmd_bounds(args):
             if len(sizes) == 1:
                 L = sizes.pop()
         if L is not None:
-            out["chain"] = [
-                c.to_json() for c in bounds.chain_bounds(inst, L, maxN=args.maxN, budget=args.budget)
-            ]
+            found = bounds.chain_bounds(inst, L, **_given(maxN=args.maxN, budget=args.budget))
+            out["chain"] = [c.to_json() for c in found]
         elif args.chain:
             raise IcxError("chain bounds need --L for non-uniform instances")
     if args.family or (want_all and inst.family is not None and inst.family.kind != "custom"):
@@ -294,16 +322,21 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle(args):
+    from . import oracle
+
     inst = _load_instance(args.instance)
+    budget = _given(budget=args.budget)
     if args.minrank:
-        res = oracle.minrank_gf2(inst, budget=args.budget)
+        res = oracle.minrank_gf2(inst, **budget)
     else:
-        res = oracle.best_scalar_scheme(inst, args.q, args.n_max, budget=args.budget)
+        res = oracle.best_scalar_scheme(inst, args.q, args.n_max, **budget)
     code = EXIT_OK if res.value is not None else EXIT_NEGATIVE
     return res.to_json(), code
 
 
 def _cmd_example(args):
+    from . import model, scheme as schemes, symmetric
+
     ex = symmetric.builtin_example(args.id, args.field)
     rate = ex.claimed_rate
     out = {
@@ -319,7 +352,7 @@ def _cmd_example(args):
         if not report.valid:
             code = EXIT_NEGATIVE
     if args.simulate:
-        result = schemes.simulate_exhaustive(ex.instance, ex.scheme, budget=args.budget)
+        result = schemes.simulate_exhaustive(ex.instance, ex.scheme, **_given(budget=args.budget))
         out["simulation"] = result.to_json()
         if not result.ok:
             code = EXIT_NEGATIVE
@@ -350,8 +383,6 @@ def run(argv) -> int:
         return EXIT_BUDGET
     except IcxError as exc:
         # validation failures and infeasibility carry a verdict, not a crash
-        from .errors import Infeasible, ParseError
-
         if isinstance(exc, Infeasible):
             _emit({"feasible": False, "witness": list(exc.witness)}, getattr(args, "out", None))
             return EXIT_NEGATIVE

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test of its file readers."""
 
 
 class IcxError(Exception):
@@ -75,3 +75,8 @@ class BudgetExceeded(IcxError):
 
 class TranslationFailed(IcxError):
     """Scheme translation produced an empty precoder for some message."""
+
+
+def is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``1.0`` are not integers in a file."""
+    return type(value) is int

@@ -42,6 +42,7 @@ from .errors import (
     FieldMismatch,
     FieldTooSmall,
     OddDimension,
+    is_int,
 )
 
 # ----------------------------------------------------------------------
@@ -280,7 +281,7 @@ def field_from_json(obj: dict) -> Field:
 
     def integer(key):
         value = obj[key]
-        if type(value) is not int:  # bool is a subclass of int, and is rejected too
+        if not is_int(value):
             raise ValueError(f"'{key}' must be an integer, got {value!r}")
         return value
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParams, CannotNormalize, ParseError, UnsupportedFamily
+from .errors import BadParams, CannotNormalize, ParseError, UnsupportedFamily, is_int
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
@@ -350,6 +350,10 @@ def _destination_sets(inst: Instance) -> Counter:
 
 _INSTANCE_KEYS = {"messages", "family", "destinations"}
 _DEST_KEYS = {"id", "wants", "has"}
+# Far beyond any instance the exact searches can treat, but small enough that
+# parsing and validating a file never exhausts memory.
+MAX_MESSAGES = 10_000
+MAX_DESTINATIONS = 10_000
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -363,11 +367,6 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: bool is an int subclass, but true is not a number."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def instance_from_json(obj: dict, check: bool = True) -> Instance:
     if not isinstance(obj, dict):
         raise ParseError("instance file must contain a JSON object")
@@ -376,8 +375,16 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         raise ParseError(f"unknown instance keys: {sorted(unknown)}")
     if "messages" not in obj or "destinations" not in obj:
         raise ParseError("instance file needs 'messages' and 'destinations'")
-    if not _is_int(obj["messages"]):
+    if not is_int(obj["messages"]):
         raise ParseError("'messages' must be an integer")
+    if obj["messages"] > MAX_MESSAGES:
+        raise ParseError(f"'messages' is {obj['messages']}, more than the limit of {MAX_MESSAGES}")
+    if not isinstance(obj["destinations"], list):
+        raise ParseError("'destinations' must be a list")
+    if len(obj["destinations"]) > MAX_DESTINATIONS:
+        raise ParseError(
+            f"{len(obj['destinations'])} destinations, more than the limit of {MAX_DESTINATIONS}"
+        )
     family = None
     if "family" in obj and obj["family"] is not None:
         if not isinstance(obj["family"], dict):
@@ -387,7 +394,7 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         if kind is None:
             raise ParseError("family needs a 'kind'")
         for name, value in fam.items():
-            if not _is_int(value):
+            if not is_int(value):
                 raise ParseError(f"family parameter {name!r} must be an integer")
         try:
             family = FamilyTag.make(kind, **fam)
@@ -403,10 +410,10 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         for key in _DEST_KEYS:
             if key not in dobj:
                 raise ParseError(f"destination #{i + 1}: missing '{key}'")
-        if not _is_int(dobj["id"]):
+        if not is_int(dobj["id"]):
             raise ParseError(f"destination #{i + 1}: 'id' must be an integer")
         for key in ("wants", "has"):
-            if not isinstance(dobj[key], list) or not all(map(_is_int, dobj[key])):
+            if not isinstance(dobj[key], list) or not all(map(is_int, dobj[key])):
                 raise ParseError(f"destination #{i + 1}: '{key}' must be a list of integers")
         dests.append(Destination(dobj["id"], frozenset(dobj["wants"]), frozenset(dobj["has"])))
     inst = Instance(obj["messages"], tuple(dests), family)

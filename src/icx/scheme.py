@@ -42,6 +42,7 @@ from .errors import (
     ParseError,
     SchemeMalformed,
     UnsupportedFamily,
+    is_int,
 )
 from .galois import EchelonBasis, Field, Matrix, field_from_json
 from .model import Instance, check_family
@@ -485,6 +486,10 @@ def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
 # ----------------------------------------------------------------------
 
 _SCHEME_KEYS = {"field", "n", "V", "U"}
+# Like the instance caps in model: far beyond any scheme the checks can treat,
+# but small enough that parsing a file never exhausts memory.
+MAX_BLOCK_LENGTH = 10_000
+MAX_MATRIX_ENTRIES = 1_000_000
 
 
 def scheme_to_json(scheme: LinearScheme) -> dict:
@@ -512,17 +517,31 @@ def scheme_from_json(obj: dict) -> LinearScheme:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad field spec: {exc}") from exc
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ParseError("'n' must be a positive integer")
+    if not is_int(n) or n < 1:
+        raise ParseError(f"'n' must be a positive integer, got {json.dumps(n)}")
+    if n > MAX_BLOCK_LENGTH:
+        raise ParseError(f"'n' is {n}, more than the limit of {MAX_BLOCK_LENGTH}")
+    entries = 0
 
     def read_matrix(rows, what):
+        nonlocal entries
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError(f"{what} must be a list of rows")
+        entries += sum(map(len, rows))
+        if entries > MAX_MATRIX_ENTRIES:
+            raise ParseError(f"more than {MAX_MATRIX_ENTRIES} matrix entries")
+        for row in rows:
+            bad = [e for e in row if not is_int(e)]
+            if bad:
+                raise ParseError(f"{what}: entry {json.dumps(bad[0])} is not an integer")
         try:
             return Matrix.from_rows(field, rows)
         except Exception as exc:
             raise ParseError(f"{what}: {exc}") from exc
 
+    U_obj = obj.get("U")
+    if not isinstance(obj["V"], dict) or not isinstance(U_obj, (dict, type(None))):
+        raise ParseError("'V' and 'U' must be objects")
     V = {}
     for key, rows in obj["V"].items():
         try:
@@ -531,9 +550,9 @@ def scheme_from_json(obj: dict) -> LinearScheme:
             raise ParseError(f"V key {key!r} is not a message id")
         V[m] = read_matrix(rows, f"V[{key}]")
     U = None
-    if "U" in obj and obj["U"] is not None:
+    if U_obj is not None:
         U = {}
-        for key, rows in obj["U"].items():
+        for key, rows in U_obj.items():
             try:
                 ms, ks = key.split("@")
                 mk = (int(ms), int(ks))

@@ -10,9 +10,15 @@ import pytest
 
 import icx
 from icx.cli import run
-from icx.model import FamilyTag, gen_neighboring_antidotes, save_instance, serialize_instance
+from icx.model import (
+    FamilyTag,
+    gen_neighboring_antidotes,
+    gen_neighboring_interference,
+    save_instance,
+    serialize_instance,
+)
 from icx.scheme import save_scheme
-from icx.symmetric import build_antidote_scheme
+from icx.symmetric import build_antidote_scheme, build_interference_scheme
 
 from conftest import make_instance
 
@@ -220,6 +226,56 @@ def test_verify_and_bounds_do_not_load_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
+def loaded_icx_modules(argv):
+    """Exit code of one CLI call in a fresh interpreter, and the icx modules it loaded."""
+    script = (
+        "import json, sys\n"
+        "from icx.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'icx')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m.removeprefix("icx.") for m in modules}
+
+
+@pytest.fixture(scope="module")
+def interference_files(tmp_path_factory):
+    """Interference K=6 U=0 D=1: feasible at L=1, and its scheme simulates within the budget."""
+    tmp = tmp_path_factory.mktemp("interference")
+    inst_path, scheme_path = str(tmp / "inst.json"), str(tmp / "scheme.json")
+    save_instance(gen_neighboring_interference(6, 0, 1), inst_path)
+    save_scheme(build_interference_scheme(6, 0, 1), scheme_path)
+    return inst_path, scheme_path
+
+
+# (argv, the modules it must not load); None means only the instance model
+VERB_MODULE_CASES = [
+    (["gen", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2"], None),
+    (["validate", "{i}"], None),
+    (["check-feasibility", "{i}", "--L", "1"], {"galois", "scheme", "oracle", "symmetric", "unicast"}),
+    (["bounds", "{i}"], {"galois", "scheme", "oracle", "symmetric", "unicast"}),
+    (["verify", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
+    (["simulate", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
+    (["example", "2", "--verify", "--simulate"], {"alignment", "bounds", "oracle", "unicast"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", VERB_MODULE_CASES, ids=[c[0][0] for c in VERB_MODULE_CASES])
+def test_each_verb_loads_only_its_modules(interference_files, argv, absent):
+    inst_path, scheme_path = interference_files
+    code, modules = loaded_icx_modules([a.format(i=inst_path, s=scheme_path) for a in argv])
+    assert code == 0
+    if absent is None:
+        assert modules == {"icx", "cli", "errors", "model"}
+    else:
+        assert {"icx", "cli", "errors", "model"} <= modules and not modules & absent
+
+
 def test_transform_verb(tmp_path, capsys, groupcast_m2k3):
     path = write_instance(tmp_path, groupcast_m2k3)
     code, out, _ = invoke(capsys, "transform", path, "--L", "2")
@@ -365,3 +421,65 @@ def test_parse_error_exit_1(tmp_path, capsys):
     code, _, err = invoke(capsys, "check-feasibility", str(bad), "--L", "1")
     assert code == 1
     assert "error" in err
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    """Every help page, byte for byte.  Defaults left to the handlers must not
+    show: argparse prints a default only where a help string asks for it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for verb in ("", "gen", "validate", "check-feasibility", "scheme", "verify", "simulate",
+                 "transform", "bounds", "oracle", "example"):
+        argv = [verb, "--help"] if verb else ["--help"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        pages.append(f"$ icx {' '.join(argv)}\n{capsys.readouterr().out}")
+    expected = (pathlib.Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+    assert "".join(pages) == expected
+
+
+ONE_MESSAGE = '{"messages": 1, "destinations": [{"id": 1, "wants": [1], "has": []}]}\n'
+
+
+@pytest.mark.parametrize(
+    "n, V, message",
+    [
+        ("1", "[[1.5]]", "V[1]: entry 1.5 is not an integer"),
+        ("1", "[[true]]", "V[1]: entry true is not an integer"),
+        ("true", "[[1]]", "'n' must be a positive integer, got true"),
+        ("1.0", "[[1]]", "'n' must be a positive integer, got 1.0"),
+    ],
+    ids=["entry-float", "entry-bool", "n-bool", "n-float"],
+)
+@pytest.mark.parametrize("verb", ["verify", "simulate"])
+def test_scheme_numbers_must_be_integers(tmp_path, capsys, verb, n, V, message):
+    inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+    inst_path.write_text(ONE_MESSAGE, encoding="utf-8")
+    scheme_path.write_text(
+        f'{{"field": {{"kind": "prime", "p": 3}}, "n": {n}, "V": {{"1": {V}}}}}\n', encoding="utf-8"
+    )
+    assert_one_line_error(*invoke(capsys, verb, str(inst_path), str(scheme_path)), 1, message)
+
+
+@pytest.mark.parametrize(
+    "verb, instance, scheme, message",
+    [
+        ("validate", {"messages": 100_000_000, "destinations": []}, None,
+         "'messages' is 100000000, more than the limit of 10000"),
+        ("validate", {"messages": 1, "destinations": [{"id": 1, "wants": [1], "has": []}] * 10_001},
+         None, "10001 destinations, more than the limit of 10000"),
+        ("verify", None, {"n": 10_001, "V": {"1": [[1]]}}, "'n' is 10001, more than the limit of 10000"),
+        ("verify", None, {"n": 1, "V": {"1": [[0] * 1_000_001]}},
+         "more than 1000000 matrix entries"),
+        ("verify", None, {"n": 1, "V": [[1]]}, "'V' and 'U' must be objects"),
+    ],
+    ids=["messages", "destinations", "n", "matrix-entries", "V-list"],
+)
+def test_oversized_or_misshapen_files_one_line_error(tmp_path, capsys, verb, instance, scheme, message):
+    inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+    inst_path.write_text(json.dumps(instance) if instance else ONE_MESSAGE, encoding="utf-8")
+    if scheme is not None:
+        scheme_path.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, **scheme}), encoding="utf-8")
+    argv = [verb, str(inst_path)] + ([str(scheme_path)] if verb == "verify" else [])
+    assert_one_line_error(*invoke(capsys, *argv), 1, message)

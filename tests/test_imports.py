@@ -1,16 +1,23 @@
-"""Every module imports only what it uses.
+"""Every module imports only what it uses, and the package exports lazily.
 
 No linter is a dependency, so this walks the syntax tree with the standard
-library.  A name counts as used when it appears as an identifier anywhere in
-the module, or inside a string that parses as an expression (a quoted
-annotation such as ``"Matrix"``).  ``__init__.py`` files re-export by
-importing, so they are skipped.
+library.  A name counts as used when it appears as an identifier, or inside a
+string that parses as an expression (a quoted annotation such as
+``"Matrix"``), in the scope that imports it: a module-level import may be
+used anywhere in the module, an import inside a function only in that
+function.  ``__init__.py`` files re-export by importing, so they are skipped.
 """
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import icx
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -28,21 +35,45 @@ def _names_in_string(text: str) -> set:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
+def _scope_nodes(body):
+    """The nodes of one scope in source order, without the bodies of nested
+    functions; the function definitions themselves are included."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # decorators, defaults and annotations are evaluated outside the function
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            outside = [*node.decorator_list, *args.defaults, *args.kw_defaults, node.returns]
+            outside += [a.annotation for a in every if a is not None]
+            yield from _scope_nodes([n for n in outside if n is not None])
+        else:
+            yield from _scope_nodes(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list:
-    """(line, name) of every imported name the module never uses."""
-    tree = ast.parse(source)
-    imported = []
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used |= _names_in_string(node.value)
-    return [(line, name) for line, name in imported if name not in used]
+    """(line, name) of every imported name its scope never uses."""
+    unused = []
+
+    def names_used(body):
+        """Names used in this scope and not imported by it, recording its unused imports."""
+        imported, used = [], set()
+        for node in _scope_nodes(body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used |= names_used(node.body)
+            elif isinstance(node, ast.Import):
+                imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _names_in_string(node.value)
+        unused.extend((line, name) for line, name in imported if name not in used)
+        return used - {name for _, name in imported}
+
+    names_used(ast.parse(source).body)
+    return sorted(unused)
 
 
 def test_checker_finds_an_unused_import():
@@ -50,6 +81,62 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (3, "Sequence")]
 
 
+def test_checker_scopes_a_function_local_import():
+    """A handler must use what it imports itself: only the sibling uses
+    ``scheme`` here.  A return annotation belongs to the enclosing scope, so
+    the module-level ``Report`` is used even though the body imports its own."""
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import model\n"
+        "if TYPE_CHECKING:\n"
+        "    from .scheme import Report\n"
+        "\n"
+        "def _cmd_gen(args):\n"
+        "    from . import scheme\n"
+        "    return model.gen(args)\n"
+        "\n"
+        "def _cmd_verify(args) -> Report:\n"
+        "    from . import scheme\n"
+        "    from .scheme import Report\n"
+        "    return Report(scheme.verify(model.load(args)))\n"
+    )
+    assert unused_imports(source) == [(7, "scheme")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The names `icx` exported when its __init__ imported every submodule eagerly.
+EXPORTS = [
+    "AlignmentPartition", "BinaryField", "BoundCertificate", "BuiltinExample", "Destination",
+    "DimensionAudit", "FamilyTag", "FeasibilityVerdict", "Instance", "LinearScheme", "Matrix",
+    "OracleResult", "PrimeField", "RateVector", "Subspace", "UnicastMap", "VerificationReport",
+    "best_scalar_scheme", "build_antidote_scheme", "build_interference_scheme",
+    "build_rate_half_vector_scheme", "build_scalar_scheme", "build_x_scheme", "builtin_example",
+    "chain_bounds", "check_feasibility", "dimension_audit", "gen_neighboring_antidotes",
+    "gen_neighboring_interference", "gen_x_network", "groupcast_rank_chain", "load_instance",
+    "load_scheme", "mds_vector_family", "minrank_gf2", "normalize", "parse_instance",
+    "parse_scheme", "partition", "save_instance", "save_scheme", "scheme_to_groupcast",
+    "scheme_to_unicast", "serialize_instance", "serialize_scheme", "simple_bounds",
+    "simulate_exhaustive", "simulate_sampled", "spread_family", "symmetric_capacity",
+    "synthesize_decoders", "to_unicast", "validate", "verify",
+]
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    assert sorted(icx.__all__) == sorted(dir(icx)) == EXPORTS
+    for name in EXPORTS:
+        obj = getattr(__import__("icx", fromlist=[name]), name)  # from icx import <name>
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    with pytest.raises(AttributeError, match="'nope'"):
+        icx.nope
+
+
+def test_from_icx_import_loads_only_that_module():
+    script = "import sys\nfrom icx import Matrix\nprint(sorted(m for m in sys.modules if m.startswith('icx')))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['icx', 'icx.errors', 'icx.galois']"
