@@ -100,7 +100,7 @@ def _build_parser():
     )
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument(
         "--sample",
         type=_positive_int,
@@ -118,7 +118,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="exhaustive zero-error simulation")
     p.add_argument("instance")
     p.add_argument("scheme")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument(
         "--sample",
         type=_positive_int,
@@ -154,7 +154,7 @@ def _build_parser():
     g.add_argument("--scalar-search", action="store_true")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     add_out(p)
 
     p = sub.add_parser("example", help="built-in worked examples 1..3")
@@ -162,7 +162,7 @@ def _build_parser():
     p.add_argument("--field", type=_parse_field, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     add_out(p)
 
     return top

@@ -190,9 +190,6 @@ class PrimeField:
             raise DivisionByZero("inverse of zero in GF(%d)" % self.p)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         return range(self.p)
 
@@ -227,7 +224,9 @@ class BinaryField:
         return 1 << self.m
 
     def canonical(self, a: int) -> int:
-        return _poly_mod(a, self.poly) if a >= self.order or a < 0 else a
+        # -a is the additive inverse of a's element, which in characteristic 2 is itself
+        a = abs(a)
+        return _poly_mod(a, self.poly) if a >= self.order else a
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -257,9 +256,6 @@ class BinaryField:
             if r0 == 0:  # pragma: no cover - cannot happen for irreducible poly
                 raise DivisionByZero("element not invertible")
         return _poly_mod(s1, self.poly)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def elements(self) -> range:
         return range(self.order)

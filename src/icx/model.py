@@ -238,10 +238,27 @@ def _mod1(i: int, K: int) -> int:
     return (i - 1) % K + 1
 
 
+# Above every family instance the tests, scripts and benchmark build (at most
+# about 1.4 million held messages, interference K=1200 U=0 D=2), and far below
+# what exhausts memory.
+MAX_HELD_ENTRIES = 2_000_000
+
+
+def _check_generated_size(messages: int, destinations: int, held: int):
+    """Refuse a family beyond the file caps before anything is built."""
+    if messages > MAX_MESSAGES or destinations > MAX_DESTINATIONS or held > MAX_HELD_ENTRIES:
+        limits = f"{MAX_MESSAGES}, {MAX_DESTINATIONS} and {MAX_HELD_ENTRIES}"
+        raise BadParams(
+            f"the instance would have {messages} messages, {destinations} destinations and "
+            f"{held} side-information entries; the limits are {limits}"
+        )
+
+
 def gen_neighboring_antidotes(K: int, U: int, D: int) -> Instance:
     """Each destination k wants W_k and holds the U up- and D down-neighbors."""
     if not (0 <= U <= D) or U + D >= K:
         raise BadParams(f"need 0 <= U <= D and U+D < K, got K={K}, U={U}, D={D}")
+    _check_generated_size(K, K, K * (U + D))
     dests = []
     for k in range(1, K + 1):
         has = {_mod1(k - u, K) for u in range(1, U + 1)}
@@ -263,6 +280,7 @@ def gen_neighboring_interference(K: int, U: int, D: int) -> Instance:
         raise BadParams(f"need K >= U+D+1, got K={K}, U={U}, D={D}")
     if K % (D + 1) != 0:
         raise BadParams(f"(D+1)={D + 1} must divide K={K}")
+    _check_generated_size(K, K, K * (K - U - D - 1))
     dests = []
     all_msgs = frozenset(range(1, K + 1))
     for k in range(1, K + 1):
@@ -295,6 +313,7 @@ def gen_x_network(K: int, L: int) -> Instance:
         raise BadParams(f"need K >= 2L, got K={K}, L={L}")
     if K % (L + 1) != 0:
         raise BadParams(f"(L+1)={L + 1} must divide K={K}")
+    _check_generated_size(K * L, K, K * (K * L - L * L))
     return _x_network_instance(K, L)
 
 

@@ -139,6 +139,8 @@ def best_scalar_scheme(
     exact because validity is invariant under invertible basis change and
     per-beam scaling).  Returns value=None when no length works.
     """
+    if q < 2:
+        raise BadParams(f"q must be a prime of at least 2, got {q}")
     if inst.num_messages > 6 or q > 3 or n_max > 3:
         raise BudgetExceeded("scalar search is limited to M <= 6, q <= 3, n <= 3")
     field = PrimeField(q)

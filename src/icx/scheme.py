@@ -15,14 +15,15 @@ the ground-truth check: it decides, for every message tuple, whether each
 destination decodes what it wants.  ``simulate_sampled`` does the same for
 seeded pseudorandom tuples.
 
-Both start from one exact linear map E over the field, from a message tuple
-to every destination's decoding error for every message it wants.  A tuple
-fails iff its error is nonzero, so every tuple passes iff E = 0, and no
-tuples need enumerating.  When E is nonzero, the lexicographically first
-failing tuple is the unit tuple at E's last nonzero column; its position
-follows in closed form.  The sampler draws from ``random.Random(seed)`` one
-tuple after another and stops at the first with a nonzero error, so a seed
-always reports the same failing tuple.
+Both read their verdict off one exact linear map E over the field, built
+from the scheme alone: combiners applied to the interference, or, for V-only
+schemes, decodable or not, the collision map.  A tuple fails iff E x is
+nonzero, so every tuple passes iff E = 0, and no tuples need enumerating.
+When E is nonzero, the lexicographically first failing tuple is the unit
+tuple at E's last nonzero column; its position follows in closed form.  The
+sampler draws from ``random.Random(seed)`` one tuple after another and stops
+at the first with a nonzero error, so a seed always reports the same failing
+tuple.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Mapping, Optional
 from .errors import (
     BadParams,
     BudgetExceeded,
-    DivisionByZero,
     NoDecoderExists,
     ParseError,
     SchemeMalformed,
@@ -245,13 +245,13 @@ def simulate_exhaustive(
 
     Tuples are ordered lexicographically (message 1's first stream is the
     most significant digit), so the first counterexample is well defined.
-    Decoders come from the scheme or, for V-only schemes, from
-    ``synthesize_decoders``; if synthesis itself fails, a tuple fails at a
-    destination when an earlier tuple has the same broadcast word and the
-    same antidote symbols there but different desired symbols.  A combiner
-    with U_{m,k} V_m singular fails at once: the counterexample is zero
-    except that x_m is a nonzero kernel vector of U_{m,k} V_m, and
-    ``tuples_checked`` is 1.
+    With combiners U, destination k decodes m as (U_{m,k} V_m)^-1 U_{m,k}
+    applied to the non-antidote part of the word.  A V-only scheme, whether
+    decodable or not, fails at a destination when the lexicographically
+    least tuple with the same broadcast word and the same antidote symbols
+    there has different desired symbols.  A combiner with U_{m,k} V_m
+    singular fails at once: the counterexample is zero except that x_m is a
+    nonzero kernel vector of U_{m,k} V_m, and ``tuples_checked`` is 1.
 
     Nothing is enumerated.  The error map E is linear, so every tuple passes
     iff E = 0.  Otherwise let s be E's last nonzero column: every tuple
@@ -267,15 +267,9 @@ def simulate_exhaustive(
         raise BudgetExceeded(f"{q}^{total} = {space} tuples exceed budget {budget}")
     if total == 0:
         return SimulationResult(True, 1)
-    if scheme.U is None:
-        try:
-            scheme = synthesize_decoders(inst, scheme)
-        except NoDecoderExists:
-            pass  # no decoders: look for colliding tuples instead
-    try:
-        kernel = _Kernel(inst, scheme)
-    except _SingularDecoder as exc:
-        return exc.result
+    kernel = _Kernel(inst, scheme)
+    if kernel.singular is not None:
+        return kernel.singular
     for s in reversed(range(total)):
         col = kernel.E.col(s)
         if any(col):
@@ -292,18 +286,17 @@ def simulate_sampled(
     The fallback for spaces beyond the exhaustive budget: a passing result
     means no counterexample among `count` sampled tuples, nothing more.
     ``random.Random(seed)`` draws each tuple's digits in stream order, one
-    tuple after another, so a seed always checks the same tuples.  If the
-    error map is zero every tuple passes and none is drawn.  A singular
-    U_{m,k} V_m is reported as in ``simulate_exhaustive``.
+    tuple after another, so a seed always checks the same tuples.  Each is
+    judged by the error map of ``simulate_exhaustive``; if it is zero every
+    tuple passes and none is drawn.  A singular U_{m,k} V_m is reported as
+    there.
     """
     if count < 1:
         raise BadParams(f"sample count must be at least 1, got {count}")
     _check_scheme_matches(inst, scheme)
-    working = scheme if scheme.U is not None else synthesize_decoders(inst, scheme)
-    try:
-        kernel = _Kernel(inst, working)
-    except _SingularDecoder as exc:
-        return exc.result
+    kernel = _Kernel(inst, scheme)
+    if kernel.singular is not None:
+        return kernel.singular
     if kernel.E.is_zero():
         return SimulationResult(True, count)
     f = scheme.field
@@ -321,31 +314,27 @@ def _first_nonzero(entries):
     return next((i for i, e in enumerate(entries) if e), None)
 
 
-class _SingularDecoder(Exception):
-    """Some U_{m,k} V_m is singular, so no decoder exists to build an error map.
-
-    ``result`` names the tuple that is zero except x_m, a nonzero vector of
-    the kernel of U_{m,k} V_m.  Through U_{m,k}, destination k sees the same
-    from it as from the all-zero tuple, so it cannot decode m from both.
-    """
-
-    def __init__(self, result: "SimulationResult"):
-        super().__init__(result)
-        self.result = result
-
-
 class _Kernel:
     """The exact error map E of a scheme, from message tuples to decoding errors.
 
     Row r of E belongs to the check owner[r] = (destination id, message), in
     destination order and then message order.  A tuple x fails a check iff
-    that check's rows of E x are nonzero.  With combiners U the rows are the
-    decoder (U V_m)^-1 U applied to the non-antidote part of the word, minus
-    x_m.  Without, they are x_m minus the same coordinates of the
+    that check's rows of E x are nonzero.
+
+    With combiners U the rows are U_{m,k} V_i on the columns of each
+    interferer i and zero elsewhere: the decoding error up to the invertible
+    factor (U V_m)^-1.  If some U_{m,k} V_m is singular, E is not built and
+    ``singular`` reports the first such check: the tuple that is zero except
+    x_m in the kernel of U_{m,k} V_m looks to destination k like zero.
+
+    Without combiners the rows are x_m minus the same coordinates of the
     lexicographically least tuple with the same word and antidote symbols as
-    x.  Those tuples are x + y for y in the null space of [V; antidote rows];
-    if its basis rows b_i are in reduced echelon form with pivots s_i, the
-    least of them is x - sum_i x_{s_i} b_i.
+    x.  Those tuples are x + y for y in the null space of V on the streams
+    the destination does not hold.  If its basis b_i is in reduced echelon
+    form with pivots s_i, the least is x - sum_i x_{s_i} b_i, so row t is
+    sum_i b_i[t] x_{s_i}.  ``nullspace`` puts each vector's 1 at its free
+    column and its other entries at pivot columns left of it, so with the
+    columns reversed each b_i leads, in stream order, with that 1.
     """
 
     def __init__(self, inst: Instance, scheme: LinearScheme):
@@ -354,39 +343,37 @@ class _Kernel:
         self.streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
         total = len(self.streams)
         pos = {m: [s for s, (i, _) in enumerate(self.streams) if i == m] for m in msg_ids}
-        eye = Matrix.identity(f, total)
         vfull = Matrix.hstack_all(f, [scheme.V[m] for m in msg_ids])
+        self.singular = None
         rows, self.owner = [], []
         for d in inst.destinations:
             if scheme.U is None:
-                side = eye.take_rows([s for i in sorted(d.has) for s in pos[i]])
-                same = Matrix.from_rows(f, vfull.row_list() + side.row_list()).nullspace()
-                basis = same.transpose().rref()
-                pivots = [_first_nonzero(basis.row(r)) for r in range(basis.rows)]
-                to_least = basis.transpose() @ eye.take_rows(pivots)  # x -> x - least such tuple
-            else:
-                heard = Matrix.hstack_all(
-                    f,
-                    [
-                        Matrix.zeros(f, scheme.n, scheme.stream_count(i)) if i in d.has else scheme.V[i]
-                        for i in msg_ids
-                    ],
-                )
+                unheld = [s for s in reversed(range(total)) if self.streams[s][0] not in d.has]
+                null = vfull.take_cols(unheld).nullspace()
+                # b_i's pivot is its last nonzero entry in reversed order
+                pivots = [unheld[max(r for r, e in enumerate(b) if e)] for b in null.col_list()]
+                coords = dict(zip(unheld, null.row_list()))  # stream t -> (b_i[t] for each i)
             for m in sorted(d.wants):
                 if scheme.U is None:
-                    err = to_least.take_rows(pos[m])
+                    err = [[0] * total for _ in pos[m]]
+                    for row, t in zip(err, pos[m]):
+                        for s, e in zip(pivots, coords[t]):
+                            row[s] = e
                 else:
-                    u = scheme.U[(m, d.id)]
+                    u = scheme.U.get((m, d.id))
+                    if u is None:
+                        raise SchemeMalformed(f"simulation needs the combiner U[{m}@{d.id}]")
                     uv = u @ scheme.V[m]
-                    try:
-                        decoder = uv.inverse() @ u
-                    except DivisionByZero:
+                    if uv.rank() < uv.rows:
                         x = {i: (0,) * scheme.stream_count(i) for i in msg_ids}
                         x[m] = uv.nullspace().col(0)
-                        raise _SingularDecoder(SimulationResult(False, 1, x, d.id, m)) from None
-                    err = (decoder @ heard).add(eye.take_rows(pos[m]).neg())
-                rows += err.row_list()
-                self.owner += [(d.id, m)] * err.rows
+                        self.singular = SimulationResult(False, 1, x, d.id, m)
+                        return
+                    interferes = [i != m and i not in d.has for i, _ in self.streams]
+                    prod = (u @ vfull).row_list()
+                    err = [[e if keep else 0 for e, keep in zip(row, interferes)] for row in prod]
+                rows += err
+                self.owner += [(d.id, m)] * len(err)
         self.E = Matrix(f, len(rows), total, tuple(e for row in rows for e in row))
 
     def result(self, digits, row: int, checked: int) -> SimulationResult:

@@ -48,12 +48,6 @@ class UnicastMap:
             return (i - 1) * self.L + j
         return (i - 1) * (self.L + 1) + j + 1
 
-    def copy_of(self, uid: int) -> tuple:
-        """Inverse of unicast_id."""
-        if self.with_auxiliaries:
-            return (uid - 1) // (self.L + 1) + 1, (uid - 1) % (self.L + 1)
-        return (uid - 1) // self.L + 1, (uid - 1) % self.L + 1
-
     def to_json(self) -> dict:
         return {
             "original": {"messages": self.M, "L": self.L},

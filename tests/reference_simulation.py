@@ -97,3 +97,46 @@ def sampled_tuples(scheme, count, seed=0):
     rnd = random.Random(seed)
     for _ in range(count):
         yield tuple(rnd.randrange(scheme.field.order) for _ in range(total))
+
+
+def encode(scheme, digits):
+    """The broadcast word of a tuple, one field operation at a time."""
+    f = scheme.field
+    streams = [(m, j) for m in scheme.message_ids() for j in range(scheme.stream_count(m))]
+    word = [0] * scheme.n
+    for (m, j), x in zip(streams, digits):
+        word = [f.add(a, f.mul(x, b)) for a, b in zip(word, scheme.V[m].col(j))]
+    return tuple(word)
+
+
+def simulate_least(inst, scheme, tuples):
+    """Check tuples of a V-only scheme by definition, decodable or not.
+
+    Destination k decodes a tuple as the first tuple in lexicographic order
+    with the same broadcast word and antidote symbols there would have it, so
+    a tuple fails at k when that earlier tuple has different desired symbols.
+    Every tuple of the space is scanned to find it, so keep q^streams small.
+    Returns what ``simulate`` returns.
+    """
+    streams = [(m, j) for m in scheme.message_ids() for j in range(scheme.stream_count(m))]
+    pos = {m: [s for s, (i, _) in enumerate(streams) if i == m] for m in scheme.V}
+
+    def key(d, digits):
+        return d.id, encode(scheme, digits), tuple(digits[s] for i in sorted(d.has) for s in pos[i])
+
+    first = {}
+    for digits in lexicographic_tuples(scheme):
+        for d in inst.destinations:
+            first.setdefault(key(d, digits), digits)
+    checked = 0
+    for digits in tuples:
+        checked += 1
+        for d in inst.destinations:
+            earlier = first[key(d, digits)]
+            for m in sorted(d.wants):
+                if any(earlier[s] != digits[s] for s in pos[m]):
+                    counterexample = {}
+                    for (i, _), x in zip(streams, digits):
+                        counterexample.setdefault(i, []).append(x)
+                    return False, checked, {i: tuple(v) for i, v in counterexample.items()}, d.id, m
+    return True, checked, None, None, None

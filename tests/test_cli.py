@@ -17,7 +17,7 @@ from icx.model import (
     save_instance,
     serialize_instance,
 )
-from icx.scheme import save_scheme
+from icx.scheme import LinearScheme, save_scheme
 from icx.symmetric import build_antidote_scheme, build_interference_scheme
 
 from conftest import make_instance
@@ -183,6 +183,16 @@ def test_simulate_singular_decoder_exit_1(tmp_path, capsys):
     code, out, _ = invoke(capsys, "verify", inst_path, scheme_path)
     assert code == 1
     assert "property2, destination 1, message 1" in json.loads(out)["diagnostics"]
+
+
+def test_simulate_missing_combiner_one_line_error(tmp_path, capsys):
+    """verify reports the gap as a diagnostic; simulation has no decoder to run."""
+    inst_path, scheme_path = example1_files(tmp_path, capsys, lambda s: s["U"].pop("1@1"))
+    assert_one_line_error(
+        *invoke(capsys, "simulate", inst_path, scheme_path), 2, "simulation needs the combiner U[1@1]"
+    )
+    code, out, _ = invoke(capsys, "verify", inst_path, scheme_path)
+    assert code == 1 and "missing-decoder, destination 1, message 1" in json.loads(out)["diagnostics"]
 
 
 @pytest.mark.parametrize(
@@ -395,6 +405,16 @@ def test_example_field_flag(capsys):
     assert obj["simulation"]["ok"] is True
 
 
+def test_example_3_over_gf8_verifies(capsys):
+    """Its combiners hold -1, which over GF(2^3) is 1: the scheme is valid
+    there, and the file shows only field elements."""
+    code, out, _ = invoke(capsys, "example", "3", "--field", "gf2m=3", "--verify")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verification"]["valid"] is True
+    assert obj["scheme"]["U"]["6@2"] == [[1, 0, 0, 1, 0, 1]]
+
+
 def test_outputs_byte_identical(capsys, tmp_path):
     _, out1, _ = invoke(capsys, "example", "2", "--verify")
     _, out2, _ = invoke(capsys, "example", "2", "--verify")
@@ -483,3 +503,68 @@ def test_oversized_or_misshapen_files_one_line_error(tmp_path, capsys, verb, ins
         scheme_path.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, **scheme}), encoding="utf-8")
     argv = [verb, str(inst_path)] + ([str(scheme_path)] if verb == "verify" else [])
     assert_one_line_error(*invoke(capsys, *argv), 1, message)
+
+
+def test_sampled_v_only_collision_exit_1(tmp_path, capsys):
+    """Interference K=9 U=1 D=2 with V_1 moved onto V_2 has no decoders: the
+    sampled run reports a colliding tuple, as the exhaustive run does."""
+    inst_path, scheme_path = str(tmp_path / "inst.json"), str(tmp_path / "scheme.json")
+    save_instance(gen_neighboring_interference(9, 1, 2), inst_path)
+    built = build_interference_scheme(9, 1, 2)
+    save_scheme(LinearScheme(built.field, built.n, {**built.V, 1: built.V[2]}), scheme_path)
+    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path)
+    assert (code, err, json.loads(out)["ok"]) == (1, "", False)
+    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path, "--budget", "1", "--sample", "10")
+    assert (code, err) == (1, "")
+    obj = json.loads(out)
+    assert obj["mode"] == "sampled" and obj["ok"] is False and obj["tuples_checked"] <= 10
+
+
+BUDGET_CALLS = {
+    "simulate": ["simulate", "{i}", "{s}"],
+    "scheme": ["scheme", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2", "--simulate"],
+    "example": ["example", "1", "--simulate"],
+    "oracle": ["oracle", "{i}", "--minrank"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("verb", sorted(BUDGET_CALLS))
+def test_budget_must_be_positive(interference_files, capsys, verb, value):
+    inst_path, scheme_path = interference_files
+    argv = [a.format(i=inst_path, s=scheme_path) for a in BUDGET_CALLS[verb]]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--budget", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"argument --budget: expected an integer >= 1, got '{value}'")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_scalar_search_field_must_have_two_elements(tmp_path, capsys, q):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 0, 1))
+    assert_one_line_error(
+        *invoke(capsys, "oracle", path, "--scalar-search", "--q", q), 2,
+        f"q must be a prime of at least 2, got {q}",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["gen", "--family", "interference", "--K", "30000000"], "30000000 messages, 30000000 destinations and 899999970000000"),
+        (["gen", "--family", "antidotes", "--K", "100000000"], "100000000 messages, 100000000 destinations and 0"),
+        (["gen", "--family", "xnetwork", "--K", "3000", "--L", "2"], "6000 messages, 3000 destinations and 17988000"),
+        (["scheme", "--family", "antidotes", "--K", "20000", "--U", "1", "--D", "1"],
+         "20000 messages, 20000 destinations and 40000"),
+    ],
+    ids=["gen-interference", "gen-antidotes", "gen-xnetwork", "scheme-antidotes"],
+)
+def test_family_generators_are_capped(capsys, argv, size):
+    """Refused before anything is built, so no MemoryError even for K = 10^8."""
+    assert_one_line_error(
+        *invoke(capsys, *argv), 2,
+        f"the instance would have {size} side-information entries; the limits are 10000, 10000 and 2000000",
+    )

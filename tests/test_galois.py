@@ -49,6 +49,16 @@ def test_gf8_reduction():
     assert gf8.mul(0b10, 0b100) == 0b011  # x * x^2 = x^3 = x + 1
 
 
+def test_negative_integer_is_the_additive_inverse():
+    """As -a mod p is -a in GF(p), -a is a's negation in GF(2^m): a itself.
+    A negative entry once stayed negative and hung elimination."""
+    for f in FIELDS:
+        for a in range(2 * f.order):
+            assert f.canonical(-a) == f.neg(f.canonical(a))
+    gf8 = BinaryField(3)
+    assert Matrix.from_rows(gf8, [[-1, -3], [1, 3]]).rank() == 1
+
+
 def test_invalid_fields_rejected():
     with pytest.raises(ValueError):
         PrimeField(6)

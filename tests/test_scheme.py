@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference_simulation as reference
+from icx import scheme as scheme_module
 from icx.errors import (
     BadParams,
     BudgetExceeded,
@@ -301,18 +302,61 @@ def outcome(res):
 
 
 def check_sampled(inst, scheme, kind, count, seed):
-    if kind == "collision":
-        with pytest.raises(NoDecoderExists):
-            simulate_sampled(inst, scheme, count, seed=seed)
-        return
-    expected = reference.simulate(inst, scheme, reference.sampled_tuples(scheme, count, seed))
-    assert outcome(simulate_sampled(inst, scheme, count, seed=seed)) == expected
+    """simulate_sampled against a reference: the per-tuple one with decoders,
+    the least-tuple definition for V-only schemes on small fields, and an
+    earlier partner of the reported tuple for V-only collisions on large ones."""
+    res = simulate_sampled(inst, scheme, count, seed=seed)
+    tuples = reference.sampled_tuples(scheme, count, seed)
+    if scheme.U is None and scheme.field.order <= 4:
+        assert outcome(res) == reference.simulate_least(inst, scheme, tuples)
+    elif kind == "collision":
+        assert not res.ok
+        check_earlier_partner(inst, scheme, res)
+    else:
+        assert outcome(res) == reference.simulate(inst, scheme, tuples)
+
+
+def check_earlier_partner(inst, scheme, res):
+    """Some tuple before the reported one has its broadcast word and antidote
+    symbols at the reported destination but other symbols of the reported message."""
+    f = scheme.field
+    streams = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))]
+    x = [e for m in scheme.message_ids() for e in res.counterexample[m]]
+    d = inst.destination(res.destination)
+    unheld = [s for s, m in enumerate(streams) if m not in d.has]
+    vfull = Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()])
+    for z in vfull.take_cols(unheld).nullspace().col_list():
+        shift = [0] * len(x)
+        for s, e in zip(unheld, z):
+            shift[s] = e
+        lead = next(s for s, e in enumerate(shift) if e)
+        c = f.mul(x[lead], f.inv(shift[lead]))  # zeroes y's digit at lead
+        y = [f.sub(a, f.mul(c, b)) for a, b in zip(x, shift)]
+        if any(y[s] != x[s] for s, m in enumerate(streams) if m == res.message):
+            break
+    else:
+        pytest.fail(f"no earlier partner of {x}")
+    assert y < x
+    assert reference.encode(scheme, y) == reference.encode(scheme, x)
+    assert all(y[s] == x[s] for s, m in enumerate(streams) if m in d.has)
+
+
+@pytest.fixture
+def no_synthesis(monkeypatch):
+    """Make decoder synthesis fail loudly: simulation must not need it."""
+
+    def refuse(*args):
+        raise RuntimeError("simulation synthesized decoders")
+
+    monkeypatch.setattr(scheme_module, "synthesize_decoders", refuse)
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), BinaryField(2)], ids=repr)
-def test_simulation_matches_reference(field):
+def test_simulation_matches_reference(field, no_synthesis):
     """Both simulators give the naive per-tuple reference's exact result:
-    verdict, tuples checked, first counterexample, destination and message."""
+    verdict, tuples checked, first counterexample, destination and message.
+    The references synthesize decoders through their own import; the
+    simulators may not."""
     rnd = random.Random(field.order)
     kinds = {"decoders": 0, "decodable": 0, "collision": 0}
     failures = 0
@@ -352,7 +396,7 @@ def large_field_cases(field):
     [PrimeField(1048583), PrimeField(2147483647), BinaryField(12), BinaryField(32)],
     ids=repr,
 )
-def test_simulation_matches_reference_large_fields(field):
+def test_simulation_matches_reference_large_fields(field, no_synthesis):
     """Fields with more than 2^20 elements, or of degree above 8, up to the
     largest supported, where products of two elements pass 2^53.  The
     reference scans only the first 4097 tuples: a result within them must
