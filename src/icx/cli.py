@@ -24,11 +24,16 @@ def _parse_field(text):
     from .galois import BinaryField, PrimeField
 
     kind, _, value = text.partition("=")
-    if kind == "p":
-        return PrimeField(int(value))
-    if kind == "gf2m":
-        return BinaryField(int(value))
-    raise argparse.ArgumentTypeError(f"field must be p=<prime> or gf2m=<m>, got {text!r}")
+    if kind not in ("p", "gf2m"):
+        raise argparse.ArgumentTypeError(f"field must be p=<prime> or gf2m=<m>, got {text!r}")
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{kind}={value!r} is not an integer") from None
+    try:
+        return PrimeField(number) if kind == "p" else BinaryField(number)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text):
@@ -130,11 +135,6 @@ def _build_parser():
     p = sub.add_parser("transform", help="groupcast -> equivalent multiple unicast")
     p.add_argument("instance")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument(
-        "--no-aux",
-        action="store_true",
-        help="drop auxiliary messages/destinations (experimental, no equivalence claim)",
-    )
     add_out(p)
 
     p = sub.add_parser("bounds", help="emit outer-bound certificates")
@@ -288,7 +288,7 @@ def _cmd_transform(args):
     from . import unicast
 
     inst = _load_instance(args.instance)
-    umap = unicast.to_unicast(inst, args.L, with_auxiliaries=not args.no_aux)
+    umap = unicast.to_unicast(inst, args.L)
     return unicast.unicast_transform_report(umap), EXIT_OK
 
 

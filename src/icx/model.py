@@ -155,29 +155,14 @@ def _require_valid(inst: Instance):
 # ----------------------------------------------------------------------
 
 
-def normalize(inst: Instance, L: int, variant: str = "split") -> Instance:
-    """Reshape demand sets to a uniform size L.
+def normalize(inst: Instance, L: int) -> Instance:
+    """Reshape demand sets so every destination desires exactly L messages.
 
-    ``split``: every output destination desires exactly L messages.  A
-    destination wanting more is replaced by sliding L-windows over its sorted
-    wants (same antidotes); the achievable rate region projects correctly
-    because every original demand is covered.
-
-    ``groupcast``: additionally make every message desired by exactly L
-    destinations and every destination desire exactly one message (L = 1
-    demands first, then virtual destinations copying an existing antidote
-    set).  Output destinations are ordered so message m is desired by
-    destinations (m-1)*L+1 .. m*L.
+    A destination wanting more is replaced by sliding L-windows over its
+    sorted wants (same antidotes); the achievable rate region projects
+    correctly because every original demand is covered.
     """
     _require_valid(inst)
-    if variant == "split":
-        return _normalize_split(inst, L)
-    if variant == "groupcast":
-        return _normalize_groupcast(inst, L)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _normalize_split(inst: Instance, L: int) -> Instance:
     if L < 1:
         raise CannotNormalize("L must be >= 1")
     for d in inst.destinations:
@@ -199,13 +184,13 @@ def _normalize_split(inst: Instance, L: int) -> Instance:
     )
 
 
-def _normalize_groupcast(inst: Instance, L: int) -> Instance:
-    return _normalize_groupcast_tracked(inst, L)[0]
-
-
-def _normalize_groupcast_tracked(inst: Instance, L: int) -> tuple:
-    """Groupcast normalization plus, per output destination, the id of the
-    input destination whose demand (and antidote set) it descends from."""
+def normalize_groupcast(inst: Instance, L: int) -> tuple:
+    """Reshape demands so every message is desired by exactly L destinations
+    and every destination desires one message; virtual destinations copy the
+    antidotes of the message's first.  Message m is desired by destinations
+    (m-1)*L+1 .. m*L.  Also returns, per output destination, the id of the
+    input destination whose demand and antidote set it descends from."""
+    _require_valid(inst)
     if L < 1:
         raise CannotNormalize("L must be >= 1")
     per_message = {m: [] for m in range(1, inst.num_messages + 1)}
@@ -224,7 +209,7 @@ def _normalize_groupcast_tracked(inst: Instance, L: int) -> tuple:
             )
         holders = holders + [holders[0]] * (L - len(holders))  # virtual copies
         for has, src in holders:
-            dests.append(Destination(len(dests) + 1, frozenset({m}), has - {m}))
+            dests.append(Destination(len(dests) + 1, frozenset({m}), has))
             sources.append(src)
     return Instance(inst.num_messages, tuple(dests), inst.family), tuple(sources)
 

@@ -141,6 +141,8 @@ def best_scalar_scheme(
     """
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
+    if n_max < 1:
+        raise BadParams(f"n_max must be at least 1, got {n_max}")
     if inst.num_messages > 6 or q > 3 or n_max > 3:
         raise BudgetExceeded("scalar search is limited to M <= 6, q <= 3, n <= 3")
     field = PrimeField(q)

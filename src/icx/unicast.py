@@ -1,14 +1,14 @@
 """Groupcast-to-multiple-unicast transformation and scheme translations.
 
-A groupcast instance (after normalization: each message desired by exactly L
-destinations, each destination desiring one message) becomes a multiple
-unicast instance with M(L+1) messages: L working copies per original message
-plus one auxiliary.  Each copy's destination inherits the lifted antidotes of
-its groupcast counterpart and holds all other copies of its own message plus
-every auxiliary; the auxiliary's destination holds everything except its own
-message group, which forces the copies to share signal space in any linear
-scheme.  Rate tuples translate as R for copies and 1 - R for auxiliaries,
-in both directions for linear coding.
+The paper's auxiliary-message construction: a groupcast instance, normalized
+by ``model.normalize_groupcast``, becomes a multiple unicast instance with
+M(L+1) messages, an auxiliary (copy 0) and L working copies per original
+message i, copy j numbered (i-1)(L+1)+j+1.  Each copy's destination inherits
+the lifted antidotes of its groupcast counterpart and holds all other copies
+of its own message plus every auxiliary; the auxiliary's destination holds
+everything except its own message group, which forces the copies to share
+signal space in any linear scheme.  Rate tuples translate as R for copies and
+1 - R for auxiliaries, in both directions for linear coding.
 """
 
 from __future__ import annotations
@@ -17,8 +17,12 @@ from dataclasses import dataclass
 
 from .errors import TranslationFailed
 from .galois import EchelonBasis, Matrix, Subspace
-from .model import Destination, Instance, _normalize_groupcast_tracked
+from .model import Destination, Instance, instance_to_json, normalize_groupcast
 from .scheme import LinearScheme, _independent_rows
+
+
+def _copy_id(L: int, i: int, j: int) -> int:
+    return (i - 1) * (L + 1) + j + 1
 
 
 @dataclass(frozen=True)
@@ -29,10 +33,9 @@ class UnicastMap:
     original: Instance
     transformed: Instance
     L: int
-    with_auxiliaries: bool = True
     # per normalized destination: the pre-normalization destination id whose
     # demand/antidotes it descends from (decoder reuse needs this)
-    source_destinations: tuple = ()
+    source_destinations: tuple
 
     @property
     def M(self) -> int:
@@ -42,58 +45,38 @@ class UnicastMap:
         """Transformed id of copy j (0 = auxiliary) of original message i."""
         if not (1 <= i <= self.M) or not (0 <= j <= self.L):
             raise KeyError(f"no copy ({i}, {j})")
-        if not self.with_auxiliaries:
-            if j == 0:
-                raise KeyError("transform was built without auxiliary messages")
-            return (i - 1) * self.L + j
-        return (i - 1) * (self.L + 1) + j + 1
+        return _copy_id(self.L, i, j)
 
     def to_json(self) -> dict:
         return {
             "original": {"messages": self.M, "L": self.L},
-            "auxiliaries": self.with_auxiliaries,
+            "auxiliaries": True,
             "id_map": {
-                f"{i},{j}": self.unicast_id(i, j)
+                f"{i},{j}": _copy_id(self.L, i, j)
                 for i in range(1, self.M + 1)
-                for j in range(0 if self.with_auxiliaries else 1, self.L + 1)
+                for j in range(self.L + 1)
             },
         }
 
 
-def to_unicast(inst: Instance, L: int, with_auxiliaries: bool = True) -> UnicastMap:
-    """Construct the equivalent multiple unicast instance.
-
-    ``with_auxiliaries=False`` drops the auxiliary messages and destinations;
-    that variant is exploratory only (nothing here claims the reduced
-    transform preserves achievability in either direction).
-    """
-    norm, sources = _normalize_groupcast_tracked(inst, L)
+def to_unicast(inst: Instance, L: int) -> UnicastMap:
+    """Construct the equivalent multiple unicast instance."""
+    norm, sources = normalize_groupcast(inst, L)
     M = norm.num_messages
-    helper = UnicastMap(norm, norm, L, with_auxiliaries)  # for unicast_id only
-    uid = helper.unicast_id
-
-    def lifted(k: int) -> set:
-        """All copies (including auxiliaries, when present) of k's antidotes."""
-        out = set()
-        lo = 0 if with_auxiliaries else 1
-        for m in norm.destinations[k - 1].has:
-            for l in range(lo, L + 1):
-                out.add(uid(m, l))
-        return out
-
-    total = M * (L + 1) if with_auxiliaries else M * L
-    all_ids = frozenset(range(1, total + 1))
-    auxiliaries = frozenset(uid(m, 0) for m in range(1, M + 1)) if with_auxiliaries else frozenset()
+    # message i's group: its auxiliary and its copies, consecutive ids
+    groups = [frozenset(range(_copy_id(L, i, 0), _copy_id(L, i + 1, 0))) for i in range(1, M + 1)]
+    all_ids = frozenset(range(1, M * (L + 1) + 1))
+    auxiliaries = frozenset(_copy_id(L, i, 0) for i in range(1, M + 1))
     dests = []
-    for i in range(1, M + 1):
-        group = frozenset(uid(i, l) for l in range(0 if with_auxiliaries else 1, L + 1))
-        if with_auxiliaries:
-            dests.append(Destination(uid(i, 0), frozenset({uid(i, 0)}), all_ids - group))
+    for i, group in enumerate(groups, 1):
+        aux = _copy_id(L, i, 0)
+        dests.append(Destination(aux, frozenset({aux}), all_ids - group))
         for j in range(1, L + 1):
-            has = lifted((i - 1) * L + j) | auxiliaries | (group - {uid(i, j)})
-            dests.append(Destination(uid(i, j), frozenset({uid(i, j)}), frozenset(has)))
-    transformed = Instance(total, tuple(sorted(dests, key=lambda d: d.id)))
-    return UnicastMap(norm, transformed, L, with_auxiliaries, sources)
+            uid = _copy_id(L, i, j)
+            held = norm.destinations[(i - 1) * L + j - 1].has
+            lifted = frozenset().union(*(groups[m - 1] for m in held))
+            dests.append(Destination(uid, frozenset({uid}), lifted | auxiliaries | (group - {uid})))
+    return UnicastMap(norm, Instance(M * (L + 1), tuple(dests)), L, sources)
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +106,6 @@ def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     """Translate a groupcast scheme: copies reuse V_i, auxiliaries get a
     complement of colspan(V_i), so each copy rides at rate R_i and the
     auxiliary at 1 - R_i."""
-    if not umap.with_auxiliaries:
-        raise TranslationFailed("scheme translation requires the auxiliary construction")
     f = scheme.field
     n = scheme.n
     V = {}
@@ -140,7 +121,7 @@ def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
             U[(umap.unicast_id(i, 0), umap.unicast_id(i, 0))] = ann
             for j in range(1, umap.L + 1):
                 gk = (i - 1) * umap.L + j  # normalized groupcast destination id
-                src = umap.source_destinations[gk - 1] if umap.source_destinations else gk
+                src = umap.source_destinations[gk - 1]
                 key = (i, src) if (i, src) in scheme.U else (i, gk)
                 if key not in scheme.U:
                     raise TranslationFailed(
@@ -153,8 +134,6 @@ def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
 def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     """Translate back: original message i rides on the intersection of its
     copies' column spans; copy decoders are reused row-selected."""
-    if not umap.with_auxiliaries:
-        raise TranslationFailed("scheme translation requires the auxiliary construction")
     f = scheme.field
     n = scheme.n
     V = {}
@@ -234,8 +213,6 @@ def translated_rates(umap: UnicastMap, scheme: LinearScheme) -> dict:
 
 
 def unicast_transform_report(umap: UnicastMap) -> dict:
-    from .model import instance_to_json
-
     return {
         "map": umap.to_json(),
         "original": instance_to_json(umap.original),

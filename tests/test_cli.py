@@ -294,8 +294,6 @@ def test_transform_verb(tmp_path, capsys, groupcast_m2k3):
     assert obj["transformed"]["messages"] == 6
     assert len(obj["transformed"]["destinations"]) == 6
     assert obj["map"]["id_map"]["1,0"] == 1
-    code, out, _ = invoke(capsys, "transform", path, "--L", "2", "--no-aux")
-    assert json.loads(out)["transformed"]["messages"] == 4
 
 
 def test_bounds_verb(tmp_path, capsys, infeasible_m4k3):
@@ -388,6 +386,15 @@ def test_oracle_scalar_search_verb(tmp_path, capsys):
     assert json.loads(out)["value"] is None
 
 
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_oracle_scalar_search_n_max_must_be_positive(tmp_path, capsys, n_max):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    assert_one_line_error(
+        *invoke(capsys, "oracle", path, "--scalar-search", "--n-max", n_max), 2,
+        f"n_max must be at least 1, got {n_max}",
+    )
+
+
 def test_example_verb_all(capsys):
     for eid, rate in [(1, "1/2"), (2, "2/5"), (3, "1/6")]:
         code, out, _ = invoke(capsys, "example", str(eid), "--verify")
@@ -403,6 +410,22 @@ def test_example_field_flag(capsys):
     obj = json.loads(out)
     assert obj["scheme"]["field"] == {"kind": "gf2m", "m": 3, "poly": 11}
     assert obj["simulation"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("p=4", "p=4 is not a prime in [2, 2^31)"),
+        ("p=x", "p='x' is not an integer"),
+        ("gf2m=40", "extension degree m=40 out of range [1, 32]"),
+    ],
+    ids=["p-not-prime", "p-not-integer", "m-out-of-range"],
+)
+def test_example_bad_field_says_why(capsys, spec, reason):
+    with pytest.raises(SystemExit) as exc:
+        run(["example", "1", "--field", spec])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"icx example: error: argument --field: {reason}"
 
 
 def test_example_3_over_gf8_verifies(capsys):

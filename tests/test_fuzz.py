@@ -1,9 +1,10 @@
-"""Mutated instance and scheme files through `icx verify` and `icx simulate`.
+"""Mutated instance and scheme files through every verb that reads them.
 
 Every call must end with exit code 0, 1, 2 or 3 and at most one line on
-stderr, never a traceback.  Where both verbs reach a verdict, they agree:
-an exhaustive simulation passes iff verification does, and a sampled
-counterexample is only ever reported for a scheme that verification rejects.
+stderr, never a traceback.  Where `icx verify` and `icx simulate` both reach
+a verdict, they agree: an exhaustive simulation passes iff verification does,
+and a sampled counterexample is only ever reported for a scheme that
+verification rejects.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from icx.cli import run
 from icx.galois import BinaryField
-from icx.model import gen_neighboring_antidotes, gen_neighboring_interference, instance_to_json
+from icx.model import gen_neighboring_antidotes, gen_neighboring_interference, gen_x_network, instance_to_json
 from icx.scheme import scheme_to_json
 from icx.symmetric import build_antidote_scheme, build_interference_scheme, builtin_example
 
@@ -35,6 +36,21 @@ def _bases():
 
 
 BASES = _bases()
+
+INSTANCES = [
+    instance_to_json(gen_neighboring_antidotes(5, 1, 1)),
+    instance_to_json(gen_neighboring_interference(6, 0, 1)),
+    instance_to_json(gen_x_network(4, 1)),
+    {  # demands of one and two messages
+        "messages": 4,
+        "destinations": [
+            {"id": 1, "wants": [1, 2], "has": [3]},
+            {"id": 2, "wants": [3], "has": []},
+            {"id": 3, "wants": [2, 4], "has": [1]},
+            {"id": 4, "wants": [4], "has": [1, 2]},
+        ],
+    },
+]
 
 json_scalars = st.one_of(
     st.integers(-3, 12),
@@ -108,6 +124,15 @@ def file_pair(draw):
     return texts
 
 
+@st.composite
+def instance_text(draw):
+    inst = draw(mutated(draw(st.sampled_from(INSTANCES))))
+    text = json.dumps(inst)
+    if draw(st.integers(0, 9)) == 0:  # a truncated file
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
 def call(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -155,3 +180,27 @@ def test_mutated_files_through_verify_and_simulate(tmp_path, texts):
     ok = verdict(code, out, "ok")
     if ok is False:
         assert not valid
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(text=instance_text(), L=st.integers(1, 2))
+def test_mutated_instances_through_instance_verbs(tmp_path, text, L):
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    inst, L = str(path), str(L)
+    for argv in [
+        ["validate", inst],
+        ["check-feasibility", inst, "--L", L],
+        ["transform", inst, "--L", L],
+        ["bounds", inst, "--maxN", "2", "--budget", "2000"],
+        ["scheme", "--instance", inst, "--L", L, "--verify"],
+    ]:
+        code, _, err = call(argv)
+        assert code in (0, 1, 2, 3), (argv[0], code)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv[0], err)

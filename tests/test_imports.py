@@ -22,7 +22,7 @@ import icx
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p
-    for p in [*ROOT.glob("src/icx/*.py"), *ROOT.glob("tests/*.py")]
+    for p in [*ROOT.glob("src/icx/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")]
     if p.name != "__init__.py"
 )
 

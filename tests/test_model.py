@@ -18,6 +18,7 @@ from icx.model import (
     gen_x_network,
     instance_to_json,
     normalize,
+    normalize_groupcast,
     parse_instance,
     serialize_instance,
     validate,
@@ -95,7 +96,7 @@ def test_normalize_split_too_few_wants():
 def test_normalize_groupcast_small():
     # two messages, three destinations, middle one wants both
     inst = make_instance(2, [({1}, set()), ({1, 2}, set()), ({2}, set())])
-    out = normalize(inst, 2, variant="groupcast")
+    out, _ = normalize_groupcast(inst, 2)
     assert out.num_destinations == 4
     assert [sorted(d.wants) for d in out.destinations] == [[1], [1], [2], [2]]
     counts = {m: 0 for m in (1, 2)}
@@ -107,7 +108,7 @@ def test_normalize_groupcast_small():
 
 def test_normalize_groupcast_adds_virtual_destinations():
     inst = make_instance(2, [({1}, {2}), ({2}, set())])
-    out = normalize(inst, 2, variant="groupcast")
+    out, _ = normalize_groupcast(inst, 2)
     # each message now desired twice; virtual copies reuse the original antidotes
     assert out.num_destinations == 4
     assert [sorted(d.wants) for d in out.destinations] == [[1], [1], [2], [2]]
@@ -117,7 +118,7 @@ def test_normalize_groupcast_adds_virtual_destinations():
 def test_normalize_groupcast_undesired_message():
     inst = make_instance(2, [({1}, set())])
     with pytest.raises(CannotNormalize):
-        normalize(inst, 1, variant="groupcast")
+        normalize_groupcast(inst, 1)
 
 
 def test_normalize_preserves_validity_random():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from icx.errors import TranslationFailed
+from icx.errors import BadParams, TranslationFailed
 from icx.galois import Matrix, PrimeField
 from icx.model import validate
 from icx.scheme import LinearScheme, simulate_exhaustive, synthesize_decoders, verify
@@ -89,14 +89,17 @@ def test_transform_counts_general(pentagon_notation):
     assert umap.transformed.num_destinations == 5 + 5
 
 
-def test_transform_without_auxiliaries(groupcast_m2k3):
-    umap = to_unicast(groupcast_m2k3, 2, with_auxiliaries=False)
-    assert umap.transformed.num_messages == 4
-    assert umap.transformed.is_multiple_unicast()
-    with pytest.raises(KeyError):
-        umap.unicast_id(1, 0)
-    with pytest.raises(TranslationFailed):
-        scheme_to_unicast(umap, groupcast_scheme_m2(groupcast_m2k3))
+@pytest.mark.parametrize(
+    "dests, problem",
+    [
+        ([({1}, set()), ({3}, set())], "destination 2: unknown message id 3"),
+        ([({1}, {1}), ({2}, set())], "destination 1: message 1 both desired and held"),
+    ],
+    ids=["unknown-message", "wants-and-holds"],
+)
+def test_transform_rejects_invalid_instance(dests, problem):
+    with pytest.raises(BadParams, match=problem):
+        to_unicast(make_instance(2, dests), 1)
 
 
 # ----------------------------------------------------------------------
