@@ -372,6 +372,17 @@ class EchelonBasis:
         rows.append(new)
         return 1
 
+    def copy(self) -> "EchelonBasis":
+        """A basis of the same span that adds to either leave the other alone.
+
+        Shallow copies of pivots and rows suffice: ``add`` replaces rows and
+        never edits one in place.
+        """
+        other = EchelonBasis.__new__(EchelonBasis)
+        other.field, other.n, other._p = self.field, self.n, self._p
+        other.pivots, other.rows = self.pivots[:], self.rows[:]
+        return other
+
     def echelon_rows(self) -> tuple:
         """(basis rows as lists sorted by pivot, their pivot columns)."""
         order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)

@@ -1,7 +1,9 @@
 """Brute-force ground truth: minrank over GF(2) and scalar-scheme search.
 
-Both oracles enumerate their entire search space (no sampling, hard budgets)
-and return witnesses that re-verify through the scheme verifier, keeping the
+Both oracles are exact searches with pruning (no sampling, hard budgets):
+a depth-first search visits the candidates in a fixed order and skips a
+subtree only when no candidate in it can count.  The reported size is the
+full space.  Witnesses re-verify through the scheme verifier, keeping the
 oracle and the verifier independent code paths.
 """
 
@@ -66,6 +68,10 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     antidote permits a nonzero entry, free on antidote positions.  The value
     equals the optimal scalar-linear broadcast length over GF(2); the witness
     matrix is rank-factored into an encoding scheme of that length.
+
+    Exact search with pruning; the reported size is the full space.  The
+    witness is the first matrix of least rank in numeric order of the free
+    entries, free entry idx as bit idx.
     """
     demand = _desired_message_of(inst)
     K = inst.num_messages
@@ -81,19 +87,37 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
         raise BudgetExceeded(f"2^{len(free)} fitting matrices exceed budget {budget}")
 
     gf2 = PrimeField(2)
+    # free runs row by row, so numeric order of the free entries fixes row K
+    # first and row 1 last, each row's patterns in increasing order.
+    options = []
+    for m in range(1, K + 1):
+        cols = [mp - 1 for r, mp in free if r == m]
+        rows = []
+        for pattern in range(2 ** len(cols)):
+            row = [0] * K
+            row[m - 1] = 1
+            for j, c in enumerate(cols):
+                if pattern >> j & 1:
+                    row[c] = 1
+            rows.append(row)
+        options.append(rows)
     best, best_rows = K + 1, None
-    unit = Matrix.identity(gf2, K).row_list()
-    for bits in range(2 ** len(free)):
-        rows = [row[:] for row in unit]
-        for idx, (m, mp) in enumerate(free):
-            if bits >> idx & 1:
-                rows[m - 1][mp - 1] = 1
-        basis = EchelonBasis(gf2, K)
-        for row in rows:
-            if basis.add(row) and basis.rank == best:
-                break  # the rank only grows: this matrix cannot beat the best
-        else:
-            best, best_rows = basis.rank, rows
+    fixed = [None] * K
+
+    def search(i, basis):
+        nonlocal best, best_rows
+        for row in options[i]:
+            child = basis.copy()
+            child.add(row)
+            if child.rank >= best:
+                continue  # the rank only grows: nothing below can beat the best
+            fixed[i] = row
+            if i:
+                search(i - 1, child)
+            else:
+                best, best_rows = child.rank, list(fixed)
+
+    search(K - 1, EchelonBasis(gf2, K))
 
     fitting = Matrix.from_rows(gf2, best_rows)
     scheme = _scheme_from_fitting(inst, fitting, demand, best)
@@ -134,10 +158,14 @@ def best_scalar_scheme(
 ) -> OracleResult:
     """Smallest block length n <= n_max with a valid scalar scheme over GF(q).
 
-    Enumerates beam assignments up to scalar equivalence (projective
+    Searches beam assignments up to scalar equivalence (projective
     representatives, first message pinned to the first unit vector, which is
     exact because validity is invariant under invertible basis change and
     per-beam scaling).  Returns value=None when no length works.
+
+    Exact search with pruning; the reported size is the full space of every
+    length tried.  The witness is the first valid assignment in
+    itertools.product order of the beams of messages 2..M.
     """
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
@@ -154,18 +182,16 @@ def best_scalar_scheme(
         if space > budget:
             raise BudgetExceeded(f"{len(reps)}^{M - 1} assignments exceed budget {budget}")
         checked_total += space
-        e1 = tuple(1 if i == 0 else 0 for i in range(n))
-        for rest in itertools.product(reps, repeat=M - 1):
-            beams = (e1,) + rest
-            if _scalar_assignment_valid(inst, field, beams):
-                V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
-                scheme = LinearScheme(field, n, V)
-                return OracleResult(
-                    query=f"best scalar scheme over GF({q}), n <= {n_max}",
-                    value=n,
-                    search_space_size=checked_total,
-                    witness_scheme=scheme,
-                )
+        beams = _first_valid_beams(inst, field, n, reps)
+        if beams is not None:
+            V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
+            scheme = LinearScheme(field, n, V)
+            return OracleResult(
+                query=f"best scalar scheme over GF({q}), n <= {n_max}",
+                value=n,
+                search_space_size=checked_total,
+                witness_scheme=scheme,
+            )
     return OracleResult(
         query=f"best scalar scheme over GF({q}), n <= {n_max}",
         value=None,
@@ -183,20 +209,55 @@ def _projective_reps(field: Field, n: int) -> list:
     return reps
 
 
-def _scalar_assignment_valid(inst, field, beams) -> bool:
-    """Rank-mode validity specialized to one beam per message: at every
-    destination the desired beams are independent, and adding the
-    interference beams to them grows the rank by the interference's own rank."""
-    n = len(beams[0])
-    for d in inst.destinations:
-        joint = EchelonBasis(field, n)
+def _first_valid_beams(inst, field, n, reps):
+    """The first valid beam assignment, message 1 on the first unit vector and
+    messages 2..M in itertools.product order over reps, or None.
+
+    Beams are placed in message order, and each destination carries the span
+    of its desired beams placed so far (W) and of its interference beams (I),
+    joint and alone.  Rank-mode validity asks that the deficit
+    |W| + rank I - rank(W + I) be 0 at every destination.  The deficit is
+    (|W| - rank W) + dim(span W meet span I), and adding beams never shrinks
+    either term.  So each beam placed must leave it at 0, or the subtree is
+    cut: a desired beam must grow the joint span, and an interference beam
+    must grow it exactly when it grows the interference span.
+    """
+    M = inst.num_messages
+    roles = [[] for _ in range(M + 1)]  # message -> (destination index, desired?)
+    for i, d in enumerate(inst.destinations):
         for m in d.wants:
-            if not joint.add(beams[m - 1]):
-                return False
-        interference = EchelonBasis(field, n)
-        for i in inst.interferers(d):
-            interference.add(beams[i - 1])
-            joint.add(beams[i - 1])
-        if joint.rank != len(d.wants) + interference.rank:
-            return False
-    return True
+            roles[m].append((i, True))
+        for m in inst.interferers(d):
+            roles[m].append((i, False))
+    beams = [tuple(1 if i == 0 else 0 for i in range(n))] + [None] * (M - 1)
+
+    def place(m, state):
+        """state with message m's beam added, or None if a deficit appears."""
+        state = list(state)
+        beam = beams[m - 1]
+        for i, desired in roles[m]:
+            joint, interference = state[i]
+            joint = joint.copy()
+            if desired:
+                kept = joint.add(beam)
+            else:
+                interference = interference.copy()
+                kept = joint.add(beam) == interference.add(beam)
+            if not kept:
+                return None
+            state[i] = joint, interference
+        return state
+
+    def search(m, state):
+        if m > M:
+            return True
+        for beam in reps:
+            beams[m - 1] = beam
+            child = place(m, state)
+            if child is not None and search(m + 1, child):
+                return True
+        return False
+
+    empty = EchelonBasis(field, n)
+    root = place(1, [(empty, empty)] * len(inst.destinations))
+    return beams if root is not None and search(2, root) else None

@@ -1,0 +1,119 @@
+"""The two oracles as plain exhaustive loops, kept as a reference.
+
+``icx.oracle`` searches depth-first and prunes; these loops rank every
+candidate in the same order.  Both must return the same value, the same
+witness and the same search-space size.  The helpers that turn a winning
+candidate into a result (demand map, rank factoring, projective
+representatives) are shared with the package.
+"""
+
+import itertools
+
+from icx.errors import BadParams, BudgetExceeded
+from icx.galois import EchelonBasis, Matrix, PrimeField
+from icx.oracle import (
+    DEFAULT_ORACLE_BUDGET,
+    OracleResult,
+    _desired_message_of,
+    _projective_reps,
+    _scheme_from_fitting,
+)
+from icx.scheme import LinearScheme
+
+
+def minrank_gf2(inst, budget=DEFAULT_ORACLE_BUDGET):
+    """Every fitting matrix in numeric order of its free entries, free entry
+    idx as bit idx; the first of least rank is the witness."""
+    demand = _desired_message_of(inst)
+    K = inst.num_messages
+    if K > 6:
+        raise BudgetExceeded(f"minrank search is limited to 6 messages, got {K}")
+    dest_of = {m: k for k, m in demand.items()}
+    free = []
+    for m in range(1, K + 1):
+        d = inst.destination(dest_of[m])
+        for mp in sorted(d.has):
+            free.append((m, mp))
+    if 2 ** len(free) > budget:
+        raise BudgetExceeded(f"2^{len(free)} fitting matrices exceed budget {budget}")
+
+    gf2 = PrimeField(2)
+    best, best_rows = K + 1, None
+    unit = Matrix.identity(gf2, K).row_list()
+    for bits in range(2 ** len(free)):
+        rows = [row[:] for row in unit]
+        for idx, (m, mp) in enumerate(free):
+            if bits >> idx & 1:
+                rows[m - 1][mp - 1] = 1
+        basis = EchelonBasis(gf2, K)
+        for row in rows:
+            if basis.add(row) and basis.rank == best:
+                break  # the rank only grows: this matrix cannot beat the best
+        else:
+            best, best_rows = basis.rank, rows
+
+    fitting = Matrix.from_rows(gf2, best_rows)
+    scheme = _scheme_from_fitting(inst, fitting, demand, best)
+    return OracleResult(
+        query=f"minrank over GF(2), {K} messages",
+        value=best,
+        search_space_size=2 ** len(free),
+        witness_matrix=fitting,
+        witness_scheme=scheme,
+    )
+
+
+def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET):
+    """Every beam assignment in itertools.product order, for n = 1, 2, ...;
+    the first valid one is the witness."""
+    if q < 2:
+        raise BadParams(f"q must be a prime of at least 2, got {q}")
+    if n_max < 1:
+        raise BadParams(f"n_max must be at least 1, got {n_max}")
+    if inst.num_messages > 6 or q > 3 or n_max > 3:
+        raise BudgetExceeded("scalar search is limited to M <= 6, q <= 3, n <= 3")
+    field = PrimeField(q)
+    M = inst.num_messages
+    checked_total = 0
+    for n in range(1, n_max + 1):
+        reps = _projective_reps(field, n)
+        space = len(reps) ** (M - 1)
+        if space > budget:
+            raise BudgetExceeded(f"{len(reps)}^{M - 1} assignments exceed budget {budget}")
+        checked_total += space
+        e1 = tuple(1 if i == 0 else 0 for i in range(n))
+        for rest in itertools.product(reps, repeat=M - 1):
+            beams = (e1,) + rest
+            if _scalar_assignment_valid(inst, field, beams):
+                V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
+                scheme = LinearScheme(field, n, V)
+                return OracleResult(
+                    query=f"best scalar scheme over GF({q}), n <= {n_max}",
+                    value=n,
+                    search_space_size=checked_total,
+                    witness_scheme=scheme,
+                )
+    return OracleResult(
+        query=f"best scalar scheme over GF({q}), n <= {n_max}",
+        value=None,
+        search_space_size=checked_total,
+    )
+
+
+def _scalar_assignment_valid(inst, field, beams):
+    """Rank-mode validity specialized to one beam per message: at every
+    destination the desired beams are independent, and adding the
+    interference beams to them grows the rank by the interference's own rank."""
+    n = len(beams[0])
+    for d in inst.destinations:
+        joint = EchelonBasis(field, n)
+        for m in d.wants:
+            if not joint.add(beams[m - 1]):
+                return False
+        interference = EchelonBasis(field, n)
+        for i in inst.interferers(d):
+            interference.add(beams[i - 1])
+            joint.add(beams[i - 1])
+        if joint.rank != len(d.wants) + interference.rank:
+            return False
+    return True

@@ -4,13 +4,15 @@ Every call must end with exit code 0, 1, 2 or 3 and at most one line on
 stderr, never a traceback.  Where `icx verify` and `icx simulate` both reach
 a verdict, they agree: an exhaustive simulation passes iff verification does,
 and a sampled counterexample is only ever reported for a scheme that
-verification rejects.
+verification rejects.  A minrank witness verifies and violates no
+simple-bound certificate.
 """
 
 import contextlib
 import copy
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -194,13 +196,31 @@ def test_mutated_instances_through_instance_verbs(tmp_path, text, L):
     path = tmp_path / "inst.json"
     path.write_text(text, encoding="utf-8")
     inst, L = str(path), str(L)
+    outputs = {}
     for argv in [
         ["validate", inst],
         ["check-feasibility", inst, "--L", L],
         ["transform", inst, "--L", L],
         ["bounds", inst, "--maxN", "2", "--budget", "2000"],
         ["scheme", "--instance", inst, "--L", L, "--verify"],
+        ["oracle", inst, "--minrank"],
+        ["oracle", inst, "--scalar-search", "--q", "2", "--n-max", "2"],
     ]:
-        code, _, err = call(argv)
-        assert code in (0, 1, 2, 3), (argv[0], code)
-        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv[0], err)
+        code, out, err = call(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+        outputs[" ".join(argv[2:])] = code, out
+    code, out = outputs["--minrank"]
+    if code != 0:
+        return
+    minrank = json.loads(out)
+    # the witness is a scalar scheme of length minrank: it verifies, and its
+    # rate 1/minrank per message violates no simple-bound certificate
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(minrank["witness_scheme"]), encoding="utf-8")
+    code, out, _ = call(["verify", inst, str(scheme_path)])
+    assert (code, json.loads(out)["valid"]) == (0, True)
+    code, out, _ = call(["bounds", inst, "--simple"])
+    assert code == 0
+    for cert in json.loads(out)["simple"]:
+        assert Fraction(len(cert["terms"]), minrank["value"]) <= Fraction(cert["rhs"]), cert

@@ -102,6 +102,34 @@ def test_incremental_basis_matches_fresh_rank(field, r, c):
                 assert sub.contains(m.col(0))
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), BinaryField(3)], ids=repr)
+def test_incremental_basis_copy_is_independent(field):
+    rnd = random.Random(f"copy {field!r}")
+    n = 5
+    for _ in range(20):
+        basis = EchelonBasis(field, n)
+        for _ in range(rnd.randint(0, 4)):
+            basis.add([rnd.randrange(field.order) for _ in range(n)])
+        rank, rows = basis.rank, [list(row) for row in basis.rows]
+        twin = basis.copy()
+        for _ in range(n):
+            twin.add([rnd.randrange(field.order) for _ in range(n)])
+        assert (basis.rank, basis.rows) == (rank, rows)
+        # a later add to the original leaves the twin alone as well
+        twin_state = (twin.rank, [list(row) for row in twin.rows])
+        basis.add([rnd.randrange(field.order) for _ in range(n)])
+        assert (twin.rank, twin.rows) == twin_state
+    # adding a new pivot rewrites an existing row: the original keeps its own
+    basis = EchelonBasis(field, 3)
+    basis.add([1, 1, 0])
+    twin = basis.copy()
+    assert twin.add([0, 1, 0]) == 1
+    assert twin.echelon_rows() == ([[1, 0, 0], [0, 1, 0]], [0, 1])
+    assert (basis.rank, basis.echelon_rows()) == (1, ([[1, 1, 0]], [0]))
+    with pytest.raises(DimensionMismatch):
+        twin.add([1, 2])
+
+
 def test_crossover_routes_by_size(monkeypatch):
     calls = []
     real = galois._rref_int64

@@ -1,9 +1,16 @@
-"""Brute-force oracle results and witness re-verification."""
+"""Brute-force oracle results and witness re-verification.
 
+The pruned searches of ``icx.oracle`` must return exactly what the
+exhaustive loops of ``tests/reference_oracle.py`` return: the same value,
+witness and search-space size.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_oracle as ref
 from icx.bounds import simple_bounds
 from icx.errors import BadParams, BudgetExceeded
 from icx.galois import Matrix, PrimeField
@@ -146,3 +153,158 @@ def test_minrank_witness_is_first_of_several_minimal():
             minimal.append(rows)
     assert len(minimal) > 1
     assert minrank_gf2(inst).witness_matrix.row_list() == minimal[0]
+
+
+# The scalar search keeps the first valid assignment in itertools.product
+# order of the beams of messages 2..M; these witnesses are the exhaustive
+# loop's and must not drift.
+SCALAR_WITNESSES = [
+    (gen_neighboring_antidotes(5, 1, 1), 2, 3, 3, 2483, ((1, 0, 0), (0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0))),
+    (builtin_example(1).instance, 2, 2, 2, 10, ((1, 0), (0, 1), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("inst, q, n_max, value, size, beams", SCALAR_WITNESSES, ids=["K5-U1-D1", "example-1"])
+def test_scalar_witness_pinned(inst, q, n_max, value, size, beams):
+    res = best_scalar_scheme(inst, q, n_max)
+    assert (res.value, res.search_space_size) == (value, size)
+    scheme = res.witness_scheme
+    assert tuple(scheme.V[m].entries for m in sorted(scheme.V)) == beams
+    assert scheme.U is None
+
+
+def outcome(res):
+    """Everything a search reports: value, size, query, witness matrix and
+    the witness scheme's V and U."""
+    matrix = None if res.witness_matrix is None else res.witness_matrix.row_list()
+    scheme = res.witness_scheme
+    if scheme is not None:
+        U = None if scheme.U is None else {key: u.entries for key, u in scheme.U.items()}
+        scheme = ({m: v.entries for m, v in scheme.V.items()}, U)
+    return res.value, res.search_space_size, res.query, matrix, scheme
+
+
+ANTIDOTES = [(K, U, D) for K in range(2, 7) for D in range(K) for U in range(D + 1) if U + D < K]
+
+# Results of the exhaustive loops where rerunning them costs more than about
+# 50 ms (up to 15 s).  Minrank: (value, size, witness rows as bit strings).
+MINRANK_SLOW = {
+    (4, 1, 2): (1, 4096, "1111 1111 1111 1111"),
+    (4, 0, 3): (1, 4096, "1111 1111 1111 1111"),
+    (5, 1, 2): (2, 32768, "11001 11110 00111 00111 11001"),
+    (5, 2, 2): (1, 1048576, "11111 11111 11111 11111 11111"),
+    (5, 0, 3): (2, 32768, "11010 01111 10101 11010 10101"),
+    (5, 1, 3): (1, 1048576, "11111 11111 11111 11111 11111"),
+    (5, 0, 4): (1, 1048576, "11111 11111 11111 11111 11111"),
+    (6, 1, 1): (3, 4096, "100001 011000 011000 000110 000110 100001"),
+    (6, 0, 2): (4, 4096, "101000 010100 001010 000101 100010 010001"),
+    (6, 1, 2): (3, 262144, "100001 011000 011000 000110 000110 100001"),
+    (6, 0, 3): (3, 262144, "100100 010010 001001 100100 010010 001001"),
+}
+# Scalar search with n <= 3: (K, U, D, q) -> (value, size, beams of messages 1..K).
+SCALAR_SLOW = {
+    (4, 0, 0, 3): (None, 2262, None),
+    (5, 0, 0, 2): (None, 2483, None),
+    (5, 0, 0, 3): (None, 28818, None),
+    (5, 0, 1, 2): (None, 2483, None),
+    (5, 0, 1, 3): (None, 28818, None),
+    (6, 0, 0, 2): (None, 17051, None),
+    (6, 0, 0, 3): (None, 372318, None),
+    (6, 0, 1, 2): (None, 17051, None),
+    (6, 0, 1, 3): (None, 372318, None),
+    (6, 0, 2, 2): (None, 17051, None),
+    (6, 0, 2, 3): (None, 372318, None),
+    (6, 0, 3, 3): (3, 372318, ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("K, U, D", ANTIDOTES, ids=[f"K{K}-U{U}-D{D}" for K, U, D in ANTIDOTES])
+def test_minrank_matches_reference_on_antidotes(K, U, D):
+    inst = gen_neighboring_antidotes(K, U, D)
+    if (K, U, D) in MINRANK_SLOW:
+        res = minrank_gf2(inst)
+        rows = [[int(b) for b in row] for row in MINRANK_SLOW[K, U, D][2].split()]
+        assert (res.value, res.search_space_size, res.witness_matrix.row_list()) == MINRANK_SLOW[K, U, D][:2] + (rows,)
+        return
+    try:
+        expected = outcome(ref.minrank_gf2(inst))
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            minrank_gf2(inst)
+        return
+    assert outcome(minrank_gf2(inst)) == expected
+
+
+@pytest.mark.parametrize("K, U, D", ANTIDOTES, ids=[f"K{K}-U{U}-D{D}" for K, U, D in ANTIDOTES])
+@pytest.mark.parametrize("q", [2, 3])
+def test_scalar_search_matches_reference_on_antidotes(K, U, D, q):
+    inst = gen_neighboring_antidotes(K, U, D)
+    res = best_scalar_scheme(inst, q, 3)
+    if (K, U, D, q) in SCALAR_SLOW:
+        scheme = res.witness_scheme
+        beams = None if scheme is None else tuple(scheme.V[m].entries for m in sorted(scheme.V))
+        assert (res.value, res.search_space_size, beams) == SCALAR_SLOW[K, U, D, q]
+        return
+    assert outcome(res) == outcome(ref.best_scalar_scheme(inst, q, 3))
+
+
+def random_minrank_instance(seed):
+    """Unicast, K = 2..6, up to 10 antidotes placed at random."""
+    rnd = random.Random(f"minrank {seed}")
+    K = rnd.randint(2, 6)
+    off = [(m, mp) for m in range(1, K + 1) for mp in range(1, K + 1) if m != mp]
+    chosen = rnd.sample(off, min(len(off), rnd.randint(0, 10)))
+    return make_instance(K, [({m}, {mp for r, mp in chosen if r == m}) for m in range(1, K + 1)])
+
+
+def random_scalar_case(seed):
+    """M..M+2 single-demand destinations, M = 2..5, each holding every other
+    message with one probability; with q and n_max, short of the 5-message
+    GF(3) n <= 3 space that takes the loop a second."""
+    rnd = random.Random(f"scalar {seed}")
+    M, q, n_max = rnd.randint(2, 5), rnd.choice([2, 3]), rnd.randint(1, 3)
+    if (M, q, n_max) == (5, 3, 3):
+        n_max = 2
+    p = rnd.random()
+    dests = []
+    for _ in range(rnd.randint(M, M + 2)):
+        w = rnd.randint(1, M)
+        dests.append(({w}, {m for m in range(1, M + 1) if m != w and rnd.random() < p}))
+    return make_instance(M, dests), q, n_max
+
+
+def test_minrank_matches_reference_on_random_instances():
+    for seed in range(100):
+        inst = random_minrank_instance(seed)
+        assert outcome(minrank_gf2(inst)) == outcome(ref.minrank_gf2(inst)), seed
+
+
+def test_scalar_search_matches_reference_on_random_instances():
+    values = set()
+    for seed in range(100):
+        inst, q, n_max = random_scalar_case(seed)
+        res = best_scalar_scheme(inst, q, n_max)
+        assert outcome(res) == outcome(ref.best_scalar_scheme(inst, q, n_max)), seed
+        values.add(res.value)
+    assert values == {None, 1, 2, 3}  # every outcome is exercised
+
+
+def test_oracle_limits_match_reference():
+    unicast7 = make_instance(7, [({k}, set()) for k in range(1, 8)])
+    dense6 = make_instance(6, [({k}, {1, 2, 3, 4, 5, 6} - {k}) for k in range(1, 7)])
+    pentagon = gen_neighboring_antidotes(5, 1, 1)
+    for search in (minrank_gf2, ref.minrank_gf2):
+        with pytest.raises(BudgetExceeded):
+            search(unicast7)
+        with pytest.raises(BudgetExceeded):
+            search(dense6, budget=2**29)
+    for search in (best_scalar_scheme, ref.best_scalar_scheme):
+        for q, n_max in [(1, 2), (2, 0), (2, -2)]:
+            with pytest.raises(BadParams):
+                search(pentagon, q, n_max)
+        for q, n_max in [(5, 2), (2, 4)]:
+            with pytest.raises(BudgetExceeded):
+                search(pentagon, q, n_max)
+        with pytest.raises(BudgetExceeded):
+            search(pentagon, 3, 3, budget=100)  # 13^4 assignments at n = 3
+        assert search(pentagon, 3, 3, budget=13**4).value == 3
