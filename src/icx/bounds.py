@@ -221,14 +221,14 @@ def _ordered(certs: dict) -> list:
 # ----------------------------------------------------------------------
 
 
-def x_outer_bound_messages(K: int, L: int, k: int = 1) -> list:
+def x_outer_bound_messages(K: int, L: int) -> list:
     """The L(L+1)/2 messages one genie-aided destination decodes in sequence:
-    at offset row t of destination k's window, the last t+1 messages."""
+    at offset row t of destination 1's window, the last t+1 messages."""
     M = K * L
     out = []
     for t in range(L):
         for c in range(L - t, L + 1):
-            out.append(((k - 1 + t) * L + c - 1) % M + 1)
+            out.append((t * L + c - 1) % M + 1)
     return sorted(out)
 
 

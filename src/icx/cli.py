@@ -8,16 +8,22 @@ inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # Each handler imports the modules its verb needs, so a call loads no others.
-from .errors import BudgetExceeded, IcxError, Infeasible, ParseError
+from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# --family name -> (its options, generator in model, scheme builder in symmetric)
+_FAMILIES = {
+    "antidotes": (("K", "U", "D"), "gen_neighboring_antidotes", "build_antidote_scheme"),
+    "interference": (("K", "U", "D"), "gen_neighboring_interference", "build_interference_scheme"),
+    "xnetwork": (("K", "L"), "gen_x_network", "build_x_scheme"),
+}
 
 
 def _parse_field(text):
@@ -47,7 +53,7 @@ def _positive_int(text):
 
 
 def _emit(obj, out_path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = dump_json(obj)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -73,8 +79,17 @@ def _build_parser():
     def add_out(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
 
+    def add_budget_and_sample(p):
+        p.add_argument("--budget", type=_positive_int)
+        p.add_argument(
+            "--sample",
+            type=_positive_int,
+            metavar="N",
+            help="when the tuple space exceeds the budget, check N seeded random tuples instead",
+        )
+
     p = sub.add_parser("gen", help="generate a symmetric family instance")
-    p.add_argument("--family", required=True, choices=["antidotes", "interference", "xnetwork"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--U", type=int, default=0)
     p.add_argument("--D", type=int, default=0)
@@ -91,7 +106,7 @@ def _build_parser():
     add_out(p)
 
     p = sub.add_parser("scheme", help="construct a scheme (family or alignment based)")
-    p.add_argument("--family", choices=["antidotes", "interference", "xnetwork"])
+    p.add_argument("--family", choices=list(_FAMILIES))
     p.add_argument("--K", type=int)
     p.add_argument("--U", type=int, default=0)
     p.add_argument("--D", type=int, default=0)
@@ -105,13 +120,7 @@ def _build_parser():
     )
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--budget", type=_positive_int)
-    p.add_argument(
-        "--sample",
-        type=_positive_int,
-        metavar="N",
-        help="when the tuple space exceeds the budget, check N seeded random tuples instead",
-    )
+    add_budget_and_sample(p)
     add_out(p)
 
     p = sub.add_parser("verify", help="verify a scheme file against an instance file")
@@ -123,13 +132,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="exhaustive zero-error simulation")
     p.add_argument("instance")
     p.add_argument("scheme")
-    p.add_argument("--budget", type=_positive_int)
-    p.add_argument(
-        "--sample",
-        type=_positive_int,
-        metavar="N",
-        help="when the tuple space exceeds the budget, check N seeded random tuples instead",
-    )
+    add_budget_and_sample(p)
     add_out(p)
 
     p = sub.add_parser("transform", help="groupcast -> equivalent multiple unicast")
@@ -168,16 +171,16 @@ def _build_parser():
     return top
 
 
+def _family_call(args, module, builder=False):
+    """The --family's instance from model, or with builder=True its scheme from symmetric."""
+    params, gen, build = _FAMILIES[args.family]
+    return getattr(module, build if builder else gen)(*(getattr(args, p) for p in params))
+
+
 def _cmd_gen(args):
     from . import model
 
-    if args.family == "antidotes":
-        inst = model.gen_neighboring_antidotes(args.K, args.U, args.D)
-    elif args.family == "interference":
-        inst = model.gen_neighboring_interference(args.K, args.U, args.D)
-    else:
-        inst = model.gen_x_network(args.K, args.L)
-    return model.instance_to_json(inst), EXIT_OK
+    return model.instance_to_json(_family_call(args, model)), EXIT_OK
 
 
 def _cmd_validate(args):
@@ -198,21 +201,6 @@ def _cmd_check_feasibility(args):
     return verdict.to_json(), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
-def _family_scheme(args):
-    from . import model, symmetric
-
-    if args.family == "antidotes":
-        inst = model.gen_neighboring_antidotes(args.K, args.U, args.D)
-        built = symmetric.build_antidote_scheme(args.K, args.U, args.D)
-    elif args.family == "interference":
-        inst = model.gen_neighboring_interference(args.K, args.U, args.D)
-        built = symmetric.build_interference_scheme(args.K, args.U, args.D)
-    else:
-        inst = model.gen_x_network(args.K, args.L)
-        built = symmetric.build_x_scheme(args.K, args.L)
-    return inst, built
-
-
 def _cmd_scheme(args):
     from . import alignment, model, scheme as schemes
 
@@ -221,7 +209,9 @@ def _cmd_scheme(args):
     if args.family:
         if args.K is None:
             raise IcxError("--family needs --K")
-        inst, built = _family_scheme(args)
+        from . import symmetric
+
+        inst, built = _family_call(args, model), _family_call(args, symmetric, builder=True)
     else:
         inst = _load_instance(args.instance)
         if args.construction == "scalar":
@@ -230,14 +220,14 @@ def _cmd_scheme(args):
             built = alignment.build_rate_half_vector_scheme(inst, args.L)
     out = {"scheme": schemes.scheme_to_json(built)}
     code = EXIT_OK
-    if args.verify:
+    if args.verify or args.simulate:
         target = inst if args.family else model.normalize(inst, args.L)
+    if args.verify:
         report = schemes.verify(target, built)
         out["verification"] = report.to_json()
         if not report.valid:
             code = EXIT_NEGATIVE
     if args.simulate:
-        target = inst if args.family else model.normalize(inst, args.L)
         try:
             out["simulation"], ok = _simulate(target, built, args)
         except BudgetExceeded as exc:
@@ -374,28 +364,22 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        obj, code = _HANDLERS[args.verb](args)
-    except BudgetExceeded as exc:
+        try:
+            obj, code = _HANDLERS[args.verb](args)
+        except Infeasible as exc:
+            # infeasibility carries a verdict and its witness, not a crash
+            obj, code = {"feasible": False, "witness": list(exc.witness)}, EXIT_NEGATIVE
+        _emit(obj, getattr(args, "out", None))
+        return code
+    except (IcxError, OSError, UnicodeDecodeError) as exc:
+        # a file that cannot be opened or written is a usage error; one that
+        # is not UTF-8 is malformed, like one that does not parse
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except IcxError as exc:
-        # validation failures and infeasibility carry a verdict, not a crash
-        if isinstance(exc, Infeasible):
-            _emit({"feasible": False, "witness": list(exc.witness)}, getattr(args, "out", None))
-            return EXIT_NEGATIVE
-        if isinstance(exc, ParseError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NEGATIVE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(obj, getattr(args, "out", None))
-    return code
+        if isinstance(exc, BudgetExceeded):
+            return EXIT_BUDGET
+        return EXIT_NEGATIVE if isinstance(exc, (ParseError, UnicodeDecodeError)) else EXIT_USAGE
 
 
 def main() -> None:

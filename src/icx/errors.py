@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer test of its file readers."""
+"""Exception types shared across the package, and the JSON layer of its file readers and writers."""
+
+import json
 
 
 class IcxError(Exception):
@@ -80,3 +82,18 @@ class TranslationFailed(IcxError):
 def is_int(value) -> bool:
     """JSON integers only: ``true`` and ``1.0`` are not integers in a file."""
     return type(value) is int
+
+
+def parse_json(text: str):
+    """Decode a file's JSON text; malformed or too deeply nested text is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def dump_json(obj) -> str:
+    """The one output format: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

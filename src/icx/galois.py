@@ -579,11 +579,7 @@ class Matrix:
         _same_field(self.field, other.field)
         if self.rows != other.rows:
             raise DimensionMismatch("row count mismatch in hstack")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return Matrix._trusted(self.field, self.rows, self.cols + other.cols, tuple(out))
+        return Matrix.hstack_all(self.field, [self, other])
 
     @staticmethod
     def hstack_all(field: Field, mats: Iterable["Matrix"]) -> "Matrix":

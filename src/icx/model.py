@@ -8,13 +8,12 @@ can be applied without pattern-matching raw sets.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParams, CannotNormalize, ParseError, UnsupportedFamily, is_int
+from .errors import BadParams, CannotNormalize, ParseError, UnsupportedFamily, dump_json, is_int, parse_json
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
@@ -429,15 +428,11 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_json(inst), sort_keys=True, indent=2) + "\n"
+    return dump_json(instance_to_json(inst))
 
 
 def parse_instance(text: str, check: bool = True) -> Instance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return instance_from_json(obj, check=check)
+    return instance_from_json(parse_json(text), check=check)
 
 
 def load_instance(path) -> Instance:

@@ -134,15 +134,8 @@ def _scheme_from_fitting(inst, fitting, demand, rank):
     """Rank-factor the fitting matrix A = A[:, pivots] @ rref(A) into an
     n = rank scalar scheme: beams from the reduced rows, combiners from the
     pivot columns."""
-    red = fitting.rref()
-    pivots = []
-    r = 0
-    for c in range(red.cols):
-        if r < red.rows and red[r, c] == 1 and all(red[i, c] == 0 for i in range(red.rows) if i != r):
-            pivots.append(c)
-            r += 1
-    rows = Matrix.from_rows(fitting.field, [list(red.row(i)) for i in range(rank)])
-    left = fitting.take_cols(pivots)
+    rows = fitting.rref().take_rows(range(rank))
+    left = fitting.take_cols([rows.row(i).index(1) for i in range(rank)])
     V = {m: rows.take_cols([m - 1]) for m in range(1, inst.num_messages + 1)}
     U = {}
     for k, m in demand.items():

@@ -42,7 +42,9 @@ from .errors import (
     ParseError,
     SchemeMalformed,
     UnsupportedFamily,
+    dump_json,
     is_int,
+    parse_json,
 )
 from .galois import EchelonBasis, Field, Matrix, field_from_json
 from .model import Instance, check_family
@@ -192,7 +194,7 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
             else:
                 ann = Matrix.identity(f, scheme.n)
             probe = ann @ scheme.V[m]
-            rows = _independent_rows(probe, scheme.stream_count(m))
+            rows = _independent_rows(probe)
             if rows is None:
                 raise NoDecoderExists(
                     f"no zero-forcing decoder for message {m} at destination {d.id}"
@@ -201,18 +203,16 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     return LinearScheme(f, scheme.n, scheme.V, U)
 
 
-def _independent_rows(mat: Matrix, need: int):
-    """Indices of `need` rows of mat forming an invertible square block, or None."""
-    if mat.cols != need:
-        return None
-    if need == 0:
+def _independent_rows(mat: Matrix):
+    """Indices of mat.cols rows of mat forming an invertible square block, or None."""
+    if mat.cols == 0:
         return []
     basis = EchelonBasis(mat.field, mat.cols)
     chosen = []
     for i in range(mat.rows):
         if basis.add(mat.row(i)):
             chosen.append(i)
-            if len(chosen) == need:
+            if len(chosen) == mat.cols:
                 return chosen
     return None
 
@@ -553,15 +553,11 @@ def scheme_from_json(obj: dict) -> LinearScheme:
 
 
 def serialize_scheme(scheme: LinearScheme) -> str:
-    return json.dumps(scheme_to_json(scheme), sort_keys=True, indent=2) + "\n"
+    return dump_json(scheme_to_json(scheme))
 
 
 def parse_scheme(text: str) -> LinearScheme:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return scheme_from_json(obj)
+    return scheme_from_json(parse_json(text))
 
 
 def load_scheme(path) -> LinearScheme:

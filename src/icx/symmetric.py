@@ -193,20 +193,10 @@ def _example3(field: Field) -> BuiltinExample:
     # into three dimensions, some only subspace-wise (V_8, V_10, V_11, V_14
     # are genuine multi-term combinations).
     inst = _x_network_instance(5, 3)
-    neg = field.neg
 
     def t(i):
         return tuple(1 if r == i - 1 else 0 for r in range(6))
 
-    def combo(*terms):
-        v = [0] * 6
-        for coef, idx in terms:
-            col = t(idx)
-            v = [field.add(a, field.mul(coef, b)) for a, b in zip(v, col)]
-        return tuple(v)
-
-    one = 1
-    m1 = neg(1)
     V_cols = {
         1: t(6),
         2: t(4),
@@ -215,37 +205,34 @@ def _example3(field: Field) -> BuiltinExample:
         5: t(2),
         6: t(6),
         7: t(3),
-        8: combo((one, 4), (one, 5), (one, 6)),
+        8: (0, 0, 0, 1, 1, 1),
         9: t(5),
-        10: combo((one, 1), (one, 2), (one, 3), (m1, 4), (m1, 5)),
-        11: combo((one, 2), (one, 3), (m1, 5)),
+        10: (1, 1, 1, -1, -1, 0),
+        11: (0, 1, 1, 0, -1, 0),
         12: t(3),
         13: t(1),
-        14: combo((one, 1), (one, 2), (one, 6)),
-        15: combo((one, 1), (one, 2), (one, 3), (m1, 4), (m1, 5)),
+        14: (1, 1, 0, 0, 0, 1),
+        15: (1, 1, 1, -1, -1, 0),
     }
     V = {m: _cols(field, [V_cols[m]]) for m in V_cols}
-
-    def u(row):
-        return Matrix.from_rows(field, [[field.canonical(x) for x in row]])
-
-    U = {
-        (3, 1): u([1, 0, 0, 0, 0, 0]),
-        (5, 1): u([0, 1, 0, 0, 0, 0]),
-        (7, 1): u([0, 0, 1, 0, 0, 0]),
-        (6, 2): u([-1, 0, 0, -1, 0, 1]),
-        (8, 2): u([1, 0, 0, 1, 0, 0]),
-        (10, 2): u([1, 0, 0, 0, 0, 0]),
-        (9, 3): u([0, 1, 0, 0, 1, -1]),
-        (11, 3): u([0, 1, 0, 1, 0, -1]),
-        (13, 3): u([1, 0, 0, 1, 0, -1]),
-        (12, 4): u([0, 0, 1, 0, 1, 0]),
-        (14, 4): u([0, 1, 0, 0, 1, 0]),
-        (1, 4): u([0, -1, 0, 0, -1, 1]),
-        (15, 5): u([0, 0, 1, 0, 0, 0]),
-        (2, 5): u([0, 0, 1, 1, 0, 0]),
-        (4, 5): u([0, 0, 1, 0, 1, 0]),
+    U_rows = {
+        (3, 1): [1, 0, 0, 0, 0, 0],
+        (5, 1): [0, 1, 0, 0, 0, 0],
+        (7, 1): [0, 0, 1, 0, 0, 0],
+        (6, 2): [-1, 0, 0, -1, 0, 1],
+        (8, 2): [1, 0, 0, 1, 0, 0],
+        (10, 2): [1, 0, 0, 0, 0, 0],
+        (9, 3): [0, 1, 0, 0, 1, -1],
+        (11, 3): [0, 1, 0, 1, 0, -1],
+        (13, 3): [1, 0, 0, 1, 0, -1],
+        (12, 4): [0, 0, 1, 0, 1, 0],
+        (14, 4): [0, 1, 0, 0, 1, 0],
+        (1, 4): [0, -1, 0, 0, -1, 1],
+        (15, 5): [0, 0, 1, 0, 0, 0],
+        (2, 5): [0, 0, 1, 1, 0, 0],
+        (4, 5): [0, 0, 1, 0, 1, 0],
     }
+    U = {key: Matrix.from_rows(field, [row]) for key, row in U_rows.items()}
     return BuiltinExample(3, inst, LinearScheme(field, 6, V, U), Fraction(1, 6))
 
 

@@ -105,7 +105,12 @@ def _complement_columns(v: Matrix) -> Matrix:
 def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     """Translate a groupcast scheme: copies reuse V_i, auxiliaries get a
     complement of colspan(V_i), so each copy rides at rate R_i and the
-    auxiliary at 1 - R_i."""
+    auxiliary at 1 - R_i.
+
+    Combiners are keyed (message, destination id) by the ids of the instance
+    that was passed to ``to_unicast``, not by those of ``umap.original``: copy
+    j of message i takes the combiner of the input destination it descends
+    from."""
     f = scheme.field
     n = scheme.n
     V = {}
@@ -120,20 +125,21 @@ def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
             ann = vi.left_nullspace()
             U[(umap.unicast_id(i, 0), umap.unicast_id(i, 0))] = ann
             for j in range(1, umap.L + 1):
-                gk = (i - 1) * umap.L + j  # normalized groupcast destination id
-                src = umap.source_destinations[gk - 1]
-                key = (i, src) if (i, src) in scheme.U else (i, gk)
-                if key not in scheme.U:
+                src = umap.source_destinations[(i - 1) * umap.L + j - 1]
+                if (i, src) not in scheme.U:
                     raise TranslationFailed(
                         f"groupcast scheme has no decoder for message {i} at destination {src}"
                     )
-                U[(umap.unicast_id(i, j), umap.unicast_id(i, j))] = scheme.U[key]
+                U[(umap.unicast_id(i, j), umap.unicast_id(i, j))] = scheme.U[(i, src)]
     return LinearScheme(f, n, V, U)
 
 
 def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     """Translate back: original message i rides on the intersection of its
-    copies' column spans; copy decoders are reused row-selected."""
+    copies' column spans; copy decoders are reused row-selected.
+
+    The result is a scheme for ``umap.original``, the normalized groupcast
+    instance, and its combiners are keyed by that instance's destination ids."""
     f = scheme.field
     n = scheme.n
     V = {}
@@ -151,7 +157,7 @@ def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
             for j in range(1, umap.L + 1):
                 uid = umap.unicast_id(i, j)
                 ubar = scheme.U[(uid, uid)]
-                rows = _independent_rows(ubar @ V[i], inter.dim)
+                rows = _independent_rows(ubar @ V[i])
                 if rows is None:
                     raise TranslationFailed(
                         f"copy decoder of message {i}, copy {j} does not cover the intersection"

@@ -210,10 +210,10 @@ def test_capacity_x_network():
 
 
 def test_x_outer_bound_messages_match_window():
-    # the genie set contains exactly L-i demands of destination k+i
+    # the genie set contains exactly L-i demands of destination 1+i
     K, L = 8, 3
     inst = gen_x_network(K, L)
-    wo = set(x_outer_bound_messages(K, L, 1))
+    wo = set(x_outer_bound_messages(K, L))
     for i in range(L):
         dest = inst.destination(1 + i)
         assert len(dest.wants & wo) == L - i

@@ -528,6 +528,29 @@ def test_oversized_or_misshapen_files_one_line_error(tmp_path, capsys, verb, ins
     assert_one_line_error(*invoke(capsys, *argv), 1, message)
 
 
+# argv ({t} is a directory holding inst.json, scheme.json, latin1.json and
+# nested.json), the exit code and a piece of the one error line
+UNREADABLE_CASES = {
+    "instance-is-a-directory": (["validate", "{t}"], 2, "Is a directory"),
+    "out-in-missing-directory": (["example", "1", "--out", "{t}/missing/out.json"], 2, "No such file or directory"),
+    "out-is-a-directory": (["gen", "--family", "antidotes", "--K", "5", "--out", "{t}"], 2, "Is a directory"),
+    "not-utf8": (["verify", "{t}/latin1.json", "{t}/scheme.json"], 1, "'utf-8' codec can't decode byte 0xe9"),
+    "nested-instance": (["check-feasibility", "{t}/nested.json", "--L", "1"], 1, "invalid JSON: nested too deeply"),
+    "nested-scheme": (["simulate", "{t}/inst.json", "{t}/nested.json"], 1, "invalid JSON: nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", UNREADABLE_CASES.values(), ids=UNREADABLE_CASES)
+def test_unreadable_files_one_line_error(tmp_path, capsys, argv, code, message):
+    save_instance(gen_neighboring_antidotes(5, 1, 1), str(tmp_path / "inst.json"))
+    save_scheme(build_antidote_scheme(5, 1, 1), str(tmp_path / "scheme.json"))
+    (tmp_path / "latin1.json").write_bytes('{"messages": "caf\u00e9"}'.encode("latin-1"))
+    (tmp_path / "nested.json").write_text("[" * 200_000, encoding="utf-8")
+    got, out, err = invoke(capsys, *[a.format(t=tmp_path) for a in argv])
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+
+
 def test_sampled_v_only_collision_exit_1(tmp_path, capsys):
     """Interference K=9 U=1 D=2 with V_1 moved onto V_2 has no decoders: the
     sampled run reports a colliding tuple, as the exhaustive run does."""

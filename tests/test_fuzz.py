@@ -41,6 +41,9 @@ BASES = _bases()
 
 INSTANCES = [
     instance_to_json(gen_neighboring_antidotes(5, 1, 1)),
+    # two more unicast bases, so more examples reach the minrank witness check
+    instance_to_json(gen_neighboring_antidotes(6, 1, 1)),
+    instance_to_json(builtin_example(2).instance),
     instance_to_json(gen_neighboring_interference(6, 0, 1)),
     instance_to_json(gen_x_network(4, 1)),
     {  # demands of one and two messages

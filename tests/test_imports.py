@@ -140,3 +140,25 @@ def test_from_icx_import_loads_only_that_module():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "['icx', 'icx.errors', 'icx.galois']"
+
+
+def _tracer_constants():
+    """LAYERS and CLASS_METHODS as written in perfbench/tracer.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("LAYERS", "CLASS_METHODS")
+    }
+
+
+def test_benchmark_tracer_finds_what_it_wraps():
+    """The benchmark wraps these modules and class attributes by name; deleting
+    one (even an unused method such as ``Matrix.scale``) must fail here first."""
+    found = _tracer_constants()
+    assert set(found) == {"LAYERS", "CLASS_METHODS"}
+    for layer in found["LAYERS"]:
+        importlib.import_module(f"icx.{layer}")
+    for (layer, cls_name), methods in found["CLASS_METHODS"].items():
+        cls = getattr(importlib.import_module(f"icx.{layer}"), cls_name)
+        assert [m for m in methods if m not in vars(cls)] == [], (layer, cls_name)

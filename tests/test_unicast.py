@@ -6,7 +6,7 @@ import pytest
 
 from icx.errors import BadParams, TranslationFailed
 from icx.galois import Matrix, PrimeField
-from icx.model import validate
+from icx.model import Destination, Instance, validate
 from icx.scheme import LinearScheme, simulate_exhaustive, synthesize_decoders, verify
 from icx.symmetric import builtin_example
 from icx.unicast import (
@@ -208,10 +208,44 @@ def test_translation_fails_on_disjoint_siblings():
 
 
 def test_roundtrip_with_synthesized_decoders(groupcast_m2k3):
+    # combiners keyed by the ids of the instance given to to_unicast
     scheme = groupcast_scheme_m2(groupcast_m2k3)
     umap = to_unicast(groupcast_m2k3, 2)
-    with_u = synthesize_decoders(umap.original, scheme)
+    with_u = synthesize_decoders(groupcast_m2k3, scheme)
     su = scheme_to_unicast(umap, with_u)
     assert verify(umap.transformed, su, mode="decoder").valid
     sg = scheme_to_groupcast(umap, su)
     assert verify(umap.original, sg, mode="decoder").valid
+
+
+def crossed_ids():
+    """Destinations listed 2, 1, 3, 4: normalization renumbers them 1, 2, 3, 4,
+    so destination 2 of the input becomes destination 1 of umap.original."""
+    rows = [(2, {1}, set()), (1, {1}, {2}), (3, {2}, {1}), (4, {2}, set())]
+    inst = Instance(2, tuple(Destination(k, frozenset(w), frozenset(h)) for k, w, h in rows))
+    f = PrimeField(2)
+    return inst, LinearScheme(f, 2, {1: Matrix.from_cols(f, [[1, 0]]), 2: Matrix.from_cols(f, [[1, 1]])})
+
+
+def test_translation_reads_combiners_by_input_ids():
+    inst, scheme = crossed_ids()
+    umap = to_unicast(inst, 2)
+    assert umap.source_destinations == (2, 1, 3, 4)
+    by_input = synthesize_decoders(inst, scheme)
+    assert verify(inst, by_input, mode="decoder").valid
+    su = scheme_to_unicast(umap, by_input)
+    assert verify(umap.transformed, su, mode="decoder").valid
+    assert verify(umap.original, scheme_to_groupcast(umap, su), mode="decoder").valid
+    # keyed by umap.original's ids, copy 1 of message 1 (unicast id 2), which
+    # descends from input destination 2, reads combiner (1, 2): it was made for
+    # a destination that holds message 2, so it does not cancel message 2
+    by_normalized = synthesize_decoders(umap.original, scheme)
+    assert verify(umap.original, by_normalized, mode="decoder").valid
+    report = verify(umap.transformed, scheme_to_unicast(umap, by_normalized), mode="decoder")
+    assert not report.valid
+    assert ("property1", 2) in {(d.kind, d.destination) for d in report.diagnostics}
+    # one lookup, no fallback: at L=3 message 2's first copy descends from input
+    # destination 3, and a scheme keyed by umap.original's ids has no (2, 3)
+    umap3 = to_unicast(inst, 3)
+    with pytest.raises(TranslationFailed, match="message 2 at destination 3"):
+        scheme_to_unicast(umap3, synthesize_decoders(umap3.original, scheme))
