@@ -11,7 +11,7 @@ import argparse
 import sys
 
 # Each handler imports the modules its verb needs, so a call loads no others.
-from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json
+from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, read_file
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -186,8 +186,7 @@ def _cmd_gen(args):
 def _cmd_validate(args):
     from . import model
 
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = model.parse_instance(fh.read(), check=False)
+    inst = read_file(args.instance, lambda text: model.parse_instance(text, check=False))
     problems = model.validate(inst)
     out = {"valid": not problems, "violations": problems, "messages": inst.num_messages}
     return out, EXIT_OK if not problems else EXIT_NEGATIVE
@@ -373,13 +372,12 @@ def run(argv) -> int:
             obj, code = {"feasible": False, "witness": list(exc.witness)}, EXIT_NEGATIVE
         _emit(obj, getattr(args, "out", None))
         return code
-    except (IcxError, OSError, UnicodeDecodeError) as exc:
-        # a file that cannot be opened or written is a usage error; one that
-        # is not UTF-8 is malformed, like one that does not parse
+    except (IcxError, OSError) as exc:
+        # a file that cannot be opened or written is a usage error
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetExceeded):
             return EXIT_BUDGET
-        return EXIT_NEGATIVE if isinstance(exc, (ParseError, UnicodeDecodeError)) else EXIT_USAGE
+        return EXIT_NEGATIVE if isinstance(exc, ParseError) else EXIT_USAGE
 
 
 def main() -> None:

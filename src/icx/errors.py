@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the JSON layer of its file readers and writers."""
 
 import json
+import sys
 
 
 class IcxError(Exception):
@@ -85,15 +86,34 @@ def is_int(value) -> bool:
 
 
 def parse_json(text: str):
-    """Decode a file's JSON text; malformed or too deeply nested text is a ParseError."""
+    """Decode a file's JSON text; malformed or too deeply nested text, or an
+    integer past Python's digit limit, is a ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise ParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def read_file(path, parse):
+    """parse(text) of a UTF-8 file; one that is not UTF-8 or does not parse is
+    a ParseError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def dump_json(obj) -> str:
-    """The one output format: sorted keys, two-space indent, a final newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The one output format: sorted keys, two-space indent, a final newline,
+    and integers of any length (reading keeps Python's digit limit)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParams, CannotNormalize, ParseError, UnsupportedFamily, dump_json, is_int, parse_json
+from .errors import (
+    BadParams, CannotNormalize, ParseError, UnsupportedFamily, dump_json, is_int, parse_json, read_file
+)
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
@@ -436,8 +438,7 @@ def parse_instance(text: str, check: bool = True) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return read_file(path, parse_instance)
 
 
 def save_instance(inst: Instance, path):

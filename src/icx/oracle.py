@@ -1,8 +1,10 @@
 """Brute-force ground truth: minrank over GF(2) and scalar-scheme search.
 
-Both oracles are exact searches with pruning (no sampling, hard budgets):
-a depth-first search visits the candidates in a fixed order and skips a
-subtree only when no candidate in it can count.  The reported size is the
+Both oracles are exact searches with pruning (no sampling): a depth-first
+loop over an explicit stack visits candidates, generated as they are tried,
+in a fixed order and skips a subtree only when no candidate in it can count.
+The budget counts nodes, one per candidate row or beam tried, pruned ones
+included, and nothing else limits an instance.  The reported size is the
 full space.  Witnesses re-verify through the scheme verifier, keeping the
 oracle and the verifier independent code paths.
 """
@@ -69,62 +71,57 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     equals the optimal scalar-linear broadcast length over GF(2); the witness
     matrix is rank-factored into an encoding scheme of that length.
 
-    Exact search with pruning; the reported size is the full space.  The
-    witness is the first matrix of least rank in numeric order of the free
-    entries, free entry idx as bit idx.
+    Exact search with pruning over at most `budget` nodes, one per candidate
+    row tried; the reported size is the full space.  The witness is the first
+    matrix of least rank in numeric order of the free entries, free entry idx
+    as bit idx.
     """
     demand = _desired_message_of(inst)
     K = inst.num_messages
-    if K > 6:
-        raise BudgetExceeded(f"minrank search is limited to 6 messages, got {K}")
     dest_of = {m: k for k, m in demand.items()}
-    free = []
-    for m in range(1, K + 1):
-        d = inst.destination(dest_of[m])
-        for mp in sorted(d.has):
-            free.append((m, mp))
-    if 2 ** len(free) > budget:
-        raise BudgetExceeded(f"2^{len(free)} fitting matrices exceed budget {budget}")
+    # free[i]: the columns of row i's free entries, the antidotes of message i + 1
+    free = [[mp - 1 for mp in sorted(inst.destination(dest_of[i + 1]).has)] for i in range(K)]
+
+    def rows(i):
+        """Row i's candidates: its free-entry patterns in increasing order."""
+        for pattern in range(2 ** len(free[i])):
+            row = [0] * K
+            row[i] = 1
+            for j, c in enumerate(free[i]):
+                row[c] = pattern >> j & 1
+            yield row
 
     gf2 = PrimeField(2)
-    # free runs row by row, so numeric order of the free entries fixes row K
-    # first and row 1 last, each row's patterns in increasing order.
-    options = []
-    for m in range(1, K + 1):
-        cols = [mp - 1 for r, mp in free if r == m]
-        rows = []
-        for pattern in range(2 ** len(cols)):
-            row = [0] * K
-            row[m - 1] = 1
-            for j, c in enumerate(cols):
-                if pattern >> j & 1:
-                    row[c] = 1
-            rows.append(row)
-        options.append(rows)
-    best, best_rows = K + 1, None
-    fixed = [None] * K
-
-    def search(i, basis):
-        nonlocal best, best_rows
-        for row in options[i]:
-            child = basis.copy()
-            child.add(row)
-            if child.rank >= best:
-                continue  # the rank only grows: nothing below can beat the best
-            fixed[i] = row
-            if i:
-                search(i - 1, child)
-            else:
-                best, best_rows = child.rank, list(fixed)
-
-    search(K - 1, EchelonBasis(gf2, K))
+    best, best_rows, fixed, nodes = K + 1, None, [None] * K, 0
+    # free entries run row by row, so numeric order of them fixes row K first
+    # and row 1 last, each row's patterns in increasing order
+    stack = [(K - 1, rows(K - 1), EchelonBasis(gf2, K))]
+    while stack:
+        i, candidates, basis = stack[-1]
+        row = next(candidates, None)
+        if row is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            found = f"best rank so far {best}" if best_rows else "no full matrix yet"
+            raise BudgetExceeded(f"minrank search exceeded {budget} nodes ({found})")
+        child = basis.copy()
+        child.add(row)
+        if child.rank >= best:
+            continue  # the rank only grows: nothing below can beat the best
+        fixed[i] = row
+        if i:
+            stack.append((i - 1, rows(i - 1), child))
+        else:
+            best, best_rows = child.rank, list(fixed)
 
     fitting = Matrix.from_rows(gf2, best_rows)
     scheme = _scheme_from_fitting(inst, fitting, demand, best)
     return OracleResult(
         query=f"minrank over GF(2), {K} messages",
         value=best,
-        search_space_size=2 ** len(free),
+        search_space_size=2 ** sum(map(len, free)),
         witness_matrix=fitting,
         witness_scheme=scheme,
     )
@@ -156,26 +153,24 @@ def best_scalar_scheme(
     exact because validity is invariant under invertible basis change and
     per-beam scaling).  Returns value=None when no length works.
 
-    Exact search with pruning; the reported size is the full space of every
-    length tried.  The witness is the first valid assignment in
-    itertools.product order of the beams of messages 2..M.
+    Exact search with pruning over at most `budget` nodes in all, one per
+    beam tried; the reported size is the full space of every length tried.
+    The witness is the first valid assignment in itertools.product order of
+    the beams of messages 2..M.
     """
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
     if n_max < 1:
         raise BadParams(f"n_max must be at least 1, got {n_max}")
-    if inst.num_messages > 6 or q > 3 or n_max > 3:
-        raise BudgetExceeded("scalar search is limited to M <= 6, q <= 3, n <= 3")
-    field = PrimeField(q)
+    try:
+        field = PrimeField(q)
+    except ValueError:
+        raise BadParams(f"q must be a prime below 2^31, got {q}") from None
     M = inst.num_messages
-    checked_total = 0
+    checked_total = nodes = 0
     for n in range(1, n_max + 1):
-        reps = _projective_reps(field, n)
-        space = len(reps) ** (M - 1)
-        if space > budget:
-            raise BudgetExceeded(f"{len(reps)}^{M - 1} assignments exceed budget {budget}")
-        checked_total += space
-        beams = _first_valid_beams(inst, field, n, reps)
+        checked_total += ((q**n - 1) // (q - 1)) ** (M - 1)
+        beams, nodes = _first_valid_beams(inst, field, n, nodes, budget)
         if beams is not None:
             V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
             scheme = LinearScheme(field, n, V)
@@ -192,19 +187,18 @@ def best_scalar_scheme(
     )
 
 
-def _projective_reps(field: Field, n: int) -> list:
-    """Nonzero vectors of field^n with leading nonzero coordinate equal 1."""
-    reps = []
-    for vec in itertools.product(field.elements(), repeat=n):
-        lead = next((x for x in vec if x != 0), None)
-        if lead == 1:
-            reps.append(vec)
-    return reps
+def _projective_reps(field: Field, n: int):
+    """Nonzero vectors of field^n with leading nonzero coordinate equal 1, in
+    itertools.product order: the later the leading 1, the earlier the vector."""
+    for lead in reversed(range(n)):
+        for tail in itertools.product(field.elements(), repeat=n - 1 - lead):
+            yield (0,) * lead + (1,) + tail
 
 
-def _first_valid_beams(inst, field, n, reps):
-    """The first valid beam assignment, message 1 on the first unit vector and
-    messages 2..M in itertools.product order over reps, or None.
+def _first_valid_beams(inst, field, n, nodes, budget):
+    """(The first valid beam assignment, message 1 on the first unit vector and
+    messages 2..M in itertools.product order over the projective
+    representatives, or None; the nodes visited so far, this length's added).
 
     Beams are placed in message order, and each destination carries the span
     of its desired beams placed so far (W) and of its interference beams (I),
@@ -222,7 +216,7 @@ def _first_valid_beams(inst, field, n, reps):
             roles[m].append((i, True))
         for m in inst.interferers(d):
             roles[m].append((i, False))
-    beams = [tuple(1 if i == 0 else 0 for i in range(n))] + [None] * (M - 1)
+    beams = [None] * M
 
     def place(m, state):
         """state with message m's beam added, or None if a deficit appears."""
@@ -241,16 +235,21 @@ def _first_valid_beams(inst, field, n, reps):
             state[i] = joint, interference
         return state
 
-    def search(m, state):
-        if m > M:
-            return True
-        for beam in reps:
-            beams[m - 1] = beam
-            child = place(m, state)
-            if child is not None and search(m + 1, child):
-                return True
-        return False
-
     empty = EchelonBasis(field, n)
-    root = place(1, [(empty, empty)] * len(inst.destinations))
-    return beams if root is not None and search(2, root) else None
+    stack = [(1, iter([(1,) + (0,) * (n - 1)]), [(empty, empty)] * len(inst.destinations))]
+    while stack:
+        m, candidates, state = stack[-1]
+        beams[m - 1] = next(candidates, None)
+        if beams[m - 1] is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"scalar search exceeded {budget} nodes (at n = {n}; no scheme is shorter)")
+        child = place(m, state)
+        if child is None:
+            continue
+        if m == M:
+            return beams, nodes
+        stack.append((m + 1, _projective_reps(field, n), child))
+    return None, nodes

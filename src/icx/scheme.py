@@ -45,6 +45,7 @@ from .errors import (
     dump_json,
     is_int,
     parse_json,
+    read_file,
 )
 from .galois import EchelonBasis, Field, Matrix, field_from_json
 from .model import Instance, check_family
@@ -561,8 +562,7 @@ def parse_scheme(text: str) -> LinearScheme:
 
 
 def load_scheme(path) -> LinearScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scheme(fh.read())
+    return read_file(path, parse_scheme)
 
 
 def save_scheme(scheme: LinearScheme, path):

@@ -3,8 +3,9 @@
 ``icx.oracle`` searches depth-first and prunes; these loops rank every
 candidate in the same order.  Both must return the same value, the same
 witness and the same search-space size.  The helpers that turn a winning
-candidate into a result (demand map, rank factoring, projective
-representatives) are shared with the package.
+candidate into a result (demand map, rank factoring) are shared with the
+package; the candidates themselves are listed here.  These loops keep the
+size limits the package had before its searches counted nodes.
 """
 
 import itertools
@@ -15,7 +16,6 @@ from icx.oracle import (
     DEFAULT_ORACLE_BUDGET,
     OracleResult,
     _desired_message_of,
-    _projective_reps,
     _scheme_from_fitting,
 )
 from icx.scheme import LinearScheme
@@ -98,6 +98,16 @@ def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET):
         value=None,
         search_space_size=checked_total,
     )
+
+
+def _projective_reps(field, n):
+    """Nonzero vectors of field^n with leading nonzero coordinate equal 1."""
+    reps = []
+    for vec in itertools.product(field.elements(), repeat=n):
+        lead = next((x for x in vec if x != 0), None)
+        if lead == 1:
+            reps.append(vec)
+    return reps
 
 
 def _scalar_assignment_valid(inst, field, beams):

@@ -204,7 +204,7 @@ def test_bad_field_spec_one_line_error(tmp_path, capsys, spec):
     inst_path, scheme_path = example1_files(tmp_path, capsys, lambda s: s.update(field=spec))
     code, out, err = invoke(capsys, "verify", inst_path, scheme_path)
     assert out == ""
-    assert err.startswith("error: bad field spec: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {scheme_path}: bad field spec: ") and err.count("\n") == 1
     _, garbage_path = example1_files(tmp_path, capsys, lambda s: s.update(n=0))
     garbage_code, _, _ = invoke(capsys, "verify", inst_path, garbage_path)
     assert code == garbage_code == 1
@@ -343,7 +343,7 @@ def test_family_parameter_must_be_integer(tmp_path, capsys, verb, value):
     path = tmp_path / "inst.json"
     path.write_text(text, encoding="utf-8")
     argv = [verb, str(path)] + (["--family"] if verb == "bounds" else [])
-    assert_one_line_error(*invoke(capsys, *argv), 1, "family parameter 'K' must be an integer")
+    assert_one_line_error(*invoke(capsys, *argv), 1, f"{path}: family parameter 'K' must be an integer")
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -502,7 +502,7 @@ def test_scheme_numbers_must_be_integers(tmp_path, capsys, verb, n, V, message):
     scheme_path.write_text(
         f'{{"field": {{"kind": "prime", "p": 3}}, "n": {n}, "V": {{"1": {V}}}}}\n', encoding="utf-8"
     )
-    assert_one_line_error(*invoke(capsys, verb, str(inst_path), str(scheme_path)), 1, message)
+    assert_one_line_error(*invoke(capsys, verb, str(inst_path), str(scheme_path)), 1, f"{scheme_path}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -525,7 +525,8 @@ def test_oversized_or_misshapen_files_one_line_error(tmp_path, capsys, verb, ins
     if scheme is not None:
         scheme_path.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, **scheme}), encoding="utf-8")
     argv = [verb, str(inst_path)] + ([str(scheme_path)] if verb == "verify" else [])
-    assert_one_line_error(*invoke(capsys, *argv), 1, message)
+    bad_path = scheme_path if scheme is not None else inst_path
+    assert_one_line_error(*invoke(capsys, *argv), 1, f"{bad_path}: {message}")
 
 
 # argv ({t} is a directory holding inst.json, scheme.json, latin1.json and
@@ -595,6 +596,83 @@ def test_scalar_search_field_must_have_two_elements(tmp_path, capsys, q):
         *invoke(capsys, "oracle", path, "--scalar-search", "--q", q), 2,
         f"q must be a prime of at least 2, got {q}",
     )
+
+
+@pytest.mark.parametrize("q", ["4", str(2**31 + 11)], ids=["not-prime", "past-2^31"])
+def test_scalar_search_field_must_be_prime(tmp_path, capsys, q):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 0, 1))
+    assert_one_line_error(
+        *invoke(capsys, "oracle", path, "--scalar-search", "--q", q), 2, f"q must be a prime below 2^31, got {q}"
+    )
+
+
+def test_scalar_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """1,100 messages, one search level each: the search is a loop, not a recursion."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(1100, 0, 1098))
+    code, out, err = invoke(capsys, "oracle", path, "--scalar-search", "--q", "2", "--n-max", "2")
+    assert (code, err, json.loads(out)["value"]) == (0, "", 2)
+
+
+def test_minrank_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """1,100 rows with one candidate each need 1,100 nodes: one fewer stops the search."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(1100, 0, 0))
+    assert_one_line_error(
+        *invoke(capsys, "oracle", path, "--minrank", "--budget", "1099"), 3,
+        "minrank search exceeded 1099 nodes (no full matrix yet)",
+    )
+
+
+def test_long_search_space_size_is_written_exactly(tmp_path, capsys):
+    """1 + 2004^1399 has 4,620 digits, past Python's default limit on int to
+    str conversion; the output holds it exactly, and reading a file keeps the limit."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(1400, 0, 1398))
+    code, out, err = invoke(capsys, "oracle", path, "--scalar-search", "--q", "2003", "--n-max", "2")
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        obj = json.loads(out)  # one JSON document
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (obj["value"], obj["search_space_size"]) == (2, 1 + 2004**1399)
+    big = tmp_path / "big.json"
+    big.write_text('{"messages": 1' + "0" * limit + ', "destinations": []}', encoding="utf-8")
+    assert_one_line_error(
+        *invoke(capsys, "validate", str(big)), 1, f"{big}: invalid JSON: an integer has more than {limit} digits"
+    )
+
+
+# argv with {i} and {s} for good instance and scheme files, and the bad file:
+# {latin1}, an instance that is not UTF-8, or {cut}, a scheme cut short
+NAMED_FILE_CASES = {
+    "validate": ["validate", "{latin1}"],
+    "check-feasibility": ["check-feasibility", "{latin1}", "--L", "1"],
+    "transform": ["transform", "{latin1}", "--L", "1"],
+    "bounds": ["bounds", "{latin1}"],
+    "scheme": ["scheme", "--instance", "{latin1}", "--L", "1"],
+    "oracle": ["oracle", "{latin1}", "--minrank"],
+    "verify-instance": ["verify", "{latin1}", "{s}"],
+    "simulate-instance": ["simulate", "{latin1}", "{s}"],
+    "verify-scheme": ["verify", "{i}", "{cut}"],
+    "simulate-scheme": ["simulate", "{i}", "{cut}"],
+}
+BAD_FILE_ERRORS = {
+    "latin1": "'utf-8' codec can't decode byte 0xe9",
+    "cut": "invalid JSON at line 1, column 11: Expecting value",
+}
+
+
+@pytest.mark.parametrize("argv", NAMED_FILE_CASES.values(), ids=NAMED_FILE_CASES)
+def test_file_errors_name_the_file(tmp_path, capsys, argv):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("i", "s", "latin1", "cut")}
+    save_instance(gen_neighboring_antidotes(5, 1, 1), paths["i"])
+    save_scheme(build_antidote_scheme(5, 1, 1), paths["s"])
+    (tmp_path / "latin1.json").write_bytes('{"messages": "caf\u00e9"}'.encode("latin-1"))
+    (tmp_path / "cut.json").write_text('{"field": ', encoding="utf-8")
+    bad = next(a[1:-1] for a in argv if a[1:-1] in BAD_FILE_ERRORS)
+    code, out, err = invoke(capsys, *[a.format(**paths) for a in argv])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {paths[bad]}: {BAD_FILE_ERRORS[bad]}"), err
 
 
 @pytest.mark.parametrize(

@@ -130,8 +130,23 @@ def file_pair(draw):
 
 
 @st.composite
+def has_toggled(draw, inst):
+    """A copy of an instance file with one to three messages put into or taken
+    out of some destination's `has`.  Ids and demands stay, so a unicast base
+    stays unicast and most copies reach the oracles."""
+    inst = copy.deepcopy(inst)
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from(inst["destinations"]))
+        m = draw(st.integers(1, inst["messages"]))
+        if m not in d["wants"]:
+            d["has"] = sorted(set(d["has"]) ^ {m})
+    return inst
+
+
+@st.composite
 def instance_text(draw):
-    inst = draw(mutated(draw(st.sampled_from(INSTANCES))))
+    base = draw(st.sampled_from(INSTANCES))
+    inst = draw(st.one_of(mutated(base), has_toggled(base)))
     text = json.dumps(inst)
     if draw(st.integers(0, 9)) == 0:  # a truncated file
         text = text[: draw(st.integers(0, len(text)))]

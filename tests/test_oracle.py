@@ -117,9 +117,24 @@ def test_best_scalar_monotone_padding():
 
 
 def test_best_scalar_budget_limits():
+    # the budget counts beams tried, message 1's pinned beam included: 2 at
+    # n = 1 and 10 at n = 2, where no scheme exists either
     big = make_instance(7, [({k}, set()) for k in range(1, 8)])
-    with pytest.raises(BudgetExceeded):
-        best_scalar_scheme(big, 2, 2)
+    assert best_scalar_scheme(big, 2, 2, budget=12).value is None
+    with pytest.raises(BudgetExceeded, match=r"exceeded 11 nodes \(at n = 2; no scheme is shorter\)"):
+        best_scalar_scheme(big, 2, 2, budget=11)
+
+
+@pytest.mark.parametrize("params, value, nodes", [((8, 1, 2), 4, 31_328), ((12, 1, 1), 6, 53_456)])
+def test_minrank_node_budget_boundary(params, value, nodes):
+    """The budget counts candidate rows tried, pruned ones included, whatever
+    the number of messages; these searches need exactly `nodes` of them."""
+    inst = gen_neighboring_antidotes(*params)
+    res = minrank_gf2(inst, budget=nodes)
+    assert (res.value, res.search_space_size) == (value, 2**24)
+    assert verify(inst, res.witness_scheme).valid
+    with pytest.raises(BudgetExceeded, match=rf"exceeded {nodes - 1} nodes \(best rank so far {value}\)"):
+        minrank_gf2(inst, budget=nodes - 1)
 
 
 # Witness fitting matrices as computed before minrank_gf2 used galois'
@@ -188,6 +203,10 @@ ANTIDOTES = [(K, U, D) for K in range(2, 7) for D in range(K) for U in range(D +
 
 # Results of the exhaustive loops where rerunning them costs more than about
 # 50 ms (up to 15 s).  Minrank: (value, size, witness rows as bit strings).
+# At their default budget the loops refuse the six K=6 cases with more than
+# 2^20 matrices.  Those with 2^24 took them minutes with the budget raised;
+# those with 2^30 hold every off-diagonal entry free, so the all-ones matrix
+# is the only one of rank 1.
 MINRANK_SLOW = {
     (4, 1, 2): (1, 4096, "1111 1111 1111 1111"),
     (4, 0, 3): (1, 4096, "1111 1111 1111 1111"),
@@ -199,7 +218,13 @@ MINRANK_SLOW = {
     (6, 1, 1): (3, 4096, "100001 011000 011000 000110 000110 100001"),
     (6, 0, 2): (4, 4096, "101000 010100 001010 000101 100010 010001"),
     (6, 1, 2): (3, 262144, "100001 011000 011000 000110 000110 100001"),
+    (6, 2, 2): (2, 16777216, "110001 110001 001110 001110 001110 110001"),
     (6, 0, 3): (3, 262144, "100100 010010 001001 100100 010010 001001"),
+    (6, 1, 3): (2, 16777216, "111001 110110 001111 001111 110110 111001"),
+    (6, 2, 3): (1, 1073741824, "111111 111111 111111 111111 111111 111111"),
+    (6, 0, 4): (2, 16777216, "101010 010101 101010 010101 101010 010101"),
+    (6, 1, 4): (1, 1073741824, "111111 111111 111111 111111 111111 111111"),
+    (6, 0, 5): (1, 1073741824, "111111 111111 111111 111111 111111 111111"),
 }
 # Scalar search with n <= 3: (K, U, D, q) -> (value, size, beams of messages 1..K).
 SCALAR_SLOW = {
@@ -226,13 +251,7 @@ def test_minrank_matches_reference_on_antidotes(K, U, D):
         rows = [[int(b) for b in row] for row in MINRANK_SLOW[K, U, D][2].split()]
         assert (res.value, res.search_space_size, res.witness_matrix.row_list()) == MINRANK_SLOW[K, U, D][:2] + (rows,)
         return
-    try:
-        expected = outcome(ref.minrank_gf2(inst))
-    except BudgetExceeded:
-        with pytest.raises(BudgetExceeded):
-            minrank_gf2(inst)
-        return
-    assert outcome(minrank_gf2(inst)) == expected
+    assert outcome(minrank_gf2(inst)) == outcome(ref.minrank_gf2(inst))
 
 
 @pytest.mark.parametrize("K, U, D", ANTIDOTES, ids=[f"K{K}-U{U}-D{D}" for K, U, D in ANTIDOTES])
@@ -290,21 +309,30 @@ def test_scalar_search_matches_reference_on_random_instances():
 
 
 def test_oracle_limits_match_reference():
+    """The reference keeps the old size limits; the searches count nodes and
+    answer past them."""
     unicast7 = make_instance(7, [({k}, set()) for k in range(1, 8)])
     dense6 = make_instance(6, [({k}, {1, 2, 3, 4, 5, 6} - {k}) for k in range(1, 7)])
     pentagon = gen_neighboring_antidotes(5, 1, 1)
-    for search in (minrank_gf2, ref.minrank_gf2):
+    for inst, budget, value in [(unicast7, 2**20, 7), (dense6, 2**29, 1)]:
         with pytest.raises(BudgetExceeded):
-            search(unicast7)
-        with pytest.raises(BudgetExceeded):
-            search(dense6, budget=2**29)
+            ref.minrank_gf2(inst, budget=budget)
+        res = minrank_gf2(inst, budget=budget)
+        assert res.value == value and verify(inst, res.witness_scheme).valid
     for search in (best_scalar_scheme, ref.best_scalar_scheme):
         for q, n_max in [(1, 2), (2, 0), (2, -2)]:
             with pytest.raises(BadParams):
                 search(pentagon, q, n_max)
-        for q, n_max in [(5, 2), (2, 4)]:
-            with pytest.raises(BudgetExceeded):
-                search(pentagon, q, n_max)
+    for q, n_max, value in [(5, 2, None), (2, 4, 3)]:
         with pytest.raises(BudgetExceeded):
-            search(pentagon, 3, 3, budget=100)  # 13^4 assignments at n = 3
+            ref.best_scalar_scheme(pentagon, q, n_max)
+        assert best_scalar_scheme(pentagon, q, n_max).value == value
+    with pytest.raises(BudgetExceeded):
+        ref.best_scalar_scheme(pentagon, 3, 3, budget=100)  # 13^4 assignments at n = 3
+    with pytest.raises(BudgetExceeded):
+        best_scalar_scheme(pentagon, 3, 3, budget=90)  # 91 nodes
+    for search in (best_scalar_scheme, ref.best_scalar_scheme):
         assert search(pentagon, 3, 3, budget=13**4).value == 3
+    for q in (4, 2**31 + 11):  # not a prime, and a prime past the field's range
+        with pytest.raises(BadParams):
+            best_scalar_scheme(pentagon, q, 2)
