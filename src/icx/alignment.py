@@ -3,9 +3,10 @@
 Two messages are related at destination k when both interfere there (neither
 desired nor held); related messages must share signal space in any scheme
 where every destination recovers its L demands at rate 1/(L+1).  The
-connected components of this relation are the alignment subsets.  Rate
-1/(L+1) per message is achievable iff no two same-subset messages collide,
-i.e. one of them is desired somewhere the other is not an antidote.
+connected components of this relation, found from each destination's
+interferers without listing pairs, are the alignment subsets.  Rate 1/(L+1)
+per message is achievable iff no two same-subset messages collide, i.e. one
+of them is desired somewhere the other is not an antidote.
 
 Subset consolidation beyond connected components is deliberately not
 attempted (minimizing the subset count is NP-hard, and a larger field or
@@ -14,45 +15,44 @@ block length always fits the component count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from itertools import combinations
+from math import comb
 from typing import TYPE_CHECKING, Optional
 
-from .errors import Infeasible, NotNormalized, UnsupportedL
+from .errors import BadParams, Infeasible, NotNormalized, UnsupportedL
 from .model import Instance, normalize
 
 if TYPE_CHECKING:  # the partition is pure combinatorics; only the builders need fields
     from .scheme import LinearScheme
 
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+# Far above the longest edge list the tests, scripts and benchmark print (1,200
+# triples), and far below what exhausts memory.
+MAX_ALIGNMENT_EDGES = 1_000_000
 
 
 @dataclass(frozen=True)
 class AlignmentPartition:
-    """Edges (i, j, k) with i < j, plus the induced subsets P_1..P_Z."""
+    """The subsets P_1..P_Z of an instance, whose edges are listed on request."""
 
     L: int
-    edges: frozenset
+    instance: Instance = dc_field(compare=False, repr=False)
     subsets: tuple  # tuple of frozensets, ordered by smallest member
 
     @property
     def Z(self) -> int:
         return len(self.subsets)
+
+    @property
+    def edges(self) -> frozenset:
+        """(i, j, k), i < j, for i and j interfering at k; BadParams past MAX_ALIGNMENT_EDGES."""
+        inst = self.instance
+        count = sum(comb(len(inst.interferers(d)), 2) for d in inst.destinations)
+        if count > MAX_ALIGNMENT_EDGES:
+            raise BadParams(f"the alignment relation has {count} edges, more than the limit of {MAX_ALIGNMENT_EDGES}")
+        return frozenset(
+            (i, j, d.id) for d in inst.destinations for i, j in combinations(sorted(inst.interferers(d)), 2)
+        )
 
     def subset_index(self, m: int) -> int:
         """1-based index of the subset containing message m."""
@@ -75,20 +75,18 @@ def partition(inst: Instance) -> AlignmentPartition:
     sizes = inst.demand_sizes()
     if len(sizes) != 1:
         raise NotNormalized(f"demand sizes differ: {sorted(sizes)}")
-    L = sizes.pop()
-    edges = set()
-    uf = _UnionFind(range(1, inst.num_messages + 1))
+    # each destination's interferers join one group, the smaller groups moving into the largest
+    label = list(range(inst.num_messages + 1))  # message -> its group
+    groups = {m: [m] for m in range(1, inst.num_messages + 1)}  # group -> messages
     for d in inst.destinations:
-        outside = sorted(inst.interferers(d))
-        for a in range(len(outside)):
-            for b in range(a + 1, len(outside)):
-                edges.add((outside[a], outside[b], d.id))
-                uf.union(outside[a], outside[b])
-    groups = {}
-    for m in range(1, inst.num_messages + 1):
-        groups.setdefault(uf.find(m), set()).add(m)
-    subsets = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
-    return AlignmentPartition(L, frozenset(edges), subsets)
+        spanned = {label[m] for m in inst.interferers(d)}
+        keep = max(spanned, key=lambda g: len(groups[g]), default=None)
+        for g in spanned - {keep}:
+            for m in groups[g]:
+                label[m] = keep
+            groups[keep] += groups.pop(g)
+    subsets = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    return AlignmentPartition(sizes.pop(), inst, subsets)
 
 
 @dataclass(frozen=True)
@@ -113,17 +111,12 @@ def check_feasibility(inst: Instance, L: int) -> FeasibilityVerdict:
     """
     norm = normalize(inst, L)
     part = partition(norm)
-    for sub in part.subsets:
-        if len(sub) < 2:
-            continue
-        members = sorted(sub)
-        for i in members:
-            for j in members:
-                if i == j:
-                    continue
-                for d in norm.destinations:
-                    if j in d.wants and i not in d.has:
-                        return FeasibilityVerdict(False, (i, j, d.id), part)
+    for sub in (s for s in part.subsets if len(s) > 1):
+        for i in sorted(sub):
+            # (j, k): j in the subset is desired at k, where i is not held
+            conflicts = [(j, d.id) for d in norm.destinations if i not in d.has for j in d.wants & sub if j != i]
+            if conflicts:
+                return FeasibilityVerdict(False, (i, *min(conflicts, key=lambda c: c[0])), part)
     return FeasibilityVerdict(True, None, part)
 
 

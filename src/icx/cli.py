@@ -287,7 +287,6 @@ def _cmd_bounds(args):
     inst = _load_instance(args.instance)
     want_all = not (args.simple or args.chain or args.family)
     out = {}
-    code = EXIT_OK
     if args.simple or want_all:
         out["simple"] = [c.to_json() for c in bounds.simple_bounds(inst)]
     if args.chain or want_all:
@@ -307,7 +306,7 @@ def _cmd_bounds(args):
             "capacity_per_message": f"{value.numerator}/{value.denominator}",
             "certificate": cert.to_json(),
         }
-    return out, code
+    return out, EXIT_OK
 
 
 def _cmd_oracle(args):

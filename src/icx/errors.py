@@ -85,11 +85,21 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"invalid JSON: key {json.dumps(key)} repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_json(text: str):
-    """Decode a file's JSON text; malformed or too deeply nested text, or an
-    integer past Python's digit limit, is a ParseError."""
+    """Decode a file's JSON text; malformed or too deeply nested text, a key
+    repeated in one object, or an integer past Python's digit limit, is a
+    ParseError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:

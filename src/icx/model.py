@@ -116,10 +116,6 @@ class RateVector:
     def __len__(self) -> int:
         return len(self.rates)
 
-    @staticmethod
-    def uniform(m: int, value: Fraction) -> "RateVector":
-        return RateVector((Fraction(value),) * m)
-
 
 # ----------------------------------------------------------------------
 # validation

@@ -491,6 +491,16 @@ def scheme_to_json(scheme: LinearScheme) -> dict:
     return out
 
 
+def _key_ids(key: str, count: int):
+    """The ids of a V key 'm' (count 1) or a U key 'm@k' (count 2), or None
+    unless the key is written exactly as scheme_to_json writes it."""
+    try:
+        ids = tuple(map(int, key.split("@")))
+    except ValueError:
+        return None
+    return ids if len(ids) == count and "@".join(map(str, ids)) == key else None
+
+
 def scheme_from_json(obj: dict) -> LinearScheme:
     if not isinstance(obj, dict):
         raise ParseError("scheme file must contain a JSON object")
@@ -532,21 +542,18 @@ def scheme_from_json(obj: dict) -> LinearScheme:
         raise ParseError("'V' and 'U' must be objects")
     V = {}
     for key, rows in obj["V"].items():
-        try:
-            m = int(key)
-        except ValueError:
+        ids = _key_ids(key, 1)
+        if ids is None:
             raise ParseError(f"V key {key!r} is not a message id")
-        V[m] = read_matrix(rows, f"V[{key}]")
+        V[ids[0]] = read_matrix(rows, f"V[{key}]")
     U = None
     if U_obj is not None:
         U = {}
         for key, rows in U_obj.items():
-            try:
-                ms, ks = key.split("@")
-                mk = (int(ms), int(ks))
-            except ValueError:
+            ids = _key_ids(key, 2)
+            if ids is None:
                 raise ParseError(f"U key {key!r} is not of the form 'm@k'")
-            U[mk] = read_matrix(rows, f"U[{key}]")
+            U[ids] = read_matrix(rows, f"U[{key}]")
     try:
         return LinearScheme(field, n, V, U)
     except SchemeMalformed as exc:

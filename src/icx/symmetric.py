@@ -148,11 +148,7 @@ def _example1(field: Field) -> BuiltinExample:
         2: _cols(field, [(1, 0)]),
         3: _cols(field, [(1, 0)]),
     }
-    U = {
-        (1, 1): Matrix.from_rows(field, [[0, 1]]),
-        (2, 2): Matrix.from_rows(field, [[1, 0]]),
-        (3, 3): Matrix.from_rows(field, [[1, 0]]),
-    }
+    U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(1, inst, LinearScheme(field, 2, V, U), Fraction(1, 2))
 
 
@@ -177,13 +173,7 @@ def _example2(field: Field) -> BuiltinExample:
         4: _cols(field, [t(4), t(5)]),
         5: _cols(field, [t(1), t(2)]),
     }
-    U = {
-        (1, 1): Matrix.from_rows(field, [list(t(3)), list(t(4))]),
-        (2, 2): Matrix.from_rows(field, [list(t(5)), list(t(1))]),
-        (3, 3): Matrix.from_rows(field, [list(t(2)), list(t(3))]),
-        (4, 4): Matrix.from_rows(field, [list(t(4)), list(t(5))]),
-        (5, 5): Matrix.from_rows(field, [list(t(1)), list(t(2))]),
-    }
+    U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(2, inst, LinearScheme(field, 5, V, U), Fraction(2, 5))
 
 

@@ -1,6 +1,12 @@
-"""Alignment partition, feasibility verdicts, and the two rate constructions."""
+"""Alignment partition, feasibility verdicts, and the two rate constructions.
+
+The verdicts, edges included, are checked against the all-pairs loops of
+``tests/reference_alignment.py``.
+"""
 
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -12,11 +18,12 @@ from icx.alignment import (
 )
 from icx.errors import Infeasible, NotNormalized, UnsupportedL
 from icx.galois import PrimeField
-from icx.model import Destination, Instance, normalize
+from icx.model import Destination, Instance, gen_neighboring_antidotes, normalize
 from icx.scheme import simulate_exhaustive, verify
 from icx.symmetric import builtin_example
 
 from conftest import make_instance
+import reference_alignment as ref
 
 
 # ----------------------------------------------------------------------
@@ -62,6 +69,10 @@ def test_partition_invariant_under_destination_reordering(chain_m5k5):
         ),
     )
     assert partition(inst).subsets == partition(shuffled).subsets
+    # the instance a partition keeps is left out of equality and repr
+    assert partition(inst) == partition(shuffled)
+    assert partition(inst).edges != partition(shuffled).edges
+    assert "instance" not in repr(partition(inst))
 
 
 def test_partition_commutes_with_message_relabeling(chain_m5k5):
@@ -140,6 +151,42 @@ def test_adding_antidote_preserves_feasibility():
             grown.append((wants, has))
         assert check_feasibility(make_instance(M, grown), 1).feasible
     assert checked > 30
+
+
+def _random_instance(rnd, L):
+    """At most 9 messages and 9 destinations, each desiring L or L+1 messages."""
+    M = rnd.randint(L + 1, 9)
+    dests = []
+    for _ in range(rnd.randint(1, 9)):
+        wants = set(rnd.sample(range(1, M + 1), rnd.choice([L, L, L + 1])))
+        has = {m for m in range(1, M + 1) if m not in wants and rnd.random() < 0.4}
+        dests.append((wants, has))
+    return make_instance(M, dests)
+
+
+def test_verdicts_agree_with_the_all_pairs_reference():
+    rnd = random.Random(12)
+    verdicts = Counter()
+    for _ in range(600):
+        L = rnd.randint(1, 3)
+        inst = _random_instance(rnd, L)
+        got = check_feasibility(inst, L).to_json()
+        assert got == ref.check_feasibility_json(inst, L)
+        verdicts[got["feasible"]] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_feasibility_lists_no_pairs():
+    """Antidotes K=150 U=0 D=1 has 1.6 million edges; none is built for the verdict."""
+    inst = gen_neighboring_antidotes(150, 0, 1)
+    tracemalloc.start()
+    try:
+        verdict = check_feasibility(inst, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.witness == (1, 2, 2)
+    assert peak < 10 * 2**20, peak
 
 
 # ----------------------------------------------------------------------

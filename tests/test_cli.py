@@ -692,3 +692,61 @@ def test_family_generators_are_capped(capsys, argv, size):
         *invoke(capsys, *argv), 2,
         f"the instance would have {size} side-information entries; the limits are 10000, 10000 and 2000000",
     )
+
+
+def test_alignment_edge_list_is_capped(tmp_path, capsys, monkeypatch):
+    """Antidotes K=8 U=0 D=1 has 8 * C(6, 2) = 120 edges: listed at a limit of
+    120, refused past it, and not needed for the verdict itself."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(8, 0, 1))
+    monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 120)
+    code, out, _ = invoke(capsys, "check-feasibility", path, "--L", "1")
+    assert code == 1 and len(json.loads(out)["partition"]["edges"]) == 120
+    monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 119)
+    message = "the alignment relation has 120 edges, more than the limit of 119"
+    assert_one_line_error(*invoke(capsys, "check-feasibility", path, "--L", "1"), 2, message)
+    assert_one_line_error(*invoke(capsys, "bounds", path, "--chain"), 2, message)
+    code, out, _ = invoke(capsys, "scheme", "--instance", path, "--L", "1")
+    assert (code, json.loads(out)) == (1, {"feasible": False, "witness": [1, 2, 2]})
+
+
+def one_message_scheme(V, U='{"1@1": [[1]]}'):
+    return f'{{"field": {{"kind": "prime", "p": 3}}, "n": 1, "V": {V}, "U": {U}}}\n'
+
+
+# the file that is at fault, its text, and the error that follows its path
+STRICT_KEY_CASES = {
+    "instance-key-repeated": (
+        "instance", '{"messages": 2, "destinations": [{"id": 1, "wants": [1], "has": []}], "messages": 1}',
+        'invalid JSON: key "messages" repeated in one object',
+    ),
+    "destination-key-repeated": (
+        "instance", '{"messages": 1, "destinations": [{"id": 1, "wants": [1], "has": [], "has": [1]}]}',
+        'invalid JSON: key "has" repeated in one object',
+    ),
+    "V-key-repeated": (
+        "scheme", one_message_scheme('{"1": [[1]], "1": [[0]]}'), 'invalid JSON: key "1" repeated in one object',
+    ),
+    "V-key-leading-zero": ("scheme", one_message_scheme('{"1": [[1]], "01": [[0]]}'), "V key '01' is not a message id"),
+    "V-key-space": ("scheme", one_message_scheme('{" 1": [[1]]}'), "V key ' 1' is not a message id"),
+    "V-key-plus": ("scheme", one_message_scheme('{"+1": [[1]]}'), "V key '+1' is not a message id"),
+    "V-key-underscore": ("scheme", one_message_scheme('{"1_0": [[1]]}'), "V key '1_0' is not a message id"),
+    "U-key-space": (
+        "scheme", one_message_scheme('{"1": [[1]]}', '{"1@1": [[1]], " 1@1": [[2]]}'),
+        "U key ' 1@1' is not of the form 'm@k'",
+    ),
+    "U-key-leading-zero": (
+        "scheme", one_message_scheme('{"1": [[1]]}', '{"1@01": [[1]]}'), "U key '1@01' is not of the form 'm@k'",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad, text, message", STRICT_KEY_CASES.values(), ids=STRICT_KEY_CASES)
+def test_file_keys_are_strict(tmp_path, capsys, bad, text, message):
+    """A repeated key, or a scheme id not written as icx writes it, would
+    otherwise name a message the file does not show."""
+    paths = {"instance": tmp_path / "inst.json", "scheme": tmp_path / "scheme.json"}
+    paths["instance"].write_text(ONE_MESSAGE, encoding="utf-8")
+    paths["scheme"].write_text(one_message_scheme('{"1": [[1]]}'), encoding="utf-8")
+    paths[bad].write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", str(paths["instance"]), str(paths["scheme"]))
+    assert_one_line_error(code, out, err, 1, f"{paths[bad]}: {message}")

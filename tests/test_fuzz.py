@@ -4,8 +4,10 @@ Every call must end with exit code 0, 1, 2 or 3 and at most one line on
 stderr, never a traceback.  Where `icx verify` and `icx simulate` both reach
 a verdict, they agree: an exhaustive simulation passes iff verification does,
 and a sampled counterexample is only ever reported for a scheme that
-verification rejects.  A minrank witness verifies and violates no
-simple-bound certificate.
+verification rejects.  Every scheme that verifies for an instance (an
+oracle's witness, or the alignment construction at rate 1/(L+1)) violates
+no certificate that `icx bounds` prints for it: simple, chain at the same L,
+or family when the tag holds.
 """
 
 import contextlib
@@ -228,17 +230,38 @@ def test_mutated_instances_through_instance_verbs(tmp_path, text, L):
         assert code in (0, 1, 2, 3), (argv, code)
         assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
         outputs[" ".join(argv[2:])] = code, out
-    code, out = outputs["--minrank"]
-    if code != 0:
-        return
-    minrank = json.loads(out)
-    # the witness is a scalar scheme of length minrank: it verifies, and its
-    # rate 1/minrank per message violates no simple-bound certificate
+    # every scheme that verified, as its per-message rates: the oracles'
+    # witnesses (a scalar scheme of length n has rate 1/n per message) and
+    # the alignment construction at 1/(L+1)
     scheme_path = tmp_path / "scheme.json"
-    scheme_path.write_text(json.dumps(minrank["witness_scheme"]), encoding="utf-8")
-    code, out, _ = call(["verify", inst, str(scheme_path)])
-    assert (code, json.loads(out)["valid"]) == (0, True)
-    code, out, _ = call(["bounds", inst, "--simple"])
-    assert code == 0
-    for cert in json.loads(out)["simple"]:
-        assert Fraction(len(cert["terms"]), minrank["value"]) <= Fraction(cert["rhs"]), cert
+    rate_vectors = []
+    for key in ("--minrank", "--scalar-search --q 2 --n-max 2"):
+        code, out = outputs[key]
+        if code != 0:
+            continue
+        found = json.loads(out)
+        scheme_path.write_text(json.dumps(found["witness_scheme"]), encoding="utf-8")
+        code, out, _ = call(["verify", inst, str(scheme_path)])
+        assert (code, json.loads(out)["valid"]) == (0, True)
+        rates = {int(m): Fraction(r) for m, r in json.loads(out)["rates"].items()}
+        assert set(rates.values()) == {Fraction(1, found["value"])}
+        rate_vectors.append(rates)
+    code, out = outputs[f"{inst} --L {L} --verify"]
+    if code == 0:
+        report = json.loads(out)["verification"]
+        assert report["valid"]
+        rate_vectors.append({int(m): Fraction(r) for m, r in report["rates"].items()})
+    if not rate_vectors:
+        return
+    # every certificate bounds prints for the file at the same L violates none
+    certs = []
+    for argv, codes in [(["--simple"], (0,)), (["--chain", "--L", L], (0, 2, 3)), (["--family"], (0, 2))]:
+        code, out, err = call(["bounds", inst, *argv])
+        assert code in codes and len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, code, err)
+        if code == 0:
+            found = json.loads(out)
+            certs += found.get("simple", []) + found.get("chain", [])
+            certs += [found["family"]["certificate"]] if "family" in found else []
+    for rates in rate_vectors:
+        for cert in certs:
+            assert sum(rates[m] for m in cert["terms"]) <= Fraction(cert["rhs"]), (rates, cert)
