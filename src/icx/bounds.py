@@ -27,6 +27,9 @@ from .alignment import partition
 
 DEFAULT_CHAIN_MAX_N = 4
 DEFAULT_CHAIN_BUDGET = 200_000
+# Ordered destination pairs simple_bounds considers, K(K-1); 250,000 allows
+# K <= 500, far above the 380 pairs of the tests and benchmark.
+MAX_SIMPLE_PAIRS = 250_000
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,11 @@ def simple_bounds(inst: Instance) -> list:
     For a pair (k, j): the demands of k plus the demands of j that interfere
     at k sum to at most one link use.  Pairs whose second term is empty
     collapse to the single-destination bound.  Deduplicated by term multiset.
+    Raises BadParams, before building any, past MAX_SIMPLE_PAIRS pairs.
     """
+    K = len(inst.destinations)
+    if K * (K - 1) > MAX_SIMPLE_PAIRS:
+        raise BadParams(f"simple bounds: {K * (K - 1)} destination pairs, more than the limit of {MAX_SIMPLE_PAIRS}")
     certs = {}
     for d in inst.destinations:
         cert = BoundCertificate("simple", tuple(sorted(d.wants)), Fraction(1), (d.id,))
@@ -129,8 +136,9 @@ def chain_bounds(
     The search is depth first: start messages in increasing order, then
     neighbours in increasing order, each link through its realizing
     destinations in increasing order.  Every path, the single-message
-    starts included, counts as one visited state.  Of the certificates with equal terms and rhs, the first
-    met is kept, with the first closing destination k in instance order.
+    starts included, counts as one visited state.  Of the certificates with
+    equal terms and rhs, the first met is kept, with the first closing
+    destination k in instance order.
 
     Raises BadParams unless maxN >= 1 and budget >= 1, and BudgetExceeded
     (with the certificates found so far attached) when the enumeration
@@ -139,17 +147,12 @@ def chain_bounds(
     if maxN < 1 or budget < 1:
         raise BadParams(f"chain search needs maxN >= 1 and budget >= 1, got maxN={maxN}, budget={budget}")
     norm = normalize(inst, L)
-    part = partition(norm)
-    by_pair = {}
-    for (a, b, k) in part.edges:
-        by_pair.setdefault((a, b), []).append(k)
-        by_pair.setdefault((b, a), []).append(k)
     wants = {d.id: tuple(sorted(d.wants)) for d in norm.destinations}
     # message a -> its links (b, realizer j, the terms the link adds: b and
-    # j's sorted wants), by b and then j ascending
+    # j's sorted wants), by b and then j ascending: each edge read both ways
     links = {}
-    for (a, b), dests in sorted(by_pair.items()):
-        links.setdefault(a, []).extend((b, j, (b,) + wants[j]) for j in sorted(dests))
+    for a, b, j in sorted(t for x, y, j in partition(norm).edges for t in ((x, y, j), (y, x, j))):
+        links.setdefault(a, []).append((b, j, (b,) + wants[j]))
     closers = {}  # message -> [(k, antidotes of k)] for the destinations k desiring it
     for d in norm.destinations:
         for m in d.wants:

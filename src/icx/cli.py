@@ -11,7 +11,7 @@ import argparse
 import sys
 
 # Each handler imports the modules its verb needs, so a call loads no others.
-from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, read_file
+from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, read_file, write_file
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,8 +55,7 @@ def _positive_int(text):
 def _emit(obj, out_path):
     text = dump_json(obj)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_file(out_path, text)
     else:
         sys.stdout.write(text)
 

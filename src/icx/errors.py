@@ -118,6 +118,12 @@ def read_file(path, parse):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def write_file(path, text: str):
+    """Write text to a file as UTF-8 with "\\n" line ends: the counterpart of read_file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def dump_json(obj) -> str:
     """The one output format: sorted keys, two-space indent, a final newline,
     and integers of any length (reading keeps Python's digit limit)."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -164,8 +164,6 @@ class PrimeField:
         if not (2 <= self.p < 2**31) or not _is_prime(self.p):
             raise ValueError(f"p={self.p} is not a prime in [2, 2^31)")
 
-    kind = "prime"
-
     @property
     def order(self) -> int:
         return self.p
@@ -216,8 +214,6 @@ class BinaryField:
             raise ValueError(
                 f"reduction polynomial {bin(self.poly)} is not irreducible of degree {self.m}"
             )
-
-    kind = "binary-extension"
 
     @property
     def order(self) -> int:
@@ -525,26 +521,14 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        ocols = other.cols
+        bcols = [other.col(j) for j in range(other.cols)]
         if isinstance(f, PrimeField):
             # Python ints do not overflow: one reduction per dot product.
             p = f.p
-            bcols = [other.col(j) for j in range(ocols)]
             out = [sum(map(operator.mul, arow, bcol)) % p for arow in self._row_tuples() for bcol in bcols]
-            return Matrix._trusted(f, self.rows, ocols, tuple(out))
-        out = []
-        for i in range(self.rows):
-            arow = self.row(i)
-            for j in range(ocols):
-                acc = 0
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a:
-                        b = other.entries[k * ocols + j]
-                        if b:
-                            acc ^= f.mul(a, b)
-                out.append(acc)
-        return Matrix._trusted(f, self.rows, ocols, tuple(out))
+        else:
+            out = [reduce(operator.xor, map(f.mul, arow, bcol), 0) for arow in self._row_tuples() for bcol in bcols]
+        return Matrix._trusted(f, self.rows, other.cols, tuple(out))
 
     def add(self, other: "Matrix") -> "Matrix":
         _same_field(self.field, other.field)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    BadParams, CannotNormalize, ParseError, UnsupportedFamily, dump_json, is_int, parse_json, read_file
+    BadParams, CannotNormalize, ParseError, UnsupportedFamily, dump_json, is_int, parse_json, read_file, write_file
 )
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
@@ -438,5 +438,4 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_instance(inst))
+    write_file(path, serialize_instance(inst))

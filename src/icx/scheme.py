@@ -46,6 +46,7 @@ from .errors import (
     is_int,
     parse_json,
     read_file,
+    write_file,
 )
 from .galois import EchelonBasis, Field, Matrix, field_from_json
 from .model import Instance, check_family
@@ -573,5 +574,4 @@ def load_scheme(path) -> LinearScheme:
 
 
 def save_scheme(scheme: LinearScheme, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_scheme(scheme))
+    write_file(path, serialize_scheme(scheme))

@@ -127,10 +127,6 @@ class BuiltinExample:
     claimed_rate: Fraction
 
 
-def _cols(field: Field, cols) -> Matrix:
-    return Matrix.from_cols(field, [list(c) for c in cols])
-
-
 def _example1(field: Field) -> BuiltinExample:
     # Three messages on a two-dimensional broadcast: messages 2 and 3 share a
     # beam, destination 1 reads the clean coordinate, destinations 2 and 3
@@ -144,9 +140,9 @@ def _example1(field: Field) -> BuiltinExample:
         ),
     )
     V = {
-        1: _cols(field, [(0, 1)]),
-        2: _cols(field, [(1, 0)]),
-        3: _cols(field, [(1, 0)]),
+        1: Matrix.from_cols(field, [(0, 1)]),
+        2: Matrix.from_cols(field, [(1, 0)]),
+        3: Matrix.from_cols(field, [(1, 0)]),
     }
     U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(1, inst, LinearScheme(field, 2, V, U), Fraction(1, 2))
@@ -167,11 +163,11 @@ def _example2(field: Field) -> BuiltinExample:
         return tuple(1 if r == i - 1 else 0 for r in range(5))
 
     V = {
-        1: _cols(field, [t(3), t(4)]),
-        2: _cols(field, [t(5), t(1)]),
-        3: _cols(field, [t(2), t(3)]),
-        4: _cols(field, [t(4), t(5)]),
-        5: _cols(field, [t(1), t(2)]),
+        1: Matrix.from_cols(field, [t(3), t(4)]),
+        2: Matrix.from_cols(field, [t(5), t(1)]),
+        3: Matrix.from_cols(field, [t(2), t(3)]),
+        4: Matrix.from_cols(field, [t(4), t(5)]),
+        5: Matrix.from_cols(field, [t(1), t(2)]),
     }
     U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(2, inst, LinearScheme(field, 5, V, U), Fraction(2, 5))
@@ -204,7 +200,7 @@ def _example3(field: Field) -> BuiltinExample:
         14: (1, 1, 0, 0, 0, 1),
         15: (1, 1, 1, -1, -1, 0),
     }
-    V = {m: _cols(field, [V_cols[m]]) for m in V_cols}
+    V = {m: Matrix.from_cols(field, [V_cols[m]]) for m in V_cols}
     U_rows = {
         (3, 1): [1, 0, 0, 0, 0, 0],
         (5, 1): [0, 1, 0, 0, 0, 0],

@@ -17,7 +17,7 @@ from icx.model import (
     save_instance,
     serialize_instance,
 )
-from icx.scheme import LinearScheme, save_scheme
+from icx.scheme import LinearScheme, save_scheme, serialize_scheme
 from icx.symmetric import build_antidote_scheme, build_interference_scheme
 
 from conftest import make_instance
@@ -707,6 +707,43 @@ def test_alignment_edge_list_is_capped(tmp_path, capsys, monkeypatch):
     assert_one_line_error(*invoke(capsys, "bounds", path, "--chain"), 2, message)
     code, out, _ = invoke(capsys, "scheme", "--instance", path, "--L", "1")
     assert (code, json.loads(out)) == (1, {"feasible": False, "witness": [1, 2, 2]})
+
+
+def test_simple_bound_pairs_are_capped(tmp_path, capsys, monkeypatch):
+    """Antidotes K=8 U=0 D=1 has 8 * 7 = 56 ordered destination pairs:
+    answered at a limit of 56, refused past it, also by bounds with no flags."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(8, 0, 1))
+    monkeypatch.setattr("icx.bounds.MAX_SIMPLE_PAIRS", 56)
+    code, out, _ = invoke(capsys, "bounds", path, "--simple")
+    assert code == 0 and json.loads(out)["simple"]
+    monkeypatch.setattr("icx.bounds.MAX_SIMPLE_PAIRS", 55)
+    message = "simple bounds: 56 destination pairs, more than the limit of 55"
+    assert_one_line_error(*invoke(capsys, "bounds", path, "--simple"), 2, message)
+    assert_one_line_error(*invoke(capsys, "bounds", path), 2, message)
+    code, out, _ = invoke(capsys, "bounds", path, "--family")
+    assert code == 0 and "simple" not in json.loads(out)
+
+
+@pytest.mark.parametrize("writer", ["--out", "save_instance", "save_scheme"])
+def test_files_hold_exactly_the_serialized_text(tmp_path, capsys, writer):
+    """--out writes the bytes the same call prints, and save_* the bytes of
+    serialize_*: UTF-8 with "\\n" line ends only, over a longer old file."""
+    path = tmp_path / "out.json"
+    path.write_text("x" * 100_000, encoding="utf-8")
+    if writer == "--out":
+        argv = ["example", "2", "--verify", "--field", "gf2m=3"]
+        _, text, _ = invoke(capsys, *argv)
+        assert invoke(capsys, *argv, "--out", str(path)) == (0, "", "")
+    elif writer == "save_instance":
+        inst = gen_neighboring_antidotes(5, 1, 1)
+        save_instance(inst, str(path))
+        text = serialize_instance(inst)
+    else:
+        sch = build_antidote_scheme(5, 1, 1)
+        save_scheme(sch, str(path))
+        text = serialize_scheme(sch)
+    data = path.read_bytes()
+    assert data == text.encode("utf-8") and b"\r" not in data
 
 
 def one_message_scheme(V, U='{"1@1": [[1]]}'):

@@ -10,8 +10,11 @@ function.  ``__init__.py`` files re-export by importing, so they are skipped.
 
 import ast
 import importlib
+import inspect
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -142,23 +145,56 @@ def test_from_icx_import_loads_only_that_module():
     assert proc.stdout.splitlines()[-1] == "['icx', 'icx.errors', 'icx.galois']"
 
 
-def _tracer_constants():
-    """LAYERS and CLASS_METHODS as written in perfbench/tracer.py, read without importing it."""
+def _tracer_source():
+    """perfbench/tracer.py's syntax tree, and its LAYERS and CLASS_METHODS as
+    written, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
-    return {
+    return tree, {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("LAYERS", "CLASS_METHODS")
     }
 
 
+def _span_names(tree, layers) -> set:
+    """The plain string literals of the tracer that read <layer>.<name>[.<method>],
+    less the benchmark's per-layer metric names (``galois.elim_calls``)."""
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
+    dotted = re.compile(rf"(?:{'|'.join(layers)})(?:\.\w+){{1,2}}")
+    return {
+        n.value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and dotted.fullmatch(n.value)
+        and n.value not in metrics
+    }
+
+
 def test_benchmark_tracer_finds_what_it_wraps():
-    """The benchmark wraps these modules and class attributes by name; deleting
-    one (even an unused method such as ``Matrix.scale``) must fail here first."""
-    found = _tracer_constants()
+    """The benchmark wraps these modules and class attributes by name, and
+    reads spans by name; deleting one (even an unused method such as
+    ``Matrix.scale``), or no longer importing a private helper such as
+    ``scheme._independent_rows`` from another module, must fail here first,
+    not leave a per-layer metric reading 0."""
+    tree, found = _tracer_source()
     assert set(found) == {"LAYERS", "CLASS_METHODS"}
-    for layer in found["LAYERS"]:
-        importlib.import_module(f"icx.{layer}")
+    modules = {layer: importlib.import_module(f"icx.{layer}") for layer in found["LAYERS"]}
     for (layer, cls_name), methods in found["CLASS_METHODS"].items():
-        cls = getattr(importlib.import_module(f"icx.{layer}"), cls_name)
+        cls = getattr(modules[layer], cls_name)
         assert [m for m in methods if m not in vars(cls)] == [], (layer, cls_name)
+
+    def wrapped(span):
+        """What the tracer wraps: a public function of the module, a private
+        one that another of its modules imports by name, or a class method."""
+        layer, _, name = span.partition(".")
+        if "." in name:
+            cls_name, _, method = name.partition(".")
+            return method in found["CLASS_METHODS"].get((layer, cls_name), ())
+        fn = vars(modules[layer]).get(name)
+        if not inspect.isfunction(fn) or fn.__module__ != f"icx.{layer}":
+            return False
+        others = [m for other, m in modules.items() if other != layer]
+        return not name.startswith("_") or any(vars(m).get(name) is fn for m in others)
+
+    spans = _span_names(tree, found["LAYERS"])
+    assert "scheme._independent_rows" in spans and "galois.Matrix.__matmul__" in spans
+    assert sorted(s for s in spans if not wrapped(s)) == []
