@@ -15,12 +15,11 @@ block length always fits the component count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Optional
 
-from .errors import BadParams, Infeasible, NotNormalized, UnsupportedL
+from .errors import BadParams, Infeasible, NotNormalized, Record, UnsupportedL
 from .model import Instance, normalize
 
 if TYPE_CHECKING:  # the partition is pure combinatorics; only the builders need fields
@@ -31,13 +30,16 @@ if TYPE_CHECKING:  # the partition is pure combinatorics; only the builders need
 MAX_ALIGNMENT_EDGES = 1_000_000
 
 
-@dataclass(frozen=True)
-class AlignmentPartition:
-    """The subsets P_1..P_Z of an instance, whose edges are listed on request."""
+class AlignmentPartition(Record):
+    """The subsets P_1..P_Z of an instance, a tuple of frozensets ordered by
+    smallest member, whose edges are listed on request.  The instance is kept
+    for the edges only: equality, hashing and repr read L and the subsets."""
 
-    L: int
-    instance: Instance = dc_field(compare=False, repr=False)
-    subsets: tuple  # tuple of frozensets, ordered by smallest member
+    _fields = ("L", "subsets")
+
+    def __init__(self, L: int, instance: Instance, subsets: tuple):
+        super().__init__(L, subsets)
+        object.__setattr__(self, "instance", instance)
 
     @property
     def Z(self) -> int:
@@ -89,11 +91,12 @@ def partition(inst: Instance) -> AlignmentPartition:
     return AlignmentPartition(sizes.pop(), inst, subsets)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    witness: Optional[tuple]  # (i, j, k): same subset, j desired at k, i not held
-    partition: AlignmentPartition
+class FeasibilityVerdict(Record):
+    _fields = ("feasible", "witness", "partition")
+
+    def __init__(self, feasible: bool, witness: Optional[tuple], partition: AlignmentPartition):
+        # witness (i, j, k): i and j in one subset, j desired at k, i not held there
+        super().__init__(feasible, witness, partition)
 
     def to_json(self) -> dict:
         out = {"feasible": self.feasible, "partition": self.partition.to_json()}

@@ -16,12 +16,11 @@ preserved (a message id may legitimately appear twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .errors import BadParams, BudgetExceeded
+from .errors import BadParams, BudgetExceeded, Record
 from .model import Instance, check_family, normalize
 from .alignment import partition
 
@@ -32,16 +31,15 @@ DEFAULT_CHAIN_BUDGET = 200_000
 MAX_SIMPLE_PAIRS = 250_000
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    kind: str  # "simple" | "chain" | "family-formula" | "genie-chain"
-    terms: tuple  # sorted message ids, multiplicity preserved
-    rhs: Fraction
-    provenance: tuple
+class BoundCertificate(Record):
+    """sum of R_m over the terms <= rhs; kind is "simple", "chain",
+    "family-formula" or "genie-chain"."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+    _fields = ("kind", "terms", "rhs", "provenance")
+
+    def __init__(self, kind: str, terms: tuple, rhs: Fraction, provenance: tuple):
+        # terms are kept sorted, multiplicity preserved
+        super().__init__(kind, tuple(sorted(terms)), Fraction(rhs), provenance)
 
     def evaluate(self, rates: Mapping[int, Fraction]) -> Fraction:
         return Fraction(*self._sum(rates))
@@ -153,10 +151,6 @@ def chain_bounds(
     links = {}
     for a, b, j in sorted(t for x, y, j in partition(norm).edges for t in ((x, y, j), (y, x, j))):
         links.setdefault(a, []).append((b, j, (b,) + wants[j]))
-    closers = {}  # message -> [(k, antidotes of k)] for the destinations k desiring it
-    for d in norm.destinations:
-        for m in d.wants:
-            closers.setdefault(m, []).append((d.id, d.has))
     width = L + 1  # terms per link: every destination of norm desires L messages
 
     M = norm.num_messages
@@ -179,6 +173,8 @@ def chain_bounds(
         # tried out of its i-th message (an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit)
         chain, on_path, terms = [start], {start}, [start]
+        # message -> the first destination, in instance order, desiring it without start as antidote
+        closer = {m: d.id for d in reversed(norm.destinations) if start not in d.has for m in d.wants}
         pending = [iter(links.get(start, ()))]
         while pending:
             N = len(pending)
@@ -190,13 +186,12 @@ def chain_bounds(
                     raise exceeded(start)
                 chain += (j, nxt)
                 terms += added
-                for k, has in closers.get(nxt, ()):
-                    if start not in has:
-                        key = (tuple(sorted(terms)), N)
-                        if key not in certs:
-                            cert = BoundCertificate("chain", key[0], N, tuple(chain) + (k,))
-                            certs[(cert.terms, N)] = cert
-                        break
+                k = closer.get(nxt)
+                if k is not None:
+                    key = (tuple(sorted(terms)), N)
+                    if key not in certs:
+                        cert = BoundCertificate("chain", key[0], N, tuple(chain) + (k,))
+                        certs[(cert.terms, N)] = cert
                 if N < maxN:
                     on_path.add(nxt)
                     pending.append(iter(links.get(nxt, ())))

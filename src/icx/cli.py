@@ -281,24 +281,27 @@ def _cmd_transform(args):
 
 
 def _cmd_bounds(args):
-    from . import bounds
+    from . import alignment, bounds, model
 
     inst = _load_instance(args.instance)
     want_all = not (args.simple or args.chain or args.family)
-    out = {}
-    if args.simple or want_all:
-        out["simple"] = [c.to_json() for c in bounds.simple_bounds(inst)]
+    L = None
     if args.chain or want_all:
         L = args.L
         if L is None:
             sizes = inst.demand_sizes()
             if len(sizes) == 1:
                 L = sizes.pop()
-        if L is not None:
-            found = bounds.chain_bounds(inst, L, **_given(maxN=args.maxN, budget=args.budget))
-            out["chain"] = [c.to_json() for c in found]
-        elif args.chain:
+        if L is None and args.chain:
             raise IcxError("chain bounds need --L for non-uniform instances")
+    out = {}
+    if args.simple or want_all:
+        if L is not None:  # the chain search's edge cap refuses before any simple certificate is built
+            alignment.partition(model.normalize(inst, L)).edges
+        out["simple"] = [c.to_json() for c in bounds.simple_bounds(inst)]
+    if L is not None:
+        found = bounds.chain_bounds(inst, L, **_given(maxN=args.maxN, budget=args.budget))
+        out["chain"] = [c.to_json() for c in found]
     if args.family or (want_all and inst.family is not None and inst.family.kind != "custom"):
         value, cert = bounds.symmetric_capacity(inst)
         out["family"] = {

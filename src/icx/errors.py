@@ -1,7 +1,47 @@
-"""Exception types shared across the package, and the JSON layer of its file readers and writers."""
+"""Exception types and the record base shared across the package, and the
+JSON layer of its file readers and writers."""
 
 import json
 import sys
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's immutable records.  Each subclass's ``__init__``
+    normalizes its arguments and passes the values of ``_fields``, in order,
+    to this one; nothing is set or deleted after that.  Equality and hashing
+    read those fields and hold only between objects of one class (never with
+    a tuple); the repr is ``Name(field=value, ...)``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # one C getter per class: fields are compared on every matrix product
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        # object.__setattr__ keeps the values inline in the object; filling
+        # vars(self) instead takes about twice the memory per record
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        values = self._values(self)  # one field's getter returns it bare; hash the tuple of the fields
+        return hash(values if len(self._fields) > 1 else (values,))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class IcxError(Exception):

@@ -32,7 +32,6 @@ greedy choices of rows or columns).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
@@ -42,6 +41,7 @@ from .errors import (
     FieldMismatch,
     FieldTooSmall,
     OddDimension,
+    Record,
     is_int,
 )
 
@@ -154,15 +154,15 @@ def smallest_prime_at_least(n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """GF(p) for a prime p < 2^31."""
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if not (2 <= self.p < 2**31) or not _is_prime(self.p):
-            raise ValueError(f"p={self.p} is not a prime in [2, 2^31)")
+    def __init__(self, p: int):
+        if not (2 <= p < 2**31) or not _is_prime(p):
+            raise ValueError(f"p={p} is not a prime in [2, 2^31)")
+        super().__init__(p)
 
     @property
     def order(self) -> int:
@@ -198,22 +198,19 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class BinaryField:
+class BinaryField(Record):
     """GF(2^m), 1 <= m <= 32, with an irreducible reduction polynomial."""
 
-    m: int
-    poly: int = 0  # 0 means "use the default table"
+    _fields = ("m", "poly")
 
-    def __post_init__(self):
-        if not 1 <= self.m <= 32:
-            raise ValueError(f"extension degree m={self.m} out of range [1, 32]")
-        if self.poly == 0:
-            object.__setattr__(self, "poly", default_reduction_poly(self.m))
-        if _poly_degree(self.poly) != self.m or not is_irreducible_gf2(self.poly):
-            raise ValueError(
-                f"reduction polynomial {bin(self.poly)} is not irreducible of degree {self.m}"
-            )
+    def __init__(self, m: int, poly: int = 0):  # poly 0 means "use the default table"
+        if not 1 <= m <= 32:
+            raise ValueError(f"extension degree m={m} out of range [1, 32]")
+        if poly == 0:
+            poly = default_reduction_poly(m)
+        if _poly_degree(poly) != m or not is_irreducible_gf2(poly):
+            raise ValueError(f"reduction polynomial {bin(poly)} is not irreducible of degree {m}")
+        super().__init__(m, poly)
 
     @property
     def order(self) -> int:
@@ -434,24 +431,15 @@ def _rref_int64(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable dense matrix over a finite field, row-major entries."""
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple = dc_field(default=())
+    _fields = ("field", "rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
-            )
-        object.__setattr__(
-            self, "entries", tuple(self.field.canonical(e) for e in self.entries)
-        )
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple = ()):
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        super().__init__(field, rows, cols, tuple(field.canonical(e) for e in entries))
 
     # -- constructors ---------------------------------------------------
 
@@ -643,23 +631,21 @@ class Matrix:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of field^n with a reduced-column-echelon basis.
 
     The canonical basis makes equality of subspaces decidable by entry
     comparison.
     """
 
-    field: Field
-    ambient_dim: int
-    basis: Matrix
+    _fields = ("field", "ambient_dim", "basis")
 
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
+    def __init__(self, field: Field, ambient_dim: int, basis: Matrix):
+        if basis.rows != ambient_dim:
             raise DimensionMismatch("basis rows must equal the ambient dimension")
-        if self.basis.entries != self.basis.column_echelon().entries:
+        if basis.entries != basis.column_echelon().entries:
             raise ValueError("subspace basis must be in reduced column echelon form")
+        super().__init__(field, ambient_dim, basis)
 
     @staticmethod
     def _trusted(basis: Matrix) -> "Subspace":

@@ -9,28 +9,29 @@ can be applied without pattern-matching raw sets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
-    BadParams, CannotNormalize, ParseError, UnsupportedFamily, dump_json, is_int, parse_json, read_file, write_file
+    BadParams, CannotNormalize, ParseError, Record, UnsupportedFamily, dump_json, is_int, parse_json, read_file,
+    write_file,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
 
-@dataclass(frozen=True)
-class FamilyTag:
-    """Symmetric family marker with its construction parameters."""
+class FamilyTag(Record):
+    """Symmetric family marker with its construction parameters, sorted
+    (name, value) pairs."""
 
-    kind: str
-    params: tuple = ()  # sorted (name, value) pairs
+    _fields = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise BadParams(f"unknown family kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
+    def __init__(self, kind: str, params: tuple = ()):
+        if kind not in FAMILY_KINDS:
+            raise BadParams(f"unknown family kind {kind!r}")
+        super().__init__(kind, tuple(sorted(params)))
 
     @staticmethod
     def make(kind: str, **params: int) -> "FamilyTag":
@@ -48,29 +49,22 @@ class FamilyTag:
         return out
 
 
-@dataclass(frozen=True)
-class Destination:
+class Destination(Record):
     """One receiver: id, desired message ids, side-information message ids."""
 
-    id: int
-    wants: frozenset
-    has: frozenset
+    _fields = ("id", "wants", "has")
 
-    def __post_init__(self):
-        object.__setattr__(self, "wants", frozenset(self.wants))
-        object.__setattr__(self, "has", frozenset(self.has))
+    def __init__(self, id: int, wants: frozenset, has: frozenset):
+        super().__init__(id, frozenset(wants), frozenset(has))
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """An index coding problem with messages 1..num_messages."""
 
-    num_messages: int
-    destinations: tuple
-    family: Optional[FamilyTag] = None
+    _fields = ("num_messages", "destinations", "family")
 
-    def __post_init__(self):
-        object.__setattr__(self, "destinations", tuple(self.destinations))
+    def __init__(self, num_messages: int, destinations: tuple, family: Optional[FamilyTag] = None):
+        super().__init__(num_messages, tuple(destinations), family)
 
     @property
     def num_destinations(self) -> int:
@@ -98,17 +92,18 @@ class Instance:
         return {len(d.wants) for d in self.destinations}
 
 
-@dataclass(frozen=True)
-class RateVector:
+class RateVector(Record):
     """Exact per-message rates R_1..R_M."""
 
-    rates: tuple
+    _fields = ("rates",)
 
-    def __post_init__(self):
-        rs = tuple(Fraction(r) for r in self.rates)
+    def __init__(self, rates: tuple):
+        from fractions import Fraction  # only rates need it: gen and validate do not load it
+
+        rs = tuple(Fraction(r) for r in rates)
         if any(r < 0 or r > 1 for r in rs):
             raise ValueError("rates must lie in [0, 1]")
-        object.__setattr__(self, "rates", rs)
+        super().__init__(rs)
 
     def __getitem__(self, m: int) -> Fraction:
         return self.rates[m - 1]

@@ -12,10 +12,9 @@ oracle and the verifier independent code paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadParams, BudgetExceeded
+from .errors import BadParams, BudgetExceeded, Record
 from .galois import EchelonBasis, Field, Matrix, PrimeField
 from .model import Instance
 from .scheme import LinearScheme
@@ -23,13 +22,18 @@ from .scheme import LinearScheme
 DEFAULT_ORACLE_BUDGET = 2**20
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    query: str
-    value: Optional[int]
-    search_space_size: int
-    witness_matrix: Optional[Matrix] = None
-    witness_scheme: Optional[LinearScheme] = None
+class OracleResult(Record):
+    _fields = ("query", "value", "search_space_size", "witness_matrix", "witness_scheme")
+
+    def __init__(
+        self,
+        query: str,
+        value: Optional[int],
+        search_space_size: int,
+        witness_matrix: Optional[Matrix] = None,
+        witness_scheme: Optional[LinearScheme] = None,
+    ):
+        super().__init__(query, value, search_space_size, witness_matrix, witness_scheme)
 
     def to_json(self) -> dict:
         from .scheme import scheme_to_json

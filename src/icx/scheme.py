@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from types import MappingProxyType
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -40,6 +39,7 @@ from .errors import (
     BudgetExceeded,
     NoDecoderExists,
     ParseError,
+    Record,
     SchemeMalformed,
     UnsupportedFamily,
     dump_json,
@@ -54,19 +54,14 @@ from .model import Instance, check_family
 DEFAULT_SIMULATION_BUDGET = 2**24
 
 
-@dataclass(frozen=True)
-class LinearScheme:
-    """Precoding matrices V (per message) and optional combiners U (per (m, k))."""
+class LinearScheme(Record):
+    """Precoding matrices V (per message) and optional combiners U (per (m, k)),
+    held read-only."""
 
-    field: Field
-    n: int
-    V: Mapping[int, Matrix]
-    U: Optional[Mapping[tuple, Matrix]] = None
+    _fields = ("field", "n", "V", "U")
 
-    def __post_init__(self):
-        object.__setattr__(self, "V", MappingProxyType(dict(self.V)))
-        if self.U is not None:
-            object.__setattr__(self, "U", MappingProxyType(dict(self.U)))
+    def __init__(self, field: Field, n: int, V: Mapping[int, Matrix], U: Optional[Mapping[tuple, Matrix]] = None):
+        super().__init__(field, n, MappingProxyType(dict(V)), None if U is None else MappingProxyType(dict(U)))
         for m, mat in self.V.items():
             if mat.field != self.field or mat.rows != self.n:
                 raise SchemeMalformed(f"V[{m}] is not an {self.n}-row matrix over {self.field}")
@@ -95,14 +90,14 @@ class LinearScheme:
         return sorted(self.V)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One failed check: which property broke, at which (m, i, k)."""
+class Diagnostic(Record):
+    """One failed check: which property broke ("property1", "property2",
+    "desired-rank", "resolvability" or "missing-decoder"), at which (m, i, k)."""
 
-    kind: str  # "property1" | "property2" | "desired-rank" | "resolvability" | "missing-decoder"
-    destination: int
-    message: Optional[int] = None
-    interferer: Optional[int] = None
+    _fields = ("kind", "destination", "message", "interferer")
+
+    def __init__(self, kind: str, destination: int, message: Optional[int] = None, interferer: Optional[int] = None):
+        super().__init__(kind, destination, message, interferer)
 
     def describe(self) -> str:
         bits = [self.kind, f"destination {self.destination}"]
@@ -113,12 +108,11 @@ class Diagnostic:
         return ", ".join(bits)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    mode: str
-    diagnostics: tuple
-    rates: dict
+class VerificationReport(Record):
+    _fields = ("valid", "mode", "diagnostics", "rates")
+
+    def __init__(self, valid: bool, mode: str, diagnostics: tuple, rates: dict):
+        super().__init__(valid, mode, diagnostics, rates)
 
     def to_json(self) -> dict:
         return {
@@ -223,13 +217,18 @@ def _independent_rows(mat: Matrix):
 # zero-error simulation
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimulationResult:
-    ok: bool
-    tuples_checked: int
-    counterexample: Optional[dict] = None  # message id -> symbol tuple
-    destination: Optional[int] = None
-    message: Optional[int] = None
+class SimulationResult(Record):
+    _fields = ("ok", "tuples_checked", "counterexample", "destination", "message")
+
+    def __init__(
+        self,
+        ok: bool,
+        tuples_checked: int,
+        counterexample: Optional[dict] = None,  # message id -> symbol tuple
+        destination: Optional[int] = None,
+        message: Optional[int] = None,
+    ):
+        super().__init__(ok, tuples_checked, counterexample, destination, message)
 
     def to_json(self) -> dict:
         out = {"ok": self.ok, "tuples_checked": self.tuples_checked}
@@ -397,8 +396,7 @@ class _Kernel:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimensionAudit:
+class DimensionAudit(Record):
     """Summed dimensions of unions of consecutive precoder spans.
 
     alpha[j-1] is sum_i dim(span of V_i .. V_{i+j-1}) over all K circular
@@ -407,11 +405,11 @@ class DimensionAudit:
     the per-destination interferer count K-A-1.
     """
 
-    K: int
-    U: int
-    D: int
-    alpha: tuple
-    checks: tuple  # (j, alpha_j, lower bound as Fraction, slack as Fraction)
+    _fields = ("K", "U", "D", "alpha", "checks")
+
+    def __init__(self, K: int, U: int, D: int, alpha: tuple, checks: tuple):
+        # checks: (j, alpha_j, lower bound as Fraction, slack as Fraction) per window
+        super().__init__(K, U, D, alpha, checks)
 
     @property
     def holds(self) -> bool:

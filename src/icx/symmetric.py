@@ -12,10 +12,9 @@ what keeps the periodic assignment consistent around the circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParams
+from .errors import BadParams, Record
 from .galois import (
     Field,
     Matrix,
@@ -119,12 +118,11 @@ def build_x_scheme(K: int, L: int) -> LinearScheme:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltinExample:
-    id: int
-    instance: Instance
-    scheme: LinearScheme
-    claimed_rate: Fraction
+class BuiltinExample(Record):
+    _fields = ("id", "instance", "scheme", "claimed_rate")
+
+    def __init__(self, id: int, instance: Instance, scheme: LinearScheme, claimed_rate: Fraction):
+        super().__init__(id, instance, scheme, claimed_rate)
 
 
 def _example1(field: Field) -> BuiltinExample:

@@ -13,9 +13,7 @@ signal space in any linear scheme.  Rate tuples translate as R for copies and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import TranslationFailed
+from .errors import Record, TranslationFailed
 from .galois import EchelonBasis, Matrix, Subspace
 from .model import Destination, Instance, instance_to_json, normalize_groupcast
 from .scheme import LinearScheme, _independent_rows
@@ -25,17 +23,16 @@ def _copy_id(L: int, i: int, j: int) -> int:
     return (i - 1) * (L + 1) + j + 1
 
 
-@dataclass(frozen=True)
-class UnicastMap:
+class UnicastMap(Record):
     """Original (normalized groupcast) instance, its unicast equivalent, and
     the (message, copy) -> transformed id correspondence."""
 
-    original: Instance
-    transformed: Instance
-    L: int
-    # per normalized destination: the pre-normalization destination id whose
-    # demand/antidotes it descends from (decoder reuse needs this)
-    source_destinations: tuple
+    _fields = ("original", "transformed", "L", "source_destinations")
+
+    def __init__(self, original: Instance, transformed: Instance, L: int, source_destinations: tuple):
+        # source_destinations, per normalized destination: the pre-normalization
+        # destination id whose demand/antidotes it descends from (decoder reuse needs this)
+        super().__init__(original, transformed, L, source_destinations)
 
     @property
     def M(self) -> int:
@@ -166,15 +163,14 @@ def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     return LinearScheme(f, n, V, U)
 
 
-@dataclass(frozen=True)
-class RankChainStep:
-    """One step of the intersection dimension chain for a message group."""
+class RankChainStep(Record):
+    """One step of the intersection dimension chain for a message group: dim
+    is the dimension of the first `copies_used` copies' intersection."""
 
-    message: int
-    copies_used: int
-    dim: int  # dim of the first `copies_used` copies' intersection
-    lower_bound: int
-    slack: int
+    _fields = ("message", "copies_used", "dim", "lower_bound", "slack")
+
+    def __init__(self, message: int, copies_used: int, dim: int, lower_bound: int, slack: int):
+        super().__init__(message, copies_used, dim, lower_bound, slack)
 
 
 def groupcast_rank_chain(umap: UnicastMap, scheme: LinearScheme) -> list:

@@ -236,13 +236,13 @@ def test_verify_and_bounds_do_not_load_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
-def loaded_icx_modules(argv):
-    """Exit code of one CLI call in a fresh interpreter, and the icx modules it loaded."""
+def loaded_modules(argv):
+    """Exit code of one CLI call in a fresh interpreter, and every module it loaded."""
     script = (
         "import json, sys\n"
         "from icx.cli import run\n"
         "code = run(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'icx')]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.__file__).resolve().parent.parent))
     proc = subprocess.run(
@@ -250,7 +250,7 @@ def loaded_icx_modules(argv):
     )
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m.removeprefix("icx.") for m in modules}
+    return code, set(modules)
 
 
 @pytest.fixture(scope="module")
@@ -272,18 +272,26 @@ VERB_MODULE_CASES = [
     (["verify", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
     (["simulate", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
     (["example", "2", "--verify", "--simulate"], {"alignment", "bounds", "oracle", "unicast"}),
+    (["transform", "{i}", "--L", "1"], {"alignment", "bounds", "oracle", "symmetric"}),
+    (["oracle", "{i}", "--minrank"], {"alignment", "bounds", "symmetric", "unicast"}),
 ]
 
 
 @pytest.mark.parametrize("argv, absent", VERB_MODULE_CASES, ids=[c[0][0] for c in VERB_MODULE_CASES])
 def test_each_verb_loads_only_its_modules(interference_files, argv, absent):
+    """A call imports its verb's icx modules only, and no verb loads
+    dataclasses or inspect: the records are plain classes."""
     inst_path, scheme_path = interference_files
-    code, modules = loaded_icx_modules([a.format(i=inst_path, s=scheme_path) for a in argv])
+    code, loaded = loaded_modules([a.format(i=inst_path, s=scheme_path) for a in argv])
+    modules = {m.removeprefix("icx.") for m in loaded if m.split(".")[0] == "icx"}
     assert code == 0
     if absent is None:
         assert modules == {"icx", "cli", "errors", "model"}
     else:
         assert {"icx", "cli", "errors", "model"} <= modules and not modules & absent
+    assert not loaded & {"dataclasses", "inspect"}
+    if argv[0] in ("gen", "validate", "check-feasibility"):  # only rates need fractions
+        assert "fractions" not in loaded
 
 
 def test_transform_verb(tmp_path, capsys, groupcast_m2k3):
@@ -722,6 +730,21 @@ def test_simple_bound_pairs_are_capped(tmp_path, capsys, monkeypatch):
     assert_one_line_error(*invoke(capsys, "bounds", path), 2, message)
     code, out, _ = invoke(capsys, "bounds", path, "--family")
     assert code == 0 and "simple" not in json.loads(out)
+
+
+def test_bounds_refuses_past_the_edge_cap_before_simple_bounds(tmp_path, capsys, monkeypatch):
+    """With no flags, the chain search's edge cap is checked before any simple
+    certificate is built: past both caps, the edge cap's error is the one printed."""
+    from icx import bounds
+
+    path = write_instance(tmp_path, gen_neighboring_antidotes(8, 0, 1))
+    built, simple_bounds = [], bounds.simple_bounds
+    monkeypatch.setattr(bounds, "simple_bounds", lambda inst: built.append(inst) or simple_bounds(inst))
+    monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 119)
+    monkeypatch.setattr("icx.bounds.MAX_SIMPLE_PAIRS", 55)
+    message = "the alignment relation has 120 edges, more than the limit of 119"
+    assert_one_line_error(*invoke(capsys, "bounds", path), 2, message)
+    assert built == []
 
 
 @pytest.mark.parametrize("writer", ["--out", "save_instance", "save_scheme"])
