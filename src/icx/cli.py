@@ -65,18 +65,19 @@ def _given(**kwargs):
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _load_instance(path):
-    from .model import load_instance
-
-    return load_instance(path)
-
-
 def _build_parser():
     top = argparse.ArgumentParser(prog="icx", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
     def add_out(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
+
+    def add_family(p, required):
+        p.add_argument("--family", required=required, choices=list(_FAMILIES))
+        p.add_argument("--K", type=int, required=required)
+        p.add_argument("--U", type=int, default=0)
+        p.add_argument("--D", type=int, default=0)
+        p.add_argument("--L", type=int, default=1)
 
     def add_budget_and_sample(p):
         p.add_argument("--budget", type=_positive_int)
@@ -88,11 +89,7 @@ def _build_parser():
         )
 
     p = sub.add_parser("gen", help="generate a symmetric family instance")
-    p.add_argument("--family", required=True, choices=list(_FAMILIES))
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--U", type=int, default=0)
-    p.add_argument("--D", type=int, default=0)
-    p.add_argument("--L", type=int, default=1)
+    add_family(p, required=True)
     add_out(p)
 
     p = sub.add_parser("validate", help="check instance file invariants")
@@ -105,11 +102,7 @@ def _build_parser():
     add_out(p)
 
     p = sub.add_parser("scheme", help="construct a scheme (family or alignment based)")
-    p.add_argument("--family", choices=list(_FAMILIES))
-    p.add_argument("--K", type=int)
-    p.add_argument("--U", type=int, default=0)
-    p.add_argument("--D", type=int, default=0)
-    p.add_argument("--L", type=int, default=1)
+    add_family(p, required=False)
     p.add_argument("--instance", help="build for an instance file instead of a family")
     p.add_argument(
         "--construction",
@@ -192,9 +185,9 @@ def _cmd_validate(args):
 
 
 def _cmd_check_feasibility(args):
-    from . import alignment
+    from . import alignment, model
 
-    inst = _load_instance(args.instance)
+    inst = model.load_instance(args.instance)
     verdict = alignment.check_feasibility(inst, args.L)
     return verdict.to_json(), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
@@ -211,7 +204,7 @@ def _cmd_scheme(args):
 
         inst, built = _family_call(args, model), _family_call(args, symmetric, builder=True)
     else:
-        inst = _load_instance(args.instance)
+        inst = model.load_instance(args.instance)
         if args.construction == "scalar":
             built = alignment.build_scalar_scheme(inst, args.L)
         else:
@@ -255,27 +248,27 @@ def _simulate(inst, sch, args):
 
 
 def _cmd_verify(args):
-    from . import scheme as schemes
+    from . import model, scheme as schemes
 
-    inst = _load_instance(args.instance)
+    inst = model.load_instance(args.instance)
     sch = schemes.load_scheme(args.scheme)
     report = schemes.verify(inst, sch, mode=args.mode)
     return report.to_json(), EXIT_OK if report.valid else EXIT_NEGATIVE
 
 
 def _cmd_simulate(args):
-    from . import scheme as schemes
+    from . import model, scheme as schemes
 
-    inst = _load_instance(args.instance)
+    inst = model.load_instance(args.instance)
     sch = schemes.load_scheme(args.scheme)
     out, ok = _simulate(inst, sch, args)
     return out, EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_transform(args):
-    from . import unicast
+    from . import model, unicast
 
-    inst = _load_instance(args.instance)
+    inst = model.load_instance(args.instance)
     umap = unicast.to_unicast(inst, args.L)
     return unicast.unicast_transform_report(umap), EXIT_OK
 
@@ -283,7 +276,7 @@ def _cmd_transform(args):
 def _cmd_bounds(args):
     from . import alignment, bounds, model
 
-    inst = _load_instance(args.instance)
+    inst = model.load_instance(args.instance)
     want_all = not (args.simple or args.chain or args.family)
     L = None
     if args.chain or want_all:
@@ -312,9 +305,9 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle(args):
-    from . import oracle
+    from . import model, oracle
 
-    inst = _load_instance(args.instance)
+    inst = model.load_instance(args.instance)
     budget = _given(budget=args.budget)
     if args.minrank:
         res = oracle.minrank_gf2(inst, **budget)

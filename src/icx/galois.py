@@ -79,41 +79,17 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _x_to_2k_mod(f: int, k: int) -> int:
-    """x^(2^k) mod f, by k squarings of x."""
-    t = _poly_mod(0b10, f)
-    for _ in range(k):
-        t = _poly_mulmod(t, t, f)
-    return t
-
-
 def is_irreducible_gf2(f: int) -> bool:
-    """Exhaustive irreducibility check for a binary polynomial.
-
-    Uses the standard criterion: x^(2^m) == x mod f, and for every prime
-    divisor q of m, gcd(x^(2^(m/q)) - x, f) == 1.
+    """Ben-Or's test: f of degree m >= 1 is irreducible over GF(2) iff
+    gcd(f, x^(2^k) - x) = 1 for every k <= m/2.  Integers below 2 are not
+    polynomials of degree >= 1, negative ones included.
     """
-    m = _poly_degree(f)
-    if m <= 0:
+    if f < 2:
         return False
-    if m == 1:
-        return True
-    if _x_to_2k_mod(f, m) != _poly_mod(0b10, f):
-        return False
-    q = 2
-    mm = m
-    prime_divs = []
-    while q * q <= mm:
-        if mm % q == 0:
-            prime_divs.append(q)
-            while mm % q == 0:
-                mm //= q
-        q += 1
-    if mm > 1:
-        prime_divs.append(mm)
-    for q in prime_divs:
-        t = _x_to_2k_mod(f, m // q) ^ _poly_mod(0b10, f)
-        if _poly_gcd(f, t) != 1:
+    t = 0b10  # x^(2^k) mod f, squared once per k
+    for _ in range(_poly_degree(f) // 2):
+        t = _poly_mulmod(t, t, f)
+        if _poly_gcd(f, t ^ 0b10) != 1:
             return False
     return True
 
@@ -278,7 +254,10 @@ def field_from_json(obj: dict) -> Field:
     if kind == "prime":
         return PrimeField(integer("p"))
     if kind == "gf2m":
-        return BinaryField(integer("m"), integer("poly") if "poly" in obj else 0)
+        # BinaryField reads poly 0 as "the default": only an absent poly may mean that
+        if "poly" in obj and integer("poly") < 1:
+            raise ValueError(f"'poly' must be a positive integer, got {obj['poly']}")
+        return BinaryField(integer("m"), obj.get("poly", 0))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -304,7 +283,8 @@ class EchelonBasis:
     Every basis row has a 1 in its pivot column and a 0 in the pivot column
     of every other row.  So, sorted by pivot, the rows are the nonzero rows of
     the reduced row echelon form of all vectors added so far, in whatever
-    order they came.  ``add`` returns the rank growth, 0 or 1.
+    order they came.  ``add`` returns the rank growth, 0 or 1; ``grow`` adds
+    many and says which of them grew it.
 
     Vectors are sequences of n canonical field elements; rows are lists.
     """
@@ -365,6 +345,19 @@ class EchelonBasis:
         rows.append(new)
         return 1
 
+    def grow(self, vectors: Iterable[Sequence[int]]) -> list:
+        """Add vectors in turn; the indices of those that grew the rank.
+
+        Stops once the basis is full, as nothing after that can grow it.
+        """
+        grown = []
+        for i, vec in enumerate(vectors):
+            if len(self.pivots) == self.n:
+                break
+            if self.add(vec):
+                grown.append(i)
+        return grown
+
     def copy(self) -> "EchelonBasis":
         """A basis of the same span that adds to either leave the other alone.
 
@@ -393,8 +386,7 @@ def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     if isinstance(field, PrimeField) and len(rows) * ncols > NUMPY_MIN_ENTRIES:
         return _rref_int64(field.p, rows, ncols)
     basis = EchelonBasis(field, ncols)
-    for row in rows:
-        basis.add(row)
+    basis.grow(rows)
     return basis.echelon_rows()
 
 
@@ -666,8 +658,7 @@ class Subspace(Record):
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
         basis = EchelonBasis(self.field, self.ambient_dim)
-        for j in range(self.dim):
-            basis.add(self.basis.col(j))
+        basis.grow(self.basis.col_list())
         return basis.add([self.field.canonical(x) for x in vec]) == 0
 
     def intersect(self, other: "Subspace") -> "Subspace":

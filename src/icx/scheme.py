@@ -201,16 +201,8 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
 
 def _independent_rows(mat: Matrix):
     """Indices of mat.cols rows of mat forming an invertible square block, or None."""
-    if mat.cols == 0:
-        return []
-    basis = EchelonBasis(mat.field, mat.cols)
-    chosen = []
-    for i in range(mat.rows):
-        if basis.add(mat.row(i)):
-            chosen.append(i)
-            if len(chosen) == mat.cols:
-                return chosen
-    return None
+    chosen = EchelonBasis(mat.field, mat.cols).grow(map(mat.row, range(mat.rows)))
+    return chosen if len(chosen) == mat.cols else None
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +450,7 @@ def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
     for i in range(K):
         basis = EchelonBasis(scheme.field, scheme.n)
         for j in range(jmax):
-            for col in cols[(i + j) % K + 1]:
-                basis.add(col)
+            basis.grow(cols[(i + j) % K + 1])
             alpha[j] += basis.rank
     checks = []
     for j in range(1, jmax + 1):

@@ -86,17 +86,10 @@ def _complement_columns(v: Matrix) -> Matrix:
 
     Deterministic: greedily append identity columns that grow the rank.
     """
-    n = v.rows
-    basis = EchelonBasis(v.field, n)
-    for j in range(v.cols):
-        basis.add(v.col(j))
-    picked = []
-    for j in range(n):
-        if basis.rank == n:
-            break
-        if basis.add([1 if i == j else 0 for i in range(n)]):
-            picked.append(j)
-    return Matrix.identity(v.field, n).take_cols(picked)
+    basis = EchelonBasis(v.field, v.rows)
+    basis.grow(v.col_list())
+    identity = Matrix.identity(v.field, v.rows)
+    return identity.take_cols(basis.grow(identity.col_list()))
 
 
 def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:

@@ -513,6 +513,25 @@ def test_scheme_numbers_must_be_integers(tmp_path, capsys, verb, n, V, message):
     assert_one_line_error(*invoke(capsys, verb, str(inst_path), str(scheme_path)), 1, f"{scheme_path}: {message}")
 
 
+@pytest.mark.parametrize("poly", [-7, -1, 0])
+def test_scheme_poly_must_be_a_polynomial(tmp_path, poly):
+    """A negative poly once sent the irreducibility test into an endless loop,
+    and 0 was read as "the default", so the file read back as another poly.
+    Run in a subprocess so a hang fails on the timeout."""
+    inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+    inst_path.write_text(ONE_MESSAGE, encoding="utf-8")
+    scheme_path.write_text(
+        f'{{"field": {{"kind": "gf2m", "m": 2, "poly": {poly}}}, "n": 1, "V": {{"1": [[1]]}}}}\n', encoding="utf-8"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "icx.cli", "verify", str(inst_path), str(scheme_path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    message = f"{scheme_path}: bad field spec: 'poly' must be a positive integer, got {poly}"
+    assert_one_line_error(proc.returncode, proc.stdout, proc.stderr, 1, message)
+
+
 @pytest.mark.parametrize(
     "verb, instance, scheme, message",
     [

@@ -23,6 +23,7 @@ from icx.galois import (
     Matrix,
     PrimeField,
     Subspace,
+    default_reduction_poly,
     is_irreducible_gf2,
     mds_vector_family,
     smallest_prime_at_least,
@@ -112,6 +113,41 @@ def test_irreducibility_checker_against_factorization():
     assert is_irreducible_gf2(0b11111)
     # x^4 + x^2 + 1 = (x^2+x+1)^2
     assert not is_irreducible_gf2(0b10101)
+    # integers below 2 are no polynomial of degree >= 1; a negative one must not loop
+    assert not any(map(is_irreducible_gf2, [-7, -1, 0, 1]))
+
+
+def mobius(n: int) -> int:
+    result, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return result
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_irreducible_count_matches_gauss(m):
+    """Gauss: (1/m) * sum over d | m of mobius(d) * 2^(m/d) binary polynomials
+    of degree m are irreducible."""
+    gauss = sum(mobius(d) * 2 ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    assert sum(map(is_irreducible_gf2, range(1 << m, 1 << (m + 1)))) == gauss
+
+
+# default_reduction_poly(m) for m = 1..32: every GF(2^m) element and file
+# written with the default depends on these.
+DEFAULT_POLYS = [
+    2, 7, 11, 19, 37, 67, 131, 283, 515, 1033, 2053, 4105, 8219, 16417, 32771, 65579,
+    131081, 262153, 524327, 1048585, 2097157, 4194307, 8388641, 16777243, 33554441,
+    67108891, 134217767, 268435459, 536870917, 1073741827, 2147483657, 4294967437,
+]
+
+
+def test_default_reduction_polys_are_pinned():
+    assert [default_reduction_poly(m) for m in range(1, 33)] == DEFAULT_POLYS
 
 
 def test_smallest_prime_at_least():

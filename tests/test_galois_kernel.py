@@ -5,7 +5,8 @@ plain lists.  Seeded random matrices over GF(2), GF(3), GF(37), GF(2^31-1)
 and GF(2^3) cover both sides of the numpy size crossover, empty shapes and
 rank-deficient ones.  Results must agree exactly: ranks, the reduced row
 echelon form, the order of null space basis vectors, inverses and the
-reduced column echelon form.
+reduced column echelon form.  The greedy walk ``EchelonBasis.grow`` and the
+row and column choices built on it are checked against fresh ranks.
 """
 
 import random
@@ -16,6 +17,8 @@ import reference_galois as ref
 from icx import galois
 from icx.errors import DimensionMismatch, DivisionByZero
 from icx.galois import BinaryField, EchelonBasis, Matrix, PrimeField, Subspace
+from icx.scheme import _independent_rows
+from icx.unicast import _complement_columns
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(37), PrimeField(2**31 - 1), BinaryField(3)]
 CROSS = galois.NUMPY_MIN_ENTRIES
@@ -84,14 +87,35 @@ def test_incremental_basis_matches_fresh_rank(field, r, c):
         rows = random_rows(field, r, c, kind, rnd)
         m = as_matrix(field, rows, r, c)
         basis = EchelonBasis(field, r)
-        before = 0
+        before, grown = 0, []
         for j in range(c):
             grew = basis.add(m.col(j))
             fresh = m.take_cols(range(j + 1)).rank()
             assert grew == fresh - before
             assert basis.rank == fresh
             before = fresh
+            grown += [j] * grew
         assert basis.echelon_rows()[0] == ref.column_echelon(field, rows, c)
+
+        # grow makes the same walk in one call and names the columns that grew the rank
+        walked = EchelonBasis(field, r)
+        assert walked.grow(m.col_list()) == grown
+        assert walked.echelon_rows() == basis.echelon_rows()
+        assert walked.grow(m.col_list()) == []
+        full = EchelonBasis(field, r)
+        assert full.grow(Matrix.identity(field, r).col_list()) == list(range(r))
+        assert full.grow(m.col_list()) == []
+
+        # the greedy choices built on it: c rows of m forming an invertible
+        # block, and identity columns completing colspan(m) to the whole space
+        chosen = _independent_rows(m)
+        if m.rank() < c:
+            assert chosen is None
+        else:
+            assert len(chosen) == c and m.take_rows(chosen).rank() == c
+        extra = _complement_columns(m)
+        assert extra.cols == r - m.rank()
+        assert m.hstack(extra).rank() == r
 
         if r:
             sub = Subspace.from_matrix(m)

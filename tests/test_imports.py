@@ -6,6 +6,7 @@ string that parses as an expression (a quoted annotation such as
 ``"Matrix"``), in the scope that imports it: a module-level import may be
 used anywhere in the module, an import inside a function only in that
 function.  ``__init__.py`` files re-export by importing, so they are skipped.
+The same walk finds private helpers that nothing in the package uses.
 """
 
 import ast
@@ -109,6 +110,42 @@ def test_checker_scopes_a_function_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """(module, line, name) of every private function, method or class defined
+    in ``sources`` (module name -> text) that no module refers to outside its
+    definition: by name, as an attribute, or in an import.  Dunder methods are
+    called by the language and count as used."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(d for d in defined if d[2] not in used)
+
+
+def test_checker_finds_a_dead_private_helper():
+    sources = {
+        "a": "def _dead():\n    pass\n\ndef _live():\n    pass\n\nclass _Box:\n"
+             "    def _unpack(self):\n        return _live()\n\n    def __repr__(self):\n        return ''\n",
+        "b": "from a import _Box\n_Box()._unpack()\n",
+    }
+    assert unreferenced_privates(sources) == [("a", 1, "_dead")]
+
+
+def test_no_dead_private_helpers():
+    """Every private function, method and class of the package is used
+    somewhere in it: a helper left behind by a rewrite fails here."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("src/icx/*.py"))}
+    assert unreferenced_privates(sources) == []
 
 
 # The names `icx` exported when its __init__ imported every submodule eagerly.
