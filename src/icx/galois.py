@@ -12,18 +12,17 @@ column echelon basis, which makes subspace equality a plain entry
 comparison.
 
 Every elimination (rank, rref, null spaces, inverse, column echelon form)
-goes through one kernel, ``_rref``, which picks its path from the field and
-the matrix size alone:
+goes through one kernel, ``_rref``, which picks its path from the field
+alone:
 
-* GF(p), at most NUMPY_MIN_ENTRIES entries: Python lists, with the row
-  operation ``(x - c*y) % p`` written inline.
-* GF(p), larger: numpy int64.  p < 2^31, so a product of two residues is
-  below 2^62 and is reduced before it is subtracted; nothing overflows.
-  numpy is imported only here.
+* GF(p): Gauss-Jordan on rows packed into one Python int each, so a row
+  operation is a few big-integer operations.  Over GF(2) column j is bit j;
+  over odd p it is a lane of bits wide enough that lanes can be reduced
+  mod p lazily.
 * GF(2^m): Python lists, with the field's own multiplication.
 
 Each path computes the reduced row echelon form, which is unique, so the
-results do not depend on the path.  The list paths are ``EchelonBasis``,
+results do not depend on the path.  The list path is ``EchelonBasis``,
 which callers also use on its own: it takes vectors one at a time and
 reports how much each grows the rank (subspace membership, sliding windows,
 greedy choices of rows or columns).
@@ -32,7 +31,9 @@ greedy choices of rows or columns).
 from __future__ import annotations
 
 import operator
+import struct
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -197,19 +198,23 @@ class BinaryField(Record):
         a = abs(a)
         return _poly_mod(a, self.poly) if a >= self.order else a
 
+    # Each operation canonicalizes its arguments, as GF(p)'s do by reducing
+    # mod p: the bit loops below never end on a negative integer.
+
     def add(self, a: int, b: int) -> int:
-        return a ^ b
+        return self.canonical(a) ^ self.canonical(b)
 
     def sub(self, a: int, b: int) -> int:
-        return a ^ b
+        return self.canonical(a) ^ self.canonical(b)
 
     def neg(self, a: int) -> int:
-        return a
+        return self.canonical(a)
 
     def mul(self, a: int, b: int) -> int:
-        return _poly_mulmod(a, b, self.poly)
+        return _poly_mulmod(self.canonical(a), self.canonical(b), self.poly)
 
     def inv(self, a: int) -> int:
+        a = self.canonical(a)
         if a == 0:
             raise DivisionByZero("inverse of zero in GF(2^%d)" % self.m)
         # extended Euclid over GF(2)[x]
@@ -270,11 +275,11 @@ def _same_field(a: Field, b: Field):
 # Elimination kernel
 # ----------------------------------------------------------------------
 
-# GF(p): matrices with more entries than this are eliminated in numpy
-# int64, smaller ones in Python lists.  Timed on random dense matrices over
-# GF(5) and GF(37), lists win up to about 100 entries (numpy's per-call
-# overhead), numpy from about 150, and the two are within noise between.
-NUMPY_MIN_ENTRIES = 128
+# Packed rows for _rref: the little-endian struct codes of lanes of 1, 2, 4
+# and 8 bytes, and the digit tables of GF(2) rows.
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class EchelonBasis:
@@ -378,44 +383,76 @@ class EchelonBasis:
 def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """(nonzero rows of the reduced row echelon form of rows, pivot columns).
 
-    Every whole-matrix elimination in icx ends here.  GF(p) with more than
-    NUMPY_MIN_ENTRIES entries goes to numpy; everything else to
-    EchelonBasis.  The reduced row echelon form is unique, so the two agree
-    exactly.
+    Every whole-matrix elimination in icx ends here: GF(p) in packed rows,
+    GF(2^m) in ``EchelonBasis``.  Entries must be canonical.
     """
-    if isinstance(field, PrimeField) and len(rows) * ncols > NUMPY_MIN_ENTRIES:
-        return _rref_int64(field.p, rows, ncols)
-    basis = EchelonBasis(field, ncols)
-    basis.grow(rows)
-    return basis.echelon_rows()
+    if isinstance(field, BinaryField):
+        basis = EchelonBasis(field, ncols)
+        basis.grow(rows)
+        return basis.echelon_rows()
+    if not rows or not ncols:
+        return [], []
+    return _rref_bits(rows, ncols) if field.p == 2 else _rref_lanes(field.p, rows, ncols)
 
 
-def _rref_int64(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
-    """Gauss-Jordan elimination over GF(p), p < 2^31, in numpy int64.
-
-    Entries stay canonical residues below 2^31, so a product of two is below
-    2^62 and is reduced before it is subtracted: nothing overflows.
-    """
-    import numpy as np
-
-    a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+def _rref_bits(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
+    """Gauss-Jordan over GF(2): column j of a row is bit j, and a row
+    operation is one xor."""
+    packed = [int(bytes(reversed(row)).translate(_TO_DIGITS), 2) for row in rows]
     pivots = []
     for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        hit = np.flatnonzero(a[r:, c])
-        if not hit.size:
+        r, bit = len(pivots), 1 << c
+        i = next((i for i in range(r, len(packed)) if packed[i] & bit), None)
+        if i is None:
             continue
-        i = r + int(hit[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        coef = a[:, c].copy()
-        coef[r] = 0
-        a[:, c:] = (a[:, c:] - np.multiply.outer(coef, a[r, c:]) % p) % p
+        piv = packed[i]
+        packed = [v ^ piv if v & bit else v for v in packed]
+        packed[i], packed[r] = packed[r], piv
         pivots.append(c)
-    return a[: len(pivots)].tolist(), pivots
+        if r + 1 == len(packed):
+            break
+    digits = f"0{ncols}b"
+    return [list(format(v, digits)[::-1].encode().translate(_FROM_DIGITS)) for v in packed[: len(pivots)]], pivots
+
+
+def _rref_lanes(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
+    """Gauss-Jordan over odd GF(p): column j of a row is lane j, W bits wide.
+
+    Lanes are reduced lazily.  The pivot row is reduced and scaled to a
+    leading 1; every other row r with t = r[c] mod p != 0 becomes
+    r + (p - t) * pivot, which makes lane c a multiple of p and adds less
+    than p^2 to each lane.  A row takes one such step per pivot, at most
+    min(rows, cols) of them, and is reset below p when it becomes a pivot,
+    so W is the smallest of 8, 16, 32 and 64 bits, or failing that a whole
+    number of bytes, that holds (min(rows, cols) + 2) * p^2.  No lane
+    carries into the next.  The output rows are reduced mod p.
+    """
+    bits = ((min(len(rows), ncols) + 2) * p * p).bit_length()
+    size = next((s for s in _LANE_CODES if 8 * s >= bits), (bits + 7) // 8)
+    W, mask = 8 * size, (1 << 8 * size) - 1
+    if size in _LANE_CODES:
+        row_format = struct.Struct(f"<{ncols}{_LANE_CODES[size]}")
+        pack = lambda lanes: int.from_bytes(row_format.pack(*lanes), "little")
+        unpack = lambda v: row_format.unpack(v.to_bytes(size * ncols, "little"))
+    else:
+        pack = lambda lanes: int.from_bytes(b"".join(x.to_bytes(size, "little") for x in lanes), "little")
+        unpack = lambda v: [v >> s & mask for s in range(0, W * ncols, W)]
+    packed = [pack(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r, shift = len(pivots), W * c
+        i = next((i for i in range(r, len(packed)) if (packed[i] >> shift & mask) % p), None)
+        if i is None:
+            continue
+        lanes = unpack(packed[i])
+        inv = pow(lanes[c] % p, p - 2, p)
+        piv = pack([x * inv % p for x in lanes])
+        packed = [v + (p - t) * piv if (t := (v >> shift & mask) % p) else v for v in packed]
+        packed[i], packed[r] = packed[r], piv
+        pivots.append(c)
+        if r + 1 == len(packed):
+            break
+    return [[x % p for x in unpack(v)] for v in packed[: len(pivots)]], pivots
 
 
 # ----------------------------------------------------------------------
@@ -550,12 +587,9 @@ class Matrix(Record):
         mats = list(mats)
         if not mats:
             return Matrix.zeros(field, 0, 0)
-        rows = mats[0].rows
-        out = []
-        for i in range(rows):
-            for m in mats:
-                out.extend(m.row(i))
-        return Matrix._trusted(field, rows, sum(m.cols for m in mats), tuple(out))
+        # the stack's rows are the rows of its columns, each a strided slice
+        cols = [m.entries[j :: m.cols] for m in mats for j in range(m.cols)]
+        return Matrix._trusted(field, mats[0].rows, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     def take_cols(self, js: Sequence[int]) -> "Matrix":
         out = []

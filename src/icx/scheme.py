@@ -145,11 +145,13 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
             interference = sorted(inst.interferers(d))
             vdes = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in desired])
             rank_des = vdes.rank()
-            if rank_des != sum(scheme.stream_count(m) for m in desired):
+            if rank_des != vdes.cols:
                 diags.append(Diagnostic("desired-rank", d.id))
             if interference:
-                vint = Matrix.hstack_all(scheme.field, [scheme.V[i] for i in interference])
-                if vdes.hstack(vint).rank() != rank_des + vint.rank():
+                # one elimination: the pivots of [V_int | V_des] left of V_des are V_int's rank
+                both = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in interference + desired])
+                pivots = _pivots(both.rref())
+                if len(pivots) != rank_des + sum(c < both.cols - vdes.cols for c in pivots):
                     diags.append(Diagnostic("resolvability", d.id))
     else:
         if scheme.U is None:
@@ -197,6 +199,12 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
                 )
             U[(m, d.id)] = ann.take_rows(rows)
     return LinearScheme(f, scheme.n, scheme.V, U)
+
+
+def _pivots(red: Matrix) -> list:
+    """Pivot columns of a matrix in reduced row echelon form: each nonzero
+    row's first 1, as every entry before it is 0."""
+    return [row.index(1) for row in map(red.row, range(red.rows)) if any(row)]
 
 
 def _independent_rows(mat: Matrix):
@@ -325,9 +333,14 @@ class _Kernel:
     x.  Those tuples are x + y for y in the null space of V on the streams
     the destination does not hold.  If its basis b_i is in reduced echelon
     form with pivots s_i, the least is x - sum_i x_{s_i} b_i, so row t is
-    sum_i b_i[t] x_{s_i}.  ``nullspace`` puts each vector's 1 at its free
-    column and its other entries at pivot columns left of it, so with the
-    columns reversed each b_i leads, in stream order, with that 1.
+    sum_i b_i[t] x_{s_i}.  Take V on those streams with its columns in
+    reverse order, and let R be its reduced row echelon form.  The free
+    columns are the s_i, and b_i is 1 at s_i, 0 at every other free column
+    and -R[j][s_i] at the pivot of row j, which R makes 0 unless that pivot
+    comes after s_i in stream order: in stream order b_i leads with its 1.
+    So a desired stream's row of E is read straight off R: -R[j][s_i] at
+    each s_i if the stream is the pivot of row j, and the unit vector at the
+    stream itself if it is free.
     """
 
     def __init__(self, inst: Instance, scheme: LinearScheme):
@@ -342,16 +355,18 @@ class _Kernel:
         for d in inst.destinations:
             if scheme.U is None:
                 unheld = [s for s in reversed(range(total)) if self.streams[s][0] not in d.has]
-                null = vfull.take_cols(unheld).nullspace()
-                # b_i's pivot is its last nonzero entry in reversed order
-                pivots = [unheld[max(r for r, e in enumerate(b) if e)] for b in null.col_list()]
-                coords = dict(zip(unheld, null.row_list()))  # stream t -> (b_i[t] for each i)
+                red = vfull.take_cols(unheld).rref()
+                reduced = {unheld[c]: red.row(j) for j, c in enumerate(_pivots(red))}  # stream -> its row of R
+                free = [(c, s) for c, s in enumerate(unheld) if s not in reduced]
             for m in sorted(d.wants):
                 if scheme.U is None:
                     err = [[0] * total for _ in pos[m]]
                     for row, t in zip(err, pos[m]):
-                        for s, e in zip(pivots, coords[t]):
-                            row[s] = e
+                        if t in reduced:
+                            for c, s in free:
+                                row[s] = f.neg(reduced[t][c])
+                        else:
+                            row[t] = 1
                 else:
                     u = scheme.U.get((m, d.id))
                     if u is None:

@@ -5,12 +5,17 @@ oracles (cofactor determinants, exhaustive span enumeration) on small cases.
 """
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icx import galois
 from icx.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -58,6 +63,23 @@ def test_negative_integer_is_the_additive_inverse():
             assert f.canonical(-a) == f.neg(f.canonical(a))
     gf8 = BinaryField(3)
     assert Matrix.from_rows(gf8, [[-1, -3], [1, 3]]).rank() == 1
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [("mul(1, -1)", 1), ("inv(-3)", 6), ("mul(-3, 2)", 6), ("mul(9, 1)", 2), ("add(-3, 2)", 1), ("neg(-3)", 3)],
+)
+def test_binary_field_operations_canonicalize_arguments(call, expected):
+    """GF(8) operations on integers outside 0..7 read them as ``canonical``
+    does: mul(1, -1) and inv(-3) once never returned, and mul(-3, 2) returned
+    -6.  Run in a subprocess so a hang fails on the timeout."""
+    script = f"from icx.galois import BinaryField\nprint(BinaryField(3).{call})\n"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(galois.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == expected
+    gf8 = BinaryField(3)  # the same values from canonical arguments, in process
+    assert [gf8.mul(1, 1), gf8.inv(3), gf8.mul(3, 2), gf8.mul(2, 1), gf8.add(3, 2), gf8.neg(3)] == [1, 6, 6, 2, 1, 3]
 
 
 def test_invalid_fields_rejected():

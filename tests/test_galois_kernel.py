@@ -2,11 +2,13 @@
 
 ``tests/reference_galois.py`` eliminates with the field's scalar methods on
 plain lists.  Seeded random matrices over GF(2), GF(3), GF(37), GF(2^31-1)
-and GF(2^3) cover both sides of the numpy size crossover, empty shapes and
-rank-deficient ones.  Results must agree exactly: ranks, the reduced row
-echelon form, the order of null space basis vectors, inverses and the
-reduced column echelon form.  The greedy walk ``EchelonBasis.grow`` and the
-row and column choices built on it are checked against fresh ranks.
+and GF(2^3) cover empty shapes, rank-deficient ones, the shapes of the
+benchmark's large schemes, and, over GF(37) and GF(2^31-1), row counts on
+both sides of a change of lane width in the packed GF(p) rows.  Results
+must agree exactly: ranks, the reduced row echelon form, the order of null
+space basis vectors, inverses and the reduced column echelon form.  The
+greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
+are checked against fresh ranks.
 """
 
 import random
@@ -14,18 +16,26 @@ import random
 import pytest
 
 import reference_galois as ref
-from icx import galois
 from icx.errors import DimensionMismatch, DivisionByZero
 from icx.galois import BinaryField, EchelonBasis, Matrix, PrimeField, Subspace
 from icx.scheme import _independent_rows
 from icx.unicast import _complement_columns
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(37), PrimeField(2**31 - 1), BinaryField(3)]
-CROSS = galois.NUMPY_MIN_ENTRIES
 SHAPES = [
     (0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (7, 1), (3, 7), (7, 3), (6, 6),
-    (8, CROSS // 8), (8, CROSS // 8 + 1), (11, 11), (12, 12), (9, 30), (30, 9),
+    (8, 16), (8, 17), (11, 11), (12, 12), (9, 30), (30, 9),
 ]
+# The benchmark's large schemes, over GF(p) only: GF(2^m) is eliminated in
+# EchelonBasis, whose loops the small shapes already cover.
+LARGE_SHAPES = [(30, 78), (30, 126), (75, 30)]
+# A row of GF(p) takes at most min(rows, cols) lazy steps, so its lanes must
+# hold (min(rows, cols) + 2) * p^2: over GF(37) 2 bytes up to min 45 and 4
+# bytes from 46; over GF(2^31-1) 8 bytes at min 1 and 9 bytes from 2.
+LANE_SHAPES = {
+    PrimeField(37): [(45, 47), (46, 47), (47, 46), (47, 47)],
+    PrimeField(2**31 - 1): [(1, 12), (12, 1), (2, 12), (12, 2), (13, 13)],
+}
 KINDS = ("dense", "sparse", "deficient")
 
 
@@ -47,7 +57,8 @@ def as_matrix(field, rows, r, c):
 
 def cases():
     for field in FIELDS:
-        for r, c in SHAPES:
+        large = LARGE_SHAPES if isinstance(field, PrimeField) else []
+        for r, c in SHAPES + large + LANE_SHAPES.get(field, []):
             yield pytest.param(field, r, c, id=f"{field!r}-{r}x{c}")
 
 
@@ -152,27 +163,6 @@ def test_incremental_basis_copy_is_independent(field):
     assert (basis.rank, basis.echelon_rows()) == (1, ([[1, 1, 0]], [0]))
     with pytest.raises(DimensionMismatch):
         twin.add([1, 2])
-
-
-def test_crossover_routes_by_size(monkeypatch):
-    calls = []
-    real = galois._rref_int64
-
-    def counted(p, rows, ncols):
-        calls.append(p)
-        return real(p, rows, ncols)
-
-    monkeypatch.setattr(galois, "_rref_int64", counted)
-    rnd = random.Random(0)
-    for field, r, c in [
-        (PrimeField(37), 8, CROSS // 8),
-        (PrimeField(37), 8, CROSS // 8 + 1),
-        (PrimeField(2), 8, CROSS // 8),
-        (PrimeField(2), 30, 30),
-        (BinaryField(3), 12, 12),
-    ]:
-        as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c).rank()
-    assert calls == [37, 2]
 
 
 def test_public_constructors_still_validate():

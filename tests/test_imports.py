@@ -148,6 +148,31 @@ def test_no_dead_private_helpers():
     assert unreferenced_privates(sources) == []
 
 
+def numpy_imports(source: str) -> list:
+    """Lines of every import of numpy or one of its submodules, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        lines += [node.lineno for name in names if name.split(".")[0] == "numpy"]
+    return sorted(lines)
+
+
+def test_checker_finds_a_numpy_import():
+    source = "import os, numpy as np\ndef f():\n    from numpy.linalg import inv\nfrom .numpy import x\n"
+    assert numpy_imports(source) == [1, 3]
+
+
+def test_package_does_not_import_numpy():
+    """The package has no dependencies: every elimination is pure Python."""
+    found = {p.name: numpy_imports(p.read_text(encoding="utf-8")) for p in sorted(ROOT.glob("src/icx/*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # The names `icx` exported when its __init__ imported every submodule eagerly.
 EXPORTS = [
     "AlignmentPartition", "BinaryField", "BoundCertificate", "BuiltinExample", "Destination",

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import reference_galois as ref_galois
 import reference_simulation as reference
+from conftest import make_instance
 from icx import scheme as scheme_module
 from icx.errors import (
     BadParams,
@@ -113,6 +115,40 @@ def test_interference_dimension_bound():
             assert vint.rank() <= ex.scheme.n - desired_streams
 
 
+def mixed_failure_case(field):
+    """Six one-stream messages in GF(q)^3 and four destinations: 1 fails
+    desired-rank only (V_2 = 5 V_1), 2 resolvability only (V_3 = V_4 - V_5),
+    3 both (its interference also spans V_1), and 4 passes.  The scalars are
+    read mod q, so the same failures hold over GF(2) and GF(37)."""
+    vectors = {1: (1, 0, 0), 2: (5, 0, 0), 3: (0, 1, 0), 4: (0, 1, 3), 5: (0, 0, 3), 6: (3, 1, 0)}
+    V = {m: Matrix(field, 3, 1, v) for m, v in vectors.items()}
+    inst = make_instance(6, [({1, 2}, {3, 4, 6}), ({3}, {1, 2, 6}), ({1, 2}, {5}), ({5}, {1, 2, 3, 4})])
+    return inst, LinearScheme(field, 3, V)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(37)], ids=repr)
+def test_rank_mode_diagnostics_pinned(field):
+    """Rank mode reads V_int's rank off one elimination of [V_int | V_des].
+    Its diagnostics equal the definition's, from three separate reference
+    ranks per destination: rank V_des = its streams, and rank [V_des | V_int]
+    = rank V_des + rank V_int."""
+    inst, scheme = mixed_failure_case(field)
+    rep = verify(inst, scheme, mode="rank")
+    got = [(d.kind, d.destination) for d in rep.diagnostics]
+    assert got == [("desired-rank", 1), ("resolvability", 2), ("desired-rank", 3), ("resolvability", 3)]
+    expected = []
+    for d in inst.destinations:
+        des = [scheme.V[m].col(0) for m in sorted(d.wants)]
+        inter = [scheme.V[i].col(0) for i in sorted(inst.interferers(d))]
+        rank_des = ref_galois.rank(field, des, 3)
+        if rank_des != len(des):
+            expected.append(("desired-rank", d.id))
+        if inter and ref_galois.rank(field, des + inter, 3) != rank_des + ref_galois.rank(field, inter, 3):
+            expected.append(("resolvability", d.id))
+    assert got == expected
+    assert not rep.valid and rep.mode == "rank"
+
+
 def _relabel(inst, scheme, relabel):
     inst2 = Instance(
         inst.num_messages,
@@ -217,6 +253,23 @@ def test_singular_decoder_is_a_counterexample():
         assert res.counterexample == {1: (1,), 2: (0,), 3: (0,)}
         x1 = Matrix.from_cols(f, [list(res.counterexample[1])])
         assert (U[(1, 1)] @ sch.V[1] @ x1).is_zero()
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_simulate_rank_deficient_unheld_columns(field, no_synthesis):
+    """In ``mixed_failure_case`` V has a null space on the streams each of
+    destinations 1-3 does not hold, with desired streams at pivot and at
+    free columns of its reduced rows.  The error rows read off those rows
+    give the naive reference's first counterexample."""
+    inst, scheme = mixed_failure_case(field)
+    expected = reference.simulate_least(inst, scheme, reference.lexicographic_tuples(scheme))
+    assert outcome(simulate_exhaustive(inst, scheme)) == expected
+    assert not expected[0]
+    # with destination 2 only, whose desired stream lies in its interference span
+    only2 = make_instance(6, [({3}, {1, 2, 6})])
+    expected = reference.simulate_least(only2, scheme, reference.lexicographic_tuples(scheme))
+    assert outcome(simulate_exhaustive(only2, scheme)) == expected
+    assert (expected[0], expected[3], expected[4]) == (False, 1, 3)
 
 
 def test_simulate_budget():
