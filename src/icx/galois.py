@@ -415,6 +415,14 @@ def _rref_bits(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     return [list(format(v, digits)[::-1].encode().translate(_FROM_DIGITS)) for v in packed[: len(pivots)]], pivots
 
 
+def _lane_bytes(p: int, steps: int) -> int:
+    """Bytes per lane of a GF(p) row that takes at most steps lazy steps:
+    the smallest of 1, 2, 4 and 8, or failing that the fewest, that hold
+    (steps + 2) * p^2."""
+    bits = ((steps + 2) * p * p).bit_length()
+    return next((s for s in _LANE_CODES if 8 * s >= bits), (bits + 7) // 8)
+
+
 def _rref_lanes(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """Gauss-Jordan over odd GF(p): column j of a row is lane j, W bits wide.
 
@@ -427,8 +435,7 @@ def _rref_lanes(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     number of bytes, that holds (min(rows, cols) + 2) * p^2.  No lane
     carries into the next.  The output rows are reduced mod p.
     """
-    bits = ((min(len(rows), ncols) + 2) * p * p).bit_length()
-    size = next((s for s in _LANE_CODES if 8 * s >= bits), (bits + 7) // 8)
+    size = _lane_bytes(p, min(len(rows), ncols))
     W, mask = 8 * size, (1 << 8 * size) - 1
     if size in _LANE_CODES:
         row_format = struct.Struct(f"<{ncols}{_LANE_CODES[size]}")

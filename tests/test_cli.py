@@ -210,6 +210,31 @@ def test_bad_field_spec_one_line_error(tmp_path, capsys, spec):
     assert code == garbage_code == 1
 
 
+def test_verify_and_bounds_do_not_load_numpy(tmp_path):
+    """Elimination is pure Python at every size, and simulation reads its
+    verdict off the error map, so these CLI calls never load numpy."""
+    inst_path, scheme_path = str(tmp_path / "inst.json"), str(tmp_path / "scheme.json")
+    save_instance(gen_neighboring_antidotes(8, 1, 2), inst_path)
+    save_scheme(build_antidote_scheme(8, 1, 2), scheme_path)
+    script = (
+        "import sys\n"
+        "from icx.cli import run\n"
+        "i, s = sys.argv[1:]\n"
+        "codes = [run(['verify', i, s]), run(['verify', i, s, '--mode', 'rank']), run(['bounds', i]),\n"
+        "         run(['simulate', i, s, '--sample', '100']), run(['simulate', i, s, '--budget', str(11**16)]),\n"
+        "         run(['example', '1', '--simulate'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = pathlib.Path(icx.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, inst_path, scheme_path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+
+
 def loaded_modules(argv):
     """Exit code of one CLI call in a fresh interpreter, and every module it loaded."""
     script = (

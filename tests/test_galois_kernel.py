@@ -16,6 +16,7 @@ import random
 import pytest
 
 import reference_galois as ref
+from icx import galois
 from icx.errors import DimensionMismatch, DivisionByZero
 from icx.galois import BinaryField, EchelonBasis, Matrix, PrimeField, Subspace
 from icx.scheme import _independent_rows
@@ -31,10 +32,10 @@ SHAPES = [
 LARGE_SHAPES = [(30, 78), (30, 126), (75, 30)]
 # A row of GF(p) takes at most min(rows, cols) lazy steps, so its lanes must
 # hold (min(rows, cols) + 2) * p^2: over GF(37) 2 bytes up to min 45 and 4
-# bytes from 46; over GF(2^31-1) 8 bytes at min 1 and 9 bytes from 2.
+# bytes from 46; over GF(2^31-1) 8 bytes up to min 2 and 9 bytes from 3.
 LANE_SHAPES = {
     PrimeField(37): [(45, 47), (46, 47), (47, 46), (47, 47)],
-    PrimeField(2**31 - 1): [(1, 12), (12, 1), (2, 12), (12, 2), (13, 13)],
+    PrimeField(2**31 - 1): [(1, 12), (12, 1), (2, 12), (12, 2), (3, 12), (12, 3), (13, 13)],
 }
 KINDS = ("dense", "sparse", "deficient")
 
@@ -163,6 +164,39 @@ def test_incremental_basis_copy_is_independent(field):
     assert (basis.rank, basis.echelon_rows()) == (1, ([[1, 1, 0]], [0]))
     with pytest.raises(DimensionMismatch):
         twin.add([1, 2])
+
+
+def test_crossover_routes_by_size(monkeypatch):
+    """Empty shapes and GF(2^m) never reach the packed kernels, GF(2) takes
+    the bit rows and odd p the lane rows, whose width grows with the number
+    of lazy steps a row can take."""
+    calls = []
+
+    def spying(name):
+        real = getattr(galois, name)
+
+        def spy(*args):  # (rows, ncols) are the last two arguments of both kernels
+            calls.append((name, len(args[-2]), args[-1]))
+            return real(*args)
+
+        return spy
+
+    for name in ("_rref_bits", "_rref_lanes"):
+        monkeypatch.setattr(galois, name, spying(name))
+    rnd = random.Random(0)
+    for field, r, c in [
+        (PrimeField(37), 8, 16),
+        (PrimeField(37), 0, 5),
+        (PrimeField(37), 5, 0),
+        (PrimeField(2), 30, 30),
+        (PrimeField(2), 0, 0),
+        (BinaryField(3), 12, 12),
+    ]:
+        as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c).rank()
+    assert calls == [("_rref_lanes", 8, 16), ("_rref_bits", 30, 30)]
+    assert [galois._lane_bytes(3, n) for n in (1, 26, 27)] == [1, 1, 2]
+    assert [galois._lane_bytes(37, n) for n in (1, 45, 46)] == [2, 2, 4]
+    assert [galois._lane_bytes(2**31 - 1, n) for n in (1, 2, 3)] == [8, 8, 9]
 
 
 def test_public_constructors_still_validate():
