@@ -26,6 +26,9 @@ results do not depend on the path.  The list path is ``EchelonBasis``,
 which callers also use on its own: it takes vectors one at a time and
 reports how much each grows the rank (subspace membership, sliding windows,
 greedy choices of rows or columns).
+
+``_row_products`` packs a matrix's rows the same way, once, for many
+products of a row vector with it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import operator
 import struct
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -275,8 +278,8 @@ def _same_field(a: Field, b: Field):
 # Elimination kernel
 # ----------------------------------------------------------------------
 
-# Packed rows for _rref: the little-endian struct codes of lanes of 1, 2, 4
-# and 8 bytes, and the digit tables of GF(2) rows.
+# Packed rows for _rref and _row_products: the little-endian struct codes of
+# lanes of 1, 2, 4 and 8 bytes, and the digit tables of rows of bits.
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -398,7 +401,8 @@ def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
 def _rref_bits(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """Gauss-Jordan over GF(2): column j of a row is bit j, and a row
     operation is one xor."""
-    packed = [int(bytes(reversed(row)).translate(_TO_DIGITS), 2) for row in rows]
+    pack, unpack = _lane_codec(1, ncols)
+    packed = [pack(row) for row in rows]
     pivots = []
     for c in range(ncols):
         r, bit = len(pivots), 1 << c
@@ -411,8 +415,27 @@ def _rref_bits(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
         pivots.append(c)
         if r + 1 == len(packed):
             break
-    digits = f"0{ncols}b"
-    return [list(format(v, digits)[::-1].encode().translate(_FROM_DIGITS)) for v in packed[: len(pivots)]], pivots
+    return [unpack(v) for v in packed[: len(pivots)]], pivots
+
+
+def _lane_codec(width: int, ncols: int) -> tuple:
+    """(pack, unpack) between ncols lane values and one int, lane j at bits
+    width * j and up: single bits through digit strings, lanes of 1, 2, 4
+    or 8 bytes through struct, other whole bytes one by one.  ncols >= 1,
+    and every value must fit its lane."""
+    if width == 1:
+        digits = f"0{ncols}b"
+        pack = lambda lanes: int(bytes(lanes)[::-1].translate(_TO_DIGITS), 2)
+        unpack = lambda v: list(format(v, digits)[::-1].encode().translate(_FROM_DIGITS))
+    elif width // 8 in _LANE_CODES:
+        row_format = struct.Struct(f"<{ncols}{_LANE_CODES[width // 8]}")
+        pack = lambda lanes: int.from_bytes(row_format.pack(*lanes), "little")
+        unpack = lambda v: row_format.unpack(v.to_bytes(row_format.size, "little"))
+    else:
+        mask = (1 << width) - 1
+        pack = lambda lanes: int.from_bytes(b"".join(x.to_bytes(width // 8, "little") for x in lanes), "little")
+        unpack = lambda v: [v >> s & mask for s in range(0, width * ncols, width)]
+    return pack, unpack
 
 
 def _lane_bytes(p: int, steps: int) -> int:
@@ -435,15 +458,9 @@ def _rref_lanes(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     number of bytes, that holds (min(rows, cols) + 2) * p^2.  No lane
     carries into the next.  The output rows are reduced mod p.
     """
-    size = _lane_bytes(p, min(len(rows), ncols))
-    W, mask = 8 * size, (1 << 8 * size) - 1
-    if size in _LANE_CODES:
-        row_format = struct.Struct(f"<{ncols}{_LANE_CODES[size]}")
-        pack = lambda lanes: int.from_bytes(row_format.pack(*lanes), "little")
-        unpack = lambda v: row_format.unpack(v.to_bytes(size * ncols, "little"))
-    else:
-        pack = lambda lanes: int.from_bytes(b"".join(x.to_bytes(size, "little") for x in lanes), "little")
-        unpack = lambda v: [v >> s & mask for s in range(0, W * ncols, W)]
+    W = 8 * _lane_bytes(p, min(len(rows), ncols))
+    mask = (1 << W) - 1
+    pack, unpack = _lane_codec(W, ncols)
     packed = [pack(row) for row in rows]
     pivots = []
     for c in range(ncols):
@@ -460,6 +477,34 @@ def _rref_lanes(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
         if r + 1 == len(packed):
             break
     return [[x % p for x in unpack(v)] for v in packed[: len(pivots)]], pivots
+
+
+def _row_products(mat: "Matrix"):
+    """Pack mat's rows once for many products c @ mat, c a row vector.
+
+    The returned function takes c, a sequence of mat.rows canonical
+    elements, and gives (the canonical entries of c @ mat as a sequence, a
+    bitmask with bit j set iff entry j is nonzero).  Over GF(2) the product
+    is an xor of packed rows, which is its own mask; over odd p a sum of
+    lanes wide enough for mat.rows terms below p^2; over GF(2^m) a field
+    sum per column.
+    """
+    f, ncols = mat.field, mat.cols
+    if not ncols:
+        return lambda c: ((), 0)
+    bits, unbits = _lane_codec(1, ncols)
+    if isinstance(f, BinaryField):
+        cols, mul = mat.col_list(), f.mul
+        entries = lambda c: [reduce(operator.xor, map(mul, c, col), 0) for col in cols]
+    elif f.p == 2:
+        packed = list(map(bits, mat._row_tuples()))
+        return lambda c: (unbits(v := reduce(operator.xor, compress(packed, c), 0)), v)
+    else:
+        p = f.p
+        pack, unpack = _lane_codec(8 * _lane_bytes(p, mat.rows), ncols)
+        packed = list(map(pack, mat._row_tuples()))
+        entries = lambda c: [x % p for x in unpack(sum(map(operator.mul, c, packed)))]
+    return lambda c: (out := entries(c), bits(map(bool, out)))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
 
 * decoder mode (combining matrices U present): zero-forcing checks
   U_{m,k} V_i = 0 for every non-antidote interferer i at k, and
-  U_{m,k} V_m invertible;
+  U_{m,k} V_m invertible, both read off one product of each row of
+  U_{m,k} with [V_1 | ... | V_K], whose rows are packed once per call;
 * rank mode (V only): at each destination the desired columns are jointly
   independent and their span meets the interference span only at zero.
 
@@ -29,9 +30,12 @@ tuple.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from types import MappingProxyType
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from typing import Mapping, Optional
 
 from .errors import (
@@ -48,7 +52,7 @@ from .errors import (
     read_file,
     write_file,
 )
-from .galois import EchelonBasis, Field, Matrix, field_from_json
+from .galois import EchelonBasis, Field, Matrix, _row_products, field_from_json
 from .model import Instance, check_family
 
 DEFAULT_SIMULATION_BUDGET = 2**24
@@ -156,20 +160,27 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
     else:
         if scheme.U is None:
             raise SchemeMalformed("decoder mode requires combining matrices")
+        cols = _stream_columns(scheme)
+        product = _row_products(Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols]))
+        masks = {i: ((1 << len(r)) - 1) << r.start for i, r in cols.items()}  # V_i's columns as bits
+        everything = sum(masks.values())
         for d in inst.destinations:
+            # the columns d does not hold, summed over the smaller side of d.has
+            if 2 * len(d.has) <= len(masks):
+                unheld = everything - sum(map(masks.__getitem__, masks.keys() & d.has))
+            else:
+                unheld = sum(map(masks.__getitem__, masks.keys() - d.has))
             for m in sorted(d.wants):
                 u = scheme.U.get((m, d.id))
                 if u is None:
                     diags.append(Diagnostic("missing-decoder", d.id, message=m))
                     continue
-                prod = u @ scheme.V[m]
-                if prod.rank() != scheme.stream_count(m):
+                rows, own = _decode_rows(product, u, cols[m])
+                if own.rank() != scheme.stream_count(m):
                     diags.append(Diagnostic("property2", d.id, message=m))
-                for i in scheme.message_ids():
-                    if i == m or i in d.has:
-                        continue
-                    if not (u @ scheme.V[i]).is_zero():
-                        diags.append(Diagnostic("property1", d.id, message=m, interferer=i))
+                leak = reduce(operator.or_, (nz for _, nz in rows), 0) & unheld & ~masks[m]
+                if leak:  # name each interferer whose columns leak, in id order
+                    diags += [Diagnostic("property1", d.id, message=m, interferer=i) for i in cols if leak & masks[i]]
     return VerificationReport(not diags, mode, tuple(diags), scheme.rates())
 
 
@@ -205,6 +216,22 @@ def _pivots(red: Matrix) -> list:
     """Pivot columns of a matrix in reduced row echelon form: each nonzero
     row's first 1, as every entry before it is 0."""
     return [row.index(1) for row in map(red.row, range(red.rows)) if any(row)]
+
+
+def _stream_columns(scheme: LinearScheme) -> dict:
+    """message -> the range of its stream columns in [V_1 | ... | V_K], ids ascending."""
+    ids = scheme.message_ids()
+    starts = accumulate(map(scheme.stream_count, ids), initial=0)
+    return {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}
+
+
+def _decode_rows(product, u: Matrix, own: range) -> tuple:
+    """The rows of u @ [V_1 | ... | V_K] as (entries, nonzero mask) pairs,
+    by ``product`` from ``_row_products``, and the square block u @ V_m on
+    V_m's columns ``own``."""
+    rows = [product(u.row(r)) for r in range(u.rows)]
+    block = tuple(e for out, _ in rows for e in out[own.start : own.stop])
+    return rows, Matrix._trusted(u.field, u.rows, len(own), block)
 
 
 def _independent_rows(mat: Matrix):
@@ -348,8 +375,10 @@ class _Kernel:
         msg_ids = scheme.message_ids()
         self.streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
         total = len(self.streams)
-        pos = {m: [s for s, (i, _) in enumerate(self.streams) if i == m] for m in msg_ids}
+        pos = _stream_columns(scheme)
         vfull = Matrix.hstack_all(f, [scheme.V[m] for m in msg_ids])
+        if scheme.U is not None:
+            product = _row_products(vfull)
         self.singular = None
         rows, self.owner = [], []
         for d in inst.destinations:
@@ -371,18 +400,17 @@ class _Kernel:
                     u = scheme.U.get((m, d.id))
                     if u is None:
                         raise SchemeMalformed(f"simulation needs the combiner U[{m}@{d.id}]")
-                    uv = u @ scheme.V[m]
+                    prod, uv = _decode_rows(product, u, pos[m])
                     if uv.rank() < uv.rows:
                         x = {i: (0,) * scheme.stream_count(i) for i in msg_ids}
                         x[m] = uv.nullspace().col(0)
                         self.singular = SimulationResult(False, 1, x, d.id, m)
                         return
                     interferes = [i != m and i not in d.has for i, _ in self.streams]
-                    prod = (u @ vfull).row_list()
-                    err = [[e if keep else 0 for e, keep in zip(row, interferes)] for row in prod]
+                    err = [[e if keep else 0 for e, keep in zip(out, interferes)] for out, _ in prod]
                 rows += err
                 self.owner += [(d.id, m)] * len(err)
-        self.E = Matrix(f, len(rows), total, tuple(e for row in rows for e in row))
+        self.E = Matrix._trusted(f, len(rows), total, tuple(e for row in rows for e in row))
 
     def result(self, digits, row: int, checked: int) -> SimulationResult:
         counterexample = {}

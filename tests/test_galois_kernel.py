@@ -8,7 +8,8 @@ both sides of a change of lane width in the packed GF(p) rows.  Results
 must agree exactly: ranks, the reduced row echelon form, the order of null
 space basis vectors, inverses and the reduced column echelon form.  The
 greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
-are checked against fresh ranks.
+are checked against fresh ranks, and the packed products of
+``_row_products`` against ``Matrix.__matmul__``.
 """
 
 import random
@@ -197,6 +198,41 @@ def test_crossover_routes_by_size(monkeypatch):
     assert [galois._lane_bytes(3, n) for n in (1, 26, 27)] == [1, 1, 2]
     assert [galois._lane_bytes(37, n) for n in (1, 45, 46)] == [2, 2, 4]
     assert [galois._lane_bytes(2**31 - 1, n) for n in (1, 2, 3)] == [8, 8, 9]
+
+
+# (field, rows, cols, lane bytes) for _row_products.  Over odd p a product
+# sums rows terms below p^2, in lanes of _lane_bytes(p, rows) bytes, so the
+# row count sets the width; GF(2) rows are bits and GF(2^m) is not packed.
+PRODUCT_SHAPES = [
+    (PrimeField(2), 0, 0, None), (PrimeField(2), 0, 5, None), (PrimeField(2), 5, 0, None),
+    (PrimeField(2), 1, 1, None), (PrimeField(2), 10, 780, None), (PrimeField(2), 30, 126, None),
+    (BinaryField(3), 0, 4, None), (BinaryField(3), 4, 0, None), (BinaryField(3), 9, 30, None),
+    (PrimeField(3), 0, 4, 1), (PrimeField(3), 4, 0, 1), (PrimeField(3), 26, 9, 1), (PrimeField(3), 27, 9, 2),
+    (PrimeField(37), 45, 5, 2), (PrimeField(37), 46, 5, 4), (PrimeField(37), 30, 126, 2),
+    (PrimeField(2**31 - 1), 1, 6, 8), (PrimeField(2**31 - 1), 2, 6, 8), (PrimeField(2**31 - 1), 3, 6, 9),
+    (PrimeField(2**31 - 1), 7, 0, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "field, r, c, width", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in PRODUCT_SHAPES]
+)
+def test_row_products_match_matmul(field, r, c, width):
+    """One packed product per coefficient row gives the entries of c @ M,
+    as ``Matrix.__matmul__`` does, and the bitmask of its nonzero columns."""
+    if width is not None:
+        assert galois._lane_bytes(field.p, r) == width
+    rnd = random.Random(f"products {field!r} {r} {c}")
+    q = field.order
+    for kind in ("dense", "sparse"):
+        mat = as_matrix(field, random_rows(field, r, c, kind, rnd), r, c)
+        product = galois._row_products(mat)
+        for coefs in ([0] * r, [q - 1] * r, *([rnd.randrange(q) for _ in range(r)] for _ in range(8))):
+            expected = (Matrix(field, 1, r, tuple(coefs)) @ mat).entries
+            entries, mask = product(coefs)
+            assert tuple(entries) == expected
+            assert all(type(e) is int for e in entries)
+            assert mask == sum(1 << j for j, e in enumerate(expected) if e)
 
 
 def test_public_constructors_still_validate():

@@ -8,6 +8,7 @@ import pytest
 
 import reference_galois as ref_galois
 import reference_simulation as reference
+import reference_verify
 from conftest import make_instance
 from icx import scheme as scheme_module
 from icx.errors import (
@@ -25,6 +26,7 @@ from icx.model import (
     Instance,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
+    gen_x_network,
 )
 from icx.scheme import (
     LinearScheme,
@@ -36,7 +38,8 @@ from icx.scheme import (
     synthesize_decoders,
     verify,
 )
-from icx.symmetric import build_antidote_scheme, build_interference_scheme, builtin_example
+from icx.symmetric import build_antidote_scheme, build_interference_scheme, build_x_scheme, builtin_example
+from icx.unicast import scheme_to_unicast, to_unicast
 
 
 def three_cycle_instance():
@@ -184,6 +187,100 @@ def test_permuting_message_ids_preserves_verdict():
         relabel = dict(zip(range(1, inst.num_messages + 1), perm))
         inst2, scheme2 = _relabel(inst, scheme, relabel)
         assert verify(inst2, scheme2).valid == verify(inst, scheme).valid
+
+
+DECODER_KINDS = ("valid", "flipped", "missing", "singular")
+
+
+def decoder_case(rnd, field, kind):
+    """A random instance and a decoder-mode scheme: synthesized combiners,
+    or random ones where synthesis fails, then changed as kind says.  Some
+    messages have no streams and some destinations hold every message they
+    do not want."""
+    M = rnd.randrange(1, 6)
+    streams = {m: rnd.randrange(3) for m in range(1, M + 1)}
+    n = rnd.randrange(1, sum(streams.values()) + 3)
+    dests = []
+    for k in rnd.sample(range(1, 6), rnd.randrange(1, 5)):
+        wants = set(rnd.sample(range(1, M + 1), rnd.randrange(1, min(M, 2) + 1)))
+        rest = [m for m in range(1, M + 1) if m not in wants]
+        has = set(rest) if rnd.random() < 0.25 else {m for m in rest if rnd.random() < 0.4}
+        dests.append(Destination(k, frozenset(wants), frozenset(has)))
+    inst = Instance(M, tuple(dests))
+
+    def rand_matrix(rows, cols):
+        return Matrix(field, rows, cols, tuple(rnd.randrange(field.order) for _ in range(rows * cols)))
+
+    V = {m: rand_matrix(n, streams[m]) for m in range(1, M + 1)}
+    try:
+        U = dict(synthesize_decoders(inst, LinearScheme(field, n, V)).U)
+    except NoDecoderExists:
+        U = {(m, d.id): rand_matrix(streams[m], n) for d in dests for m in d.wants}
+    keys = sorted(key for key, u in U.items() if u.rows)
+    if kind == "missing":
+        del U[rnd.choice(sorted(U))]
+    elif kind in ("flipped", "singular") and keys:
+        key = rnd.choice(keys)
+        entries = list(U[key].entries)
+        if kind == "flipped":
+            j = rnd.randrange(len(entries))
+            entries[j] = field.add(entries[j], rnd.randrange(1, field.order))
+        else:  # a zero row makes U V_m singular
+            entries[:n] = [0] * n
+        U[key] = Matrix(field, streams[key[0]], n, tuple(entries))
+    return inst, LinearScheme(field, n, V, U)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(3), PrimeField(37), PrimeField(2**31 - 1), BinaryField(2), BinaryField(3)],
+    ids=repr,
+)
+def test_decoder_mode_matches_reference(field):
+    """Decoder mode reads every property off one packed product per decoder
+    row.  Its whole report, diagnostics and their order included, equals the
+    definition's, which forms U_{m,k} V_i for each interferer on its own."""
+    rnd = random.Random(f"decoder {field!r}")
+    seen = set()
+    for case in range(80):
+        kind = DECODER_KINDS[case % len(DECODER_KINDS)]
+        inst, scheme = decoder_case(rnd, field, kind)
+        rep = verify(inst, scheme, mode="decoder")
+        assert rep.to_json() == reference_verify.verify_decoder(inst, scheme).to_json(), (case, kind)
+        seen |= {d.kind for d in rep.diagnostics}
+        covered = {
+            "valid": rep.valid,
+            "no streams": any(v.cols == 0 for v in scheme.V.values()),
+            "holds all": any(len(d.has | d.wants) == inst.num_messages for d in inst.destinations),
+        }
+        seen |= {name for name, hit in covered.items() if hit}
+    assert seen == {"valid", "property1", "property2", "missing-decoder", "no streams", "holds all"}
+
+
+def test_decoder_mode_forms_no_matrix_products(monkeypatch):
+    """Decoder mode packs [V_1 | ... | V_K] once per call, so the matrix
+    products it forms do not grow with the interferers: on the unicast
+    X-network K=15 L=4 scheme (300 messages) it forms none, valid or not."""
+    inst = gen_x_network(15, 4)
+    umap = to_unicast(inst, 4)
+    uni = scheme_to_unicast(umap, synthesize_decoders(inst, build_x_scheme(15, 4)))
+    key = min(uni.U)
+    flipped = dict(uni.U)
+    u = uni.U[key]
+    flipped[key] = Matrix(u.field, u.rows, u.cols, (1 - u.entries[0],) + u.entries[1:])
+    broken = LinearScheme(uni.field, uni.n, uni.V, flipped)
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    assert verify(umap.transformed, uni, mode="decoder").valid
+    rep = verify(umap.transformed, broken, mode="decoder")
+    assert calls == []
+    assert not rep.valid and {d.destination for d in rep.diagnostics} == {key[1]}
 
 
 # ----------------------------------------------------------------------
