@@ -11,24 +11,22 @@ Matrices are immutable, dense, row-major.  Subspaces carry a reduced
 column echelon basis, which makes subspace equality a plain entry
 comparison.
 
-Every elimination (rank, rref, null spaces, inverse, column echelon form)
-goes through one kernel, ``_rref``, which picks its path from the field
-alone:
+Eliminations take one of three paths:
 
-* GF(p): Gauss-Jordan on rows packed into one Python int each, so a row
-  operation is a few big-integer operations.  Over GF(2) column j is bit j;
-  over odd p it is a lane of bits wide enough that lanes can be reduced
-  mod p lazily.
-* GF(2^m): Python lists, with the field's own multiplication.
+* A full reduced row echelon form over GF(p) (``rref``, ``nullspace``,
+  ``inverse``, ``column_echelon``) is batch Gauss-Jordan in ``_rref``, on
+  rows packed into one Python int each, so a row operation is a few
+  big-integer operations.  Over GF(2) column j is bit j; over odd p it is a
+  lane of bits wide enough that lanes can be reduced mod p lazily.
+* Incremental and rank-only work over GF(p) (``rank``, ``left_nullspace``,
+  subspace membership, sliding windows, greedy choices of rows or columns,
+  the oracles' searches) grows an ``EchelonBasis`` of rows packed the same
+  way, which back-substitutes only when asked for the reduced form.
+* Over GF(2^m) both are ``EchelonBasis`` on Python lists, with the field's
+  own multiplication.
 
-Each path computes the reduced row echelon form, which is unique, so the
-results do not depend on the path.  The list path is ``EchelonBasis``,
-which callers also use on its own: it takes vectors one at a time and
-reports how much each grows the rank (subspace membership, sliding windows,
-greedy choices of rows or columns).
-
-``_row_products`` packs a matrix's rows the same way, once, for many
-products of a row vector with it.
+The reduced row echelon form is unique, so results do not depend on the
+path.  ``_row_products`` packs a matrix's rows once for many products.
 """
 
 from __future__ import annotations
@@ -278,7 +276,7 @@ def _same_field(a: Field, b: Field):
 # Elimination kernel
 # ----------------------------------------------------------------------
 
-# Packed rows for _rref and _row_products: the little-endian struct codes of
+# Packed rows for _rref, EchelonBasis and _row_products: the little-endian struct codes of
 # lanes of 1, 2, 4 and 8 bytes, and the digit tables of rows of bits.
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -286,71 +284,96 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class EchelonBasis:
-    """Reduced row echelon basis of the span of vectors added one at a time.
+    """Semi-echelon basis of the span of vectors added one at a time.
 
-    Every basis row has a 1 in its pivot column and a 0 in the pivot column
-    of every other row.  So, sorted by pivot, the rows are the nonzero rows of
-    the reduced row echelon form of all vectors added so far, in whatever
-    order they came.  ``add`` returns the rank growth, 0 or 1; ``grow`` adds
-    many and says which of them grew it.
+    ``add`` reduces a vector against the rows in insertion order and appends
+    what is left, if nonzero, scaled to a 1 in its first nonzero column, its
+    pivot.  Rows are never rewritten, so each is 0 in the pivots of the rows
+    before it, an add costs a step per row and ``copy`` copies two lists.
+    The pivots are those of the reduced row echelon form, which
+    ``echelon_rows`` back-substitutes to.  ``add`` returns the rank growth,
+    0 or 1; ``grow`` adds many and says which of them grew it.
 
-    Vectors are sequences of n canonical field elements; rows are lists.
+    Vectors are sequences of n canonical elements.  Over GF(p) a row is one
+    int packed as in ``_rref``, its lanes wide enough for the at most n lazy
+    steps a row takes; over GF(2^m) it is a list.
     """
 
-    __slots__ = ("field", "n", "pivots", "rows", "_p")
+    __slots__ = ("field", "n", "pivots", "rows", "_codec")
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
         self.pivots: list = []  # pivot column of each row, in insertion order
         self.rows: list = []
-        self._p = field.p if isinstance(field, PrimeField) else 0
+        p = field.p if isinstance(field, PrimeField) else 0
+        W = 8 * _lane_bytes(p, n) if p > 2 else 1
+        self._codec = (p, W, *(_lane_codec(W, n) if p and n else (list, list)))  # (p or 0, W, pack, unpack)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def _reduce(self, v, pairs):
+        """v less the multiple of each (pivot, row) in pairs that clears v there."""
+        p, W = self._codec[:2]
+        if p == 2:
+            for c, b in pairs:
+                if v >> c & 1:
+                    v ^= b
+        elif p:
+            mask = (1 << W) - 1
+            for c, b in pairs:
+                if t := (v >> W * c & mask) % p:
+                    v += (p - t) * b
+        else:
+            mul = self.field.mul
+            for c, b in pairs:
+                if t := v[c]:
+                    v = [x ^ mul(t, y) for x, y in zip(v, b)]
+        return v
+
+    def unpack(self, row) -> list:
+        """The canonical entries of a row of this basis, or one ``pack`` made."""
+        p, _, _, unpack = self._codec
+        return [x % p for x in unpack(row)] if p else unpack(row)
+
+    def pack(self, vec: Sequence[int]):
+        """vec as a row for ``add_row`` to any basis of this field and n."""
+        if len(vec) != self.n:
+            raise DimensionMismatch(f"vector of length {len(vec)} for a basis of {self.n}-vectors")
+        return self._codec[2](vec)
+
     def add(self, vec: Sequence[int]) -> int:
         """Reduce vec against the basis and keep what is left, if nonzero."""
-        n = self.n
-        if len(vec) != n:
-            raise DimensionMismatch(f"vector of length {len(vec)} for a basis of {n}-vectors")
-        pivots, rows = self.pivots, self.rows
-        if len(pivots) == n:
+        return self.add_row(self.pack(vec))
+
+    def add_row(self, v) -> int:
+        """``add`` for a vector that ``pack`` made into a row."""
+        pivots = self.pivots
+        if len(pivots) == self.n:
             return 0
-        p = self._p
-        if p:
-            for c, b in zip(pivots, rows):
-                t = vec[c]
-                if t:
-                    vec = [(x - t * y) % p for x, y in zip(vec, b)]
-            c = next((j for j, x in enumerate(vec) if x), None)
+        p, _, pack, unpack = self._codec
+        v = self._reduce(v, zip(pivots, self.rows))
+        if p == 2:
+            if not v:
+                return 0
+            c = (v & -v).bit_length() - 1
+        elif p:  # one pass over the lazy lanes reduces and scales them
+            lanes = unpack(v)
+            c = next((j for j, x in enumerate(lanes) if x % p), None)
             if c is None:
                 return 0
-            inv = pow(vec[c], p - 2, p)
-            new = [x * inv % p for x in vec]
-            for i, b in enumerate(rows):
-                t = b[c]
-                if t:
-                    rows[i] = [(x - t * y) % p for x, y in zip(b, new)]
+            inv = pow(lanes[c], p - 2, p)
+            v = pack([x * inv % p for x in lanes])
         else:
-            f = self.field
-            mul = f.mul
-            for c, b in zip(pivots, rows):
-                t = vec[c]
-                if t:
-                    vec = [x ^ mul(t, y) for x, y in zip(vec, b)]
-            c = next((j for j, x in enumerate(vec) if x), None)
+            c = next((j for j, x in enumerate(v) if x), None)
             if c is None:
                 return 0
-            inv = f.inv(vec[c])
-            new = [mul(inv, x) for x in vec]
-            for i, b in enumerate(rows):
-                t = b[c]
-                if t:
-                    rows[i] = [x ^ mul(t, y) for x, y in zip(b, new)]
+            inv, mul = self.field.inv(v[c]), self.field.mul
+            v = [mul(inv, x) for x in v]
         pivots.append(c)
-        rows.append(new)
+        self.rows.append(v)
         return 1
 
     def grow(self, vectors: Iterable[Sequence[int]]) -> list:
@@ -369,25 +392,28 @@ class EchelonBasis:
     def copy(self) -> "EchelonBasis":
         """A basis of the same span that adds to either leave the other alone.
 
-        Shallow copies of pivots and rows suffice: ``add`` replaces rows and
-        never edits one in place.
+        Shallow copies of pivots and rows suffice: ``add`` only appends.
         """
         other = EchelonBasis.__new__(EchelonBasis)
-        other.field, other.n, other._p = self.field, self.n, self._p
+        other.field, other.n, other._codec = self.field, self.n, self._codec
         other.pivots, other.rows = self.pivots[:], self.rows[:]
         return other
 
     def echelon_rows(self) -> tuple:
-        """(basis rows as lists sorted by pivot, their pivot columns)."""
-        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        return [list(self.rows[i]) for i in order], [self.pivots[i] for i in order]
+        """(rows of the reduced row echelon form as lists, sorted by pivot;
+        their pivots).  A row reduced against the later rows in insertion
+        order is cleared in their pivots, as each is 0 in the earlier ones."""
+        pivots, rows = self.pivots, self.rows
+        later = (zip(pivots[i + 1 :], rows[i + 1 :]) for i in range(len(rows)))
+        out = sorted((c, self._reduce(b, pairs)) for c, b, pairs in zip(pivots, rows, later))
+        return [self.unpack(b) for _, b in out], [c for c, _ in out]
 
 
 def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """(nonzero rows of the reduced row echelon form of rows, pivot columns).
 
-    Every whole-matrix elimination in icx ends here: GF(p) in packed rows,
-    GF(2^m) in ``EchelonBasis``.  Entries must be canonical.
+    Every full reduced form in icx ends here: GF(p) in packed rows, GF(2^m)
+    in ``EchelonBasis``.  Entries must be canonical.
     """
     if isinstance(field, BinaryField):
         basis = EchelonBasis(field, ncols)
@@ -418,6 +444,7 @@ def _rref_bits(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     return [unpack(v) for v in packed[: len(pivots)]], pivots
 
 
+@lru_cache
 def _lane_codec(width: int, ncols: int) -> tuple:
     """(pack, unpack) between ncols lane values and one int, lane j at bits
     width * j and up: single bits through digit strings, lanes of 1, 2, 4
@@ -656,7 +683,7 @@ class Matrix(Record):
             out.extend(self.row(i))
         return Matrix._trusted(self.field, len(idx), self.cols, tuple(out))
 
-    # -- elimination (all through _rref) --------------------------------
+    # -- elimination ----------------------------------------------------
 
     def rref(self) -> "Matrix":
         rows, _ = _rref(self.field, self._row_tuples(), self.cols)
@@ -665,7 +692,9 @@ class Matrix(Record):
         return Matrix._trusted(self.field, self.rows, self.cols, tuple(entries))
 
     def rank(self) -> int:
-        return len(_rref(self.field, self._row_tuples(), self.cols)[1])
+        basis = EchelonBasis(self.field, self.cols)
+        basis.grow(self._row_tuples())
+        return basis.rank
 
     def nullspace(self) -> "Matrix":
         """Columns form a basis of {x : self @ x = 0}."""
@@ -683,8 +712,17 @@ class Matrix(Record):
         return Matrix._trusted(f, self.cols, len(free), tuple(e for row in out for e in row))
 
     def left_nullspace(self) -> "Matrix":
-        """Rows form a basis of {y : y @ self = 0}."""
-        return self.transpose().nullspace().transpose()
+        """Rows form a basis of {y : y @ self = 0}, as the transpose's null space:
+        one y per row i of self that depends on the rows before it, with y_i = 1
+        and y 0 at the other such rows.  Row i of [self | J], J the reversed
+        identity, reduces to [0 | y J], y_i leading; no later row needs it."""
+        f, r, c = self.field, self.rows, self.cols
+        basis, ys = EchelonBasis(f, c + r), []
+        for i in range(r):
+            if basis.add(self.row(i) + (0,) * (r - 1 - i) + (1,) + (0,) * i) and basis.pivots[-1] >= c:
+                basis.pivots.pop()
+                ys.append(basis.unpack(basis.rows.pop())[c:][::-1])
+        return Matrix._trusted(f, len(ys), r, tuple(chain.from_iterable(ys)))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

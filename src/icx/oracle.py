@@ -86,20 +86,20 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     # free[i]: the columns of row i's free entries, the antidotes of message i + 1
     free = [[mp - 1 for mp in sorted(inst.destination(dest_of[i + 1]).has)] for i in range(K)]
 
-    def rows(i):
-        """Row i's candidates: its free-entry patterns in increasing order."""
-        for pattern in range(2 ** len(free[i])):
-            row = [0] * K
-            row[i] = 1
-            for j, c in enumerate(free[i]):
-                row[c] = pattern >> j & 1
-            yield row
-
     gf2 = PrimeField(2)
+    empty = EchelonBasis(gf2, K)
+    # a 0/1 row packs to the sum of its unit rows packed, as no two share a column
+    unit = [empty.pack([0] * c + [1] + [0] * (K - 1 - c)) for c in range(K)]
+
+    def rows(i):
+        """Row i's candidates, packed: its free-entry patterns in increasing order."""
+        choices = [(0, unit[c]) for c in reversed(free[i])]  # the last varies fastest
+        return (unit[i] + sum(units) for units in itertools.product(*choices))
+
     best, best_rows, fixed, nodes = K + 1, None, [None] * K, 0
     # free entries run row by row, so numeric order of them fixes row K first
     # and row 1 last, each row's patterns in increasing order
-    stack = [(K - 1, rows(K - 1), EchelonBasis(gf2, K))]
+    stack = [(K - 1, rows(K - 1), empty)]
     while stack:
         i, candidates, basis = stack[-1]
         row = next(candidates, None)
@@ -111,7 +111,7 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
             found = f"best rank so far {best}" if best_rows else "no full matrix yet"
             raise BudgetExceeded(f"minrank search exceeded {budget} nodes ({found})")
         child = basis.copy()
-        child.add(row)
+        child.add_row(row)
         if child.rank >= best:
             continue  # the rank only grows: nothing below can beat the best
         fixed[i] = row
@@ -120,7 +120,7 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
         else:
             best, best_rows = child.rank, list(fixed)
 
-    fitting = Matrix.from_rows(gf2, best_rows)
+    fitting = Matrix.from_rows(gf2, list(map(empty.unpack, best_rows)))
     scheme = _scheme_from_fitting(inst, fitting, demand, best)
     return OracleResult(
         query=f"minrank over GF(2), {K} messages",
@@ -221,25 +221,25 @@ def _first_valid_beams(inst, field, n, nodes, budget):
         for m in inst.interferers(d):
             roles[m].append((i, False))
     beams = [None] * M
+    empty = EchelonBasis(field, n)
 
     def place(m, state):
         """state with message m's beam added, or None if a deficit appears."""
         state = list(state)
-        beam = beams[m - 1]
+        beam = empty.pack(beams[m - 1])  # one row for every basis it joins
         for i, desired in roles[m]:
             joint, interference = state[i]
             joint = joint.copy()
             if desired:
-                kept = joint.add(beam)
+                kept = joint.add_row(beam)
             else:
                 interference = interference.copy()
-                kept = joint.add(beam) == interference.add(beam)
+                kept = joint.add_row(beam) == interference.add_row(beam)
             if not kept:
                 return None
             state[i] = joint, interference
         return state
 
-    empty = EchelonBasis(field, n)
     stack = [(1, iter([(1,) + (0,) * (n - 1)]), [(empty, empty)] * len(inst.destinations))]
     while stack:
         m, candidates, state = stack[-1]

@@ -152,9 +152,11 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
             if rank_des != vdes.cols:
                 diags.append(Diagnostic("desired-rank", d.id))
             if interference:
-                # one elimination: the pivots of [V_int | V_des] left of V_des are V_int's rank
+                # one basis of the rows of [V_int | V_des]: its pivots left of V_des are V_int's rank
                 both = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in interference + desired])
-                pivots = _pivots(both.rref())
+                basis = EchelonBasis(scheme.field, both.cols)
+                basis.grow(both._row_tuples())
+                pivots = basis.pivots
                 if len(pivots) != rank_des + sum(c < both.cols - vdes.cols for c in pivots):
                     diags.append(Diagnostic("resolvability", d.id))
     else:

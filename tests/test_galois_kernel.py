@@ -9,7 +9,9 @@ must agree exactly: ranks, the reduced row echelon form, the order of null
 space basis vectors, inverses and the reduced column echelon form.  The
 greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
 are checked against fresh ranks, and the packed products of
-``_row_products`` against ``Matrix.__matmul__``.
+``_row_products`` against ``Matrix.__matmul__``.  The packed basis is
+checked row by row against the reference at every lane width, and
+``left_nullspace`` against the transpose's null space.
 """
 
 import random
@@ -20,7 +22,9 @@ import reference_galois as ref
 from icx import galois
 from icx.errors import DimensionMismatch, DivisionByZero
 from icx.galois import BinaryField, EchelonBasis, Matrix, PrimeField, Subspace
-from icx.scheme import _independent_rows
+from icx.model import gen_neighboring_antidotes
+from icx.scheme import _independent_rows, verify
+from icx.symmetric import build_antidote_scheme
 from icx.unicast import _complement_columns
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(37), PrimeField(2**31 - 1), BinaryField(3)]
@@ -147,16 +151,16 @@ def test_incremental_basis_copy_is_independent(field):
         basis = EchelonBasis(field, n)
         for _ in range(rnd.randint(0, 4)):
             basis.add([rnd.randrange(field.order) for _ in range(n)])
-        rank, rows = basis.rank, [list(row) for row in basis.rows]
+        state = (basis.rank, basis.echelon_rows())
         twin = basis.copy()
         for _ in range(n):
             twin.add([rnd.randrange(field.order) for _ in range(n)])
-        assert (basis.rank, basis.rows) == (rank, rows)
+        assert (basis.rank, basis.echelon_rows()) == state
         # a later add to the original leaves the twin alone as well
-        twin_state = (twin.rank, [list(row) for row in twin.rows])
+        twin_state = (twin.rank, twin.echelon_rows())
         basis.add([rnd.randrange(field.order) for _ in range(n)])
-        assert (twin.rank, twin.rows) == twin_state
-    # adding a new pivot rewrites an existing row: the original keeps its own
+        assert (twin.rank, twin.echelon_rows()) == twin_state
+    # a new pivot changes the reduced form of an existing row: the original keeps its own
     basis = EchelonBasis(field, 3)
     basis.add([1, 1, 0])
     twin = basis.copy()
@@ -167,10 +171,70 @@ def test_incremental_basis_copy_is_independent(field):
         twin.add([1, 2])
 
 
+# (field, n) for the packed basis: every width at which its rows change
+# lanes, as a row takes at most n lazy steps (GF(37): 2 bytes up to n = 45,
+# 4 from 46; GF(2^31-1): 8 bytes up to n = 2, 9 from 3), n = 0, and small
+# and large n over GF(2), GF(3) and GF(2^3).
+BASIS_WIDTHS = [
+    *((field, n) for field in FIELDS for n in (0, 1, 5, 30)),
+    (PrimeField(37), 45), (PrimeField(37), 46),
+    (PrimeField(2**31 - 1), 2), (PrimeField(2**31 - 1), 3),
+]
+
+
+@pytest.mark.parametrize("field, n", [pytest.param(f, n, id=f"{f!r}-n{n}") for f, n in BASIS_WIDTHS])
+def test_packed_basis_matches_reference(field, n):
+    """Rows added one at a time: the rank after each, the indices ``grow``
+    names, the reduced row echelon form that ``echelon_rows`` back-substitutes
+    to, and copies that evolve apart, all as the reference eliminates them."""
+    rnd = random.Random(f"packed {field!r} {n}")
+    for kind in KINDS:
+        for r in (0, 1, n // 2, n, n + 3):
+            rows = random_rows(field, r, n, kind, rnd)
+            reduced, pivots = ref.rref(field, rows, n)
+            basis, grown = EchelonBasis(field, n), []
+            assert [basis.unpack(basis.pack(row)) for row in rows] == rows
+            for i, row in enumerate(rows):
+                grown += [i] * basis.add(row)
+                assert basis.rank == ref.rank(field, rows[: i + 1], n)
+            assert sorted(basis.pivots) == pivots
+            assert basis.echelon_rows() == (reduced[: len(pivots)], pivots)
+            walked = EchelonBasis(field, n)
+            assert walked.grow(rows) == grown
+            assert walked.echelon_rows() == basis.echelon_rows()
+
+            # a copy and its original, given different rows, stay each its own span
+            twin = basis.copy()
+            extra = random_rows(field, 2, n, "dense", rnd)
+            twin.grow(extra)
+            basis.grow(extra[:1])
+            for b, added in ((basis, extra[:1]), (twin, extra)):
+                assert b.echelon_rows()[0] == ref.rref(field, rows + added, n)[0][: b.rank]
+
+
+LEFT_NULL_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 9), (9, 3), (7, 7), (30, 75), (75, 30)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_left_nullspace_matches_transpose_route(field):
+    """One basis over the rows of [B | J] gives the very matrix the
+    transpose's null space does, on tall, wide, square, rank-deficient and
+    empty shapes."""
+    rnd = random.Random(f"left {field!r}")
+    for r, c in LEFT_NULL_SHAPES:
+        for kind in KINDS:
+            m = as_matrix(field, random_rows(field, r, c, kind, rnd), r, c)
+            left = m.left_nullspace()
+            assert left == m.transpose().nullspace().transpose()
+            assert (left.rows, left.cols) == (r - m.rank(), r)
+            assert (left @ m).is_zero()
+
+
 def test_crossover_routes_by_size(monkeypatch):
-    """Empty shapes and GF(2^m) never reach the packed kernels, GF(2) takes
-    the bit rows and odd p the lane rows, whose width grows with the number
-    of lazy steps a row can take."""
+    """A full reduced row echelon form takes the batch kernels: empty shapes
+    and GF(2^m) never reach them, GF(2) takes the bit rows and odd p the lane
+    rows, whose width grows with the number of lazy steps a row can take.
+    A rank takes neither: it grows a packed basis and reads its size."""
     calls = []
 
     def spying(name):
@@ -185,19 +249,51 @@ def test_crossover_routes_by_size(monkeypatch):
     for name in ("_rref_bits", "_rref_lanes"):
         monkeypatch.setattr(galois, name, spying(name))
     rnd = random.Random(0)
-    for field, r, c in [
+    shapes = [
         (PrimeField(37), 8, 16),
         (PrimeField(37), 0, 5),
         (PrimeField(37), 5, 0),
         (PrimeField(2), 30, 30),
         (PrimeField(2), 0, 0),
         (BinaryField(3), 12, 12),
-    ]:
-        as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c).rank()
+    ]
+    mats = [as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c) for field, r, c in shapes]
+    for m in mats:
+        m.rank()
+    assert calls == []
+    for m in mats:
+        m.rref()
     assert calls == [("_rref_lanes", 8, 16), ("_rref_bits", 30, 30)]
     assert [galois._lane_bytes(3, n) for n in (1, 26, 27)] == [1, 1, 2]
     assert [galois._lane_bytes(37, n) for n in (1, 45, 46)] == [2, 2, 4]
     assert [galois._lane_bytes(2**31 - 1, n) for n in (1, 2, 3)] == [8, 8, 9]
+
+
+def test_rank_only_callers_never_back_substitute(monkeypatch):
+    """``Matrix.rank`` and rank-mode ``verify`` read the size and the pivots
+    of a packed basis: neither runs a full reduced form (``_rref``) nor
+    back-substitutes (``echelon_rows``)."""
+    calls = []
+
+    def spying(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    spying(galois, "_rref")
+    spying(EchelonBasis, "echelon_rows")
+    rnd = random.Random("rank only")
+    for field in FIELDS:
+        for r, c in ((0, 3), (3, 0), (7, 12), (30, 9)):
+            m = as_matrix(field, random_rows(field, r, c, "deficient", rnd), r, c)
+            assert m.rank() == ref.rank(field, m.row_list(), c)
+    report = verify(gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4), mode="rank")
+    assert report.valid and report.mode == "rank"
+    assert calls == []
 
 
 # (field, rows, cols, lane bytes) for _row_products.  Over odd p a product
