@@ -790,6 +790,8 @@ class Subspace(Record):
         _same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
+        if other == self:  # canonical bases: equal subspaces compare equal entry by entry
+            return self
         a, b = self.basis, other.basis
         ns = a.hstack(b.neg()).nullspace() if a.cols and b.cols else None
         if ns is None or ns.cols == 0:

@@ -9,15 +9,12 @@ can be applied without pattern-matching raw sets.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import (
     BadParams, CannotNormalize, ParseError, Record, UnsupportedFamily, dump_json, is_int, parse_json, read_file,
     write_file,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
@@ -90,26 +87,6 @@ class Instance(Record):
 
     def demand_sizes(self) -> set:
         return {len(d.wants) for d in self.destinations}
-
-
-class RateVector(Record):
-    """Exact per-message rates R_1..R_M."""
-
-    _fields = ("rates",)
-
-    def __init__(self, rates: tuple):
-        from fractions import Fraction  # only rates need it: gen and validate do not load it
-
-        rs = tuple(Fraction(r) for r in rates)
-        if any(r < 0 or r > 1 for r in rs):
-            raise ValueError("rates must lie in [0, 1]")
-        super().__init__(rs)
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.rates[m - 1]
-
-    def __len__(self) -> int:
-        return len(self.rates)
 
 
 # ----------------------------------------------------------------------

@@ -87,9 +87,6 @@ class LinearScheme(Record):
     def rates(self) -> dict:
         return {m: self.rate(m) for m in sorted(self.V)}
 
-    def without_decoders(self) -> "LinearScheme":
-        return LinearScheme(self.field, self.n, self.V, None)
-
     def message_ids(self) -> list:
         return sorted(self.V)
 

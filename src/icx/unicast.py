@@ -196,17 +196,6 @@ def groupcast_rank_chain(umap: UnicastMap, scheme: LinearScheme) -> list:
     return steps
 
 
-def translated_rates(umap: UnicastMap, scheme: LinearScheme) -> dict:
-    """Expected unicast rates: R_i for copies, 1 - R_i for auxiliaries."""
-    out = {}
-    for i in range(1, umap.M + 1):
-        ri = scheme.rate(i)
-        out[umap.unicast_id(i, 0)] = 1 - ri
-        for j in range(1, umap.L + 1):
-            out[umap.unicast_id(i, j)] = ri
-    return out
-
-
 def unicast_transform_report(umap: UnicastMap) -> dict:
     return {
         "map": umap.to_json(),

@@ -285,13 +285,11 @@ def test_scalar_scheme_rate_never_violates_chain_bounds(feasible_m4k3):
 
 
 def test_certificate_evaluates_rate_vectors(two_dest_m4):
-    from icx.model import RateVector
-
     cert = next(c for c in simple_bounds(two_dest_m4) if c.terms == (1, 2, 3, 4))
-    rv = RateVector((Fraction(1, 4),) * 4)
+    rv = dict.fromkeys(range(1, 5), Fraction(1, 4))
     assert cert.evaluate(rv) == 1
     assert not cert.violated_by(rv)
-    assert cert.violated_by(RateVector((Fraction(1, 3),) * 4))
+    assert cert.violated_by(dict.fromkeys(range(1, 5), Fraction(1, 3)))
 
 
 def test_certificate_json_shape(two_dest_m4):

@@ -25,7 +25,6 @@ from icx.errors import BudgetExceeded
 from icx.model import (
     Destination,
     Instance,
-    RateVector,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
@@ -146,7 +145,7 @@ def test_evaluate_matches_reference(certificates, kind):
         if kind == "mixed-denominators":
             rates = random_rates(rnd, M, POOL + [0, 1])
         elif kind == "rate-vector":
-            rates = RateVector(tuple(random_rates(rnd, M, POOL).values()))
+            rates = {m: Fraction(r) for m, r in random_rates(rnd, M, POOL).items()}
         elif kind == "ints":
             rates = random_rates(rnd, M, [0, 1, 2])
         else:
@@ -164,7 +163,7 @@ def test_certificate_at_equality_is_not_violated():
     for rates in (
         {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)},
         {1: Fraction(2, 3), 2: Fraction(1, 6), 3: Fraction(1, 3)},
-        RateVector((Fraction(0), Fraction(1, 2), Fraction(1, 3))),
+        {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(1, 3)},
     ):
         assert cert.evaluate(rates) == cert.rhs == ref.evaluate(cert, rates)
         assert not cert.violated_by(rates)

@@ -317,6 +317,23 @@ def test_subspace_intersect_dimension_mismatch():
         a.intersect(b)
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), BinaryField(3)], ids=str)
+def test_equal_subspaces_intersect_without_elimination(monkeypatch, field):
+    """The copies of a message share one span, so the unicast translation
+    intersects equal subspaces; their canonical bases compare equal, and the
+    intersection is the subspace itself, with no null space computed."""
+    gen = Matrix(field, 4, 2, (1, 0, 2, 1, 0, 3, 1, 1))
+    a = Subspace.from_matrix(gen)
+    b = Subspace.from_matrix(gen @ Matrix(field, 2, 2, (1, 1, 0, 1)))  # other generators, same span
+    assert b is not a and b == a
+
+    def refuse(self):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(Matrix, "nullspace", refuse)
+    assert a.intersect(b) is a
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**30))
 def test_random_3dim_intersections_in_gf5_4(seed):

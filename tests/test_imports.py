@@ -1,12 +1,12 @@
-"""Every module imports only what it uses, and the package exports lazily.
+"""Every module imports only what it uses, and the package's API is its submodules.
 
 No linter is a dependency, so this walks the syntax tree with the standard
 library.  A name counts as used when it appears as an identifier, or inside a
 string that parses as an expression (a quoted annotation such as
 ``"Matrix"``), in the scope that imports it: a module-level import may be
 used anywhere in the module, an import inside a function only in that
-function.  ``__init__.py`` files re-export by importing, so they are skipped.
-The same walk finds private helpers that nothing in the package uses.
+function.  The same walk finds private helpers that nothing in the package
+uses, and public names that nothing outside the tests uses.
 """
 
 import ast
@@ -21,14 +21,8 @@ import sys
 
 import pytest
 
-import icx
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p
-    for p in [*ROOT.glob("src/icx/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")]
-    if p.name != "__init__.py"
-)
+MODULES = sorted([*ROOT.glob("src/icx/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")])
 
 
 def _names_in_string(text: str) -> set:
@@ -112,16 +106,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_privates(sources: dict) -> list:
+def unreferenced(sources: dict, readers: dict = None, public: bool = False) -> list:
     """(module, line, name) of every private function, method or class defined
-    in ``sources`` (module name -> text) that no module refers to outside its
-    definition: by name, as an attribute, or in an import.  Dunder methods are
-    called by the language and count as used."""
+    in ``sources`` (module name -> text), or with ``public`` every public one,
+    that no module of ``sources`` or ``readers`` refers to outside its
+    definition: by name, as an attribute, in an import, or as a string that is
+    the bare name (``"scale"``, as a tracer names the methods it wraps).
+    Dunder methods are called by the language and count as used."""
     defined, used = [], set()
-    for module, source in sources.items():
+    for module, source in {**sources, **(readers or {})}.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if module in sources and node.name.startswith("_") != public and not node.name.endswith("__"):
                     defined.append((module, node.lineno, node.name))
             elif isinstance(node, ast.Name):
                 used.add(node.id)
@@ -129,6 +125,8 @@ def unreferenced_privates(sources: dict) -> list:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                used.add(node.value)
     return sorted(d for d in defined if d[2] not in used)
 
 
@@ -138,14 +136,39 @@ def test_checker_finds_a_dead_private_helper():
              "    def _unpack(self):\n        return _live()\n\n    def __repr__(self):\n        return ''\n",
         "b": "from a import _Box\n_Box()._unpack()\n",
     }
-    assert unreferenced_privates(sources) == [("a", 1, "_dead")]
+    assert unreferenced(sources) == [("a", 1, "_dead")]
+
+
+def test_checker_finds_a_public_name_only_tests_use():
+    sources = {
+        "a": "class Box:\n    def unpack(self):\n        pass\n\n    def scale(self):\n        pass\n\n"
+             "def helper():\n    pass\n\ndef entry():\n    pass\n",
+        "b": "from a import Box\nBox().unpack()\nWRAPPED = ('scale',)\n",
+    }
+    readers = {"tool": "import a\na.entry()\n"}
+    assert unreferenced(sources, readers, public=True) == [("a", 8, "helper")]
+    assert unreferenced(sources, public=True) == [("a", 8, "helper"), ("a", 11, "entry")]
+
+
+def _package_sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("src/icx/*.py"))}
 
 
 def test_no_dead_private_helpers():
     """Every private function, method and class of the package is used
     somewhere in it: a helper left behind by a rewrite fails here."""
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("src/icx/*.py"))}
-    assert unreferenced_privates(sources) == []
+    assert unreferenced(_package_sources()) == []
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """The API is the public names of the submodules, and each has a caller
+    in the package, its scripts or its benchmark (read as text, not imported):
+    a name only the tests use is not part of it."""
+    readers = {
+        f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8")
+        for p in sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
+    }
+    assert unreferenced(_package_sources(), readers, public=True) == []
 
 
 def numpy_imports(source: str) -> list:
@@ -173,38 +196,18 @@ def test_package_does_not_import_numpy():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-# The names `icx` exported when its __init__ imported every submodule eagerly.
-EXPORTS = [
-    "AlignmentPartition", "BinaryField", "BoundCertificate", "BuiltinExample", "Destination",
-    "DimensionAudit", "FamilyTag", "FeasibilityVerdict", "Instance", "LinearScheme", "Matrix",
-    "OracleResult", "PrimeField", "RateVector", "Subspace", "UnicastMap", "VerificationReport",
-    "best_scalar_scheme", "build_antidote_scheme", "build_interference_scheme",
-    "build_rate_half_vector_scheme", "build_scalar_scheme", "build_x_scheme", "builtin_example",
-    "chain_bounds", "check_feasibility", "dimension_audit", "gen_neighboring_antidotes",
-    "gen_neighboring_interference", "gen_x_network", "groupcast_rank_chain", "load_instance",
-    "load_scheme", "mds_vector_family", "minrank_gf2", "normalize", "parse_instance",
-    "parse_scheme", "partition", "save_instance", "save_scheme", "scheme_to_groupcast",
-    "scheme_to_unicast", "serialize_instance", "serialize_scheme", "simple_bounds",
-    "simulate_exhaustive", "simulate_sampled", "spread_family", "symmetric_capacity",
-    "synthesize_decoders", "to_unicast", "validate", "verify",
-]
-
-
-def test_lazy_exports_are_the_submodules_objects():
-    assert sorted(icx.__all__) == sorted(dir(icx)) == EXPORTS
-    for name in EXPORTS:
-        obj = getattr(__import__("icx", fromlist=[name]), name)  # from icx import <name>
-        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
-    with pytest.raises(AttributeError, match="'nope'"):
-        icx.nope
-
-
-def test_from_icx_import_loads_only_that_module():
-    script = "import sys\nfrom icx import Matrix\nprint(sorted(m for m in sys.modules if m.startswith('icx')))\n"
+def test_import_icx_loads_no_submodule_and_exports_no_name():
+    """The package is a namespace for its submodules: ``import icx`` runs no
+    code of theirs and adds no name of its own."""
+    script = (
+        "import sys, icx\n"
+        "print(sorted(m for m in sys.modules if m.startswith('icx.')))\n"
+        "print([n for n in dir(icx) if not n.startswith('_')])\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "['icx', 'icx.errors', 'icx.galois']"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def _tracer_source():

@@ -12,7 +12,6 @@ from icx.model import (
     Destination,
     FamilyTag,
     Instance,
-    RateVector,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
@@ -324,9 +323,3 @@ def test_parse_rejects_bool_for_integer(template):
     parse_instance(template.replace("X", "1"))
     with pytest.raises(ParseError):
         parse_instance(template.replace("X", "true"))
-
-
-def test_rate_vector_bounds():
-    RateVector((0, 1, "1/2"))
-    with pytest.raises(ValueError):
-        RateVector((2,))

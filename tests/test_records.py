@@ -13,7 +13,7 @@ from icx.alignment import AlignmentPartition, FeasibilityVerdict
 from icx.bounds import BoundCertificate
 from icx.errors import BadParams, DimensionMismatch, SchemeMalformed
 from icx.galois import BinaryField, Matrix, PrimeField, Subspace
-from icx.model import Destination, FamilyTag, Instance, RateVector
+from icx.model import Destination, FamilyTag, Instance
 from icx.oracle import OracleResult
 from icx.scheme import DimensionAudit, Diagnostic, LinearScheme, SimulationResult, VerificationReport
 from icx.symmetric import BuiltinExample
@@ -43,7 +43,6 @@ CASES = {
     FamilyTag: lambda: dict(kind="neighboring-antidotes", params=(("U", 1), ("K", 5), ("D", 1))),
     Destination: lambda: dict(id=1, wants={1}, has=[2, 3]),
     Instance: lambda: dict(num_messages=2, destinations=list(_instance().destinations), family=None),
-    RateVector: lambda: dict(rates=("1/2", 1, 0)),
     PrimeField: lambda: dict(p=5),
     BinaryField: lambda: dict(m=3, poly=0),
     Matrix: lambda: dict(field=GF5, rows=2, cols=2, entries=(1, 7, 0, -1)),
@@ -142,7 +141,6 @@ def test_normalizations():
     assert type(d.wants) is frozenset and type(d.has) is frozenset and d.has == {2, 3}
     assert FamilyTag(**CASES[FamilyTag]()).params == (("D", 1), ("K", 5), ("U", 1))
     assert type(Instance(**CASES[Instance]()).destinations) is tuple
-    assert RateVector(**CASES[RateVector]()).rates == (Fraction(1, 2), Fraction(1), Fraction(0))
     assert BinaryField(3).poly == 0b1011
     assert Matrix(**CASES[Matrix]()).entries == (1, 2, 0, 4)
     cert = BoundCertificate(**CASES[BoundCertificate]())
@@ -157,8 +155,6 @@ def test_normalizations():
 def test_validation_still_refuses():
     with pytest.raises(BadParams, match="unknown family kind"):
         FamilyTag("ring")
-    with pytest.raises(ValueError):
-        RateVector((2,))
     with pytest.raises(ValueError):
         PrimeField(4)
     with pytest.raises(ValueError):

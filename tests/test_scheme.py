@@ -68,7 +68,7 @@ def routing_scheme(inst, field=None):
 def test_example1_scheme_valid_both_modes():
     ex = builtin_example(1)
     assert verify(ex.instance, ex.scheme).valid
-    rep = verify(ex.instance, ex.scheme.without_decoders())
+    rep = verify(ex.instance, LinearScheme(ex.scheme.field, ex.scheme.n, ex.scheme.V))
     assert rep.valid and rep.mode == "rank"
     assert set(rep.rates.values()) == {Fraction(1, 2)}
 
@@ -290,7 +290,7 @@ def test_decoder_mode_forms_no_matrix_products(monkeypatch):
 
 def test_synthesize_decoders_example3():
     ex = builtin_example(3)
-    synth = synthesize_decoders(ex.instance, ex.scheme.without_decoders())
+    synth = synthesize_decoders(ex.instance, LinearScheme(ex.scheme.field, ex.scheme.n, ex.scheme.V))
     rep = verify(ex.instance, synth, mode="decoder")
     assert rep.valid
 
@@ -667,7 +667,7 @@ def test_scheme_file_roundtrip():
 
 def test_scheme_file_v_only():
     ex = builtin_example(1)
-    text = serialize_scheme(ex.scheme.without_decoders())
+    text = serialize_scheme(LinearScheme(ex.scheme.field, ex.scheme.n, ex.scheme.V))
     again = parse_scheme(text)
     assert again.U is None
     assert verify(ex.instance, again).valid

@@ -13,7 +13,7 @@ from icx.model import (
     gen_neighboring_interference,
     gen_x_network,
 )
-from icx.scheme import simulate_exhaustive, verify
+from icx.scheme import LinearScheme, simulate_exhaustive, verify
 from icx.symmetric import (
     build_antidote_scheme,
     build_interference_scheme,
@@ -93,13 +93,14 @@ def test_antidote_scheme_circular_shift_invariance():
         ),
         inst.family,
     )
-    shifted_scheme = type(scheme)(
+    shifted_scheme = LinearScheme(
         scheme.field,
         scheme.n,
         {m % K + 1: v for m, v in scheme.V.items()},
         None,
     )
-    assert verify(shifted_inst, shifted_scheme).valid == verify(inst, scheme.without_decoders()).valid
+    v_only = LinearScheme(scheme.field, scheme.n, scheme.V)
+    assert verify(shifted_inst, shifted_scheme).valid == verify(inst, v_only).valid
 
 
 # ----------------------------------------------------------------------

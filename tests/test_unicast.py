@@ -14,7 +14,6 @@ from icx.unicast import (
     scheme_to_groupcast,
     scheme_to_unicast,
     to_unicast,
-    translated_rates,
 )
 
 from conftest import make_instance
@@ -111,7 +110,11 @@ def unicast_roundtrip(inst, scheme, L):
     umap = to_unicast(inst, L)
     su = scheme_to_unicast(umap, scheme)
     assert verify(umap.transformed, su).valid
-    want = translated_rates(umap, scheme)
+    want = {}
+    for i in range(1, umap.M + 1):
+        want[umap.unicast_id(i, 0)] = 1 - scheme.rate(i)  # the auxiliary of message i
+        for j in range(1, umap.L + 1):
+            want[umap.unicast_id(i, j)] = scheme.rate(i)  # its copies
     assert su.rates() == want
     sg = scheme_to_groupcast(umap, su)
     assert verify(umap.original, sg).valid
