@@ -210,6 +210,30 @@ def test_import_icx_loads_no_submodule_and_exports_no_name():
     assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
+SUBMODULES = sorted(p.stem for p in ROOT.glob("src/icx/*.py") if p.name != "__init__.py")
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    """What the package exports is its submodules, each bound on first import
+    to the module object itself; no name of a submodule is re-exported."""
+    import icx
+
+    for name in SUBMODULES:
+        assert importlib.import_module(f"icx.{name}") is getattr(icx, name) is sys.modules[f"icx.{name}"], name
+    assert [n for n in dir(icx) if not n.startswith("_")] == SUBMODULES
+    with pytest.raises(AttributeError, match="'Matrix'"):
+        icx.Matrix
+
+
+def test_from_icx_import_loads_only_that_module():
+    """``from icx import galois`` loads galois and what it imports, nothing else."""
+    script = "import sys\nfrom icx import galois\nprint(sorted(m for m in sys.modules if m.startswith('icx')))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['icx', 'icx.errors', 'icx.galois']"
+
+
 def _tracer_source():
     """perfbench/tracer.py's syntax tree, and its LAYERS and CLASS_METHODS as
     written, read without importing it."""
