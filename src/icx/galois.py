@@ -11,22 +11,14 @@ Matrices are immutable, dense, row-major.  Subspaces carry a reduced
 column echelon basis, which makes subspace equality a plain entry
 comparison.
 
-Eliminations take one of three paths:
-
-* A full reduced row echelon form over GF(p) (``rref``, ``nullspace``,
-  ``inverse``, ``column_echelon``) is batch Gauss-Jordan in ``_rref``, on
-  rows packed into one Python int each, so a row operation is a few
-  big-integer operations.  Over GF(2) column j is bit j; over odd p it is a
-  lane of bits wide enough that lanes can be reduced mod p lazily.
-* Incremental and rank-only work over GF(p) (``rank``, ``left_nullspace``,
-  subspace membership, sliding windows, greedy choices of rows or columns,
-  the oracles' searches) grows an ``EchelonBasis`` of rows packed the same
-  way, which back-substitutes only when asked for the reduced form.
-* Over GF(2^m) both are ``EchelonBasis`` on Python lists, with the field's
-  own multiplication.
-
-The reduced row echelon form is unique, so results do not depend on the
-path.  ``_row_products`` packs a matrix's rows once for many products.
+Every elimination, over every field, grows one ``EchelonBasis``: ranks,
+full reduced forms (``rref``, ``nullspace``, ``inverse``,
+``column_echelon``, through ``_rref``), ``left_nullspace``, subspace
+membership, greedy choices of rows or columns and the oracles' searches.
+Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
+are lists, with the field's own multiplication.  It back-substitutes only
+the rows a caller asks for.  ``_row_products`` packs a matrix's rows once
+for many products.
 """
 
 from __future__ import annotations
@@ -276,7 +268,7 @@ def _same_field(a: Field, b: Field):
 # Elimination kernel
 # ----------------------------------------------------------------------
 
-# Packed rows for _rref, EchelonBasis and _row_products: the little-endian struct codes of
+# Packed rows for EchelonBasis and _row_products: the little-endian struct codes of
 # lanes of 1, 2, 4 and 8 bytes, and the digit tables of rows of bits.
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -290,13 +282,20 @@ class EchelonBasis:
     what is left, if nonzero, scaled to a 1 in its first nonzero column, its
     pivot.  Rows are never rewritten, so each is 0 in the pivots of the rows
     before it, an add costs a step per row and ``copy`` copies two lists.
-    The pivots are those of the reduced row echelon form, which
-    ``echelon_rows`` back-substitutes to.  ``add`` returns the rank growth,
-    0 or 1; ``grow`` adds many and says which of them grew it.
+    The pivots are those of the reduced row echelon form.  ``reduced_row``
+    back-substitutes one row to its row of that form, and ``echelon_rows``
+    every row, sorted by pivot.  ``add`` returns the rank growth, 0 or 1;
+    ``grow`` adds many and says which of them grew it.
 
     Vectors are sequences of n canonical elements.  Over GF(p) a row is one
-    int packed as in ``_rref``, its lanes wide enough for the at most n lazy
-    steps a row takes; over GF(2^m) it is a list.
+    int, so a step is a few big-integer operations.  Over GF(2) column j is
+    bit j and a step is one xor.  Over odd p column j is a lane of W bits,
+    reduced mod p lazily: a step adds (p - t) times a canonical row, which
+    makes the lane being cleared a multiple of p and adds less than p^2 to
+    each lane.  A row takes at most n - 1 steps when added and, once scaled
+    to its pivot, at most n - 1 more when back-substituted, so W is the
+    width ``_lane_bytes(p, n)`` gives and no lane carries into the next.
+    Over GF(2^m) a row is a list.
     """
 
     __slots__ = ("field", "n", "pivots", "rows", "_codec")
@@ -399,49 +398,30 @@ class EchelonBasis:
         other.pivots, other.rows = self.pivots[:], self.rows[:]
         return other
 
+    def reduced_row(self, i: int) -> list:
+        """The row of the reduced row echelon form with pivot ``pivots[i]``,
+        as a list: row i reduced against the rows inserted after it, in
+        insertion order, is cleared in their pivots, as each is 0 in the
+        pivots of the rows before it."""
+        return self.unpack(self._reduce(self.rows[i], zip(self.pivots[i + 1 :], self.rows[i + 1 :])))
+
     def echelon_rows(self) -> tuple:
         """(rows of the reduced row echelon form as lists, sorted by pivot;
-        their pivots).  A row reduced against the later rows in insertion
-        order is cleared in their pivots, as each is 0 in the earlier ones."""
-        pivots, rows = self.pivots, self.rows
-        later = (zip(pivots[i + 1 :], rows[i + 1 :]) for i in range(len(rows)))
-        out = sorted((c, self._reduce(b, pairs)) for c, b, pairs in zip(pivots, rows, later))
-        return [self.unpack(b) for _, b in out], [c for c, _ in out]
+        their pivots)."""
+        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
+        return [self.reduced_row(i) for i in order], [self.pivots[i] for i in order]
 
 
 def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """(nonzero rows of the reduced row echelon form of rows, pivot columns).
 
-    Every full reduced form in icx ends here: GF(p) in packed rows, GF(2^m)
-    in ``EchelonBasis``.  Entries must be canonical.
+    Every full reduced form in icx ends here, over every field: the rows
+    grow one ``EchelonBasis`` and ``echelon_rows`` back-substitutes it.
+    Entries must be canonical.
     """
-    if isinstance(field, BinaryField):
-        basis = EchelonBasis(field, ncols)
-        basis.grow(rows)
-        return basis.echelon_rows()
-    if not rows or not ncols:
-        return [], []
-    return _rref_bits(rows, ncols) if field.p == 2 else _rref_lanes(field.p, rows, ncols)
-
-
-def _rref_bits(rows: Sequence[Sequence[int]], ncols: int) -> tuple:
-    """Gauss-Jordan over GF(2): column j of a row is bit j, and a row
-    operation is one xor."""
-    pack, unpack = _lane_codec(1, ncols)
-    packed = [pack(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r, bit = len(pivots), 1 << c
-        i = next((i for i in range(r, len(packed)) if packed[i] & bit), None)
-        if i is None:
-            continue
-        piv = packed[i]
-        packed = [v ^ piv if v & bit else v for v in packed]
-        packed[i], packed[r] = packed[r], piv
-        pivots.append(c)
-        if r + 1 == len(packed):
-            break
-    return [unpack(v) for v in packed[: len(pivots)]], pivots
+    basis = EchelonBasis(field, ncols)
+    basis.grow(rows)
+    return basis.echelon_rows()
 
 
 @lru_cache
@@ -471,39 +451,6 @@ def _lane_bytes(p: int, steps: int) -> int:
     (steps + 2) * p^2."""
     bits = ((steps + 2) * p * p).bit_length()
     return next((s for s in _LANE_CODES if 8 * s >= bits), (bits + 7) // 8)
-
-
-def _rref_lanes(p: int, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
-    """Gauss-Jordan over odd GF(p): column j of a row is lane j, W bits wide.
-
-    Lanes are reduced lazily.  The pivot row is reduced and scaled to a
-    leading 1; every other row r with t = r[c] mod p != 0 becomes
-    r + (p - t) * pivot, which makes lane c a multiple of p and adds less
-    than p^2 to each lane.  A row takes one such step per pivot, at most
-    min(rows, cols) of them, and is reset below p when it becomes a pivot,
-    so W is the smallest of 8, 16, 32 and 64 bits, or failing that a whole
-    number of bytes, that holds (min(rows, cols) + 2) * p^2.  No lane
-    carries into the next.  The output rows are reduced mod p.
-    """
-    W = 8 * _lane_bytes(p, min(len(rows), ncols))
-    mask = (1 << W) - 1
-    pack, unpack = _lane_codec(W, ncols)
-    packed = [pack(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r, shift = len(pivots), W * c
-        i = next((i for i in range(r, len(packed)) if (packed[i] >> shift & mask) % p), None)
-        if i is None:
-            continue
-        lanes = unpack(packed[i])
-        inv = pow(lanes[c] % p, p - 2, p)
-        piv = pack([x * inv % p for x in lanes])
-        packed = [v + (p - t) * piv if (t := (v >> shift & mask) % p) else v for v in packed]
-        packed[i], packed[r] = packed[r], piv
-        pivots.append(c)
-        if r + 1 == len(packed):
-            break
-    return [[x % p for x in unpack(v)] for v in packed[: len(pivots)]], pivots
 
 
 def _row_products(mat: "Matrix"):
@@ -699,8 +646,6 @@ class Matrix(Record):
     def nullspace(self) -> "Matrix":
         """Columns form a basis of {x : self @ x = 0}."""
         f = self.field
-        if self.cols == 0:
-            return Matrix.zeros(f, 0, 0)
         rows, pivots = _rref(f, self._row_tuples(), self.cols)
         is_pivot = set(pivots)
         free = [c for c in range(self.cols) if c not in is_pivot]

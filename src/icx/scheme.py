@@ -211,12 +211,6 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     return LinearScheme(f, scheme.n, scheme.V, U)
 
 
-def _pivots(red: Matrix) -> list:
-    """Pivot columns of a matrix in reduced row echelon form: each nonzero
-    row's first 1, as every entry before it is 0."""
-    return [row.index(1) for row in map(red.row, range(red.rows)) if any(row)]
-
-
 def _stream_columns(scheme: LinearScheme) -> dict:
     """message -> the range of its stream columns in [V_1 | ... | V_K], ids ascending."""
     ids = scheme.message_ids()
@@ -366,7 +360,9 @@ class _Kernel:
     comes after s_i in stream order: in stream order b_i leads with its 1.
     So a desired stream's row of E is read straight off R: -R[j][s_i] at
     each s_i if the stream is the pivot of row j, and the unit vector at the
-    stream itself if it is free.
+    stream itself if it is free.  R is read one row at a time: V's rows grow
+    one ``EchelonBasis``, whose pivots are R's, and only the rows whose
+    pivot is a desired stream are back-substituted (``reduced_row``).
     """
 
     def __init__(self, inst: Instance, scheme: LinearScheme):
@@ -383,16 +379,18 @@ class _Kernel:
         for d in inst.destinations:
             if scheme.U is None:
                 unheld = [s for s in reversed(range(total)) if self.streams[s][0] not in d.has]
-                red = vfull.take_cols(unheld).rref()
-                reduced = {unheld[c]: red.row(j) for j, c in enumerate(_pivots(red))}  # stream -> its row of R
-                free = [(c, s) for c, s in enumerate(unheld) if s not in reduced]
+                basis = EchelonBasis(f, len(unheld))
+                basis.grow(vfull.take_cols(unheld)._row_tuples())
+                pivot_row = {unheld[c]: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
+                free = [(c, s) for c, s in enumerate(unheld) if s not in pivot_row]
             for m in sorted(d.wants):
                 if scheme.U is None:
                     err = [[0] * total for _ in pos[m]]
                     for row, t in zip(err, pos[m]):
-                        if t in reduced:
+                        if t in pivot_row:
+                            reduced = basis.reduced_row(pivot_row[t])
                             for c, s in free:
-                                row[s] = f.neg(reduced[t][c])
+                                row[s] = f.neg(reduced[c])
                         else:
                             row[t] = 1
                 else:

@@ -3,11 +3,11 @@
 ``tests/reference_galois.py`` eliminates with the field's scalar methods on
 plain lists.  Seeded random matrices over GF(2), GF(3), GF(37), GF(2^31-1)
 and GF(2^3) cover empty shapes, rank-deficient ones, the shapes of the
-benchmark's large schemes, and, over GF(37) and GF(2^31-1), row counts on
-both sides of a change of lane width in the packed GF(p) rows.  Results
-must agree exactly: ranks, the reduced row echelon form, the order of null
-space basis vectors, inverses and the reduced column echelon form.  The
-greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
+benchmark's large schemes, and, over GF(3), GF(37) and GF(2^31-1), column
+counts on both sides of a change of lane width in the packed GF(p) rows.
+Results must agree exactly: ranks, the reduced row echelon form, the order
+of null space basis vectors, inverses and the reduced column echelon form.
+The greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
 are checked against fresh ranks, and the packed products of
 ``_row_products`` against ``Matrix.__matmul__``.  The packed basis is
 checked row by row against the reference at every lane width, and
@@ -35,12 +35,23 @@ SHAPES = [
 # The benchmark's large schemes, over GF(p) only: GF(2^m) is eliminated in
 # EchelonBasis, whose loops the small shapes already cover.
 LARGE_SHAPES = [(30, 78), (30, 126), (75, 30)]
-# A row of GF(p) takes at most min(rows, cols) lazy steps, so its lanes must
-# hold (min(rows, cols) + 2) * p^2: over GF(37) 2 bytes up to min 45 and 4
-# bytes from 46; over GF(2^31-1) 8 bytes up to min 2 and 9 bytes from 3.
+# Between resets below p, a packed GF(p) row over n columns takes at most n
+# lazy steps, so its lanes hold (n + 2) * p^2: over GF(3) 1 byte up to n = 26 and 2 from 27; over
+# GF(37) 2 bytes up to 45 and 4 from 46; over GF(2^31-1) 8 bytes up to 2 and
+# 9 from 3.  n is the column count for rref and nullspace, the row count for
+# column_echelon (it reduces the columns) and twice the side for inverse, so
+# wide and tall shapes, and squares for inverse, sit on both sides of each
+# change of width.
 LANE_SHAPES = {
-    PrimeField(37): [(45, 47), (46, 47), (47, 46), (47, 47)],
-    PrimeField(2**31 - 1): [(1, 12), (12, 1), (2, 12), (12, 2), (3, 12), (12, 3), (13, 13)],
+    PrimeField(3): [(12, 26), (12, 27), (30, 26), (30, 27), (26, 30), (27, 30), (13, 13), (14, 14)],
+    PrimeField(37): [
+        (12, 45), (12, 46), (47, 45), (47, 46), (45, 47), (46, 47), (45, 12), (46, 12),
+        (47, 47), (22, 22), (23, 23),
+    ],
+    PrimeField(2**31 - 1): [
+        (1, 2), (1, 3), (2, 3), (12, 2), (12, 3), (2, 12), (3, 12), (2, 1), (3, 1),
+        (1, 12), (12, 1), (13, 13), (2, 2),
+    ],
 }
 KINDS = ("dense", "sparse", "deficient")
 
@@ -231,39 +242,52 @@ def test_left_nullspace_matches_transpose_route(field):
 
 
 def test_crossover_routes_by_size(monkeypatch):
-    """A full reduced row echelon form takes the batch kernels: empty shapes
-    and GF(2^m) never reach them, GF(2) takes the bit rows and odd p the lane
-    rows, whose width grows with the number of lazy steps a row can take.
-    A rank takes neither: it grows a packed basis and reads its size."""
+    """Every full reduced form takes one route, whatever the field and the
+    size: ``rref``, ``nullspace``, ``inverse`` and ``column_echelon`` each
+    grow one ``EchelonBasis`` over the column count of what they reduce and
+    back-substitute it once (``echelon_rows``), empty shapes included.  A
+    rank grows a basis and reads its size: it takes neither ``_rref`` nor
+    ``echelon_rows``.  Lane widths grow with the lazy steps a row can take."""
     calls = []
+    init, echelon_rows, rref = EchelonBasis.__init__, EchelonBasis.echelon_rows, galois._rref
 
-    def spying(name):
-        real = getattr(galois, name)
+    def spy_init(self, field, n):
+        calls.append(("basis", n))
+        init(self, field, n)
 
-        def spy(*args):  # (rows, ncols) are the last two arguments of both kernels
-            calls.append((name, len(args[-2]), args[-1]))
-            return real(*args)
+    def spy_echelon_rows(self):
+        calls.append("echelon_rows")
+        return echelon_rows(self)
 
-        return spy
+    def spy_rref(*args):
+        calls.append("_rref")
+        return rref(*args)
 
-    for name in ("_rref_bits", "_rref_lanes"):
-        monkeypatch.setattr(galois, name, spying(name))
+    monkeypatch.setattr(EchelonBasis, "__init__", spy_init)
+    monkeypatch.setattr(EchelonBasis, "echelon_rows", spy_echelon_rows)
+    monkeypatch.setattr(galois, "_rref", spy_rref)
     rnd = random.Random(0)
     shapes = [
-        (PrimeField(37), 8, 16),
-        (PrimeField(37), 0, 5),
-        (PrimeField(37), 5, 0),
-        (PrimeField(2), 30, 30),
-        (PrimeField(2), 0, 0),
-        (BinaryField(3), 12, 12),
+        (PrimeField(2), 30, 30), (PrimeField(2), 7, 12),
+        (PrimeField(37), 8, 16), (PrimeField(37), 8, 8),
+        (BinaryField(3), 12, 12), (BinaryField(3), 5, 3),
+        (PrimeField(2), 0, 0), (PrimeField(37), 0, 5), (PrimeField(37), 5, 0), (BinaryField(3), 0, 0),
     ]
-    mats = [as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c) for field, r, c in shapes]
-    for m in mats:
-        m.rank()
-    assert calls == []
-    for m in mats:
-        m.rref()
-    assert calls == [("_rref_lanes", 8, 16), ("_rref_bits", 30, 30)]
+    for field, r, c in shapes:
+        m = as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c)
+        calls.clear()
+        assert m.rank() == ref.rank(field, m.row_list(), c)
+        assert calls == [("basis", c)]
+        ops = [(Matrix.rref, c), (Matrix.nullspace, c), (Matrix.column_echelon, r)]
+        if r == c:
+            ops.append((Matrix.inverse, 2 * c))
+        for op, n in ops:
+            calls.clear()
+            try:
+                op(m)
+            except DivisionByZero:  # a singular inverse, found after the reduction
+                assert op is Matrix.inverse
+            assert calls == ["_rref", ("basis", n), "echelon_rows"], (field, r, c, op.__name__)
     assert [galois._lane_bytes(3, n) for n in (1, 26, 27)] == [1, 1, 2]
     assert [galois._lane_bytes(37, n) for n in (1, 45, 46)] == [2, 2, 4]
     assert [galois._lane_bytes(2**31 - 1, n) for n in (1, 2, 3)] == [8, 8, 9]

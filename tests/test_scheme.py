@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import reference_galois as ref_galois
 import reference_simulation as reference
 import reference_verify
 from conftest import make_instance
+from icx import galois
 from icx import scheme as scheme_module
 from icx.errors import (
     BadParams,
@@ -19,7 +21,7 @@ from icx.errors import (
     SchemeMalformed,
     UnsupportedFamily,
 )
-from icx.galois import BinaryField, Matrix, PrimeField
+from icx.galois import BinaryField, EchelonBasis, Matrix, PrimeField
 from icx.model import (
     Destination,
     FamilyTag,
@@ -367,6 +369,108 @@ def test_simulate_rank_deficient_unheld_columns(field, no_synthesis):
     expected = reference.simulate_least(only2, scheme, reference.lexicographic_tuples(scheme))
     assert outcome(simulate_exhaustive(only2, scheme)) == expected
     assert (expected[0], expected[3], expected[4]) == (False, 1, 3)
+
+
+def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
+    """Per destination, V-only simulation grows one basis over V's unheld
+    streams and reads R a row at a time.  On antidotes K=32 U=2 D=4 over
+    GF(37) ``simulate_sampled`` forms no full reduced form (``_rref``,
+    ``echelon_rows``) and back-substitutes a row only for a desired stream
+    at its pivot, each at most once per destination: 96 rows of the 960."""
+    names, reduced = [], []
+    rref, echelon_rows, reduced_row = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.reduced_row
+
+    def spy_rref(*args):
+        names.append("_rref")
+        return rref(*args)
+
+    def spy_echelon_rows(self):
+        names.append("echelon_rows")
+        return echelon_rows(self)
+
+    def spy_reduced_row(self, i):
+        reduced.append((self, i))  # the basis is kept alive, so its id stays unique
+        return reduced_row(self, i)
+
+    monkeypatch.setattr(galois, "_rref", spy_rref)
+    monkeypatch.setattr(EchelonBasis, "echelon_rows", spy_echelon_rows)
+    monkeypatch.setattr(EchelonBasis, "reduced_row", spy_reduced_row)
+    inst, scheme = gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4)
+    assert simulate_sampled(inst, scheme, 50, seed=0).ok
+    assert names == []
+    rows = [(id(basis), i) for basis, i in reduced]
+    assert len(set(rows)) == len(rows)
+    per_basis = Counter(b for b, _ in rows)
+    assert len(per_basis) <= len(inst.destinations)
+    assert max(per_basis.values()) <= 3  # one wanted message of U + 1 streams
+    assert 0 < len(rows) <= sum(scheme.stream_count(m) for d in inst.destinations for m in d.wants)
+    assert len(rows) < sum(basis.rank for basis in {id(b): b for b, _ in reduced}.values())
+
+
+def desired_pivot_with_free_entries(inst, scheme):
+    """Whether, for some destination, a desired stream is the pivot of a row
+    of R (the reference's reduced row echelon form of V on the unheld
+    streams, reversed) that is nonzero at a free column."""
+    f = scheme.field
+    streams = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))]
+    vrows = Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()]).row_list()
+    for d in inst.destinations:
+        unheld = [s for s in reversed(range(len(streams))) if streams[s] not in d.has]
+        reduced, pivots = ref_galois.rref(f, [[row[s] for s in unheld] for row in vrows], len(unheld))
+        free = [c for c in range(len(unheld)) if c not in pivots]
+        if any(streams[unheld[c]] in d.wants and any(row[j] for j in free) for row, c in zip(reduced, pivots)):
+            return True
+    return False
+
+
+def pivot_desired_case(field):
+    """Destination 1 wants message 3 and holds nothing, and V_3 = V_2 - V_1
+    in GF(q)^2.  On its streams in reverse order (3, 2, 1) V is
+    [[1, 1, 0], [0, 1, 1]] and R = [[1, 0, -1], [0, 1, 1]]: stream 3 is the
+    pivot of row 1, whose free entry at stream 1 is -1 in R but 0 in V, so
+    message 3's error row is right only if row 1 is reduced against row 2.
+    Destination 2 decodes message 1."""
+    V = {1: (0, 1), 2: (1, 1), 3: (1, 0)}
+    scheme = LinearScheme(field, 2, {m: Matrix(field, 2, 1, v) for m, v in V.items()})
+    return make_instance(3, [({3}, set()), ({1}, {3})]), scheme
+
+
+def random_pivot_desired_cases(field, count, max_streams):
+    """Seeded random V-only schemes with a desired stream at a pivot that
+    has nonzero free entries; each is a collision."""
+    rnd = random.Random(f"pivot desired {field!r}")
+    cases = []
+    while len(cases) < count:
+        M, n = rnd.randrange(2, 4), rnd.randrange(1, 4)
+        L = [rnd.randrange(1, 3) for _ in range(M)]
+        if sum(L) > max_streams:
+            continue
+        entries = [tuple(rnd.randrange(field.order) for _ in range(n * k)) for k in L]
+        V = {m: Matrix(field, n, k, e) for m, (k, e) in enumerate(zip(L, entries), 1)}
+        dests = []
+        for _ in range(rnd.randrange(1, 4)):
+            wants = {rnd.randrange(1, M + 1)}
+            dests.append((wants, {m for m in range(1, M + 1) if m not in wants and rnd.random() < 0.3}))
+        inst, scheme = make_instance(M, dests), LinearScheme(field, n, V)
+        if desired_pivot_with_free_entries(inst, scheme):
+            cases.append((inst, scheme))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "field, count, max_streams", [(PrimeField(3), 30, 5), (PrimeField(37), 2, 3)], ids=["GF(3)", "GF(37)"]
+)
+def test_simulation_back_substitutes_desired_pivot_rows(field, count, max_streams, no_synthesis):
+    """V-only collision schemes in which a desired stream is a pivot of R
+    with nonzero free entries: both simulators give the naive reference's
+    first counterexample, which needs those rows fully reduced."""
+    for inst, scheme in [pivot_desired_case(field), *random_pivot_desired_cases(field, count, max_streams)]:
+        assert desired_pivot_with_free_entries(inst, scheme)
+        expected = reference.simulate(inst, scheme, reference.lexicographic_tuples(scheme))
+        assert not expected[0]
+        assert outcome(simulate_exhaustive(inst, scheme)) == expected
+        tuples = reference.sampled_tuples(scheme, 30, seed=5)
+        assert outcome(simulate_sampled(inst, scheme, 30, seed=5)) == reference.simulate_least(inst, scheme, tuples)
 
 
 def test_simulate_budget():
