@@ -17,7 +17,8 @@ preserved (a message id may legitimately appear twice).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, log, prod
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import BadParams, BudgetExceeded, Record
@@ -74,8 +75,9 @@ class BoundCertificate(Record):
         }
 
 
-def _sort_key(cert: BoundCertificate):
-    return (cert.rhs, cert.terms, cert.kind, cert.provenance)
+# simple_bounds, and chain_bounds per chain length, sort certificates of one
+# kind and one rhs whose terms differ: the order of (rhs, terms, kind, provenance).
+_by_terms = attrgetter("terms")
 
 
 # ----------------------------------------------------------------------
@@ -94,22 +96,18 @@ def simple_bounds(inst: Instance) -> list:
     K = len(inst.destinations)
     if K * (K - 1) > MAX_SIMPLE_PAIRS:
         raise BadParams(f"simple bounds: {K * (K - 1)} destination pairs, more than the limit of {MAX_SIMPLE_PAIRS}")
-    certs = {}
+    certs = {}  # terms -> certificate; every rhs is 1
     for d in inst.destinations:
-        cert = BoundCertificate("simple", tuple(sorted(d.wants)), Fraction(1), (d.id,))
-        certs.setdefault((cert.terms, cert.rhs), cert)
+        cert = BoundCertificate("simple", d.wants, 1, (d.id,))
+        certs.setdefault(cert.terms, cert)
     for dk in inst.destinations:
         outside = inst.interferers(dk)
         for dj in inst.destinations:
-            if dj.id == dk.id:
-                continue
-            second = sorted(dj.wants & outside)
-            if not second:
-                continue
-            terms = tuple(sorted(dk.wants)) + tuple(second)
-            cert = BoundCertificate("simple", terms, Fraction(1), (dk.id, dj.id))
-            certs.setdefault((cert.terms, cert.rhs), cert)
-    return sorted(certs.values(), key=_sort_key)
+            second = dj.wants & outside  # empty for dj = dk
+            if second:
+                cert = BoundCertificate("simple", (*dk.wants, *second), 1, (dk.id, dj.id))
+                certs.setdefault(cert.terms, cert)
+    return sorted(certs.values(), key=_by_terms)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +136,10 @@ def chain_bounds(
     equal terms and rhs, the first met is kept, with the first closing
     destination k in instance order.
 
+    A term multiset is keyed by the product of its messages' primes (message
+    m gets the m-th prime), exact by unique factorization, and the last link
+    is tried in place, so no state's work grows with the number of terms.
+
     Raises BadParams unless maxN >= 1 and budget >= 1, and BudgetExceeded
     (with the certificates found so far attached) when the enumeration
     exceeds `budget` visited states.
@@ -145,23 +147,25 @@ def chain_bounds(
     if maxN < 1 or budget < 1:
         raise BadParams(f"chain search needs maxN >= 1 and budget >= 1, got maxN={maxN}, budget={budget}")
     norm = normalize(inst, L)
-    wants = {d.id: tuple(sorted(d.wants)) for d in norm.destinations}
-    # message a -> its links (b, realizer j, the terms the link adds: b and
-    # j's sorted wants), by b and then j ascending: each edge read both ways
+    M = norm.num_messages
+    prime = [1] + _primes(M)
+    wants = {d.id: d.wants for d in norm.destinations}
+    # message a -> its links (b, realizer j, the key of the terms the link
+    # adds: b and j's wants), by b and then j ascending: each edge read both ways
     links = {}
     for a, b, j in sorted(t for x, y, j in partition(norm).edges for t in ((x, y, j), (y, x, j))):
-        links.setdefault(a, []).append((b, j, (b,) + wants[j]))
-    width = L + 1  # terms per link: every destination of norm desires L messages
-
-    M = norm.num_messages
-    certs = {}  # (terms, N) -> certificate
+        links.setdefault(a, []).append((b, j, prime[b] * prod(prime[m] for m in wants[j])))
+    found = [{} for _ in range(min(maxN, M) + 1)]  # found[N]: term key -> certificate of rhs N
     visited = 0
+
+    def ordered():
+        return [cert for level in found for cert in sorted(level.values(), key=_by_terms)]
 
     def exceeded(begun):
         return BudgetExceeded(
-            f"chain enumeration exceeded {budget} states ({len(certs)} certificates found, "
+            f"chain enumeration exceeded {budget} states ({sum(map(len, found))} certificates found, "
             f"{begun} of {M} start messages begun)",
-            partial=_ordered(certs),
+            partial=ordered(),
         )
 
     for start in range(1, M + 1):
@@ -169,49 +173,51 @@ def chain_bounds(
         if visited > budget:
             raise exceeded(start - 1)
         # the chain as start, realizer, message, ..., realizer, tail; its
-        # messages; its term multiset; and pending[i], the links not yet
-        # tried out of its i-th message (an explicit stack, so the depth is
-        # not bounded by the interpreter's recursion limit)
-        chain, on_path, terms = [start], {start}, [start]
+        # messages; the key of its terms after each message; and pending[i],
+        # the links not yet tried out of its i-th message (an explicit stack,
+        # so the depth is not bounded by the interpreter's recursion limit)
+        chain, on_path, keys = [start], {start}, [prime[start]]
         # message -> the first destination, in instance order, desiring it without start as antidote
         closer = {m: d.id for d in reversed(norm.destinations) if start not in d.has for m in d.wants}
         pending = [iter(links.get(start, ()))]
         while pending:
             N = len(pending)
+            level, key = found[N], keys[-1]
             for nxt, j, added in pending[-1]:
                 if nxt in on_path:
                     continue
                 visited += 1
                 if visited > budget:
                     raise exceeded(start)
-                chain += (j, nxt)
-                terms += added
                 k = closer.get(nxt)
-                if k is not None:
-                    key = (tuple(sorted(terms)), N)
-                    if key not in certs:
-                        cert = BoundCertificate("chain", key[0], N, tuple(chain) + (k,))
-                        certs[(cert.terms, N)] = cert
-                if N < maxN:
+                if k is not None and key * added not in level:
+                    # the terms: the messages i_0..i_N at even places of the provenance, and the realizers' wants
+                    path = (*chain, j, nxt, k)
+                    terms = path[::2] + tuple(t for r in path[1:-1:2] for t in wants[r])
+                    level[key * added] = BoundCertificate("chain", terms, N, path)
+                if N < maxN:  # the last link closes each state in place and extends none
+                    chain += (j, nxt)
                     on_path.add(nxt)
+                    keys.append(key * added)
                     pending.append(iter(links.get(nxt, ())))
                     break
-                del terms[-width:]
-                del chain[-2:]
             else:
                 pending.pop()
                 if pending:  # retract the link whose extensions are exhausted
                     on_path.discard(chain[-1])
-                    del terms[-width:]
                     del chain[-2:]
-    return _ordered(certs)
+                    keys.pop()
+    return ordered()
 
 
-def _ordered(certs: dict) -> list:
-    """Chain certificates in _sort_key order: the kind is always "chain" and
-    (rhs, terms) is unique, so sorting the (terms, N) keys by (N, terms)
-    gives the same order without comparing Fractions."""
-    return [certs[key] for key in sorted(certs, key=lambda key: (key[1], key[0]))]
+def _primes(n: int) -> list:
+    """The first n primes, sieved below Rosser's bound p_n < n (ln n + ln ln n), n >= 6."""
+    limit = 16 if n < 6 else int(n * (log(n) + log(log(n)))) + 2
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]][:n]
 
 
 # ----------------------------------------------------------------------
@@ -246,29 +252,12 @@ def symmetric_capacity(inst: Instance) -> tuple:
         K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
         A = U + D
         value = Fraction(1) if A == K - 1 else Fraction(U + 1, K - A + 2 * U)
-        cert = BoundCertificate(
-            "family-formula",
-            tuple(range(1, K + 1)),
-            Fraction(K) * value,
-            ("neighboring-antidotes", K, U, D),
-        )
+        cert = BoundCertificate("family-formula", range(1, K + 1), K * value, ("neighboring-antidotes", K, U, D))
         return value, cert
     if fam.kind == "neighboring-interference":
         K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
-        value = Fraction(1, D + 1)
-        cert = BoundCertificate(
-            "genie-chain",
-            tuple(range(1, D + 2)),
-            Fraction(1),
-            ("neighboring-interference", K, U, D, 1),
-        )
-        return value, cert
+        cert = BoundCertificate("genie-chain", range(1, D + 2), 1, ("neighboring-interference", K, U, D, 1))
+        return Fraction(1, D + 1), cert
     K, L = fam.param("K"), fam.param("L")  # x-network
-    value = Fraction(2, L * (L + 1))
-    cert = BoundCertificate(
-        "genie-chain",
-        tuple(x_outer_bound_messages(K, L)),
-        Fraction(1),
-        ("x-network", K, L, 1),
-    )
-    return value, cert
+    cert = BoundCertificate("genie-chain", x_outer_bound_messages(K, L), 1, ("x-network", K, L, 1))
+    return Fraction(2, L * (L + 1)), cert

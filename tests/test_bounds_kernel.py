@@ -9,6 +9,7 @@ the budget is exceeded; and the partial list attached when it is.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,82 @@ def test_budget_exceeded_reports_progress():
         f"chain enumeration exceeded {DEFAULT_CHAIN_BUDGET} states "
         f"({len(exc.value.partial)} certificates found, 4 of 12 start messages begun)"
     )
+
+
+# case -> (its instance and L, maxN -> (the states of the full search, its certificates))
+DENSE_CASES = {
+    "antidotes-K5-U0-D1": (lambda: (gen_neighboring_antidotes(5, 0, 1), 1), {1: (35, 10), 2: (165, 36), 3: (555, 81)}),
+    "random-129": (lambda: RANDOM_CASES[129], {1: (30, 8), 2: (106, 27), 3: (248, 53)}),
+}
+
+
+@pytest.mark.parametrize("maxN", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_every_budget_cut_matches_reference(case, maxN):
+    """A budget of 1 .. S+1, S the states of the full search, cuts it at
+    every state once, inside the last link's loop too."""
+    build, sizes = DENSE_CASES[case]
+    inst, L = build()
+    budget, kind = 0, "budget"
+    while kind == "budget":
+        budget += 1
+        try:
+            kind, certs = "complete", chain_bounds(inst, L, maxN=maxN, budget=budget)
+        except BudgetExceeded as exc:
+            kind, certs = "budget", exc.partial
+            assert f"({len(certs)} certificates found, " in str(exc)
+        certs = [c.to_json() for c in certs]
+        assert (kind, certs) == outcome(ref.chain_bounds, inst, L, maxN, budget)
+    assert (budget, len(certs)) == sizes[maxN]
+    assert assert_same_search(inst, L, maxN, budget + 1) == (kind, certs)
+
+
+def multiplicity_instance():
+    """Every destination desires message 1 and one other, so each realizer
+    adds message 1 to the terms: a rhs-N certificate holds it N times.  The
+    other wants repeat across destinations, so chains through the same
+    messages can differ in their terms' multiplicities alone."""
+    rnd = random.Random(4)
+    M = 7
+    dests = []
+    for k in range(1, 11):
+        other = rnd.randrange(2, M + 1)
+        has = frozenset(m for m in range(2, M + 1) if m != other and rnd.random() < 0.3)
+        dests.append(Destination(k, frozenset({1, other}), has))
+    return Instance(M, tuple(dests))
+
+
+@pytest.mark.parametrize("maxN", [3, 4])
+def test_term_multiplicity_is_kept(maxN):
+    inst = multiplicity_instance()
+    kind, certs = assert_same_search(inst, 2, maxN, DEFAULT_CHAIN_BUDGET)
+    assert kind == "complete"
+    assert {cert["terms"].count(1) for cert in certs} == set(range(1, maxN + 1))
+    # certificates of one rhs and one set of terms, apart in multiplicity only
+    by_support = {}
+    for cert in certs:
+        by_support.setdefault((cert["rhs"], frozenset(cert["terms"])), []).append(cert["terms"])
+    assert sum(len(terms) - 1 for terms in by_support.values()) > 10
+
+
+def test_chain_search_memory_does_not_grow_with_message_ids():
+    """2,000 messages, 100 destinations, each wanting one message and holding
+    all but 12 others: a term key must not take space for every message id."""
+    rnd = random.Random(2000)
+    M = 2000
+    dests = []
+    for k in range(1, 101):
+        want = rnd.randrange(1, M + 1)
+        missing = set(rnd.sample([m for m in range(1, M + 1) if m != want], 12))
+        dests.append(Destination(k, frozenset({want}), frozenset(range(1, M + 1)) - missing - {want}))
+    inst = Instance(M, tuple(dests))
+    tracemalloc.start()
+    try:
+        outcome(chain_bounds, inst, 1, 4, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ----------------------------------------------------------------------
