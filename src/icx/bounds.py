@@ -42,28 +42,41 @@ class BoundCertificate(Record):
         # terms are kept sorted, multiplicity preserved
         super().__init__(kind, tuple(sorted(terms)), Fraction(rhs), provenance)
 
+    @classmethod
+    def _trusted(cls, kind: str, terms: tuple, rhs: Fraction, provenance: tuple) -> "BoundCertificate":
+        """A certificate of sorted terms and a Fraction rhs built in this module, not re-normalized."""
+        cert = object.__new__(cls)
+        object.__setattr__(cert, "kind", kind)
+        object.__setattr__(cert, "terms", terms)
+        object.__setattr__(cert, "rhs", rhs)
+        object.__setattr__(cert, "provenance", provenance)
+        return cert
+
     def evaluate(self, rates: Mapping[int, Fraction]) -> Fraction:
         return Fraction(*self._sum(rates))
 
     def violated_by(self, rates: Mapping[int, Fraction]) -> bool:
         num, den = self._sum(rates)
-        return num * self.rhs.denominator > self.rhs.numerator * den
+        return num * self.rhs._denominator > self.rhs._numerator * den
 
     def _sum(self, rates) -> tuple:
         """The sum of the term rates as (numerator, denominator > 0), in
         integers over the lcm of the rates' denominators.  Rates other than
-        ints and Fractions go through Fraction() first."""
+        ints and Fractions, subclasses included, go through Fraction() first."""
         num, den = 0, 1
         for m in self.terms:
             r = rates[m]
-            if not isinstance(r, (int, Fraction)):
+            if type(r) is int:
+                num += r * den
+                continue
+            if type(r) is not Fraction:
                 r = Fraction(r)
-            d = r.denominator
+            d = r._denominator  # read the slots: the properties are Python-level calls
             if den % d:
                 lcm = den // gcd(den, d) * d
                 num *= lcm // den
                 den = lcm
-            num += r.numerator * (den // d)
+            num += r._numerator * (den // d)
         return num, den
 
     def to_json(self) -> dict:
@@ -139,6 +152,7 @@ def chain_bounds(
     A term multiset is keyed by the product of its messages' primes (message
     m gets the m-th prime), exact by unique factorization, and the last link
     is tried in place, so no state's work grows with the number of terms.
+    Certificates built here skip the public constructor's re-normalization.
 
     Raises BadParams unless maxN >= 1 and budget >= 1, and BudgetExceeded
     (with the certificates found so far attached) when the enumeration
@@ -156,6 +170,7 @@ def chain_bounds(
     for a, b, j in sorted(t for x, y, j in partition(norm).edges for t in ((x, y, j), (y, x, j))):
         links.setdefault(a, []).append((b, j, prime[b] * prod(prime[m] for m in wants[j])))
     found = [{} for _ in range(min(maxN, M) + 1)]  # found[N]: term key -> certificate of rhs N
+    rhs = [Fraction(N) for N in range(len(found))]  # one rhs per chain length, shared by its certificates
     visited = 0
 
     def ordered():
@@ -193,8 +208,8 @@ def chain_bounds(
                 if k is not None and key * added not in level:
                     # the terms: the messages i_0..i_N at even places of the provenance, and the realizers' wants
                     path = (*chain, j, nxt, k)
-                    terms = path[::2] + tuple(t for r in path[1:-1:2] for t in wants[r])
-                    level[key * added] = BoundCertificate("chain", terms, N, path)
+                    terms = sorted(path[::2] + tuple(t for r in path[1:-1:2] for t in wants[r]))
+                    level[key * added] = BoundCertificate._trusted("chain", tuple(terms), rhs[N], path)
                 if N < maxN:  # the last link closes each state in place and extends none
                     chain += (j, nxt)
                     on_path.add(nxt)

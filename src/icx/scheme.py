@@ -175,7 +175,9 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
                     diags.append(Diagnostic("missing-decoder", d.id, message=m))
                     continue
                 rows, own = _decode_rows(product, u, cols[m])
-                if own.rank() != scheme.stream_count(m):
+                # a 1x1 block has rank 1 exactly when its entry is nonzero
+                rank = int(own.entries != (0,)) if len(own.entries) == 1 else own.rank()
+                if rank != scheme.stream_count(m):
                     diags.append(Diagnostic("property2", d.id, message=m))
                 leak = reduce(operator.or_, (nz for _, nz in rows), 0) & unheld & ~masks[m]
                 if leak:  # name each interferer whose columns leak, in id order

@@ -8,12 +8,18 @@ exactly: every certificate's JSON, provenance included, in order; whether
 the budget is exceeded; and the partial list attached when it is.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import icx
 import reference_bounds as ref
 from icx.bounds import (
     DEFAULT_CHAIN_BUDGET,
@@ -190,6 +196,68 @@ def test_chain_search_memory_does_not_grow_with_message_ids():
     assert peak < 4_000_000
 
 
+def chain_results():
+    """Every certificate list chain_bounds returns on the random cases and
+    three family instances, and the partial lists of budget cuts."""
+    for inst, L in RANDOM_CASES:
+        yield search_result(inst, L, inst.num_messages, DEFAULT_CHAIN_BUDGET)
+    for inst in (gen_neighboring_antidotes(8, 1, 2), gen_neighboring_interference(9, 1, 2), gen_x_network(6, 2)):
+        yield search_result(inst, next(iter(inst.demand_sizes())), 3, DEFAULT_CHAIN_BUDGET)
+    for family, budget in (("antidotes-K12-U0-D4", 5000), ("interference-K20-U3-D4", 50_000), ("xnetwork-K8-L3", 7)):
+        inst = FAMILIES[family]()
+        yield search_result(inst, next(iter(inst.demand_sizes())), 3, budget)
+
+
+def search_result(inst, L, maxN, budget):
+    try:
+        return "complete", chain_bounds(inst, L, maxN=maxN, budget=budget)
+    except BudgetExceeded as exc:
+        return "budget", exc.partial
+
+
+def test_chain_certificates_equal_their_public_construction():
+    """chain_bounds builds its certificates without re-normalizing them;
+    each equals, hashes, prints and serializes as the public constructor's."""
+    kinds = set()
+    for kind, certs in chain_results():
+        kinds.add(kind)
+        for cert in certs:
+            public = BoundCertificate(cert.kind, cert.terms, cert.rhs, cert.provenance)
+            assert cert == public and hash(cert) == hash(public)
+            assert repr(cert) == repr(public) and cert.to_json() == public.to_json()
+            assert type(cert.rhs) is Fraction
+            assert type(cert.terms) is tuple and list(cert.terms) == sorted(cert.terms)
+    assert kinds == {"complete", "budget"}
+
+
+def test_chain_certificates_stay_small():
+    """The 4,887 certificates of the antidotes K=12 U=0 D=4 search at maxN 3
+    cut after 40,000 states retain 1.66 MB; a Fraction per certificate takes
+    them to 1.90 MB and an instance dict each to 2.32 MB.  (The default
+    budget's 13,918 retain 4.51 MB against 5.18 MB, but take 2.5 s under
+    tracemalloc.)  Run in a fresh interpreter: there the retained size does
+    not depend on how many freed tuples earlier tests left for reuse."""
+    script = (
+        "import tracemalloc\n"
+        "from icx.bounds import chain_bounds\n"
+        "from icx.errors import BudgetExceeded\n"
+        "from icx.model import gen_neighboring_antidotes\n"
+        "inst = gen_neighboring_antidotes(12, 0, 4)\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    chain_bounds(inst, 1, maxN=3, budget=40_000)\n"
+        "except BudgetExceeded as exc:\n"
+        "    partial = exc.partial\n"
+        "print(len(partial), tracemalloc.get_traced_memory()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, retained = map(int, proc.stdout.split())
+    assert count == 4887
+    assert retained < 1_780_000
+
+
 # ----------------------------------------------------------------------
 # certificate arithmetic
 # ----------------------------------------------------------------------
@@ -213,7 +281,33 @@ def random_rates(rnd, M, values):
     return {m: rnd.choice(values) for m in range(1, M + 1)}
 
 
-@pytest.mark.parametrize("kind", ["mixed-denominators", "rate-vector", "ints", "floats"])
+class Rate(Fraction):
+    """A Fraction subclass."""
+
+
+class Reciprocal(Fraction):
+    """A Fraction subclass whose public numerator and denominator are its
+    slots swapped: Reciprocal(3) stands for 1/3, as Fraction() reads it."""
+
+    numerator = property(lambda self: self._denominator)
+    denominator = property(lambda self: self._numerator)
+
+
+BIG = 10**30
+# rates that are neither an int nor a Fraction, subclasses and bool included,
+# are read through Fraction(): a subclass's public numerator and denominator
+# count, not its slots
+EDGE_RATES = {
+    "decimals": [Decimal("0"), Decimal("0.25"), Decimal("1"), Decimal("0.3333")],
+    "bools": [False, True],
+    "subclasses": [Rate(0), Rate(1, 3), Rate(2, 7), Reciprocal(3), Reciprocal(7, 2)],
+    "strings": ["0", "1/3", "2/7", "0.25", "1"],
+    "large-denominators": [Fraction(1, BIG), Fraction(BIG - 1, BIG), Fraction(1, BIG + 1), Fraction(1, 3)],
+    "mixed-types": [0, 1, Fraction(1, 3), Fraction(2, 7), 0.25, 1 / 3, Fraction(1, BIG)],
+}
+
+
+@pytest.mark.parametrize("kind", ["mixed-denominators", "rate-vector", "ints", "floats", *sorted(EDGE_RATES)])
 def test_evaluate_matches_reference(certificates, kind):
     rnd = random.Random(kind)
     seen = set()
@@ -225,14 +319,25 @@ def test_evaluate_matches_reference(certificates, kind):
             rates = {m: Fraction(r) for m, r in random_rates(rnd, M, POOL).items()}
         elif kind == "ints":
             rates = random_rates(rnd, M, [0, 1, 2])
-        else:
+        elif kind == "floats":
             rates = random_rates(rnd, M, [0.0, 0.25, 1 / 3, 1.0])
+        else:
+            rates = random_rates(rnd, M, EDGE_RATES[kind])
         value = cert.evaluate(rates)
         assert type(value) is Fraction
         assert value == ref.evaluate(cert, rates)
         assert cert.violated_by(rates) == ref.violated_by(cert, rates)
         seen.add(cert.violated_by(rates))
     assert seen == {True, False}
+
+
+def test_evaluate_needs_every_term_rate():
+    cert = BoundCertificate("chain", (1, 2, 2, 3), 2, (1, 1, 2, 3))
+    for rates in ({1: 1, 2: Fraction(1, 3)}, {1: 0.5, 2: 1, 4: 1}, {}):
+        with pytest.raises(KeyError):
+            cert.evaluate(rates)
+        with pytest.raises(KeyError):
+            cert.violated_by(rates)
 
 
 def test_certificate_at_equality_is_not_violated():

@@ -285,6 +285,36 @@ def test_decoder_mode_forms_no_matrix_products(monkeypatch):
     assert not rep.valid and {d.destination for d in rep.diagnostics} == {key[1]}
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), BinaryField(2)], ids=repr)
+def test_decoder_mode_reads_one_by_one_blocks_off_their_entry(field, monkeypatch):
+    """Example 1 sends one stream per message, so every own block U_{m,k} V_m
+    is 1x1: with U_{1,1} set to each row of GF(q)^2, singular blocks and
+    nonsingular ones, decoder mode reports what the definition gives, and it
+    ranks only blocks larger than 1x1 (example 2's are 2x2)."""
+    ranked = []
+    rank = Matrix.rank
+
+    def counting(mat):
+        ranked.append((mat.rows, mat.cols))
+        return rank(mat)
+
+    monkeypatch.setattr(Matrix, "rank", counting)
+    ex = builtin_example(1, field)
+    verdicts = set()
+    for row in itertools.product(range(field.order), repeat=ex.scheme.n):
+        U = dict(ex.scheme.U)
+        U[(1, 1)] = Matrix.from_rows(field, [list(row)])
+        sch = LinearScheme(field, ex.scheme.n, ex.scheme.V, U)
+        rep = verify(ex.instance, sch, mode="decoder")
+        assert rep.to_json() == reference_verify.verify_decoder(ex.instance, sch).to_json(), row
+        verdicts.add("property2" in {d.kind for d in rep.diagnostics})
+    assert verdicts == {True, False}
+    assert ranked == []
+    ex = builtin_example(2, field)
+    assert verify(ex.instance, ex.scheme, mode="decoder").valid
+    assert ranked == [(2, 2)] * 5
+
+
 # ----------------------------------------------------------------------
 # synthesize_decoders
 # ----------------------------------------------------------------------
