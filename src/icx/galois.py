@@ -17,8 +17,9 @@ full reduced forms (``rref``, ``nullspace``, ``inverse``,
 membership, greedy choices of rows or columns and the oracles' searches.
 Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
 are lists, with the field's own multiplication.  It back-substitutes only
-the rows a caller asks for.  ``_row_products`` packs a matrix's rows once
-for many products.
+the rows a caller asks for, or every row once, and then reads any column
+subset's reduced form off it (``restrict``).  ``_row_products`` packs a
+matrix's rows once for many products.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import operator
 import struct
 from functools import lru_cache, reduce
 from itertools import chain, compress
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -280,33 +281,35 @@ class EchelonBasis:
 
     ``add`` reduces a vector against the rows in insertion order and appends
     what is left, if nonzero, scaled to a 1 in its first nonzero column, its
-    pivot.  Rows are never rewritten, so each is 0 in the pivots of the rows
+    pivot.  ``add`` rewrites no row, so each is 0 in the pivots of the rows
     before it, an add costs a step per row and ``copy`` copies two lists.
     The pivots are those of the reduced row echelon form.  ``reduced_row``
-    back-substitutes one row to its row of that form, and ``echelon_rows``
-    every row, sorted by pivot.  ``add`` returns the rank growth, 0 or 1;
-    ``grow`` adds many and says which of them grew it.
+    back-substitutes one row to its row of that form, ``echelon_rows`` every
+    row, sorted by pivot, and ``back_substitute`` every row in place.  ``add``
+    returns the rank growth, 0 or 1; ``grow`` adds many and says which grew it.
 
     Vectors are sequences of n canonical elements.  Over GF(p) a row is one
     int, so a step is a few big-integer operations.  Over GF(2) column j is
     bit j and a step is one xor.  Over odd p column j is a lane of W bits,
     reduced mod p lazily: a step adds (p - t) times a canonical row, which
     makes the lane being cleared a multiple of p and adds less than p^2 to
-    each lane.  A row takes at most n - 1 steps when added and, once scaled
-    to its pivot, at most n - 1 more when back-substituted, so W is the
-    width ``_lane_bytes(p, n)`` gives and no lane carries into the next.
-    Over GF(2^m) a row is a list.
+    each lane.  A basis promised at most ``bound`` rows (n by default)
+    refuses any vector once it holds bound < n rows, so a row takes at
+    most bound - 1 steps when added and as many when back-substituted, W is
+    the width ``_lane_bytes(p, bound)`` gives and no lane carries into the
+    next.  Over GF(2^m) a row is a list.
     """
 
-    __slots__ = ("field", "n", "pivots", "rows", "_codec")
+    __slots__ = ("field", "n", "bound", "pivots", "rows", "_codec")
 
-    def __init__(self, field: Field, n: int):
+    def __init__(self, field: Field, n: int, bound: Optional[int] = None):
         self.field = field
         self.n = n
+        self.bound = n if bound is None else min(bound, n)
         self.pivots: list = []  # pivot column of each row, in insertion order
         self.rows: list = []
         p = field.p if isinstance(field, PrimeField) else 0
-        W = 8 * _lane_bytes(p, n) if p > 2 else 1
+        W = 8 * _lane_bytes(p, self.bound) if p > 2 else 1
         self._codec = (p, W, *(_lane_codec(W, n) if p and n else (list, list)))  # (p or 0, W, pack, unpack)
 
     @property
@@ -350,7 +353,9 @@ class EchelonBasis:
     def add_row(self, v) -> int:
         """``add`` for a vector that ``pack`` made into a row."""
         pivots = self.pivots
-        if len(pivots) == self.n:
+        if len(pivots) == self.bound:
+            if self.bound < self.n:
+                raise DimensionMismatch(f"a basis promised at most {self.bound} rows was given one more vector")
             return 0
         p, _, pack, unpack = self._codec
         v = self._reduce(v, zip(pivots, self.rows))
@@ -394,7 +399,7 @@ class EchelonBasis:
         Shallow copies of pivots and rows suffice: ``add`` only appends.
         """
         other = EchelonBasis.__new__(EchelonBasis)
-        other.field, other.n, other._codec = self.field, self.n, self._codec
+        other.field, other.n, other.bound, other._codec = self.field, self.n, self.bound, self._codec
         other.pivots, other.rows = self.pivots[:], self.rows[:]
         return other
 
@@ -411,15 +416,41 @@ class EchelonBasis:
         order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
         return [self.reduced_row(i) for i in order], [self.pivots[i] for i in order]
 
+    def back_substitute(self) -> "EchelonBasis":
+        """Make every row, in place, its canonical row of the reduced row
+        echelon form, 0 at every other row's pivot."""
+        p, _, pack, unpack = self._codec
+        for i, row in enumerate(self.rows):
+            if (v := self._reduce(row, zip(self.pivots[i + 1 :], self.rows[i + 1 :]))) is not row:
+                self.rows[i] = pack([x % p for x in unpack(v)]) if p > 2 else v
+        return self
+
+    def restrict(self, cols: int) -> "EchelonBasis":
+        """For a basis of A's rows, one of A_cols's rows with its reduced form's
+        pivots, cols a bitmask of columns: the rows whose pivot is in cols, cut
+        (``row & mask``, over GF(2^m) a product with 0s and 1s), then the
+        others cut and added, 0 at the kept pivots if this is back-substituted."""
+        p, W, pack, _ = self._codec
+        keep = [cols >> c & 1 for c in self.pivots]
+        if p != 2 and keep:  # lanes of ones at cols, or a list of 0s and 1s
+            cols = pack(_lane_codec(1, self.n)[1](cols)) * ((1 << W) - 1)
+        cut = cols.__and__ if p else lambda row: list(map(operator.mul, row, cols))
+        out = self.copy()
+        out.pivots, out.rows = list(compress(self.pivots, keep)), list(map(cut, compress(self.rows, keep)))
+        for row, kept in zip(self.rows, keep):
+            if not kept:
+                out.add_row(cut(row))
+        return out
+
 
 def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     """(nonzero rows of the reduced row echelon form of rows, pivot columns).
 
     Every full reduced form in icx ends here, over every field: the rows
-    grow one ``EchelonBasis`` and ``echelon_rows`` back-substitutes it.
-    Entries must be canonical.
+    grow one ``EchelonBasis``, sized for at most len(rows) of them, and
+    ``echelon_rows`` back-substitutes it.  Entries must be canonical.
     """
-    basis = EchelonBasis(field, ncols)
+    basis = EchelonBasis(field, ncols, len(rows))
     basis.grow(rows)
     return basis.echelon_rows()
 
@@ -618,11 +649,8 @@ class Matrix(Record):
         return Matrix._trusted(field, mats[0].rows, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     def take_cols(self, js: Sequence[int]) -> "Matrix":
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            out.extend(row[j] for j in js)
-        return Matrix._trusted(self.field, self.rows, len(js), tuple(out))
+        cols = [self.entries[j :: self.cols] for j in js]  # as in hstack_all
+        return Matrix._trusted(self.field, self.rows, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
         out = []

@@ -8,7 +8,8 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
   U_{m,k} V_m invertible, both read off one product of each row of
   U_{m,k} with [V_1 | ... | V_K], whose rows are packed once per call;
 * rank mode (V only): at each destination the desired columns are jointly
-  independent and their span meets the interference span only at zero.
+  independent and rank [V_int | V_des] = rank V_int + rank V_des, both
+  ranks read off one reduced form of [V_1 | ... | V_K] per call.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one.  ``simulate_exhaustive`` is
@@ -139,36 +140,36 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
         mode = "decoder" if scheme.U is not None else "rank"
     if mode not in ("rank", "decoder"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "decoder" and scheme.U is None:
+        raise SchemeMalformed("decoder mode requires combining matrices")
     diags = []
+    cols = _stream_columns(scheme)
+    vfull = Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols])
+    masks = {i: ((1 << len(r)) - 1) << r.start for i, r in cols.items()}  # V_i's columns as bits
+    everything = sum(masks.values())
+
+    def unheld(d):  # the columns d does not hold, summed over the smaller side of d.has
+        if 2 * len(d.has) <= len(masks):
+            return everything - sum(map(masks.__getitem__, masks.keys() & d.has))
+        return sum(map(masks.__getitem__, masks.keys() - d.has))
+
     if mode == "rank":
+        echelon = None  # V's reduced form, made for the first destination that has interference
         for d in inst.destinations:
-            desired = sorted(d.wants)
-            interference = sorted(inst.interferers(d))
-            vdes = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in desired])
+            vdes = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in sorted(d.wants)])
             rank_des = vdes.rank()
             if rank_des != vdes.cols:
                 diags.append(Diagnostic("desired-rank", d.id))
-            if interference:
-                # one basis of the rows of [V_int | V_des]: its pivots left of V_des are V_int's rank
-                both = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in interference + desired])
-                basis = EchelonBasis(scheme.field, both.cols)
-                basis.grow(both._row_tuples())
-                pivots = basis.pivots
-                if len(pivots) != rank_des + sum(c < both.cols - vdes.cols for c in pivots):
+            desired = sum(map(masks.__getitem__, d.wants))
+            if interference := unheld(d) & ~desired:
+                echelon = echelon or _reduced_rows(vfull)
+                both = echelon.restrict(interference | desired)  # rank [V_int | V_des]; then rank V_int
+                if both.rank != rank_des + both.restrict(interference).rank:
                     diags.append(Diagnostic("resolvability", d.id))
     else:
-        if scheme.U is None:
-            raise SchemeMalformed("decoder mode requires combining matrices")
-        cols = _stream_columns(scheme)
-        product = _row_products(Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols]))
-        masks = {i: ((1 << len(r)) - 1) << r.start for i, r in cols.items()}  # V_i's columns as bits
-        everything = sum(masks.values())
+        product = _row_products(vfull)
         for d in inst.destinations:
-            # the columns d does not hold, summed over the smaller side of d.has
-            if 2 * len(d.has) <= len(masks):
-                unheld = everything - sum(map(masks.__getitem__, masks.keys() & d.has))
-            else:
-                unheld = sum(map(masks.__getitem__, masks.keys() - d.has))
+            not_held = unheld(d)
             for m in sorted(d.wants):
                 u = scheme.U.get((m, d.id))
                 if u is None:
@@ -179,7 +180,7 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
                 rank = int(own.entries != (0,)) if len(own.entries) == 1 else own.rank()
                 if rank != scheme.stream_count(m):
                     diags.append(Diagnostic("property2", d.id, message=m))
-                leak = reduce(operator.or_, (nz for _, nz in rows), 0) & unheld & ~masks[m]
+                leak = reduce(operator.or_, (nz for _, nz in rows), 0) & not_held & ~masks[m]
                 if leak:  # name each interferer whose columns leak, in id order
                     diags += [Diagnostic("property1", d.id, message=m, interferer=i) for i in cols if leak & masks[i]]
     return VerificationReport(not diags, mode, tuple(diags), scheme.rates())
@@ -227,6 +228,13 @@ def _decode_rows(product, u: Matrix, own: range) -> tuple:
     rows = [product(u.row(r)) for r in range(u.rows)]
     block = tuple(e for out, _ in rows for e in out[own.start : own.stop])
     return rows, Matrix._trusted(u.field, u.rows, len(own), block)
+
+
+def _reduced_rows(mat: Matrix) -> EchelonBasis:
+    """A basis of mat's rows, sized for mat.rows of them, back-substituted."""
+    basis = EchelonBasis(mat.field, mat.cols, mat.rows)
+    basis.grow(mat._row_tuples())
+    return basis.back_substitute()
 
 
 def _independent_rows(mat: Matrix):
@@ -362,9 +370,11 @@ class _Kernel:
     comes after s_i in stream order: in stream order b_i leads with its 1.
     So a desired stream's row of E is read straight off R: -R[j][s_i] at
     each s_i if the stream is the pivot of row j, and the unit vector at the
-    stream itself if it is free.  R is read one row at a time: V's rows grow
-    one ``EchelonBasis``, whose pivots are R's, and only the rows whose
-    pivot is a desired stream are back-substituted (``reduced_row``).
+    stream itself if it is free.  V is reduced once, all streams reversed
+    (``back_substitute``); each destination's R is that form restricted to
+    its unheld streams (``restrict``), which re-eliminates only the few rows
+    whose pivots it holds, and a desired stream's row of R is that basis's
+    ``reduced_row``.
     """
 
     def __init__(self, inst: Instance, scheme: LinearScheme):
@@ -376,15 +386,17 @@ class _Kernel:
         vfull = Matrix.hstack_all(f, [scheme.V[m] for m in msg_ids])
         if scheme.U is not None:
             product = _row_products(vfull)
+        else:  # column c of the reduced form is stream total - 1 - c
+            echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
+            masks = {m: ((1 << len(r)) - 1) << (total - r.stop) for m, r in pos.items()}
         self.singular = None
         rows, self.owner = [], []
         for d in inst.destinations:
             if scheme.U is None:
-                unheld = [s for s in reversed(range(total)) if self.streams[s][0] not in d.has]
-                basis = EchelonBasis(f, len(unheld))
-                basis.grow(vfull.take_cols(unheld)._row_tuples())
-                pivot_row = {unheld[c]: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
-                free = [(c, s) for c, s in enumerate(unheld) if s not in pivot_row]
+                unheld = sum(masks[m] for m in msg_ids if m not in d.has)
+                basis = echelon.restrict(unheld)
+                pivot_row = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
+                free = [(c, total - 1 - c) for c in range(total) if unheld >> c & 1 and total - 1 - c not in pivot_row]
             for m in sorted(d.wants):
                 if scheme.U is None:
                     err = [[0] * total for _ in pos[m]]

@@ -1,11 +1,14 @@
-"""Decoder-mode verification by its definition: the independent reference
-for ``verify(..., mode="decoder")``.
+"""Verification by its definitions: the independent references for
+``verify(..., mode="decoder")`` and ``verify(..., mode="rank")``.
 
 Destination k decodes m when U_{m,k} V_m is invertible (property 2) and
 U_{m,k} V_i = 0 for every message i != m that k does not hold (property 1).
-Every product is formed on its own, one per (decoder, interferer) pair, with
-the field's scalar operations (``reference_galois``), so nothing here shares
-code with verify's packed products beyond the scheme and report records.
+Without combiners, k resolves what it wants when the desired columns V_des
+are independent and rank [V_int | V_des] = rank V_int + rank V_des, V_int
+the columns of the messages k neither wants nor holds.  Every product and
+every rank is formed on its own with the field's scalar operations
+(``reference_galois``), so nothing here shares code with verify's packed
+products or its reduced form beyond the scheme and report records.
 """
 
 import reference_galois as ref
@@ -35,3 +38,24 @@ def verify_decoder(inst, scheme):
                 if any(any(row) for row in leak):
                     diags.append(Diagnostic("property1", d.id, message=m, interferer=i))
     return VerificationReport(not diags, "decoder", tuple(diags), scheme.rates())
+
+
+def verify_rank(inst, scheme):
+    """The report rank mode gives: per destination in order, desired-rank
+    when V_des's columns are dependent, then resolvability when rank
+    [V_int | V_des] falls short of rank V_int + rank V_des.  Each rank is
+    that of the columns, eliminated as the rows of the transpose."""
+    f = scheme.field
+
+    def columns(ids):
+        return [list(scheme.V[m].col(j)) for m in sorted(ids) for j in range(scheme.stream_count(m))]
+
+    diags = []
+    for d in inst.destinations:
+        des, inter = columns(d.wants), columns(inst.interferers(d))
+        rank_des = ref.rank(f, des, scheme.n)
+        if rank_des != len(des):
+            diags.append(Diagnostic("desired-rank", d.id))
+        if ref.rank(f, inter + des, scheme.n) != ref.rank(f, inter, scheme.n) + rank_des:
+            diags.append(Diagnostic("resolvability", d.id))
+    return VerificationReport(not diags, "rank", tuple(diags), scheme.rates())

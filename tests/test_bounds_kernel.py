@@ -13,7 +13,6 @@ import pathlib
 import random
 import subprocess
 import sys
-import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -176,24 +175,45 @@ def test_term_multiplicity_is_kept(maxN):
     assert sum(len(terms) - 1 for terms in by_support.values()) > 10
 
 
+def run_fresh(script):
+    """stdout of script run in a fresh interpreter that imports this icx.
+
+    A tracemalloc reading in the test process depends on test order: tuples
+    that earlier tests freed sit on the interpreter's free lists and are
+    reused untraced."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_chain_search_memory_does_not_grow_with_message_ids():
     """2,000 messages, 100 destinations, each wanting one message and holding
-    all but 12 others: a term key must not take space for every message id."""
-    rnd = random.Random(2000)
-    M = 2000
-    dests = []
-    for k in range(1, 101):
-        want = rnd.randrange(1, M + 1)
-        missing = set(rnd.sample([m for m in range(1, M + 1) if m != want], 12))
-        dests.append(Destination(k, frozenset({want}), frozenset(range(1, M + 1)) - missing - {want}))
-    inst = Instance(M, tuple(dests))
-    tracemalloc.start()
-    try:
-        outcome(chain_bounds, inst, 1, 4, 20_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
+    all but 12 others: a term key must not take space for every message id.
+    The search peaks at about 2.6 MB, certificates' JSON included, in a fresh
+    interpreter."""
+    script = (
+        "import random, tracemalloc\n"
+        "from icx.bounds import chain_bounds\n"
+        "from icx.errors import BudgetExceeded\n"
+        "from icx.model import Destination, Instance\n"
+        "rnd = random.Random(2000)\n"
+        "M = 2000\n"
+        "dests = []\n"
+        "for k in range(1, 101):\n"
+        "    want = rnd.randrange(1, M + 1)\n"
+        "    missing = set(rnd.sample([m for m in range(1, M + 1) if m != want], 12))\n"
+        "    dests.append(Destination(k, frozenset({want}), frozenset(range(1, M + 1)) - missing - {want}))\n"
+        "inst = Instance(M, tuple(dests))\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    certs = chain_bounds(inst, 1, maxN=4, budget=20_000)\n"
+        "except BudgetExceeded as exc:\n"
+        "    certs = exc.partial\n"
+        "out = [c.to_json() for c in certs]\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    assert int(run_fresh(script)) < 4_000_000
 
 
 def chain_results():
@@ -235,8 +255,7 @@ def test_chain_certificates_stay_small():
     cut after 40,000 states retain 1.66 MB; a Fraction per certificate takes
     them to 1.90 MB and an instance dict each to 2.32 MB.  (The default
     budget's 13,918 retain 4.51 MB against 5.18 MB, but take 2.5 s under
-    tracemalloc.)  Run in a fresh interpreter: there the retained size does
-    not depend on how many freed tuples earlier tests left for reuse."""
+    tracemalloc.)  Run in a fresh interpreter (``run_fresh``)."""
     script = (
         "import tracemalloc\n"
         "from icx.bounds import chain_bounds\n"
@@ -250,10 +269,7 @@ def test_chain_certificates_stay_small():
         "    partial = exc.partial\n"
         "print(len(partial), tracemalloc.get_traced_memory()[0])\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    count, retained = map(int, proc.stdout.split())
+    count, retained = map(int, run_fresh(script).split())
     assert count == 4887
     assert retained < 1_780_000
 

@@ -35,22 +35,26 @@ SHAPES = [
 # The benchmark's large schemes, over GF(p) only: GF(2^m) is eliminated in
 # EchelonBasis, whose loops the small shapes already cover.
 LARGE_SHAPES = [(30, 78), (30, 126), (75, 30)]
-# Between resets below p, a packed GF(p) row over n columns takes at most n
-# lazy steps, so its lanes hold (n + 2) * p^2: over GF(3) 1 byte up to n = 26 and 2 from 27; over
-# GF(37) 2 bytes up to 45 and 4 from 46; over GF(2^31-1) 8 bytes up to 2 and
-# 9 from 3.  n is the column count for rref and nullspace, the row count for
-# column_echelon (it reduces the columns) and twice the side for inverse, so
-# wide and tall shapes, and squares for inverse, sit on both sides of each
-# change of width.
+# Between resets below p, a packed GF(p) row of a basis that reaches at most
+# b rows takes at most b lazy steps, so its lanes hold (b + 2) * p^2: over
+# GF(3) 1 byte up to b = 26 and 2 from 27; over GF(37) 2 bytes up to 45 and 4
+# from 46; over GF(2^31-1) 8 bytes up to 2 and 9 from 3.  A full reduced form
+# sizes its basis by the fewer of the vectors it reduces and their length:
+# min(rows, columns) for rref, nullspace and column_echelon, the side for
+# inverse.  So shapes whose smaller side, and squares whose side, sit on both
+# sides of each change of width are reduced next to ones whose larger side
+# alone crosses it.
 LANE_SHAPES = {
-    PrimeField(3): [(12, 26), (12, 27), (30, 26), (30, 27), (26, 30), (27, 30), (13, 13), (14, 14)],
+    PrimeField(3): [
+        (12, 26), (12, 27), (30, 26), (30, 27), (26, 30), (27, 30), (13, 13), (14, 14), (26, 26), (27, 27),
+    ],
     PrimeField(37): [
         (12, 45), (12, 46), (47, 45), (47, 46), (45, 47), (46, 47), (45, 12), (46, 12),
-        (47, 47), (22, 22), (23, 23),
+        (47, 47), (22, 22), (23, 23), (45, 45), (46, 46),
     ],
     PrimeField(2**31 - 1): [
         (1, 2), (1, 3), (2, 3), (12, 2), (12, 3), (2, 12), (3, 12), (2, 1), (3, 1),
-        (1, 12), (12, 1), (13, 13), (2, 2),
+        (1, 12), (12, 1), (13, 13), (2, 2), (3, 3),
     ],
 }
 KINDS = ("dense", "sparse", "deficient")
@@ -182,41 +186,63 @@ def test_incremental_basis_copy_is_independent(field):
         twin.add([1, 2])
 
 
-# (field, n) for the packed basis: every width at which its rows change
-# lanes, as a row takes at most n lazy steps (GF(37): 2 bytes up to n = 45,
-# 4 from 46; GF(2^31-1): 8 bytes up to n = 2, 9 from 3), n = 0, and small
-# and large n over GF(2), GF(3) and GF(2^3).
+# (field, n, bound) for the packed basis: every width at which its rows
+# change lanes, as a row takes at most bound lazy steps (GF(37): 2 bytes up
+# to 45, 4 from 46; GF(2^31-1): 8 bytes up to 2, 9 from 3), for a basis of
+# the whole space (bound n) and for one promised fewer rows than n; n = 0,
+# and small and large n over GF(2), GF(3) and GF(2^3).
 BASIS_WIDTHS = [
-    *((field, n) for field in FIELDS for n in (0, 1, 5, 30)),
-    (PrimeField(37), 45), (PrimeField(37), 46),
-    (PrimeField(2**31 - 1), 2), (PrimeField(2**31 - 1), 3),
+    *((field, n, n) for field in FIELDS for n in (0, 1, 5, 30)),
+    (PrimeField(37), 45, 45), (PrimeField(37), 46, 46),
+    (PrimeField(2**31 - 1), 2, 2), (PrimeField(2**31 - 1), 3, 3),
+    (PrimeField(37), 96, 45), (PrimeField(37), 96, 46),
+    (PrimeField(2**31 - 1), 12, 2), (PrimeField(2**31 - 1), 12, 3),
+    (PrimeField(3), 40, 26), (PrimeField(3), 40, 27),
+    (PrimeField(2), 30, 4), (BinaryField(3), 12, 4),
 ]
 
 
-@pytest.mark.parametrize("field, n", [pytest.param(f, n, id=f"{f!r}-n{n}") for f, n in BASIS_WIDTHS])
-def test_packed_basis_matches_reference(field, n):
+@pytest.mark.parametrize(
+    "field, n, bound",
+    [pytest.param(f, n, b, id=f"{f!r}-n{n}" + (f"-bound{b}" if b < n else "")) for f, n, b in BASIS_WIDTHS],
+)
+def test_packed_basis_matches_reference(field, n, bound):
     """Rows added one at a time: the rank after each, the indices ``grow``
-    names, the reduced row echelon form that ``echelon_rows`` back-substitutes
-    to, and copies that evolve apart, all as the reference eliminates them."""
-    rnd = random.Random(f"packed {field!r} {n}")
+    names, the reduced row echelon form that ``echelon_rows`` and
+    ``back_substitute`` give, and copies that evolve apart, all as the
+    reference eliminates them.  A basis promised fewer rows than n packs
+    them in lanes for that many steps, and refuses a vector once it has
+    them."""
+    rnd = random.Random(f"packed {field!r} {n}" + (f" {bound}" if bound < n else ""))
+    make = (lambda: EchelonBasis(field, n)) if bound == n else (lambda: EchelonBasis(field, n, bound))
+    if isinstance(field, PrimeField) and field.p > 2:
+        assert make()._codec[1] == 8 * galois._lane_bytes(field.p, bound)
     for kind in KINDS:
-        for r in (0, 1, n // 2, n, n + 3):
+        for r in (0, 1, n // 2, n, n + 3) if bound == n else (0, 1, bound // 2, bound):
             rows = random_rows(field, r, n, kind, rnd)
             reduced, pivots = ref.rref(field, rows, n)
-            basis, grown = EchelonBasis(field, n), []
+            basis, grown = make(), []
             assert [basis.unpack(basis.pack(row)) for row in rows] == rows
             for i, row in enumerate(rows):
                 grown += [i] * basis.add(row)
                 assert basis.rank == ref.rank(field, rows[: i + 1], n)
             assert sorted(basis.pivots) == pivots
             assert basis.echelon_rows() == (reduced[: len(pivots)], pivots)
-            walked = EchelonBasis(field, n)
+            walked = make()
             assert walked.grow(rows) == grown
             assert walked.echelon_rows() == basis.echelon_rows()
+            walked.back_substitute()
+            assert sorted(map(walked.unpack, walked.rows)) == sorted(reduced[: len(pivots)])
+            assert walked.echelon_rows() == basis.echelon_rows()
 
+            if basis.rank == bound < n:
+                with pytest.raises(DimensionMismatch):
+                    basis.add(rows[0])
+                continue
             # a copy and its original, given different rows, stay each its own span
             twin = basis.copy()
             extra = random_rows(field, 2, n, "dense", rnd)
+            extra = extra if bound == n else extra[: bound - basis.rank]
             twin.grow(extra)
             basis.grow(extra[:1])
             for b, added in ((basis, extra[:1]), (twin, extra)):
@@ -244,16 +270,17 @@ def test_left_nullspace_matches_transpose_route(field):
 def test_crossover_routes_by_size(monkeypatch):
     """Every full reduced form takes one route, whatever the field and the
     size: ``rref``, ``nullspace``, ``inverse`` and ``column_echelon`` each
-    grow one ``EchelonBasis`` over the column count of what they reduce and
-    back-substitute it once (``echelon_rows``), empty shapes included.  A
-    rank grows a basis and reads its size: it takes neither ``_rref`` nor
+    grow one ``EchelonBasis`` over the column count of what they reduce,
+    promised no more rows than the vectors they reduce, and back-substitute
+    it once (``echelon_rows``), empty shapes included.  A rank grows a basis
+    of the whole space and reads its size: it takes neither ``_rref`` nor
     ``echelon_rows``.  Lane widths grow with the lazy steps a row can take."""
     calls = []
     init, echelon_rows, rref = EchelonBasis.__init__, EchelonBasis.echelon_rows, galois._rref
 
-    def spy_init(self, field, n):
-        calls.append(("basis", n))
-        init(self, field, n)
+    def spy_init(self, field, n, *bound):
+        init(self, field, n, *bound)
+        calls.append(("basis", n, self.bound))
 
     def spy_echelon_rows(self):
         calls.append("echelon_rows")
@@ -277,26 +304,29 @@ def test_crossover_routes_by_size(monkeypatch):
         m = as_matrix(field, random_rows(field, r, c, "dense", rnd), r, c)
         calls.clear()
         assert m.rank() == ref.rank(field, m.row_list(), c)
-        assert calls == [("basis", c)]
-        ops = [(Matrix.rref, c), (Matrix.nullspace, c), (Matrix.column_echelon, r)]
+        assert calls == [("basis", c, c)]
+        ops = [(Matrix.rref, c, r), (Matrix.nullspace, c, r), (Matrix.column_echelon, r, c)]
         if r == c:
-            ops.append((Matrix.inverse, 2 * c))
-        for op, n in ops:
+            ops.append((Matrix.inverse, 2 * c, c))
+        for op, n, vectors in ops:
             calls.clear()
             try:
                 op(m)
             except DivisionByZero:  # a singular inverse, found after the reduction
                 assert op is Matrix.inverse
-            assert calls == ["_rref", ("basis", n), "echelon_rows"], (field, r, c, op.__name__)
+            assert calls == ["_rref", ("basis", n, min(n, vectors)), "echelon_rows"], (field, r, c, op.__name__)
     assert [galois._lane_bytes(3, n) for n in (1, 26, 27)] == [1, 1, 2]
     assert [galois._lane_bytes(37, n) for n in (1, 45, 46)] == [2, 2, 4]
     assert [galois._lane_bytes(2**31 - 1, n) for n in (1, 2, 3)] == [8, 8, 9]
 
 
 def test_rank_only_callers_never_back_substitute(monkeypatch):
-    """``Matrix.rank`` and rank-mode ``verify`` read the size and the pivots
-    of a packed basis: neither runs a full reduced form (``_rref``) nor
-    back-substitutes (``echelon_rows``)."""
+    """``Matrix.rank`` reads the size of a packed basis: it runs no full
+    reduced form (``_rref``) and back-substitutes nothing.  Rank-mode
+    ``verify`` reduces V once per call (one ``back_substitute``) and no
+    matrix per destination: each destination reads its two ranks off that
+    one form (``restrict``), and nothing runs ``_rref``, ``echelon_rows`` or
+    ``reduced_row``."""
     calls = []
 
     def spying(owner, name):
@@ -309,15 +339,18 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     spying(galois, "_rref")
-    spying(EchelonBasis, "echelon_rows")
+    for name in ("echelon_rows", "reduced_row", "back_substitute", "restrict"):
+        spying(EchelonBasis, name)
     rnd = random.Random("rank only")
     for field in FIELDS:
         for r, c in ((0, 3), (3, 0), (7, 12), (30, 9)):
             m = as_matrix(field, random_rows(field, r, c, "deficient", rnd), r, c)
             assert m.rank() == ref.rank(field, m.row_list(), c)
-    report = verify(gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4), mode="rank")
-    assert report.valid and report.mode == "rank"
     assert calls == []
+    inst = gen_neighboring_antidotes(32, 2, 4)
+    report = verify(inst, build_antidote_scheme(32, 2, 4), mode="rank")
+    assert report.valid and report.mode == "rank"
+    assert calls == ["back_substitute"] + ["restrict"] * (2 * len(inst.destinations))
 
 
 # (field, rows, cols, lane bytes) for _row_products.  Over odd p a product

@@ -154,6 +154,90 @@ def test_rank_mode_diagnostics_pinned(field):
     assert not rep.valid and rep.mode == "rank"
 
 
+PROPERTY_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), BinaryField(3)]
+
+
+def unnormalized_case(rnd, field):
+    """A random V-only scheme on an instance that is not normalized:
+    destinations want one to three messages and hold a random share of the
+    rest, some messages have no streams, and V is often rank-deficient."""
+    M, n = rnd.randrange(1, 6), rnd.randrange(1, 4)
+    streams = {m: rnd.choice((0, 1, 1, 2)) for m in range(1, M + 1)}
+    dests = []
+    for _ in range(rnd.randrange(1, 6)):
+        wants = set(rnd.sample(range(1, M + 1), rnd.randrange(1, min(M, 3) + 1)))
+        dests.append((wants, {m for m in range(1, M + 1) if m not in wants and rnd.random() < 0.4}))
+    sparse = rnd.random() < 0.5
+
+    def entry():
+        return rnd.randrange(1, field.order) if not sparse or rnd.random() < 0.3 else 0
+
+    V = {m: Matrix(field, n, L, tuple(entry() for _ in range(n * L))) for m, L in streams.items()}
+    return make_instance(M, dests), LinearScheme(field, n, V)
+
+
+def family_cases(rnd):
+    """Family and example schemes, V only, each put in a random basis (T V,
+    T invertible), then broken two ways: V_1 moved onto V_2's columns, and
+    one entry of V_1 changed."""
+    cases = [
+        (gen_neighboring_antidotes(5, 0, 1), build_antidote_scheme(5, 0, 1)),
+        (gen_neighboring_antidotes(7, 1, 2), build_antidote_scheme(7, 1, 2)),
+        (gen_neighboring_interference(6, 1, 2), build_interference_scheme(6, 1, 2)),
+        (gen_x_network(6, 2), build_x_scheme(6, 2)),
+        *((ex.instance, ex.scheme) for ex in (builtin_example(1, BinaryField(3)), builtin_example(3, PrimeField(3)))),
+    ]
+    for inst, sch in cases:
+        f, n = sch.field, sch.n
+        while (T := Matrix(f, n, n, tuple(rnd.randrange(f.order) for _ in range(n * n)))).rank() < n:
+            pass
+        V = {m: T @ v for m, v in sch.V.items()}
+        flipped = list(V[1].entries)
+        flipped[0] = f.add(flipped[0], 1)
+        yield inst, LinearScheme(f, n, V), True
+        yield inst, LinearScheme(f, n, {**V, 1: V[2]}), False
+        yield inst, LinearScheme(f, n, {**V, 1: Matrix(f, n, V[1].cols, tuple(flipped))}), None
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
+def test_rank_mode_and_v_only_simulation_match_references(field, no_synthesis):
+    """On seeded random V-only schemes, rank-mode ``verify`` gives the
+    report its definition gives (``reference_verify.verify_rank``), and
+    ``simulate_exhaustive`` the least-tuple reference's exact result
+    wherever q^streams is small, valid schemes and invalid ones alike."""
+    rnd = random.Random(f"rank property {field!r}")
+    verdicts, simulated = Counter(), 0
+    for case in range(120):
+        inst, scheme = unnormalized_case(rnd, field)
+        rep = verify(inst, scheme, mode="rank")
+        assert rep == reference_verify.verify_rank(inst, scheme), case
+        verdicts[rep.valid] += 1
+        if field.order ** sum(map(scheme.stream_count, scheme.V)) <= 2**10:
+            expected = reference.simulate_least(inst, scheme, reference.lexicographic_tuples(scheme))
+            assert outcome(simulate_exhaustive(inst, scheme)) == expected, case
+            assert expected[0] == rep.valid
+            simulated += 1
+    assert min(verdicts.values()) >= 20 and simulated >= 60
+
+
+def test_rank_mode_and_v_only_simulation_match_references_on_families(no_synthesis):
+    """Family and example schemes in a random basis verify and simulate as
+    the references say; moving V_1 onto V_2 breaks each, and so, on these
+    instances, may a changed entry."""
+    rnd = random.Random("rank property families")
+    seen = Counter()
+    for inst, scheme, valid in family_cases(rnd):
+        rep = verify(inst, scheme, mode="rank")
+        assert rep == reference_verify.verify_rank(inst, scheme)
+        assert valid is None or rep.valid == valid
+        seen[rep.valid] += 1
+        if scheme.field.order ** sum(map(scheme.stream_count, scheme.V)) < 2**12:  # not the X network's
+            expected = reference.simulate_least(inst, scheme, reference.lexicographic_tuples(scheme))
+            assert outcome(simulate_exhaustive(inst, scheme)) == expected
+            seen["simulated"] += 1
+    assert seen[True] >= 6 and seen[False] >= 8 and seen["simulated"] == 9
+
+
 def _relabel(inst, scheme, relabel):
     inst2 = Instance(
         inst.num_messages,
@@ -402,13 +486,16 @@ def test_simulate_rank_deficient_unheld_columns(field, no_synthesis):
 
 
 def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
-    """Per destination, V-only simulation grows one basis over V's unheld
-    streams and reads R a row at a time.  On antidotes K=32 U=2 D=4 over
-    GF(37) ``simulate_sampled`` forms no full reduced form (``_rref``,
-    ``echelon_rows``) and back-substitutes a row only for a desired stream
-    at its pivot, each at most once per destination: 96 rows of the 960."""
+    """V-only simulation reduces V once per call, all its streams reversed
+    (one ``back_substitute``), and no matrix per destination: each
+    destination restricts that form to its unheld streams and reads R a row
+    at a time.  On antidotes K=32 U=2 D=4 over GF(37) ``simulate_sampled``
+    forms no full reduced form (``_rref``, ``echelon_rows``) and
+    back-substitutes a row of a destination's basis only for a desired
+    stream at its pivot, each at most once: 96 rows of the 960."""
     names, reduced = [], []
     rref, echelon_rows, reduced_row = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.reduced_row
+    back_substitute, restrict = EchelonBasis.back_substitute, EchelonBasis.restrict
 
     def spy_rref(*args):
         names.append("_rref")
@@ -418,16 +505,26 @@ def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
         names.append("echelon_rows")
         return echelon_rows(self)
 
+    def spy_back_substitute(self):
+        names.append(("back_substitute", self.n, self.rank))
+        return back_substitute(self)
+
+    def spy_restrict(self, cols):
+        names.append("restrict")
+        return restrict(self, cols)
+
     def spy_reduced_row(self, i):
         reduced.append((self, i))  # the basis is kept alive, so its id stays unique
         return reduced_row(self, i)
 
     monkeypatch.setattr(galois, "_rref", spy_rref)
     monkeypatch.setattr(EchelonBasis, "echelon_rows", spy_echelon_rows)
+    monkeypatch.setattr(EchelonBasis, "back_substitute", spy_back_substitute)
+    monkeypatch.setattr(EchelonBasis, "restrict", spy_restrict)
     monkeypatch.setattr(EchelonBasis, "reduced_row", spy_reduced_row)
     inst, scheme = gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4)
     assert simulate_sampled(inst, scheme, 50, seed=0).ok
-    assert names == []
+    assert names == [("back_substitute", 96, scheme.n)] + ["restrict"] * len(inst.destinations)
     rows = [(id(basis), i) for basis, i in reduced]
     assert len(set(rows)) == len(rows)
     per_basis = Counter(b for b, _ in rows)
