@@ -18,8 +18,9 @@ membership, greedy choices of rows or columns and the oracles' searches.
 Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
 are lists, with the field's own multiplication.  It back-substitutes only
 the rows a caller asks for, or every row once, and then reads any column
-subset's reduced form off it (``restrict``).  ``_row_products`` packs a
-matrix's rows once for many products.
+subset's reduced form off it (``restrict``): ranks in rank-mode ``verify``,
+V-only simulation's error rows and decoder synthesis's left null spaces.
+``_row_products`` packs a matrix's rows once for many products.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
   ranks read off one reduced form of [V_1 | ... | V_K] per call.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
-a rank-mode-valid scheme into a decoder-mode one.  ``simulate_exhaustive`` is
+a rank-mode-valid scheme into a decoder-mode one, reading every combiner off
+one reduced form of [V_1 | ... | V_K | J] per call.  ``simulate_exhaustive`` is
 the ground-truth check: it decides, for every message tuple, whether each
 destination decodes what it wants.  ``simulate_sampled`` does the same for
 seeded pseudorandom tuples.
@@ -145,14 +146,7 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
     diags = []
     cols = _stream_columns(scheme)
     vfull = Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols])
-    masks = {i: ((1 << len(r)) - 1) << r.start for i, r in cols.items()}  # V_i's columns as bits
-    everything = sum(masks.values())
-
-    def unheld(d):  # the columns d does not hold, summed over the smaller side of d.has
-        if 2 * len(d.has) <= len(masks):
-            return everything - sum(map(masks.__getitem__, masks.keys() & d.has))
-        return sum(map(masks.__getitem__, masks.keys() - d.has))
-
+    masks, unheld = _column_masks(cols)
     if mode == "rank":
         echelon = None  # V's reduced form, made for the first destination that has interference
         for d in inst.destinations:
@@ -189,29 +183,34 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
 def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     """Compute zero-forcing combiners for a V-only scheme.
 
-    For each (m, k) the rows of U_{m,k} are picked from a basis of the left
-    annihilator of every non-antidote column other than V_m; existence is
-    equivalent to rank-mode validity.
+    U_{m,k} takes the first rows, in order, of the left null space of V_S (S
+    the non-antidote streams other than V_m's) that make U_{m,k} V_m
+    invertible; they exist iff the scheme is rank-mode valid.  [V | J], J the
+    reversed identity, is reduced once per call.  Restricted to S and J it
+    spans [V_S | J]'s rows, and its reduced rows with pivots in J are
+    [0 | y J] with y V_S = 0: by descending pivot, ``Matrix.left_nullspace``.
     """
     _check_scheme_matches(inst, scheme)
-    f = scheme.field
+    f, n = scheme.field, scheme.n
+    cols = _stream_columns(scheme)
+    masks, unheld = _column_masks(cols)
+    total = sum(map(len, cols.values()))
+    J = Matrix.identity(f, n).take_cols(range(n - 1, -1, -1))
+    echelon = _reduced_rows(Matrix.hstack_all(f, [*map(scheme.V.__getitem__, cols), J]))
     U = {}
     for d in inst.destinations:
+        not_held = unheld(d) | ((1 << n) - 1) << total  # and every J column
         for m in sorted(d.wants):
-            others = [i for i in scheme.message_ids() if i != m and i not in d.has]
-            if others:
-                block = Matrix.hstack_all(f, [scheme.V[i] for i in others])
-                ann = block.left_nullspace()  # rows annihilate the block
-            else:
-                ann = Matrix.identity(f, scheme.n)
-            probe = ann @ scheme.V[m]
-            rows = _independent_rows(probe)
+            basis = echelon.restrict(not_held & ~masks[m])
+            js = sorted((c, i) for i, c in enumerate(basis.pivots) if c >= total)[::-1]  # J pivots, descending
+            ann = Matrix._trusted(f, len(js), n, tuple(e for _, i in js for e in basis.reduced_row(i)[total:][::-1]))
+            rows = _independent_rows(ann @ scheme.V[m])
             if rows is None:
                 raise NoDecoderExists(
                     f"no zero-forcing decoder for message {m} at destination {d.id}"
                 )
             U[(m, d.id)] = ann.take_rows(rows)
-    return LinearScheme(f, scheme.n, scheme.V, U)
+    return LinearScheme(f, n, scheme.V, U)
 
 
 def _stream_columns(scheme: LinearScheme) -> dict:
@@ -219,6 +218,20 @@ def _stream_columns(scheme: LinearScheme) -> dict:
     ids = scheme.message_ids()
     starts = accumulate(map(scheme.stream_count, ids), initial=0)
     return {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}
+
+
+def _column_masks(cols: dict, reverse: bool = False) -> tuple:
+    """(message -> its columns in ``cols`` as a bitmask, reversed if reverse;
+    a destination -> the columns it does not hold, over the smaller side)."""
+    total = sum(map(len, cols.values()))
+    masks = {m: ((1 << len(r)) - 1) << (total - r.stop if reverse else r.start) for m, r in cols.items()}
+
+    def unheld(d):
+        if 2 * len(d.has) <= len(masks):
+            return (1 << total) - 1 - sum(map(masks.__getitem__, masks.keys() & d.has))
+        return sum(map(masks.__getitem__, masks.keys() - d.has))
+
+    return masks, unheld
 
 
 def _decode_rows(product, u: Matrix, own: range) -> tuple:
@@ -388,12 +401,12 @@ class _Kernel:
             product = _row_products(vfull)
         else:  # column c of the reduced form is stream total - 1 - c
             echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
-            masks = {m: ((1 << len(r)) - 1) << (total - r.stop) for m, r in pos.items()}
+            _, unheld_of = _column_masks(pos, reverse=True)
         self.singular = None
         rows, self.owner = [], []
         for d in inst.destinations:
             if scheme.U is None:
-                unheld = sum(masks[m] for m in msg_ids if m not in d.has)
+                unheld = unheld_of(d)
                 basis = echelon.restrict(unheld)
                 pivot_row = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
                 free = [(c, total - 1 - c) for c in range(total) if unheld >> c & 1 and total - 1 - c not in pivot_row]

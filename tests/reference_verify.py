@@ -1,18 +1,23 @@
 """Verification by its definitions: the independent references for
-``verify(..., mode="decoder")`` and ``verify(..., mode="rank")``.
+``verify(..., mode="decoder")``, ``verify(..., mode="rank")`` and
+``synthesize_decoders``.
 
 Destination k decodes m when U_{m,k} V_m is invertible (property 2) and
 U_{m,k} V_i = 0 for every message i != m that k does not hold (property 1).
 Without combiners, k resolves what it wants when the desired columns V_des
 are independent and rank [V_int | V_des] = rank V_int + rank V_des, V_int
-the columns of the messages k neither wants nor holds.  Every product and
-every rank is formed on its own with the field's scalar operations
-(``reference_galois``), so nothing here shares code with verify's packed
-products or its reduced form beyond the scheme and report records.
+the columns of the messages k neither wants nor holds.  A synthesized
+U_{m,k} is made of rows of the left null space of every other column k does
+not hold.  Every product, rank and null space is formed on its own with the
+field's scalar operations (``reference_galois``), so nothing here shares
+code with the packed products or reduced forms of verify and synthesis
+beyond the scheme and report records.
 """
 
 import reference_galois as ref
-from icx.scheme import Diagnostic, VerificationReport
+from icx.errors import NoDecoderExists
+from icx.galois import Matrix
+from icx.scheme import Diagnostic, LinearScheme, VerificationReport
 
 
 def verify_decoder(inst, scheme):
@@ -59,3 +64,28 @@ def verify_rank(inst, scheme):
         if ref.rank(f, inter + des, scheme.n) != ref.rank(f, inter, scheme.n) + rank_des:
             diags.append(Diagnostic("resolvability", d.id))
     return VerificationReport(not diags, "rank", tuple(diags), scheme.rates())
+
+
+def synthesize_decoders(inst, scheme):
+    """The scheme ``synthesize_decoders`` gives, or its ``NoDecoderExists``:
+    per destination in order and wanted message in id order, the basis of
+    the left null space of the columns of every other message the
+    destination does not hold, and of its rows, in order, each that raises
+    the rank of the chosen rows times V_m, until there are V_m's streams."""
+    f, n = scheme.field, scheme.n
+    U = {}
+    for d in inst.destinations:
+        for m in sorted(d.wants):
+            others = [i for i in scheme.message_ids() if i != m and i not in d.has]
+            cols = [list(scheme.V[i].col(j)) for i in others for j in range(scheme.stream_count(i))]
+            ann = ref.left_nullspace(f, ref.transpose(cols, n), len(cols))
+            streams = scheme.stream_count(m)
+            probe = ref.matmul(f, ann, scheme.V[m].row_list(), streams)
+            chosen = []
+            for r, row in enumerate(probe):
+                if len(chosen) < streams and ref.rank(f, [probe[c] for c in chosen] + [row], streams) > len(chosen):
+                    chosen.append(r)
+            if len(chosen) < streams:
+                raise NoDecoderExists(f"no zero-forcing decoder for message {m} at destination {d.id}")
+            U[(m, d.id)] = Matrix(f, len(chosen), n, tuple(e for r in chosen for e in ann[r]))
+    return LinearScheme(f, n, scheme.V, U)

@@ -11,7 +11,8 @@ The greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
 are checked against fresh ranks, and the packed products of
 ``_row_products`` against ``Matrix.__matmul__``.  The packed basis is
 checked row by row against the reference at every lane width, and
-``left_nullspace`` against the transpose's null space.
+``left_nullspace`` against the transpose's null space and against the
+rows that a restriction of one reduced [A | J] has with pivots in J.
 """
 
 import random
@@ -265,6 +266,43 @@ def test_left_nullspace_matches_transpose_route(field):
             assert left == m.transpose().nullspace().transpose()
             assert (left.rows, left.cols) == (r - m.rank(), r)
             assert (left @ m).is_zero()
+
+
+# (field, rows, cols) for reading left null spaces off one reduced [A | J].
+# Its basis is sized for A's rows, so over odd p the lanes change width at
+# 26/27 rows over GF(3), 45/46 over GF(37) and 2/3 over GF(2^31-1); over
+# GF(2) rows past 64 columns take more than one machine word.
+RESTRICT_SHAPES = [
+    *((field, r, c) for field in FIELDS for r, c in ((0, 4), (4, 0), (1, 1), (3, 9), (7, 7), (9, 3))),
+    (PrimeField(3), 26, 30), (PrimeField(3), 27, 30), (PrimeField(37), 45, 20), (PrimeField(37), 46, 20),
+    (PrimeField(2**31 - 1), 2, 5), (PrimeField(2**31 - 1), 3, 5), (PrimeField(2), 30, 50), (PrimeField(2), 40, 96),
+]
+
+
+@pytest.mark.parametrize(
+    "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
+)
+def test_restricted_reduced_form_gives_left_null_spaces(field, r, c):
+    """Reduce [A | J] once, J the reversed r x r identity, and restrict it
+    to columns S of A and every column of J: its rows with a pivot in J,
+    reduced (``reduced_row``) and by descending pivot, are [0 | y J] for
+    the rows y of ``A_S.left_nullspace()``, in order, which are the
+    reference's left null space of A_S."""
+    rnd = random.Random(f"restricted left {field!r} {r} {c}")
+    for kind in KINDS:
+        a = as_matrix(field, random_rows(field, r, c, kind, rnd), r, c)
+        basis = EchelonBasis(field, c + r, r)
+        basis.grow(row + (0,) * (r - 1 - i) + (1,) + (0,) * i for i, row in enumerate(a._row_tuples()))
+        basis.back_substitute()
+        for cols in (0, (1 << c) - 1, *(rnd.getrandbits(c) for _ in range(4))):
+            sub = basis.restrict(cols | ((1 << r) - 1) << c)
+            in_j = sorted(((p, i) for i, p in enumerate(sub.pivots) if p >= c), reverse=True)
+            ys = [sub.reduced_row(i) for _, i in in_j]
+            kept = [j for j in range(c) if cols >> j & 1]
+            left = a.take_cols(kept).left_nullspace().row_list()
+            assert [y[:c] for y in ys] == [[0] * c] * len(ys)
+            assert [y[c:][::-1] for y in ys] == left
+            assert left == ref.left_nullspace(field, [[row[j] for j in kept] for row in a.row_list()], len(kept))
 
 
 def test_crossover_routes_by_size(monkeypatch):

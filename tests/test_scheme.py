@@ -426,6 +426,95 @@ def test_synthesize_decoders_fails_on_collision():
         synthesize_decoders(three_cycle_instance(), collision_scheme())
 
 
+def synthesis_outcome(synthesize, inst, scheme):
+    """The combiners a synthesis gives, or the text of its NoDecoderExists,
+    which names the first (m, k) with no decoder."""
+    try:
+        return dict(synthesize(inst, scheme).U)
+    except NoDecoderExists as exc:
+        return str(exc)
+
+
+def holding_all_others(inst):
+    """inst with its first destination holding every message it does not want."""
+    d, *rest = inst.destinations
+    others = frozenset(range(1, inst.num_messages + 1)) - d.wants
+    return Instance(inst.num_messages, (Destination(d.id, d.wants, others), *rest), inst.family)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
+def test_synthesized_decoders_match_reference(field):
+    """On seeded random V-only schemes over instances that are not
+    normalized, some with messages of no streams and every third with a
+    destination holding every message it does not want, ``synthesize_decoders``
+    gives the definition's combiners (``reference_verify.synthesize_decoders``)
+    entry for entry, or fails with its message at the same first (m, k), and
+    succeeds exactly when rank mode finds the scheme valid."""
+    rnd = random.Random(f"synthesis property {field!r}")
+    seen = Counter()
+    for case in range(150):
+        inst, scheme = unnormalized_case(rnd, field)
+        if case % 3 == 0:
+            inst = holding_all_others(inst)
+        got = synthesis_outcome(synthesize_decoders, inst, scheme)
+        assert got == synthesis_outcome(reference_verify.synthesize_decoders, inst, scheme), case
+        assert isinstance(got, dict) == verify(inst, scheme, mode="rank").valid, case
+        seen[isinstance(got, dict)] += 1
+        seen["no streams"] += isinstance(got, dict) and any(u.rows == 0 for u in got.values())
+    assert seen[True] >= 25 and seen[False] >= 25 and seen["no streams"] >= 5
+
+
+def test_synthesized_decoders_match_reference_on_families():
+    """Family and example schemes in a random basis synthesize the
+    definition's combiners; moving V_1 onto V_2 (a collision) makes both
+    fail at the same first (m, k)."""
+    rnd = random.Random("synthesis families")
+    seen = Counter()
+    for inst, scheme, valid in family_cases(rnd):
+        got = synthesis_outcome(synthesize_decoders, inst, scheme)
+        assert got == synthesis_outcome(reference_verify.synthesize_decoders, inst, scheme)
+        assert valid is None or isinstance(got, dict) == valid
+        seen[isinstance(got, dict)] += 1
+    assert seen[True] >= 6 and seen[False] >= 6
+
+
+def test_synthesis_reduces_once_per_call(monkeypatch):
+    """``synthesize_decoders`` reduces [V_1 | ... | V_K | J] once per call
+    (one ``hstack_all``, one ``back_substitute``) and reads each (m, k)'s
+    annihilator off it with one ``restrict``: on antidotes K=32 U=2 D=4 in
+    a random basis it runs no ``left_nullspace`` and no full reduced form
+    (``_rref``)."""
+    calls = []
+
+    def spying(owner, name, wrap=lambda fn: fn):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrap(spy))
+
+    spying(galois, "_rref")
+    spying(Matrix, "hstack_all", staticmethod)
+    spying(Matrix, "left_nullspace")
+    for name in ("back_substitute", "restrict"):
+        spying(EchelonBasis, name)
+    inst = gen_neighboring_antidotes(32, 2, 4)
+    sch = build_antidote_scheme(32, 2, 4)
+    rnd = random.Random("synthesis calls")
+    f, n = sch.field, sch.n
+    while (T := Matrix(f, n, n, tuple(rnd.randrange(f.order) for _ in range(n * n)))).rank() < n:
+        pass
+    scheme = LinearScheme(f, n, {m: T @ v for m, v in sch.V.items()})
+    calls.clear()
+    synth = synthesize_decoders(inst, scheme)
+    pairs = sum(len(d.wants) for d in inst.destinations)
+    assert len(synth.U) == pairs
+    assert Counter(calls) == {"hstack_all": 1, "back_substitute": 1, "restrict": pairs}
+    assert verify(inst, synth, mode="decoder").valid
+
+
 # ----------------------------------------------------------------------
 # simulate_exhaustive
 # ----------------------------------------------------------------------
