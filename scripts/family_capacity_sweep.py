@@ -30,69 +30,24 @@ def frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def sweep_antidotes(max_k, audit):
-    rows = []
-    for K in range(3, max_k + 1):
+def cases(max_k):
+    """(row label, instance generator, scheme builder, parameters) of each
+    case, in table order; the label formats the block length n."""
+    for K in range(3, min(max_k, 14) + 1):
         for U in range(0, K):
-            for D in range(U, K):
-                if U + D > K - 3:
-                    continue
-                inst = gen_neighboring_antidotes(K, U, D)
-                scheme = build_antidote_scheme(K, U, D)
-                rep = verify(inst, scheme)
-                cap = symmetric_capacity(inst)[0]
-                rate = next(iter(set(rep.rates.values())))
-                extra = ""
-                if audit:
-                    a = dimension_audit(inst, scheme)
-                    extra = f" audit_slack={frac(a.final_slack)}"
-                rows.append(
-                    f"antidotes K={K:2d} U={U} D={D}  n={scheme.n:2d}  "
-                    f"rate={frac(rate):>5} capacity={frac(cap):>5}  "
-                    f"{'ok' if rep.valid and rate == cap else 'MISMATCH'}{extra}"
-                )
-    return rows
-
-
-def sweep_interference(max_k):
-    rows = []
+            for D in range(U, K - 2 - U):  # U + D <= K - 3
+                yield (f"antidotes K={K:2d} U={U} D={D}  n={{:2d}}",
+                       gen_neighboring_antidotes, build_antidote_scheme, (K, U, D))
     for K in range(2, max_k + 1):
         for D in range(0, 5):
-            if K % (D + 1):
-                continue
             for U in range(0, D + 1):
-                if K < U + D + 1:
-                    continue
-                inst = gen_neighboring_interference(K, U, D)
-                scheme = build_interference_scheme(K, U, D)
-                rep = verify(inst, scheme)
-                cap = symmetric_capacity(inst)[0]
-                rate = next(iter(set(rep.rates.values())))
-                rows.append(
-                    f"interference K={K:2d} U={U} D={D}  n={scheme.n}  "
-                    f"rate={frac(rate):>5} capacity={frac(cap):>5}  "
-                    f"{'ok' if rep.valid and rate == cap else 'MISMATCH'}"
-                )
-    return rows
-
-
-def sweep_x(max_k):
-    rows = []
+                if K % (D + 1) == 0 and K >= U + D + 1:
+                    yield (f"interference K={K:2d} U={U} D={D}  n={{}}",
+                           gen_neighboring_interference, build_interference_scheme, (K, U, D))
     for K in range(2, max_k + 1):
         for L in range(1, 5):
-            if K % (L + 1) or K < 2 * L:
-                continue
-            inst = gen_x_network(K, L)
-            scheme = build_x_scheme(K, L)
-            rep = verify(inst, scheme)
-            cap = symmetric_capacity(inst)[0]
-            rate = next(iter(set(rep.rates.values())))
-            rows.append(
-                f"x-network    K={K:2d} L={L}    n={scheme.n:2d}  "
-                f"rate={frac(rate):>5} capacity={frac(cap):>5}  "
-                f"{'ok' if rep.valid and rate == cap else 'MISMATCH'}"
-            )
-    return rows
+            if K % (L + 1) == 0 and K >= 2 * L:
+                yield f"x-network    K={K:2d} L={L}    n={{:2d}}", gen_x_network, build_x_scheme, (K, L)
 
 
 def main():
@@ -102,9 +57,19 @@ def main():
     args = ap.parse_args()
 
     t0 = time.time()
-    rows = sweep_antidotes(min(args.max_k, 14), args.audit)
-    rows += sweep_interference(args.max_k)
-    rows += sweep_x(args.max_k)
+    rows = []
+    for label, generate, build, params in cases(args.max_k):
+        inst, scheme = generate(*params), build(*params)
+        rep = verify(inst, scheme)
+        cap = symmetric_capacity(inst)[0]
+        rate = next(iter(set(rep.rates.values())))
+        extra = ""
+        if args.audit and generate is gen_neighboring_antidotes:
+            extra = f" audit_slack={frac(dimension_audit(inst, scheme).final_slack)}"
+        rows.append(
+            f"{label.format(scheme.n)}  rate={frac(rate):>5} capacity={frac(cap):>5}  "
+            f"{'ok' if rep.valid and rate == cap else 'MISMATCH'}{extra}"
+        )
     print("\n".join(rows))
     bad = sum("MISMATCH" in r for r in rows)
     print(f"\n{len(rows)} cases, {bad} mismatches, {time.time() - t0:.1f}s")

@@ -689,9 +689,10 @@ class Matrix(Record):
         """Rows form a basis of {y : y @ self = 0}, as the transpose's null space:
         one y per row i of self that depends on the rows before it, with y_i = 1
         and y 0 at the other such rows.  Row i of [self | J], J the reversed
-        identity, reduces to [0 | y J], y_i leading; no later row needs it."""
+        identity, reduces to [0 | y J], y_i leading; no later row needs it,
+        so the basis holds at most r rows at once."""
         f, r, c = self.field, self.rows, self.cols
-        basis, ys = EchelonBasis(f, c + r), []
+        basis, ys = EchelonBasis(f, c + r, r), []
         for i in range(r):
             if basis.add(self.row(i) + (0,) * (r - 1 - i) + (1,) + (0,) * i) and basis.pivots[-1] >= c:
                 basis.pivots.pop()

@@ -18,15 +18,14 @@ the ground-truth check: it decides, for every message tuple, whether each
 destination decodes what it wants.  ``simulate_sampled`` does the same for
 seeded pseudorandom tuples.
 
-Both read their verdict off one exact linear map E over the field, built
-from the scheme alone: combiners applied to the interference, or, for V-only
-schemes, decodable or not, the collision map.  A tuple fails iff E x is
-nonzero, so every tuple passes iff E = 0, and no tuples need enumerating.
-When E is nonzero, the lexicographically first failing tuple is the unit
-tuple at E's last nonzero column; its position follows in closed form.  The
-sampler draws from ``random.Random(seed)`` one tuple after another and stops
-at the first with a nonzero error, so a seed always reports the same failing
-tuple.
+Both read their verdict off error rows per check (destination, message),
+built from the scheme alone: combiners applied to the interference, the
+checks decoder-mode ``verify`` walks, or, for V-only schemes, decodable or
+not, the collision map.  A tuple fails iff some check's rows are nonzero on
+it, so no tuples need enumerating: the first failing tuple is the unit tuple
+at the last stream some check reads.  The sampler draws from
+``random.Random(seed)`` one tuple after another and stops at the first that
+fails, so a seed always reports the same failing tuple.
 """
 
 from __future__ import annotations
@@ -145,9 +144,9 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
         raise SchemeMalformed("decoder mode requires combining matrices")
     diags = []
     cols = _stream_columns(scheme)
-    vfull = Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols])
     masks, unheld = _column_masks(cols)
     if mode == "rank":
+        vfull = Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols])
         echelon = None  # V's reduced form, made for the first destination that has interference
         for d in inst.destinations:
             vdes = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in sorted(d.wants)])
@@ -161,22 +160,14 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
                 if both.rank != rank_des + both.restrict(interference).rank:
                     diags.append(Diagnostic("resolvability", d.id))
     else:
-        product = _row_products(vfull)
-        for d in inst.destinations:
-            not_held = unheld(d)
-            for m in sorted(d.wants):
-                u = scheme.U.get((m, d.id))
-                if u is None:
-                    diags.append(Diagnostic("missing-decoder", d.id, message=m))
-                    continue
-                rows, own = _decode_rows(product, u, cols[m])
-                # a 1x1 block has rank 1 exactly when its entry is nonzero
-                rank = int(own.entries != (0,)) if len(own.entries) == 1 else own.rank()
-                if rank != scheme.stream_count(m):
-                    diags.append(Diagnostic("property2", d.id, message=m))
-                leak = reduce(operator.or_, (nz for _, nz in rows), 0) & not_held & ~masks[m]
-                if leak:  # name each interferer whose columns leak, in id order
-                    diags += [Diagnostic("property1", d.id, message=m, interferer=i) for i in cols if leak & masks[i]]
+        for k, m, rows, _, rank, leak in _decoder_checks(inst, scheme, cols, masks, unheld):
+            if rows is None:
+                diags.append(Diagnostic("missing-decoder", k, message=m))
+                continue
+            if rank != scheme.stream_count(m):
+                diags.append(Diagnostic("property2", k, message=m))
+            if leak:  # name each interferer whose columns leak, in id order
+                diags += [Diagnostic("property1", k, message=m, interferer=i) for i in cols if leak & masks[i]]
     return VerificationReport(not diags, mode, tuple(diags), scheme.rates())
 
 
@@ -234,13 +225,27 @@ def _column_masks(cols: dict, reverse: bool = False) -> tuple:
     return masks, unheld
 
 
-def _decode_rows(product, u: Matrix, own: range) -> tuple:
-    """The rows of u @ [V_1 | ... | V_K] as (entries, nonzero mask) pairs,
-    by ``product`` from ``_row_products``, and the square block u @ V_m on
-    V_m's columns ``own``."""
-    rows = [product(u.row(r)) for r in range(u.rows)]
-    block = tuple(e for out, _ in rows for e in out[own.start : own.stop])
-    return rows, Matrix._trusted(u.field, u.rows, len(own), block)
+def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dict, unheld):
+    """Each check (destination k, wanted message m), in order, as its
+    combiner U_{m,k} sees it: (k, m, rows, block, rank, leak).  rows holds
+    the rows of U_{m,k} [V_1 | ... | V_K] as (entries, nonzero mask) pairs,
+    V's rows packed once per call; block is U_{m,k} V_m and rank its rank;
+    leak masks the interferer columns (not held at k, not m's) at which some
+    row is nonzero.  rows, block and rank are None without U_{m,k}."""
+    product = _row_products(Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols]))
+    for d in inst.destinations:
+        not_held = unheld(d)
+        for m in sorted(d.wants):
+            if (u := scheme.U.get((m, d.id))) is None:
+                yield d.id, m, None, None, None, 0
+                continue
+            rows = [product(u.row(r)) for r in range(u.rows)]
+            own = [e for out, _ in rows for e in out[cols[m].start : cols[m].stop]]
+            block = Matrix._trusted(u.field, u.rows, len(cols[m]), tuple(own))
+            # a 1x1 block has rank 1 exactly when its entry is nonzero
+            rank = int(block.entries != (0,)) if len(block.entries) == 1 else block.rank()
+            leak = reduce(operator.or_, (nz for _, nz in rows), 0) & not_held & ~masks[m]
+            yield d.id, m, rows, block, rank, leak
 
 
 def _reduced_rows(mat: Matrix) -> EchelonBasis:
@@ -297,29 +302,30 @@ def simulate_exhaustive(
     singular fails at once: the counterexample is zero except that x_m is a
     nonzero kernel vector of U_{m,k} V_m, and ``tuples_checked`` is 1.
 
-    Nothing is enumerated.  The error map E is linear, so every tuple passes
-    iff E = 0.  Otherwise let s be E's last nonzero column: every tuple
-    before the unit tuple e_s has digits only in streams after s, whose
-    columns are zero, and e_s fails.  It is tuple number q^(total-1-s) + 1,
-    and the failing check is the first nonzero row of column s.
+    Nothing is enumerated.  Each check's error is linear in the tuple, so
+    every tuple passes iff every check's support is empty.  Otherwise let s
+    be the last stream in their union: every tuple before the unit tuple
+    e_s has digits only in streams after s, which no check reads, and e_s
+    fails.  It is tuple number q^(total-1-s) + 1, and the failing check is
+    the first whose support holds s.  A counterexample lists every message
+    with streams; a message without streams has no digits and is left out.
     """
     _check_scheme_matches(inst, scheme)
     q = scheme.field.order
-    total = sum(scheme.stream_count(m) for m in scheme.message_ids())
+    cols = _stream_columns(scheme)
+    total = sum(map(len, cols.values()))
     space = q**total
     if space > budget:
         raise BudgetExceeded(f"{q}^{total} = {space} tuples exceed budget {budget}")
-    if total == 0:
-        return SimulationResult(True, 1)
-    kernel = _Kernel(inst, scheme)
-    if kernel.singular is not None:
-        return kernel.singular
-    for s in reversed(range(total)):
-        col = kernel.E.col(s)
-        if any(col):
-            unit = [int(t == s) for t in range(total)]
-            return kernel.result(unit, _first_nonzero(col), q ** (total - 1 - s) + 1)
-    return SimulationResult(True, space)
+    checks = _error_map(inst, scheme, cols)
+    if isinstance(checks, SimulationResult):
+        return checks
+    union = reduce(operator.or_, (support for *_, support in checks), 0)
+    if not union:
+        return SimulationResult(True, space)
+    s = union.bit_length() - 1
+    k, m = next((k, m) for k, m, _, support in checks if support >> s & 1)
+    return _failure(cols, [int(t == s) for t in range(total)], q ** (total - 1 - s) + 1, k, m)
 
 
 def simulate_sampled(
@@ -331,123 +337,101 @@ def simulate_sampled(
     means no counterexample among `count` sampled tuples, nothing more.
     ``random.Random(seed)`` draws each tuple's digits in stream order, one
     tuple after another, so a seed always checks the same tuples.  Each is
-    judged by the error map of ``simulate_exhaustive``; if it is zero every
-    tuple passes and none is drawn.  A singular U_{m,k} V_m is reported as
-    there.
+    judged by the checks of ``simulate_exhaustive``; if every support is
+    empty every tuple passes and none is drawn.  A singular U_{m,k} V_m is
+    reported as there.
     """
     if count < 1:
         raise BadParams(f"sample count must be at least 1, got {count}")
     _check_scheme_matches(inst, scheme)
-    kernel = _Kernel(inst, scheme)
-    if kernel.singular is not None:
-        return kernel.singular
-    if kernel.E.is_zero():
+    cols = _stream_columns(scheme)
+    checks = _error_map(inst, scheme, cols)
+    if isinstance(checks, SimulationResult):
+        return checks
+    f, total = scheme.field, sum(map(len, cols.values()))
+    live = []  # each check that can fail, its rows read on its support only
+    for k, m, rows, support in checks:
+        if support:
+            error = tuple(e if support >> c & 1 else 0 for row in rows for c, e in enumerate(row))
+            live.append((k, m, Matrix._trusted(f, len(rows), total, error)))
+    if not live:
         return SimulationResult(True, count)
-    f = scheme.field
     rnd = random.Random(seed)
     for drawn in range(1, count + 1):
-        x = [rnd.randrange(f.order) for _ in kernel.streams]
-        row = _first_nonzero((kernel.E @ Matrix.from_cols(f, [x])).entries)
-        if row is not None:
-            return kernel.result(x, row, drawn)
+        x = Matrix.from_cols(f, [[rnd.randrange(f.order) for _ in range(total)]])
+        for k, m, error in live:
+            if not (error @ x).is_zero():
+                return _failure(cols, x.entries, drawn, k, m)
     return SimulationResult(True, count)
 
 
-def _first_nonzero(entries):
-    """Index of the first nonzero entry, or None."""
-    return next((i for i, e in enumerate(entries) if e), None)
+def _failure(cols: dict, digits, checked: int, destination: int, message: int) -> SimulationResult:
+    """The failing result for these digits, one per stream; a message without streams is left out."""
+    x = {m: tuple(digits[r.start : r.stop]) for m, r in cols.items() if r}
+    return SimulationResult(False, checked, x, destination, message)
 
 
-class _Kernel:
-    """The exact error map E of a scheme, from message tuples to decoding errors.
+def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
+    """A scheme's exact decoding errors as checks (destination id, message,
+    rows, support), in destination order and then message order, or the
+    result of its first singular check.  A tuple x fails a check iff, for
+    some row r, the sum of r[c] x_c over the columns c in support is nonzero.
 
-    Row r of E belongs to the check owner[r] = (destination id, message), in
-    destination order and then message order.  A tuple x fails a check iff
-    that check's rows of E x are nonzero.
-
-    With combiners U the rows are U_{m,k} V_i on the columns of each
-    interferer i and zero elsewhere: the decoding error up to the invertible
-    factor (U V_m)^-1.  If some U_{m,k} V_m is singular, E is not built and
-    ``singular`` reports the first such check: the tuple that is zero except
-    x_m in the kernel of U_{m,k} V_m looks to destination k like zero.
+    With combiners U the rows are U_{m,k} [V_1 | ... | V_K] and the support
+    is ``_decoder_checks``' leak: the decoding error up to the invertible
+    factor (U V_m)^-1.  If some U_{m,k} V_m is singular, the first such
+    check fails at once: the tuple that is zero except x_m in the kernel of
+    U_{m,k} V_m looks to destination k like zero.
 
     Without combiners the rows are x_m minus the same coordinates of the
     lexicographically least tuple with the same word and antidote symbols as
-    x.  Those tuples are x + y for y in the null space of V on the streams
-    the destination does not hold.  If its basis b_i is in reduced echelon
-    form with pivots s_i, the least is x - sum_i x_{s_i} b_i, so row t is
-    sum_i b_i[t] x_{s_i}.  Take V on those streams with its columns in
-    reverse order, and let R be its reduced row echelon form.  The free
-    columns are the s_i, and b_i is 1 at s_i, 0 at every other free column
-    and -R[j][s_i] at the pivot of row j, which R makes 0 unless that pivot
-    comes after s_i in stream order: in stream order b_i leads with its 1.
-    So a desired stream's row of E is read straight off R: -R[j][s_i] at
-    each s_i if the stream is the pivot of row j, and the unit vector at the
-    stream itself if it is free.  V is reduced once, all streams reversed
-    (``back_substitute``); each destination's R is that form restricted to
-    its unheld streams (``restrict``), which re-eliminates only the few rows
-    whose pivots it holds, and a desired stream's row of R is that basis's
-    ``reduced_row``.
+    x, and are zero off the support.  Those tuples are x + y for y in the
+    null space of V on the streams the destination does not hold.  If its
+    basis b_i is in reduced echelon form with pivots s_i, the least is
+    x - sum_i x_{s_i} b_i, so row t is sum_i b_i[t] x_{s_i}.  Take V on
+    those streams with its columns in reverse order, and let R be its
+    reduced row echelon form.  The free columns are the s_i, and b_i is 1 at
+    s_i, 0 at every other free column and -R[j][s_i] at the pivot of row j,
+    which R makes 0 unless that pivot comes after s_i in stream order: in
+    stream order b_i leads with its 1.  So a desired stream's row is read
+    straight off R: -R[j][s_i] at each s_i if the stream is the pivot of row
+    j, and the unit vector at the stream itself if it is free.  V is reduced
+    once, all streams reversed (``back_substitute``); each destination's R
+    is that form restricted to its unheld streams (``restrict``), which
+    re-eliminates only the few rows whose pivots it holds, and a desired
+    stream's row of R is that basis's ``reduced_row``.
     """
-
-    def __init__(self, inst: Instance, scheme: LinearScheme):
-        f = scheme.field
-        msg_ids = scheme.message_ids()
-        self.streams = [(m, j) for m in msg_ids for j in range(scheme.stream_count(m))]
-        total = len(self.streams)
-        pos = _stream_columns(scheme)
-        vfull = Matrix.hstack_all(f, [scheme.V[m] for m in msg_ids])
-        if scheme.U is not None:
-            product = _row_products(vfull)
-        else:  # column c of the reduced form is stream total - 1 - c
-            echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
-            _, unheld_of = _column_masks(pos, reverse=True)
-        self.singular = None
-        rows, self.owner = [], []
-        for d in inst.destinations:
-            if scheme.U is None:
-                unheld = unheld_of(d)
-                basis = echelon.restrict(unheld)
-                pivot_row = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
-                free = [(c, total - 1 - c) for c in range(total) if unheld >> c & 1 and total - 1 - c not in pivot_row]
-            for m in sorted(d.wants):
-                if scheme.U is None:
-                    err = [[0] * total for _ in pos[m]]
-                    for row, t in zip(err, pos[m]):
-                        if t in pivot_row:
-                            reduced = basis.reduced_row(pivot_row[t])
-                            for c, s in free:
-                                row[s] = f.neg(reduced[c])
-                        else:
-                            row[t] = 1
+    f, total = scheme.field, sum(map(len, cols.values()))
+    checks = []
+    if scheme.U is not None:
+        for k, m, rows, block, rank, leak in _decoder_checks(inst, scheme, cols, *_column_masks(cols)):
+            if rows is None:
+                raise SchemeMalformed(f"simulation needs the combiner U[{m}@{k}]")
+            if rank < block.rows:  # x_m in the kernel of U_{m,k} V_m, every other digit 0
+                digits = [0] * cols[m].start + [*block.nullspace().col(0)] + [0] * (total - cols[m].stop)
+                return _failure(cols, digits, 1, k, m)
+            checks.append((k, m, [out for out, _ in rows], leak))
+        return checks
+    # column c of the reduced form is stream total - 1 - c
+    echelon = _reduced_rows(Matrix.hstack_all(f, [scheme.V[m] for m in cols]).take_cols(range(total - 1, -1, -1)))
+    _, unheld_of = _column_masks(cols, reverse=True)
+    for d in inst.destinations:
+        unheld = unheld_of(d)
+        basis = echelon.restrict(unheld)
+        pivot_row = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
+        free = [(c, total - 1 - c) for c in range(total) if unheld >> c & 1 and total - 1 - c not in pivot_row]
+        for m in sorted(d.wants):
+            rows, support = [[0] * total for _ in cols[m]], 0
+            for row, t in zip(rows, cols[m]):
+                if t in pivot_row:
+                    reduced = basis.reduced_row(pivot_row[t])
+                    for c, s in free:
+                        row[s] = f.neg(reduced[c])
+                        support |= bool(reduced[c]) << s
                 else:
-                    u = scheme.U.get((m, d.id))
-                    if u is None:
-                        raise SchemeMalformed(f"simulation needs the combiner U[{m}@{d.id}]")
-                    prod, uv = _decode_rows(product, u, pos[m])
-                    if uv.rank() < uv.rows:
-                        x = {i: (0,) * scheme.stream_count(i) for i in msg_ids}
-                        x[m] = uv.nullspace().col(0)
-                        self.singular = SimulationResult(False, 1, x, d.id, m)
-                        return
-                    interferes = [i != m and i not in d.has for i, _ in self.streams]
-                    err = [[e if keep else 0 for e, keep in zip(out, interferes)] for out, _ in prod]
-                rows += err
-                self.owner += [(d.id, m)] * len(err)
-        self.E = Matrix._trusted(f, len(rows), total, tuple(e for row in rows for e in row))
-
-    def result(self, digits, row: int, checked: int) -> SimulationResult:
-        counterexample = {}
-        for (m, _), x in zip(self.streams, digits):
-            counterexample.setdefault(m, []).append(x)
-        destination, message = self.owner[row]
-        return SimulationResult(
-            False,
-            checked,
-            counterexample={m: tuple(v) for m, v in counterexample.items()},
-            destination=destination,
-            message=message,
-        )
+                    row[t], support = 1, support | 1 << t
+            checks.append((d.id, m, rows, support))
+    return checks
 
 
 # ----------------------------------------------------------------------

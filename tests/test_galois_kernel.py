@@ -305,6 +305,30 @@ def test_restricted_reduced_form_gives_left_null_spaces(field, r, c):
             assert left == ref.left_nullspace(field, [[row[j] for j in kept] for row in a.row_list()], len(kept))
 
 
+@pytest.mark.parametrize(
+    "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
+)
+def test_left_nullspace_sizes_its_basis_for_its_rows(field, r, c, monkeypatch):
+    """``left_nullspace`` of an r x c matrix adds one row of [A | J] per row
+    of A and pops each that lands in J, so its basis of (c + r)-vectors is
+    promised r rows and, over GF(p), has lanes sized for r lazy steps; its
+    rows are still the reference's."""
+    made = []
+
+    class Recording(EchelonBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self.n, self.bound))
+
+    monkeypatch.setattr(galois, "EchelonBasis", Recording)
+    rnd = random.Random(f"left bound {field!r} {r} {c}")
+    for kind in KINDS:
+        rows = random_rows(field, r, c, kind, rnd)
+        made.clear()
+        assert as_matrix(field, rows, r, c).left_nullspace().row_list() == ref.left_nullspace(field, rows, c)
+        assert made == [(c + r, r)]
+
+
 def test_crossover_routes_by_size(monkeypatch):
     """Every full reduced form takes one route, whatever the field and the
     size: ``rref``, ``nullspace``, ``inverse`` and ``column_echelon`` each

@@ -557,6 +557,86 @@ def test_singular_decoder_is_a_counterexample():
         assert (U[(1, 1)] @ sch.V[1] @ x1).is_zero()
 
 
+def test_counterexamples_leave_out_messages_without_streams():
+    """Message 3 sends no stream, so it has no digits to list.  Whether
+    destination 1's combiner is singular (U_{1,1} = [0 1] against
+    V_1 = e_1) or lets message 2 leak (U_{1,1} = [1 1]), both simulators
+    list messages 1 and 2 only, as the naive reference does."""
+    f = PrimeField(2)
+    inst = make_instance(3, [({1}, set()), ({2}, {1, 3})])
+    V = {1: Matrix.from_cols(f, [[1, 0]]), 2: Matrix.from_cols(f, [[0, 1]]), 3: Matrix(f, 2, 0)}
+    for u, first in (([0, 1], {"1": [1], "2": [0]}), ([1, 1], {"1": [0], "2": [1]})):
+        scheme = LinearScheme(f, 2, V, {(1, 1): Matrix.from_rows(f, [u]), (2, 2): Matrix.from_rows(f, [[0, 1]])})
+        exhaustive, sampled = simulate_exhaustive(inst, scheme), simulate_sampled(inst, scheme, 10)
+        assert (exhaustive.to_json()["counterexample"], exhaustive.destination, exhaustive.message) == (first, 1, 1)
+        assert (sampled.ok, sampled.destination, sampled.message) == (False, 1, 1)
+        assert sorted(sampled.counterexample) == [1, 2]
+        if u == [1, 1]:
+            assert outcome(exhaustive) == reference.simulate(inst, scheme, reference.lexicographic_tuples(scheme))
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), BinaryField(2)], ids=repr)
+def test_combiner_simulation_agrees_with_decoder_mode_verify(field):
+    """Combiner simulation reads the checks decoder-mode ``verify`` walks.
+    On seeded random combiner schemes (``decoder_case``: messages without
+    streams, destinations that want two messages, flipped and singular
+    combiners, which the naive reference cannot decode) simulation passes
+    iff ``verify`` does, and every failure, exhaustive or sampled, is at a
+    check that ``verify`` reports as property1 or property2."""
+    rnd = random.Random(f"one walk {field!r}")
+    seen = Counter()
+    for case in range(150):
+        kind = ("valid", "flipped", "singular")[case % 3]
+        inst, scheme = decoder_case(rnd, field, kind)
+        rep = verify(inst, scheme, mode="decoder")
+        flagged = {(d.destination, d.message) for d in rep.diagnostics if d.kind in ("property1", "property2")}
+        exhaustive = simulate_exhaustive(inst, scheme)
+        assert exhaustive.ok == rep.valid, (case, kind)
+        for res in (exhaustive, simulate_sampled(inst, scheme, 20, seed=case)):
+            assert res.ok or (res.destination, res.message) in flagged, (case, kind)
+        seen["valid" if rep.valid else "singular" if exhaustive.tuples_checked == 1 else "leak"] += 1
+        seen["no streams"] += any(v.cols == 0 for v in scheme.V.values())
+        seen["two wants"] += any(len(d.wants) > 1 for d in inst.destinations)
+    assert min(seen[k] for k in ("valid", "singular", "leak", "no streams", "two wants")) >= 5, seen
+
+
+def test_combiner_checks_pack_v_once_and_build_no_error_matrix(monkeypatch):
+    """Decoder-mode ``verify`` and combiner simulation each pack
+    [V_1 | ... | V_K] once per call (one ``_row_products``) and read every
+    check off it.  ``simulate_exhaustive`` reads the checks' supports and
+    builds no error matrix, so it takes no column of one (``Matrix.col``):
+    on antidotes K=32 U=2 D=4 with synthesized combiners, and with one
+    combiner entry changed."""
+    inst = gen_neighboring_antidotes(32, 2, 4)
+    scheme = synthesize_decoders(inst, build_antidote_scheme(32, 2, 4))
+    f, u = scheme.field, scheme.U[(1, 1)]
+    changed = LinearScheme(f, scheme.n, scheme.V, {**scheme.U, (1, 1): Matrix(f, u.rows, u.cols, (1,) + u.entries[1:])})
+    calls = Counter()
+
+    def spying(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    spying(scheme_module, "_row_products")
+    spying(Matrix, "col")
+    budget = f.order ** sum(map(scheme.stream_count, scheme.V))
+    for sch, valid in ((scheme, True), (changed, False)):
+        assert verify(inst, sch, mode="decoder").valid == valid
+        assert calls == {"_row_products": 1}
+        calls.clear()
+        assert simulate_exhaustive(inst, sch, budget=budget).ok == valid
+        assert calls == {"_row_products": 1}
+        calls.clear()
+        assert simulate_sampled(inst, sch, 20).ok == valid
+        assert calls["_row_products"] == 1
+        calls.clear()
+
+
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
 def test_simulate_rank_deficient_unheld_columns(field, no_synthesis):
     """In ``mixed_failure_case`` V has a null space on the streams each of

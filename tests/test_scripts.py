@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv, agreement", [
-    (["scripts/family_capacity_sweep.py", "--max-k", "6"], [" 0 mismatches,"]),
+    (["scripts/family_capacity_sweep.py", "--max-k", "6", "--audit"], [" 0 mismatches,"]),
     (["scripts/feasibility_agreement.py", "--count", "20"], [" 0 disagreements"]),
     (["scripts/scalar_vs_vector_gap.py"], [
         "best scalar GF(2) rate 1/3 < vector rate 2/5: True",
