@@ -153,6 +153,8 @@ def chain_bounds(
     m gets the m-th prime), exact by unique factorization, and the last link
     is tried in place, so no state's work grows with the number of terms.
     Certificates built here skip the public constructor's re-normalization.
+    Their terms are built only when the key is new: the chain's messages and
+    each realizer's wants, kept as a tuple per destination, sorted once.
 
     Raises BadParams unless maxN >= 1 and budget >= 1, and BudgetExceeded
     (with the certificates found so far attached) when the enumeration
@@ -163,7 +165,7 @@ def chain_bounds(
     norm = normalize(inst, L)
     M = norm.num_messages
     prime = [1] + _primes(M)
-    wants = {d.id: d.wants for d in norm.destinations}
+    wants = {d.id: tuple(d.wants) for d in norm.destinations}
     # message a -> its links (b, realizer j, the key of the terms the link
     # adds: b and j's wants), by b and then j ascending: each edge read both ways
     links = {}
@@ -206,9 +208,12 @@ def chain_bounds(
                     raise exceeded(start)
                 k = closer.get(nxt)
                 if k is not None and key * added not in level:
-                    # the terms: the messages i_0..i_N at even places of the provenance, and the realizers' wants
+                    # the terms: the messages i_0..i_N, and the wants of the realizers at odd places of the chain
+                    terms = [*chain[::2], nxt, *wants[j]]
+                    for r in chain[1::2]:
+                        terms += wants[r]
+                    terms.sort()
                     path = (*chain, j, nxt, k)
-                    terms = sorted(path[::2] + tuple(t for r in path[1:-1:2] for t in wants[r]))
                     level[key * added] = BoundCertificate._trusted("chain", tuple(terms), rhs[N], path)
                 if N < maxN:  # the last link closes each state in place and extends none
                     chain += (j, nxt)

@@ -169,6 +169,17 @@ def _family_call(args, module, builder=False):
     return getattr(module, build if builder else gen)(*(getattr(args, p) for p in params))
 
 
+def _family_entries(args):
+    """n times the streams of the --family's scheme, from its options without building it."""
+    K, U, D, L = args.K, args.U, args.D, args.L
+    if args.family == "interference":
+        return (D + 1) * K
+    if args.family == "xnetwork":
+        return L * (L + 1) // 2 * K * L
+    # one stream a message on n = K - U - D when that is 1 or 2, else U + 1 on n = K - U - D + 2U
+    return (K - U - D) * K if U + D >= K - 2 else (K - D + U) * K * (U + 1)
+
+
 def _cmd_gen(args):
     from . import model
 
@@ -202,7 +213,13 @@ def _cmd_scheme(args):
             raise IcxError("--family needs --K")
         from . import symmetric
 
-        inst, built = _family_call(args, model), _family_call(args, symmetric, builder=True)
+        inst = _family_call(args, model)
+        entries = _family_entries(args)
+        if entries > schemes.MAX_MATRIX_ENTRIES:  # refused before building, as no file past it reads back
+            raise IcxError(
+                f"the scheme would have {entries} matrix entries, more than the limit of {schemes.MAX_MATRIX_ENTRIES}"
+            )
+        built = _family_call(args, symmetric, builder=True)
     else:
         inst = model.load_instance(args.instance)
         if args.construction == "scalar":

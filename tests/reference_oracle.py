@@ -63,14 +63,15 @@ def minrank_gf2(inst, budget=DEFAULT_ORACLE_BUDGET):
     )
 
 
-def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET):
+def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET, limits=True):
     """Every beam assignment in itertools.product order, for n = 1, 2, ...;
-    the first valid one is the witness."""
+    the first valid one is the witness.  limits=False lifts the size limits,
+    not the budget."""
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
     if n_max < 1:
         raise BadParams(f"n_max must be at least 1, got {n_max}")
-    if inst.num_messages > 6 or q > 3 or n_max > 3:
+    if limits and (inst.num_messages > 6 or q > 3 or n_max > 3):
         raise BudgetExceeded("scalar search is limited to M <= 6, q <= 3, n <= 3")
     field = PrimeField(q)
     M = inst.num_messages

@@ -17,7 +17,7 @@ from icx.model import (
     save_instance,
     serialize_instance,
 )
-from icx.scheme import LinearScheme, save_scheme, serialize_scheme
+from icx.scheme import LinearScheme, save_scheme, scheme_from_json, serialize_scheme
 from icx.symmetric import build_antidote_scheme, build_interference_scheme
 
 from conftest import make_instance
@@ -718,6 +718,45 @@ def test_family_generators_are_capped(capsys, argv, size):
         *invoke(capsys, *argv), 2,
         f"the instance would have {size} side-information entries; the limits are 10000, 10000 and 2000000",
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["antidotes", "--K", "7", "--U", "1", "--D", "2"],
+        ["antidotes", "--K", "6", "--U", "1", "--D", "3"],
+        ["antidotes", "--K", "5", "--U", "2", "--D", "2"],
+        ["interference", "--K", "6", "--U", "1", "--D", "2"],
+        ["xnetwork", "--K", "6", "--L", "2"],
+    ],
+    ids=["antidotes", "antidotes-n2", "antidotes-n1", "interference", "xnetwork"],
+)
+def test_family_scheme_matrix_entries_are_capped(capsys, monkeypatch, argv):
+    """scheme --family counts its entries from the options before building:
+    at a limit of exactly that count the scheme is written and reads back,
+    and one entry short it is refused."""
+    code, out, _ = invoke(capsys, "scheme", "--family", *argv)
+    assert code == 0
+    obj = json.loads(out)["scheme"]
+    entries = sum(len(row) for part in ("V", "U") for rows in obj.get(part, {}).values() for row in rows)
+    monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries)
+    code, out, _ = invoke(capsys, "scheme", "--family", *argv)
+    assert code == 0 and scheme_from_json(json.loads(out)["scheme"]).n == obj["n"]
+    monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries - 1)
+    message = f"the scheme would have {entries} matrix entries, more than the limit of {entries - 1}"
+    assert_one_line_error(*invoke(capsys, "scheme", "--family", *argv), 2, message)
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [(["--K", "600", "--U", "2", "--D", "2"], 1_080_000), (["--K", "9000", "--U", "2", "--D", "2", "--verify"], 243_000_000)],
+    ids=["K600", "K9000-verify"],
+)
+def test_family_scheme_past_the_file_cap_is_refused(capsys, argv, entries):
+    """A scheme that load_scheme would refuse is not written: antidotes
+    K=600 U=2 D=2 has n = 600 and 1,800 streams."""
+    message = f"the scheme would have {entries} matrix entries, more than the limit of 1000000"
+    assert_one_line_error(*invoke(capsys, "scheme", "--family", "antidotes", *argv), 2, message)
 
 
 def test_alignment_edge_list_is_capped(tmp_path, capsys, monkeypatch):

@@ -117,12 +117,14 @@ def test_best_scalar_monotone_padding():
 
 
 def test_best_scalar_budget_limits():
-    # the budget counts beams tried, message 1's pinned beam included: 2 at
-    # n = 1 and 10 at n = 2, where no scheme exists either
+    # the budget counts beams tried, message 1's beam e_1 included.  Up to a
+    # change of basis that is 2 at n = 1 (e_1 for messages 1 and 2) and 6 at
+    # n = 2 (e_1, then e_1 and e_2 for message 2, then the 3 beams for
+    # message 3), where no scheme exists either
     big = make_instance(7, [({k}, set()) for k in range(1, 8)])
-    assert best_scalar_scheme(big, 2, 2, budget=12).value is None
-    with pytest.raises(BudgetExceeded, match=r"exceeded 11 nodes \(at n = 2; no scheme is shorter\)"):
-        best_scalar_scheme(big, 2, 2, budget=11)
+    assert best_scalar_scheme(big, 2, 2, budget=8).value is None
+    with pytest.raises(BudgetExceeded, match=r"exceeded 7 nodes \(at n = 2; no scheme is shorter\)"):
+        best_scalar_scheme(big, 2, 2, budget=7)
 
 
 @pytest.mark.parametrize("params, value, nodes", [((8, 1, 2), 4, 31_328), ((12, 1, 1), 6, 53_456)])
@@ -308,6 +310,64 @@ def test_scalar_search_matches_reference_on_random_instances():
     assert values == {None, 1, 2, 3}  # every outcome is exercised
 
 
+def random_scalar_case_over_q(seed):
+    """q in {2, 3, 5}, M = 2..5 messages and M..M+2 destinations, each
+    wanting one or two messages and holding every other one with one
+    probability; n_max up to 3, cut until the exhaustive loop meets at most
+    2,000 assignments."""
+    rnd = random.Random(f"scalar over q {seed}")
+    q, M, n_max = rnd.choice([2, 3, 5]), rnd.randint(2, 5), rnd.randint(1, 3)
+    while sum(((q**n - 1) // (q - 1)) ** (M - 1) for n in range(1, n_max + 1)) > 2000:
+        n_max -= 1
+    p = rnd.random()
+    dests = []
+    for _ in range(rnd.randint(M, M + 2)):
+        wants = set(rnd.sample(range(1, M + 1), rnd.choice([1, 1, 2])))
+        dests.append((wants, {m for m in range(1, M + 1) if m not in wants and rnd.random() < p}))
+    return make_instance(M, dests), q, n_max
+
+
+def test_scalar_search_matches_reference_over_three_fields():
+    """The search up to a change of basis decides each length as the loop
+    over every assignment does, and the witness is still the loop's first."""
+    seen = set()
+    for seed in range(300):
+        inst, q, n_max = random_scalar_case_over_q(seed)
+        res = best_scalar_scheme(inst, q, n_max)
+        assert outcome(res) == outcome(ref.best_scalar_scheme(inst, q, n_max, limits=False)), seed
+        seen.add((q, res.value))
+    assert seen >= {(q, value) for q in (2, 3, 5) for value in (None, 1, 2)} | {(2, 3), (3, 3)}
+
+
+def test_scalar_search_over_gf2_equals_minrank():
+    """With n_max >= K the shortest scalar scheme over GF(2) of a multiple
+    unicast instance has length minrank."""
+    for seed in range(100):
+        inst = random_minrank_instance(seed)
+        res = best_scalar_scheme(inst, 2, inst.num_messages)
+        assert res.value == minrank_gf2(inst).value, seed
+        assert verify(inst, res.witness_scheme).valid, seed
+
+
+@pytest.mark.parametrize(
+    "params, q, n_max, value",
+    [((7, 0, 1), 2, 6, 6), ((7, 0, 1), 3, 4, None), ((8, 0, 2), 2, 6, 6), ((12, 1, 2), 2, 6, 6)],
+    ids=["K7-U0-D1-q2", "K7-U0-D1-q3", "K8-U0-D2-q2", "K12-U1-D2-q2"],
+)
+def test_scalar_search_answers_at_the_default_budget(params, q, n_max, value):
+    """Searches over every projective representative at every level exceed
+    the default 2^20 nodes on these; up to a change of basis they answer."""
+    inst = gen_neighboring_antidotes(*params)
+    res = best_scalar_scheme(inst, q, n_max)
+    M = inst.num_messages
+    size = sum(((q**n - 1) // (q - 1)) ** (M - 1) for n in range(1, (value or n_max) + 1))
+    assert (res.value, res.search_space_size) == (value, size)
+    if value is None:
+        assert res.witness_scheme is None
+    else:
+        assert res.witness_scheme.n == value and verify(inst, res.witness_scheme).valid
+
+
 def test_oracle_limits_match_reference():
     """The reference keeps the old size limits; the searches count nodes and
     answer past them."""
@@ -329,8 +389,11 @@ def test_oracle_limits_match_reference():
         assert best_scalar_scheme(pentagon, q, n_max).value == value
     with pytest.raises(BudgetExceeded):
         ref.best_scalar_scheme(pentagon, 3, 3, budget=100)  # 13^4 assignments at n = 3
+    # 49 nodes: 3, 29 and 10 up to a change of basis at n = 1, 2 and 3, and
+    # 7 to find the witness at n = 3 in product order
+    assert best_scalar_scheme(pentagon, 3, 3, budget=49).value == 3
     with pytest.raises(BudgetExceeded):
-        best_scalar_scheme(pentagon, 3, 3, budget=90)  # 91 nodes
+        best_scalar_scheme(pentagon, 3, 3, budget=48)
     for search in (best_scalar_scheme, ref.best_scalar_scheme):
         assert search(pentagon, 3, 3, budget=13**4).value == 3
     for q in (4, 2**31 + 11):  # not a prime, and a prime past the field's range
