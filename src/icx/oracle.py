@@ -3,9 +3,9 @@
 Both oracles are exact searches with pruning (no sampling): a depth-first
 loop over an explicit stack visits candidates, generated as they are tried,
 in a fixed order and skips a subtree only when no candidate in it can count
-(the scalar search also decides each length up to a change of basis, and
-only then looks for its witness in order).  The budget counts nodes, one per candidate row or beam
-tried, pruned ones included, and nothing else limits an instance.  The reported size is the
+(the scalar search decides each length up to a change of basis).  The
+budget counts nodes, one per candidate row or beam tried, pruned ones
+included, and nothing else limits an instance.  The reported size is the
 full space.  Witnesses re-verify through the scheme verifier, keeping the
 oracle and the verifier independent code paths.
 """
@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import BadParams, BudgetExceeded, Record
 from .galois import EchelonBasis, Field, Matrix, PrimeField
 from .model import Instance
-from .scheme import LinearScheme
+from .scheme import LinearScheme, synthesize_decoders
 
 DEFAULT_ORACLE_BUDGET = 2**20
 
@@ -74,7 +74,7 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     Fitting: unit diagonal, zero wherever neither the diagonal nor an
     antidote permits a nonzero entry, free on antidote positions.  The value
     equals the optimal scalar-linear broadcast length over GF(2); the witness
-    matrix is rank-factored into an encoding scheme of that length.
+    matrix gives a scheme of that length (`_scheme_from_fitting`).
 
     Exact search with pruning over at most `budget` nodes, one per candidate
     row tried; the reported size is the full space.  The witness is the first
@@ -122,7 +122,7 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
             best, best_rows = child.rank, list(fixed)
 
     fitting = Matrix.from_rows(gf2, list(map(empty.unpack, best_rows)))
-    scheme = _scheme_from_fitting(inst, fitting, demand, best)
+    scheme = _scheme_from_fitting(inst, fitting, best)
     return OracleResult(
         query=f"minrank over GF(2), {K} messages",
         value=best,
@@ -132,17 +132,13 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     )
 
 
-def _scheme_from_fitting(inst, fitting, demand, rank):
-    """Rank-factor the fitting matrix A = A[:, pivots] @ rref(A) into an
-    n = rank scalar scheme: beams from the reduced rows, combiners from the
-    pivot columns."""
+def _scheme_from_fitting(inst, fitting, rank):
+    """The n = rank scalar scheme of a fitting matrix: message m's beam is
+    column m of the reduced rows, and ``synthesize_decoders`` finds the
+    combiners (row m of the fitting matrix, over the reduced rows, is one)."""
     rows = fitting.rref().take_rows(range(rank))
-    left = fitting.take_cols([rows.row(i).index(1) for i in range(rank)])
     V = {m: rows.take_cols([m - 1]) for m in range(1, inst.num_messages + 1)}
-    U = {}
-    for k, m in demand.items():
-        U[(m, k)] = left.take_rows([m - 1])
-    return LinearScheme(fitting.field, rank, V, U)
+    return synthesize_decoders(inst, LinearScheme(fitting.field, rank, V))
 
 
 def best_scalar_scheme(
@@ -156,17 +152,14 @@ def best_scalar_scheme(
     Validity is invariant under an invertible change of basis and per-beam
     scaling, so each length is decided up to them (canonical augmentation,
     B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-    1998): once the beams before message m span the first r unit vectors,
-    message m takes a projective representative supported on those r
-    coordinates or the next unit vector.  At the first length this finds a
-    scheme, the search over every projective representative runs once to
-    pick the witness.  Returns value=None when no length works.
+    1998).  Returns value=None when no length works.
 
     Exact search with pruning over at most `budget` nodes in all, one per
-    beam tried in either search; the reported size is the full space of
-    every length tried.  The witness is the first valid assignment in
-    itertools.product order of the beams of messages 2..M, message 1 on the
-    first unit vector.
+    beam tried; the reported size is the full space of every length tried.
+    The witness is the first valid assignment in message order when message
+    m takes, in order, the projective representatives supported on the
+    first r coordinates (r the dimension the earlier beams span), then
+    e_{r+1}.
     """
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
@@ -180,9 +173,8 @@ def best_scalar_scheme(
     checked_total = nodes = 0
     for n in range(1, n_max + 1):
         checked_total += ((q**n - 1) // (q - 1)) ** (M - 1)
-        beams, nodes = _first_valid_beams(inst, field, n, nodes, budget, canonical=True)
+        beams, nodes = _first_valid_beams(inst, field, n, nodes, budget)
         if beams is not None:
-            beams, nodes = _first_valid_beams(inst, field, n, nodes, budget, canonical=False)
             V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
             scheme = LinearScheme(field, n, V)
             return OracleResult(
@@ -206,30 +198,29 @@ def _projective_reps(field: Field, n: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _canonical(field: Field, n: int, r: int):
+def _canonical(field: Field, n: int, r: int, inside: bool = True):
     """A message's beams up to a change of basis fixing the beams before it,
     which span the first r unit vectors of field^n: the projective
-    representatives supported on those r coordinates, then the next unit
-    vector if r < n."""
+    representatives supported on those r coordinates if inside, then the
+    next unit vector if r < n."""
     pad = (0,) * (n - r)
-    for rep in _projective_reps(field, r):
-        yield rep + pad
+    if inside:
+        for rep in _projective_reps(field, r):
+            yield rep + pad
     if r < n:
         yield (0,) * r + (1,) + pad[1:]
 
 
-def _first_valid_beams(inst, field, n, nodes, budget, canonical):
-    """(A valid beam assignment or None; the nodes visited so far, this
-    search's added).
+def _first_valid_beams(inst, field, n, nodes, budget):
+    """(The first valid beam assignment or None; the nodes visited so far,
+    this search's added).
 
-    Message 1 goes on the first unit vector.  With canonical=False, messages
-    2..M range over the projective representatives in itertools.product
-    order, and the assignment is the first valid one in that order.  With
-    canonical=True, message m ranges over _canonical(field, n, r), r the
-    dimension of the span of the beams before it.  Every assignment is
-    equivalent to one of those under a change of basis and per-beam scaling,
-    which keep validity, so the canonical search finds a scheme exactly when
-    the full one does, in far fewer nodes.
+    Message m ranges over _canonical(field, n, r), r the dimension of the
+    span of the beams before it (message 1 takes e_1 alone).  Every
+    assignment is equivalent to one of those under a change of basis and
+    per-beam scaling, which keep validity.  A destination that wants m and
+    already has joint rank r holds all of span(e_1..e_r), where no beam of
+    m can be placed, so m is then offered e_{r+1} alone.
 
     Beams are placed in message order, and each destination carries the span
     of its desired beams placed so far (W) and of its interference beams (I),
@@ -284,9 +275,7 @@ def _first_valid_beams(inst, field, n, nodes, budget, canonical):
             continue
         if m == M:
             return beams, nodes
-        if canonical:
-            r += r < n and beams[m - 1][r] != 0  # the next unit vector grows the span
-            stack.append((m + 1, _canonical(field, n, r), r, child))
-        else:
-            stack.append((m + 1, _projective_reps(field, n), r, child))
+        r += r < n and beams[m - 1][r] != 0  # the next unit vector grows the span
+        inside = all(not desired or child[i][0].rank < r for i, desired in roles[m + 1])
+        stack.append((m + 1, _canonical(field, n, r, inside), r, child))
     return None, nodes

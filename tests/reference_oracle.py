@@ -1,11 +1,12 @@
 """The two oracles as plain exhaustive loops, kept as a reference.
 
-``icx.oracle`` searches depth-first and prunes; these loops rank every
-candidate in the same order.  Both must return the same value, the same
-witness and the same search-space size.  The helpers that turn a winning
-candidate into a result (demand map, rank factoring) are shared with the
-package; the candidates themselves are listed here.  These loops keep the
-size limits the package had before its searches counted nodes.
+``icx.oracle`` searches depth-first and prunes; these loops try every
+candidate.  Both must return the same value, the same witness and the
+same search-space size.  The helpers that turn a winning candidate into a
+result (demand map, the scheme of a fitting matrix) are shared with the
+package; the candidates, and the order that picks the scalar witness, are
+listed here.  These loops keep the size limits the package had before its
+searches counted nodes.
 """
 
 import itertools
@@ -53,7 +54,7 @@ def minrank_gf2(inst, budget=DEFAULT_ORACLE_BUDGET):
             best, best_rows = basis.rank, rows
 
     fitting = Matrix.from_rows(gf2, best_rows)
-    scheme = _scheme_from_fitting(inst, fitting, demand, best)
+    scheme = _scheme_from_fitting(inst, fitting, best)
     return OracleResult(
         query=f"minrank over GF(2), {K} messages",
         value=best,
@@ -64,9 +65,11 @@ def minrank_gf2(inst, budget=DEFAULT_ORACLE_BUDGET):
 
 
 def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET, limits=True):
-    """Every beam assignment in itertools.product order, for n = 1, 2, ...;
-    the first valid one is the witness.  limits=False lifts the size limits,
-    not the budget."""
+    """Every beam assignment in itertools.product order, for n = 1, 2, ...,
+    until a length has a valid one.  The witness is the valid assignment of
+    least canonical key (_canonical_key), one without a key ranking after
+    every one with a key and the first of those in product order.
+    limits=False lifts the size limits, not the budget."""
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
     if n_max < 1:
@@ -82,23 +85,49 @@ def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET, limits=True
         if space > budget:
             raise BudgetExceeded(f"{len(reps)}^{M - 1} assignments exceed budget {budget}")
         checked_total += space
+        index = [{rep: i for i, rep in enumerate(_projective_reps(field, r))} for r in range(n + 1)]
         e1 = tuple(1 if i == 0 else 0 for i in range(n))
+        best = None  # (rank, beams) of the best valid assignment so far
         for rest in itertools.product(reps, repeat=M - 1):
             beams = (e1,) + rest
-            if _scalar_assignment_valid(inst, field, beams):
-                V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
-                scheme = LinearScheme(field, n, V)
-                return OracleResult(
-                    query=f"best scalar scheme over GF({q}), n <= {n_max}",
-                    value=n,
-                    search_space_size=checked_total,
-                    witness_scheme=scheme,
-                )
+            key = _canonical_key(index, beams)
+            rank = (key is None, key or ())
+            if (best is None or rank < best[0]) and _scalar_assignment_valid(inst, field, beams):
+                best = rank, beams
+        if best is not None:
+            beams = best[1]
+            V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
+            scheme = LinearScheme(field, n, V)
+            return OracleResult(
+                query=f"best scalar scheme over GF({q}), n <= {n_max}",
+                value=n,
+                search_space_size=checked_total,
+                witness_scheme=scheme,
+            )
     return OracleResult(
         query=f"best scalar scheme over GF({q}), n <= {n_max}",
         value=None,
         search_space_size=checked_total,
     )
+
+
+def _canonical_key(index, beams):
+    """Each beam's position among its canonical candidates, or None if some
+    beam is not among them.  With the beams before it spanning the first r
+    unit vectors, a beam's candidates are the projective representatives of
+    field^r padded with zeros (index[r] maps each to its position), then the
+    next unit vector."""
+    n, r, key = len(beams[0]), 0, []
+    for beam in beams:
+        head, tail = beam[:r], beam[r:]
+        if not any(tail) and head in index[r]:
+            key.append(index[r][head])
+        elif beam == tuple(int(i == r) for i in range(n)):
+            key.append(len(index[r]))
+            r += 1
+        else:
+            return None
+    return tuple(key)
 
 
 def _projective_reps(field, n):

@@ -632,6 +632,20 @@ def test_scalar_search_field_must_be_prime(tmp_path, capsys, q):
     )
 
 
+def test_scalar_search_budget_stops_only_an_undecided_length(tmp_path, capsys):
+    """The witness is the first scheme the search finds, so a budget that
+    decides a length also answers; past the budget no length is decided, and
+    none shorter has a scheme.  The pentagon over GF(3) answers 3 at node 19."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    argv = ["oracle", path, "--scalar-search", "--q", "3", "--n-max", "3", "--budget"]
+    code, out, err = invoke(capsys, *argv, "48")
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["value"], json.loads(out)["search_space_size"]) == (3, 1 + 4**4 + 13**4)
+    assert_one_line_error(
+        *invoke(capsys, *argv, "18"), 3, "scalar search exceeded 18 nodes (at n = 3; no scheme is shorter)"
+    )
+
+
 def test_scalar_search_deeper_than_the_recursion_limit(tmp_path, capsys):
     """1,100 messages, one search level each: the search is a loop, not a recursion."""
     path = write_instance(tmp_path, gen_neighboring_antidotes(1100, 0, 1098))

@@ -118,13 +118,13 @@ def test_best_scalar_monotone_padding():
 
 def test_best_scalar_budget_limits():
     # the budget counts beams tried, message 1's beam e_1 included.  Up to a
-    # change of basis that is 2 at n = 1 (e_1 for messages 1 and 2) and 6 at
-    # n = 2 (e_1, then e_1 and e_2 for message 2, then the 3 beams for
-    # message 3), where no scheme exists either
+    # change of basis that is 1 at n = 1 (e_1 for message 1; destination 2
+    # then holds all of span(e_1), so message 2 has no candidate) and 2 at
+    # n = 2 (e_1, then e_2 for message 2), where no scheme exists either
     big = make_instance(7, [({k}, set()) for k in range(1, 8)])
-    assert best_scalar_scheme(big, 2, 2, budget=8).value is None
-    with pytest.raises(BudgetExceeded, match=r"exceeded 7 nodes \(at n = 2; no scheme is shorter\)"):
-        best_scalar_scheme(big, 2, 2, budget=7)
+    assert best_scalar_scheme(big, 2, 2, budget=3).value is None
+    with pytest.raises(BudgetExceeded, match=r"exceeded 2 nodes \(at n = 2; no scheme is shorter\)"):
+        best_scalar_scheme(big, 2, 2, budget=2)
 
 
 @pytest.mark.parametrize("params, value, nodes", [((8, 1, 2), 4, 31_328), ((12, 1, 1), 6, 53_456)])
@@ -172,11 +172,12 @@ def test_minrank_witness_is_first_of_several_minimal():
     assert minrank_gf2(inst).witness_matrix.row_list() == minimal[0]
 
 
-# The scalar search keeps the first valid assignment in itertools.product
-# order of the beams of messages 2..M; these witnesses are the exhaustive
-# loop's and must not drift.
+# The scalar search keeps the first valid assignment in message order when
+# message m takes, in order, the projective representatives supported on the
+# first r coordinates (r the dimension the earlier beams span), then e_{r+1};
+# these witnesses are the exhaustive loop's and must not drift.
 SCALAR_WITNESSES = [
-    (gen_neighboring_antidotes(5, 1, 1), 2, 3, 3, 2483, ((1, 0, 0), (0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0))),
+    (gen_neighboring_antidotes(5, 1, 1), 2, 3, 3, 2483, ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1))),
     (builtin_example(1).instance, 2, 2, 2, 10, ((1, 0), (0, 1), (0, 1))),
 ]
 
@@ -241,7 +242,7 @@ SCALAR_SLOW = {
     (6, 0, 1, 3): (None, 372318, None),
     (6, 0, 2, 2): (None, 17051, None),
     (6, 0, 2, 3): (None, 372318, None),
-    (6, 0, 3, 3): (3, 372318, ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0))),
+    (6, 0, 3, 3): (3, 372318, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
 }
 
 
@@ -329,7 +330,8 @@ def random_scalar_case_over_q(seed):
 
 def test_scalar_search_matches_reference_over_three_fields():
     """The search up to a change of basis decides each length as the loop
-    over every assignment does, and the witness is still the loop's first."""
+    over every assignment does, and its witness is the one the loop ranks
+    first."""
     seen = set()
     for seed in range(300):
         inst, q, n_max = random_scalar_case_over_q(seed)
@@ -351,12 +353,17 @@ def test_scalar_search_over_gf2_equals_minrank():
 
 @pytest.mark.parametrize(
     "params, q, n_max, value",
-    [((7, 0, 1), 2, 6, 6), ((7, 0, 1), 3, 4, None), ((8, 0, 2), 2, 6, 6), ((12, 1, 2), 2, 6, 6)],
-    ids=["K7-U0-D1-q2", "K7-U0-D1-q3", "K8-U0-D2-q2", "K12-U1-D2-q2"],
+    [
+        ((7, 0, 1), 2, 6, 6), ((7, 0, 1), 3, 4, None), ((8, 0, 2), 2, 6, 6), ((12, 1, 2), 2, 6, 6),
+        ((12, 1, 2), 3, 6, 6), ((20, 0, 0), 2, 20, 20),
+    ],
+    ids=["K7-U0-D1-q2", "K7-U0-D1-q3", "K8-U0-D2-q2", "K12-U1-D2-q2", "K12-U1-D2-q3", "K20-U0-D0-q2"],
 )
 def test_scalar_search_answers_at_the_default_budget(params, q, n_max, value):
     """Searches over every projective representative at every level exceed
-    the default 2^20 nodes on these; up to a change of basis they answer."""
+    the default 2^20 nodes on these; up to a change of basis they answer.
+    The last two also need a message whose destination already holds the
+    whole span to be offered the next unit vector alone."""
     inst = gen_neighboring_antidotes(*params)
     res = best_scalar_scheme(inst, q, n_max)
     M = inst.num_messages
@@ -389,11 +396,11 @@ def test_oracle_limits_match_reference():
         assert best_scalar_scheme(pentagon, q, n_max).value == value
     with pytest.raises(BudgetExceeded):
         ref.best_scalar_scheme(pentagon, 3, 3, budget=100)  # 13^4 assignments at n = 3
-    # 49 nodes: 3, 29 and 10 up to a change of basis at n = 1, 2 and 3, and
-    # 7 to find the witness at n = 3 in product order
-    assert best_scalar_scheme(pentagon, 3, 3, budget=49).value == 3
+    # 19 nodes: 2, 12 and 5 up to a change of basis at n = 1, 2 and 3, the
+    # last of them the witness's
+    assert best_scalar_scheme(pentagon, 3, 3, budget=19).value == 3
     with pytest.raises(BudgetExceeded):
-        best_scalar_scheme(pentagon, 3, 3, budget=48)
+        best_scalar_scheme(pentagon, 3, 3, budget=18)
     for search in (best_scalar_scheme, ref.best_scalar_scheme):
         assert search(pentagon, 3, 3, budget=13**4).value == 3
     for q in (4, 2**31 + 11):  # not a prime, and a prime past the field's range
