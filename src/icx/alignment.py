@@ -92,8 +92,6 @@ def partition(inst: Instance) -> AlignmentPartition:
 
 
 class FeasibilityVerdict(Record):
-    _fields = ("feasible", "witness", "partition")
-
     def __init__(self, feasible: bool, witness: Optional[tuple], partition: AlignmentPartition):
         # witness (i, j, k): i and j in one subset, j desired at k, i not held there
         super().__init__(feasible, witness, partition)
@@ -132,11 +130,12 @@ def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
     Verifies against normalize(inst, L).
     """
     from .galois import PrimeField, mds_vector_family, smallest_prime_at_least
-    from .scheme import LinearScheme
+    from .scheme import LinearScheme, check_scheme_size
 
     verdict = check_feasibility(inst, L)
     if not verdict.feasible:
         raise Infeasible(verdict.witness)
+    check_scheme_size(L + 1, inst.num_messages)
     part = verdict.partition
     field = PrimeField(smallest_prime_at_least(part.Z))
     beams = mds_vector_family(part.Z, L + 1, field)
@@ -155,7 +154,7 @@ def build_rate_half_vector_scheme(inst: Instance, L: int = 1) -> LinearScheme:
     length whose family has at least Z members.
     """
     from .galois import PrimeField, spread_family
-    from .scheme import LinearScheme
+    from .scheme import LinearScheme, check_scheme_size
 
     if L != 1:
         raise UnsupportedL("the spread construction is stated for single demands (L=1)")
@@ -166,6 +165,7 @@ def build_rate_half_vector_scheme(inst: Instance, L: int = 1) -> LinearScheme:
     n = 2
     while 2 ** (n // 2) + 1 < part.Z:
         n += 2
+    check_scheme_size(n, n // 2 * inst.num_messages)
     subspaces = spread_family(n)
     V = {
         m: subspaces[part.subset_index(m) - 1].basis

@@ -21,7 +21,7 @@ from math import gcd, isqrt, log, prod
 from operator import attrgetter
 from typing import Mapping
 
-from .errors import BadParams, BudgetExceeded, Record
+from .errors import BadParams, BudgetExceeded, Record, fraction_text
 from .model import Instance, check_family, normalize
 from .alignment import partition
 
@@ -35,8 +35,6 @@ MAX_SIMPLE_PAIRS = 250_000
 class BoundCertificate(Record):
     """sum of R_m over the terms <= rhs; kind is "simple", "chain",
     "family-formula" or "genie-chain"."""
-
-    _fields = ("kind", "terms", "rhs", "provenance")
 
     def __init__(self, kind: str, terms: tuple, rhs: Fraction, provenance: tuple):
         # terms are kept sorted, multiplicity preserved
@@ -83,7 +81,7 @@ class BoundCertificate(Record):
         return {
             "kind": self.kind,
             "terms": list(self.terms),
-            "rhs": f"{self.rhs.numerator}/{self.rhs.denominator}",
+            "rhs": fraction_text(self.rhs),
             "provenance": list(self.provenance),
         }
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 # Each handler imports the modules its verb needs, so a call loads no others.
-from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, read_file, write_file
+from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, fraction_text, read_file, write_file
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -169,17 +169,6 @@ def _family_call(args, module, builder=False):
     return getattr(module, build if builder else gen)(*(getattr(args, p) for p in params))
 
 
-def _family_entries(args):
-    """n times the streams of the --family's scheme, from its options without building it."""
-    K, U, D, L = args.K, args.U, args.D, args.L
-    if args.family == "interference":
-        return (D + 1) * K
-    if args.family == "xnetwork":
-        return L * (L + 1) // 2 * K * L
-    # one stream a message on n = K - U - D when that is 1 or 2, else U + 1 on n = K - U - D + 2U
-    return (K - U - D) * K if U + D >= K - 2 else (K - D + U) * K * (U + 1)
-
-
 def _cmd_gen(args):
     from . import model
 
@@ -213,12 +202,7 @@ def _cmd_scheme(args):
             raise IcxError("--family needs --K")
         from . import symmetric
 
-        inst = _family_call(args, model)
-        entries = _family_entries(args)
-        if entries > schemes.MAX_MATRIX_ENTRIES:  # refused before building, as no file past it reads back
-            raise IcxError(
-                f"the scheme would have {entries} matrix entries, more than the limit of {schemes.MAX_MATRIX_ENTRIES}"
-            )
+        inst = _family_call(args, model)  # the instance caps refuse first
         built = _family_call(args, symmetric, builder=True)
     else:
         inst = model.load_instance(args.instance)
@@ -315,7 +299,7 @@ def _cmd_bounds(args):
     if args.family or (want_all and inst.family is not None and inst.family.kind != "custom"):
         value, cert = bounds.symmetric_capacity(inst)
         out["family"] = {
-            "capacity_per_message": f"{value.numerator}/{value.denominator}",
+            "capacity_per_message": fraction_text(value),
             "certificate": cert.to_json(),
         }
     return out, EXIT_OK
@@ -338,10 +322,9 @@ def _cmd_example(args):
     from . import model, scheme as schemes, symmetric
 
     ex = symmetric.builtin_example(args.id, args.field)
-    rate = ex.claimed_rate
     out = {
         "id": ex.id,
-        "claimed_rate": f"{rate.numerator}/{rate.denominator}",
+        "claimed_rate": fraction_text(ex.claimed_rate),
         "instance": model.instance_to_json(ex.instance),
         "scheme": schemes.scheme_to_json(ex.scheme),
     }

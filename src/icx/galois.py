@@ -129,8 +129,6 @@ def smallest_prime_at_least(n: int) -> int:
 class PrimeField(Record):
     """GF(p) for a prime p < 2^31."""
 
-    _fields = ("p",)
-
     def __init__(self, p: int):
         if not (2 <= p < 2**31) or not _is_prime(p):
             raise ValueError(f"p={p} is not a prime in [2, 2^31)")
@@ -172,8 +170,6 @@ class PrimeField(Record):
 
 class BinaryField(Record):
     """GF(2^m), 1 <= m <= 32, with an irreducible reduction polynomial."""
-
-    _fields = ("m", "poly")
 
     def __init__(self, m: int, poly: int = 0):  # poly 0 means "use the default table"
         if not 1 <= m <= 32:
@@ -521,8 +517,6 @@ def _row_products(mat: "Matrix"):
 class Matrix(Record):
     """Immutable dense matrix over a finite field, row-major entries."""
 
-    _fields = ("field", "rows", "cols", "entries")
-
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple = ()):
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
@@ -728,8 +722,6 @@ class Subspace(Record):
     The canonical basis makes equality of subspaces decidable by entry
     comparison.
     """
-
-    _fields = ("field", "ambient_dim", "basis")
 
     def __init__(self, field: Field, ambient_dim: int, basis: Matrix):
         if basis.rows != ambient_dim:

@@ -23,8 +23,6 @@ class FamilyTag(Record):
     """Symmetric family marker with its construction parameters, sorted
     (name, value) pairs."""
 
-    _fields = ("kind", "params")
-
     def __init__(self, kind: str, params: tuple = ()):
         if kind not in FAMILY_KINDS:
             raise BadParams(f"unknown family kind {kind!r}")
@@ -49,16 +47,12 @@ class FamilyTag(Record):
 class Destination(Record):
     """One receiver: id, desired message ids, side-information message ids."""
 
-    _fields = ("id", "wants", "has")
-
     def __init__(self, id: int, wants: frozenset, has: frozenset):
         super().__init__(id, frozenset(wants), frozenset(has))
 
 
 class Instance(Record):
     """An index coding problem with messages 1..num_messages."""
-
-    _fields = ("num_messages", "destinations", "family")
 
     def __init__(self, num_messages: int, destinations: tuple, family: Optional[FamilyTag] = None):
         super().__init__(num_messages, tuple(destinations), family)
@@ -158,7 +152,8 @@ def normalize_groupcast(inst: Instance, L: int) -> tuple:
     and every destination desires one message; virtual destinations copy the
     antidotes of the message's first.  Message m is desired by destinations
     (m-1)*L+1 .. m*L.  Also returns, per output destination, the id of the
-    input destination whose demand and antidote set it descends from."""
+    input destination whose demand and antidote set it descends from.  An
+    output past the instance caps is refused (BadParams) before it is built."""
     _require_valid(inst)
     if L < 1:
         raise CannotNormalize("L must be >= 1")
@@ -166,18 +161,20 @@ def normalize_groupcast(inst: Instance, L: int) -> tuple:
     for d in inst.destinations:
         for m in sorted(d.wants):
             per_message[m].append((d.has, d.id))
-    dests = []
-    sources = []
-    for m in range(1, inst.num_messages + 1):
-        holders = per_message[m]
+    held = 0
+    for m, holders in per_message.items():
         if not holders:
             raise CannotNormalize(f"message {m} is desired by no destination")
         if len(holders) > L:
             raise CannotNormalize(
                 f"message {m} is desired by {len(holders)} > L={L} destinations"
             )
-        holders = holders + [holders[0]] * (L - len(holders))  # virtual copies
-        for has, src in holders:
+        held += sum(len(has) for has, _ in holders) + (L - len(holders)) * len(holders[0][0])
+    _check_generated_size(inst.num_messages, inst.num_messages * L, held)
+    dests = []
+    sources = []
+    for m, holders in per_message.items():
+        for has, src in holders + [holders[0]] * (L - len(holders)):  # virtual copies
             dests.append(Destination(len(dests) + 1, frozenset({m}), has))
             sources.append(src)
     return Instance(inst.num_messages, tuple(dests), inst.family), tuple(sources)
@@ -374,6 +371,7 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         except BadParams as exc:
             raise ParseError(str(exc)) from exc
     dests = []
+    held = 0
     for i, dobj in enumerate(obj["destinations"]):
         if not isinstance(dobj, dict):
             raise ParseError(f"destination #{i + 1} must be an object")
@@ -388,6 +386,9 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         for key in ("wants", "has"):
             if not isinstance(dobj[key], list) or not all(map(is_int, dobj[key])):
                 raise ParseError(f"destination #{i + 1}: '{key}' must be a list of integers")
+        held += len(dobj["has"])
+        if held > MAX_HELD_ENTRIES:
+            raise ParseError(f"more than {MAX_HELD_ENTRIES} side-information entries")
         dests.append(Destination(dobj["id"], frozenset(dobj["wants"]), frozenset(dobj["has"])))
     inst = Instance(obj["messages"], tuple(dests), family)
     if check:

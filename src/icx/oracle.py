@@ -18,14 +18,12 @@ from typing import Optional
 from .errors import BadParams, BudgetExceeded, Record
 from .galois import EchelonBasis, Field, Matrix, PrimeField
 from .model import Instance
-from .scheme import LinearScheme, synthesize_decoders
+from .scheme import LinearScheme, scheme_to_json, synthesize_decoders
 
 DEFAULT_ORACLE_BUDGET = 2**20
 
 
 class OracleResult(Record):
-    _fields = ("query", "value", "search_space_size", "witness_matrix", "witness_scheme")
-
     def __init__(
         self,
         query: str,
@@ -37,8 +35,6 @@ class OracleResult(Record):
         super().__init__(query, value, search_space_size, witness_matrix, witness_scheme)
 
     def to_json(self) -> dict:
-        from .scheme import scheme_to_json
-
         out = {
             "query": self.query,
             "value": self.value,

@@ -48,6 +48,7 @@ from .errors import (
     SchemeMalformed,
     UnsupportedFamily,
     dump_json,
+    fraction_text,
     is_int,
     parse_json,
     read_file,
@@ -62,8 +63,6 @@ DEFAULT_SIMULATION_BUDGET = 2**24
 class LinearScheme(Record):
     """Precoding matrices V (per message) and optional combiners U (per (m, k)),
     held read-only."""
-
-    _fields = ("field", "n", "V", "U")
 
     def __init__(self, field: Field, n: int, V: Mapping[int, Matrix], U: Optional[Mapping[tuple, Matrix]] = None):
         super().__init__(field, n, MappingProxyType(dict(V)), None if U is None else MappingProxyType(dict(U)))
@@ -96,8 +95,6 @@ class Diagnostic(Record):
     """One failed check: which property broke ("property1", "property2",
     "desired-rank", "resolvability" or "missing-decoder"), at which (m, i, k)."""
 
-    _fields = ("kind", "destination", "message", "interferer")
-
     def __init__(self, kind: str, destination: int, message: Optional[int] = None, interferer: Optional[int] = None):
         super().__init__(kind, destination, message, interferer)
 
@@ -111,8 +108,6 @@ class Diagnostic(Record):
 
 
 class VerificationReport(Record):
-    _fields = ("valid", "mode", "diagnostics", "rates")
-
     def __init__(self, valid: bool, mode: str, diagnostics: tuple, rates: dict):
         super().__init__(valid, mode, diagnostics, rates)
 
@@ -121,7 +116,7 @@ class VerificationReport(Record):
             "valid": self.valid,
             "mode": self.mode,
             "diagnostics": [d.describe() for d in self.diagnostics],
-            "rates": {str(m): f"{r.numerator}/{r.denominator}" for m, r in sorted(self.rates.items())},
+            "rates": {str(m): fraction_text(r) for m, r in sorted(self.rates.items())},
         }
 
 
@@ -266,8 +261,6 @@ def _independent_rows(mat: Matrix):
 # ----------------------------------------------------------------------
 
 class SimulationResult(Record):
-    _fields = ("ok", "tuples_checked", "counterexample", "destination", "message")
-
     def __init__(
         self,
         ok: bool,
@@ -448,8 +441,6 @@ class DimensionAudit(Record):
     the per-destination interferer count K-A-1.
     """
 
-    _fields = ("K", "U", "D", "alpha", "checks")
-
     def __init__(self, K: int, U: int, D: int, alpha: tuple, checks: tuple):
         # checks: (j, alpha_j, lower bound as Fraction, slack as Fraction) per window
         super().__init__(K, U, D, alpha, checks)
@@ -469,8 +460,8 @@ class DimensionAudit(Record):
                 {
                     "window": j,
                     "alpha": a,
-                    "bound": f"{b.numerator}/{b.denominator}",
-                    "slack": f"{s.numerator}/{s.denominator}",
+                    "bound": fraction_text(b),
+                    "slack": fraction_text(s),
                 }
                 for j, a, b, s in self.checks
             ],
@@ -519,6 +510,16 @@ _SCHEME_KEYS = {"field", "n", "V", "U"}
 # but small enough that parsing a file never exhausts memory.
 MAX_BLOCK_LENGTH = 10_000
 MAX_MATRIX_ENTRIES = 1_000_000
+
+
+def check_scheme_size(n: int, streams: int):
+    """BadParams, before the scheme is built, when its file would not read
+    back: n times ``streams`` (its precoders' columns and its combiners'
+    rows, in all) past MAX_MATRIX_ENTRIES.  Within the instance caps no
+    builder's n passes MAX_BLOCK_LENGTH unless its entries pass this first."""
+    entries = n * streams
+    if entries > MAX_MATRIX_ENTRIES:
+        raise BadParams(f"the scheme would have {entries} matrix entries, more than the limit of {MAX_MATRIX_ENTRIES}")
 
 
 def scheme_to_json(scheme: LinearScheme) -> dict:

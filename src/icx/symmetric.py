@@ -25,12 +25,13 @@ from .galois import (
 from .model import (
     Destination,
     Instance,
+    _check_generated_size,
     _x_network_instance,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
 )
-from .scheme import LinearScheme
+from .scheme import LinearScheme, check_scheme_size
 
 
 def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
@@ -44,6 +45,7 @@ def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
         raise BadParams(f"need 0 <= U <= D, got U={U}, D={D}")
     A = U + D
     if A == K - 1:
+        check_scheme_size(1, K)
         gf2 = PrimeField(2)
         one = Matrix.from_rows(gf2, [[1]])
         return LinearScheme(gf2, 1, {m: one for m in range(1, K + 1)})
@@ -54,6 +56,7 @@ def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
     if A > K - 3:
         raise BadParams(f"need U+D <= K-1, got K={K}, U={U}, D={D}")
     n = K - A + 2 * U
+    check_scheme_size(n, K * (U + 1))
     field = PrimeField(smallest_prime_at_least(K))
     z = mds_vector_family(K, n, field)
     V = {}
@@ -71,6 +74,7 @@ def build_interference_scheme(K: int, U: int, D: int) -> LinearScheme:
     """
     gen_neighboring_interference(K, U, D)  # validate parameters
     n = D + 1
+    check_scheme_size(n, K)
     gf2 = PrimeField(2)
     eye = Matrix.identity(gf2, n)
     V = {i: eye.take_cols([(i - 1) % n]) for i in range(1, K + 1)}
@@ -101,6 +105,7 @@ def build_x_scheme(K: int, L: int) -> LinearScheme:
     """Rate-2/(L(L+1)) identity-column scheme for gen_x_network(K, L)."""
     gen_x_network(K, L)  # validate parameters
     n = L * (L + 1) // 2
+    check_scheme_size(n, K * L)
     gf2 = PrimeField(2)
     eye = Matrix.identity(gf2, n)
     pattern = x_precoder_pattern(L)
@@ -119,8 +124,6 @@ def build_x_scheme(K: int, L: int) -> LinearScheme:
 
 
 class BuiltinExample(Record):
-    _fields = ("id", "instance", "scheme", "claimed_rate")
-
     def __init__(self, id: int, instance: Instance, scheme: LinearScheme, claimed_rate: Fraction):
         super().__init__(id, instance, scheme, claimed_rate)
 
@@ -227,4 +230,9 @@ def builtin_example(example_id: int, field: Field | None = None) -> BuiltinExamp
     builders = {1: _example1, 2: _example2, 3: _example3}
     if example_id not in builders:
         raise BadParams(f"example id must be 1, 2 or 3, got {example_id}")
-    return builders[example_id](field)
+    ex = builders[example_id](field)
+    # far below every cap, but held to them as the family builders are
+    inst, sch = ex.instance, ex.scheme
+    _check_generated_size(inst.num_messages, inst.num_destinations, sum(len(d.has) for d in inst.destinations))
+    check_scheme_size(sch.n, sum(v.cols for v in sch.V.values()) + sum(u.rows for u in sch.U.values()))
+    return ex

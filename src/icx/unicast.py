@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import Record, TranslationFailed
 from .galois import EchelonBasis, Matrix, Subspace
-from .model import Destination, Instance, instance_to_json, normalize_groupcast
+from .model import Destination, Instance, _check_generated_size, instance_to_json, normalize_groupcast
 from .scheme import LinearScheme, _independent_rows
 
 
@@ -26,8 +26,6 @@ def _copy_id(L: int, i: int, j: int) -> int:
 class UnicastMap(Record):
     """Original (normalized groupcast) instance, its unicast equivalent, and
     the (message, copy) -> transformed id correspondence."""
-
-    _fields = ("original", "transformed", "L", "source_destinations")
 
     def __init__(self, original: Instance, transformed: Instance, L: int, source_destinations: tuple):
         # source_destinations, per normalized destination: the pre-normalization
@@ -57,9 +55,15 @@ class UnicastMap(Record):
 
 
 def to_unicast(inst: Instance, L: int) -> UnicastMap:
-    """Construct the equivalent multiple unicast instance."""
+    """Construct the equivalent multiple unicast instance.  One past the
+    instance caps is refused (BadParams) before any destination is built."""
     norm, sources = normalize_groupcast(inst, L)
     M = norm.num_messages
+    # an auxiliary holds the (M - 1)(L + 1) ids outside its group; a copy whose groupcast
+    # destination holds h messages holds their h groups, the M - h other auxiliaries (its
+    # own among them) and its L - 1 siblings: hL + M + L - 1 ids
+    held = sum(len(d.has) for d in norm.destinations) * L + M * (M - 1) * (L + 1) + M * L * (M + L - 1)
+    _check_generated_size(M * (L + 1), M * (L + 1), held)
     # message i's group: its auxiliary and its copies, consecutive ids
     groups = [frozenset(range(_copy_id(L, i, 0), _copy_id(L, i + 1, 0))) for i in range(1, M + 1)]
     all_ids = frozenset(range(1, M * (L + 1) + 1))
@@ -159,8 +163,6 @@ def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
 class RankChainStep(Record):
     """One step of the intersection dimension chain for a message group: dim
     is the dimension of the first `copies_used` copies' intersection."""
-
-    _fields = ("message", "copies_used", "dim", "lower_bound", "slack")
 
     def __init__(self, message: int, copies_used: int, dim: int, lower_bound: int, slack: int):
         super().__init__(message, copies_used, dim, lower_bound, slack)

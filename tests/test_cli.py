@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,10 +15,12 @@ from icx.model import (
     FamilyTag,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
+    gen_x_network,
+    load_instance,
     save_instance,
     serialize_instance,
 )
-from icx.scheme import LinearScheme, save_scheme, scheme_from_json, serialize_scheme
+from icx.scheme import LinearScheme, load_scheme, save_scheme, scheme_from_json, serialize_scheme
 from icx.symmetric import build_antidote_scheme, build_interference_scheme
 
 from conftest import make_instance
@@ -816,6 +819,140 @@ def test_bounds_refuses_past_the_edge_cap_before_simple_bounds(tmp_path, capsys,
     message = "the alignment relation has 120 edges, more than the limit of 119"
     assert_one_line_error(*invoke(capsys, "bounds", path), 2, message)
     assert built == []
+
+
+def test_validate_refuses_a_file_past_the_held_entries(tmp_path, capsys, monkeypatch):
+    """Antidotes K=5 U=1 D=1 holds 10 messages in all: valid at a limit of 10, unread at 9."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    monkeypatch.setattr("icx.model.MAX_HELD_ENTRIES", 10)
+    assert invoke(capsys, "validate", path)[0] == 0
+    monkeypatch.setattr("icx.model.MAX_HELD_ENTRIES", 9)
+    assert_one_line_error(*invoke(capsys, "validate", path), 1, f"{path}: more than 9 side-information entries")
+
+
+def test_transform_counts_before_it_builds(tmp_path, capsys, monkeypatch):
+    """Antidotes K=5 U=1 D=1 at L = 1 becomes 10 messages whose destinations
+    hold 75 in all: printed at a limit of 75, refused at 74 before any of its
+    destinations is built."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    monkeypatch.setattr("icx.model.MAX_HELD_ENTRIES", 75)
+    code, out, _ = invoke(capsys, "transform", path, "--L", "1")
+    transformed = json.loads(out)["transformed"]
+    assert code == 0 and sum(len(d["has"]) for d in transformed["destinations"]) == 75
+    monkeypatch.setattr("icx.model.MAX_HELD_ENTRIES", 74)
+    built = []
+    monkeypatch.setattr("icx.unicast.Destination", lambda *args: built.append(args))
+    message = (
+        "the instance would have 10 messages, 10 destinations and 75 side-information entries; "
+        "the limits are 10000, 10000 and 74"
+    )
+    assert_one_line_error(*invoke(capsys, "transform", path, "--L", "1"), 2, message)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "inst, argv, message",
+    [
+        (lambda: gen_neighboring_antidotes(5001, 0, 0), ["transform", "{i}", "--L", "1"],
+         "the instance would have 10002 messages, 10002 destinations and 75020001 side-information entries"),
+        (lambda: gen_neighboring_antidotes(9000, 2, 2), ["transform", "{i}", "--L", "1"],
+         "the instance would have 18000 messages, 18000 destinations and 243018000 side-information entries"),
+        (lambda: gen_neighboring_antidotes(5, 0, 1), ["transform", "{i}", "--L", str(10**12)],
+         "the instance would have 5 messages, 5000000000000 destinations and 5000000000000 side-information"),
+        (lambda: make_instance(1000, [(set(range(1, 1001)), set())]), ["scheme", "--instance", "{i}", "--L", "1000"],
+         "the scheme would have 1001000 matrix entries, more than the limit of 1000000"),
+    ],
+    ids=["transform-K5001", "transform-K9000", "transform-L1e12", "scheme-instance-L1000"],
+)
+def test_verbs_on_an_instance_refuse_past_the_caps_within_a_second(tmp_path, capsys, inst, argv, message):
+    """transform counts the instance it would print, and scheme --instance the
+    scheme, before building either.  One destination wanting all of 1,000
+    messages is feasible at L = 1000 with 1,000 singleton subsets, so its
+    scalar scheme would take 1,000 MDS columns of length 1,001."""
+    path = write_instance(tmp_path, inst())
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *[a.format(i=path) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
+def _instance_sizes(obj) -> dict:
+    return {
+        "icx.model.MAX_MESSAGES": obj["messages"],
+        "icx.model.MAX_DESTINATIONS": len(obj["destinations"]),
+        "icx.model.MAX_HELD_ENTRIES": sum(len(d["has"]) for d in obj["destinations"]),
+    }
+
+
+def _scheme_sizes(obj) -> dict:
+    # MAX_BLOCK_LENGTH is left alone: within the instance caps no builder's n
+    # passes it unless its entries pass MAX_MATRIX_ENTRIES first
+    rows = [row for part in ("V", "U") for mat in obj.get(part, {}).values() for row in mat]
+    return {"icx.scheme.MAX_MATRIX_ENTRIES": sum(map(len, rows))}
+
+
+INSTANCE, SCHEME = (load_instance, _instance_sizes), (load_scheme, _scheme_sizes)
+FAMILY_SCHEME = {"scheme": SCHEME}
+# argv ({i}: the instance beside it, written to a file) -> each key of the output
+# that holds an instance or a scheme (None: the whole output), with its reader
+# and the sizes that its caps bound
+ARTEFACT_CASES = {
+    "gen-antidotes": (["gen", "--family", "antidotes", "--K", "7", "--U", "1", "--D", "2"], None, {None: INSTANCE}),
+    "gen-interference": (["gen", "--family", "interference", "--K", "6", "--U", "1", "--D", "2"], None, {None: INSTANCE}),
+    "gen-xnetwork": (["gen", "--family", "xnetwork", "--K", "6", "--L", "2"], None, {None: INSTANCE}),
+    "scheme-antidotes": (["scheme", "--family", "antidotes", "--K", "7", "--U", "1", "--D", "2"], None, FAMILY_SCHEME),
+    "scheme-antidotes-n2": (["scheme", "--family", "antidotes", "--K", "6", "--U", "1", "--D", "3"], None, FAMILY_SCHEME),
+    "scheme-antidotes-n1": (["scheme", "--family", "antidotes", "--K", "5", "--U", "2", "--D", "2"], None, FAMILY_SCHEME),
+    "scheme-interference": (["scheme", "--family", "interference", "--K", "6", "--U", "1", "--D", "2"], None, FAMILY_SCHEME),
+    "scheme-xnetwork": (["scheme", "--family", "xnetwork", "--K", "6", "--L", "2"], None, FAMILY_SCHEME),
+    "scheme-scalar": (
+        ["scheme", "--instance", "{i}", "--L", "2"],
+        make_instance(4, [({1, 2}, set()), ({1, 3}, {4}), ({2, 4}, {3})]),
+        {"scheme": SCHEME},
+    ),
+    "scheme-spread": (  # each destination holds the other four messages: five subsets, n = 4
+        ["scheme", "--instance", "{i}", "--construction", "spread"],
+        make_instance(5, [({k}, {1, 2, 3, 4, 5} - {k}) for k in range(1, 6)]),
+        {"scheme": SCHEME},
+    ),
+    "transform": (
+        ["transform", "{i}", "--L", "1"], gen_neighboring_antidotes(5, 1, 1), {"original": INSTANCE, "transformed": INSTANCE}
+    ),
+    "transform-L2": (["transform", "{i}", "--L", "2"], gen_x_network(6, 2), {"original": INSTANCE, "transformed": INSTANCE}),
+    **{f"example-{k}": (["example", str(k)], None, {"instance": INSTANCE, "scheme": SCHEME}) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("argv, inst, parts", ARTEFACT_CASES.values(), ids=ARTEFACT_CASES)
+def test_what_a_verb_writes_reads_back_at_and_around_each_cap(tmp_path, capsys, monkeypatch, argv, inst, parts):
+    """With each cap on what the verb writes set one below, at and one above
+    the size of its output: at or above, the verb writes a file whose parts
+    load_instance or load_scheme read back under the same cap; below, it exits
+    2 with one line and writes nothing."""
+    if inst is not None:
+        argv = [a.format(i=write_instance(tmp_path, inst)) for a in argv]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out)
+    sizes = {}
+    for key, (_, measure) in parts.items():
+        for cap, size in measure(obj if key is None else obj[key]).items():
+            sizes[cap] = max(size, sizes.get(cap, 0))
+    out_path, part_path = tmp_path / "out.json", tmp_path / "part.json"
+    for cap, size in sizes.items():
+        for limit in (size - 1, size, size + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(cap, limit)
+                code, out, err = invoke(capsys, *argv, "--out", str(out_path))
+                if limit < size:
+                    assert (code, out, len(err.splitlines()), out_path.exists()) == (2, "", 1, False), (cap, limit)
+                    continue
+                assert (code, out, err) == (0, "", ""), (cap, limit)
+                written = json.loads(out_path.read_text(encoding="utf-8"))
+                for key, (load, _) in parts.items():
+                    part_path.write_text(json.dumps(written if key is None else written[key]), encoding="utf-8")
+                    load(str(part_path))
+                out_path.unlink()
 
 
 @pytest.mark.parametrize("writer", ["--out", "save_instance", "save_scheme"])

@@ -323,3 +323,32 @@ def test_parse_rejects_bool_for_integer(template):
     parse_instance(template.replace("X", "1"))
     with pytest.raises(ParseError):
         parse_instance(template.replace("X", "true"))
+
+
+def test_instance_files_are_capped_on_side_information_entries(monkeypatch):
+    """Antidotes K=5 U=1 D=1 holds 10 messages in all: read at a limit of 10,
+    refused at 9 where the sum passes it, before the next destination is read."""
+    obj = instance_to_json(gen_neighboring_antidotes(5, 1, 1))
+    monkeypatch.setattr("icx.model.MAX_HELD_ENTRIES", 10)
+    assert parse_instance(json.dumps(obj)) == gen_neighboring_antidotes(5, 1, 1)
+    monkeypatch.setattr("icx.model.MAX_HELD_ENTRIES", 9)
+    obj["destinations"].append({"id": "not read"})
+    with pytest.raises(ParseError, match="^more than 9 side-information entries$"):
+        parse_instance(json.dumps(obj))
+
+
+def test_normalize_groupcast_counts_before_building(monkeypatch):
+    """Two virtual copies per message at L = 3: 6 destinations holding 6
+    messages; refused one short of either cap, and for L = 10^12 at once."""
+    inst = make_instance(2, [({1}, {2}), ({2}, {1})])
+    out, _ = normalize_groupcast(inst, 3)
+    assert (len(out.destinations), sum(len(d.has) for d in out.destinations)) == (6, 6)
+    for cap, value in (("MAX_DESTINATIONS", 6), ("MAX_HELD_ENTRIES", 6)):
+        monkeypatch.setattr(f"icx.model.{cap}", value)
+        assert normalize_groupcast(inst, 3)[0] == out
+        monkeypatch.setattr(f"icx.model.{cap}", value - 1)
+        with pytest.raises(BadParams, match="^the instance would have 2 messages, 6 destinations and 6 side-information"):
+            normalize_groupcast(inst, 3)
+        monkeypatch.undo()
+    with pytest.raises(BadParams, match="2000000000000 destinations and 2000000000000 side-information"):
+        normalize_groupcast(inst, 10**12)

@@ -3,6 +3,8 @@ hashing by fields within one class, never equal to a tuple, no assignment
 after construction, keyword construction, and each class's normalization."""
 
 import copy
+import functools
+import inspect
 import pickle
 from fractions import Fraction
 from types import MappingProxyType
@@ -11,7 +13,7 @@ import pytest
 
 from icx.alignment import AlignmentPartition, FeasibilityVerdict
 from icx.bounds import BoundCertificate
-from icx.errors import BadParams, DimensionMismatch, SchemeMalformed
+from icx.errors import BadParams, DimensionMismatch, Record, SchemeMalformed
 from icx.galois import BinaryField, Matrix, PrimeField, Subspace
 from icx.model import Destination, FamilyTag, Instance
 from icx.oracle import OracleResult
@@ -174,3 +176,60 @@ def test_alignment_partition_ignores_its_instance():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "AlignmentPartition(L=1, subsets=(frozenset({1}), frozenset({2})))"
     assert b.instance is other
+
+
+def _record_classes(cls=Record) -> list:
+    return [c for sub in cls.__subclasses__() if sub.__module__.startswith("icx.") for c in (sub, *_record_classes(sub))]
+
+
+def test_fields_are_the_init_parameters():
+    """Every record of the package is in CASES, and its fields are its
+    __init__ parameters in order, but for the partition's instance."""
+    assert sorted(c.__name__ for c in _record_classes()) == sorted(c.__name__ for c in CASES)
+    for cls in _record_classes():
+        params = [name for name in inspect.signature(cls.__init__).parameters if name != "self"]
+        if cls is AlignmentPartition:
+            params.remove("instance")
+        assert cls._fields == tuple(params), cls.__name__
+
+
+def _wrapped_init(cls):
+    """cls.__init__ behind a *args wrapper, as the benchmark's tracer wraps LinearScheme's."""
+    original = cls.__init__
+
+    @functools.wraps(original)
+    def wrapped(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    return wrapped
+
+
+def _hash(obj):
+    try:
+        return hash(obj)
+    except TypeError:
+        return None
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_an_init_wrapped_later_keeps_the_fields(monkeypatch, cls):
+    before, fields = cls(**CASES[cls]()), cls._fields
+    monkeypatch.setattr(cls, "__init__", _wrapped_init(cls))
+    after = cls(**CASES[cls]())
+    assert cls._fields == fields and after == before and _hash(after) == _hash(before)
+    assert repr(after) == repr(before)
+
+
+class Pair(Record):
+    def __init__(self, left, right=0):
+        total = left + right  # a local variable is not a field
+        super().__init__(left, total - left)
+
+
+def test_fields_are_read_when_the_class_is_made(monkeypatch):
+    """A record that names no _fields takes them from its own __init__ when
+    the class is made, and keeps them after a wrapper replaces it."""
+    assert Pair._fields == ("left", "right")
+    monkeypatch.setattr(Pair, "__init__", _wrapped_init(Pair))
+    assert Pair._fields == ("left", "right")
+    assert Pair(1, 2) == Pair(1, 2) != Pair(2, 1) and repr(Pair(1)) == "Pair(left=1, right=0)"

@@ -13,6 +13,7 @@ from icx.model import (
     gen_neighboring_interference,
     gen_x_network,
 )
+from icx.alignment import build_rate_half_vector_scheme, build_scalar_scheme
 from icx.scheme import LinearScheme, simulate_exhaustive, verify
 from icx.symmetric import (
     build_antidote_scheme,
@@ -285,3 +286,41 @@ def test_example2_simulates_both_fields():
 def test_example_invalid_id():
     with pytest.raises(BadParams):
         builtin_example(4)
+
+
+# ----------------------------------------------------------------------
+# scheme sizes, checked before anything is built
+# ----------------------------------------------------------------------
+
+BUILDS = {
+    "antidotes": lambda: build_antidote_scheme(7, 1, 2),
+    "antidotes-A=K-2": lambda: build_antidote_scheme(6, 1, 3),
+    "antidotes-A=K-1": lambda: build_antidote_scheme(5, 2, 2),
+    "interference": lambda: build_interference_scheme(6, 1, 2),
+    "xnetwork": lambda: build_x_scheme(6, 2),
+    "scalar": lambda: build_scalar_scheme(Instance(4, (
+        Destination(1, {1, 2}, ()), Destination(2, {1, 3}, {4}), Destination(3, {2, 4}, {3})
+    )), 2),
+    # five messages, each destination holding the other four: five alignment subsets, n = 4
+    "spread": lambda: build_rate_half_vector_scheme(
+        Instance(5, tuple(Destination(k, {k}, set(range(1, 6)) - {k}) for k in range(1, 6))), 1
+    ),
+    "example3": lambda: builtin_example(3).scheme,
+}
+
+
+def matrix_entries(sch: LinearScheme) -> int:
+    return sum(len(mat.entries) for part in (sch.V, sch.U or {}) for mat in part.values())
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+def test_builders_refuse_one_entry_past_the_cap(monkeypatch, build):
+    """Each builder counts its scheme's entries: built at a limit of exactly
+    that count, refused with BadParams one short of it."""
+    sch = build()
+    entries = matrix_entries(sch)
+    monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries)
+    assert build() == sch
+    monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries - 1)
+    with pytest.raises(BadParams, match=f"^the scheme would have {entries} matrix entries, more than the limit of {entries - 1}$"):
+        build()
