@@ -18,8 +18,9 @@ membership, greedy choices of rows or columns and the oracles' searches.
 Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
 are lists, with the field's own multiplication.  It back-substitutes only
 the rows a caller asks for, or every row once, and then reads any column
-subset's reduced form off it (``restrict``): ranks in rank-mode ``verify``,
-V-only simulation's error rows and decoder synthesis's left null spaces.
+subset's reduced form off the back-substituted basis (``restrict``): the
+walk rank-mode ``verify`` and V-only simulation share, which reads each
+destination's decodability off it, and decoder synthesis's left null spaces.
 ``_row_products`` packs a matrix's rows once for many products.
 """
 
@@ -423,20 +424,23 @@ class EchelonBasis:
         return self
 
     def restrict(self, cols: int) -> "EchelonBasis":
-        """For a basis of A's rows, one of A_cols's rows with its reduced form's
-        pivots, cols a bitmask of columns: the rows whose pivot is in cols, cut
-        (``row & mask``, over GF(2^m) a product with 0s and 1s), then the
-        others cut and added, 0 at the kept pivots if this is back-substituted."""
+        """For a back-substituted basis of A's rows, one of A_cols's rows with
+        its reduced form's pivots, cols a bitmask of columns: the rows whose
+        pivot is in cols, cut (``row & mask``, over GF(2^m) a product with 0s
+        and 1s), then the others cut and added.  Each of those is already 0
+        at the kept pivots, so it is reduced only against the rows added
+        before it.  The result is not back-substituted."""
         p, W, pack, _ = self._codec
         keep = [cols >> c & 1 for c in self.pivots]
         if p != 2 and keep:  # lanes of ones at cols, or a list of 0s and 1s
             cols = pack(_lane_codec(1, self.n)[1](cols)) * ((1 << W) - 1)
         cut = cols.__and__ if p else lambda row: list(map(operator.mul, row, cols))
         out = self.copy()
-        out.pivots, out.rows = list(compress(self.pivots, keep)), list(map(cut, compress(self.rows, keep)))
+        out.pivots, out.rows = [], []
         for row, kept in zip(self.rows, keep):
             if not kept:
                 out.add_row(cut(row))
+        out.pivots[:0], out.rows[:0] = compress(self.pivots, keep), map(cut, compress(self.rows, keep))
         return out
 
 

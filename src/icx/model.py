@@ -225,6 +225,18 @@ def gen_neighboring_interference(K: int, U: int, D: int) -> Instance:
     (D+1) must divide K so the periodic achievable scheme is consistent under
     wraparound; this is the finite-circular fidelity condition.
     """
+    _check_neighboring_interference(K, U, D)
+    dests = []
+    all_msgs = frozenset(range(1, K + 1))
+    for k in range(1, K + 1):
+        window = {_mod1(k + off, K) for off in range(-U, D + 1)}
+        dests.append(Destination(k, frozenset({k}), all_msgs - frozenset(window)))
+    return Instance(K, tuple(dests), FamilyTag.make("neighboring-interference", K=K, U=U, D=D))
+
+
+def _check_neighboring_interference(K: int, U: int, D: int):
+    """BadParams unless gen_neighboring_interference(K, U, D) would build,
+    without building it."""
     if not (0 <= U <= D):
         raise BadParams(f"need 0 <= U <= D, got U={U}, D={D}")
     if K < U + D + 1:
@@ -232,12 +244,6 @@ def gen_neighboring_interference(K: int, U: int, D: int) -> Instance:
     if K % (D + 1) != 0:
         raise BadParams(f"(D+1)={D + 1} must divide K={K}")
     _check_generated_size(K, K, K * (K - U - D - 1))
-    dests = []
-    all_msgs = frozenset(range(1, K + 1))
-    for k in range(1, K + 1):
-        window = {_mod1(k + off, K) for off in range(-U, D + 1)}
-        dests.append(Destination(k, frozenset({k}), all_msgs - frozenset(window)))
-    return Instance(K, tuple(dests), FamilyTag.make("neighboring-interference", K=K, U=U, D=D))
 
 
 def x_network_sets(K: int, L: int, k: int) -> tuple:
@@ -258,6 +264,12 @@ def gen_x_network(K: int, L: int) -> Instance:
     Requires (L+1) | K and K >= 2L so that the periodic precoder assignment
     and the decode-chain converse stay consistent on the finite circle.
     """
+    _check_x_network(K, L)
+    return _x_network_instance(K, L)
+
+
+def _check_x_network(K: int, L: int):
+    """BadParams unless gen_x_network(K, L) would build, without building it."""
     if L < 1:
         raise BadParams(f"need L >= 1, got L={L}")
     if K < 2 * L:
@@ -265,7 +277,6 @@ def gen_x_network(K: int, L: int) -> Instance:
     if K % (L + 1) != 0:
         raise BadParams(f"(L+1)={L + 1} must divide K={K}")
     _check_generated_size(K * L, K, K * (K * L - L * L))
-    return _x_network_instance(K, L)
 
 
 def _x_network_instance(K: int, L: int) -> Instance:

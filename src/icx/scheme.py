@@ -8,8 +8,11 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
   U_{m,k} V_m invertible, both read off one product of each row of
   U_{m,k} with [V_1 | ... | V_K], whose rows are packed once per call;
 * rank mode (V only): at each destination the desired columns are jointly
-  independent and rank [V_int | V_des] = rank V_int + rank V_des, both
-  ranks read off one reduced form of [V_1 | ... | V_K] per call.
+  independent and rank [V_int | V_des] = rank V_int + rank V_des.  That
+  holds exactly when every desired stream decodes, which one reduced form
+  of [V_1 | ... | V_K] per call, restricted once per destination to the
+  streams it does not hold, shows row by row; only a destination that fails
+  reads the two ranks, to name what fails.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one, reading every combiner off
@@ -21,7 +24,7 @@ seeded pseudorandom tuples.
 Both read their verdict off error rows per check (destination, message),
 built from the scheme alone: combiners applied to the interference, the
 checks decoder-mode ``verify`` walks, or, for V-only schemes, decodable or
-not, the collision map.  A tuple fails iff some check's rows are nonzero on
+not, the collision map, read off the walk rank-mode ``verify`` takes.  A tuple fails iff some check's rows are nonzero on
 it, so no tuples need enumerating: the first failing tuple is the unit tuple
 at the last stream some check reads.  The sampler draws from
 ``random.Random(seed)`` one tuple after another and stops at the first that
@@ -139,20 +142,19 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
         raise SchemeMalformed("decoder mode requires combining matrices")
     diags = []
     cols = _stream_columns(scheme)
-    masks, unheld = _column_masks(cols)
+    masks, unheld = _column_masks(cols, reverse=mode == "rank")
     if mode == "rank":
-        vfull = Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols])
-        echelon = None  # V's reduced form, made for the first destination that has interference
-        for d in inst.destinations:
-            vdes = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in sorted(d.wants)])
-            rank_des = vdes.rank()
-            if rank_des != vdes.cols:
+        for d, echelon, basis, wanted in _rank_checks(inst, scheme, cols, unheld):
+            if all(_decodes(row) for _, reads in wanted for row in reads):
+                continue
+            desired, unseen = sum(map(masks.__getitem__, d.wants)), unheld(d)
+            rank_des = echelon.restrict(desired).rank
+            if rank_des != desired.bit_count():
                 diags.append(Diagnostic("desired-rank", d.id))
-            desired = sum(map(masks.__getitem__, d.wants))
-            if interference := unheld(d) & ~desired:
-                echelon = echelon or _reduced_rows(vfull)
-                both = echelon.restrict(interference | desired)  # rank [V_int | V_des]; then rank V_int
-                if both.rank != rank_des + both.restrict(interference).rank:
+            if interference := unseen & ~desired:
+                # rank [V_int | V_des] is basis's, unless d also holds a message it wants
+                both = basis.rank if desired & unseen == desired else echelon.restrict(unseen | desired).rank
+                if both != rank_des + echelon.restrict(interference).rank:
                     diags.append(Diagnostic("resolvability", d.id))
     else:
         for k, m, rows, _, rank, leak in _decoder_checks(inst, scheme, cols, masks, unheld):
@@ -241,6 +243,35 @@ def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dic
             rank = int(block.entries != (0,)) if len(block.entries) == 1 else block.rank()
             leak = reduce(operator.or_, (nz for _, nz in rows), 0) & not_held & ~masks[m]
             yield d.id, m, rows, block, rank, leak
+
+
+def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
+    """Each destination d, in order, as V alone decides it: (d, echelon,
+    basis, wanted).  echelon is [V_1 | ... | V_K] reduced once per call with
+    its streams reversed (column c is stream total - 1 - c); basis is echelon
+    restricted to the streams d does not hold (``unheld``, over reversed
+    masks), R for short; wanted lists (m, reads) for each message d wants,
+    in id order, reads holding for each of m's streams its row of R
+    (``reduced_row``) if the stream is a pivot of R, else None.
+
+    A stream's symbol is a function of what d sees iff its unit vector is in
+    R's row space, iff R has it as a row: iff the stream is a pivot and its
+    row has no other nonzero entry (``_decodes``).  Every other entry of a
+    row sits at a free column of R, since R is 0 at the other pivots."""
+    total = sum(map(len, cols.values()))
+    vfull = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in cols])
+    echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
+    for d in inst.destinations:
+        basis = echelon.restrict(unheld(d))
+        row_of = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
+        reads = lambda m: [None if (i := row_of.get(t)) is None else basis.reduced_row(i) for t in cols[m]]
+        yield d, echelon, basis, [(m, reads(m)) for m in sorted(d.wants)]
+
+
+def _decodes(row) -> bool:
+    """Whether a stream with this read (``_rank_checks``) is decoded: a row
+    of R with its pivot as its only nonzero entry."""
+    return row is not None and len(row) - row.count(0) == 1
 
 
 def _reduced_rows(mat: Matrix) -> EchelonBasis:
@@ -387,12 +418,13 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
     s_i, 0 at every other free column and -R[j][s_i] at the pivot of row j,
     which R makes 0 unless that pivot comes after s_i in stream order: in
     stream order b_i leads with its 1.  So a desired stream's row is read
-    straight off R: -R[j][s_i] at each s_i if the stream is the pivot of row
-    j, and the unit vector at the stream itself if it is free.  V is reduced
-    once, all streams reversed (``back_substitute``); each destination's R
-    is that form restricted to its unheld streams (``restrict``), which
-    re-eliminates only the few rows whose pivots it holds, and a desired
-    stream's row of R is that basis's ``reduced_row``.
+    straight off R: -R[j][s] at every other column s if the stream is the
+    pivot of row j (nonzero only at free columns), and the unit vector at
+    the stream itself if it is free.  ``_rank_checks`` gives each destination's
+    R, which ``restrict`` reads off one back-substituted form of V per call,
+    and each desired stream's row of R.  A check whose streams all decode
+    has only zero rows: it gets support 0 and no rows, and only the checks
+    that fail build theirs.
     """
     f, total = scheme.field, sum(map(len, cols.values()))
     checks = []
@@ -405,24 +437,17 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
                 return _failure(cols, digits, 1, k, m)
             checks.append((k, m, [out for out, _ in rows], leak))
         return checks
-    # column c of the reduced form is stream total - 1 - c
-    echelon = _reduced_rows(Matrix.hstack_all(f, [scheme.V[m] for m in cols]).take_cols(range(total - 1, -1, -1)))
-    _, unheld_of = _column_masks(cols, reverse=True)
-    for d in inst.destinations:
-        unheld = unheld_of(d)
-        basis = echelon.restrict(unheld)
-        pivot_row = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
-        free = [(c, total - 1 - c) for c in range(total) if unheld >> c & 1 and total - 1 - c not in pivot_row]
-        for m in sorted(d.wants):
-            rows, support = [[0] * total for _ in cols[m]], 0
-            for row, t in zip(rows, cols[m]):
-                if t in pivot_row:
-                    reduced = basis.reduced_row(pivot_row[t])
-                    for c, s in free:
-                        row[s] = f.neg(reduced[c])
-                        support |= bool(reduced[c]) << s
-                else:
-                    row[t], support = 1, support | 1 << t
+    for d, _, _, wanted in _rank_checks(inst, scheme, cols, _column_masks(cols, reverse=True)[1]):
+        for m, reads in wanted:
+            if all(map(_decodes, reads)):
+                checks.append((d.id, m, (), 0))
+                continue
+            rows = []
+            for t, row in zip(cols[m], reads):
+                error = [0] * total if row is None else list(map(f.neg, row[::-1]))
+                error[t] = int(row is None)  # the free stream itself, or nothing at its own pivot
+                rows.append(error)
+            support = sum(1 << s for s in range(total) if any(error[s] for error in rows))
             checks.append((d.id, m, rows, support))
     return checks
 

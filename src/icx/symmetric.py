@@ -26,10 +26,10 @@ from .model import (
     Destination,
     Instance,
     _check_generated_size,
+    _check_neighboring_interference,
+    _check_x_network,
     _x_network_instance,
     gen_neighboring_antidotes,
-    gen_neighboring_interference,
-    gen_x_network,
 )
 from .scheme import LinearScheme, check_scheme_size
 
@@ -72,7 +72,7 @@ def build_interference_scheme(K: int, U: int, D: int) -> LinearScheme:
     Message i is sent on identity column (i-1) mod (D+1); the U up-interferers
     land on the same columns as U of the D down-interferers.
     """
-    gen_neighboring_interference(K, U, D)  # validate parameters
+    _check_neighboring_interference(K, U, D)
     n = D + 1
     check_scheme_size(n, K)
     gf2 = PrimeField(2)
@@ -103,7 +103,7 @@ def x_precoder_pattern(L: int) -> list:
 
 def build_x_scheme(K: int, L: int) -> LinearScheme:
     """Rate-2/(L(L+1)) identity-column scheme for gen_x_network(K, L)."""
-    gen_x_network(K, L)  # validate parameters
+    _check_x_network(K, L)
     n = L * (L + 1) // 2
     check_scheme_size(n, K * L)
     gf2 = PrimeField(2)

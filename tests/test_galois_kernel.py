@@ -308,6 +308,27 @@ def test_restricted_reduced_form_gives_left_null_spaces(field, r, c):
 @pytest.mark.parametrize(
     "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
 )
+def test_restrict_of_a_back_substituted_basis_is_the_cut_rows_reduced_form(field, r, c):
+    """``restrict`` takes a back-substituted basis, so each row it adds back
+    is reduced only against the rows added before it.  On the bases of
+    [A | J] above, back-substituted and restricted to no column, every
+    column and four random subsets, ``echelon_rows`` is the reference's
+    reduced form of [A | J] with every other column set to 0."""
+    rnd = random.Random(f"restrict precondition {field!r} {r} {c}")
+    for kind in KINDS:
+        rows = [[*row] + [0] * (r - 1 - i) + [1] + [0] * i for i, row in enumerate(random_rows(field, r, c, kind, rnd))]
+        basis = EchelonBasis(field, c + r, r)
+        basis.grow(rows)
+        basis.back_substitute()
+        for cols in (0, (1 << c + r) - 1, *(rnd.getrandbits(c + r) for _ in range(4))):
+            cut = [[e if cols >> j & 1 else 0 for j, e in enumerate(row)] for row in rows]
+            reduced, pivots = ref.rref(field, cut, c + r)
+            assert basis.restrict(cols).echelon_rows() == (reduced[: len(pivots)], pivots)
+
+
+@pytest.mark.parametrize(
+    "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
+)
 def test_left_nullspace_sizes_its_basis_for_its_rows(field, r, c, monkeypatch):
     """``left_nullspace`` of an r x c matrix adds one row of [A | J] per row
     of A and pops each that lands in J, so its basis of (c + r)-vectors is
@@ -386,9 +407,10 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
     """``Matrix.rank`` reads the size of a packed basis: it runs no full
     reduced form (``_rref``) and back-substitutes nothing.  Rank-mode
     ``verify`` reduces V once per call (one ``back_substitute``) and no
-    matrix per destination: each destination reads its two ranks off that
-    one form (``restrict``), and nothing runs ``_rref``, ``echelon_rows`` or
-    ``reduced_row``."""
+    matrix per destination: on a valid scheme each destination restricts
+    that one form once (``restrict``) and reads the row of each desired
+    stream once (``reduced_row``), and nothing runs ``_rref`` or
+    ``echelon_rows``."""
     calls = []
 
     def spying(owner, name):
@@ -410,9 +432,11 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
             assert m.rank() == ref.rank(field, m.row_list(), c)
     assert calls == []
     inst = gen_neighboring_antidotes(32, 2, 4)
-    report = verify(inst, build_antidote_scheme(32, 2, 4), mode="rank")
+    scheme = build_antidote_scheme(32, 2, 4)
+    report = verify(inst, scheme, mode="rank")
     assert report.valid and report.mode == "rank"
-    assert calls == ["back_substitute"] + ["restrict"] * (2 * len(inst.destinations))
+    streams = [sum(map(scheme.stream_count, d.wants)) for d in inst.destinations]
+    assert calls == ["back_substitute"] + [name for s in streams for name in ["restrict"] + ["reduced_row"] * s]
 
 
 # (field, rows, cols, lane bytes) for _row_products.  Over odd p a product

@@ -154,6 +154,20 @@ def test_rank_mode_diagnostics_pinned(field):
     assert not rep.valid and rep.mode == "rank"
 
 
+def test_rank_mode_when_a_destination_holds_a_message_it_wants():
+    """``validate`` refuses a message both wanted and held, but ``Instance``
+    takes it.  Rank mode then still counts that message's columns in V_des
+    and in [V_int | V_des], as the definition does, though no stream of it
+    is read off the restriction to the unheld streams."""
+    f = PrimeField(2)
+    inst = make_instance(2, [({1}, {1})])
+    for v2 in ((0, 1), (1, 0)):
+        scheme = LinearScheme(f, 2, {1: Matrix(f, 2, 1, (1, 0)), 2: Matrix(f, 2, 1, v2)})
+        rep = verify(inst, scheme, mode="rank")
+        assert rep == reference_verify.verify_rank(inst, scheme)
+        assert rep.valid == (v2 == (0, 1))
+
+
 PROPERTY_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), BinaryField(3)]
 
 
@@ -179,10 +193,12 @@ def unnormalized_case(rnd, field):
 def family_cases(rnd):
     """Family and example schemes, V only, each put in a random basis (T V,
     T invertible), then broken two ways: V_1 moved onto V_2's columns, and
-    one entry of V_1 changed."""
+    one entry of V_1 changed.  Antidotes K=24 U=1 D=3 over GF(29), n = 22,
+    is one of verify-large's benchmark schemes."""
     cases = [
         (gen_neighboring_antidotes(5, 0, 1), build_antidote_scheme(5, 0, 1)),
         (gen_neighboring_antidotes(7, 1, 2), build_antidote_scheme(7, 1, 2)),
+        (gen_neighboring_antidotes(24, 1, 3), build_antidote_scheme(24, 1, 3)),
         (gen_neighboring_interference(6, 1, 2), build_interference_scheme(6, 1, 2)),
         (gen_x_network(6, 2), build_x_scheme(6, 2)),
         *((ex.instance, ex.scheme) for ex in (builtin_example(1, BinaryField(3)), builtin_example(3, PrimeField(3)))),
@@ -223,7 +239,9 @@ def test_rank_mode_and_v_only_simulation_match_references(field, no_synthesis):
 def test_rank_mode_and_v_only_simulation_match_references_on_families(no_synthesis):
     """Family and example schemes in a random basis verify and simulate as
     the references say; moving V_1 onto V_2 breaks each, and so, on these
-    instances, may a changed entry."""
+    instances, may a changed entry.  Where the reference cannot enumerate,
+    exhaustive simulation past its default budget and sampled simulation
+    still pass exactly the schemes that verify."""
     rnd = random.Random("rank property families")
     seen = Counter()
     for inst, scheme, valid in family_cases(rnd):
@@ -231,11 +249,16 @@ def test_rank_mode_and_v_only_simulation_match_references_on_families(no_synthes
         assert rep == reference_verify.verify_rank(inst, scheme)
         assert valid is None or rep.valid == valid
         seen[rep.valid] += 1
-        if scheme.field.order ** sum(map(scheme.stream_count, scheme.V)) < 2**12:  # not the X network's
+        space = scheme.field.order ** sum(map(scheme.stream_count, scheme.V))
+        if space < 2**12:  # not the X network's or antidotes K=24's
             expected = reference.simulate_least(inst, scheme, reference.lexicographic_tuples(scheme))
             assert outcome(simulate_exhaustive(inst, scheme)) == expected
             seen["simulated"] += 1
-    assert seen[True] >= 6 and seen[False] >= 8 and seen["simulated"] == 9
+        else:
+            assert simulate_exhaustive(inst, scheme, budget=space).ok == rep.valid
+            assert simulate_sampled(inst, scheme, 50, seed=seen["lifted"]).ok == rep.valid
+            seen["lifted"] += 1
+    assert seen[True] >= 7 and seen[False] >= 10 and seen["simulated"] == 9 and seen["lifted"] == 12
 
 
 def _relabel(inst, scheme, relabel):
@@ -661,7 +684,9 @@ def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
     at a time.  On antidotes K=32 U=2 D=4 over GF(37) ``simulate_sampled``
     forms no full reduced form (``_rref``, ``echelon_rows``) and
     back-substitutes a row of a destination's basis only for a desired
-    stream at its pivot, each at most once: 96 rows of the 960."""
+    stream at its pivot, each at most once: 96 rows of the 960.  With V_1
+    moved onto V_2 the scheme fails, and the error rows of the checks that
+    fail are built from those same reads: still no row is read twice."""
     names, reduced = [], []
     rref, echelon_rows, reduced_row = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.reduced_row
     back_substitute, restrict = EchelonBasis.back_substitute, EchelonBasis.restrict
@@ -691,16 +716,19 @@ def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(EchelonBasis, "back_substitute", spy_back_substitute)
     monkeypatch.setattr(EchelonBasis, "restrict", spy_restrict)
     monkeypatch.setattr(EchelonBasis, "reduced_row", spy_reduced_row)
-    inst, scheme = gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4)
-    assert simulate_sampled(inst, scheme, 50, seed=0).ok
-    assert names == [("back_substitute", 96, scheme.n)] + ["restrict"] * len(inst.destinations)
-    rows = [(id(basis), i) for basis, i in reduced]
-    assert len(set(rows)) == len(rows)
-    per_basis = Counter(b for b, _ in rows)
-    assert len(per_basis) <= len(inst.destinations)
-    assert max(per_basis.values()) <= 3  # one wanted message of U + 1 streams
-    assert 0 < len(rows) <= sum(scheme.stream_count(m) for d in inst.destinations for m in d.wants)
-    assert len(rows) < sum(basis.rank for basis in {id(b): b for b, _ in reduced}.values())
+    inst, valid = gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4)
+    for scheme in (valid, LinearScheme(valid.field, valid.n, {**valid.V, 1: valid.V[2]})):
+        rank = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in scheme.message_ids()]).rank()
+        names.clear(), reduced.clear()
+        assert simulate_sampled(inst, scheme, 50, seed=0).ok == (scheme is valid)
+        assert names == [("back_substitute", 96, rank)] + ["restrict"] * len(inst.destinations)
+        rows = [(id(basis), i) for basis, i in reduced]
+        assert len(set(rows)) == len(rows)
+        per_basis = Counter(b for b, _ in rows)
+        assert len(per_basis) <= len(inst.destinations)
+        assert max(per_basis.values()) <= 3  # one wanted message of U + 1 streams
+        assert 0 < len(rows) <= sum(scheme.stream_count(m) for d in inst.destinations for m in d.wants)
+        assert len(rows) < sum(basis.rank for basis in {id(b): b for b, _ in reduced}.values())
 
 
 def desired_pivot_with_free_entries(inst, scheme):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import icx.model
+import icx.symmetric
 from icx.errors import BadParams
 from icx.galois import BinaryField, Matrix, PrimeField
 from icx.model import (
@@ -324,3 +326,38 @@ def test_builders_refuse_one_entry_past_the_cap(monkeypatch, build):
     monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries - 1)
     with pytest.raises(BadParams, match=f"^the scheme would have {entries} matrix entries, more than the limit of {entries - 1}$"):
         build()
+
+
+# (builder, its generator's name, good parameters, bad parameters each): the
+# interference and X builders check their family's parameters and instance
+# size as the generator does, with the same messages, and build no instance.
+FAMILY_CHECKS = [
+    (build_interference_scheme, "gen_neighboring_interference", (1200, 0, 2),
+     [(8, 0, 2), (6, 2, 1), (3, 1, 2), (4001, 0, 0)]),
+    (build_x_scheme, "gen_x_network", (600, 2), [(6, 0), (3, 2), (7, 2), (4000, 1)]),
+]
+
+
+@pytest.mark.parametrize("build, generator, good, bads", FAMILY_CHECKS, ids=["interference", "xnetwork"])
+def test_family_builders_validate_without_generating(monkeypatch, build, generator, good, bads):
+    """A builder refuses exactly what its generator refuses, with the same
+    message, past the instance caps included; with the generators replaced
+    by ones that fail, it still builds, so it never generates the instance
+    only to check its parameters."""
+    real = getattr(icx.model, generator)
+    expected = {}
+    for bad in bads:
+        with pytest.raises(BadParams) as refused:
+            real(*bad)
+        expected[bad] = str(refused.value)
+
+    def fail(*args):
+        raise AssertionError(f"{generator}{args} called")
+
+    for module in (icx.model, icx.symmetric):
+        monkeypatch.setattr(module, generator, fail, raising=False)
+    assert isinstance(build(*good), LinearScheme)
+    for bad in bads:
+        with pytest.raises(BadParams) as refused:
+            build(*bad)
+        assert str(refused.value) == expected[bad]
