@@ -11,8 +11,8 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
   independent and rank [V_int | V_des] = rank V_int + rank V_des.  That
   holds exactly when every desired stream decodes, which one reduced form
   of [V_1 | ... | V_K] per call, restricted once per destination to the
-  streams it does not hold, shows row by row; only a destination that fails
-  reads the two ranks, to name what fails.
+  streams it does not hold or wants, shows row by row; only a destination
+  that fails reads the two ranks, to name what fails.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one, reading every combiner off
@@ -24,9 +24,10 @@ seeded pseudorandom tuples.
 Both read their verdict off error rows per check (destination, message),
 built from the scheme alone: combiners applied to the interference, the
 checks decoder-mode ``verify`` walks, or, for V-only schemes, decodable or
-not, the collision map, read off the walk rank-mode ``verify`` takes.  A tuple fails iff some check's rows are nonzero on
-it, so no tuples need enumerating: the first failing tuple is the unit tuple
-at the last stream some check reads.  The sampler draws from
+not, the collision map, read off the walk rank-mode ``verify`` takes.  A
+tuple fails iff some check's rows are nonzero on it, so no tuples need
+enumerating: the first failing tuple is the unit tuple at the last stream
+some check reads.  The sampler draws from
 ``random.Random(seed)`` one tuple after another and stops at the first that
 fails, so a seed always reports the same failing tuple.
 """
@@ -144,17 +145,23 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
     cols = _stream_columns(scheme)
     masks, unheld = _column_masks(cols, reverse=mode == "rank")
     if mode == "rank":
-        for d, echelon, basis, wanted in _rank_checks(inst, scheme, cols, unheld):
+        f, desired_of = scheme.field, lambda d: sum(map(masks.__getitem__, d.wants))
+        for d, basis, wanted in _rank_checks(inst, scheme, cols, lambda d: unheld(d) | desired_of(d)):
             if all(_decodes(row) for _, reads in wanted for row in reads):
                 continue
-            desired, unseen = sum(map(masks.__getitem__, d.wants)), unheld(d)
-            rank_des = echelon.restrict(desired).rank
+            desired = desired_of(d)
+            rank_des = Matrix.hstack_all(f, [scheme.V[m] for m in sorted(d.wants)]).rank()
             if rank_des != desired.bit_count():
                 diags.append(Diagnostic("desired-rank", d.id))
-            if interference := unseen & ~desired:
-                # rank [V_int | V_des] is basis's, unless d also holds a message it wants
-                both = basis.rank if desired & unseen == desired else echelon.restrict(unseen | desired).rank
-                if both != rank_des + echelon.restrict(interference).rank:
+            if interference := unheld(d) & ~desired:
+                # R's rank is rank [V_int | V_des].  Cut to V_int, its reduced rows
+                # with pivots there stay independent; those with desired pivots are
+                # 0 at every pivot, so they add only the rank of their cuts.
+                des_rows = [row for _, reads in wanted for row in reads if row is not None]
+                at = [c for c in range(interference.bit_length()) if interference >> c & 1]
+                cuts = Matrix._trusted(f, len(des_rows), len(at), tuple(row[c] for row in des_rows for c in at))
+                rank_int = basis.rank - len(des_rows) + cuts.rank()
+                if basis.rank != rank_des + rank_int:
                     diags.append(Diagnostic("resolvability", d.id))
     else:
         for k, m, rows, _, rank, leak in _decoder_checks(inst, scheme, cols, masks, unheld):
@@ -245,14 +252,16 @@ def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dic
             yield d.id, m, rows, block, rank, leak
 
 
-def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
-    """Each destination d, in order, as V alone decides it: (d, echelon,
-    basis, wanted).  echelon is [V_1 | ... | V_K] reduced once per call with
-    its streams reversed (column c is stream total - 1 - c); basis is echelon
-    restricted to the streams d does not hold (``unheld``, over reversed
-    masks), R for short; wanted lists (m, reads) for each message d wants,
-    in id order, reads holding for each of m's streams its row of R
-    (``reduced_row``) if the stream is a pivot of R, else None.
+def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unseen):
+    """Each destination d, in order, as V alone decides it: (d, basis,
+    wanted).  basis is [V_1 | ... | V_K], reduced once per call with its
+    streams reversed (column c is stream total - 1 - c), restricted to the
+    streams taken as unknown at d, the reversed bitmask ``unseen(d)``: those
+    d does not hold, and for rank-mode ``verify`` also those d wants, held
+    or not, so that it spans [V_int | V_des]'s rows.  R for short.  wanted
+    lists (m, reads) for each message d wants, in id order, reads holding
+    for each of m's streams its row of R (``reduced_row``) if the stream is
+    a pivot of R, else None.
 
     A stream's symbol is a function of what d sees iff its unit vector is in
     R's row space, iff R has it as a row: iff the stream is a pivot and its
@@ -262,10 +271,10 @@ def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
     vfull = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in cols])
     echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
     for d in inst.destinations:
-        basis = echelon.restrict(unheld(d))
+        basis = echelon.restrict(unseen(d))
         row_of = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
         reads = lambda m: [None if (i := row_of.get(t)) is None else basis.reduced_row(i) for t in cols[m]]
-        yield d, echelon, basis, [(m, reads(m)) for m in sorted(d.wants)]
+        yield d, basis, [(m, reads(m)) for m in sorted(d.wants)]
 
 
 def _decodes(row) -> bool:
@@ -437,7 +446,7 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
                 return _failure(cols, digits, 1, k, m)
             checks.append((k, m, [out for out, _ in rows], leak))
         return checks
-    for d, _, _, wanted in _rank_checks(inst, scheme, cols, _column_masks(cols, reverse=True)[1]):
+    for d, _, wanted in _rank_checks(inst, scheme, cols, _column_masks(cols, reverse=True)[1]):
         for m, reads in wanted:
             if all(map(_decodes, reads)):
                 checks.append((d.id, m, (), 0))

@@ -157,8 +157,8 @@ def test_rank_mode_diagnostics_pinned(field):
 def test_rank_mode_when_a_destination_holds_a_message_it_wants():
     """``validate`` refuses a message both wanted and held, but ``Instance``
     takes it.  Rank mode then still counts that message's columns in V_des
-    and in [V_int | V_des], as the definition does, though no stream of it
-    is read off the restriction to the unheld streams."""
+    and in [V_int | V_des], as the definition does: its walk takes the
+    wanted streams as unknown, held or not."""
     f = PrimeField(2)
     inst = make_instance(2, [({1}, {1})])
     for v2 in ((0, 1), (1, 0)):
