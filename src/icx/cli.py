@@ -79,13 +79,9 @@ def _build_parser():
         p.add_argument("--D", type=int, default=0)
         p.add_argument("--L", type=int, default=1)
 
-    def add_budget_and_sample(p):
-        p.add_argument("--budget", type=_positive_int)
+    def add_sample(p):
         p.add_argument(
-            "--sample",
-            type=_positive_int,
-            metavar="N",
-            help="when the tuple space exceeds the budget, check N seeded random tuples instead",
+            "--sample", type=_positive_int, metavar="N", help="check N seeded random tuples, not every tuple"
         )
 
     p = sub.add_parser("gen", help="generate a symmetric family instance")
@@ -112,7 +108,7 @@ def _build_parser():
     )
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    add_budget_and_sample(p)
+    add_sample(p)
     add_out(p)
 
     p = sub.add_parser("verify", help="verify a scheme file against an instance file")
@@ -124,7 +120,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="exhaustive zero-error simulation")
     p.add_argument("instance")
     p.add_argument("scheme")
-    add_budget_and_sample(p)
+    add_sample(p)
     add_out(p)
 
     p = sub.add_parser("transform", help="groupcast -> equivalent multiple unicast")
@@ -157,7 +153,6 @@ def _build_parser():
     p.add_argument("--field", type=_parse_field, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--budget", type=_positive_int)
     add_out(p)
 
     return top
@@ -220,30 +215,20 @@ def _cmd_scheme(args):
         if not report.valid:
             code = EXIT_NEGATIVE
     if args.simulate:
-        try:
-            out["simulation"], ok = _simulate(target, built, args)
-        except BudgetExceeded as exc:
-            out["simulation"] = {"error": str(exc)}
-            return out, EXIT_BUDGET
+        out["simulation"], ok = _simulate(target, built, args)
         if not ok:
             code = EXIT_NEGATIVE
     return out, code
 
 
 def _simulate(inst, sch, args):
-    """Exhaustive simulation, or --sample N seeded tuples past the budget.
-
-    Returns the result's JSON, labelled with its mode, and whether it passed;
-    raises BudgetExceeded past the budget without --sample.
-    """
+    """Exhaustive simulation, or with --sample N that many seeded tuples:
+    the result's JSON, labelled with its mode, and whether it passed."""
     from . import scheme as schemes
 
-    budget = _given(budget=args.budget)
-    try:
-        result, mode = schemes.simulate_exhaustive(inst, sch, **budget), "exhaustive"
-    except BudgetExceeded:
-        if args.sample is None:
-            raise
+    if args.sample is None:
+        result, mode = schemes.simulate_exhaustive(inst, sch), "exhaustive"
+    else:
         result, mode = schemes.simulate_sampled(inst, sch, args.sample), "sampled"
     return dict(result.to_json(), mode=mode), result.ok
 
@@ -335,7 +320,7 @@ def _cmd_example(args):
         if not report.valid:
             code = EXIT_NEGATIVE
     if args.simulate:
-        result = schemes.simulate_exhaustive(ex.instance, ex.scheme, **_given(budget=args.budget))
+        result = schemes.simulate_exhaustive(ex.instance, ex.scheme)
         out["simulation"] = result.to_json()
         if not result.ok:
             code = EXIT_NEGATIVE

@@ -98,7 +98,7 @@ def validate(inst: Instance) -> list:
         out.append("duplicate destination ids")
     valid = set(range(1, inst.num_messages + 1))
     for d in inst.destinations:
-        for m in sorted((d.wants | d.has) - valid):
+        for m in sorted((d.wants - valid) | (d.has - valid)):  # no union of the large sets
             out.append(f"destination {d.id}: unknown message id {m}")
         if not d.wants:
             out.append(f"destination {d.id}: desires no message")

@@ -11,15 +11,15 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
   independent and rank [V_int | V_des] = rank V_int + rank V_des.  That
   holds exactly when every desired stream decodes, which one reduced form
   of [V_1 | ... | V_K] per call, restricted once per destination to the
-  streams it does not hold or wants, shows row by row; only a destination
-  that fails reads the two ranks, to name what fails.
+  streams it does not hold, shows row by row; only a destination that
+  fails reads the two ranks, to name what fails.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one, reading every combiner off
 one reduced form of [V_1 | ... | V_K | J] per call.  ``simulate_exhaustive`` is
 the ground-truth check: it decides, for every message tuple, whether each
-destination decodes what it wants.  ``simulate_sampled`` does the same for
-seeded pseudorandom tuples.
+destination decodes what it wants.  ``simulate_sampled``, a weaker check
+run only on request, does the same for seeded pseudorandom tuples.
 
 Both read their verdict off error rows per check (destination, message),
 built from the scheme alone: combiners applied to the interference, the
@@ -45,7 +45,6 @@ from typing import Mapping, Optional
 
 from .errors import (
     BadParams,
-    BudgetExceeded,
     NoDecoderExists,
     ParseError,
     Record,
@@ -59,9 +58,7 @@ from .errors import (
     write_file,
 )
 from .galois import EchelonBasis, Field, Matrix, _row_products, field_from_json
-from .model import Instance, check_family
-
-DEFAULT_SIMULATION_BUDGET = 2**24
+from .model import Instance, _require_valid, check_family
 
 
 class LinearScheme(Record):
@@ -125,6 +122,9 @@ class VerificationReport(Record):
 
 
 def _check_scheme_matches(inst: Instance, scheme: LinearScheme):
+    """BadParams for an instance ``validate`` refuses, SchemeMalformed for a
+    scheme that does not cover exactly its messages."""
+    _require_valid(inst)
     msgs = set(range(1, inst.num_messages + 1))
     if set(scheme.V) != msgs:
         raise SchemeMalformed(
@@ -145,11 +145,11 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
     cols = _stream_columns(scheme)
     masks, unheld = _column_masks(cols, reverse=mode == "rank")
     if mode == "rank":
-        f, desired_of = scheme.field, lambda d: sum(map(masks.__getitem__, d.wants))
-        for d, basis, wanted in _rank_checks(inst, scheme, cols, lambda d: unheld(d) | desired_of(d)):
+        f = scheme.field
+        for d, basis, wanted in _rank_checks(inst, scheme, cols, unheld):
             if all(_decodes(row) for _, reads in wanted for row in reads):
                 continue
-            desired = desired_of(d)
+            desired = sum(map(masks.__getitem__, d.wants))
             rank_des = Matrix.hstack_all(f, [scheme.V[m] for m in sorted(d.wants)]).rank()
             if rank_des != desired.bit_count():
                 diags.append(Diagnostic("desired-rank", d.id))
@@ -252,16 +252,15 @@ def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dic
             yield d.id, m, rows, block, rank, leak
 
 
-def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unseen):
+def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
     """Each destination d, in order, as V alone decides it: (d, basis,
     wanted).  basis is [V_1 | ... | V_K], reduced once per call with its
     streams reversed (column c is stream total - 1 - c), restricted to the
-    streams taken as unknown at d, the reversed bitmask ``unseen(d)``: those
-    d does not hold, and for rank-mode ``verify`` also those d wants, held
-    or not, so that it spans [V_int | V_des]'s rows.  R for short.  wanted
-    lists (m, reads) for each message d wants, in id order, reads holding
-    for each of m's streams its row of R (``reduced_row``) if the stream is
-    a pivot of R, else None.
+    streams d does not hold, the reversed bitmask ``unheld(d)``.  A valid
+    instance holds no wanted stream, so it spans [V_int | V_des]'s rows.  R
+    for short.  wanted lists (m, reads) for each message d wants, in id
+    order, reads holding for each of m's streams its row of R
+    (``reduced_row``) if the stream is a pivot of R, else None.
 
     A stream's symbol is a function of what d sees iff its unit vector is in
     R's row space, iff R has it as a row: iff the stream is a pivot and its
@@ -271,7 +270,7 @@ def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unseen):
     vfull = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in cols])
     echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
     for d in inst.destinations:
-        basis = echelon.restrict(unseen(d))
+        basis = echelon.restrict(unheld(d))
         row_of = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
         reads = lambda m: [None if (i := row_of.get(t)) is None else basis.reduced_row(i) for t in cols[m]]
         yield d, basis, [(m, reads(m)) for m in sorted(d.wants)]
@@ -320,9 +319,7 @@ class SimulationResult(Record):
         return out
 
 
-def simulate_exhaustive(
-    inst: Instance, scheme: LinearScheme, budget: int = DEFAULT_SIMULATION_BUDGET
-) -> SimulationResult:
+def simulate_exhaustive(inst: Instance, scheme: LinearScheme) -> SimulationResult:
     """Decide, for every message tuple, whether each destination decodes it.
 
     Tuples are ordered lexicographically (message 1's first stream is the
@@ -347,15 +344,12 @@ def simulate_exhaustive(
     q = scheme.field.order
     cols = _stream_columns(scheme)
     total = sum(map(len, cols.values()))
-    space = q**total
-    if space > budget:
-        raise BudgetExceeded(f"{q}^{total} = {space} tuples exceed budget {budget}")
     checks = _error_map(inst, scheme, cols)
     if isinstance(checks, SimulationResult):
         return checks
     union = reduce(operator.or_, (support for *_, support in checks), 0)
     if not union:
-        return SimulationResult(True, space)
+        return SimulationResult(True, q**total)
     s = union.bit_length() - 1
     k, m = next((k, m) for k, m, _, support in checks if support >> s & 1)
     return _failure(cols, [int(t == s) for t in range(total)], q ** (total - 1 - s) + 1, k, m)
@@ -366,8 +360,8 @@ def simulate_sampled(
 ) -> SimulationResult:
     """Encode/decode a deterministic pseudorandom sample of message tuples.
 
-    The fallback for spaces beyond the exhaustive budget: a passing result
-    means no counterexample among `count` sampled tuples, nothing more.
+    A weaker check than ``simulate_exhaustive``, run on request: a passing
+    result means no counterexample among `count` sampled tuples, nothing more.
     ``random.Random(seed)`` draws each tuple's digits in stream order, one
     tuple after another, so a seed always checks the same tuples.  Each is
     judged by the checks of ``simulate_exhaustive``; if every support is
@@ -509,11 +503,11 @@ def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
     The tag's K, U and D are used only once ``check_family`` has confirmed
     that the instance is that family.
     """
+    _check_scheme_matches(inst, scheme)
     fam = inst.family
     if fam is None or fam.kind != "neighboring-antidotes":
         raise UnsupportedFamily("dimension audit requires the neighboring-antidotes family tag")
     check_family(inst)
-    _check_scheme_matches(inst, scheme)
     K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
     A = U + D
     jmax = K - A - 1

@@ -101,7 +101,7 @@ def test_sample_must_be_positive(tmp_path, capsys, verb, value):
         inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
         inst_path.write_text(json.dumps(ex["instance"]) + "\n", encoding="utf-8")
         scheme_path.write_text(json.dumps(ex["scheme"]) + "\n", encoding="utf-8")
-        argv = ["simulate", str(inst_path), str(scheme_path), "--budget", "1"]
+        argv = ["simulate", str(inst_path), str(scheme_path)]
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--sample", value])
     assert exc.value.code == 2
@@ -111,13 +111,53 @@ def test_sample_must_be_positive(tmp_path, capsys, verb, value):
     assert "Traceback" not in captured.err
 
 
-def test_scheme_simulate_budget_exit(capsys):
+def test_scheme_simulate_answers_every_tuple(capsys):
+    """11^16 tuples: simulation decides them all exactly, with no budget."""
     code, out, _ = invoke(
         capsys,
         "scheme", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2",
         "--verify", "--simulate",
     )
-    assert code == 3
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["simulation"] == {"ok": True, "tuples_checked": 11**16, "mode": "exhaustive"}
+
+
+def test_sample_is_a_request(capsys):
+    """--sample samples even where every tuple could be checked: 2^6 here."""
+    code, out, _ = invoke(
+        capsys, "scheme", "--family", "interference", "--K", "6", "--U", "0", "--D", "1",
+        "--simulate", "--sample", "10",
+    )
+    assert code == 0
+    assert json.loads(out)["simulation"] == {"ok": True, "tuples_checked": 10, "mode": "sampled"}
+
+
+def test_simulate_antidotes_k32_exactly(tmp_path, capsys):
+    """Antidotes K=32 U=2 D=4 over GF(37), 96 streams: 37^96 tuples, each
+    decided, and with V_1 moved onto V_2 the first counterexample, which
+    ``verify`` places at the same destination."""
+    inst_path, scheme_path = str(tmp_path / "inst.json"), str(tmp_path / "scheme.json")
+    save_instance(gen_neighboring_antidotes(32, 2, 4), inst_path)
+    built = build_antidote_scheme(32, 2, 4)
+    save_scheme(built, scheme_path)
+    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path)
+    assert (code, err) == (0, "")
+    assert f'"tuples_checked": {37**96}' in out
+    assert json.loads(out) == {"ok": True, "tuples_checked": 37**96, "mode": "exhaustive"}
+    save_scheme(LinearScheme(built.field, built.n, {**built.V, 1: built.V[2]}), scheme_path)
+    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path)
+    obj = json.loads(out)
+    assert (code, err, obj["ok"], obj["mode"], obj["destination"], obj["message"]) == (1, "", False, "exhaustive", 4, 4)
+    code, out, _ = invoke(capsys, "verify", inst_path, scheme_path)
+    assert code == 1 and "resolvability, destination 4" in json.loads(out)["diagnostics"]
+
+
+def test_example_3_over_gf5_simulates(capsys):
+    """Example 3 over GF(5) has 5^15 tuples, all decided."""
+    code, out, _ = invoke(capsys, "example", "3", "--field", "p=5", "--simulate")
+    assert code == 0
+    assert json.loads(out)["simulation"] == {"ok": True, "tuples_checked": 5**15}
 
 
 def test_scheme_small_family_exhaustive(capsys):
@@ -224,7 +264,7 @@ def test_verify_and_bounds_do_not_load_numpy(tmp_path):
         "from icx.cli import run\n"
         "i, s = sys.argv[1:]\n"
         "codes = [run(['verify', i, s]), run(['verify', i, s, '--mode', 'rank']), run(['bounds', i]),\n"
-        "         run(['simulate', i, s, '--sample', '100']), run(['simulate', i, s, '--budget', str(11**16)]),\n"
+        "         run(['simulate', i, s, '--sample', '100']), run(['simulate', i, s]),\n"
         "         run(['example', '1', '--simulate'])]\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
@@ -257,7 +297,7 @@ def loaded_modules(argv):
 
 @pytest.fixture(scope="module")
 def interference_files(tmp_path_factory):
-    """Interference K=6 U=0 D=1: feasible at L=1, and its scheme simulates within the budget."""
+    """Interference K=6 U=0 D=1: feasible at L=1, with a scheme of 2^6 tuples."""
     tmp = tmp_path_factory.mktemp("interference")
     inst_path, scheme_path = str(tmp / "inst.json"), str(tmp / "scheme.json")
     save_instance(gen_neighboring_interference(6, 0, 1), inst_path)
@@ -590,18 +630,18 @@ def test_sampled_v_only_collision_exit_1(tmp_path, capsys):
     save_scheme(LinearScheme(built.field, built.n, {**built.V, 1: built.V[2]}), scheme_path)
     code, out, err = invoke(capsys, "simulate", inst_path, scheme_path)
     assert (code, err, json.loads(out)["ok"]) == (1, "", False)
-    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path, "--budget", "1", "--sample", "10")
+    code, out, err = invoke(capsys, "simulate", inst_path, scheme_path, "--sample", "10")
     assert (code, err) == (1, "")
     obj = json.loads(out)
     assert obj["mode"] == "sampled" and obj["ok"] is False and obj["tuples_checked"] <= 10
 
 
-BUDGET_CALLS = {
+SIMULATE_CALLS = {
     "simulate": ["simulate", "{i}", "{s}"],
     "scheme": ["scheme", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2", "--simulate"],
     "example": ["example", "1", "--simulate"],
-    "oracle": ["oracle", "{i}", "--minrank"],
 }
+BUDGET_CALLS = {"oracle": ["oracle", "{i}", "--minrank"]}
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -616,6 +656,19 @@ def test_budget_must_be_positive(interference_files, capsys, verb, value):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].endswith(f"argument --budget: expected an integer >= 1, got '{value}'")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("verb", sorted(SIMULATE_CALLS))
+def test_simulation_takes_no_budget(interference_files, capsys, verb):
+    """Simulation searches nothing, so its verbs have no --budget to pass."""
+    inst_path, scheme_path = interference_files
+    argv = [a.format(i=inst_path, s=scheme_path) for a in SIMULATE_CALLS[verb]]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--budget", "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("unrecognized arguments: --budget 100")
 
 
 @pytest.mark.parametrize("q", ["0", "1"])

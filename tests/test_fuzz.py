@@ -187,7 +187,7 @@ def test_mutated_files_through_verify_and_simulate(tmp_path, texts):
     for name, argv in [
         ("verify", ["verify", *files]),
         ("exhaustive", ["simulate", *files]),
-        ("sampled", ["simulate", *files, "--budget", "1", "--sample", "5"]),
+        ("sampled", ["simulate", *files, "--sample", "5"]),
     ]:
         code, out, err = call(argv)
         assert code in (0, 1, 2, 3), (name, code)

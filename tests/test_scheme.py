@@ -15,7 +15,6 @@ from icx import galois
 from icx import scheme as scheme_module
 from icx.errors import (
     BadParams,
-    BudgetExceeded,
     NoDecoderExists,
     ParseError,
     SchemeMalformed,
@@ -30,6 +29,7 @@ from icx.model import (
     gen_neighboring_interference,
     gen_x_network,
 )
+from icx.oracle import best_scalar_scheme, minrank_gf2
 from icx.scheme import (
     LinearScheme,
     dimension_audit,
@@ -154,18 +154,27 @@ def test_rank_mode_diagnostics_pinned(field):
     assert not rep.valid and rep.mode == "rank"
 
 
-def test_rank_mode_when_a_destination_holds_a_message_it_wants():
-    """``validate`` refuses a message both wanted and held, but ``Instance``
-    takes it.  Rank mode then still counts that message's columns in V_des
-    and in [V_int | V_des], as the definition does: its walk takes the
-    wanted streams as unknown, held or not."""
-    f = PrimeField(2)
-    inst = make_instance(2, [({1}, {1})])
-    for v2 in ((0, 1), (1, 0)):
-        scheme = LinearScheme(f, 2, {1: Matrix(f, 2, 1, (1, 0)), 2: Matrix(f, 2, 1, v2)})
-        rep = verify(inst, scheme, mode="rank")
-        assert rep == reference_verify.verify_rank(inst, scheme)
-        assert rep.valid == (v2 == (0, 1))
+F2_UNIT_SCHEME = LinearScheme(PrimeField(2), 2, {m: Matrix(PrimeField(2), 2, 1, (m == 1, m == 2)) for m in (1, 2)})
+INSTANCE_CHECKS = {
+    "verify": lambda inst: verify(inst, F2_UNIT_SCHEME),
+    "synthesize_decoders": lambda inst: synthesize_decoders(inst, F2_UNIT_SCHEME),
+    "simulate_exhaustive": lambda inst: simulate_exhaustive(inst, F2_UNIT_SCHEME),
+    "simulate_sampled": lambda inst: simulate_sampled(inst, F2_UNIT_SCHEME, 10),
+    "dimension_audit": lambda inst: dimension_audit(inst, F2_UNIT_SCHEME),
+    "minrank_gf2": minrank_gf2,
+    "best_scalar_scheme": lambda inst: best_scalar_scheme(inst, 2, 2),
+}
+
+
+@pytest.mark.parametrize("check", INSTANCE_CHECKS.values(), ids=INSTANCE_CHECKS)
+def test_every_check_refuses_a_destination_that_holds_a_message_it_wants(check):
+    """``validate`` refuses a message both wanted and held, and so do every
+    scheme check and both oracles.  Without that check, with V_1 = e_1 and
+    V_2 = e_2 over GF(2), the checks disagree on the one-destination
+    instance, and minrank raises NoDecoderExists on the two-destination one."""
+    for dests in ([({1}, {1})], [({1}, {1}), ({2}, set())]):
+        with pytest.raises(BadParams, match=r"^invalid instance: destination 1: message 1 both desired and held$"):
+            check(make_instance(2, dests))
 
 
 PROPERTY_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), BinaryField(3)]
@@ -240,8 +249,8 @@ def test_rank_mode_and_v_only_simulation_match_references_on_families(no_synthes
     """Family and example schemes in a random basis verify and simulate as
     the references say; moving V_1 onto V_2 breaks each, and so, on these
     instances, may a changed entry.  Where the reference cannot enumerate,
-    exhaustive simulation past its default budget and sampled simulation
-    still pass exactly the schemes that verify."""
+    exhaustive and sampled simulation still pass exactly the schemes that
+    verify."""
     rnd = random.Random("rank property families")
     seen = Counter()
     for inst, scheme, valid in family_cases(rnd):
@@ -255,7 +264,7 @@ def test_rank_mode_and_v_only_simulation_match_references_on_families(no_synthes
             assert outcome(simulate_exhaustive(inst, scheme)) == expected
             seen["simulated"] += 1
         else:
-            assert simulate_exhaustive(inst, scheme, budget=space).ok == rep.valid
+            assert simulate_exhaustive(inst, scheme).ok == rep.valid
             assert simulate_sampled(inst, scheme, 50, seed=seen["lifted"]).ok == rep.valid
             seen["lifted"] += 1
     assert seen[True] >= 7 and seen[False] >= 10 and seen["simulated"] == 9 and seen["lifted"] == 12
@@ -647,12 +656,11 @@ def test_combiner_checks_pack_v_once_and_build_no_error_matrix(monkeypatch):
 
     spying(scheme_module, "_row_products")
     spying(Matrix, "col")
-    budget = f.order ** sum(map(scheme.stream_count, scheme.V))
     for sch, valid in ((scheme, True), (changed, False)):
         assert verify(inst, sch, mode="decoder").valid == valid
         assert calls == {"_row_products": 1}
         calls.clear()
-        assert simulate_exhaustive(inst, sch, budget=budget).ok == valid
+        assert simulate_exhaustive(inst, sch).ok == valid
         assert calls == {"_row_products": 1}
         calls.clear()
         assert simulate_sampled(inst, sch, 20).ok == valid
@@ -795,12 +803,6 @@ def test_simulation_back_substitutes_desired_pivot_rows(field, count, max_stream
         assert outcome(simulate_exhaustive(inst, scheme)) == expected
         tuples = reference.sampled_tuples(scheme, 30, seed=5)
         assert outcome(simulate_sampled(inst, scheme, 30, seed=5)) == reference.simulate_least(inst, scheme, tuples)
-
-
-def test_simulate_budget():
-    ex = builtin_example(3)
-    with pytest.raises(BudgetExceeded):
-        simulate_exhaustive(ex.instance, ex.scheme, budget=100)
 
 
 def test_simulate_gf2m_scheme():
@@ -981,7 +983,7 @@ def test_simulation_matches_reference_large_fields(field, no_synthesis):
     match exactly, and past them no counterexample may come earlier."""
     prefix = 4097
     for case, (inst, scheme, kind) in enumerate(large_field_cases(field)):
-        res = simulate_exhaustive(inst, scheme, budget=field.order**2)
+        res = simulate_exhaustive(inst, scheme)
         tuples = itertools.islice(reference.lexicographic_tuples(scheme), prefix)
         expected = reference.simulate(inst, scheme, tuples)
         if not expected[0] or expected[1] < prefix:
