@@ -11,7 +11,9 @@ import argparse
 import sys
 
 # Each handler imports the modules its verb needs, so a call loads no others.
-from .errors import BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, fraction_text, read_file, write_file
+from .errors import (
+    BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, fraction_text, parse_json, read_file, write_file,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -103,7 +105,6 @@ def _build_parser():
     p.add_argument(
         "--construction",
         choices=["scalar", "spread"],
-        default="scalar",
         help="with --instance: scalar (n=L+1, prime field) or spread (GF(2), L=1)",
     )
     p.add_argument("--verify", action="store_true")
@@ -173,9 +174,9 @@ def _cmd_gen(args):
 def _cmd_validate(args):
     from . import model
 
-    inst = read_file(args.instance, lambda text: model.parse_instance(text, check=False))
-    problems = model.validate(inst)
-    out = {"valid": not problems, "violations": problems, "messages": inst.num_messages}
+    messages, dests, _ = read_file(args.instance, lambda text: model._instance_parts(parse_json(text)))
+    problems = model.validate(messages, dests)
+    out = {"valid": not problems, "violations": problems, "messages": messages}
     return out, EXIT_OK if not problems else EXIT_NEGATIVE
 
 
@@ -192,6 +193,10 @@ def _cmd_scheme(args):
 
     if bool(args.family) == bool(args.instance):
         raise IcxError("pass exactly one of --family or --instance")
+    if args.construction and not args.instance:
+        raise IcxError("--construction needs --instance")
+    if args.sample and not args.simulate:
+        raise IcxError("--sample needs --simulate")
     if args.family:
         if args.K is None:
             raise IcxError("--family needs --K")
@@ -201,10 +206,10 @@ def _cmd_scheme(args):
         built = _family_call(args, symmetric, builder=True)
     else:
         inst = model.load_instance(args.instance)
-        if args.construction == "scalar":
-            built = alignment.build_scalar_scheme(inst, args.L)
-        else:
+        if args.construction == "spread":
             built = alignment.build_rate_half_vector_scheme(inst, args.L)
+        else:
+            built = alignment.build_scalar_scheme(inst, args.L)
     out = {"scheme": schemes.scheme_to_json(built)}
     code = EXIT_OK
     if args.verify or args.simulate:

@@ -1,10 +1,10 @@
 """Index coding problem instances: validation, normalization, generators, files.
 
-An instance is a set of messages 1..M and a list of destinations, each with a
-set of desired messages (``wants``) and a set of side-information messages
-(``has``).  Symmetric families carry a tag so closed-form capacity formulas
-can be applied without pattern-matching raw sets.
-"""
+An instance is messages 1..M and destinations, each desiring a nonempty set of
+messages (``wants``) and holding a disjoint set of side information (``has``);
+``Instance`` refuses (BadParams) the parts that ``validate`` faults.  Symmetric
+families carry a tag so closed-form capacity formulas apply without
+pattern-matching raw sets."""
 
 from __future__ import annotations
 
@@ -52,10 +52,14 @@ class Destination(Record):
 
 
 class Instance(Record):
-    """An index coding problem with messages 1..num_messages."""
+    """An index coding problem with messages 1..num_messages, valid by construction."""
 
     def __init__(self, num_messages: int, destinations: tuple, family: Optional[FamilyTag] = None):
-        super().__init__(num_messages, tuple(destinations), family)
+        destinations = tuple(destinations)
+        problems = validate(num_messages, destinations)
+        if problems:
+            raise BadParams("invalid instance: " + "; ".join(problems))
+        super().__init__(num_messages, destinations, family)
 
     @property
     def num_destinations(self) -> int:
@@ -88,16 +92,17 @@ class Instance(Record):
 # ----------------------------------------------------------------------
 
 
-def validate(inst: Instance) -> list:
-    """Empty list iff the instance is well formed; otherwise named violations."""
+def validate(num_messages: int, destinations) -> list:
+    """The named violations of an instance's parts, messages 1..num_messages
+    and a sequence of Destinations: empty iff ``Instance`` accepts them."""
     out = []
-    if inst.num_messages < 1:
+    if num_messages < 1:
         out.append("instance must have at least one message")
-    ids = [d.id for d in inst.destinations]
+    ids = [d.id for d in destinations]
     if len(set(ids)) != len(ids):
         out.append("duplicate destination ids")
-    valid = set(range(1, inst.num_messages + 1))
-    for d in inst.destinations:
+    valid = set(range(1, num_messages + 1))
+    for d in destinations:
         for m in sorted((d.wants - valid) | (d.has - valid)):  # no union of the large sets
             out.append(f"destination {d.id}: unknown message id {m}")
         if not d.wants:
@@ -105,12 +110,6 @@ def validate(inst: Instance) -> list:
         for m in sorted(d.wants & d.has):
             out.append(f"destination {d.id}: message {m} both desired and held")
     return out
-
-
-def _require_valid(inst: Instance):
-    problems = validate(inst)
-    if problems:
-        raise BadParams("invalid instance: " + "; ".join(problems))
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +124,6 @@ def normalize(inst: Instance, L: int) -> Instance:
     sorted wants (same antidotes); the achievable rate region projects
     correctly because every original demand is covered.
     """
-    _require_valid(inst)
     if L < 1:
         raise CannotNormalize("L must be >= 1")
     for d in inst.destinations:
@@ -154,7 +152,6 @@ def normalize_groupcast(inst: Instance, L: int) -> tuple:
     (m-1)*L+1 .. m*L.  Also returns, per output destination, the id of the
     input destination whose demand and antidote set it descends from.  An
     output past the instance caps is refused (BadParams) before it is built."""
-    _require_valid(inst)
     if L < 1:
         raise CannotNormalize("L must be >= 1")
     per_message = {m: [] for m in range(1, inst.num_messages + 1)}
@@ -348,7 +345,16 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
-def instance_from_json(obj: dict, check: bool = True) -> Instance:
+def instance_from_json(obj: dict) -> Instance:
+    parts = _instance_parts(obj)
+    try:
+        return Instance(*parts)
+    except BadParams:  # name each violation, as the validate verb does
+        raise ParseError("; ".join(validate(*parts[:2]))) from None
+
+
+def _instance_parts(obj) -> tuple:
+    """(messages, destinations, family) read from a file's JSON, not yet validated."""
     if not isinstance(obj, dict):
         raise ParseError("instance file must contain a JSON object")
     unknown = set(obj) - _INSTANCE_KEYS
@@ -401,20 +407,15 @@ def instance_from_json(obj: dict, check: bool = True) -> Instance:
         if held > MAX_HELD_ENTRIES:
             raise ParseError(f"more than {MAX_HELD_ENTRIES} side-information entries")
         dests.append(Destination(dobj["id"], frozenset(dobj["wants"]), frozenset(dobj["has"])))
-    inst = Instance(obj["messages"], tuple(dests), family)
-    if check:
-        problems = validate(inst)
-        if problems:
-            raise ParseError("; ".join(problems))
-    return inst
+    return obj["messages"], tuple(dests), family
 
 
 def serialize_instance(inst: Instance) -> str:
     return dump_json(instance_to_json(inst))
 
 
-def parse_instance(text: str, check: bool = True) -> Instance:
-    return instance_from_json(parse_json(text), check=check)
+def parse_instance(text: str) -> Instance:
+    return instance_from_json(parse_json(text))
 
 
 def load_instance(path) -> Instance:

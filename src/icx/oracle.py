@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import BadParams, BudgetExceeded, Record
 from .galois import EchelonBasis, Field, Matrix, PrimeField
-from .model import Instance, _require_valid
+from .model import Instance
 from .scheme import LinearScheme, scheme_to_json, synthesize_decoders
 
 DEFAULT_ORACLE_BUDGET = 2**20
@@ -77,7 +77,6 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     matrix of least rank in numeric order of the free entries, free entry idx
     as bit idx.
     """
-    _require_valid(inst)
     demand = _desired_message_of(inst)
     K = inst.num_messages
     dest_of = {m: k for k, m in demand.items()}
@@ -158,7 +157,6 @@ def best_scalar_scheme(
     first r coordinates (r the dimension the earlier beams span), then
     e_{r+1}.
     """
-    _require_valid(inst)
     if q < 2:
         raise BadParams(f"q must be a prime of at least 2, got {q}")
     if n_max < 1:

@@ -58,7 +58,7 @@ from .errors import (
     write_file,
 )
 from .galois import EchelonBasis, Field, Matrix, _row_products, field_from_json
-from .model import Instance, _require_valid, check_family
+from .model import Instance, check_family
 
 
 class LinearScheme(Record):
@@ -122,14 +122,10 @@ class VerificationReport(Record):
 
 
 def _check_scheme_matches(inst: Instance, scheme: LinearScheme):
-    """BadParams for an instance ``validate`` refuses, SchemeMalformed for a
-    scheme that does not cover exactly its messages."""
-    _require_valid(inst)
-    msgs = set(range(1, inst.num_messages + 1))
-    if set(scheme.V) != msgs:
-        raise SchemeMalformed(
-            f"scheme covers messages {sorted(scheme.V)}, instance has {inst.num_messages}"
-        )
+    """SchemeMalformed unless the scheme covers exactly the instance's
+    messages; an Instance is valid by construction, so it is not checked again."""
+    if set(scheme.V) != set(range(1, inst.num_messages + 1)):
+        raise SchemeMalformed(f"scheme covers messages {sorted(scheme.V)}, instance has {inst.num_messages}")
 
 
 def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> VerificationReport:

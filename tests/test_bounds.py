@@ -241,9 +241,10 @@ def test_capacity_checks_tag_against_destinations():
     assert symmetric_capacity(Instance(7, dests, inst.family))[0] == Fraction(1, 3)
     tag = FamilyTag.make("neighboring-interference", K=10, U=1, D=2)  # 3 does not divide 10
     window = [({k}, set(range(1, 11)) - {(k + off - 1) % 10 + 1 for off in (-1, 0, 1, 2)}) for k in range(1, 11)]
+    copies = tuple(Destination(k, dests[0].wants, dests[0].has) for k in range(1, 8))  # one destination, ids 1..7
     cases = [
         Instance(7, dests[1:], inst.family),  # one destination fewer
-        Instance(7, dests[:1] * 7, inst.family),  # right size, wrong multiset
+        Instance(7, copies, inst.family),  # right size, wrong multiset
         Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=7, U=1)),  # D missing
         Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=10**9, U=1, D=2)),
         make_instance(10, window, tag),

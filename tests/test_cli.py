@@ -10,6 +10,7 @@ import time
 import pytest
 
 import icx
+from icx import model
 from icx.cli import run
 from icx.model import (
     FamilyTag,
@@ -133,6 +134,20 @@ def test_sample_is_a_request(capsys):
     assert json.loads(out)["simulation"] == {"ok": True, "tuples_checked": 10, "mode": "sampled"}
 
 
+def test_scheme_sample_needs_simulate(capsys):
+    """--sample without --simulate would check nothing, so it is refused."""
+    argv = ["scheme", "--family", "antidotes", "--K", "5", "--U", "1", "--D", "1", "--verify", "--sample", "10"]
+    assert_one_line_error(*invoke(capsys, *argv), 2, "--sample needs --simulate")
+
+
+@pytest.mark.parametrize("construction", ["scalar", "spread"])
+def test_scheme_construction_needs_instance(capsys, construction):
+    """--construction picks how an instance file's scheme is built; with
+    --family it would do nothing, so it is refused."""
+    argv = ["scheme", "--family", "antidotes", "--K", "5", "--U", "1", "--D", "1", "--construction", construction]
+    assert_one_line_error(*invoke(capsys, *argv), 2, "--construction needs --instance")
+
+
 def test_simulate_antidotes_k32_exactly(tmp_path, capsys):
     """Antidotes K=32 U=2 D=4 over GF(37), 96 streams: 37^96 tuples, each
     decided, and with V_1 moved onto V_2 the first counterexample, which
@@ -199,6 +214,16 @@ def example1_files(tmp_path, capsys, edit_scheme=None):
     inst_path.write_text(json.dumps(ex["instance"]) + "\n", encoding="utf-8")
     scheme_path.write_text(json.dumps(ex["scheme"]) + "\n", encoding="utf-8")
     return str(inst_path), str(scheme_path)
+
+
+def test_verify_validates_its_instance_file_once(tmp_path, capsys, monkeypatch):
+    """The instance is validated where it is read, not again by the check."""
+    inst_path, scheme_path = example1_files(tmp_path, capsys)
+    calls = []
+    real = model.validate
+    monkeypatch.setattr(model, "validate", lambda *parts: calls.append(parts) or real(*parts))
+    assert invoke(capsys, "verify", inst_path, scheme_path)[0] == 0
+    assert len(calls) == 1
 
 
 def test_verify_and_simulate_files(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,12 @@ from icx.model import (
 )
 
 
+def make_destinations(dests):
+    return tuple(Destination(i + 1, frozenset(w), frozenset(h)) for i, (w, h) in enumerate(dests))
+
+
 def make_instance(num_messages, dests, family=None):
-    return Instance(
-        num_messages,
-        tuple(Destination(i + 1, frozenset(w), frozenset(h)) for i, (w, h) in enumerate(dests)),
-        family,
-    )
+    return Instance(num_messages, make_destinations(dests), family)
 
 
 # The five-destination notation example: every destination wants its own
@@ -48,24 +49,47 @@ NOTATION_EXAMPLE = make_instance(
 
 
 def test_validate_ok_on_notation_example():
-    assert validate(NOTATION_EXAMPLE) == []
+    assert validate(NOTATION_EXAMPLE.num_messages, NOTATION_EXAMPLE.destinations) == []
 
 
 def test_validate_overlap():
-    inst = make_instance(3, [({1}, {1})])
-    msgs = validate(inst)
+    msgs = validate(3, make_destinations([({1}, {1})]))
     assert any("message 1 both desired and held" in v for v in msgs)
 
 
 def test_validate_unknown_id():
-    inst = make_instance(5, [({1}, {7})])
-    msgs = validate(inst)
+    msgs = validate(5, make_destinations([({1}, {7})]))
     assert any("unknown message id 7" in v for v in msgs)
 
 
 def test_validate_empty_wants():
-    inst = make_instance(2, [(set(), {1})])
-    assert any("desires no message" in v for v in validate(inst))
+    assert any("desires no message" in v for v in validate(2, make_destinations([(set(), {1})])))
+
+
+@pytest.mark.parametrize(
+    "num_messages, dests, violations",
+    [
+        (0, [], "instance must have at least one message"),
+        (0, [({1}, set())], "instance must have at least one message; destination 1: unknown message id 1"),
+        (2, [Destination(1, {1}, ()), Destination(1, {2}, ())], "duplicate destination ids"),
+        (2, [({3}, set())], "destination 1: unknown message id 3"),
+        (2, [({1}, {3})], "destination 1: unknown message id 3"),
+        (2, [(set(), {1})], "destination 1: desires no message"),
+        (2, [({1}, {1})], "destination 1: message 1 both desired and held"),
+        (3, [({1, 2}, {2, 3}), ({3}, {3})], "destination 1: message 2 both desired and held; "
+         "destination 2: message 3 both desired and held"),
+    ],
+    ids=["no-messages", "no-messages-unknown-id", "duplicate-ids", "unknown-wanted", "unknown-held",
+         "empty-wants", "wanted-and-held", "two-violations"],
+)
+def test_instance_cannot_be_built_invalid(num_messages, dests, violations):
+    """Each violation ``validate`` names is refused where an Instance is
+    made, with the violations in validate's order."""
+    if not all(isinstance(d, Destination) for d in dests):
+        dests = make_destinations(dests)
+    assert validate(num_messages, dests) == violations.split("; ")
+    with pytest.raises(BadParams, match=f"^{re.escape('invalid instance: ' + violations)}$"):
+        Instance(num_messages, dests)
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +102,6 @@ def test_normalize_split_sliding_windows():
     out = normalize(inst, 2)
     assert [sorted(d.wants) for d in out.destinations] == [[1, 2], [2, 3]]
     assert all(d.has == frozenset() for d in out.destinations)
-    assert validate(out) == []
 
 
 def test_normalize_split_idempotent():
@@ -102,7 +125,6 @@ def test_normalize_groupcast_small():
     for d in out.destinations:
         counts[next(iter(d.wants))] += 1
     assert counts == {1: 2, 2: 2}
-    assert validate(out) == []
 
 
 def test_normalize_groupcast_adds_virtual_destinations():
@@ -131,8 +153,7 @@ def test_normalize_preserves_validity_random():
             has = set(m for m in rest if rnd.random() < 0.5)
             dests.append((wants, has))
         inst = make_instance(M, dests)
-        out = normalize(inst, 2)
-        assert validate(out) == []
+        out = normalize(inst, 2)  # built, so valid
         assert out.demand_sizes() == {2}
 
 
@@ -150,7 +171,6 @@ def test_gen_neighboring_antidotes_5_1_1():
         prev = (k - 2) % 5 + 1
         nxt = k % 5 + 1
         assert d.has == frozenset({prev, nxt})
-    assert validate(inst) == []
 
 
 def test_gen_neighboring_antidotes_8_1_2():
@@ -216,7 +236,6 @@ def test_gen_x_network_6_2():
         interference = inst.interferers(d)
         assert len(interference) == 2  # L^2 - L
     assert inst.is_multiple_unicast()
-    assert validate(inst) == []
 
 
 def test_gen_x_network_rejects_5_3():
@@ -239,12 +258,12 @@ def test_generators_validate(L, mult):
     K = (L + 1) * mult
     if K >= 2 * L:
         inst = gen_x_network(K, L)
-        assert validate(inst) == []
+        assert validate(inst.num_messages, inst.destinations) == []
         assert inst.is_multiple_unicast()
         assert inst.num_messages == K * L
     if K >= 3:
         inst = gen_neighboring_antidotes(K, 0, min(1, K - 1))
-        assert validate(inst) == []
+        assert validate(inst.num_messages, inst.destinations) == []
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +285,6 @@ def test_parse_feasibility_example_file():
         make_instance(4, [({1, 2}, set()), ({1, 3}, {4}), ({2, 4}, {3})])
     )
     inst = parse_instance(text)
-    assert validate(inst) == []
     assert inst.destination(2).has == frozenset({4})
 
 

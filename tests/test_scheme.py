@@ -11,7 +11,7 @@ import reference_galois as ref_galois
 import reference_simulation as reference
 import reference_verify
 from conftest import make_instance
-from icx import galois
+from icx import galois, model
 from icx import scheme as scheme_module
 from icx.errors import (
     BadParams,
@@ -154,27 +154,39 @@ def test_rank_mode_diagnostics_pinned(field):
     assert not rep.valid and rep.mode == "rank"
 
 
-F2_UNIT_SCHEME = LinearScheme(PrimeField(2), 2, {m: Matrix(PrimeField(2), 2, 1, (m == 1, m == 2)) for m in (1, 2)})
-INSTANCE_CHECKS = {
-    "verify": lambda inst: verify(inst, F2_UNIT_SCHEME),
-    "synthesize_decoders": lambda inst: synthesize_decoders(inst, F2_UNIT_SCHEME),
-    "simulate_exhaustive": lambda inst: simulate_exhaustive(inst, F2_UNIT_SCHEME),
-    "simulate_sampled": lambda inst: simulate_sampled(inst, F2_UNIT_SCHEME, 10),
-    "dimension_audit": lambda inst: dimension_audit(inst, F2_UNIT_SCHEME),
-    "minrank_gf2": minrank_gf2,
-    "best_scalar_scheme": lambda inst: best_scalar_scheme(inst, 2, 2),
+def test_an_instance_whose_destination_holds_a_message_it_wants_cannot_be_built():
+    """A message both wanted and held is refused where the Instance is made,
+    so no check sees one.  Were it built, with V_1 = e_1 and V_2 = e_2 over
+    GF(2) the checks would disagree on the one-destination instance, and
+    minrank would raise NoDecoderExists on the two-destination one."""
+    for dests in ([({1}, {1})], [({1}, {1}), ({2}, set())]):
+        with pytest.raises(BadParams, match=r"^invalid instance: destination 1: message 1 both desired and held$"):
+            make_instance(2, dests)
+
+
+FAMILY_CHECKS = {
+    "verify": verify,
+    "synthesize_decoders": synthesize_decoders,
+    "simulate_exhaustive": simulate_exhaustive,
+    "simulate_sampled": lambda inst, sch: simulate_sampled(inst, sch, 10),
+    "dimension_audit": dimension_audit,
+    "minrank_gf2": lambda inst, sch: minrank_gf2(inst),
+    "best_scalar_scheme": lambda inst, sch: best_scalar_scheme(inst, 2, 2),
 }
 
 
-@pytest.mark.parametrize("check", INSTANCE_CHECKS.values(), ids=INSTANCE_CHECKS)
-def test_every_check_refuses_a_destination_that_holds_a_message_it_wants(check):
-    """``validate`` refuses a message both wanted and held, and so do every
-    scheme check and both oracles.  Without that check, with V_1 = e_1 and
-    V_2 = e_2 over GF(2), the checks disagree on the one-destination
-    instance, and minrank raises NoDecoderExists on the two-destination one."""
-    for dests in ([({1}, {1})], [({1}, {1}), ({2}, set())]):
-        with pytest.raises(BadParams, match=r"^invalid instance: destination 1: message 1 both desired and held$"):
-            check(make_instance(2, dests))
+@pytest.mark.parametrize("name", FAMILY_CHECKS)
+def test_checks_do_not_validate_a_built_instance(name, monkeypatch):
+    """An Instance is valid by construction, so no scheme check or oracle
+    validates the one it is given.  dimension_audit's one call is
+    check_family building the family the tag names, to compare."""
+    inst, sch = gen_neighboring_antidotes(5, 1, 1), build_antidote_scheme(5, 1, 1)
+    calls = []
+    real = model.validate
+    monkeypatch.setattr(model, "validate", lambda *parts: calls.append(parts) or real(*parts))
+    FAMILY_CHECKS[name](inst, sch)
+    assert len(calls) == (name == "dimension_audit")
+    assert not any(part is inst or part is inst.destinations for parts in calls for part in parts)
 
 
 PROPERTY_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), BinaryField(3)]
