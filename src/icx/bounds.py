@@ -16,6 +16,7 @@ preserved (a message id may legitimately appear twice).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, log, prod
 from operator import attrgetter
@@ -34,21 +35,16 @@ MAX_SIMPLE_PAIRS = 250_000
 
 class BoundCertificate(Record):
     """sum of R_m over the terms <= rhs; kind is "simple", "chain",
-    "family-formula" or "genie-chain"."""
+    "family-formula" or "genie-chain".  Its fields are slots; copies and pickles call the constructor."""
+
+    __slots__ = ("kind", "terms", "rhs", "provenance")
 
     def __init__(self, kind: str, terms: tuple, rhs: Fraction, provenance: tuple):
         # terms are kept sorted, multiplicity preserved
         super().__init__(kind, tuple(sorted(terms)), Fraction(rhs), provenance)
 
-    @classmethod
-    def _trusted(cls, kind: str, terms: tuple, rhs: Fraction, provenance: tuple) -> "BoundCertificate":
-        """A certificate of sorted terms and a Fraction rhs built in this module, not re-normalized."""
-        cert = object.__new__(cls)
-        object.__setattr__(cert, "kind", kind)
-        object.__setattr__(cert, "terms", terms)
-        object.__setattr__(cert, "rhs", rhs)
-        object.__setattr__(cert, "provenance", provenance)
-        return cert
+    def __reduce__(self):
+        return type(self), self._values(self)
 
     def evaluate(self, rates: Mapping[int, Fraction]) -> Fraction:
         return Fraction(*self._sum(rates))
@@ -85,6 +81,8 @@ class BoundCertificate(Record):
             "provenance": list(self.provenance),
         }
 
+
+_set_kind, _set_terms, _set_rhs, _set_provenance = (vars(BoundCertificate)[f].__set__ for f in BoundCertificate._fields)
 
 # simple_bounds, and chain_bounds per chain length, sort certificates of one
 # kind and one rhs whose terms differ: the order of (rhs, terms, kind, provenance).
@@ -148,11 +146,13 @@ def chain_bounds(
     destination k in instance order.
 
     A term multiset is keyed by the product of its messages' primes (message
-    m gets the m-th prime), exact by unique factorization, and the last link
-    is tried in place, so no state's work grows with the number of terms.
-    Certificates built here skip the public constructor's re-normalization.
-    Their terms are built only when the key is new: the chain's messages and
-    each realizer's wants, kept as a tuple per destination, sorted once.
+    m gets the m-th prime), exact by unique factorization.  Chains stop at
+    min(maxN, M - 1) links, the most that M distinct messages allow.  A run
+    of last links out of one tail that fits in the budget is counted in one
+    step from the tail's links per message, and only its closing links are
+    walked (a per-start table, filled per tail on first use); a run that does
+    not fit goes link by link.  Only a new key's certificate is built, its
+    terms sorted once and not re-normalized.
 
     Raises BadParams unless maxN >= 1 and budget >= 1, and BudgetExceeded
     (with the certificates found so far attached) when the enumeration
@@ -169,8 +169,10 @@ def chain_bounds(
     links = {}
     for a, b, j in sorted(t for x, y, j in partition(norm).edges for t in ((x, y, j), (y, x, j))):
         links.setdefault(a, []).append((b, j, prime[b] * prod(prime[m] for m in wants[j])))
+    fan = {a: Counter(b for b, _, _ in out) for a, out in links.items()}  # fan[a][b]: the links a -> b
     found = [{} for _ in range(min(maxN, M) + 1)]  # found[N]: term key -> certificate of rhs N
     rhs = [Fraction(N) for N in range(len(found))]  # one rhs per chain length, shared by its certificates
+    last = min(maxN, M - 1)  # a chain of N links holds N + 1 distinct messages
     visited = 0
 
     def ordered():
@@ -194,10 +196,21 @@ def chain_bounds(
         chain, on_path, keys = [start], {start}, [prime[start]]
         # message -> the first destination, in instance order, desiring it without start as antidote
         closer = {m: d.id for d in reversed(norm.destinations) if start not in d.has for m in d.wants}
+        closing = {}  # tail -> its links whose next message has a closer, with the closer; filled on first use
         pending = [iter(links.get(start, ()))]
         while pending:
             N = len(pending)
             level, key = found[N], keys[-1]
+            if N == last and (a := chain[-1]) in links:  # a run of last links: one step if it fits the budget
+                states = len(links[a]) - sum(filter(None, map(fan[a].get, on_path)))
+                if visited + states <= budget:
+                    visited += states
+                    if a not in closing:
+                        closing[a] = [(b, j, added, closer[b]) for b, j, added in links[a] if b in closer]
+                    for nxt, j, added, k in closing[a]:
+                        if nxt not in on_path and key * added not in level:
+                            level[key * added] = _chain_certificate(chain, j, nxt, k, wants, rhs[N])
+                    pending[-1] = iter(())
             for nxt, j, added in pending[-1]:
                 if nxt in on_path:
                     continue
@@ -206,14 +219,8 @@ def chain_bounds(
                     raise exceeded(start)
                 k = closer.get(nxt)
                 if k is not None and key * added not in level:
-                    # the terms: the messages i_0..i_N, and the wants of the realizers at odd places of the chain
-                    terms = [*chain[::2], nxt, *wants[j]]
-                    for r in chain[1::2]:
-                        terms += wants[r]
-                    terms.sort()
-                    path = (*chain, j, nxt, k)
-                    level[key * added] = BoundCertificate._trusted("chain", tuple(terms), rhs[N], path)
-                if N < maxN:  # the last link closes each state in place and extends none
+                    level[key * added] = _chain_certificate(chain, j, nxt, k, wants, rhs[N])
+                if N < last:  # the last link closes each state in place and extends none
                     chain += (j, nxt)
                     on_path.add(nxt)
                     keys.append(key * added)
@@ -226,6 +233,21 @@ def chain_bounds(
                     del chain[-2:]
                     keys.pop()
     return ordered()
+
+
+def _chain_certificate(chain, j, nxt, k, wants, rhs):
+    """The certificate of chain extended through j to nxt and closed at k, its slots set past Record.__setattr__."""
+    # the terms: the messages i_0..i_N, and the wants of the realizers at odd places of the chain
+    terms = [*chain[::2], nxt, *wants[j]]
+    for r in chain[1::2]:
+        terms += wants[r]
+    terms.sort()
+    cert = object.__new__(BoundCertificate)
+    _set_kind(cert, "chain")
+    _set_terms(cert, tuple(terms))
+    _set_rhs(cert, rhs)
+    _set_provenance(cert, (*chain, j, nxt, k))
+    return cert
 
 
 def _primes(n: int) -> list:

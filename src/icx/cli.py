@@ -26,6 +26,7 @@ _FAMILIES = {
     "interference": (("K", "U", "D"), "gen_neighboring_interference", "build_interference_scheme"),
     "xnetwork": (("K", "L"), "gen_x_network", "build_x_scheme"),
 }
+_FAMILY_DEFAULTS = {"K": None, "U": 0, "D": 0, "L": 1}
 
 
 def _parse_field(text):
@@ -77,9 +78,8 @@ def _build_parser():
     def add_family(p, required):
         p.add_argument("--family", required=required, choices=list(_FAMILIES))
         p.add_argument("--K", type=int, required=required)
-        p.add_argument("--U", type=int, default=0)
-        p.add_argument("--D", type=int, default=0)
-        p.add_argument("--L", type=int, default=1)
+        for name in "UDL":  # no default here, so _family_options sees which were given
+            p.add_argument(f"--{name}", type=int)
 
     def add_sample(p):
         p.add_argument(
@@ -159,10 +159,19 @@ def _build_parser():
     return top
 
 
+def _family_options(args) -> list:
+    """The family options the call reads, defaults filled in; one given that it does not read is refused."""
+    reads = _FAMILIES[args.family][0] if args.family else ("L",)  # --instance reads --L alone
+    unread = ", ".join(f"--{n}" for n in _FAMILY_DEFAULTS if n not in reads and getattr(args, n) is not None)
+    if unread:
+        raise IcxError(f"{'--family ' + args.family if args.family else '--instance'} does not read {unread}")
+    return [_FAMILY_DEFAULTS[name] if getattr(args, name) is None else getattr(args, name) for name in reads]
+
+
 def _family_call(args, module, builder=False):
     """The --family's instance from model, or with builder=True its scheme from symmetric."""
-    params, gen, build = _FAMILIES[args.family]
-    return getattr(module, build if builder else gen)(*(getattr(args, p) for p in params))
+    _, gen, build = _FAMILIES[args.family]
+    return getattr(module, build if builder else gen)(*_family_options(args))
 
 
 def _cmd_gen(args):
@@ -205,15 +214,16 @@ def _cmd_scheme(args):
         inst = _family_call(args, model)  # the instance caps refuse first
         built = _family_call(args, symmetric, builder=True)
     else:
+        (L,) = _family_options(args)
         inst = model.load_instance(args.instance)
         if args.construction == "spread":
-            built = alignment.build_rate_half_vector_scheme(inst, args.L)
+            built = alignment.build_rate_half_vector_scheme(inst, L)
         else:
-            built = alignment.build_scalar_scheme(inst, args.L)
+            built = alignment.build_scalar_scheme(inst, L)
     out = {"scheme": schemes.scheme_to_json(built)}
     code = EXIT_OK
     if args.verify or args.simulate:
-        target = inst if args.family else model.normalize(inst, args.L)
+        target = inst if args.family else model.normalize(inst, L)
     if args.verify:
         report = schemes.verify(target, built)
         out["verification"] = report.to_json()

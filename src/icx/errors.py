@@ -13,7 +13,10 @@ class Record:
     normalizes its arguments and passes the fields' values, in order, to this
     one, and nothing is set or deleted after that.  Equality and hashing read
     those fields and hold only between objects of one class (never with a
-    tuple); the repr is ``Name(field=value, ...)``."""
+    tuple); the repr is ``Name(field=value, ...)``.  A subclass that declares
+    its fields in ``__slots__`` has no ``__dict__``; the others keep theirs."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls):
         if "_fields" not in vars(cls):

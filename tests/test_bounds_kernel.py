@@ -119,18 +119,18 @@ def test_budget_exceeded_reports_progress():
     )
 
 
-# case -> (its instance and L, maxN -> (the states of the full search, its certificates))
+# case -> (its instance and L, maxN -> (the states of the full search, its certificates));
+# random-129 has 6 messages, so at maxN 6 its chains stop at 5 links
 DENSE_CASES = {
     "antidotes-K5-U0-D1": (lambda: (gen_neighboring_antidotes(5, 0, 1), 1), {1: (35, 10), 2: (165, 36), 3: (555, 81)}),
-    "random-129": (lambda: RANDOM_CASES[129], {1: (30, 8), 2: (106, 27), 3: (248, 53)}),
+    "random-129": (lambda: RANDOM_CASES[129], {1: (30, 8), 2: (106, 27), 3: (248, 53), 6: (498, 92)}),
 }
 
 
-@pytest.mark.parametrize("maxN", [1, 2, 3])
-@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+@pytest.mark.parametrize("case, maxN", [(case, maxN) for case in sorted(DENSE_CASES) for maxN in DENSE_CASES[case][1]])
 def test_every_budget_cut_matches_reference(case, maxN):
     """A budget of 1 .. S+1, S the states of the full search, cuts it at
-    every state once, inside the last link's loop too."""
+    every state once, inside a run of last links too."""
     build, sizes = DENSE_CASES[case]
     inst, L = build()
     budget, kind = 0, "budget"
@@ -145,6 +145,49 @@ def test_every_budget_cut_matches_reference(case, maxN):
         assert (kind, certs) == outcome(ref.chain_bounds, inst, L, maxN, budget)
     assert (budget, len(certs)) == sizes[maxN]
     assert assert_same_search(inst, L, maxN, budget + 1) == (kind, certs)
+
+
+# maxN -> the states of the antidotes K=8 U=1 D=2 search, in which every message has 12 links
+LEAF_RUN_STATES = {3: 8520, 4: 59272}
+
+
+def reference_states(inst, L, maxN, monkeypatch):
+    """The certificates the reference search keeps, in the order it first
+    builds their terms and rhs, with the state each is built at, read off
+    the reference's own count (a free variable of extend, the frame that
+    calls emit): one full run stands for every cut of the search."""
+    first = {}
+
+    def record(*args):
+        cert = BoundCertificate(*args)
+        first.setdefault((cert.terms, cert.rhs), (sys._getframe(2).f_locals["visited"], cert))
+        return cert
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ref, "BoundCertificate", record)
+        ref.chain_bounds(inst, L, maxN, DEFAULT_CHAIN_BUDGET)
+    return list(first.values())
+
+
+def reference_cut(first, S, budget):
+    """The reference's outcome at budget, from its kept certificates and S, its states."""
+    kept = [cert for state, cert in first if state <= budget]
+    return "complete" if budget >= S else "budget", sorted(kept, key=ref._sort_key)
+
+
+@pytest.mark.parametrize("maxN", sorted(LEAF_RUN_STATES))
+def test_budget_cuts_inside_leaf_runs_match_reference(monkeypatch, maxN):
+    """300 seeded budgets in 1 .. S+1 cut the search inside and between the
+    runs of last links that it counts in one step.  The reference's outcome
+    at each comes from one recorded run; at 5 of them the reference runs too."""
+    inst, S = gen_neighboring_antidotes(8, 1, 2), LEAF_RUN_STATES[maxN]
+    first = reference_states(inst, 1, maxN, monkeypatch)
+    budgets = random.Random(maxN).choices(range(1, S + 2), k=300)
+    for budget in budgets:
+        assert search_result(inst, 1, maxN, budget) == reference_cut(first, S, budget)
+    for budget in (S - 1, S, *budgets[:3]):
+        kind, certs = reference_cut(first, S, budget)
+        assert outcome(ref.chain_bounds, inst, 1, maxN, budget) == (kind, [c.to_json() for c in certs])
 
 
 def multiplicity_instance():
@@ -252,10 +295,11 @@ def test_chain_certificates_equal_their_public_construction():
 
 def test_chain_certificates_stay_small():
     """The 4,887 certificates of the antidotes K=12 U=0 D=4 search at maxN 3
-    cut after 40,000 states retain 1.66 MB; a Fraction per certificate takes
+    cut after 40,000 states retain 1.40 MB with their fields in slots, and
+    1.57 MB with them inline in a __dict__; a Fraction per certificate took
     them to 1.90 MB and an instance dict each to 2.32 MB.  (The default
-    budget's 13,918 retain 4.51 MB against 5.18 MB, but take 2.5 s under
-    tracemalloc.)  Run in a fresh interpreter (``run_fresh``)."""
+    budget's 13,918 retained 4.51 MB against 5.18 MB before slots, but take
+    2.5 s under tracemalloc.)  Run in a fresh interpreter (``run_fresh``)."""
     script = (
         "import tracemalloc\n"
         "from icx.bounds import chain_bounds\n"
@@ -271,7 +315,7 @@ def test_chain_certificates_stay_small():
     )
     count, retained = map(int, run_fresh(script).split())
     assert count == 4887
-    assert retained < 1_780_000
+    assert retained < 1_500_000
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,27 @@ def test_scheme_construction_needs_instance(capsys, construction):
     assert_one_line_error(*invoke(capsys, *argv), 2, "--construction needs --instance")
 
 
+@pytest.mark.parametrize("option", ["--K", "--U", "--D"])
+def test_scheme_instance_refuses_family_options(tmp_path, capsys, option):
+    """An instance file's scheme reads --L alone; a family option would be ignored, so it is refused."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    argv = ["scheme", "--instance", path, option, "3"]
+    assert_one_line_error(*invoke(capsys, *argv), 2, f"--instance does not read {option}")
+
+
+@pytest.mark.parametrize(
+    "family, option",
+    [("antidotes", "--L"), ("interference", "--L"), ("xnetwork", "--U"), ("xnetwork", "--D")],
+)
+@pytest.mark.parametrize("verb", ["gen", "scheme"])
+def test_family_refuses_options_it_does_not_read(capsys, verb, family, option):
+    """--L is no parameter of the antidotes and interference families, and
+    --U and --D none of the X-network; given, they are refused, not ignored."""
+    params = ["--K", "6", "--L", "2"] if family == "xnetwork" else ["--K", "6", "--U", "0", "--D", "1"]
+    argv = [verb, "--family", family, *params, option, "1"]
+    assert_one_line_error(*invoke(capsys, *argv), 2, f"--family {family} does not read {option}")
+
+
 def test_simulate_antidotes_k32_exactly(tmp_path, capsys):
     """Antidotes K=32 U=2 D=4 over GF(37), 96 streams: 37^96 tuples, each
     decided, and with V_1 moved onto V_2 the first counterexample, which

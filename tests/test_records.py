@@ -76,6 +76,12 @@ def names(obj) -> list:
     return [name for name in CASES[type(obj)]() if (type(obj), name) != (AlignmentPartition, "instance")]
 
 
+def fields(obj) -> dict:
+    """Every field by name, a partition's instance too: what vars(obj) holds
+    for a record with a __dict__, and the slots of one without."""
+    return {name: getattr(obj, name) for name in CASES[type(obj)]()}
+
+
 @pytest.fixture(params=list(CASES), ids=lambda cls: cls.__name__)
 def pair(request):
     """Two objects of one class built from equal, separately made fields."""
@@ -102,7 +108,12 @@ def test_copies_and_pickles_are_equal(pair):
             pickle.dumps(a)
         return
     for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert type(copied) is type(a) and vars(copied) == vars(a) and copied == a
+        assert type(copied) is type(a) and fields(copied) == fields(a) and copied == a
+
+
+def test_only_certificates_keep_their_fields_in_slots(pair):
+    a, _ = pair
+    assert hasattr(a, "__dict__") is (type(a) is not BoundCertificate)
 
 
 def test_positional_construction_matches_keywords(pair):
@@ -114,12 +125,12 @@ def test_positional_construction_matches_keywords(pair):
 def test_never_equal_to_a_tuple(pair):
     a, _ = pair
     assert a != compared(a) and compared(a) != a
-    assert a != tuple(vars(a).values())
+    assert a != tuple(fields(a).values())
 
 
 def test_attributes_cannot_be_set_or_deleted(pair):
     a, _ = pair
-    for name in vars(a):
+    for name in fields(a):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
         with pytest.raises(AttributeError):
