@@ -144,8 +144,9 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--minrank", action="store_true")
     g.add_argument("--scalar-search", action="store_true")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=3)
+    # no defaults here, so --minrank sees which were given; --scalar-search fills in 2 and 3
+    p.add_argument("--q", type=int)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--budget", type=_positive_int)
     add_out(p)
 
@@ -277,6 +278,10 @@ def _cmd_transform(args):
 def _cmd_bounds(args):
     from . import alignment, bounds, model
 
+    chain_options = ", ".join(f"--{name}" for name in ("L", "maxN", "budget") if getattr(args, name) is not None)
+    if chain_options and (args.simple or args.family) and not args.chain:  # only the chain search reads them
+        asked = " ".join(f"--{name}" for name in ("simple", "family") if getattr(args, name))
+        raise IcxError(f"{asked} without --chain does not read {chain_options}")
     inst = model.load_instance(args.instance)
     want_all = not (args.simple or args.chain or args.family)
     L = None
@@ -286,7 +291,7 @@ def _cmd_bounds(args):
             sizes = inst.demand_sizes()
             if len(sizes) == 1:
                 L = sizes.pop()
-        if L is None and args.chain:
+        if L is None and (args.chain or chain_options):
             raise IcxError("chain bounds need --L for non-uniform instances")
     out = {}
     if args.simple or want_all:
@@ -308,12 +313,16 @@ def _cmd_bounds(args):
 def _cmd_oracle(args):
     from . import model, oracle
 
+    unread = ", ".join(name for name, value in (("--q", args.q), ("--n-max", args.n_max)) if value is not None)
+    if args.minrank and unread:
+        raise IcxError(f"--minrank does not read {unread}")
     inst = model.load_instance(args.instance)
     budget = _given(budget=args.budget)
     if args.minrank:
         res = oracle.minrank_gf2(inst, **budget)
     else:
-        res = oracle.best_scalar_scheme(inst, args.q, args.n_max, **budget)
+        q, n_max = 2 if args.q is None else args.q, 3 if args.n_max is None else args.n_max
+        res = oracle.best_scalar_scheme(inst, q, n_max, **budget)
     code = EXIT_OK if res.value is not None else EXIT_NEGATIVE
     return res.to_json(), code
 

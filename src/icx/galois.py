@@ -16,9 +16,11 @@ full reduced forms (``rref``, ``nullspace``, ``inverse``,
 ``column_echelon``, through ``_rref``), ``left_nullspace``, subspace
 membership, greedy choices of rows or columns and the oracles' searches.
 Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
-are lists, with the field's own multiplication.  It back-substitutes only
-the rows a caller asks for, or every row once, and then reads any column
-subset's reduced form off the back-substituted basis (``restrict``): the
+are lists, with the field's own multiplication.  Over odd p a column is a
+lane of bits, and ``_lane_reducer`` takes every lane of a row mod p at once,
+in a few big-integer operations: to find a new row's pivot, to scale it and
+to read it.  The basis back-substitutes only the rows a caller asks for, or
+every row once, and then reads any column subset's reduced form off the back-substituted basis (``restrict``): the
 walk rank-mode ``verify`` and V-only simulation share, which reads each
 destination's decodability off it, and decoder synthesis's left null spaces.
 ``_row_products`` packs a matrix's rows once for many products.
@@ -288,14 +290,15 @@ class EchelonBasis:
 
     Vectors are sequences of n canonical elements.  Over GF(p) a row is one
     int, so a step is a few big-integer operations.  Over GF(2) column j is
-    bit j and a step is one xor.  Over odd p column j is a lane of W bits,
-    reduced mod p lazily: a step adds (p - t) times a canonical row, which
-    makes the lane being cleared a multiple of p and adds less than p^2 to
-    each lane.  A basis promised at most ``bound`` rows (n by default)
-    refuses any vector once it holds bound < n rows, so a row takes at
-    most bound - 1 steps when added and as many when back-substituted, W is
-    the width ``_lane_bytes(p, bound)`` gives and no lane carries into the
-    next.  Over GF(2^m) a row is a list.
+    bit j and a step is one xor.  Over odd p column j is a lane of W bits: a
+    step adds (p - t) times a canonical row, which makes the lane being
+    cleared a multiple of p and adds less than p^2 to each lane, and a row
+    is reduced mod p, all its lanes at once, when it is kept and scaled to
+    its pivot and when it is read.  A basis promised at most ``bound`` rows
+    (n by default) refuses any vector once it holds bound < n rows, so a
+    row takes at most bound - 1 steps when added and as many when
+    back-substituted, W is the width ``_lane_bytes(p, bound)`` gives and no
+    lane carries into the next.  Over GF(2^m) a row is a list.
     """
 
     __slots__ = ("field", "n", "bound", "pivots", "rows", "_codec")
@@ -308,7 +311,8 @@ class EchelonBasis:
         self.rows: list = []
         p = field.p if isinstance(field, PrimeField) else 0
         W = 8 * _lane_bytes(p, self.bound) if p > 2 else 1
-        self._codec = (p, W, *(_lane_codec(W, n) if p and n else (list, list)))  # (p or 0, W, pack, unpack)
+        modp = _lane_reducer(p, W, n) if p > 2 and n else None
+        self._codec = (p, W, *(_lane_codec(W, n) if p and n else (list, list)), modp)  # (p or 0, W, pack, unpack, modp)
 
     @property
     def rank(self) -> int:
@@ -335,8 +339,8 @@ class EchelonBasis:
 
     def unpack(self, row) -> list:
         """The canonical entries of a row of this basis, or one ``pack`` made."""
-        p, _, _, unpack = self._codec
-        return [x % p for x in unpack(row)] if p else unpack(row)
+        unpack, modp = self._codec[3:]
+        return list(unpack(modp(row))) if modp else unpack(row)
 
     def pack(self, vec: Sequence[int]):
         """vec as a row for ``add_row`` to any basis of this field and n."""
@@ -355,19 +359,17 @@ class EchelonBasis:
             if self.bound < self.n:
                 raise DimensionMismatch(f"a basis promised at most {self.bound} rows was given one more vector")
             return 0
-        p, _, pack, unpack = self._codec
+        p, W, _, _, modp = self._codec
         v = self._reduce(v, zip(pivots, self.rows))
         if p == 2:
             if not v:
                 return 0
             c = (v & -v).bit_length() - 1
-        elif p:  # one pass over the lazy lanes reduces and scales them
-            lanes = unpack(v)
-            c = next((j for j, x in enumerate(lanes) if x % p), None)
-            if c is None:
+        elif p:  # with every lane mod p, the lowest set bit is in the pivot's lane
+            if not (v := modp(v)):
                 return 0
-            inv = pow(lanes[c], p - 2, p)
-            v = pack([x * inv % p for x in lanes])
+            c = ((v & -v).bit_length() - 1) // W
+            v = modp(v * pow(v >> W * c & (1 << W) - 1, p - 2, p))
         else:
             c = next((j for j, x in enumerate(v) if x), None)
             if c is None:
@@ -417,10 +419,10 @@ class EchelonBasis:
     def back_substitute(self) -> "EchelonBasis":
         """Make every row, in place, its canonical row of the reduced row
         echelon form, 0 at every other row's pivot."""
-        p, _, pack, unpack = self._codec
+        modp = self._codec[4]
         for i, row in enumerate(self.rows):
             if (v := self._reduce(row, zip(self.pivots[i + 1 :], self.rows[i + 1 :]))) is not row:
-                self.rows[i] = pack([x % p for x in unpack(v)]) if p > 2 else v
+                self.rows[i] = modp(v) if modp else v
         return self
 
     def restrict(self, cols: int) -> "EchelonBasis":
@@ -430,7 +432,7 @@ class EchelonBasis:
         and 1s), then the others cut and added.  Each of those is already 0
         at the kept pivots, so it is reduced only against the rows added
         before it.  The result is not back-substituted."""
-        p, W, pack, _ = self._codec
+        p, W, pack = self._codec[:3]
         keep = [cols >> c & 1 for c in self.pivots]
         if p != 2 and keep:  # lanes of ones at cols, or a list of 0s and 1s
             cols = pack(_lane_codec(1, self.n)[1](cols)) * ((1 << W) - 1)
@@ -477,6 +479,37 @@ def _lane_codec(width: int, ncols: int) -> tuple:
     return pack, unpack
 
 
+@lru_cache
+def _lane_reducer(p: int, width: int, ncols: int):
+    """x -> x with each of its ncols lanes of width bits taken mod p, odd p
+    below 2^width, in a fixed number of big-integer operations.
+
+    Lanes i, i + k, i + 2k, ... are masked into slots of k * width bits and
+    multiplied by m = ceil(2^s / p); each slot then reads floor(x m / 2^s)
+    from its bit s up, and x less p times those quotients is x mod p.  The
+    quotient is floor(x / p) exactly (Barrett): with e = m p - 2^s, in
+    [0, p), and x = q p + r, x m / 2^s = q + (r + x e / 2^s) / p, which
+    floors to q whenever x e < 2^s, so for every lane value x < 2^width if
+    (2^width - 1) e < 2^s.  With b = p.bit_length(), k = 2 and s = width +
+    b - 1 hold x m below 2^(2 width) and each quotient in the slot's bits
+    from s; they are taken when that bound holds.  Otherwise k = 3 and s =
+    width + b, which are always exact, as x e < 2^width p <= 2^s, and hold
+    x m below 2^(2 width + 1).
+    """
+    k, s = 2, width + p.bit_length() - 1
+    if ((1 << width) - 1) * (-(1 << s) % p) >= 1 << s:
+        k, s = 3, s + 1
+    m, slot = -(-(1 << s) // p), k * width
+    lane, quotient = (1 << width) - 1, (1 << slot - s) - 1
+    # a 1 at the foot of each of lanes i, i + k, ... below ncols
+    ones = [((1 << slot * len(range(i, ncols, k))) - 1) // ((1 << slot) - 1) << width * i for i in range(k)]
+    (x0, q0), (x1, q1), *third = [(lane * one, quotient * one) for one in ones]
+    if not third:
+        return lambda x: x - p * ((x & x0) * m >> s & q0 | (x & x1) * m >> s & q1)
+    ((x2, q2),) = third
+    return lambda x: x - p * ((x & x0) * m >> s & q0 | (x & x1) * m >> s & q1 | (x & x2) * m >> s & q2)
+
+
 def _lane_bytes(p: int, steps: int) -> int:
     """Bytes per lane of a GF(p) row that takes at most steps lazy steps:
     the smallest of 1, 2, 4 and 8, or failing that the fewest, that hold
@@ -506,10 +539,10 @@ def _row_products(mat: "Matrix"):
         packed = list(map(bits, mat._row_tuples()))
         return lambda c: (unbits(v := reduce(operator.xor, compress(packed, c), 0)), v)
     else:
-        p = f.p
-        pack, unpack = _lane_codec(8 * _lane_bytes(p, mat.rows), ncols)
+        W = 8 * _lane_bytes(f.p, mat.rows)
+        (pack, unpack), modp = _lane_codec(W, ncols), _lane_reducer(f.p, W, ncols)
         packed = list(map(pack, mat._row_tuples()))
-        entries = lambda c: [x % p for x in unpack(sum(map(operator.mul, c, packed)))]
+        entries = lambda c: unpack(modp(sum(map(operator.mul, c, packed))))
     return lambda c: (out := entries(c), bits(map(bool, out)))
 
 

@@ -465,6 +465,49 @@ def test_bounds_budget_reports_progress(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, options",
+    [
+        (["--simple"], ["--L", "7", "--maxN", "9", "--budget", "3"]),
+        (["--family"], ["--maxN", "2"]),
+        (["--simple", "--family"], ["--L", "1", "--budget", "5"]),
+    ],
+)
+def test_bounds_without_a_chain_search_refuses_its_options(tmp_path, capsys, flags, options):
+    """Only the chain search reads --L, --maxN and --budget: a call that runs
+    none refuses them rather than print what it prints without them."""
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    message = f"{' '.join(flags)} without --chain does not read {', '.join(options[::2])}"
+    assert_one_line_error(*invoke(capsys, "bounds", path, *flags, *options), 2, message)
+    code, out, _ = invoke(capsys, "bounds", path, *flags)
+    assert code == 0 and "chain" not in json.loads(out)
+
+
+def test_bounds_chain_options_need_an_L_on_a_non_uniform_instance(tmp_path, capsys):
+    """With no flags, a non-uniform instance without --L gets no chain
+    search, so a --maxN or --budget meant for it is refused."""
+    path = write_instance(tmp_path, make_instance(3, [({1}, {2}), ({2, 3}, set())]))
+    code, out, _ = invoke(capsys, "bounds", path)
+    assert code == 0 and "chain" not in json.loads(out)
+    for option in ("--maxN", "--budget"):
+        message = "chain bounds need --L for non-uniform instances"
+        assert_one_line_error(*invoke(capsys, "bounds", path, option, "2"), 2, message)
+
+
+@pytest.mark.parametrize("options", [["--q", "3"], ["--n-max", "9"], ["--q", "3", "--n-max", "9"]])
+def test_oracle_minrank_refuses_scalar_search_options(tmp_path, capsys, options):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    message = f"--minrank does not read {', '.join(options[::2])}"
+    assert_one_line_error(*invoke(capsys, "oracle", path, "--minrank", *options), 2, message)
+
+
+def test_oracle_scalar_search_defaults_to_q2_n_max3(tmp_path, capsys):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    explicit = invoke(capsys, "oracle", path, "--scalar-search", "--q", "2", "--n-max", "3")
+    assert explicit[0] == 0
+    assert invoke(capsys, "oracle", path, "--scalar-search") == explicit
+
+
 def test_oracle_minrank_verb(tmp_path, capsys):
     invoke(capsys, "gen", "--family", "antidotes", "--K", "5", "--U", "1", "--D", "1", "--out", str(tmp_path / "p.json"))
     code, out, _ = invoke(capsys, "oracle", str(tmp_path / "p.json"), "--minrank")

@@ -7,6 +7,10 @@ benchmark's large schemes, and, over GF(3), GF(37) and GF(2^31-1), column
 counts on both sides of a change of lane width in the packed GF(p) rows.
 Results must agree exactly: ranks, the reduced row echelon form, the order
 of null space basis vectors, inverses and the reduced column echelon form.
+The lane reducer that takes every lane of a packed GF(p) row mod p at once
+is checked against ``x % p`` at every lane width, for primes that it reduces
+in two phases and ones that need three; GF(7) and GF(31), which need three,
+also run through the packed basis and the packed products.
 The greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
 are checked against fresh ranks, and the packed products of
 ``_row_products`` against ``Matrix.__matmul__``.  The packed basis is
@@ -189,9 +193,12 @@ def test_incremental_basis_copy_is_independent(field):
 
 # (field, n, bound) for the packed basis: every width at which its rows
 # change lanes, as a row takes at most bound lazy steps (GF(37): 2 bytes up
-# to 45, 4 from 46; GF(2^31-1): 8 bytes up to 2, 9 from 3), for a basis of
-# the whole space (bound n) and for one promised fewer rows than n; n = 0,
-# and small and large n over GF(2), GF(3) and GF(2^3).
+# to 45, 4 from 46; GF(2^31-1): 8 bytes up to 2, 9 from 3; GF(7): 1 byte up
+# to 3, 2 from 4), for a basis of the whole space (bound n) and for one
+# promised fewer rows than n; n = 0, and small and large n over GF(2),
+# GF(3), GF(2^3) and GF(31).  GF(7) and GF(31) reduce their lanes in three
+# phases at these widths (``test_lane_reducer_matches_mod_p``), GF(3) and
+# GF(37) below 4 bytes in two.
 BASIS_WIDTHS = [
     *((field, n, n) for field in FIELDS for n in (0, 1, 5, 30)),
     (PrimeField(37), 45, 45), (PrimeField(37), 46, 46),
@@ -199,6 +206,8 @@ BASIS_WIDTHS = [
     (PrimeField(37), 96, 45), (PrimeField(37), 96, 46),
     (PrimeField(2**31 - 1), 12, 2), (PrimeField(2**31 - 1), 12, 3),
     (PrimeField(3), 40, 26), (PrimeField(3), 40, 27),
+    (PrimeField(7), 3, 3), (PrimeField(7), 4, 4), (PrimeField(7), 30, 30), (PrimeField(7), 12, 3),
+    (PrimeField(31), 30, 30), (PrimeField(31), 12, 4),
     (PrimeField(2), 30, 4), (BinaryField(3), 12, 4),
 ]
 
@@ -450,6 +459,8 @@ PRODUCT_SHAPES = [
     (PrimeField(37), 45, 5, 2), (PrimeField(37), 46, 5, 4), (PrimeField(37), 30, 126, 2),
     (PrimeField(2**31 - 1), 1, 6, 8), (PrimeField(2**31 - 1), 2, 6, 8), (PrimeField(2**31 - 1), 3, 6, 9),
     (PrimeField(2**31 - 1), 7, 0, 9),
+    (PrimeField(7), 3, 9, 1), (PrimeField(7), 4, 9, 2), (PrimeField(7), 30, 126, 2),
+    (PrimeField(31), 66, 5, 2), (PrimeField(31), 67, 5, 4), (PrimeField(31), 30, 126, 2),
 ]
 
 
@@ -472,6 +483,41 @@ def test_row_products_match_matmul(field, r, c, width):
             assert tuple(entries) == expected
             assert all(type(e) is int for e in entries)
             assert mask == sum(1 << j for j, e in enumerate(expected) if e)
+
+
+# Primes whose lanes _lane_reducer takes mod p in two phases and ones that
+# need three, at the lane widths of packed rows (1, 2, 4, 8 and 9 bytes):
+# GF(31) needs three at every width, GF(7) below 9 bytes, GF(37) at 4 bytes,
+# GF(251) at 8, GF(65521) and GF(2^31-1) at 8 and 9; the rest take two.
+LANE_PRIMES = [3, 5, 7, 31, 37, 251, 65521, 2**31 - 1]
+LANE_WIDTHS = [8, 16, 32, 64, 72]
+
+
+@pytest.mark.parametrize(
+    "p, width",
+    [pytest.param(p, w, id=f"p{p}-w{w}") for p in LANE_PRIMES for w in LANE_WIDTHS if p < 1 << w],
+)
+def test_lane_reducer_matches_mod_p(p, width):
+    """Every lane of a packed row at once, as x % p lane by lane: every value
+    of an 8-bit lane, and at wider lanes 0, p - 1, p, p^2, 2^width - 1 and
+    Barrett's worst case, the largest lane value that is p - 1 mod p, among
+    random values, in rows whose phases hold no lane, one or many."""
+    rnd = random.Random(f"reducer {p} {width}")
+    top = 1 << width
+    special = [x for x in (0, p - 1, p, p * p, top - 1, top - 1 - (top - p) % p) if x < top]
+    packed = lambda lanes: sum(x << width * j for j, x in enumerate(lanes))
+    for ncols in (1, 2, 3, 4, 7, 30):
+        reduce = galois._lane_reducer(p, width, ncols)
+        if width == 8:
+            every = list(range(top))
+            rnd.shuffle(every)
+            rows = [every[i : i + ncols] for i in range(0, top - ncols + 1, ncols)] + [every[-ncols:]]
+        else:
+            rows = [[rnd.choice(special) for _ in range(ncols)] for _ in range(40)]
+            rows += [[rnd.choice(special) if rnd.random() < 0.3 else rnd.randrange(top) for _ in range(ncols)]
+                     for _ in range(80)]
+        for lanes in rows:
+            assert reduce(packed(lanes)) == packed([x % p for x in lanes]), lanes
 
 
 def test_public_constructors_still_validate():
