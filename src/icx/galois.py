@@ -12,18 +12,24 @@ column echelon basis, which makes subspace equality a plain entry
 comparison.
 
 Every elimination, over every field, grows one ``EchelonBasis``: ranks,
-full reduced forms (``rref``, ``nullspace``, ``inverse``,
-``column_echelon``, through ``_rref``), ``left_nullspace``, subspace
-membership, greedy choices of rows or columns and the oracles' searches.
+full reduced forms (``rref``, ``nullspace``, ``left_nullspace``,
+``inverse``, ``column_echelon``, through ``_rref``), subspace membership,
+greedy choices of rows or columns and the oracles' searches.
 Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
 are lists, with the field's own multiplication.  Over odd p a column is a
 lane of bits, and ``_lane_reducer`` takes every lane of a row mod p at once,
 in a few big-integer operations: to find a new row's pivot, to scale it and
 to read it.  The basis back-substitutes only the rows a caller asks for, or
-every row once, and then reads any column subset's reduced form off the back-substituted basis (``restrict``): the
-walk rank-mode ``verify`` and V-only simulation share, which reads each
-destination's decodability off it, and decoder synthesis's left null spaces.
-``_row_products`` packs a matrix's rows once for many products.
+every row once, and then reads any column subset's reduced form off the
+back-substituted basis (``restrict``).  The rows whose pivots the subset
+keeps come first and are already 0 at one another's pivots, so a read
+reduces a row only against the rows ``restrict`` added again.  That is the
+walk rank-mode ``verify`` and V-only simulation share, which compares each
+desired stream's packed row with the unit row at its pivot, and decoder
+synthesis's left null spaces.  ``Matrix.left_nullspace`` eliminates the
+matrix's columns: the transpose's null space.  ``_row_products`` packs a
+matrix's rows once for many products and reads any block of columns of a
+packed product without unpacking the rest.
 """
 
 from __future__ import annotations
@@ -270,10 +276,12 @@ def _same_field(a: Field, b: Field):
 # ----------------------------------------------------------------------
 
 # Packed rows for EchelonBasis and _row_products: the little-endian struct codes of
-# lanes of 1, 2, 4 and 8 bytes, and the digit tables of rows of bits.
+# lanes of 1, 2, 4 and 8 bytes, the digit tables of rows of bits, and the digit
+# table of the top bytes of lanes, 0x80 where a lane is nonzero (_row_products).
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_TOP_DIGITS = bytes.maketrans(b"\0\x80", b"01")
 
 
 class EchelonBasis:
@@ -283,10 +291,13 @@ class EchelonBasis:
     what is left, if nonzero, scaled to a 1 in its first nonzero column, its
     pivot.  ``add`` rewrites no row, so each is 0 in the pivots of the rows
     before it, an add costs a step per row and ``copy`` copies two lists.
-    The pivots are those of the reduced row echelon form.  ``reduced_row``
-    back-substitutes one row to its row of that form, ``echelon_rows`` every
-    row, sorted by pivot, and ``back_substitute`` every row in place.  ``add``
-    returns the rank growth, 0 or 1; ``grow`` adds many and says which grew it.
+    The pivots are those of the reduced row echelon form.  ``reduced``
+    back-substitutes one row to its row of that form, packed, and
+    ``reduced_row`` to a list; ``echelon_rows`` every row, sorted by pivot,
+    and ``back_substitute`` every row in place.  The first ``kept`` rows are
+    0 at one another's pivots as well (``restrict`` makes such a basis), so
+    they need no step against one another.  ``add`` returns the rank growth,
+    0 or 1; ``grow`` adds many and says which grew it.
 
     Vectors are sequences of n canonical elements.  Over GF(p) a row is one
     int, so a step is a few big-integer operations.  Over GF(2) column j is
@@ -301,7 +312,7 @@ class EchelonBasis:
     lane carries into the next.  Over GF(2^m) a row is a list.
     """
 
-    __slots__ = ("field", "n", "bound", "pivots", "rows", "_codec")
+    __slots__ = ("field", "n", "bound", "pivots", "rows", "kept", "_codec")
 
     def __init__(self, field: Field, n: int, bound: Optional[int] = None):
         self.field = field
@@ -309,6 +320,7 @@ class EchelonBasis:
         self.bound = n if bound is None else min(bound, n)
         self.pivots: list = []  # pivot column of each row, in insertion order
         self.rows: list = []
+        self.kept = 0
         p = field.p if isinstance(field, PrimeField) else 0
         W = 8 * _lane_bytes(p, self.bound) if p > 2 else 1
         modp = _lane_reducer(p, W, n) if p > 2 and n else None
@@ -338,9 +350,14 @@ class EchelonBasis:
         return v
 
     def unpack(self, row) -> list:
-        """The canonical entries of a row of this basis, or one ``pack`` made."""
-        unpack, modp = self._codec[3:]
-        return list(unpack(modp(row))) if modp else unpack(row)
+        """The entries of a canonical row: one of this basis, one ``pack``
+        made or one ``reduced`` gave."""
+        return list(self._codec[3](row))
+
+    def unit(self, c: int):
+        """The unit vector at column c as a row of this basis."""
+        p, W = self._codec[:2]
+        return 1 << W * c if p else [0] * c + [1] + [0] * (self.n - 1 - c)
 
     def pack(self, vec: Sequence[int]):
         """vec as a row for ``add_row`` to any basis of this field and n."""
@@ -400,15 +417,27 @@ class EchelonBasis:
         """
         other = EchelonBasis.__new__(EchelonBasis)
         other.field, other.n, other.bound, other._codec = self.field, self.n, self.bound, self._codec
-        other.pivots, other.rows = self.pivots[:], self.rows[:]
+        other.pivots, other.rows, other.kept = self.pivots[:], self.rows[:], self.kept
         return other
 
-    def reduced_row(self, i: int) -> list:
+    def _later(self, i: int):
+        """(pivot, row) of each row that row i is reduced against: those
+        inserted after it, less the other ``kept`` rows if it is one."""
+        j = max(i + 1, self.kept)
+        return zip(self.pivots[j:], self.rows[j:])
+
+    def reduced(self, i: int):
         """The row of the reduced row echelon form with pivot ``pivots[i]``,
-        as a list: row i reduced against the rows inserted after it, in
-        insertion order, is cleared in their pivots, as each is 0 in the
-        pivots of the rows before it."""
-        return self.unpack(self._reduce(self.rows[i], zip(self.pivots[i + 1 :], self.rows[i + 1 :])))
+        canonical and packed as the basis packs its rows: row i reduced
+        against the rows inserted after it, in insertion order, is cleared
+        in their pivots, as each is 0 in the pivots of the rows before it."""
+        v = self._reduce(self.rows[i], self._later(i))
+        modp = self._codec[4]
+        return modp(v) if modp else v
+
+    def reduced_row(self, i: int) -> list:
+        """``reduced`` as a list."""
+        return self.unpack(self.reduced(i))
 
     def echelon_rows(self) -> tuple:
         """(rows of the reduced row echelon form as lists, sorted by pivot;
@@ -421,7 +450,7 @@ class EchelonBasis:
         echelon form, 0 at every other row's pivot."""
         modp = self._codec[4]
         for i, row in enumerate(self.rows):
-            if (v := self._reduce(row, zip(self.pivots[i + 1 :], self.rows[i + 1 :]))) is not row:
+            if (v := self._reduce(row, self._later(i))) is not row:
                 self.rows[i] = modp(v) if modp else v
         return self
 
@@ -431,7 +460,9 @@ class EchelonBasis:
         pivot is in cols, cut (``row & mask``, over GF(2^m) a product with 0s
         and 1s), then the others cut and added.  Each of those is already 0
         at the kept pivots, so it is reduced only against the rows added
-        before it.  The result is not back-substituted."""
+        before it.  The result is not back-substituted, but its ``kept``
+        leading rows are 0 at one another's pivots, so a read reduces one
+        only against the rows added again."""
         p, W, pack = self._codec[:3]
         keep = [cols >> c & 1 for c in self.pivots]
         if p != 2 and keep:  # lanes of ones at cols, or a list of 0s and 1s
@@ -443,6 +474,7 @@ class EchelonBasis:
             if not kept:
                 out.add_row(cut(row))
         out.pivots[:0], out.rows[:0] = compress(self.pivots, keep), map(cut, compress(self.rows, keep))
+        out.kept = sum(keep)
         return out
 
 
@@ -456,6 +488,22 @@ def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:
     basis = EchelonBasis(field, ncols, len(rows))
     basis.grow(rows)
     return basis.echelon_rows()
+
+
+def _null_vectors(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> list:
+    """A basis of {x : rows @ x = 0} as lists, one per free column of the
+    reduced form, in column order: 1 there, 0 at the other free columns and
+    minus the entry there of each row at its pivot."""
+    reduced, pivots = _rref(field, rows, ncols)
+    is_pivot = set(pivots)
+    xs = []
+    for fc in (c for c in range(ncols) if c not in is_pivot):
+        x = [0] * ncols
+        x[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            x[pc] = field.neg(row[fc])
+        xs.append(x)
+    return xs
 
 
 @lru_cache
@@ -518,32 +566,44 @@ def _lane_bytes(p: int, steps: int) -> int:
     return next((s for s in _LANE_CODES if 8 * s >= bits), (bits + 7) // 8)
 
 
-def _row_products(mat: "Matrix"):
-    """Pack mat's rows once for many products c @ mat, c a row vector.
+def _row_products(mat: "Matrix") -> tuple:
+    """Pack mat's rows once for many products c @ mat, c a row vector:
+    (product, read).
 
-    The returned function takes c, a sequence of mat.rows canonical
-    elements, and gives (the canonical entries of c @ mat as a sequence, a
-    bitmask with bit j set iff entry j is nonzero).  Over GF(2) the product
+    product takes c, a sequence of mat.rows canonical elements, and gives
+    (c @ mat as a row, a bitmask with bit j set iff entry j is nonzero);
+    read(row, block) gives the canonical entries of a product's row at the
+    columns of the range block, unpacking those alone.  Over GF(2) the row
     is an xor of packed rows, which is its own mask; over odd p a sum of
-    lanes wide enough for mat.rows terms below p^2; over GF(2^m) a field
-    sum per column.
+    lanes wide enough for mat.rows terms below p^2, reduced mod p, whose
+    nonzero lanes are those that adding 2^(W-1) - 1 carries into their top
+    bit; over GF(2^m) a list, a field sum per column.
     """
     f, ncols = mat.field, mat.cols
     if not ncols:
-        return lambda c: ((), 0)
-    bits, unbits = _lane_codec(1, ncols)
+        return (lambda c: ((), 0)), (lambda row, block: ())
     if isinstance(f, BinaryField):
-        cols, mul = mat.col_list(), f.mul
-        entries = lambda c: [reduce(operator.xor, map(mul, c, col), 0) for col in cols]
-    elif f.p == 2:
-        packed = list(map(bits, mat._row_tuples()))
-        return lambda c: (unbits(v := reduce(operator.xor, compress(packed, c), 0)), v)
+        cols, mul, bits = mat.col_list(), f.mul, _lane_codec(1, ncols)[0]
+        product = lambda c: (out := [reduce(operator.xor, map(mul, c, col), 0) for col in cols], bits(map(bool, out)))
+        return product, lambda row, block: row[block.start : block.stop]
+    W = 1 if f.p == 2 else 8 * _lane_bytes(f.p, mat.rows)
+    packed = list(map(_lane_codec(W, ncols)[0], mat._row_tuples()))
+    if W == 1:
+        product = lambda c: (v := reduce(operator.xor, compress(packed, c), 0), v)
     else:
-        W = 8 * _lane_bytes(f.p, mat.rows)
-        (pack, unpack), modp = _lane_codec(W, ncols), _lane_reducer(f.p, W, ncols)
-        packed = list(map(pack, mat._row_tuples()))
-        entries = lambda c: unpack(modp(sum(map(operator.mul, c, packed))))
-    return lambda c: (out := entries(c), bits(map(bool, out)))
+        modp, B = _lane_reducer(f.p, W, ncols), W // 8
+        ones = ((1 << W * ncols) - 1) // ((1 << W) - 1)  # a 1 at the foot of every lane
+        fill, tops = ((1 << W - 1) - 1) * ones, (1 << W - 1) * ones
+        # p < 2^(W-1), so a lane plus 2^(W-1) - 1 reaches its top bit iff it is
+        # nonzero, and carries no further; the top bit is in the lane's last byte
+        top_bytes = lambda v: (v + fill & tops).to_bytes(B * ncols, "little")[B - 1 :: B]
+        nonzero = lambda v: int(top_bytes(v)[::-1].translate(_TOP_DIGITS), 2)
+        product = lambda c: (v := modp(sum(map(operator.mul, c, packed))), nonzero(v))
+
+    def read(row, block):
+        return _lane_codec(W, len(block))[1](row >> W * block.start & (1 << W * len(block)) - 1) if block else ()
+
+    return product, read
 
 
 # ----------------------------------------------------------------------
@@ -574,9 +634,8 @@ class Matrix(Record):
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix._trusted(
-            field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        )
+        units = ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+        return Matrix._trusted(field, n, n, tuple(chain.from_iterable(units)))
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -705,30 +764,16 @@ class Matrix(Record):
 
     def nullspace(self) -> "Matrix":
         """Columns form a basis of {x : self @ x = 0}."""
-        f = self.field
-        rows, pivots = _rref(f, self._row_tuples(), self.cols)
-        is_pivot = set(pivots)
-        free = [c for c in range(self.cols) if c not in is_pivot]
-        out = [[0] * len(free) for _ in range(self.cols)]
-        for k, fc in enumerate(free):
-            out[fc][k] = 1
-            for row, pc in zip(rows, pivots):
-                out[pc][k] = f.neg(row[fc])
-        return Matrix._trusted(f, self.cols, len(free), tuple(e for row in out for e in row))
+        xs = _null_vectors(self.field, self._row_tuples(), self.cols)
+        return Matrix._trusted(self.field, self.cols, len(xs), tuple(chain.from_iterable(zip(*xs))))
 
     def left_nullspace(self) -> "Matrix":
-        """Rows form a basis of {y : y @ self = 0}, as the transpose's null space:
-        one y per row i of self that depends on the rows before it, with y_i = 1
-        and y 0 at the other such rows.  Row i of [self | J], J the reversed
-        identity, reduces to [0 | y J], y_i leading; no later row needs it,
-        so the basis holds at most r rows at once."""
-        f, r, c = self.field, self.rows, self.cols
-        basis, ys = EchelonBasis(f, c + r, r), []
-        for i in range(r):
-            if basis.add(self.row(i) + (0,) * (r - 1 - i) + (1,) + (0,) * i) and basis.pivots[-1] >= c:
-                basis.pivots.pop()
-                ys.append(basis.unpack(basis.rows.pop())[c:][::-1])
-        return Matrix._trusted(f, len(ys), r, tuple(chain.from_iterable(ys)))
+        """Rows form a basis of {y : y @ self = 0}: the transpose's null
+        space, one y per row i of self that depends on the rows before it,
+        with y_i = 1 and y 0 at the other such rows.  It eliminates self's
+        columns as vectors of length self.rows."""
+        ys = _null_vectors(self.field, [self.col(j) for j in range(self.cols)], self.rows)
+        return Matrix._trusted(self.field, len(ys), self.rows, tuple(chain.from_iterable(ys)))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

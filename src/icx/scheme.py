@@ -6,13 +6,16 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
 * decoder mode (combining matrices U present): zero-forcing checks
   U_{m,k} V_i = 0 for every non-antidote interferer i at k, and
   U_{m,k} V_m invertible, both read off one product of each row of
-  U_{m,k} with [V_1 | ... | V_K], whose rows are packed once per call;
+  U_{m,k} with [V_1 | ... | V_K], whose rows are packed once per call.
+  A product stays packed: U_{m,k} V_m is read from m's own bits or lanes,
+  and the interference from the product's nonzero mask;
 * rank mode (V only): at each destination the desired columns are jointly
   independent and rank [V_int | V_des] = rank V_int + rank V_des.  That
   holds exactly when every desired stream decodes, which one reduced form
   of [V_1 | ... | V_K] per call, restricted once per destination to the
-  streams it does not hold, shows row by row; only a destination that
-  fails reads the two ranks, to name what fails.
+  streams it does not hold, shows row by row: a stream decodes when its
+  packed row equals the unit row at its pivot.  Only a destination that
+  fails unpacks its rows and reads the two ranks, to name what fails.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one, reading every combiner off
@@ -143,7 +146,7 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
     if mode == "rank":
         f = scheme.field
         for d, basis, wanted in _rank_checks(inst, scheme, cols, unheld):
-            if all(_decodes(row) for _, reads in wanted for row in reads):
+            if all(decoded for *_, decoded in wanted):
                 continue
             desired = sum(map(masks.__getitem__, d.wants))
             rank_des = Matrix.hstack_all(f, [scheme.V[m] for m in sorted(d.wants)]).rank()
@@ -153,7 +156,7 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
                 # R's rank is rank [V_int | V_des].  Cut to V_int, its reduced rows
                 # with pivots there stay independent; those with desired pivots are
                 # 0 at every pivot, so they add only the rank of their cuts.
-                des_rows = [row for _, reads in wanted for row in reads if row is not None]
+                des_rows = [basis.unpack(row) for _, reads, _ in wanted for row in reads if row is not None]
                 at = [c for c in range(interference.bit_length()) if interference >> c & 1]
                 cuts = Matrix._trusted(f, len(des_rows), len(at), tuple(row[c] for row in des_rows for c in at))
                 rank_int = basis.rank - len(des_rows) + cuts.rank()
@@ -227,25 +230,29 @@ def _column_masks(cols: dict, reverse: bool = False) -> tuple:
 
 def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dict, unheld):
     """Each check (destination k, wanted message m), in order, as its
-    combiner U_{m,k} sees it: (k, m, rows, block, rank, leak).  rows holds
-    the rows of U_{m,k} [V_1 | ... | V_K] as (entries, nonzero mask) pairs,
-    V's rows packed once per call; block is U_{m,k} V_m and rank its rank;
+    combiner U_{m,k} sees it: (k, m, rows, block, rank, leak).  Each row of
+    U_{m,k} [V_1 | ... | V_K] is one packed product (``_row_products``, V's
+    rows packed once per call) and its nonzero mask.  block is U_{m,k} V_m,
+    read from m's own bits or lanes of each product, and rank its rank;
     leak masks the interferer columns (not held at k, not m's) at which some
-    row is nonzero.  rows, block and rank are None without U_{m,k}."""
-    product = _row_products(Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols]))
+    product is nonzero.  rows yields the products' entries, one list per
+    row, unpacked only as it is iterated.  rows, block and rank are None
+    without U_{m,k}."""
+    total = sum(map(len, cols.values()))
+    product, read = _row_products(Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols]))
     for d in inst.destinations:
         not_held = unheld(d)
         for m in sorted(d.wants):
             if (u := scheme.U.get((m, d.id))) is None:
                 yield d.id, m, None, None, None, 0
                 continue
-            rows = [product(u.row(r)) for r in range(u.rows)]
-            own = [e for out, _ in rows for e in out[cols[m].start : cols[m].stop]]
+            products = [product(u.row(r)) for r in range(u.rows)]
+            own = [e for row, _ in products for e in read(row, cols[m])]
             block = Matrix._trusted(u.field, u.rows, len(cols[m]), tuple(own))
             # a 1x1 block has rank 1 exactly when its entry is nonzero
             rank = int(block.entries != (0,)) if len(block.entries) == 1 else block.rank()
-            leak = reduce(operator.or_, (nz for _, nz in rows), 0) & not_held & ~masks[m]
-            yield d.id, m, rows, block, rank, leak
+            leak = reduce(operator.or_, (nz for _, nz in products), 0) & not_held & ~masks[m]
+            yield d.id, m, (read(row, range(total)) for row, _ in products), block, rank, leak
 
 
 def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
@@ -254,28 +261,30 @@ def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
     streams reversed (column c is stream total - 1 - c), restricted to the
     streams d does not hold, the reversed bitmask ``unheld(d)``.  A valid
     instance holds no wanted stream, so it spans [V_int | V_des]'s rows.  R
-    for short.  wanted lists (m, reads) for each message d wants, in id
-    order, reads holding for each of m's streams its row of R
-    (``reduced_row``) if the stream is a pivot of R, else None.
+    for short.  wanted lists (m, reads, decoded) for each message d wants,
+    in id order: reads holds for each of m's streams its row of R, packed
+    (``reduced``; ``basis.unpack`` gives its entries), if the stream is a
+    pivot of R, else None, and decoded says whether every one of m's
+    streams is decoded.
 
     A stream's symbol is a function of what d sees iff its unit vector is in
     R's row space, iff R has it as a row: iff the stream is a pivot and its
-    row has no other nonzero entry (``_decodes``).  Every other entry of a
-    row sits at a free column of R, since R is 0 at the other pivots."""
+    packed row is the unit row at that pivot (``unit``).  Every other entry
+    of a row sits at a free column of R, since R is 0 at the other pivots.
+    The rows ``restrict`` kept are 0 at one another's pivots already, so a
+    read reduces a row only against the rows it added again."""
     total = sum(map(len, cols.values()))
     vfull = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in cols])
     echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
     for d in inst.destinations:
         basis = echelon.restrict(unheld(d))
-        row_of = {total - 1 - c: i for i, c in enumerate(basis.pivots)}  # stream -> its basis row
-        reads = lambda m: [None if (i := row_of.get(t)) is None else basis.reduced_row(i) for t in cols[m]]
-        yield d, basis, [(m, reads(m)) for m in sorted(d.wants)]
-
-
-def _decodes(row) -> bool:
-    """Whether a stream with this read (``_rank_checks``) is decoded: a row
-    of R with its pivot as its only nonzero entry."""
-    return row is not None and len(row) - row.count(0) == 1
+        row_of = {c: i for i, c in enumerate(basis.pivots)}  # reversed stream -> its basis row
+        wanted = []
+        for m in sorted(d.wants):
+            at = [total - 1 - t for t in cols[m]]
+            reads = [None if (i := row_of.get(c)) is None else basis.reduced(i) for c in at]
+            wanted.append((m, reads, all(row == basis.unit(c) for c, row in zip(at, reads))))
+        yield d, basis, wanted
 
 
 def _reduced_rows(mat: Matrix) -> EchelonBasis:
@@ -372,11 +381,11 @@ def simulate_sampled(
     if isinstance(checks, SimulationResult):
         return checks
     f, total = scheme.field, sum(map(len, cols.values()))
-    live = []  # each check that can fail, its rows read on its support only
+    live = []  # each check that can fail, its rows unpacked and read on its support only
     for k, m, rows, support in checks:
         if support:
             error = tuple(e if support >> c & 1 else 0 for row in rows for c, e in enumerate(row))
-            live.append((k, m, Matrix._trusted(f, len(rows), total, error)))
+            live.append((k, m, Matrix._trusted(f, len(error) // total, total, error)))
     if not live:
         return SimulationResult(True, count)
     rnd = random.Random(seed)
@@ -402,9 +411,11 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
 
     With combiners U the rows are U_{m,k} [V_1 | ... | V_K] and the support
     is ``_decoder_checks``' leak: the decoding error up to the invertible
-    factor (U V_m)^-1.  If some U_{m,k} V_m is singular, the first such
-    check fails at once: the tuple that is zero except x_m in the kernel of
-    U_{m,k} V_m looks to destination k like zero.
+    factor (U V_m)^-1.  Their products stay packed, and the rows are
+    unpacked only as they are iterated, which ``simulate_sampled`` alone
+    does, for a check with a nonempty support.  If some U_{m,k} V_m is
+    singular, the first such check fails at once: the tuple that is zero
+    except x_m in the kernel of U_{m,k} V_m looks to destination k like zero.
 
     Without combiners the rows are x_m minus the same coordinates of the
     lexicographically least tuple with the same word and antidote symbols as
@@ -421,9 +432,10 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
     pivot of row j (nonzero only at free columns), and the unit vector at
     the stream itself if it is free.  ``_rank_checks`` gives each destination's
     R, which ``restrict`` reads off one back-substituted form of V per call,
-    and each desired stream's row of R.  A check whose streams all decode
-    has only zero rows: it gets support 0 and no rows, and only the checks
-    that fail build theirs.
+    and each desired stream's row of R, packed, and says whether the check's
+    streams all decode.  Such a check has only zero rows: it gets support 0
+    and no rows, and only the checks that fail unpack their reads to build
+    theirs.
     """
     f, total = scheme.field, sum(map(len, cols.values()))
     checks = []
@@ -434,16 +446,16 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
             if rank < block.rows:  # x_m in the kernel of U_{m,k} V_m, every other digit 0
                 digits = [0] * cols[m].start + [*block.nullspace().col(0)] + [0] * (total - cols[m].stop)
                 return _failure(cols, digits, 1, k, m)
-            checks.append((k, m, [out for out, _ in rows], leak))
+            checks.append((k, m, rows, leak))
         return checks
-    for d, _, wanted in _rank_checks(inst, scheme, cols, _column_masks(cols, reverse=True)[1]):
-        for m, reads in wanted:
-            if all(map(_decodes, reads)):
+    for d, basis, wanted in _rank_checks(inst, scheme, cols, _column_masks(cols, reverse=True)[1]):
+        for m, reads, decoded in wanted:
+            if decoded:
                 checks.append((d.id, m, (), 0))
                 continue
             rows = []
             for t, row in zip(cols[m], reads):
-                error = [0] * total if row is None else list(map(f.neg, row[::-1]))
+                error = [0] * total if row is None else list(map(f.neg, basis.unpack(row)[::-1]))
                 error[t] = int(row is None)  # the free stream itself, or nothing at its own pivot
                 rows.append(error)
             support = sum(1 << s for s in range(total) if any(error[s] for error in rows))

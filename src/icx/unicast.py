@@ -86,20 +86,29 @@ def to_unicast(inst: Instance, L: int) -> UnicastMap:
 
 
 def _complement_columns(v: Matrix) -> Matrix:
-    """A full-rank n x (n - rank) matrix whose span meets colspan(v) only at 0.
+    """A full-rank n x (n - rank) matrix whose span meets colspan(v) only at 0:
+    the identity columns e_j, in order, for each j at which no vector of
+    colspan(v) has its last nonzero entry.
 
-    Deterministic: greedily append identity columns that grow the rank.
+    Those are the columns a greedy walk appending each e_j that grows the
+    rank would choose, as e_j is in colspan(v) + span(e_0, ..., e_{j-1})
+    iff some vector of colspan(v) ends at j.  With coordinates reversed
+    the ends of colspan(v) are the pivots of its reduced form, so one
+    elimination of v's columns finds them.
     """
-    basis = EchelonBasis(v.field, v.rows)
-    basis.grow(v.col_list())
-    identity = Matrix.identity(v.field, v.rows)
-    return identity.take_cols(basis.grow(identity.col_list()))
+    n = v.rows
+    basis = EchelonBasis(v.field, n, v.cols)
+    basis.grow(v.col(j)[::-1] for j in range(v.cols))
+    ends = {n - 1 - c for c in basis.pivots}
+    return Matrix.identity(v.field, n).take_cols([j for j in range(n) if j not in ends])
 
 
 def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     """Translate a groupcast scheme: copies reuse V_i, auxiliaries get a
     complement of colspan(V_i), so each copy rides at rate R_i and the
-    auxiliary at 1 - R_i.
+    auxiliary at 1 - R_i.  The complement is ``_complement_columns``, one
+    elimination of V_i's L_i columns, and the auxiliary's combiner is V_i's
+    left null space, another (``Matrix.left_nullspace``).
 
     Combiners are keyed (message, destination id) by the ids of the instance
     that was passed to ``to_unicast``, not by those of ``umap.original``: copy

@@ -55,6 +55,21 @@ def left_nullspace(field, rows, ncols):
     return nullspace(field, transpose(rows, ncols), len(rows))
 
 
+def complement_columns(field, rows, ncols):
+    """Indices, ascending, of the identity columns e_j that a greedy walk
+    appends to A's columns because each grows the rank of A's columns and
+    the e_j chosen before it."""
+    n = len(rows)
+    vectors = transpose(rows, ncols)
+    chosen = []
+    for j in range(n):
+        e = [1 if i == j else 0 for i in range(n)]
+        if rank(field, vectors + [e], n) > rank(field, vectors, n):
+            vectors.append(e)
+            chosen.append(j)
+    return chosen
+
+
 def inverse(field, rows):
     """Rows of the inverse of a square matrix, or None when it is singular."""
     n = len(rows)

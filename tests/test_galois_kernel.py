@@ -13,10 +13,15 @@ in two phases and ones that need three; GF(7) and GF(31), which need three,
 also run through the packed basis and the packed products.
 The greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
 are checked against fresh ranks, and the packed products of
-``_row_products`` against ``Matrix.__matmul__``.  The packed basis is
-checked row by row against the reference at every lane width, and
-``left_nullspace`` against the transpose's null space and against the
-rows that a restriction of one reduced [A | J] has with pivots in J.
+``_row_products``, whole and block by block, against ``Matrix.__matmul__``.
+The packed basis is checked row by row against the reference at every lane
+width, and ``left_nullspace`` against the transpose's null space, against
+the reference and against the rows that a restriction of one reduced
+[A | J] has with pivots in J.  A restricted basis's reads are counted: each
+reduces a row only against the rows ``restrict`` added again, and its
+packed unit-row test agrees with the entries of the row.  The complement
+that ``scheme_to_unicast`` gives an auxiliary is the reference's greedy
+walk over identity columns.
 """
 
 import random
@@ -335,14 +340,111 @@ def test_restrict_of_a_back_substituted_basis_is_the_cut_rows_reduced_form(field
             assert basis.restrict(cols).echelon_rows() == (reduced[: len(pivots)], pivots)
 
 
+def restricted_bases(field, r, c, rnd):
+    """(basis, cols, its restriction to cols, the rows of [A | J] with every
+    column outside cols set to 0) for a back-substituted basis of [A | J],
+    cols no column, every column and four random subsets, A dense, sparse
+    and rank-deficient in turn."""
+    for kind in KINDS:
+        rows = [[*row] + [0] * (r - 1 - i) + [1] + [0] * i for i, row in enumerate(random_rows(field, r, c, kind, rnd))]
+        basis = EchelonBasis(field, c + r, r)
+        basis.grow(rows)
+        basis.back_substitute()
+        for cols in (0, (1 << c + r) - 1, *(rnd.getrandbits(c + r) for _ in range(4))):
+            cut = [[e if cols >> j & 1 else 0 for j, e in enumerate(row)] for row in rows]
+            yield basis, cols, basis.restrict(cols), cut
+
+
+@pytest.mark.parametrize(
+    "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
+)
+def test_restricted_reads_reduce_only_against_rows_added_again(field, r, c, monkeypatch):
+    """A restricted basis records how many rows it kept (``kept``): they lead
+    it and are 0 at one another's pivots.  ``reduced`` and ``reduced_row``
+    of row i reduce it only against the rows after it and after the kept
+    ones, so a kept row meets every row ``restrict`` added again and no kept
+    row, and an added row the added rows after it: counted as the (pivot,
+    row) pairs ``_reduce`` is given.  The reads, packed and unpacked, are
+    the reference's rows of the reduced form of [A | J] with every other
+    column set to 0, at every field and lane width."""
+    steps, reduce = [], EchelonBasis._reduce
+
+    def counting(self, v, pairs):
+        pairs = list(pairs)
+        steps.append(len(pairs))
+        return reduce(self, v, pairs)
+
+    monkeypatch.setattr(EchelonBasis, "_reduce", counting)
+    for basis, cols, sub, cut in restricted_bases(field, r, c, random.Random(f"restricted reads {field!r} {r} {c}")):
+        kept = [p for p in basis.pivots if cols >> p & 1]
+        assert (sub.kept, sub.pivots[: sub.kept]) == (len(kept), kept)
+        reduced, pivots = ref.rref(field, cut, c + r)
+        expected = dict(zip(pivots, reduced))
+        assert sorted(sub.pivots) == pivots
+        for i, pivot in enumerate(sub.pivots):
+            steps.clear()
+            assert sub.unpack(sub.reduced(i)) == expected[pivot]
+            assert sub.reduced_row(i) == expected[pivot]
+            assert steps == [sub.rank - max(i + 1, sub.kept)] * 2
+
+
+@pytest.mark.parametrize(
+    "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
+)
+def test_packed_unit_row_test_agrees_with_the_entries(field, r, c):
+    """A desired stream decodes iff its row of the reduced form has its
+    pivot as its only nonzero entry.  ``_rank_checks`` decides that on the
+    packed row, ``reduced(i) == unit(pivots[i])``; on every read of the
+    restricted bases above the two agree, list rows over GF(2^m) included,
+    and ``unit`` is the unit vector as ``pack`` packs it.  Both outcomes
+    occur on every shape with more than one row and column of A."""
+    seen = set()
+    for _, _, sub, _ in restricted_bases(field, r, c, random.Random(f"unit rows {field!r} {r} {c}")):
+        for i, pivot in enumerate(sub.pivots):
+            row = sub.reduced_row(i)
+            decodes = len(row) - row.count(0) == 1
+            assert sub.unit(pivot) == sub.pack([int(j == pivot) for j in range(c + r)])
+            assert (sub.reduced(i) == sub.unit(pivot)) == decodes
+            seen.add(decodes)
+    if min(r, c) > 1:
+        assert seen == {True, False}
+
+
+# (rows, columns) of V for the auxiliaries' complements: no column, one,
+# fewer columns than rows, a square and more columns than rows.
+COMPLEMENT_SHAPES = [(0, 0), (4, 0), (1, 1), (5, 2), (10, 4), (6, 6), (3, 7), (12, 5)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_complement_and_left_null_space_match_reference(field):
+    """``scheme_to_unicast`` gives each auxiliary ``_complement_columns``
+    of V_i, which eliminates V_i's columns once, coordinates reversed, and
+    takes the identity columns off the pivots: exactly the reference's
+    greedy walk, which appends each identity column that grows the rank.
+    Its combiner is ``left_nullspace`` of V_i, the reference's left null
+    space.  V is empty of columns, rank-deficient or of full rank."""
+    rnd = random.Random(f"complement {field!r}")
+    for n, L in COMPLEMENT_SHAPES:
+        for kind in (*KINDS, "full"):
+            rows = random_rows(field, n, L, "dense" if kind == "full" else kind, rnd)
+            while kind == "full" and ref.rank(field, rows, L) < min(n, L):
+                rows = random_rows(field, n, L, "dense", rnd)
+            v = as_matrix(field, rows, n, L)
+            chosen = ref.complement_columns(field, rows, L)
+            extra = _complement_columns(v)
+            assert (extra.rows, extra.col_list()) == (n, [[int(i == j) for i in range(n)] for j in chosen]), (n, L, kind)
+            assert len(chosen) == n - ref.rank(field, rows, L)
+            assert v.left_nullspace().row_list() == ref.left_nullspace(field, rows, L), (n, L, kind)
+
+
 @pytest.mark.parametrize(
     "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
 )
 def test_left_nullspace_sizes_its_basis_for_its_rows(field, r, c, monkeypatch):
-    """``left_nullspace`` of an r x c matrix adds one row of [A | J] per row
-    of A and pops each that lands in J, so its basis of (c + r)-vectors is
-    promised r rows and, over GF(p), has lanes sized for r lazy steps; its
-    rows are still the reference's."""
+    """``left_nullspace`` of an r x c matrix is the transpose's null space:
+    it eliminates A's c columns, so its one basis, of r-vectors, is promised
+    c rows (no more than r, its length) and, over GF(p), has lanes sized for
+    that many lazy steps; its rows are still the reference's."""
     made = []
 
     class Recording(EchelonBasis):
@@ -356,7 +458,7 @@ def test_left_nullspace_sizes_its_basis_for_its_rows(field, r, c, monkeypatch):
         rows = random_rows(field, r, c, kind, rnd)
         made.clear()
         assert as_matrix(field, rows, r, c).left_nullspace().row_list() == ref.left_nullspace(field, rows, c)
-        assert made == [(c + r, r)]
+        assert made == [(r, min(r, c))]
 
 
 def test_crossover_routes_by_size(monkeypatch):
@@ -417,9 +519,9 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
     reduced form (``_rref``) and back-substitutes nothing.  Rank-mode
     ``verify`` reduces V once per call (one ``back_substitute``) and no
     matrix per destination: on a valid scheme each destination restricts
-    that one form once (``restrict``) and reads the row of each desired
-    stream once (``reduced_row``), and nothing runs ``_rref`` or
-    ``echelon_rows``."""
+    that one form once (``restrict``) and reads the packed row of each
+    desired stream once (``reduced``), and nothing runs ``_rref``,
+    ``echelon_rows`` or ``reduced_row``: no row is unpacked."""
     calls = []
 
     def spying(owner, name):
@@ -432,7 +534,7 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     spying(galois, "_rref")
-    for name in ("echelon_rows", "reduced_row", "back_substitute", "restrict"):
+    for name in ("echelon_rows", "reduced_row", "reduced", "back_substitute", "restrict"):
         spying(EchelonBasis, name)
     rnd = random.Random("rank only")
     for field in FIELDS:
@@ -445,12 +547,13 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
     report = verify(inst, scheme, mode="rank")
     assert report.valid and report.mode == "rank"
     streams = [sum(map(scheme.stream_count, d.wants)) for d in inst.destinations]
-    assert calls == ["back_substitute"] + [name for s in streams for name in ["restrict"] + ["reduced_row"] * s]
+    assert calls == ["back_substitute"] + [name for s in streams for name in ["restrict"] + ["reduced"] * s]
 
 
 # (field, rows, cols, lane bytes) for _row_products.  Over odd p a product
 # sums rows terms below p^2, in lanes of _lane_bytes(p, rows) bytes, so the
 # row count sets the width; GF(2) rows are bits and GF(2^m) is not packed.
+# The last rows read 40 to 780 columns in lanes of 1, 2 and 9 bytes.
 PRODUCT_SHAPES = [
     (PrimeField(2), 0, 0, None), (PrimeField(2), 0, 5, None), (PrimeField(2), 5, 0, None),
     (PrimeField(2), 1, 1, None), (PrimeField(2), 10, 780, None), (PrimeField(2), 30, 126, None),
@@ -461,6 +564,7 @@ PRODUCT_SHAPES = [
     (PrimeField(2**31 - 1), 7, 0, 9),
     (PrimeField(7), 3, 9, 1), (PrimeField(7), 4, 9, 2), (PrimeField(7), 30, 126, 2),
     (PrimeField(31), 66, 5, 2), (PrimeField(31), 67, 5, 4), (PrimeField(31), 30, 126, 2),
+    (PrimeField(3), 10, 780, 1), (PrimeField(37), 10, 780, 2), (PrimeField(2**31 - 1), 5, 40, 9),
 ]
 
 
@@ -469,20 +573,32 @@ PRODUCT_SHAPES = [
 )
 def test_row_products_match_matmul(field, r, c, width):
     """One packed product per coefficient row gives the entries of c @ M,
-    as ``Matrix.__matmul__`` does, and the bitmask of its nonzero columns."""
+    as ``Matrix.__matmul__`` does, and the bitmask of its nonzero columns.
+    Read block by block, as a message's own columns are, the product gives
+    that block's slice of the entries, and the mask that slice's mask: a
+    block at column 0, one ending at the last column, one inside, single
+    columns at both ends and the empty block."""
     if width is not None:
         assert galois._lane_bytes(field.p, r) == width
     rnd = random.Random(f"products {field!r} {r} {c}")
     q = field.order
+    blocks = [range(0, c), range(0, 0)]
+    if c:
+        a, b = sorted(rnd.sample(range(c + 1), 2)) if c > 1 else (0, 1)
+        blocks += [range(0, 1), range(c - 1, c), range(0, max(1, c // 3)), range(c - max(1, c // 4), c), range(a, b)]
     for kind in ("dense", "sparse"):
         mat = as_matrix(field, random_rows(field, r, c, kind, rnd), r, c)
-        product = galois._row_products(mat)
+        product, read = galois._row_products(mat)
         for coefs in ([0] * r, [q - 1] * r, *([rnd.randrange(q) for _ in range(r)] for _ in range(8))):
             expected = (Matrix(field, 1, r, tuple(coefs)) @ mat).entries
-            entries, mask = product(coefs)
-            assert tuple(entries) == expected
-            assert all(type(e) is int for e in entries)
+            row, mask = product(coefs)
             assert mask == sum(1 << j for j, e in enumerate(expected) if e)
+            for block in blocks:
+                entries = read(row, block)
+                assert tuple(entries) == expected[block.start : block.stop], block
+                assert all(type(e) is int for e in entries)
+                own = mask >> block.start & (1 << len(block)) - 1
+                assert own == sum(1 << j for j, e in enumerate(entries) if e), block
 
 
 # Primes whose lanes _lane_reducer takes mod p in two phases and ones that

@@ -700,14 +700,15 @@ def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
     """V-only simulation reduces V once per call, all its streams reversed
     (one ``back_substitute``), and no matrix per destination: each
     destination restricts that form to its unheld streams and reads R a row
-    at a time.  On antidotes K=32 U=2 D=4 over GF(37) ``simulate_sampled``
-    forms no full reduced form (``_rref``, ``echelon_rows``) and
-    back-substitutes a row of a destination's basis only for a desired
-    stream at its pivot, each at most once: 96 rows of the 960.  With V_1
+    at a time, packed (``reduced``).  On antidotes K=32 U=2 D=4 over GF(37)
+    ``simulate_sampled`` forms no full reduced form (``_rref``,
+    ``echelon_rows``) and back-substitutes a row of a destination's basis
+    only for a desired stream at its pivot, each at most once: 96 rows of
+    the 960.  With V_1
     moved onto V_2 the scheme fails, and the error rows of the checks that
     fail are built from those same reads: still no row is read twice."""
     names, reduced = [], []
-    rref, echelon_rows, reduced_row = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.reduced_row
+    rref, echelon_rows, reduced_row = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.reduced
     back_substitute, restrict = EchelonBasis.back_substitute, EchelonBasis.restrict
 
     def spy_rref(*args):
@@ -734,7 +735,7 @@ def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(EchelonBasis, "echelon_rows", spy_echelon_rows)
     monkeypatch.setattr(EchelonBasis, "back_substitute", spy_back_substitute)
     monkeypatch.setattr(EchelonBasis, "restrict", spy_restrict)
-    monkeypatch.setattr(EchelonBasis, "reduced_row", spy_reduced_row)
+    monkeypatch.setattr(EchelonBasis, "reduced", spy_reduced_row)
     inst, valid = gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4)
     for scheme in (valid, LinearScheme(valid.field, valid.n, {**valid.V, 1: valid.V[2]})):
         rank = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in scheme.message_ids()]).rank()
