@@ -33,13 +33,15 @@ MAX_ALIGNMENT_EDGES = 1_000_000
 class AlignmentPartition(Record):
     """The subsets P_1..P_Z of an instance, a tuple of frozensets ordered by
     smallest member, whose edges are listed on request.  The instance is kept
-    for the edges only: equality, hashing and repr read L and the subsets."""
+    for the edges only, and each message's subset index, mapped once here,
+    for ``subset_index``: equality, hashing and repr read L and the subsets."""
 
     _fields = ("L", "subsets")
 
     def __init__(self, L: int, instance: Instance, subsets: tuple):
         super().__init__(L, subsets)
         object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "_index", {m: t for t, sub in enumerate(subsets, start=1) for m in sub})
 
     @property
     def Z(self) -> int:
@@ -58,10 +60,9 @@ class AlignmentPartition(Record):
 
     def subset_index(self, m: int) -> int:
         """1-based index of the subset containing message m."""
-        for t, sub in enumerate(self.subsets, start=1):
-            if m in sub:
-                return t
-        raise KeyError(f"message {m} not in any subset")
+        if m not in self._index:
+            raise KeyError(f"message {m} not in any subset")
+        return self._index[m]
 
     def to_json(self) -> dict:
         return {

@@ -286,18 +286,18 @@ def symmetric_capacity(inst: Instance) -> tuple:
     UnsupportedFamily when the instance is untagged or is not the family its
     tag names.
     """
-    check_family(inst)
-    fam = inst.family
-    if fam.kind == "neighboring-antidotes":
-        K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
+    params = check_family(inst)
+    kind = inst.family.kind
+    if kind == "neighboring-antidotes":
+        K, U, D = params
         A = U + D
         value = Fraction(1) if A == K - 1 else Fraction(U + 1, K - A + 2 * U)
         cert = BoundCertificate("family-formula", range(1, K + 1), K * value, ("neighboring-antidotes", K, U, D))
         return value, cert
-    if fam.kind == "neighboring-interference":
-        K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
+    if kind == "neighboring-interference":
+        K, U, D = params
         cert = BoundCertificate("genie-chain", range(1, D + 2), 1, ("neighboring-interference", K, U, D, 1))
         return Fraction(1, D + 1), cert
-    K, L = fam.param("K"), fam.param("L")  # x-network
+    K, L = params  # x-network
     cert = BoundCertificate("genie-chain", x_outer_bound_messages(K, L), 1, ("x-network", K, L, 1))
     return Fraction(2, L * (L + 1)), cert

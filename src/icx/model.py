@@ -304,10 +304,12 @@ _FAMILIES = {
 }
 
 
-def check_family(inst: Instance) -> None:
-    """Raise UnsupportedFamily unless the instance is the family its tag names:
-    the same messages, and the same destinations as (wants, has) pairs,
-    counted with multiplicity and ignoring ids."""
+def check_family(inst: Instance) -> tuple:
+    """The tag's parameters, in the family's order ((K, U, D), or (K, L) for
+    the X network), once the instance is confirmed to be the family its tag
+    names: the same messages, and the same destinations as (wants, has)
+    pairs, counted with multiplicity and ignoring ids.  UnsupportedFamily
+    otherwise."""
     fam = inst.family
     if fam is None or fam.kind == "custom":
         raise UnsupportedFamily("instance carries no symmetric family tag")
@@ -325,7 +327,7 @@ def check_family(inst: Instance) -> None:
             remaining = Counter((d.wants, d.has) for d in inst.destinations)
             remaining.subtract(pairs(*params))  # counted off one at a time: no family Instance is built
             if not any(remaining.values()):
-                return
+                return tuple(params)
     except BadParams:  # the parameters lie outside the family
         pass
     tag = " ".join(f"{name}={value}" for name, value in zip(names, params))

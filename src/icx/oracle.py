@@ -79,9 +79,9 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     """
     demand = _desired_message_of(inst)
     K = inst.num_messages
-    dest_of = {m: k for k, m in demand.items()}
+    antidotes = {demand[d.id]: d.has for d in inst.destinations}  # message -> its destination's antidotes
     # free[i]: the columns of row i's free entries, the antidotes of message i + 1
-    free = [[mp - 1 for mp in sorted(inst.destination(dest_of[i + 1]).has)] for i in range(K)]
+    free = [[mp - 1 for mp in sorted(antidotes[i + 1])] for i in range(K)]
 
     gf2 = PrimeField(2)
     empty = EchelonBasis(gf2, K)

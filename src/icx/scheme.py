@@ -141,11 +141,11 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
     if mode == "decoder" and scheme.U is None:
         raise SchemeMalformed("decoder mode requires combining matrices")
     diags = []
-    cols = _stream_columns(scheme)
-    masks, unheld = _column_masks(cols, reverse=mode == "rank")
+    cols, total = _stream_columns(scheme)
+    masks, unheld = _column_masks(cols, total, reverse=mode == "rank")
     if mode == "rank":
         f = scheme.field
-        for d, basis, wanted in _rank_checks(inst, scheme, cols, unheld):
+        for d, basis, wanted in _rank_checks(inst, scheme, cols, total, unheld):
             if all(decoded for *_, decoded in wanted):
                 continue
             desired = sum(map(masks.__getitem__, d.wants))
@@ -163,7 +163,7 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
                 if basis.rank != rank_des + rank_int:
                     diags.append(Diagnostic("resolvability", d.id))
     else:
-        for k, m, rows, _, rank, leak in _decoder_checks(inst, scheme, cols, masks, unheld):
+        for k, m, rows, _, rank, leak in _decoder_checks(inst, scheme, cols, total, masks, unheld):
             if rows is None:
                 diags.append(Diagnostic("missing-decoder", k, message=m))
                 continue
@@ -186,9 +186,8 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     """
     _check_scheme_matches(inst, scheme)
     f, n = scheme.field, scheme.n
-    cols = _stream_columns(scheme)
-    masks, unheld = _column_masks(cols)
-    total = sum(map(len, cols.values()))
+    cols, total = _stream_columns(scheme)
+    masks, unheld = _column_masks(cols, total)
     J = Matrix.identity(f, n).take_cols(range(n - 1, -1, -1))
     echelon = _reduced_rows(Matrix.hstack_all(f, [*map(scheme.V.__getitem__, cols), J]))
     U = {}
@@ -207,28 +206,30 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     return LinearScheme(f, n, scheme.V, U)
 
 
-def _stream_columns(scheme: LinearScheme) -> dict:
-    """message -> the range of its stream columns in [V_1 | ... | V_K], ids ascending."""
+def _stream_columns(scheme: LinearScheme) -> tuple:
+    """(message -> the range of its stream columns in [V_1 | ... | V_K], ids
+    ascending; total, the number of those columns)."""
     ids = scheme.message_ids()
-    starts = accumulate(map(scheme.stream_count, ids), initial=0)
-    return {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}
+    starts = [*accumulate(map(scheme.stream_count, ids), initial=0)]
+    return {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}, starts[-1]
 
 
-def _column_masks(cols: dict, reverse: bool = False) -> tuple:
+def _column_masks(cols: dict, total: int, reverse: bool = False) -> tuple:
     """(message -> its columns in ``cols`` as a bitmask, reversed if reverse;
-    a destination -> the columns it does not hold, over the smaller side)."""
-    total = sum(map(len, cols.values()))
+    a destination -> the columns it does not hold, over the smaller side).
+    An Instance holds only its own messages, and ``_check_scheme_matches``
+    makes them the scheme's, so d.has is summed as it is."""
     masks = {m: ((1 << len(r)) - 1) << (total - r.stop if reverse else r.start) for m, r in cols.items()}
 
     def unheld(d):
         if 2 * len(d.has) <= len(masks):
-            return (1 << total) - 1 - sum(map(masks.__getitem__, masks.keys() & d.has))
+            return (1 << total) - 1 - sum(map(masks.__getitem__, d.has))
         return sum(map(masks.__getitem__, masks.keys() - d.has))
 
     return masks, unheld
 
 
-def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dict, unheld):
+def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, total: int, masks: dict, unheld):
     """Each check (destination k, wanted message m), in order, as its
     combiner U_{m,k} sees it: (k, m, rows, block, rank, leak).  Each row of
     U_{m,k} [V_1 | ... | V_K] is one packed product (``_row_products``, V's
@@ -238,7 +239,6 @@ def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dic
     product is nonzero.  rows yields the products' entries, one list per
     row, unpacked only as it is iterated.  rows, block and rank are None
     without U_{m,k}."""
-    total = sum(map(len, cols.values()))
     product, read = _row_products(Matrix.hstack_all(scheme.field, [scheme.V[i] for i in cols]))
     for d in inst.destinations:
         not_held = unheld(d)
@@ -255,7 +255,7 @@ def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, masks: dic
             yield d.id, m, (read(row, range(total)) for row, _ in products), block, rank, leak
 
 
-def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
+def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, total: int, unheld):
     """Each destination d, in order, as V alone decides it: (d, basis,
     wanted).  basis is [V_1 | ... | V_K], reduced once per call with its
     streams reversed (column c is stream total - 1 - c), restricted to the
@@ -273,7 +273,6 @@ def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, unheld):
     of a row sits at a free column of R, since R is 0 at the other pivots.
     The rows ``restrict`` kept are 0 at one another's pivots already, so a
     read reduces a row only against the rows it added again."""
-    total = sum(map(len, cols.values()))
     vfull = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in cols])
     echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
     for d in inst.destinations:
@@ -345,13 +344,10 @@ def simulate_exhaustive(inst: Instance, scheme: LinearScheme) -> SimulationResul
     the first whose support holds s.  A counterexample lists every message
     with streams; a message without streams has no digits and is left out.
     """
-    _check_scheme_matches(inst, scheme)
+    if isinstance(mapped := _error_map(inst, scheme), SimulationResult):
+        return mapped
+    cols, total, checks = mapped
     q = scheme.field.order
-    cols = _stream_columns(scheme)
-    total = sum(map(len, cols.values()))
-    checks = _error_map(inst, scheme, cols)
-    if isinstance(checks, SimulationResult):
-        return checks
     union = reduce(operator.or_, (support for *_, support in checks), 0)
     if not union:
         return SimulationResult(True, q**total)
@@ -375,12 +371,10 @@ def simulate_sampled(
     """
     if count < 1:
         raise BadParams(f"sample count must be at least 1, got {count}")
-    _check_scheme_matches(inst, scheme)
-    cols = _stream_columns(scheme)
-    checks = _error_map(inst, scheme, cols)
-    if isinstance(checks, SimulationResult):
-        return checks
-    f, total = scheme.field, sum(map(len, cols.values()))
+    if isinstance(mapped := _error_map(inst, scheme), SimulationResult):
+        return mapped
+    cols, total, checks = mapped
+    f = scheme.field
     live = []  # each check that can fail, its rows unpacked and read on its support only
     for k, m, rows, support in checks:
         if support:
@@ -403,11 +397,14 @@ def _failure(cols: dict, digits, checked: int, destination: int, message: int) -
     return SimulationResult(False, checked, x, destination, message)
 
 
-def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
-    """A scheme's exact decoding errors as checks (destination id, message,
-    rows, support), in destination order and then message order, or the
-    result of its first singular check.  A tuple x fails a check iff, for
-    some row r, the sum of r[c] x_c over the columns c in support is nonzero.
+def _error_map(inst: Instance, scheme: LinearScheme):
+    """The prologue of both simulators: SchemeMalformed unless the scheme
+    covers the instance's messages, else (cols, total, checks), the scheme's
+    ``_stream_columns`` and its exact decoding errors as checks (destination
+    id, message, rows, support), in destination order and then message
+    order; or, in place of all three, the result of its first singular
+    check.  A tuple x fails a check iff, for some row r, the sum of r[c] x_c
+    over the columns c in support is nonzero.
 
     With combiners U the rows are U_{m,k} [V_1 | ... | V_K] and the support
     is ``_decoder_checks``' leak: the decoding error up to the invertible
@@ -437,30 +434,31 @@ def _error_map(inst: Instance, scheme: LinearScheme, cols: dict):
     and no rows, and only the checks that fail unpack their reads to build
     theirs.
     """
-    f, total = scheme.field, sum(map(len, cols.values()))
+    _check_scheme_matches(inst, scheme)
+    cols, total = _stream_columns(scheme)
     checks = []
     if scheme.U is not None:
-        for k, m, rows, block, rank, leak in _decoder_checks(inst, scheme, cols, *_column_masks(cols)):
+        for k, m, rows, block, rank, leak in _decoder_checks(inst, scheme, cols, total, *_column_masks(cols, total)):
             if rows is None:
                 raise SchemeMalformed(f"simulation needs the combiner U[{m}@{k}]")
             if rank < block.rows:  # x_m in the kernel of U_{m,k} V_m, every other digit 0
                 digits = [0] * cols[m].start + [*block.nullspace().col(0)] + [0] * (total - cols[m].stop)
                 return _failure(cols, digits, 1, k, m)
             checks.append((k, m, rows, leak))
-        return checks
-    for d, basis, wanted in _rank_checks(inst, scheme, cols, _column_masks(cols, reverse=True)[1]):
+        return cols, total, checks
+    for d, basis, wanted in _rank_checks(inst, scheme, cols, total, _column_masks(cols, total, reverse=True)[1]):
         for m, reads, decoded in wanted:
             if decoded:
                 checks.append((d.id, m, (), 0))
                 continue
             rows = []
             for t, row in zip(cols[m], reads):
-                error = [0] * total if row is None else list(map(f.neg, basis.unpack(row)[::-1]))
+                error = [0] * total if row is None else list(map(scheme.field.neg, basis.unpack(row)[::-1]))
                 error[t] = int(row is None)  # the free stream itself, or nothing at its own pivot
                 rows.append(error)
             support = sum(1 << s for s in range(total) if any(error[s] for error in rows))
             checks.append((d.id, m, rows, support))
-    return checks
+    return cols, total, checks
 
 
 # ----------------------------------------------------------------------
@@ -489,34 +487,18 @@ class DimensionAudit(Record):
     def final_slack(self) -> Fraction:
         return self.checks[-1][3]
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "checks": [
-                {
-                    "window": j,
-                    "alpha": a,
-                    "bound": fraction_text(b),
-                    "slack": fraction_text(s),
-                }
-                for j, a, b, s in self.checks
-            ],
-            "holds": self.holds,
-        }
-
 
 def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
     """Window-dimension accounting for neighboring-antidotes schemes.
 
-    The tag's K, U and D are used only once ``check_family`` has confirmed
-    that the instance is that family.
+    K, U and D come from ``check_family``, which returns them only once it
+    has confirmed that the instance is the family its tag names, so the rule
+    that they are used only after that check holds by construction.
     """
     _check_scheme_matches(inst, scheme)
-    fam = inst.family
-    if fam is None or fam.kind != "neighboring-antidotes":
+    if inst.family is None or inst.family.kind != "neighboring-antidotes":
         raise UnsupportedFamily("dimension audit requires the neighboring-antidotes family tag")
-    check_family(inst)
-    K, U, D = fam.param("K"), fam.param("U"), fam.param("D")
+    K, U, D = check_family(inst)
     A = U + D
     jmax = K - A - 1
     if jmax < 1:

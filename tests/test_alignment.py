@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from icx.alignment import (
+    AlignmentPartition,
     build_rate_half_vector_scheme,
     build_scalar_scheme,
     check_feasibility,
@@ -52,6 +53,34 @@ def test_partition_chain_edges(chain_m5k5):
     assert (3, 4, 1) in part.edges
     assert (4, 5, 2) in part.edges
     assert part.subset_index(3) == part.subset_index(4) == part.subset_index(5)
+
+
+class CountingSubsets(tuple):
+    """A subsets tuple that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_subset_index_does_not_scan_the_subsets():
+    """Message 1 wanted, 3..M held: message 2 is the one interferer, so every
+    message is its own subset.  A scan per lookup made the builders' M
+    lookups O(M * Z); the index is mapped once, with the partition."""
+    M = 2000
+    inst = make_instance(M, [({1}, set(range(3, M + 1)))])
+    part = partition(inst)
+    assert part.Z == M
+    subsets = CountingSubsets(part.subsets)
+    counted = AlignmentPartition(part.L, inst, subsets)
+    made = subsets.passes
+    assert [counted.subset_index(m) for m in range(1, M + 1)] == list(range(1, M + 1))
+    assert subsets.passes == made
+    assert counted == part
+    with pytest.raises(KeyError, match=f"message {M + 1} not in any subset"):
+        counted.subset_index(M + 1)
 
 
 def test_partition_requires_uniform_demands(groupcast_m2k3):

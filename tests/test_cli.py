@@ -1160,3 +1160,54 @@ def test_file_keys_are_strict(tmp_path, capsys, bad, text, message):
     paths[bad].write_text(text, encoding="utf-8")
     code, out, err = invoke(capsys, "verify", str(paths["instance"]), str(paths["scheme"]))
     assert_one_line_error(code, out, err, 1, f"{paths[bad]}: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-feasibility", "--L", "0"], ["transform", "--L", "0"], ["bounds", "--chain", "--L", "0"]],
+    ids=["check-feasibility", "transform", "bounds-chain"],
+)
+def test_demand_size_must_be_positive(tmp_path, capsys, argv):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    assert_one_line_error(*invoke(capsys, argv[0], path, *argv[1:]), 2, "L must be >= 1")
+
+
+def test_decoder_mode_needs_combiners(tmp_path, capsys):
+    inst_path, scheme_path = example1_files(tmp_path, capsys, lambda s: s.pop("U"))
+    assert_one_line_error(
+        *invoke(capsys, "verify", inst_path, scheme_path, "--mode", "decoder"), 2,
+        "decoder mode requires combining matrices",
+    )
+
+
+@pytest.mark.parametrize(
+    "dests, message",
+    [
+        ([({1, 2}, set())], "oracle requires single-demand destinations"),
+        ([({1}, set())], "every message must be desired by exactly one destination"),
+    ],
+    ids=["two-wanted", "one-unwanted"],
+)
+def test_minrank_needs_one_destination_per_message(tmp_path, capsys, dests, message):
+    path = write_instance(tmp_path, make_instance(2, dests))
+    assert_one_line_error(*invoke(capsys, "oracle", path, "--minrank"), 2, message)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda U: U.update({"9@1": U["1@1"]}), "U[9@1] refers to unknown message 9"),
+        (lambda U: U.update({"1@1": U["1@1"][:1]}), "U[1@1] must be 2x5 over GF(2)"),
+    ],
+    ids=["unknown-message", "wrong-shape"],
+)
+def test_combiner_must_fit_its_message(tmp_path, capsys, edit, message):
+    """Example 2: five messages, each sent on two streams of a length-5 code over GF(2)."""
+    ex = json.loads(invoke(capsys, "example", "2")[1])
+    edit(ex["scheme"]["U"])
+    inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+    inst_path.write_text(json.dumps(ex["instance"]), encoding="utf-8")
+    scheme_path.write_text(json.dumps(ex["scheme"]), encoding="utf-8")
+    assert_one_line_error(
+        *invoke(capsys, "verify", str(inst_path), str(scheme_path)), 1, f"{scheme_path}: {message}"
+    )

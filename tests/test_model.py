@@ -13,6 +13,7 @@ from icx.model import (
     Destination,
     FamilyTag,
     Instance,
+    check_family,
     gen_neighboring_antidotes,
     gen_neighboring_interference,
     gen_x_network,
@@ -24,6 +25,7 @@ from icx.model import (
     validate,
     x_network_sets,
 )
+from icx.symmetric import builtin_example
 
 
 def make_destinations(dests):
@@ -312,6 +314,19 @@ def test_family_tag_roundtrip():
     inst = gen_x_network(6, 2)
     again = parse_instance(serialize_instance(inst))
     assert again.family == FamilyTag.make("x-network", K=6, L=2)
+
+
+@pytest.mark.parametrize("inst, params", [
+    (gen_neighboring_antidotes(7, 1, 2), (7, 1, 2)),
+    (gen_neighboring_antidotes(4, 1, 2), (4, 1, 2)),
+    (gen_neighboring_interference(9, 1, 2), (9, 1, 2)),
+    (gen_x_network(6, 2), (6, 2)),
+    (builtin_example(3).instance, (5, 3)),
+], ids=["antidotes", "antidotes-A-is-K-1", "interference", "x-network", "example-3"])
+def test_check_family_returns_the_parameters_it_confirmed(inst, params):
+    """In the family's own order, (K, U, D) or (K, L): what symmetric_capacity
+    and dimension_audit read instead of the tag."""
+    assert check_family(inst) == params
 
 
 @pytest.mark.parametrize("family", [

@@ -14,7 +14,7 @@ import reference_oracle as ref
 from icx.bounds import simple_bounds
 from icx.errors import BadParams, BudgetExceeded
 from icx.galois import Matrix, PrimeField
-from icx.model import gen_neighboring_antidotes
+from icx.model import Instance, gen_neighboring_antidotes
 from icx.oracle import best_scalar_scheme, minrank_gf2
 from icx.scheme import LinearScheme, simulate_exhaustive, verify
 from icx.symmetric import builtin_example
@@ -66,6 +66,15 @@ def test_minrank_budget():
     inst = make_instance(6, [({k}, {1, 2, 3, 4, 5, 6} - {k}) for k in range(1, 7)])
     with pytest.raises(BudgetExceeded):
         minrank_gf2(inst, budget=2**10)  # 30 free entries
+
+
+def test_minrank_reads_each_antidote_set_in_one_pass(monkeypatch):
+    """A lookup of each message's destination by id once scanned the
+    destinations for every message; the result does not change."""
+    inst = gen_neighboring_antidotes(6, 1, 2)
+    expected = minrank_gf2(inst)
+    monkeypatch.setattr(Instance, "destination", lambda self, k: pytest.fail("destination looked up by id"))
+    assert minrank_gf2(inst) == expected
 
 
 def test_minrank_lower_bound_from_simple_bounds():

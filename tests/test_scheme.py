@@ -1075,6 +1075,12 @@ def test_audit_requires_family():
         dimension_audit(ex.instance, ex.scheme)
 
 
+def test_audit_refuses_a_family_without_interference():
+    """A = U + D = K - 1: every destination holds every other message, so no window is left."""
+    with pytest.raises(UnsupportedFamily, match="no interference to audit when A >= K-1"):
+        dimension_audit(gen_neighboring_antidotes(4, 1, 2), build_antidote_scheme(4, 1, 2))
+
+
 def test_audit_rejects_tag_of_another_instance():
     """A K=9 tag on five messages once raised KeyError: 6."""
     inst = gen_neighboring_antidotes(5, 1, 1)

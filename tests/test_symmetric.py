@@ -84,6 +84,11 @@ def test_antidote_scheme_bad_params():
         build_antidote_scheme(5, 2, 1)
 
 
+def test_antidote_scheme_refuses_more_antidotes_than_other_messages():
+    with pytest.raises(BadParams, match="need U\\+D <= K-1, got K=3, U=1, D=2"):
+        build_antidote_scheme(3, 1, 2)
+
+
 def test_antidote_scheme_circular_shift_invariance():
     K, U, D = 7, 1, 2
     inst = gen_neighboring_antidotes(K, U, D)
