@@ -84,8 +84,8 @@ class BoundCertificate(Record):
 
 _set_kind, _set_terms, _set_rhs, _set_provenance = (vars(BoundCertificate)[f].__set__ for f in BoundCertificate._fields)
 
-# simple_bounds, and chain_bounds per chain length, sort certificates of one
-# kind and one rhs whose terms differ: the order of (rhs, terms, kind, provenance).
+# simple_bounds, by its keys, and chain_bounds per chain length sort certificates of
+# one kind and one rhs whose terms differ: the order of (rhs, terms, kind, provenance).
 _by_terms = attrgetter("terms")
 
 
@@ -99,24 +99,23 @@ def simple_bounds(inst: Instance) -> list:
 
     For a pair (k, j): the demands of k plus the demands of j that interfere
     at k sum to at most one link use.  Pairs whose second term is empty
-    collapse to the single-destination bound.  Deduplicated by term multiset.
+    collapse to the single-destination bound.  Deduplicated by term multiset,
+    keeping the first provenance; only the survivors are built.
     Raises BadParams, before building any, past MAX_SIMPLE_PAIRS pairs.
     """
     K = len(inst.destinations)
     if K * (K - 1) > MAX_SIMPLE_PAIRS:
         raise BadParams(f"simple bounds: {K * (K - 1)} destination pairs, more than the limit of {MAX_SIMPLE_PAIRS}")
-    certs = {}  # terms -> certificate; every rhs is 1
+    first = {}  # sorted terms -> provenance of the first destination or pair giving them
     for d in inst.destinations:
-        cert = BoundCertificate("simple", d.wants, 1, (d.id,))
-        certs.setdefault(cert.terms, cert)
+        first.setdefault(tuple(sorted(d.wants)), (d.id,))
     for dk in inst.destinations:
         outside = inst.interferers(dk)
         for dj in inst.destinations:
             second = dj.wants & outside  # empty for dj = dk
             if second:
-                cert = BoundCertificate("simple", (*dk.wants, *second), 1, (dk.id, dj.id))
-                certs.setdefault(cert.terms, cert)
-    return sorted(certs.values(), key=_by_terms)
+                first.setdefault(tuple(sorted((*dk.wants, *second))), (dk.id, dj.id))
+    return [BoundCertificate("simple", terms, 1, first[terms]) for terms in sorted(first)]  # every rhs is 1
 
 
 # ----------------------------------------------------------------------

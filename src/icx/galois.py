@@ -153,9 +153,6 @@ class PrimeField(Record):
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def neg(self, a: int) -> int:
         return (-a) % self.p
 
@@ -202,9 +199,6 @@ class BinaryField(Record):
     # mod p: the bit loops below never end on a negative integer.
 
     def add(self, a: int, b: int) -> int:
-        return self.canonical(a) ^ self.canonical(b)
-
-    def sub(self, a: int, b: int) -> int:
         return self.canonical(a) ^ self.canonical(b)
 
     def neg(self, a: int) -> int:

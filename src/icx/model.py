@@ -65,12 +65,6 @@ class Instance(Record):
     def num_destinations(self) -> int:
         return len(self.destinations)
 
-    def destination(self, k: int) -> Destination:
-        for d in self.destinations:
-            if d.id == k:
-                return d
-        raise KeyError(f"no destination with id {k}")
-
     def interferers(self, d: Destination) -> frozenset:
         """Messages that are neither desired nor held at d."""
         return frozenset(range(1, self.num_messages + 1)) - d.wants - d.has

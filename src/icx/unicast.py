@@ -148,9 +148,11 @@ def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     V = {}
     U = {} if scheme.U is not None else None
     for i in range(1, umap.M + 1):
-        inter = Subspace.from_matrix(scheme.V[umap.unicast_id(i, 1)])
-        for j in range(2, umap.L + 1):
-            inter = inter.intersect(Subspace.from_matrix(scheme.V[umap.unicast_id(i, j)]))
+        # scheme_to_unicast gives every copy the same V_i: intersect each distinct matrix once
+        first, *rest = dict.fromkeys(scheme.V[umap.unicast_id(i, j)] for j in range(1, umap.L + 1))
+        inter = Subspace.from_matrix(first)
+        for v in rest:
+            inter = inter.intersect(Subspace.from_matrix(v))
         if inter.dim == 0:
             raise TranslationFailed(
                 f"copies of message {i} share no signal space; groupcast rate would be 0"

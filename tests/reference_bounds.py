@@ -1,10 +1,13 @@
-"""Naive chain-bound search and Fraction evaluation: the reference for bounds.
+"""Naive simple bounds, chain-bound search and Fraction evaluation: the
+reference for bounds.
 
-``chain_bounds`` is the plain depth-first search: every extended path copies
-its lists, and every closing destination builds a certificate that is then
-deduplicated by its (terms, rhs) key.  ``evaluate`` sums the term rates as
-Fractions.  Nothing here shares the search or the arithmetic of
-``icx.bounds``; only the certificate class and the partition are reused.
+``simple_bounds`` builds a certificate for every destination and every pair
+and keeps the first of each term multiset.  ``chain_bounds`` is the plain
+depth-first search: every extended path copies its lists, and every closing
+destination builds a certificate that is then deduplicated by its (terms,
+rhs) key.  ``evaluate`` sums the term rates as Fractions.  Nothing here
+shares the search or the arithmetic of ``icx.bounds``; only the certificate
+class and the partition are reused.
 """
 
 from fractions import Fraction
@@ -17,6 +20,21 @@ from icx.model import normalize
 
 def _sort_key(cert):
     return (cert.rhs, cert.terms, cert.kind, cert.provenance)
+
+
+def simple_bounds(inst):
+    certs = {}  # terms -> the first certificate with them
+    for d in inst.destinations:
+        cert = BoundCertificate("simple", d.wants, 1, (d.id,))
+        certs.setdefault(cert.terms, cert)
+    for dk in inst.destinations:
+        outside = inst.interferers(dk)
+        for dj in inst.destinations:
+            second = dj.wants & outside
+            if second:
+                cert = BoundCertificate("simple", (*dk.wants, *second), 1, (dk.id, dj.id))
+                certs.setdefault(cert.terms, cert)
+    return sorted(certs.values(), key=_sort_key)
 
 
 def evaluate(cert, rates):

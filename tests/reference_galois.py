@@ -21,7 +21,7 @@ def rref(field, rows, ncols):
         for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 coef = a[i][c]
-                a[i] = [field.sub(x, field.mul(coef, y)) for x, y in zip(a[i], a[r])]
+                a[i] = [field.add(x, field.neg(field.mul(coef, y))) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == len(a):

@@ -30,9 +30,10 @@ def minrank_gf2(inst, budget=DEFAULT_ORACLE_BUDGET):
     if K > 6:
         raise BudgetExceeded(f"minrank search is limited to 6 messages, got {K}")
     dest_of = {m: k for k, m in demand.items()}
+    by_id = {d.id: d for d in inst.destinations}
     free = []
     for m in range(1, K + 1):
-        d = inst.destination(dest_of[m])
+        d = by_id[dest_of[m]]
         for mp in sorted(d.has):
             free.append((m, mp))
     if 2 ** len(free) > budget:

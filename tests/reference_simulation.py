@@ -49,7 +49,7 @@ def simulate(inst, scheme, tuples):
                 for s in (s for i in sorted(d.has) for s in pos[i]):
                     m, j = streams[s]
                     col = scheme.V[m].col(j)
-                    cancelled = [f.sub(a, f.mul(digits[s], b)) for a, b in zip(cancelled, col)]
+                    cancelled = [f.add(a, f.neg(f.mul(digits[s], b))) for a, b in zip(cancelled, col)]
             for m in sorted(d.wants):
                 want = [digits[s] for s in pos[m]]
                 if decoders is None:

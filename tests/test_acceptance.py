@@ -281,9 +281,10 @@ def test_criterion_8_unicast_equivalence(groupcast_m2k3):
     ok &= umap.transformed.num_messages == 6  # M(L+1)
     ok &= umap.transformed.num_destinations == 6  # K + M after normalization
     ok &= umap.transformed.is_multiple_unicast()
+    by_id = {d.id: d for d in umap.transformed.destinations}
     for i in range(1, umap.M + 1):
         for j in range(umap.L + 1):
-            dest = umap.transformed.destination(umap.unicast_id(i, j))
+            dest = by_id[umap.unicast_id(i, j)]
             ok &= dest.has == frozenset(setbuilder_antidotes(umap, i, j))
 
     cases = [(builtin_example(e).instance, builtin_example(e).scheme, 1) for e in (1, 2, 3)]

@@ -214,8 +214,9 @@ def test_x_outer_bound_messages_match_window():
     K, L = 8, 3
     inst = gen_x_network(K, L)
     wo = set(x_outer_bound_messages(K, L))
+    by_id = {d.id: d for d in inst.destinations}
     for i in range(L):
-        dest = inst.destination(1 + i)
+        dest = by_id[1 + i]
         assert len(dest.wants & wo) == L - i
 
 

@@ -1,9 +1,10 @@
-"""The chain-bound search and certificate arithmetic of bounds against the
-naive reference.
+"""The simple bounds, chain-bound search and certificate arithmetic of bounds
+against the naive reference.
 
 ``tests/reference_bounds.py`` holds the plain depth-first search, which
 builds a certificate for every closing destination and deduplicates
-afterwards, and the Fraction-sum evaluation.  The outputs must agree
+afterwards, the simple bounds built the same way, and the Fraction-sum
+evaluation.  The outputs must agree
 exactly: every certificate's JSON, provenance included, in order; whether
 the budget is exceeded; and the partial list attached when it is.
 """
@@ -316,6 +317,34 @@ def test_chain_certificates_stay_small():
     count, retained = map(int, run_fresh(script).split())
     assert count == 4887
     assert retained < 1_500_000
+
+
+# ----------------------------------------------------------------------
+# simple bounds
+# ----------------------------------------------------------------------
+
+
+def simple_cases():
+    for inst, _ in RANDOM_CASES:
+        yield inst
+    yield multiplicity_instance()
+    for family in sorted(FAMILIES):
+        yield FAMILIES[family]()
+    yield gen_neighboring_antidotes(60, 0, 1)
+
+
+def test_simple_bounds_match_reference():
+    """simple_bounds keys the terms before it builds a certificate; the
+    reference builds one for every pair and keeps the first per terms, so
+    both must give the same certificates, provenance included, in order."""
+    pairs = 0
+    for inst in simple_cases():
+        got = simple_bounds(inst)
+        assert got == ref.simple_bounds(inst)
+        assert [c.to_json() for c in got] == [c.to_json() for c in ref.simple_bounds(inst)]
+        pairs += sum(len(c.provenance) == 2 for c in got)
+    # antidotes K=60 U=0 D=1 alone keeps 1,770 of its 3,540 ordered pairs: (k, j) and (j, k) give one multiset
+    assert pairs > 1770
 
 
 # ----------------------------------------------------------------------

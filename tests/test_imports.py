@@ -7,6 +7,15 @@ string that parses as an expression (a quoted annotation such as
 used anywhere in the module, an import inside a function only in that
 function.  The same walk finds private helpers that nothing in the package
 uses, and public names that nothing outside the tests uses.
+
+Methods are resolved by class.  An attribute reference or a bare-name string
+can call a method; a plain name (a variable ``sub``) cannot.  ``self.name`` in
+class C reaches C alone, and ``C.name`` reaches C.  A call through any other
+receiver, or a string, reaches the one class that defines the name, as a
+method or as a Record field; an uncalled read reaches it only if it is a
+property.  A name that several classes define and only such receivers reach
+keeps a class alive only through a line of ``SHARED``, which lists the
+classes and gives the reason.
 """
 
 import ast
@@ -106,28 +115,118 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced(sources: dict, readers: dict = None, public: bool = False) -> list:
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Names that several classes define, as a method or as a Record field, and
+# that only receivers of unknown type reach: such a reference reaches each
+# class listed, for the reason given.
+SHARED = {
+    "order": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
+    "canonical": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
+    "add": ("PrimeField BinaryField Matrix", "the field interface, and Matrix.add, which the benchmark's tracer wraps"),
+    "neg": ("PrimeField BinaryField Matrix", "the field interface, and a matrix's negation in Subspace.intersect"),
+    "mul": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
+    "inv": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
+    "elements": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
+    "to_json": (
+        "PrimeField BinaryField FamilyTag AlignmentPartition FeasibilityVerdict BoundCertificate OracleResult "
+        "VerificationReport SimulationResult UnicastMap",
+        "the JSON of each record that a CLI verb or a report prints, called on whichever record it holds",
+    ),
+    "rank": ("Matrix EchelonBasis", "a matrix's rank() and a basis's rank are read on receivers of either type"),
+    "dim": ("Subspace", "a span's dimension; RankChainStep.dim is a field of the same name"),
+    "rates": ("LinearScheme", "a scheme's rates(); VerificationReport.rates is a field of the same name"),
+}
+
+
+def _fields(cls: ast.ClassDef) -> set:
+    """The attributes a class declares: its ``_fields`` or ``__slots__`` as
+    written, and for a Record its ``__init__`` parameters after ``self``."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("_fields", "__slots__"):
+            names |= set(ast.literal_eval(node.value))
+        elif isinstance(node, FUNCTIONS) and node.name == "__init__" and "Record" in {getattr(b, "id", None) for b in cls.bases}:
+            names |= {a.arg for a in [*node.args.args[1:], *node.args.kwonlyargs]}
+    return names
+
+
+def unreferenced(sources: dict, readers: dict = None, public: bool = False, shared: dict = None) -> list:
     """(module, line, name) of every private function, method or class defined
     in ``sources`` (module name -> text), or with ``public`` every public one,
     that no module of ``sources`` or ``readers`` refers to outside its
-    definition: by name, as an attribute, in an import, or as a string that is
-    the bare name (``"scale"``, as a tracer names the methods it wraps).
-    Dunder methods are called by the language and count as used."""
-    defined, used = [], set()
-    for module, source in {**sources, **(readers or {})}.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if module in sources and node.name.startswith("_") != public and not node.name.endswith("__"):
-                    defined.append((module, node.lineno, node.name))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-                used.add(node.value)
-    return sorted(d for d in defined if d[2] not in used)
+    definition.  Dunder methods are called by the language and count as used.
+
+    A function or class is used by name, as an attribute, in an import, or as
+    a string that is the bare name.  A method, named ``Class.name``, is used
+    only by an attribute reference or such a string (``"scale"``, as a tracer
+    names the methods it wraps), and it is resolved to its class: ``self.name``
+    or ``cls.name`` inside class C reaches C alone, and ``C.name`` reaches C.
+    Any other receiver is of unknown type, and so is a string.  A call through
+    one (``x.name(...)``), a string, or for a property any reference, reaches
+    the one class that defines the name as a method or as a field, and none
+    when several do, unless ``shared`` (name -> (class names, reason)) lists
+    the class under that name.  So an option read, ``args.trace``, reaches no method.
+    An allowance without a reason, or naming a class that has no such method,
+    raises ValueError."""
+    trees = {module: ast.parse(source) for module, source in {**sources, **(readers or {})}.items()}
+    members, owner, properties = {}, {}, set()  # class -> its method and field names; method -> its class
+    for module in sources:
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.ClassDef):
+                own = [n for n in node.body if isinstance(n, FUNCTIONS)]
+                owner.update(dict.fromkeys(own, node.name))
+                properties |= {(node.name, n.name) for n in own if "property" in map(ast.unparse, n.decorator_list)}
+                members.setdefault(node.name, set()).update(_fields(node), (n.name for n in own))
+    methods, allowed = {(c, n.name) for n, c in owner.items()}, set()
+    for name, (classes, reason) in (shared or {}).items():
+        if not reason.strip():
+            raise ValueError(f"the allowance for {name!r} gives no reason")
+        for cls in classes.split():
+            if (cls, name) not in methods:
+                raise ValueError(f"the allowance for {name!r} names {cls}, which has no such method")
+            allowed.add((cls, name))
+
+    names, typed, untyped = set(), set(), set()  # untyped: (name, called)
+
+    def walk(node, cls):
+        """Record the references below node; cls is the class whose body encloses it."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.alias):
+                names.add(child.name)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str) and child.value.isidentifier():
+                names.add(child.value)
+                untyped.add((child.value, True))
+            elif isinstance(child, ast.Attribute):
+                names.add(child.attr)
+                receiver = getattr(child.value, "id", getattr(child.value, "attr", None))
+                if cls and receiver in ("self", "cls"):
+                    typed.add((cls, child.attr))
+                elif receiver in members:
+                    typed.add((receiver, child.attr))
+                else:
+                    untyped.add((child.attr, isinstance(node, ast.Call) and child is node.func))
+            walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for tree in trees.values():
+        walk(tree, None)
+
+    def used(name, cls):
+        if cls is None:
+            return name in names
+        reached = (name, True) in untyped or (cls, name) in properties and (name, False) in untyped
+        definers = {c for c, own in members.items() if name in own}
+        return (cls, name) in typed or reached and (definers == {cls} or (cls, name) in allowed)
+
+    return sorted(
+        (module, node.lineno, f"{owner[node]}.{node.name}" if node in owner else node.name)
+        for module in sources
+        for node in ast.walk(trees[module])
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name.startswith("_") != public
+        and not node.name.endswith("__") and not used(node.name, owner.get(node))
+    )
 
 
 def test_checker_finds_a_dead_private_helper():
@@ -150,6 +249,71 @@ def test_checker_finds_a_public_name_only_tests_use():
     assert unreferenced(sources, public=True) == [("a", 8, "helper"), ("a", 11, "entry")]
 
 
+RECORDS = (
+    "class Record:\n    pass\n\n"
+    "class Diagnostic(Record):\n"
+    "    def __init__(self, destination):\n        super().__init__(destination)\n\n"
+    "    def describe(self):\n        return str(self.destination)\n\n"
+    "class Instance(Record):\n"
+    "    def __init__(self, destinations):\n        super().__init__(destinations)\n\n"
+    "    def destination(self, k):\n        return self.destinations[k]\n"
+)
+
+
+def test_checker_resolves_a_method_shadowed_by_another_classs_field():
+    """``self.destination`` in Diagnostic reads its field, so Instance's method
+    of that name has no caller; an untyped ``r.destination`` could be either."""
+    use = "from a import Diagnostic, Instance\nprint(Diagnostic(1).describe(), Instance(()))\n"
+    assert unreferenced({"a": RECORDS, "b": use}, public=True) == [("a", 15, "Instance.destination")]
+    either = use + "r = Diagnostic(2)\nprint(r.destination)\n"
+    assert unreferenced({"a": RECORDS, "b": either}, public=True) == [("a", 15, "Instance.destination")]
+
+
+def test_checker_does_not_count_a_variable_or_an_option_named_as_a_method():
+    """A variable ``sub`` and an option read ``args.trace`` reach no method;
+    a call ``f.add(...)`` does, and so does a read of the property ``f.order``."""
+    sources = {
+        "a": "class Field:\n    def sub(self, a, b):\n        return a - b\n\n    def add(self, a, b):\n"
+             "        return a + b\n\n    def trace(self):\n        return 0\n\n    @property\n"
+             "    def order(self):\n        return 2\n",
+        "cli": "import argparse\nfrom a import Field\nargs = argparse.ArgumentParser().parse_args()\n"
+               "sub = Field()\nprint(sub.add(1, 2), sub.order, args.trace)\n",
+    }
+    assert unreferenced(sources, public=True) == [("a", 2, "Field.sub"), ("a", 8, "Field.trace")]
+
+
+def test_checker_counts_a_class_reference_and_a_tracer_string():
+    """``Box.scale`` reaches Box alone, so Crate's ``scale`` is dead; the
+    tracer's string ``"pack"`` reaches the one class with that method."""
+    sources = {
+        "a": "class Box:\n    def scale(self):\n        pass\n\n    def pack(self):\n        pass\n\n"
+             "class Crate:\n    def scale(self):\n        pass\n",
+        "b": "from a import Box, Crate\nf, c = Box.scale, Crate()\n",
+    }
+    readers = {"tracer": "CLASS_METHODS = {('a', 'Box'): ('pack',)}\n"}
+    assert unreferenced(sources, readers, public=True) == [("a", 9, "Crate.scale")]
+    assert unreferenced(sources, public=True) == [("a", 5, "Box.pack"), ("a", 9, "Crate.scale")]
+
+
+def test_checker_allowance_needs_a_reason():
+    """A name several classes define and only untyped receivers reach keeps
+    them alive when the allowance lists them with a reason, and only then."""
+    sources = {
+        "a": "class PrimeField:\n    def add(self, a, b):\n        pass\n\n"
+             "class BinaryField:\n    def add(self, a, b):\n        pass\n",
+        "b": "from a import BinaryField, PrimeField\n\ndef total(f, xs):\n    return f.add(*xs)\n\n"
+             "print(total(PrimeField(), [1, 2]), BinaryField())\n",
+    }
+    assert unreferenced(sources, public=True) == [("a", 2, "PrimeField.add"), ("a", 6, "BinaryField.add")]
+    shared = {"add": ("PrimeField BinaryField", "callers hold a field of either kind")}
+    assert unreferenced(sources, public=True, shared=shared) == []
+    for entry in [("PrimeField BinaryField", ""), ("PrimeField BinaryField", "  ")]:
+        with pytest.raises(ValueError, match="gives no reason"):
+            unreferenced(sources, public=True, shared={"add": entry})
+    with pytest.raises(ValueError, match="names Matrix, which has no such method"):
+        unreferenced(sources, public=True, shared={"add": ("PrimeField Matrix", "a reason")})
+
+
 def _package_sources() -> dict:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("src/icx/*.py"))}
 
@@ -163,12 +327,13 @@ def test_no_dead_private_helpers():
 def test_every_public_name_has_a_caller_outside_tests():
     """The API is the public names of the submodules, and each has a caller
     in the package, its scripts or its benchmark (read as text, not imported):
-    a name only the tests use is not part of it."""
+    a name only the tests use is not part of it.  A method needs a caller that
+    reaches its class, or a line in SHARED."""
     readers = {
         f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8")
         for p in sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
     }
-    assert unreferenced(_package_sources(), readers, public=True) == []
+    assert unreferenced(_package_sources(), readers, public=True, shared=SHARED) == []
 
 
 def numpy_imports(source: str) -> list:

@@ -177,7 +177,7 @@ def test_gen_neighboring_antidotes_5_1_1():
 
 def test_gen_neighboring_antidotes_8_1_2():
     inst = gen_neighboring_antidotes(8, 1, 2)
-    d3 = inst.destination(3)
+    d3 = next(d for d in inst.destinations if d.id == 3)
     assert d3.has == frozenset({2, 4, 5})
     assert all(len(d.has) == 3 for d in inst.destinations)
 
@@ -213,7 +213,7 @@ def test_gen_neighboring_interference_6_0_1():
 
 def test_gen_neighboring_interference_9_1_2():
     inst = gen_neighboring_interference(9, 1, 2)
-    d5 = inst.destination(5)
+    d5 = next(d for d in inst.destinations if d.id == 5)
     assert frozenset(range(1, 10)) - d5.has == frozenset({4, 5, 6, 7})
 
 
@@ -287,7 +287,7 @@ def test_parse_feasibility_example_file():
         make_instance(4, [({1, 2}, set()), ({1, 3}, {4}), ({2, 4}, {3})])
     )
     inst = parse_instance(text)
-    assert inst.destination(2).has == frozenset({4})
+    assert next(d for d in inst.destinations if d.id == 2).has == frozenset({4})
 
 
 def test_parse_rejects_overlap():

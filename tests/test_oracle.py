@@ -14,7 +14,7 @@ import reference_oracle as ref
 from icx.bounds import simple_bounds
 from icx.errors import BadParams, BudgetExceeded
 from icx.galois import Matrix, PrimeField
-from icx.model import Instance, gen_neighboring_antidotes
+from icx.model import gen_neighboring_antidotes
 from icx.oracle import best_scalar_scheme, minrank_gf2
 from icx.scheme import LinearScheme, simulate_exhaustive, verify
 from icx.symmetric import builtin_example
@@ -39,9 +39,10 @@ def test_minrank_fitting_matrix_structure():
     inst = gen_neighboring_antidotes(5, 1, 1)
     res = minrank_gf2(inst)
     m = res.witness_matrix
+    by_id = {d.id: d for d in inst.destinations}
     for i in range(5):
         assert m[i, i] == 1
-        d = inst.destination(i + 1)
+        d = by_id[i + 1]
         for j in range(5):
             if j + 1 != i + 1 and (j + 1) not in d.has:
                 assert m[i, j] == 0
@@ -66,15 +67,6 @@ def test_minrank_budget():
     inst = make_instance(6, [({k}, {1, 2, 3, 4, 5, 6} - {k}) for k in range(1, 7)])
     with pytest.raises(BudgetExceeded):
         minrank_gf2(inst, budget=2**10)  # 30 free entries
-
-
-def test_minrank_reads_each_antidote_set_in_one_pass(monkeypatch):
-    """A lookup of each message's destination by id once scanned the
-    destinations for every message; the result does not change."""
-    inst = gen_neighboring_antidotes(6, 1, 2)
-    expected = minrank_gf2(inst)
-    monkeypatch.setattr(Instance, "destination", lambda self, k: pytest.fail("destination looked up by id"))
-    assert minrank_gf2(inst) == expected
 
 
 def test_minrank_lower_bound_from_simple_bounds():
@@ -169,7 +161,8 @@ def test_minrank_witness_is_first_of_several_minimal():
     # antidotes K=4 U=1 D=1: several fitting matrices reach rank 2, and the
     # witness is the first of them with free entry idx as bit idx
     inst = gen_neighboring_antidotes(4, 1, 1)
-    free = [(m, mp) for m in range(1, 5) for mp in sorted(inst.destination(m).has)]
+    by_id = {d.id: d for d in inst.destinations}
+    free = [(m, mp) for m in range(1, 5) for mp in sorted(by_id[m].has)]
     minimal = []
     for bits in range(2 ** len(free)):
         rows = Matrix.identity(PrimeField(2), 4).row_list()

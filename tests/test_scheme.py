@@ -914,7 +914,7 @@ def check_earlier_partner(inst, scheme, res):
     f = scheme.field
     streams = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))]
     x = [e for m in scheme.message_ids() for e in res.counterexample[m]]
-    d = inst.destination(res.destination)
+    d = next(d for d in inst.destinations if d.id == res.destination)
     unheld = [s for s, m in enumerate(streams) if m not in d.has]
     vfull = Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()])
     for z in vfull.take_cols(unheld).nullspace().col_list():
@@ -923,7 +923,7 @@ def check_earlier_partner(inst, scheme, res):
             shift[s] = e
         lead = next(s for s, e in enumerate(shift) if e)
         c = f.mul(x[lead], f.inv(shift[lead]))  # zeroes y's digit at lead
-        y = [f.sub(a, f.mul(c, b)) for a, b in zip(x, shift)]
+        y = [f.add(a, f.neg(f.mul(c, b))) for a, b in zip(x, shift)]
         if any(y[s] != x[s] for s, m in enumerate(streams) if m == res.message):
             break
     else:

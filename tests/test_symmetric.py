@@ -276,10 +276,11 @@ def test_example3_instance_sets():
     ex = builtin_example(3)
     inst = ex.instance
     assert inst.num_messages == 15 and inst.num_destinations == 5
-    d1 = inst.destination(1)
+    by_id = {d.id: d for d in inst.destinations}
+    d1 = by_id[1]
     assert d1.wants == frozenset({3, 5, 7})
     assert d1.has == frozenset(range(10, 16))
-    d4 = inst.destination(4)
+    d4 = by_id[4]
     assert d4.wants == frozenset({12, 14, 1})
     assert d4.has == frozenset({4, 5, 6, 7, 8, 9})
 

@@ -1,11 +1,12 @@
 """Groupcast/unicast equivalence transform and scheme translations."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from icx.errors import BadParams, TranslationFailed
-from icx.galois import Matrix, PrimeField
+from icx.galois import Matrix, PrimeField, Subspace
 from icx.model import Destination, Instance
 from icx.scheme import LinearScheme, simulate_exhaustive, synthesize_decoders, verify
 from icx.symmetric import builtin_example
@@ -68,16 +69,17 @@ def test_transform_smallest_case():
     umap = to_unicast(inst, 1)
     assert umap.transformed.num_messages == 2
     assert umap.transformed.num_destinations == 2
-    aux = umap.transformed.destination(umap.unicast_id(1, 0))
+    aux = next(d for d in umap.transformed.destinations if d.id == umap.unicast_id(1, 0))
     assert aux.has == frozenset()  # nothing outside its own group
 
 
 def test_transform_antidotes_match_formula(groupcast_m2k3, pentagon_notation):
     for inst, L in [(groupcast_m2k3, 2), (pentagon_notation, 1), (builtin_example(2).instance, 1)]:
         umap = to_unicast(inst, L)
+        by_id = {d.id: d for d in umap.transformed.destinations}
         for i in range(1, umap.M + 1):
             for j in range(umap.L + 1):
-                dest = umap.transformed.destination(umap.unicast_id(i, j))
+                dest = by_id[umap.unicast_id(i, j)]
                 assert dest.has == frozenset(setbuilder_antidotes(umap, i, j)), (i, j)
 
 
@@ -192,6 +194,29 @@ def test_translation_with_general_position_siblings():
     assert final.lower_bound == 2 + 2 - (4 - 1)  # sum ranks - (L-1)(n - r0)
     assert final.slack == 0
     assert verify(umap.original, sg).valid
+
+
+def test_translation_intersects_copies_that_differ():
+    """Copies may carry the same matrix, an equal one, the same span in other
+    columns (V P, P invertible) or another span: the groupcast V_i is the
+    intersection of every copy's span, as a fold of Subspace.intersect."""
+    f = PrimeField(5)
+    inst = make_instance(2, [({1}, set())] * 4 + [({2}, {1})] * 4)
+    umap = to_unicast(inst, 4)
+    n = 4
+    a = Matrix.from_cols(f, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    p = Matrix.from_rows(f, [[2, 1, 0], [0, 3, 0], [1, 0, 4]])
+    b = Matrix.from_cols(f, [[1, 2, 0, 0], [0, 0, 0, 1]])
+    copies = {
+        1: [a, a, a @ p, Matrix.from_rows(f, a.row_list())],  # one span in three forms
+        2: [b @ Matrix.from_rows(f, [[0, 1], [1, 0]]), a, b, a @ p],  # two spans
+    }
+    V = {umap.unicast_id(i, 0): Matrix.zeros(f, n, 0) for i in copies}
+    V.update((umap.unicast_id(i, j), v) for i, vs in copies.items() for j, v in enumerate(vs, 1))
+    sg = scheme_to_groupcast(umap, LinearScheme(f, n, V))
+    for i, vs in copies.items():
+        assert sg.V[i] == reduce(Subspace.intersect, map(Subspace.from_matrix, vs)).basis
+    assert (sg.V[1].cols, sg.V[2].cols) == (3, 1)
 
 
 def test_translation_fails_on_disjoint_siblings():
