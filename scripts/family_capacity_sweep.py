@@ -8,11 +8,11 @@ Usage: python scripts/family_capacity_sweep.py [--max-k 16] [--audit]
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 sys.path.insert(0, "src")
 
 from icx.bounds import symmetric_capacity
+from icx.errors import fraction_text
 from icx.model import (
     gen_neighboring_antidotes,
     gen_neighboring_interference,
@@ -26,16 +26,12 @@ from icx.symmetric import (
 )
 
 
-def frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def cases(max_k):
     """(row label, instance generator, scheme builder, parameters) of each
     case, in table order; the label formats the block length n."""
     for K in range(3, min(max_k, 14) + 1):
         for U in range(0, K):
-            for D in range(U, K - 2 - U):  # U + D <= K - 3
+            for D in range(U, K - 1 - U):  # U + D <= K - 2
                 yield (f"antidotes K={K:2d} U={U} D={D}  n={{:2d}}",
                        gen_neighboring_antidotes, build_antidote_scheme, (K, U, D))
     for K in range(2, max_k + 1):
@@ -65,9 +61,9 @@ def main():
         rate = next(iter(set(rep.rates.values())))
         extra = ""
         if args.audit and generate is gen_neighboring_antidotes:
-            extra = f" audit_slack={frac(dimension_audit(inst, scheme).final_slack)}"
+            extra = f" audit_slack={fraction_text(dimension_audit(inst, scheme).final_slack)}"
         rows.append(
-            f"{label.format(scheme.n)}  rate={frac(rate):>5} capacity={frac(cap):>5}  "
+            f"{label.format(scheme.n)}  rate={fraction_text(rate):>5} capacity={fraction_text(cap):>5}  "
             f"{'ok' if rep.valid and rate == cap else 'MISMATCH'}{extra}"
         )
     print("\n".join(rows))

@@ -69,14 +69,6 @@ class Instance(Record):
         """Messages that are neither desired nor held at d."""
         return frozenset(range(1, self.num_messages + 1)) - d.wants - d.has
 
-    def is_multiple_unicast(self) -> bool:
-        seen = set()
-        for d in self.destinations:
-            if d.wants & seen:
-                return False
-            seen |= d.wants
-        return True
-
     def demand_sizes(self) -> set:
         return {len(d.wants) for d in self.destinations}
 
@@ -201,11 +193,16 @@ def gen_neighboring_antidotes(K: int, U: int, D: int) -> Instance:
     return _family_instance("neighboring-antidotes", K, K=K, U=U, D=D)
 
 
-def _antidote_pairs(K: int, U: int, D: int):
-    """(wants, has) of destinations 1..K; outside the family or the caps, BadParams before the first."""
+def _check_neighboring_antidotes(K: int, U: int, D: int):
+    """BadParams unless gen_neighboring_antidotes(K, U, D) would build, without building it."""
     if not (0 <= U <= D) or U + D >= K:
         raise BadParams(f"need 0 <= U <= D and U+D < K, got K={K}, U={U}, D={D}")
     _check_generated_size(K, K, K * (U + D))
+
+
+def _antidote_pairs(K: int, U: int, D: int):
+    """(wants, has) of destinations 1..K; outside the family or the caps, BadParams before the first."""
+    _check_neighboring_antidotes(K, U, D)
     for k in range(1, K + 1):
         yield frozenset({k}), frozenset(_mod1(k + s, K) for s in range(-U, D + 1) if s)
 

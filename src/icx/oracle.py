@@ -13,6 +13,7 @@ oracle and the verifier independent code paths.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Optional
 
 from .errors import BadParams, BudgetExceeded, Record
@@ -47,21 +48,16 @@ class OracleResult(Record):
         return out
 
 
-def _desired_message_of(inst: Instance) -> dict:
-    """destination id -> its unique desired message; requires square unicast."""
-    if not inst.is_multiple_unicast():
+def _antidotes_by_message(inst: Instance) -> dict:
+    """message -> the antidotes of the one destination that wants it; requires square unicast."""
+    wanted = Counter(m for d in inst.destinations for m in d.wants)
+    if max(wanted.values(), default=0) > 1:
         raise BadParams("oracle requires a multiple unicast instance")
-    mapping = {}
-    desired = set()
-    for d in inst.destinations:
-        if len(d.wants) != 1:
-            raise BadParams("oracle requires single-demand destinations")
-        (m,) = d.wants
-        mapping[d.id] = m
-        desired.add(m)
-    if desired != set(range(1, inst.num_messages + 1)):
+    if any(len(d.wants) != 1 for d in inst.destinations):
+        raise BadParams("oracle requires single-demand destinations")
+    if len(wanted) != inst.num_messages:
         raise BadParams("every message must be desired by exactly one destination")
-    return mapping
+    return {m: d.has for d in inst.destinations for m in d.wants}
 
 
 def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
@@ -77,9 +73,8 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     matrix of least rank in numeric order of the free entries, free entry idx
     as bit idx.
     """
-    demand = _desired_message_of(inst)
+    antidotes = _antidotes_by_message(inst)
     K = inst.num_messages
-    antidotes = {demand[d.id]: d.has for d in inst.destinations}  # message -> its destination's antidotes
     # free[i]: the columns of row i's free entries, the antidotes of message i + 1
     free = [[mp - 1 for mp in sorted(antidotes[i + 1])] for i in range(K)]
 
@@ -157,33 +152,22 @@ def best_scalar_scheme(
     first r coordinates (r the dimension the earlier beams span), then
     e_{r+1}.
     """
-    if q < 2:
-        raise BadParams(f"q must be a prime of at least 2, got {q}")
     if n_max < 1:
         raise BadParams(f"n_max must be at least 1, got {n_max}")
     try:
         field = PrimeField(q)
     except ValueError:
-        raise BadParams(f"q must be a prime below 2^31, got {q}") from None
+        raise BadParams(f"q must be a prime in [2, 2^31), got {q}") from None
     M = inst.num_messages
+    query = f"best scalar scheme over GF({q}), n <= {n_max}"
     checked_total = nodes = 0
     for n in range(1, n_max + 1):
         checked_total += ((q**n - 1) // (q - 1)) ** (M - 1)
         beams, nodes = _first_valid_beams(inst, field, n, nodes, budget)
         if beams is not None:
             V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
-            scheme = LinearScheme(field, n, V)
-            return OracleResult(
-                query=f"best scalar scheme over GF({q}), n <= {n_max}",
-                value=n,
-                search_space_size=checked_total,
-                witness_scheme=scheme,
-            )
-    return OracleResult(
-        query=f"best scalar scheme over GF({q}), n <= {n_max}",
-        value=None,
-        search_space_size=checked_total,
-    )
+            return OracleResult(query, n, checked_total, witness_scheme=LinearScheme(field, n, V))
+    return OracleResult(query, None, checked_total)
 
 
 def _projective_reps(field: Field, n: int):

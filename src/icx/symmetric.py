@@ -3,7 +3,7 @@
 Neighboring antidotes: message i rides on beamforming vectors z_i..z_{i+U}
 taken from a family where any n are independent, so adjacent messages overlap
 in U dimensions and the K-A-1 interferers at each destination collapse into
-U + (K-A-1) dimensions.
+U + (K-A-1) dimensions (at A = K-2, one interferer: built with U = 0).
 
 Neighboring interference and the X family use GF(2) identity columns assigned
 periodically; the divisibility preconditions of the generators are exactly
@@ -26,23 +26,22 @@ from .model import (
     Destination,
     Instance,
     _check_generated_size,
+    _check_neighboring_antidotes,
     _check_neighboring_interference,
     _check_x_network,
     _x_network_instance,
-    gen_neighboring_antidotes,
 )
 from .scheme import LinearScheme, check_scheme_size
 
 
 def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
-    """Rate-(U+1)/(K-A+2U) scheme for gen_neighboring_antidotes(K, U, D).
+    """Rate-(U+1)/(K-A+2U) scheme for gen_neighboring_antidotes(K, U, D), A = U+D.
 
-    Needs A = U+D <= K-3; with A = K-1 every destination already holds all
-    other messages (rate-1 scheme), and with A = K-2 a rate-1/2 scheme comes
-    from the alignment module instead.
+    At A = K-2 each destination faces one interferer, so U = 0: one MDS beam
+    per message at n = 2, rate 1/2.  At A = K-1 all other messages are held:
+    one GF(2) use, rate 1; the construction would give (U+1)/(2U+1) over GF(p).
     """
-    if not (0 <= U <= D):
-        raise BadParams(f"need 0 <= U <= D, got U={U}, D={D}")
+    _check_neighboring_antidotes(K, U, D)
     A = U + D
     if A == K - 1:
         check_scheme_size(1, K)
@@ -50,11 +49,7 @@ def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
         one = Matrix.from_rows(gf2, [[1]])
         return LinearScheme(gf2, 1, {m: one for m in range(1, K + 1)})
     if A == K - 2:
-        from .alignment import build_scalar_scheme
-
-        return build_scalar_scheme(gen_neighboring_antidotes(K, U, D), 1)
-    if A > K - 3:
-        raise BadParams(f"need U+D <= K-1, got K={K}, U={U}, D={D}")
+        U = 0  # a single interferer: nothing to align
     n = K - A + 2 * U
     check_scheme_size(n, K * (U + 1))
     field = PrimeField(smallest_prime_at_least(K))

@@ -17,6 +17,12 @@ def make_instance(num_messages, dests, family=None):
     )
 
 
+def is_multiple_unicast(inst):
+    """No message is desired at two destinations."""
+    wanted = [m for d in inst.destinations for m in d.wants]
+    return len(wanted) == len(set(wanted))
+
+
 @pytest.fixture
 def feasible_m4k3():
     """M=4, K=3, L=2; messages 3 and 4 align at destination 1; rate 1/3 works."""

@@ -2,10 +2,10 @@
 
 ``icx.oracle`` searches depth-first and prunes; these loops try every
 candidate.  Both must return the same value, the same witness and the
-same search-space size.  The helpers that turn a winning candidate into a
-result (demand map, the scheme of a fitting matrix) are shared with the
-package; the candidates, and the order that picks the scalar witness, are
-listed here.  These loops keep the size limits the package had before its
+same search-space size.  The helpers that read the demand and turn a
+winning candidate into a result (each message's antidotes, the scheme of a
+fitting matrix) are shared with the package; the candidates, and the order
+that picks the scalar witness, are listed here.  These loops keep the size limits the package had before its
 searches counted nodes.
 """
 
@@ -16,7 +16,7 @@ from icx.galois import EchelonBasis, Matrix, PrimeField
 from icx.oracle import (
     DEFAULT_ORACLE_BUDGET,
     OracleResult,
-    _desired_message_of,
+    _antidotes_by_message,
     _scheme_from_fitting,
 )
 from icx.scheme import LinearScheme
@@ -25,17 +25,11 @@ from icx.scheme import LinearScheme
 def minrank_gf2(inst, budget=DEFAULT_ORACLE_BUDGET):
     """Every fitting matrix in numeric order of its free entries, free entry
     idx as bit idx; the first of least rank is the witness."""
-    demand = _desired_message_of(inst)
+    antidotes = _antidotes_by_message(inst)
     K = inst.num_messages
     if K > 6:
         raise BudgetExceeded(f"minrank search is limited to 6 messages, got {K}")
-    dest_of = {m: k for k, m in demand.items()}
-    by_id = {d.id: d for d in inst.destinations}
-    free = []
-    for m in range(1, K + 1):
-        d = by_id[dest_of[m]]
-        for mp in sorted(d.has):
-            free.append((m, mp))
+    free = [(m, mp) for m in range(1, K + 1) for mp in sorted(antidotes[m])]
     if 2 ** len(free) > budget:
         raise BudgetExceeded(f"2^{len(free)} fitting matrices exceed budget {budget}")
 
@@ -71,13 +65,14 @@ def best_scalar_scheme(inst, q, n_max, budget=DEFAULT_ORACLE_BUDGET, limits=True
     least canonical key (_canonical_key), one without a key ranking after
     every one with a key and the first of those in product order.
     limits=False lifts the size limits, not the budget."""
-    if q < 2:
-        raise BadParams(f"q must be a prime of at least 2, got {q}")
     if n_max < 1:
         raise BadParams(f"n_max must be at least 1, got {n_max}")
+    try:
+        field = PrimeField(q)
+    except ValueError:
+        raise BadParams(f"q must be a prime in [2, 2^31), got {q}") from None
     if limits and (inst.num_messages > 6 or q > 3 or n_max > 3):
         raise BudgetExceeded("scalar search is limited to M <= 6, q <= 3, n <= 3")
-    field = PrimeField(q)
     M = inst.num_messages
     checked_total = 0
     for n in range(1, n_max + 1):

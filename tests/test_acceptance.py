@@ -41,7 +41,7 @@ from icx.unicast import (
     to_unicast,
 )
 
-from conftest import make_instance
+from conftest import is_multiple_unicast, make_instance
 
 
 def report(n, ok, detail):
@@ -280,7 +280,7 @@ def test_criterion_8_unicast_equivalence(groupcast_m2k3):
     umap = to_unicast(groupcast_m2k3, 2)
     ok &= umap.transformed.num_messages == 6  # M(L+1)
     ok &= umap.transformed.num_destinations == 6  # K + M after normalization
-    ok &= umap.transformed.is_multiple_unicast()
+    ok &= is_multiple_unicast(umap.transformed)
     by_id = {d.id: d for d in umap.transformed.destinations}
     for i in range(1, umap.M + 1):
         for j in range(umap.L + 1):

@@ -765,7 +765,7 @@ def test_scalar_search_field_must_have_two_elements(tmp_path, capsys, q):
     path = write_instance(tmp_path, gen_neighboring_antidotes(5, 0, 1))
     assert_one_line_error(
         *invoke(capsys, "oracle", path, "--scalar-search", "--q", q), 2,
-        f"q must be a prime of at least 2, got {q}",
+        f"q must be a prime in [2, 2^31), got {q}",
     )
 
 
@@ -773,7 +773,7 @@ def test_scalar_search_field_must_have_two_elements(tmp_path, capsys, q):
 def test_scalar_search_field_must_be_prime(tmp_path, capsys, q):
     path = write_instance(tmp_path, gen_neighboring_antidotes(5, 0, 1))
     assert_one_line_error(
-        *invoke(capsys, "oracle", path, "--scalar-search", "--q", q), 2, f"q must be a prime below 2^31, got {q}"
+        *invoke(capsys, "oracle", path, "--scalar-search", "--q", q), 2, f"q must be a prime in [2, 2^31), got {q}"
     )
 
 
@@ -1185,8 +1185,11 @@ def test_decoder_mode_needs_combiners(tmp_path, capsys):
     [
         ([({1, 2}, set())], "oracle requires single-demand destinations"),
         ([({1}, set())], "every message must be desired by exactly one destination"),
+        ([({1}, set()), ({1}, {2})], "oracle requires a multiple unicast instance"),
+        ([({1, 2}, set()), ({1}, set())], "oracle requires a multiple unicast instance"),
+        ([], "every message must be desired by exactly one destination"),
     ],
-    ids=["two-wanted", "one-unwanted"],
+    ids=["two-wanted", "one-unwanted", "wanted-twice", "wanted-twice-and-two-wanted", "no-destination"],
 )
 def test_minrank_needs_one_destination_per_message(tmp_path, capsys, dests, message):
     path = write_instance(tmp_path, make_instance(2, dests))

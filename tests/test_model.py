@@ -27,6 +27,8 @@ from icx.model import (
 )
 from icx.symmetric import builtin_example
 
+from conftest import is_multiple_unicast
+
 
 def make_destinations(dests):
     return tuple(Destination(i + 1, frozenset(w), frozenset(h)) for i, (w, h) in enumerate(dests))
@@ -237,7 +239,7 @@ def test_gen_x_network_6_2():
         assert len(d.wants) == 2
         interference = inst.interferers(d)
         assert len(interference) == 2  # L^2 - L
-    assert inst.is_multiple_unicast()
+    assert is_multiple_unicast(inst)
 
 
 def test_gen_x_network_rejects_5_3():
@@ -261,7 +263,7 @@ def test_generators_validate(L, mult):
     if K >= 2 * L:
         inst = gen_x_network(K, L)
         assert validate(inst.num_messages, inst.destinations) == []
-        assert inst.is_multiple_unicast()
+        assert is_multiple_unicast(inst)
         assert inst.num_messages == K * L
     if K >= 3:
         inst = gen_neighboring_antidotes(K, 0, min(1, K - 1))

@@ -1,5 +1,9 @@
 """Family scheme constructors and the three built-in worked examples."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,7 @@ from icx.model import (
     gen_x_network,
 )
 from icx.alignment import build_rate_half_vector_scheme, build_scalar_scheme
-from icx.scheme import LinearScheme, simulate_exhaustive, verify
+from icx.scheme import LinearScheme, serialize_scheme, simulate_exhaustive, verify
 from icx.symmetric import (
     build_antidote_scheme,
     build_interference_scheme,
@@ -58,7 +62,7 @@ def test_antidote_scheme_boundary_cases():
     s = build_antidote_scheme(4, 0, 3)
     rep = verify(gen_neighboring_antidotes(4, 0, 3), s)
     assert rep.valid and set(rep.rates.values()) == {Fraction(1)}
-    # one missing antidote: rate half via the alignment construction
+    # one interferer: rate half from the construction at U = 0
     s = build_antidote_scheme(5, 1, 2)
     rep = verify(gen_neighboring_antidotes(5, 1, 2), s)
     assert rep.valid and set(rep.rates.values()) == {Fraction(1, 2)}
@@ -85,8 +89,31 @@ def test_antidote_scheme_bad_params():
 
 
 def test_antidote_scheme_refuses_more_antidotes_than_other_messages():
-    with pytest.raises(BadParams, match="need U\\+D <= K-1, got K=3, U=1, D=2"):
+    with pytest.raises(BadParams, match="^need 0 <= U <= D and U\\+D < K, got K=3, U=1, D=2$"):
         build_antidote_scheme(3, 1, 2)
+
+
+def test_antidote_scheme_with_one_interferer_is_the_alignment_scheme():
+    """At U + D = K - 2 the construction with U = 0 gives, for every K <= 40,
+    the scheme the alignment module builds for the generated instance."""
+    for K in range(2, 41):
+        for U in range((K - 2) // 2 + 1):
+            expected = build_scalar_scheme(gen_neighboring_antidotes(K, U, K - 2 - U), 1)
+            assert serialize_scheme(build_antidote_scheme(K, U, K - 2 - U)) == serialize_scheme(expected), (K, U)
+
+
+def test_antidote_scheme_leaves_the_alignment_module_unloaded():
+    """In a fresh interpreter, building an A = K-2 scheme imports nothing from icx.alignment."""
+    script = (
+        "import sys\n"
+        "from icx.symmetric import build_antidote_scheme\n"
+        "build_antidote_scheme(6, 1, 3)\n"
+        "print('icx.alignment' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(icx.model.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_antidote_scheme_circular_shift_invariance():
@@ -334,22 +361,26 @@ def test_builders_refuse_one_entry_past_the_cap(monkeypatch, build):
         build()
 
 
-# (builder, its generator's name, good parameters, bad parameters each): the
-# interference and X builders check their family's parameters and instance
-# size as the generator does, with the same messages, and build no instance.
+# (builder, its generator's name, good parameters, bad parameters each): each
+# family builder checks its family's parameters and instance size as the
+# generator does, with the same messages, and builds no instance.  The good
+# antidotes parameters have U + D = K - 2, one interferer per destination.
 FAMILY_CHECKS = [
+    (build_antidote_scheme, "gen_neighboring_antidotes", (6, 1, 3), [(5, 2, 1), (3, 1, 2), (10001, 0, 0)]),
     (build_interference_scheme, "gen_neighboring_interference", (1200, 0, 2),
      [(8, 0, 2), (6, 2, 1), (3, 1, 2), (4001, 0, 0)]),
     (build_x_scheme, "gen_x_network", (600, 2), [(6, 0), (3, 2), (7, 2), (4000, 1)]),
 ]
 
 
-@pytest.mark.parametrize("build, generator, good, bads", FAMILY_CHECKS, ids=["interference", "xnetwork"])
+@pytest.mark.parametrize(
+    "build, generator, good, bads", FAMILY_CHECKS, ids=["antidotes", "interference", "xnetwork"]
+)
 def test_family_builders_validate_without_generating(monkeypatch, build, generator, good, bads):
-    """A builder refuses exactly what its generator refuses, with the same
-    message, past the instance caps included; with the generators replaced
-    by ones that fail, it still builds, so it never generates the instance
-    only to check its parameters."""
+    """Each family builder refuses exactly what its generator refuses, with
+    the same message, past the instance caps included; with the generators
+    replaced by ones that fail, it still builds, so it never generates the
+    instance only to check its parameters."""
     real = getattr(icx.model, generator)
     expected = {}
     for bad in bads:

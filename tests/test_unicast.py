@@ -17,7 +17,7 @@ from icx.unicast import (
     to_unicast,
 )
 
-from conftest import make_instance
+from conftest import is_multiple_unicast, make_instance
 
 
 def setbuilder_antidotes(umap, i, j):
@@ -61,7 +61,7 @@ def test_transform_counts(groupcast_m2k3):
     umap = to_unicast(groupcast_m2k3, 2)
     assert umap.transformed.num_messages == 2 * 3  # M(L+1)
     assert umap.transformed.num_destinations == 4 + 2  # K + M after normalization
-    assert umap.transformed.is_multiple_unicast()
+    assert is_multiple_unicast(umap.transformed)
 
 
 def test_transform_smallest_case():
