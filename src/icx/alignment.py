@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Optional
 
-from .errors import BadParams, Infeasible, NotNormalized, Record, UnsupportedL
+from .errors import BadParams, Infeasible, NotNormalized, Record
 from .model import Instance, normalize
 
 if TYPE_CHECKING:  # the partition is pure combinatorics; only the builders need fields
@@ -51,7 +51,8 @@ class AlignmentPartition(Record):
     def edges(self) -> frozenset:
         """(i, j, k), i < j, for i and j interfering at k; BadParams past MAX_ALIGNMENT_EDGES."""
         inst = self.instance
-        count = sum(comb(len(inst.interferers(d)), 2) for d in inst.destinations)
+        M = inst.num_messages  # wants and has are disjoint subsets of 1..M
+        count = sum(comb(M - len(d.wants) - len(d.has), 2) for d in inst.destinations)
         if count > MAX_ALIGNMENT_EDGES:
             raise BadParams(f"the alignment relation has {count} edges, more than the limit of {MAX_ALIGNMENT_EDGES}")
         return frozenset(
@@ -147,19 +148,18 @@ def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
     return LinearScheme(field, L + 1, V)
 
 
-def build_rate_half_vector_scheme(inst: Instance, L: int = 1) -> LinearScheme:
-    """Rate-1/2 vector scheme over GF(2) for single-demand instances.
+def build_rate_half_vector_scheme(inst: Instance) -> LinearScheme:
+    """Rate-1/2 vector scheme over GF(2), decided at L = 1 (single demands).
 
     Each alignment subset gets one member of a pairwise-trivially-intersecting
     family of (n/2)-dim subspaces of GF(2)^n, with n the smallest even block
-    length whose family has at least Z members.
+    length whose family has at least Z members.  Verifies against
+    normalize(inst, 1).
     """
     from .galois import PrimeField, spread_family
     from .scheme import LinearScheme, check_scheme_size
 
-    if L != 1:
-        raise UnsupportedL("the spread construction is stated for single demands (L=1)")
-    verdict = check_feasibility(inst, L)
+    verdict = check_feasibility(inst, 1)
     if not verdict.feasible:
         raise Infeasible(verdict.witness)
     part = verdict.partition

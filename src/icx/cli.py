@@ -218,7 +218,9 @@ def _cmd_scheme(args):
         (L,) = _family_options(args)
         inst = model.load_instance(args.instance)
         if args.construction == "spread":
-            built = alignment.build_rate_half_vector_scheme(inst, L)
+            if L != 1:
+                raise IcxError("the spread construction is stated for single demands (L=1)")
+            built = alignment.build_rate_half_vector_scheme(inst)
         else:
             built = alignment.build_scalar_scheme(inst, L)
     out = {"scheme": schemes.scheme_to_json(built)}

@@ -108,10 +108,6 @@ class Infeasible(IcxError):
         self.witness = witness
 
 
-class UnsupportedL(IcxError):
-    """Operation is only defined for single-demand (L=1) instances."""
-
-
 class UnsupportedFamily(IcxError):
     """Instance has no (or the wrong) family tag for this operation."""
 

@@ -649,10 +649,6 @@ class Matrix(Record):
 
     # -- access ---------------------------------------------------------
 
-    def __getitem__(self, rc) -> int:
-        r, c = rc
-        return self.entries[r * self.cols + c]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 

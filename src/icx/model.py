@@ -108,7 +108,8 @@ def normalize(inst: Instance, L: int) -> Instance:
 
     A destination wanting more is replaced by sliding L-windows over its
     sorted wants (same antidotes); the achievable rate region projects
-    correctly because every original demand is covered.
+    correctly because every original demand is covered.  An output past the
+    instance caps is refused (BadParams) before it is built.
     """
     if L < 1:
         raise CannotNormalize("L must be >= 1")
@@ -119,6 +120,8 @@ def normalize(inst: Instance, L: int) -> Instance:
             )
     if inst.demand_sizes() == {L}:
         return inst
+    windows = [(len(d.wants) - L + 1, len(d.has)) for d in inst.destinations]
+    _check_generated_size(inst.num_messages, sum(w for w, _ in windows), sum(w * h for w, h in windows))
     dests = []
     for d in inst.destinations:
         wants = sorted(d.wants)

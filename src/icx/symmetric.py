@@ -6,7 +6,8 @@ in U dimensions and the K-A-1 interferers at each destination collapse into
 U + (K-A-1) dimensions (at A = K-2, one interferer: built with U = 0).
 
 Neighboring interference and the X family use GF(2) identity columns assigned
-periodically; the divisibility preconditions of the generators are exactly
+periodically, as antidotes does at A = K-1 with n = 1; ``_unit_column_scheme``
+builds all three.  The divisibility preconditions of the generators are exactly
 what keeps the periodic assignment consistent around the circle.
 """
 
@@ -34,6 +35,15 @@ from .model import (
 from .scheme import LinearScheme, check_scheme_size
 
 
+def _unit_column_scheme(n: int, columns: list) -> LinearScheme:
+    """The GF(2) scheme of block length n in which message m rides on
+    identity column ``columns[m - 1]`` (0-based)."""
+    check_scheme_size(n, len(columns))
+    gf2 = PrimeField(2)
+    eye = Matrix.identity(gf2, n)
+    return LinearScheme(gf2, n, {m: eye.take_cols([c]) for m, c in enumerate(columns, start=1)})
+
+
 def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
     """Rate-(U+1)/(K-A+2U) scheme for gen_neighboring_antidotes(K, U, D), A = U+D.
 
@@ -44,10 +54,7 @@ def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
     _check_neighboring_antidotes(K, U, D)
     A = U + D
     if A == K - 1:
-        check_scheme_size(1, K)
-        gf2 = PrimeField(2)
-        one = Matrix.from_rows(gf2, [[1]])
-        return LinearScheme(gf2, 1, {m: one for m in range(1, K + 1)})
+        return _unit_column_scheme(1, [0] * K)
     if A == K - 2:
         U = 0  # a single interferer: nothing to align
     n = K - A + 2 * U
@@ -68,12 +75,7 @@ def build_interference_scheme(K: int, U: int, D: int) -> LinearScheme:
     land on the same columns as U of the D down-interferers.
     """
     _check_neighboring_interference(K, U, D)
-    n = D + 1
-    check_scheme_size(n, K)
-    gf2 = PrimeField(2)
-    eye = Matrix.identity(gf2, n)
-    V = {i: eye.take_cols([(i - 1) % n]) for i in range(1, K + 1)}
-    return LinearScheme(gf2, n, V)
+    return _unit_column_scheme(D + 1, [i % (D + 1) for i in range(K)])
 
 
 def x_precoder_pattern(L: int) -> list:
@@ -99,18 +101,8 @@ def x_precoder_pattern(L: int) -> list:
 def build_x_scheme(K: int, L: int) -> LinearScheme:
     """Rate-2/(L(L+1)) identity-column scheme for gen_x_network(K, L)."""
     _check_x_network(K, L)
-    n = L * (L + 1) // 2
-    check_scheme_size(n, K * L)
-    gf2 = PrimeField(2)
-    eye = Matrix.identity(gf2, n)
-    pattern = x_precoder_pattern(L)
-    period = L * (L + 1)
-    V = {}
-    for m in range(1, K * L + 1):
-        p = (m - 1) % period
-        vec = pattern[p // L][p % L]
-        V[m] = eye.take_cols([vec - 1])
-    return LinearScheme(gf2, n, V)
+    pattern = [v - 1 for row in x_precoder_pattern(L) for v in row]  # period L(L+1)
+    return _unit_column_scheme(L * (L + 1) // 2, [pattern[m % len(pattern)] for m in range(K * L)])
 
 
 # ----------------------------------------------------------------------
@@ -135,11 +127,8 @@ def _example1(field: Field) -> BuiltinExample:
             Destination(3, frozenset({3}), frozenset({2})),
         ),
     )
-    V = {
-        1: Matrix.from_cols(field, [(0, 1)]),
-        2: Matrix.from_cols(field, [(1, 0)]),
-        3: Matrix.from_cols(field, [(1, 0)]),
-    }
+    eye = Matrix.identity(field, 2)
+    V = {1: eye.take_cols([1]), 2: eye.take_cols([0]), 3: eye.take_cols([0])}
     U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(1, inst, LinearScheme(field, 2, V, U), Fraction(1, 2))
 
@@ -154,17 +143,8 @@ def _example2(field: Field) -> BuiltinExample:
         has = frozenset({(k + 1) % 5 + 1, (k + 2) % 5 + 1})
         dests.append(Destination(k, frozenset({k}), has))
     inst = Instance(5, tuple(dests))
-
-    def t(i):  # identity column i (1-based) of length 5
-        return tuple(1 if r == i - 1 else 0 for r in range(5))
-
-    V = {
-        1: Matrix.from_cols(field, [t(3), t(4)]),
-        2: Matrix.from_cols(field, [t(5), t(1)]),
-        3: Matrix.from_cols(field, [t(2), t(3)]),
-        4: Matrix.from_cols(field, [t(4), t(5)]),
-        5: Matrix.from_cols(field, [t(1), t(2)]),
-    }
+    eye = Matrix.identity(field, 5)
+    V = {k: eye.take_cols([2 * k % 5, (2 * k + 1) % 5]) for k in range(1, 6)}  # 0-based columns
     U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(2, inst, LinearScheme(field, 5, V, U), Fraction(2, 5))
 

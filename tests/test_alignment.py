@@ -17,7 +17,7 @@ from icx.alignment import (
     check_feasibility,
     partition,
 )
-from icx.errors import Infeasible, NotNormalized, UnsupportedL
+from icx.errors import BadParams, Infeasible, NotNormalized
 from icx.galois import PrimeField
 from icx.model import Destination, Instance, gen_neighboring_antidotes, normalize
 from icx.scheme import simulate_exhaustive, verify
@@ -53,6 +53,20 @@ def test_partition_chain_edges(chain_m5k5):
     assert (3, 4, 1) in part.edges
     assert (4, 5, 2) in part.edges
     assert part.subset_index(3) == part.subset_index(4) == part.subset_index(5)
+
+
+def test_edge_cap_counts_from_set_sizes(monkeypatch):
+    """Antidotes K=8 U=0 D=1 has 8 * C(8 - 1 - 1, 2) = 120 edges, counted from
+    |wants| and |has| alone: past the cap, no interferer set is built."""
+    part = partition(gen_neighboring_antidotes(8, 0, 1))
+
+    def built(self, d):
+        raise AssertionError("an interferer set was built")
+
+    monkeypatch.setattr(Instance, "interferers", built)
+    monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 119)
+    with pytest.raises(BadParams, match="^the alignment relation has 120 edges, more than the limit of 119$"):
+        part.edges
 
 
 class CountingSubsets(tuple):
@@ -298,11 +312,6 @@ def test_vector_scheme_example1_equivalent():
     assert rep.valid
     assert all(r == 1 / 2 for r in rep.rates.values())
     assert simulate_exhaustive(inst, scheme).ok
-
-
-def test_vector_scheme_rejects_l2(feasible_m4k3):
-    with pytest.raises(UnsupportedL):
-        build_rate_half_vector_scheme(feasible_m4k3, L=2)
 
 
 def test_vector_scheme_infeasible():

@@ -217,6 +217,13 @@ def test_scheme_from_instance(tmp_path, capsys, feasible_m4k3):
     assert obj["simulation"]["ok"] is True
 
 
+def test_scheme_spread_refuses_l2(tmp_path, capsys, feasible_m4k3):
+    path = write_instance(tmp_path, feasible_m4k3)
+    code, out, err = invoke(capsys, "scheme", "--instance", path, "--construction", "spread", "--L", "2")
+    assert code == 2 and out == ""
+    assert err == "error: the spread construction is stated for single demands (L=1)\n"
+
+
 def test_scheme_infeasible_instance_exit1(tmp_path, capsys, infeasible_m4k3):
     path = write_instance(tmp_path, infeasible_m4k3)
     code, out, _ = invoke(capsys, "scheme", "--instance", path, "--L", "2")
@@ -1003,14 +1010,28 @@ def test_transform_counts_before_it_builds(tmp_path, capsys, monkeypatch):
          "the instance would have 5 messages, 5000000000000 destinations and 5000000000000 side-information"),
         (lambda: make_instance(1000, [(set(range(1, 1001)), set())]), ["scheme", "--instance", "{i}", "--L", "1000"],
          "the scheme would have 1001000 matrix entries, more than the limit of 1000000"),
+        *(
+            (lambda: make_instance(5001, [(set(range(1, 5002)), set())] * 2), argv,
+             "the instance would have 5001 messages, 10002 destinations and 0 side-information entries")
+            for argv in (
+                ["check-feasibility", "{i}", "--L", "1"],
+                ["bounds", "{i}", "--chain", "--L", "1"],
+                ["scheme", "--instance", "{i}", "--L", "1"],
+            )
+        ),
     ],
-    ids=["transform-K5001", "transform-K9000", "transform-L1e12", "scheme-instance-L1000"],
+    ids=[
+        "transform-K5001", "transform-K9000", "transform-L1e12", "scheme-instance-L1000",
+        "check-feasibility-normalized", "bounds-chain-normalized", "scheme-instance-normalized",
+    ],
 )
 def test_verbs_on_an_instance_refuse_past_the_caps_within_a_second(tmp_path, capsys, inst, argv, message):
-    """transform counts the instance it would print, and scheme --instance the
-    scheme, before building either.  One destination wanting all of 1,000
-    messages is feasible at L = 1000 with 1,000 singleton subsets, so its
-    scalar scheme would take 1,000 MDS columns of length 1,001."""
+    """transform counts the instance it would print, scheme --instance the
+    scheme, and every verb that normalizes the normalized instance, before
+    building any of them.  One destination wanting all of 1,000 messages is
+    feasible at L = 1000 with 1,000 singleton subsets, so its scalar scheme
+    would take 1,000 MDS columns of length 1,001; two wanting all of 5,001
+    normalize at L = 1 to 10,002 destinations."""
     path = write_instance(tmp_path, inst())
     start = time.perf_counter()
     code, out, err = invoke(capsys, *[a.format(i=path) for a in argv])

@@ -187,16 +187,16 @@ def _brute_force_det(m: Matrix) -> int:
     """Cofactor-expansion determinant, independent of the elimination code."""
     f = m.field
     if m.rows == 1:
-        return m[0, 0]
+        return m.row(0)[0]
     acc = 0
     for j in range(m.cols):
-        if m[0, j] == 0:
+        if m.row(0)[j] == 0:
             continue
         minor = Matrix.from_rows(
             f,
-            [[m[i, c] for c in range(m.cols) if c != j] for i in range(1, m.rows)],
+            [[m.row(i)[c] for c in range(m.cols) if c != j] for i in range(1, m.rows)],
         )
-        term = f.mul(m[0, j], _brute_force_det(minor))
+        term = f.mul(m.row(0)[j], _brute_force_det(minor))
         acc = f.add(acc, term if j % 2 == 0 else f.neg(term))
     return acc
 
@@ -206,7 +206,7 @@ def _brute_force_rank(m: Matrix) -> int:
     for k in range(min(m.rows, m.cols), 0, -1):
         for rs in itertools.combinations(range(m.rows), k):
             for cs in itertools.combinations(range(m.cols), k):
-                sub = Matrix.from_rows(m.field, [[m[r, c] for c in cs] for r in rs])
+                sub = Matrix.from_rows(m.field, [[m.row(r)[c] for c in cs] for r in rs])
                 if _brute_force_det(sub) != 0:
                     return k
     return 0

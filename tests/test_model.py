@@ -119,6 +119,23 @@ def test_normalize_split_too_few_wants():
         normalize(inst, 2)
 
 
+def test_normalize_split_counts_before_building(monkeypatch):
+    """Two windows of {1, 2, 3} and one of {1, 2} at L = 2, each holding one
+    message: 3 destinations and 3 held entries, refused one short of either
+    cap before any destination is built."""
+    inst = make_instance(4, [({1, 2, 3}, {4}), ({1, 2}, {3})])
+    out = normalize(inst, 2)
+    assert (len(out.destinations), sum(len(d.has) for d in out.destinations)) == (3, 3)
+    for cap in ("MAX_DESTINATIONS", "MAX_HELD_ENTRIES"):
+        monkeypatch.setattr(f"icx.model.{cap}", 3)
+        assert normalize(inst, 2) == out
+        monkeypatch.setattr(f"icx.model.{cap}", 2)
+        monkeypatch.setattr("icx.model.Destination", None)  # building one would raise TypeError
+        with pytest.raises(BadParams, match="^the instance would have 4 messages, 3 destinations and 3 side-information"):
+            normalize(inst, 2)
+        monkeypatch.undo()
+
+
 def test_normalize_groupcast_small():
     # two messages, three destinations, middle one wants both
     inst = make_instance(2, [({1}, set()), ({1, 2}, set()), ({2}, set())])

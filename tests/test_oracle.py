@@ -41,11 +41,11 @@ def test_minrank_fitting_matrix_structure():
     m = res.witness_matrix
     by_id = {d.id: d for d in inst.destinations}
     for i in range(5):
-        assert m[i, i] == 1
+        assert m.row(i)[i] == 1
         d = by_id[i + 1]
         for j in range(5):
             if j + 1 != i + 1 and (j + 1) not in d.has:
-                assert m[i, j] == 0
+                assert m.row(i)[j] == 0
 
 
 def test_minrank_complete_antidotes():

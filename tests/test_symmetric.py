@@ -338,7 +338,7 @@ BUILDS = {
     )), 2),
     # five messages, each destination holding the other four: five alignment subsets, n = 4
     "spread": lambda: build_rate_half_vector_scheme(
-        Instance(5, tuple(Destination(k, {k}, set(range(1, 6)) - {k}) for k in range(1, 6))), 1
+        Instance(5, tuple(Destination(k, {k}, set(range(1, 6)) - {k}) for k in range(1, 6)))
     ),
     "example3": lambda: builtin_example(3).scheme,
 }
