@@ -3,10 +3,11 @@
 Two messages are related at destination k when both interfere there (neither
 desired nor held); related messages must share signal space in any scheme
 where every destination recovers its L demands at rate 1/(L+1).  The
-connected components of this relation, found from each destination's
-interferers without listing pairs, are the alignment subsets.  Rate 1/(L+1)
-per message is achievable iff no two same-subset messages collide, i.e. one
-of them is desired somewhere the other is not an antidote.
+connected components of this relation are the alignment subsets, found from
+what each destination wants and holds without listing pairs; ``edges`` lists
+the relation itself, read from the instance alone.  Rate 1/(L+1) per message
+is achievable iff no two same-subset messages collide, i.e. one of them is
+desired somewhere the other is not an antidote.
 
 Subset consolidation beyond connected components is deliberately not
 attempted (minimizing the subset count is NP-hard, and a larger field or
@@ -31,47 +32,26 @@ MAX_ALIGNMENT_EDGES = 1_000_000
 
 
 class AlignmentPartition(Record):
-    """The subsets P_1..P_Z of an instance, a tuple of frozensets ordered by
-    smallest member, whose edges are listed on request.  The instance is kept
-    for the edges only, and each message's subset index, mapped once here,
-    for ``subset_index``: equality, hashing and repr read L and the subsets."""
+    """The subsets P_1..P_Z of an instance with demand size L, a tuple of
+    frozensets ordered by smallest member."""
 
-    _fields = ("L", "subsets")
-
-    def __init__(self, L: int, instance: Instance, subsets: tuple):
+    def __init__(self, L: int, subsets: tuple):
         super().__init__(L, subsets)
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "_index", {m: t for t, sub in enumerate(subsets, start=1) for m in sub})
 
     @property
     def Z(self) -> int:
         return len(self.subsets)
 
-    @property
-    def edges(self) -> frozenset:
-        """(i, j, k), i < j, for i and j interfering at k; BadParams past MAX_ALIGNMENT_EDGES."""
-        inst = self.instance
-        M = inst.num_messages  # wants and has are disjoint subsets of 1..M
-        count = sum(comb(M - len(d.wants) - len(d.has), 2) for d in inst.destinations)
-        if count > MAX_ALIGNMENT_EDGES:
-            raise BadParams(f"the alignment relation has {count} edges, more than the limit of {MAX_ALIGNMENT_EDGES}")
-        return frozenset(
-            (i, j, d.id) for d in inst.destinations for i, j in combinations(sorted(inst.interferers(d)), 2)
-        )
 
-    def subset_index(self, m: int) -> int:
-        """1-based index of the subset containing message m."""
-        if m not in self._index:
-            raise KeyError(f"message {m} not in any subset")
-        return self._index[m]
-
-    def to_json(self) -> dict:
-        return {
-            "L": self.L,
-            "Z": self.Z,
-            "edges": sorted([i, j, k] for (i, j, k) in self.edges),
-            "subsets": [sorted(s) for s in self.subsets],
-        }
+def edges(inst: Instance) -> frozenset:
+    """(i, j, k), i < j, for i and j interfering at k; BadParams past MAX_ALIGNMENT_EDGES."""
+    M = inst.num_messages  # wants and has are disjoint subsets of 1..M
+    count = sum(comb(M - len(d.wants) - len(d.has), 2) for d in inst.destinations)
+    if count > MAX_ALIGNMENT_EDGES:
+        raise BadParams(f"the alignment relation has {count} edges, more than the limit of {MAX_ALIGNMENT_EDGES}")
+    return frozenset(
+        (i, j, d.id) for d in inst.destinations for i, j in combinations(sorted(inst.interferers(d)), 2)
+    )
 
 
 def partition(inst: Instance) -> AlignmentPartition:
@@ -79,27 +59,36 @@ def partition(inst: Instance) -> AlignmentPartition:
     sizes = inst.demand_sizes()
     if len(sizes) != 1:
         raise NotNormalized(f"demand sizes differ: {sorted(sizes)}")
-    # each destination's interferers join one group, the smaller groups moving into the largest
-    label = list(range(inst.num_messages + 1))  # message -> its group
-    groups = {m: [m] for m in range(1, inst.num_messages + 1)}  # group -> messages
-    for d in inst.destinations:
-        spanned = {label[m] for m in inst.interferers(d)}
-        keep = max(spanned, key=lambda g: len(groups[g]), default=None)
-        for g in spanned - {keep}:
-            for m in groups[g]:
-                label[m] = keep
-            groups[keep] += groups.pop(g)
-    subsets = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
-    return AlignmentPartition(sizes.pop(), inst, subsets)
+    # a subset grows from its smallest unseen message: a waiting destination whose
+    # wants and has lack a member brings in all they lack and is done; one that
+    # stays holds that member, so the walk is linear in what the destinations list
+    waiting = [d.wants | d.has for d in inst.destinations]
+    unseen, subsets = set(range(1, inst.num_messages + 1)), []
+    for start in range(1, inst.num_messages + 1):
+        if start in unseen:
+            unseen.discard(start)
+            group = [start]
+            for m in group:  # grows as the loop runs
+                lacking = [c for c in waiting if m not in c]
+                if lacking:
+                    waiting = [c for c in waiting if m in c]
+                for c in lacking:
+                    group += unseen - c
+                    unseen &= c
+            subsets.append(frozenset(group))
+    return AlignmentPartition(sizes.pop(), tuple(subsets))
 
 
 class FeasibilityVerdict(Record):
-    def __init__(self, feasible: bool, witness: Optional[tuple], partition: AlignmentPartition):
-        # witness (i, j, k): i and j in one subset, j desired at k, i not held there
-        super().__init__(feasible, witness, partition)
+    def __init__(self, feasible: bool, witness: Optional[tuple], partition: AlignmentPartition, instance: Instance):
+        # witness (i, j, k): i and j in one subset, j desired at k, i not held
+        # there; instance is the normalized one whose destination ids it names
+        super().__init__(feasible, witness, partition, instance)
 
     def to_json(self) -> dict:
-        out = {"feasible": self.feasible, "partition": self.partition.to_json()}
+        part, subsets = self.partition, [sorted(s) for s in self.partition.subsets]
+        listed = sorted(map(list, edges(self.instance)))
+        out = {"feasible": self.feasible, "partition": {"L": part.L, "Z": part.Z, "edges": listed, "subsets": subsets}}
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
@@ -119,8 +108,8 @@ def check_feasibility(inst: Instance, L: int) -> FeasibilityVerdict:
             # (j, k): j in the subset is desired at k, where i is not held
             conflicts = [(j, d.id) for d in norm.destinations if i not in d.has for j in d.wants & sub if j != i]
             if conflicts:
-                return FeasibilityVerdict(False, (i, *min(conflicts, key=lambda c: c[0])), part)
-    return FeasibilityVerdict(True, None, part)
+                return FeasibilityVerdict(False, (i, *min(conflicts, key=lambda c: c[0])), part, norm)
+    return FeasibilityVerdict(True, None, part, norm)
 
 
 def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
@@ -141,10 +130,7 @@ def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
     part = verdict.partition
     field = PrimeField(smallest_prime_at_least(part.Z))
     beams = mds_vector_family(part.Z, L + 1, field)
-    V = {
-        m: beams.take_cols([part.subset_index(m) - 1])
-        for m in range(1, inst.num_messages + 1)
-    }
+    V = {m: beams.take_cols([t]) for t, sub in enumerate(part.subsets) for m in sub}
     return LinearScheme(field, L + 1, V)
 
 
@@ -168,8 +154,5 @@ def build_rate_half_vector_scheme(inst: Instance) -> LinearScheme:
         n += 2
     check_scheme_size(n, n // 2 * inst.num_messages)
     subspaces = spread_family(n)
-    V = {
-        m: subspaces[part.subset_index(m) - 1].basis
-        for m in range(1, inst.num_messages + 1)
-    }
+    V = {m: subspaces[t].basis for t, sub in enumerate(part.subsets) for m in sub}
     return LinearScheme(PrimeField(2), n, V)

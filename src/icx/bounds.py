@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import BadParams, BudgetExceeded, Record, fraction_text
 from .model import Instance, check_family, normalize
-from .alignment import partition
+from .alignment import edges
 
 DEFAULT_CHAIN_MAX_N = 4
 DEFAULT_CHAIN_BUDGET = 200_000
@@ -166,7 +166,7 @@ def chain_bounds(
     # message a -> its links (b, realizer j, the key of the terms the link
     # adds: b and j's wants), by b and then j ascending: each edge read both ways
     links = {}
-    for a, b, j in sorted(t for x, y, j in partition(norm).edges for t in ((x, y, j), (y, x, j))):
+    for a, b, j in sorted(t for x, y, j in edges(norm) for t in ((x, y, j), (y, x, j))):
         links.setdefault(a, []).append((b, j, prime[b] * prod(prime[m] for m in wants[j])))
     fan = {a: Counter(b for b, _, _ in out) for a, out in links.items()}  # fan[a][b]: the links a -> b
     found = [{} for _ in range(min(maxN, M) + 1)]  # found[N]: term key -> certificate of rhs N

@@ -298,7 +298,7 @@ def _cmd_bounds(args):
     out = {}
     if args.simple or want_all:
         if L is not None:  # the chain search's edge cap refuses before any simple certificate is built
-            alignment.partition(model.normalize(inst, L)).edges
+            alignment.edges(model.normalize(inst, L))
         out["simple"] = [c.to_json() for c in bounds.simple_bounds(inst)]
     if L is not None:
         found = bounds.chain_bounds(inst, L, **_given(maxN=args.maxN, budget=args.budget))

@@ -9,21 +9,20 @@ from operator import attrgetter
 class Record:
     """Base of the package's immutable records.  A subclass's fields are the
     parameters of its own ``__init__`` after ``self``, read once when the class
-    is made (a class may name them in ``_fields`` instead); its ``__init__``
-    normalizes its arguments and passes the fields' values, in order, to this
-    one, and nothing is set or deleted after that.  Equality and hashing read
-    those fields and hold only between objects of one class (never with a
-    tuple); the repr is ``Name(field=value, ...)``.  A subclass that declares
-    its fields in ``__slots__`` has no ``__dict__``; the others keep theirs."""
+    is made; its ``__init__`` normalizes its arguments and passes the fields'
+    values, in order, to this one, and nothing is set or deleted after that.
+    Equality and hashing read those fields and hold only between objects of one
+    class (never with a tuple); the repr is ``Name(field=value, ...)``.  A
+    subclass that declares its fields in ``__slots__`` has no ``__dict__``; the
+    others keep theirs."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if "_fields" not in vars(cls):
-            # the code object, not inspect, which would slow every CLI start;
-            # read now, so an __init__ wrapped later leaves the fields as they are
-            code = vars(cls)["__init__"].__code__
-            cls._fields = code.co_varnames[1 : code.co_argcount]
+        # the code object, not inspect, which would slow every CLI start; read
+        # now, so an __init__ wrapped later leaves the fields as they are
+        code = vars(cls)["__init__"].__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
         # one C getter per class: fields are compared on every matrix product
         cls._values = attrgetter(*cls._fields)
 

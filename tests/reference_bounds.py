@@ -7,12 +7,12 @@ depth-first search: every extended path copies its lists, and every closing
 destination builds a certificate that is then deduplicated by its (terms,
 rhs) key.  ``evaluate`` sums the term rates as Fractions.  Nothing here
 shares the search or the arithmetic of ``icx.bounds``; only the certificate
-class and the partition are reused.
+class and the edge list are reused.
 """
 
 from fractions import Fraction
 
-from icx.alignment import partition
+from icx.alignment import edges
 from icx.bounds import BoundCertificate
 from icx.errors import BudgetExceeded
 from icx.model import normalize
@@ -47,9 +47,8 @@ def violated_by(cert, rates):
 
 def chain_bounds(inst, L, maxN, budget):
     norm = normalize(inst, L)
-    part = partition(norm)
     by_pair = {}
-    for (a, b, k) in part.edges:
+    for (a, b, k) in edges(norm):
         by_pair.setdefault((a, b), []).append(k)
         by_pair.setdefault((b, a), []).append(k)
     for dests in by_pair.values():

@@ -91,7 +91,7 @@ def test_scheme_family_verify_simulate_sampled(capsys):
     assert obj["simulation"]["ok"] is True and obj["simulation"]["mode"] == "sampled"
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
 @pytest.mark.parametrize("verb", ["scheme", "simulate"])
 def test_sample_must_be_positive(tmp_path, capsys, verb, value):
     if verb == "scheme":
@@ -138,6 +138,15 @@ def test_scheme_sample_needs_simulate(capsys):
     """--sample without --simulate would check nothing, so it is refused."""
     argv = ["scheme", "--family", "antidotes", "--K", "5", "--U", "1", "--D", "1", "--verify", "--sample", "10"]
     assert_one_line_error(*invoke(capsys, *argv), 2, "--sample needs --simulate")
+
+
+@pytest.mark.parametrize(
+    "sources", [[], ["--family", "antidotes", "--K", "5", "--instance", "{i}"]], ids=["neither", "both"]
+)
+def test_scheme_needs_one_source(tmp_path, capsys, sources):
+    path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))
+    argv = ["scheme", *(a.format(i=path) for a in sources)]
+    assert_one_line_error(*invoke(capsys, *argv), 2, "pass exactly one of --family or --instance")
 
 
 @pytest.mark.parametrize("construction", ["scalar", "spread"])
@@ -564,8 +573,9 @@ def test_example_field_flag(capsys):
         ("p=4", "p=4 is not a prime in [2, 2^31)"),
         ("p=x", "p='x' is not an integer"),
         ("gf2m=40", "extension degree m=40 out of range [1, 32]"),
+        ("q=3", "field must be p=<prime> or gf2m=<m>, got 'q=3'"),
     ],
-    ids=["p-not-prime", "p-not-integer", "m-out-of-range"],
+    ids=["p-not-prime", "p-not-integer", "m-out-of-range", "kind-unknown"],
 )
 def test_example_bad_field_says_why(capsys, spec, reason):
     with pytest.raises(SystemExit) as exc:
@@ -927,7 +937,8 @@ def test_family_scheme_past_the_file_cap_is_refused(capsys, argv, entries):
 
 def test_alignment_edge_list_is_capped(tmp_path, capsys, monkeypatch):
     """Antidotes K=8 U=0 D=1 has 8 * C(6, 2) = 120 edges: listed at a limit of
-    120, refused past it, and not needed for the verdict itself."""
+    120, refused past it, and not needed for the verdict itself.  The bounds
+    verb reads the cap from the instance, with no partition built."""
     path = write_instance(tmp_path, gen_neighboring_antidotes(8, 0, 1))
     monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 120)
     code, out, _ = invoke(capsys, "check-feasibility", path, "--L", "1")
@@ -935,9 +946,15 @@ def test_alignment_edge_list_is_capped(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 119)
     message = "the alignment relation has 120 edges, more than the limit of 119"
     assert_one_line_error(*invoke(capsys, "check-feasibility", path, "--L", "1"), 2, message)
-    assert_one_line_error(*invoke(capsys, "bounds", path, "--chain"), 2, message)
     code, out, _ = invoke(capsys, "scheme", "--instance", path, "--L", "1")
     assert (code, json.loads(out)) == (1, {"feasible": False, "witness": [1, 2, 2]})
+
+    def built(*args):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr("icx.alignment.AlignmentPartition", built)
+    assert_one_line_error(*invoke(capsys, "bounds", path, "--chain"), 2, message)
+    assert_one_line_error(*invoke(capsys, "bounds", path), 2, message)
 
 
 def test_simple_bound_pairs_are_capped(tmp_path, capsys, monkeypatch):
@@ -1019,10 +1036,16 @@ def test_transform_counts_before_it_builds(tmp_path, capsys, monkeypatch):
                 ["scheme", "--instance", "{i}", "--L", "1"],
             )
         ),
+        *(
+            (lambda: make_instance(10_000, [({k}, set()) for k in range(1, 10_001)]), argv,
+             "the alignment relation has 499850010000 edges, more than the limit of 1000000")
+            for argv in (["check-feasibility", "{i}", "--L", "1"], ["bounds", "{i}", "--chain", "--L", "1"])
+        ),
     ],
     ids=[
         "transform-K5001", "transform-K9000", "transform-L1e12", "scheme-instance-L1000",
         "check-feasibility-normalized", "bounds-chain-normalized", "scheme-instance-normalized",
+        "check-feasibility-sparse", "bounds-chain-sparse",
     ],
 )
 def test_verbs_on_an_instance_refuse_past_the_caps_within_a_second(tmp_path, capsys, inst, argv, message):
@@ -1031,7 +1054,10 @@ def test_verbs_on_an_instance_refuse_past_the_caps_within_a_second(tmp_path, cap
     building any of them.  One destination wanting all of 1,000 messages is
     feasible at L = 1000 with 1,000 singleton subsets, so its scalar scheme
     would take 1,000 MDS columns of length 1,001; two wanting all of 5,001
-    normalize at L = 1 to 10,002 destinations."""
+    normalize at L = 1 to 10,002 destinations.  10,000 destinations each
+    wanting one of 10,000 messages and holding none have 10,000 * C(9999, 2)
+    edges: the subsets are found in one walk over what the destinations list,
+    and the edges counted from set sizes."""
     path = write_instance(tmp_path, inst())
     start = time.perf_counter()
     code, out, err = invoke(capsys, *[a.format(i=path) for a in argv])
@@ -1168,13 +1194,31 @@ STRICT_KEY_CASES = {
     "U-key-leading-zero": (
         "scheme", one_message_scheme('{"1": [[1]]}', '{"1@01": [[1]]}'), "U key '1@01' is not of the form 'm@k'",
     ),
+    "instance-not-object": ("instance", "[]", "instance file must contain a JSON object"),
+    "destinations-not-list": ("instance", '{"messages": 1, "destinations": {}}', "'destinations' must be a list"),
+    "family-without-kind": (
+        "instance", '{"messages": 1, "destinations": [{"id": 1, "wants": [1], "has": []}], "family": {"K": 1}}',
+        "family needs a 'kind'",
+    ),
+    "destination-not-object": ("instance", '{"messages": 1, "destinations": [5]}', "destination #1 must be an object"),
+    "scheme-not-object": ("scheme", "[]", "scheme file must contain a JSON object"),
+    "scheme-key-unknown": (
+        "scheme", '{"field": {"kind": "prime", "p": 3}, "n": 1, "V": {"1": [[1]]}, "W": 1}',
+        "unknown scheme keys: ['W']",
+    ),
+    "V-not-rows": ("scheme", one_message_scheme('{"1": 5}'), "V[1] must be a list of rows"),
+    "field-kind-unknown": (
+        "scheme", '{"field": {"kind": "nope"}, "n": 1, "V": {"1": [[1]]}}', "bad field spec: unknown field kind 'nope'",
+    ),
 }
 
 
 @pytest.mark.parametrize("bad, text, message", STRICT_KEY_CASES.values(), ids=STRICT_KEY_CASES)
 def test_file_keys_are_strict(tmp_path, capsys, bad, text, message):
     """A repeated key, or a scheme id not written as icx writes it, would
-    otherwise name a message the file does not show."""
+    otherwise name a message the file does not show; a file whose shape is
+    not an instance's or a scheme's (not an object, a list or a field that is
+    not one, an unknown key or field kind) is refused by name."""
     paths = {"instance": tmp_path / "inst.json", "scheme": tmp_path / "scheme.json"}
     paths["instance"].write_text(ONE_MESSAGE, encoding="utf-8")
     paths["scheme"].write_text(one_message_scheme('{"1": [[1]]}'), encoding="utf-8")

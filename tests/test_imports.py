@@ -129,7 +129,7 @@ SHARED = {
     "inv": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
     "elements": ("PrimeField BinaryField", "the field interface: callers hold a Field of either kind"),
     "to_json": (
-        "PrimeField BinaryField FamilyTag AlignmentPartition FeasibilityVerdict BoundCertificate OracleResult "
+        "PrimeField BinaryField FamilyTag FeasibilityVerdict BoundCertificate OracleResult "
         "VerificationReport SimulationResult UnicastMap",
         "the JSON of each record that a CLI verb or a report prints, called on whichever record it holds",
     ),
@@ -140,11 +140,11 @@ SHARED = {
 
 
 def _fields(cls: ast.ClassDef) -> set:
-    """The attributes a class declares: its ``_fields`` or ``__slots__`` as
-    written, and for a Record its ``__init__`` parameters after ``self``."""
+    """The attributes a class declares: its ``__slots__`` as written, and for
+    a Record its ``__init__`` parameters after ``self``."""
     names = set()
     for node in cls.body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("_fields", "__slots__"):
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__slots__":
             names |= set(ast.literal_eval(node.value))
         elif isinstance(node, FUNCTIONS) and node.name == "__init__" and "Record" in {getattr(b, "id", None) for b in cls.bases}:
             names |= {a.arg for a in [*node.args.args[1:], *node.args.kwonlyargs]}

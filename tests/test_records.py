@@ -37,7 +37,7 @@ def _scheme():
 
 
 def _partition():
-    return AlignmentPartition(L=1, instance=_instance(), subsets=(frozenset({1}), frozenset({2})))
+    return AlignmentPartition(L=1, subsets=(frozenset({1}), frozenset({2})))
 
 
 # class -> the keyword arguments of one object; each call builds fresh values
@@ -54,8 +54,8 @@ CASES = {
     VerificationReport: lambda: dict(valid=True, mode="rank", diagnostics=(), rates={1: Fraction(1, 2)}),
     SimulationResult: lambda: dict(ok=False, tuples_checked=4, counterexample={1: (1,)}, destination=1, message=1),
     DimensionAudit: lambda: dict(K=5, U=1, D=1, alpha=(2, 3), checks=((1, 2, Fraction(2), Fraction(0)),)),
-    AlignmentPartition: lambda: dict(L=1, instance=_instance(), subsets=(frozenset({1, 2}),)),
-    FeasibilityVerdict: lambda: dict(feasible=False, witness=(1, 2, 1), partition=_partition()),
+    AlignmentPartition: lambda: dict(L=1, subsets=(frozenset({1, 2}),)),
+    FeasibilityVerdict: lambda: dict(feasible=False, witness=(1, 2, 1), partition=_partition(), instance=_instance()),
     UnicastMap: lambda: dict(original=_instance(), transformed=_instance(), L=1, source_destinations=(1, 2)),
     RankChainStep: lambda: dict(message=1, copies_used=2, dim=1, lower_bound=0, slack=1),
     BuiltinExample: lambda: dict(id=1, instance=_instance(), scheme=_scheme(), claimed_rate=Fraction(1, 2)),
@@ -67,18 +67,13 @@ CASES = {
 
 
 def compared(obj) -> tuple:
-    """The fields that equality, hashing and repr read: every field but a
-    partition's instance, in signature order."""
-    return tuple(getattr(obj, name) for name in names(obj))
-
-
-def names(obj) -> list:
-    return [name for name in CASES[type(obj)]() if (type(obj), name) != (AlignmentPartition, "instance")]
+    """The fields that equality, hashing and repr read, in signature order."""
+    return tuple(fields(obj).values())
 
 
 def fields(obj) -> dict:
-    """Every field by name, a partition's instance too: what vars(obj) holds
-    for a record with a __dict__, and the slots of one without."""
+    """Every field by name: what vars(obj) holds for a record with a
+    __dict__, and the slots of one without."""
     return {name: getattr(obj, name) for name in CASES[type(obj)]()}
 
 
@@ -125,7 +120,6 @@ def test_positional_construction_matches_keywords(pair):
 def test_never_equal_to_a_tuple(pair):
     a, _ = pair
     assert a != compared(a) and compared(a) != a
-    assert a != tuple(fields(a).values())
 
 
 def test_attributes_cannot_be_set_or_deleted(pair):
@@ -145,8 +139,8 @@ def test_repr_names_the_fields(pair):
     if type(a) in (PrimeField, BinaryField):
         assert repr(a) in ("GF(5)", "GF(2^3)")
     else:
-        fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in names(a))
-        assert repr(a) == f"{type(a).__name__}({fields})"
+        listed = ", ".join(f"{name}={value!r}" for name, value in fields(a).items())
+        assert repr(a) == f"{type(a).__name__}({listed})"
 
 
 def test_normalizations():
@@ -180,27 +174,16 @@ def test_validation_still_refuses():
         LinearScheme(GF5, 2, {1: Matrix(GF2, 2, 1, (1, 0))})
 
 
-def test_alignment_partition_ignores_its_instance():
-    a = _partition()
-    other = Instance(2, (Destination(1, {1}, ()), Destination(2, {2}, ())))
-    b = AlignmentPartition(a.L, other, a.subsets)
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == "AlignmentPartition(L=1, subsets=(frozenset({1}), frozenset({2})))"
-    assert b.instance is other
-
-
 def _record_classes(cls=Record) -> list:
     return [c for sub in cls.__subclasses__() if sub.__module__.startswith("icx.") for c in (sub, *_record_classes(sub))]
 
 
 def test_fields_are_the_init_parameters():
     """Every record of the package is in CASES, and its fields are its
-    __init__ parameters in order, but for the partition's instance."""
+    __init__ parameters in order."""
     assert sorted(c.__name__ for c in _record_classes()) == sorted(c.__name__ for c in CASES)
     for cls in _record_classes():
         params = [name for name in inspect.signature(cls.__init__).parameters if name != "self"]
-        if cls is AlignmentPartition:
-            params.remove("instance")
         assert cls._fields == tuple(params), cls.__name__
 
 
@@ -238,8 +221,8 @@ class Pair(Record):
 
 
 def test_fields_are_read_when_the_class_is_made(monkeypatch):
-    """A record that names no _fields takes them from its own __init__ when
-    the class is made, and keeps them after a wrapper replaces it."""
+    """A record takes its fields from its own __init__ when the class is
+    made, and keeps them after a wrapper replaces it."""
     assert Pair._fields == ("left", "right")
     monkeypatch.setattr(Pair, "__init__", _wrapped_init(Pair))
     assert Pair._fields == ("left", "right")
