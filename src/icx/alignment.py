@@ -5,7 +5,8 @@ desired nor held); related messages must share signal space in any scheme
 where every destination recovers its L demands at rate 1/(L+1).  The
 connected components of this relation are the alignment subsets, found from
 what each destination wants and holds without listing pairs; ``edges`` lists
-the relation itself, read from the instance alone.  Rate 1/(L+1) per message
+the relation itself and ``edge_count`` counts it, each read from the instance
+alone.  Rate 1/(L+1) per message
 is achievable iff no two same-subset messages collide, i.e. one of them is
 desired somewhere the other is not an antidote.
 
@@ -43,12 +44,18 @@ class AlignmentPartition(Record):
         return len(self.subsets)
 
 
-def edges(inst: Instance) -> frozenset:
-    """(i, j, k), i < j, for i and j interfering at k; BadParams past MAX_ALIGNMENT_EDGES."""
+def edge_count(inst: Instance) -> int:
+    """The number of triples ``edges`` lists, read from set sizes; BadParams past MAX_ALIGNMENT_EDGES."""
     M = inst.num_messages  # wants and has are disjoint subsets of 1..M
     count = sum(comb(M - len(d.wants) - len(d.has), 2) for d in inst.destinations)
     if count > MAX_ALIGNMENT_EDGES:
         raise BadParams(f"the alignment relation has {count} edges, more than the limit of {MAX_ALIGNMENT_EDGES}")
+    return count
+
+
+def edges(inst: Instance) -> frozenset:
+    """(i, j, k), i < j, for i and j interfering at k; BadParams past MAX_ALIGNMENT_EDGES."""
+    edge_count(inst)
     return frozenset(
         (i, j, d.id) for d in inst.destinations for i, j in combinations(sorted(inst.interferers(d)), 2)
     )

@@ -163,11 +163,14 @@ def chain_bounds(
     M = norm.num_messages
     prime = [1] + _primes(M)
     wants = {d.id: tuple(d.wants) for d in norm.destinations}
-    # message a -> its links (b, realizer j, the key of the terms the link
-    # adds: b and j's wants), by b and then j ascending: each edge read both ways
+    wanted = {j: prod(prime[m] for m in w) for j, w in wants.items()}  # the key of j's wants
+    # message a -> its links (b, realizer j, the key of the terms the link adds:
+    # b and j's wants), by b and then j ascending: each edge (x < y, j) is read
+    # both ways in one sorted pass, where a's links to smaller partners come first
     links = {}
-    for a, b, j in sorted(t for x, y, j in edges(norm) for t in ((x, y, j), (y, x, j))):
-        links.setdefault(a, []).append((b, j, prime[b] * prod(prime[m] for m in wants[j])))
+    for x, y, j in sorted(edges(norm)):
+        links.setdefault(x, []).append((y, j, prime[y] * wanted[j]))
+        links.setdefault(y, []).append((x, j, prime[x] * wanted[j]))
     fan = {a: Counter(b for b, _, _ in out) for a, out in links.items()}  # fan[a][b]: the links a -> b
     found = [{} for _ in range(min(maxN, M) + 1)]  # found[N]: term key -> certificate of rhs N
     rhs = [Fraction(N) for N in range(len(found))]  # one rhs per chain length, shared by its certificates

@@ -55,14 +55,6 @@ def _positive_int(text):
     return count
 
 
-def _emit(obj, out_path):
-    text = dump_json(obj)
-    if out_path:
-        write_file(out_path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _given(**kwargs):
     """The options set on the command line; the rest keep the library's defaults."""
     return {key: value for key, value in kwargs.items() if value is not None}
@@ -71,9 +63,6 @@ def _given(**kwargs):
 def _build_parser():
     top = argparse.ArgumentParser(prog="icx", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", help="write JSON here instead of stdout")
 
     def add_family(p, required):
         p.add_argument("--family", required=required, choices=list(_FAMILIES))
@@ -88,16 +77,13 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="generate a symmetric family instance")
     add_family(p, required=True)
-    add_out(p)
 
     p = sub.add_parser("validate", help="check instance file invariants")
     p.add_argument("instance")
-    add_out(p)
 
     p = sub.add_parser("check-feasibility", help="decide rate 1/(L+1) feasibility")
     p.add_argument("instance")
     p.add_argument("--L", type=int, required=True)
-    add_out(p)
 
     p = sub.add_parser("scheme", help="construct a scheme (family or alignment based)")
     add_family(p, required=False)
@@ -110,24 +96,20 @@ def _build_parser():
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
     add_sample(p)
-    add_out(p)
 
     p = sub.add_parser("verify", help="verify a scheme file against an instance file")
     p.add_argument("instance")
     p.add_argument("scheme")
     p.add_argument("--mode", choices=["auto", "rank", "decoder"], default="auto")
-    add_out(p)
 
     p = sub.add_parser("simulate", help="exhaustive zero-error simulation")
     p.add_argument("instance")
     p.add_argument("scheme")
     add_sample(p)
-    add_out(p)
 
     p = sub.add_parser("transform", help="groupcast -> equivalent multiple unicast")
     p.add_argument("instance")
     p.add_argument("--L", type=int, required=True)
-    add_out(p)
 
     p = sub.add_parser("bounds", help="emit outer-bound certificates")
     p.add_argument("instance")
@@ -137,7 +119,6 @@ def _build_parser():
     p.add_argument("--L", type=int, help="demand size for chain bounds")
     p.add_argument("--maxN", type=_positive_int)
     p.add_argument("--budget", type=_positive_int)
-    add_out(p)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.add_argument("instance")
@@ -148,15 +129,15 @@ def _build_parser():
     p.add_argument("--q", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--budget", type=_positive_int)
-    add_out(p)
 
     p = sub.add_parser("example", help="built-in worked examples 1..3")
     p.add_argument("id", type=int, choices=[1, 2, 3])
     p.add_argument("--field", type=_parse_field, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
-    add_out(p)
 
+    for p in sub.choices.values():  # last, so every verb's usage ends with it
+        p.add_argument("--out", help="write JSON here instead of stdout")
     return top
 
 
@@ -298,7 +279,7 @@ def _cmd_bounds(args):
     out = {}
     if args.simple or want_all:
         if L is not None:  # the chain search's edge cap refuses before any simple certificate is built
-            alignment.edges(model.normalize(inst, L))
+            alignment.edge_count(model.normalize(inst, L))
         out["simple"] = [c.to_json() for c in bounds.simple_bounds(inst)]
     if L is not None:
         found = bounds.chain_bounds(inst, L, **_given(maxN=args.maxN, budget=args.budget))
@@ -375,7 +356,11 @@ def run(argv) -> int:
         except Infeasible as exc:
             # infeasibility carries a verdict and its witness, not a crash
             obj, code = {"feasible": False, "witness": list(exc.witness)}, EXIT_NEGATIVE
-        _emit(obj, getattr(args, "out", None))
+        text = dump_json(obj)
+        if args.out:
+            write_file(args.out, text)
+        else:
+            sys.stdout.write(text)
         return code
     except (IcxError, OSError) as exc:
         # a file that cannot be opened or written is a usage error

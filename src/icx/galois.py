@@ -789,24 +789,22 @@ class Matrix(Record):
 
 
 class Subspace(Record):
-    """A subspace of field^n with a reduced-column-echelon basis.
+    """The span of a reduced-column-echelon basis: a subspace of field^n for its field and n rows.
 
     The canonical basis makes equality of subspaces decidable by entry
     comparison.
     """
 
-    def __init__(self, field: Field, ambient_dim: int, basis: Matrix):
-        if basis.rows != ambient_dim:
-            raise DimensionMismatch("basis rows must equal the ambient dimension")
+    def __init__(self, basis: Matrix):
         if basis.entries != basis.column_echelon().entries:
             raise ValueError("subspace basis must be in reduced column echelon form")
-        super().__init__(field, ambient_dim, basis)
+        super().__init__(basis)
 
     @staticmethod
     def _trusted(basis: Matrix) -> "Subspace":
         """The span of a basis this module put in reduced column echelon form."""
         s = object.__new__(Subspace)
-        vars(s).update(field=basis.field, ambient_dim=basis.rows, basis=basis)
+        vars(s).update(basis=basis)
         return s
 
     @staticmethod
@@ -818,23 +816,23 @@ class Subspace(Record):
         return self.basis.cols
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient_dim:
+        if len(vec) != self.basis.rows:
             raise DimensionMismatch("vector length mismatch")
-        basis = EchelonBasis(self.field, self.ambient_dim)
+        basis = EchelonBasis(self.basis.field, self.basis.rows)
         basis.grow(self.basis.col_list())
-        return basis.add([self.field.canonical(x) for x in vec]) == 0
+        return basis.add([self.basis.field.canonical(x) for x in vec]) == 0
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel method: nullspace of [A | -B] projected through A."""
-        _same_field(self.field, other.field)
-        if self.ambient_dim != other.ambient_dim:
+        a, b = self.basis, other.basis
+        _same_field(a.field, b.field)
+        if a.rows != b.rows:
             raise DimensionMismatch("ambient dimension mismatch")
         if other == self:  # canonical bases: equal subspaces compare equal entry by entry
             return self
-        a, b = self.basis, other.basis
         ns = a.hstack(b.neg()).nullspace() if a.cols and b.cols else None
         if ns is None or ns.cols == 0:
-            return Subspace._trusted(Matrix.zeros(self.field, self.ambient_dim, 0))
+            return Subspace._trusted(Matrix.zeros(a.field, a.rows, 0))
         return Subspace.from_matrix(a @ ns.take_rows(range(a.cols)))
 
 

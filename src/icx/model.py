@@ -258,7 +258,7 @@ def gen_x_network(K: int, L: int) -> Instance:
     and the decode-chain converse stay consistent on the finite circle.
     """
     _check_x_network(K, L)
-    return _x_network_instance(K, L)
+    return _family_instance("x-network", K * L, K=K, L=L)
 
 
 def _check_x_network(K: int, L: int):
@@ -270,10 +270,6 @@ def _check_x_network(K: int, L: int):
     if K % (L + 1) != 0:
         raise BadParams(f"(L+1)={L + 1} must divide K={K}")
     _check_generated_size(K * L, K, K * (K * L - L * L))
-
-
-def _x_network_instance(K: int, L: int) -> Instance:
-    return _family_instance("x-network", K * L, K=K, L=L)
 
 
 def _x_network_pairs(K: int, L: int):

@@ -170,23 +170,17 @@ def best_scalar_scheme(
     return OracleResult(query, None, checked_total)
 
 
-def _projective_reps(field: Field, n: int):
-    """Nonzero vectors of field^n with leading nonzero coordinate equal 1, in
-    itertools.product order: the later the leading 1, the earlier the vector."""
-    for lead in reversed(range(n)):
-        for tail in itertools.product(field.elements(), repeat=n - 1 - lead):
-            yield (0,) * lead + (1,) + tail
-
-
 def _canonical(field: Field, n: int, r: int, inside: bool = True):
     """A message's beams up to a change of basis fixing the beams before it,
     which span the first r unit vectors of field^n: the projective
-    representatives supported on those r coordinates if inside, then the
-    next unit vector if r < n."""
+    representatives supported on those r coordinates (leading nonzero
+    coordinate 1, in itertools.product order, so the later the leading 1, the
+    earlier the vector) if inside, then the next unit vector if r < n."""
     pad = (0,) * (n - r)
     if inside:
-        for rep in _projective_reps(field, r):
-            yield rep + pad
+        for lead in reversed(range(r)):
+            for tail in itertools.product(field.elements(), repeat=r - 1 - lead):
+                yield (0,) * lead + (1,) + tail + pad
     if r < n:
         yield (0,) * r + (1,) + pad[1:]
 

@@ -220,11 +220,12 @@ def _column_masks(cols: dict, total: int, reverse: bool = False) -> tuple:
     An Instance holds only its own messages, and ``_check_scheme_matches``
     makes them the scheme's, so d.has is summed as it is."""
     masks = {m: ((1 << len(r)) - 1) << (total - r.stop if reverse else r.start) for m, r in cols.items()}
+    ids = frozenset(masks)  # the large side subtracts d.has from this one set, not from a copy of the keys
 
     def unheld(d):
         if 2 * len(d.has) <= len(masks):
             return (1 << total) - 1 - sum(map(masks.__getitem__, d.has))
-        return sum(map(masks.__getitem__, masks.keys() - d.has))
+        return sum(map(masks.__getitem__, ids - d.has))
 
     return masks, unheld
 

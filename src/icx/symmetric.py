@@ -30,7 +30,7 @@ from .model import (
     _check_neighboring_antidotes,
     _check_neighboring_interference,
     _check_x_network,
-    _x_network_instance,
+    _family_instance,
 )
 from .scheme import LinearScheme, check_scheme_size
 
@@ -154,7 +154,7 @@ def _example3(field: Field) -> BuiltinExample:
     # setting.  Three desired symbols per destination; six interferers align
     # into three dimensions, some only subspace-wise (V_8, V_10, V_11, V_14
     # are genuine multi-term combinations).
-    inst = _x_network_instance(5, 3)
+    inst = _family_instance("x-network", 15, K=5, L=3)
 
     def t(i):
         return tuple(1 if r == i - 1 else 0 for r in range(6))

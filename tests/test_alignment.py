@@ -20,7 +20,7 @@ from icx.alignment import (
 from icx.bounds import chain_bounds
 from icx.errors import BadParams, Infeasible, NotNormalized
 from icx.galois import PrimeField
-from icx.model import Destination, Instance, gen_neighboring_antidotes, normalize
+from icx.model import Destination, Instance, gen_neighboring_antidotes, gen_neighboring_interference, normalize
 from icx.scheme import simulate_exhaustive, verify
 from icx.symmetric import builtin_example
 
@@ -180,6 +180,8 @@ def _random_instance(rnd, L):
 
 
 def test_verdicts_agree_with_the_all_pairs_reference():
+    """Random small instances, then neighboring interference K=12..24 with
+    U <= 1 and D <= 2, where every destination lacks at most three messages."""
     rnd = random.Random(12)
     verdicts = Counter()
     for _ in range(600):
@@ -189,6 +191,15 @@ def test_verdicts_agree_with_the_all_pairs_reference():
         assert got == ref.check_feasibility_json(inst, L)
         verdicts[got["feasible"]] += 1
     assert min(verdicts.values()) > 100, verdicts
+    zs = Counter()
+    for K in range(12, 25):
+        for U, D in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)):
+            if K % (D + 1) == 0:
+                inst = gen_neighboring_interference(K, U, D)
+                got = check_feasibility(inst, 1).to_json()
+                assert got == ref.check_feasibility_json(inst, 1)
+                zs[min(got["partition"]["Z"], 3)] += 1
+    assert sorted(zs) == [1, 2, 3] and min(zs.values()) >= 4, zs
 
 
 def test_feasibility_lists_no_pairs():

@@ -987,6 +987,24 @@ def test_bounds_refuses_past_the_edge_cap_before_simple_bounds(tmp_path, capsys,
     assert built == []
 
 
+def test_bounds_lists_the_alignment_relation_once(tmp_path, capsys, monkeypatch):
+    """With no flags, the pre-check before the simple section counts the
+    relation from set sizes; only the chain search lists it."""
+    from icx import alignment, bounds
+
+    path = write_instance(tmp_path, gen_neighboring_antidotes(6, 0, 1))
+    listed, edges = [], alignment.edges
+
+    def counting(inst):
+        listed.append(inst)
+        return edges(inst)
+
+    monkeypatch.setattr(alignment, "edges", counting)
+    monkeypatch.setattr(bounds, "edges", counting)
+    code, out, _ = invoke(capsys, "bounds", path)
+    assert code == 0 and json.loads(out)["chain"] and len(listed) == 1
+
+
 def test_validate_refuses_a_file_past_the_held_entries(tmp_path, capsys, monkeypatch):
     """Antidotes K=5 U=1 D=1 holds 10 messages in all: valid at a limit of 10, unread at 9."""
     path = write_instance(tmp_path, gen_neighboring_antidotes(5, 1, 1))

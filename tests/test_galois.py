@@ -285,11 +285,11 @@ def test_mixed_field_matmul_rejected():
 
 def _enumerate_span(sub: Subspace) -> set:
     """All vectors of the subspace, by enumerating coefficient tuples."""
-    f = sub.field
+    f = sub.basis.field
     d = sub.dim
     vecs = set()
     for coeffs in itertools.product(f.elements(), repeat=d):
-        v = [0] * sub.ambient_dim
+        v = [0] * sub.basis.rows
         for j, c in enumerate(coeffs):
             col = sub.basis.col(j)
             v = [f.add(x, f.mul(c, y)) for x, y in zip(v, col)]
@@ -315,6 +315,18 @@ def test_subspace_intersect_dimension_mismatch():
     b = Subspace.from_matrix(Matrix.identity(gf2, 3))
     with pytest.raises(DimensionMismatch):
         a.intersect(b)
+
+
+def test_a_subspace_is_its_basis():
+    """A subspace stores its basis alone: its field and ambient dimension are
+    the basis's, so no call can name others."""
+    gf2, gf3 = PrimeField(2), PrimeField(3)
+    a = Subspace(Matrix.identity(gf2, 2).take_cols([0]))
+    assert Subspace._fields == ("basis",) and vars(a) == {"basis": a.basis}
+    assert not hasattr(a, "field") and not hasattr(a, "ambient_dim")
+    assert vars(a.intersect(Subspace.from_matrix(Matrix.identity(gf2, 2)))) == {"basis": a.basis}
+    with pytest.raises(FieldMismatch):
+        a.intersect(Subspace.from_matrix(Matrix.identity(gf3, 2)))
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), BinaryField(3)], ids=str)

@@ -642,5 +642,5 @@ def test_public_constructors_still_validate():
     with pytest.raises(DimensionMismatch):
         Matrix(gf5, 2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
-        Subspace(gf5, 2, Matrix.from_cols(gf5, [[2, 0]]))  # not reduced: leading entry 2
+        Subspace(Matrix.from_cols(gf5, [[2, 0]]))  # not reduced: leading entry 2
     assert Subspace.from_matrix(Matrix.from_cols(gf5, [[2, 0]])).basis.col_list() == [[1, 0]]

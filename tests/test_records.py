@@ -48,7 +48,7 @@ CASES = {
     PrimeField: lambda: dict(p=5),
     BinaryField: lambda: dict(m=3, poly=0),
     Matrix: lambda: dict(field=GF5, rows=2, cols=2, entries=(1, 7, 0, -1)),
-    Subspace: lambda: dict(field=GF2, ambient_dim=2, basis=Matrix(GF2, 2, 1, (1, 0))),
+    Subspace: lambda: dict(basis=Matrix(GF2, 2, 1, (1, 0))),
     LinearScheme: lambda: dict(field=GF2, n=2, V=dict(_scheme().V), U={(1, 1): Matrix(GF2, 1, 2, (1, 0))}),
     Diagnostic: lambda: dict(kind="property1", destination=1, message=2, interferer=3),
     VerificationReport: lambda: dict(valid=True, mode="rank", diagnostics=(), rates={1: Fraction(1, 2)}),
@@ -169,7 +169,7 @@ def test_validation_still_refuses():
     with pytest.raises(DimensionMismatch, match="needs 4 entries"):
         Matrix(GF5, 2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
-        Subspace(GF2, 2, Matrix(GF2, 2, 1, (0, 1)).hstack(Matrix(GF2, 2, 1, (1, 1))))
+        Subspace(Matrix(GF2, 2, 1, (0, 1)).hstack(Matrix(GF2, 2, 1, (1, 1))))
     with pytest.raises(SchemeMalformed, match="V\\[1\\]"):
         LinearScheme(GF5, 2, {1: Matrix(GF2, 2, 1, (1, 0))})
 
