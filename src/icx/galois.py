@@ -15,21 +15,23 @@ Every elimination, over every field, grows one ``EchelonBasis``: ranks,
 full reduced forms (``rref``, ``nullspace``, ``left_nullspace``,
 ``inverse``, ``column_echelon``, through ``_rref``), subspace membership,
 greedy choices of rows or columns and the oracles' searches.
-Over GF(p) its rows are packed into one Python int each; over GF(2^m) they
-are lists, with the field's own multiplication.  Over odd p a column is a
-lane of bits, and ``_lane_reducer`` takes every lane of a row mod p at once,
-in a few big-integer operations: to find a new row's pivot, to scale it and
-to read it.  The basis back-substitutes only the rows a caller asks for, or
-every row once, and then reads any column subset's reduced form off the
-back-substituted basis (``restrict``).  The rows whose pivots the subset
-keeps come first and are already 0 at one another's pivots, so a read
-reduces a row only against the rows ``restrict`` added again.  That is the
-walk rank-mode ``verify`` and V-only simulation share, which compares each
-desired stream's packed row with the unit row at its pivot, and decoder
-synthesis's left null spaces.  ``Matrix.left_nullspace`` eliminates the
-matrix's columns: the transpose's null space.  ``_row_products`` packs a
-matrix's rows once for many products and reads any block of columns of a
-packed product without unpacking the rest.
+Over every field its rows are packed into one Python int each: over GF(2)
+a column is a bit, otherwise a lane of bits.  Over odd p ``_lane_reducer``
+takes every lane of a row mod p at once, in a few big-integer operations: to
+find a new row's pivot, to scale it and to read it.  Over GF(2^m) rows add
+by xor, and ``_lane_multiplier`` multiplies every lane of a row by one
+element at once, with shifts and xors.  The basis back-substitutes only the
+rows a caller asks for, or every row once, and then reads any column
+subset's reduced form off the back-substituted basis (``restrict``).  The
+rows whose pivots the subset keeps come first and are already 0 at one
+another's pivots, so a read reduces a row only against the rows
+``restrict`` added again.  That is the walk rank-mode ``verify`` and
+V-only simulation share, which compares each desired stream's packed row
+with the unit row at its pivot, and decoder synthesis's left null spaces.
+``Matrix.left_nullspace`` eliminates the matrix's columns: the transpose's
+null space.  ``_row_products`` packs a matrix's rows once for many products
+and reads any block of columns of a packed product without unpacking the
+rest.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ def _poly_mod(a: int, f: int) -> int:
 
 
 def _poly_mulmod(a: int, b: int, f: int) -> int:
-    r = 0
+    """a b mod f for a below x^m, m the degree of f: each shift of a
+    reaches x^m at most, which one xor of f clears."""
+    m, r = _poly_degree(f), 0
     while b:
         if b & 1:
             r ^= a
         b >>= 1
         a <<= 1
-        if a.bit_length() > _poly_degree(f):
-            a = _poly_mod(a, f)
+        if a >> m:
+            a ^= f
     return r
 
 
@@ -293,17 +297,20 @@ class EchelonBasis:
     they need no step against one another.  ``add`` returns the rank growth,
     0 or 1; ``grow`` adds many and says which grew it.
 
-    Vectors are sequences of n canonical elements.  Over GF(p) a row is one
-    int, so a step is a few big-integer operations.  Over GF(2) column j is
-    bit j and a step is one xor.  Over odd p column j is a lane of W bits: a
-    step adds (p - t) times a canonical row, which makes the lane being
-    cleared a multiple of p and adds less than p^2 to each lane, and a row
-    is reduced mod p, all its lanes at once, when it is kept and scaled to
-    its pivot and when it is read.  A basis promised at most ``bound`` rows
-    (n by default) refuses any vector once it holds bound < n rows, so a
-    row takes at most bound - 1 steps when added and as many when
-    back-substituted, W is the width ``_lane_bytes(p, bound)`` gives and no
-    lane carries into the next.  Over GF(2^m) a row is a list.
+    Vectors are sequences of n canonical elements.  A row is one int, column
+    j the lane of W bits from bit W j, so a step is a few big-integer
+    operations.  In characteristic 2 a step xors t times a row into the
+    row being reduced, t its entry in the row's pivot: over GF(2) W = 1, t
+    is 1 and a step is one xor; over GF(2^m) W is the width
+    ``_lane_multiplier`` gives.  Over odd p a step adds (p - t) times a
+    canonical row, which makes the lane being cleared a multiple of p and
+    adds less than p^2 to each lane, and a row is reduced mod p, all its
+    lanes at once, when it is kept and when it is read.  A basis promised at
+    most ``bound`` rows (n by default) refuses any vector once it holds
+    bound < n rows, so a row takes at most bound - 1 steps when added and
+    as many when back-substituted, W is the width ``_lane_bytes(p, bound)``
+    gives and no lane carries into the next.  A kept row is scaled to its
+    pivot when its entry there is not 1.
     """
 
     __slots__ = ("field", "n", "bound", "pivots", "rows", "kept", "_codec")
@@ -315,10 +322,14 @@ class EchelonBasis:
         self.pivots: list = []  # pivot column of each row, in insertion order
         self.rows: list = []
         self.kept = 0
-        p = field.p if isinstance(field, PrimeField) else 0
-        W = 8 * _lane_bytes(p, self.bound) if p > 2 else 1
+        if isinstance(field, PrimeField):
+            p, times = field.p, None
+            W = 8 * _lane_bytes(p, self.bound) if p > 2 else 1
+        else:
+            p, (W, times) = 2, _lane_multiplier(field.poly, n)
         modp = _lane_reducer(p, W, n) if p > 2 and n else None
-        self._codec = (p, W, *(_lane_codec(W, n) if p and n else (list, list)), modp)  # (p or 0, W, pack, unpack, modp)
+        # (p, W, pack, unpack, modp, times); no row is kept at n = 0
+        self._codec = (p, W, *(_lane_codec(W, n) if n else (list, list)), modp, times)
 
     @property
     def rank(self) -> int:
@@ -326,21 +337,16 @@ class EchelonBasis:
 
     def _reduce(self, v, pairs):
         """v less the multiple of each (pivot, row) in pairs that clears v there."""
-        p, W = self._codec[:2]
+        p, W, _, _, _, times = self._codec
+        mask = (1 << W) - 1
         if p == 2:
             for c, b in pairs:
-                if v >> c & 1:
-                    v ^= b
-        elif p:
-            mask = (1 << W) - 1
+                if t := v >> W * c & mask:
+                    v ^= b if t == 1 else times(t, b)
+        else:
             for c, b in pairs:
                 if t := (v >> W * c & mask) % p:
                     v += (p - t) * b
-        else:
-            mul = self.field.mul
-            for c, b in pairs:
-                if t := v[c]:
-                    v = [x ^ mul(t, y) for x, y in zip(v, b)]
         return v
 
     def unpack(self, row) -> list:
@@ -350,8 +356,7 @@ class EchelonBasis:
 
     def unit(self, c: int):
         """The unit vector at column c as a row of this basis."""
-        p, W = self._codec[:2]
-        return 1 << W * c if p else [0] * c + [1] + [0] * (self.n - 1 - c)
+        return 1 << self._codec[1] * c
 
     def pack(self, vec: Sequence[int]):
         """vec as a row for ``add_row`` to any basis of this field and n."""
@@ -370,23 +375,16 @@ class EchelonBasis:
             if self.bound < self.n:
                 raise DimensionMismatch(f"a basis promised at most {self.bound} rows was given one more vector")
             return 0
-        p, W, _, _, modp = self._codec
+        _, W, _, _, modp, times = self._codec
         v = self._reduce(v, zip(pivots, self.rows))
-        if p == 2:
-            if not v:
-                return 0
-            c = (v & -v).bit_length() - 1
-        elif p:  # with every lane mod p, the lowest set bit is in the pivot's lane
-            if not (v := modp(v)):
-                return 0
-            c = ((v & -v).bit_length() - 1) // W
-            v = modp(v * pow(v >> W * c & (1 << W) - 1, p - 2, p))
-        else:
-            c = next((j for j, x in enumerate(v) if x), None)
-            if c is None:
-                return 0
-            inv, mul = self.field.inv(v[c]), self.field.mul
-            v = [mul(inv, x) for x in v]
+        if modp:
+            v = modp(v)
+        if not v:
+            return 0
+        c = ((v & -v).bit_length() - 1) // W  # with every lane canonical, the lowest set bit is in the pivot's lane
+        if W > 1 and (t := v >> W * c & (1 << W) - 1) != 1:  # over GF(2) and GF(2^1) t is 1
+            t = self.field.inv(t)
+            v = modp(v * t) if modp else times(t, v)
         pivots.append(c)
         self.rows.append(v)
         return 1
@@ -451,23 +449,22 @@ class EchelonBasis:
     def restrict(self, cols: int) -> "EchelonBasis":
         """For a back-substituted basis of A's rows, one of A_cols's rows with
         its reduced form's pivots, cols a bitmask of columns: the rows whose
-        pivot is in cols, cut (``row & mask``, over GF(2^m) a product with 0s
-        and 1s), then the others cut and added.  Each of those is already 0
+        pivot is in cols, cut (``row & mask``, mask all ones in the lanes of
+        cols), then the others cut and added.  Each of those is already 0
         at the kept pivots, so it is reduced only against the rows added
         before it.  The result is not back-substituted, but its ``kept``
         leading rows are 0 at one another's pivots, so a read reduces one
         only against the rows added again."""
-        p, W, pack = self._codec[:3]
+        W, pack = self._codec[1:3]
         keep = [cols >> c & 1 for c in self.pivots]
-        if p != 2 and keep:  # lanes of ones at cols, or a list of 0s and 1s
+        if W > 1 and keep:  # lanes of ones at cols
             cols = pack(_lane_codec(1, self.n)[1](cols)) * ((1 << W) - 1)
-        cut = cols.__and__ if p else lambda row: list(map(operator.mul, row, cols))
         out = self.copy()
         out.pivots, out.rows = [], []
         for row, kept in zip(self.rows, keep):
             if not kept:
-                out.add_row(cut(row))
-        out.pivots[:0], out.rows[:0] = compress(self.pivots, keep), map(cut, compress(self.rows, keep))
+                out.add_row(row & cols)
+        out.pivots[:0], out.rows[:0] = compress(self.pivots, keep), map(cols.__and__, compress(self.rows, keep))
         out.kept = sum(keep)
         return out
 
@@ -552,6 +549,35 @@ def _lane_reducer(p: int, width: int, ncols: int):
     return lambda x: x - p * ((x & x0) * m >> s & q0 | (x & x1) * m >> s & q1 | (x & x2) * m >> s & q2)
 
 
+@lru_cache
+def _lane_multiplier(poly: int, ncols: int) -> tuple:
+    """(width, times) for rows of ncols elements of GF(2^m), poly the
+    reduction polynomial, of degree m.
+
+    A lane is 1 bit at m = 1, else the fewest of 1, 2, 4 or 5 bytes with a
+    bit to spare above m, which ``_row_products``' nonzero test needs.
+    times(t, row) is the element t times every lane of row at once: the xor
+    of x^j row over the set bits j of t (the region multiplication of Plank,
+    Greenan and Miller), x^(j+1) row being x^j row with every lane shifted
+    up one bit and low, poly less x^m, added to each lane whose bit m - 1
+    was shifted out.
+    """
+    m = poly.bit_length() - 1
+    width = 8 * next(s for s in (1, 2, 4, 5) if 8 * s > m) if m > 1 else 1
+    ones = ((1 << width * ncols) - 1) // ((1 << width) - 1)  # a 1 at the foot of every lane
+    elements, low = ((1 << m) - 1) * ones, poly ^ 1 << m
+
+    def times(t, row):
+        out = row if t & 1 else 0
+        while t := t >> 1:
+            row = (row << 1 & elements) ^ (row >> m - 1 & ones) * low
+            if t & 1:
+                out ^= row
+        return out
+
+    return width, times
+
+
 def _lane_bytes(p: int, steps: int) -> int:
     """Bytes per lane of a GF(p) row that takes at most steps lazy steps:
     the smallest of 1, 2, 4 and 8, or failing that the fewest, that hold
@@ -567,32 +593,36 @@ def _row_products(mat: "Matrix") -> tuple:
     product takes c, a sequence of mat.rows canonical elements, and gives
     (c @ mat as a row, a bitmask with bit j set iff entry j is nonzero);
     read(row, block) gives the canonical entries of a product's row at the
-    columns of the range block, unpacking those alone.  Over GF(2) the row
-    is an xor of packed rows, which is its own mask; over odd p a sum of
-    lanes wide enough for mat.rows terms below p^2, reduced mod p, whose
-    nonzero lanes are those that adding 2^(W-1) - 1 carries into their top
-    bit; over GF(2^m) a list, a field sum per column.
+    columns of the range block, unpacking those alone.  Over GF(2) and
+    GF(2^1) the row is an xor of packed rows, which is its own mask.
+    Otherwise a column is a lane of W bits: over GF(2^m) the row is an xor
+    of rows times elements, in ``_lane_multiplier``'s lanes; over odd p a
+    sum of lanes wide enough for mat.rows terms below p^2, reduced mod p.
+    Either way each lane is below 2^(W-1), and the nonzero lanes are those
+    that adding 2^(W-1) - 1 carries into their top bit.
     """
     f, ncols = mat.field, mat.cols
     if not ncols:
-        return (lambda c: ((), 0)), (lambda row, block: ())
-    if isinstance(f, BinaryField):
-        cols, mul, bits = mat.col_list(), f.mul, _lane_codec(1, ncols)[0]
-        product = lambda c: (out := [reduce(operator.xor, map(mul, c, col), 0) for col in cols], bits(map(bool, out)))
-        return product, lambda row, block: row[block.start : block.stop]
-    W = 1 if f.p == 2 else 8 * _lane_bytes(f.p, mat.rows)
+        return (lambda c: (0, 0)), (lambda row, block: ())
+    if isinstance(f, PrimeField):
+        W, times = 1 if f.p == 2 else 8 * _lane_bytes(f.p, mat.rows), None
+    else:
+        W, times = _lane_multiplier(f.poly, ncols)
     packed = list(map(_lane_codec(W, ncols)[0], mat._row_tuples()))
     if W == 1:
         product = lambda c: (v := reduce(operator.xor, compress(packed, c), 0), v)
     else:
-        modp, B = _lane_reducer(f.p, W, ncols), W // 8
-        ones = ((1 << W * ncols) - 1) // ((1 << W) - 1)  # a 1 at the foot of every lane
+        B, ones = W // 8, ((1 << W * ncols) - 1) // ((1 << W) - 1)  # ones: a 1 at the foot of every lane
         fill, tops = ((1 << W - 1) - 1) * ones, (1 << W - 1) * ones
-        # p < 2^(W-1), so a lane plus 2^(W-1) - 1 reaches its top bit iff it is
+        # a lane below 2^(W-1) plus 2^(W-1) - 1 reaches its top bit iff it is
         # nonzero, and carries no further; the top bit is in the lane's last byte
         top_bytes = lambda v: (v + fill & tops).to_bytes(B * ncols, "little")[B - 1 :: B]
         nonzero = lambda v: int(top_bytes(v)[::-1].translate(_TOP_DIGITS), 2)
-        product = lambda c: (v := modp(sum(map(operator.mul, c, packed))), nonzero(v))
+        if times:
+            product = lambda c: (v := reduce(operator.xor, map(times, c, packed), 0), nonzero(v))
+        else:
+            modp = _lane_reducer(f.p, W, ncols)
+            product = lambda c: (v := modp(sum(map(operator.mul, c, packed))), nonzero(v))
 
     def read(row, block):
         return _lane_codec(W, len(block))[1](row >> W * block.start & (1 << W * len(block)) - 1) if block else ()

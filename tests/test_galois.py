@@ -172,6 +172,33 @@ def test_default_reduction_polys_are_pinned():
     assert [default_reduction_poly(m) for m in range(1, 33)] == DEFAULT_POLYS
 
 
+def _clmul_mod(a: int, b: int, f: int) -> int:
+    """a b mod f by a schoolbook carry-less product, then one reduction."""
+    product = 0
+    for j in range(b.bit_length()):
+        if b >> j & 1:
+            product ^= a << j
+    return galois._poly_mod(product, f)
+
+
+def test_poly_mulmod_matches_schoolbook_product():
+    """``_poly_mulmod`` reduces each shift of its first factor with one
+    conditional xor: every pair under every irreducible polynomial of degree
+    at most 4, then seeded random pairs at m = 8 and m = 32, also through
+    ``BinaryField.mul`` with arguments that need canonicalizing."""
+    for m in range(1, 5):
+        for f in filter(is_irreducible_gf2, range(1 << m, 1 << (m + 1))):
+            for a, b in itertools.product(range(1 << m), repeat=2):
+                assert galois._poly_mulmod(a, b, f) == _clmul_mod(a, b, f), (f, a, b)
+    rnd = random.Random("poly mulmod")
+    for m in (8, 32):
+        field = BinaryField(m)
+        for _ in range(2000):
+            a, b = rnd.getrandbits(m), rnd.getrandbits(m)
+            assert galois._poly_mulmod(a, b, field.poly) == _clmul_mod(a, b, field.poly)
+            assert field.mul(-a, b | 1 << m) == _clmul_mod(a, galois._poly_mod(b | 1 << m, field.poly), field.poly)
+
+
 def test_smallest_prime_at_least():
     assert smallest_prime_at_least(1) == 2
     assert smallest_prime_at_least(8) == 11

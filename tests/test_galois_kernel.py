@@ -11,6 +11,10 @@ The lane reducer that takes every lane of a packed GF(p) row mod p at once
 is checked against ``x % p`` at every lane width, for primes that it reduces
 in two phases and ones that need three; GF(7) and GF(31), which need three,
 also run through the packed basis and the packed products.
+Over characteristic 2 the packed rows hold one element per lane, and
+GF(2^1), GF(2^7), GF(2^8), GF(2^12) and GF(2^32) take the bit, 1-, 2-, 2- and
+5-byte lanes through the packed basis, its restrictions and the packed
+products; every row the kernel keeps or gives is one int, over every field.
 The greedy walk ``EchelonBasis.grow`` and the row and column choices built on it
 are checked against fresh ranks, and the packed products of
 ``_row_products``, whole and block by block, against ``Matrix.__matmul__``.
@@ -68,6 +72,14 @@ LANE_SHAPES = {
     ],
 }
 KINDS = ("dense", "sparse", "deficient")
+# Characteristic-2 fields at each width of their lanes: one element per lane,
+# with a bit to spare above m (``_row_products``' nonzero test needs it), so
+# 1 bit at m = 1, then 1 byte up to m = 7, 2 up to 15, 4 up to 31 and 5 at 32.
+# GF(2^32) runs only at n <= 12, where the reference stays fast, and the
+# packed basis runs them all at n <= 12, as GF(2^3) covers n = 30 there.
+LANE_WIDTH_BITS = {PrimeField(2): 1, BinaryField(1): 1, BinaryField(3): 8, BinaryField(7): 8,
+                   BinaryField(8): 16, BinaryField(12): 16, BinaryField(32): 40}
+LANE_FIELDS = [BinaryField(1), BinaryField(7), BinaryField(8), BinaryField(12), BinaryField(32)]
 
 
 def random_rows(field, r, c, kind, rnd):
@@ -201,9 +213,11 @@ def test_incremental_basis_copy_is_independent(field):
 # to 45, 4 from 46; GF(2^31-1): 8 bytes up to 2, 9 from 3; GF(7): 1 byte up
 # to 3, 2 from 4), for a basis of the whole space (bound n) and for one
 # promised fewer rows than n; n = 0, and small and large n over GF(2),
-# GF(3), GF(2^3) and GF(31).  GF(7) and GF(31) reduce their lanes in three
-# phases at these widths (``test_lane_reducer_matches_mod_p``), GF(3) and
-# GF(37) below 4 bytes in two.
+# GF(3), GF(2^3) and GF(31); each lane width of characteristic 2
+# (``LANE_WIDTH_BITS``) up to n = 12, whatever the bound.  GF(7) and GF(31)
+# reduce their lanes in three phases at these widths
+# (``test_lane_reducer_matches_mod_p``), GF(3) and GF(37) below 4 bytes in
+# two.
 BASIS_WIDTHS = [
     *((field, n, n) for field in FIELDS for n in (0, 1, 5, 30)),
     (PrimeField(37), 45, 45), (PrimeField(37), 46, 46),
@@ -214,6 +228,8 @@ BASIS_WIDTHS = [
     (PrimeField(7), 3, 3), (PrimeField(7), 4, 4), (PrimeField(7), 30, 30), (PrimeField(7), 12, 3),
     (PrimeField(31), 30, 30), (PrimeField(31), 12, 4),
     (PrimeField(2), 30, 4), (BinaryField(3), 12, 4),
+    *((field, n, n) for field in LANE_FIELDS for n in (0, 1, 5, 12)),
+    (BinaryField(8), 12, 4), (BinaryField(32), 12, 4),
 ]
 
 
@@ -232,6 +248,8 @@ def test_packed_basis_matches_reference(field, n, bound):
     make = (lambda: EchelonBasis(field, n)) if bound == n else (lambda: EchelonBasis(field, n, bound))
     if isinstance(field, PrimeField) and field.p > 2:
         assert make()._codec[1] == 8 * galois._lane_bytes(field.p, bound)
+    else:
+        assert make()._codec[1] == LANE_WIDTH_BITS[field]
     for kind in KINDS:
         for r in (0, 1, n // 2, n, n + 3) if bound == n else (0, 1, bound // 2, bound):
             rows = random_rows(field, r, n, kind, rnd)
@@ -285,9 +303,12 @@ def test_left_nullspace_matches_transpose_route(field):
 # (field, rows, cols) for reading left null spaces off one reduced [A | J].
 # Its basis is sized for A's rows, so over odd p the lanes change width at
 # 26/27 rows over GF(3), 45/46 over GF(37) and 2/3 over GF(2^31-1); over
-# GF(2) rows past 64 columns take more than one machine word.
+# GF(2) rows past 64 columns take more than one machine word.  Each lane
+# width of characteristic 2 is cut too, GF(2^32) at r + c = 12.
 RESTRICT_SHAPES = [
     *((field, r, c) for field in FIELDS for r, c in ((0, 4), (4, 0), (1, 1), (3, 9), (7, 7), (9, 3))),
+    *((field, r, c) for field in LANE_FIELDS[:-1] for r, c in ((3, 9), (7, 7), (9, 3))),
+    (BinaryField(32), 3, 9), (BinaryField(32), 7, 5),
     (PrimeField(3), 26, 30), (PrimeField(3), 27, 30), (PrimeField(37), 45, 20), (PrimeField(37), 46, 20),
     (PrimeField(2**31 - 1), 2, 5), (PrimeField(2**31 - 1), 3, 5), (PrimeField(2), 30, 50), (PrimeField(2), 40, 96),
 ]
@@ -395,7 +416,7 @@ def test_packed_unit_row_test_agrees_with_the_entries(field, r, c):
     """A desired stream decodes iff its row of the reduced form has its
     pivot as its only nonzero entry.  ``_rank_checks`` decides that on the
     packed row, ``reduced(i) == unit(pivots[i])``; on every read of the
-    restricted bases above the two agree, list rows over GF(2^m) included,
+    restricted bases above the two agree, over every field and lane width,
     and ``unit`` is the unit vector as ``pack`` packs it.  Both outcomes
     occur on every shape with more than one row and column of A."""
     seen = set()
@@ -552,7 +573,8 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
 
 # (field, rows, cols, lane bytes) for _row_products.  Over odd p a product
 # sums rows terms below p^2, in lanes of _lane_bytes(p, rows) bytes, so the
-# row count sets the width; GF(2) rows are bits and GF(2^m) is not packed.
+# row count sets the width; GF(2) rows are bits and GF(2^m) rows take the
+# lanes of ``LANE_WIDTH_BITS``, one element each, whatever the row count.
 # The last rows read 40 to 780 columns in lanes of 1, 2 and 9 bytes.
 PRODUCT_SHAPES = [
     (PrimeField(2), 0, 0, None), (PrimeField(2), 0, 5, None), (PrimeField(2), 5, 0, None),
@@ -565,6 +587,8 @@ PRODUCT_SHAPES = [
     (PrimeField(7), 3, 9, 1), (PrimeField(7), 4, 9, 2), (PrimeField(7), 30, 126, 2),
     (PrimeField(31), 66, 5, 2), (PrimeField(31), 67, 5, 4), (PrimeField(31), 30, 126, 2),
     (PrimeField(3), 10, 780, 1), (PrimeField(37), 10, 780, 2), (PrimeField(2**31 - 1), 5, 40, 9),
+    *((field, 9, 12 if field.m == 32 else 30, None) for field in LANE_FIELDS),
+    (BinaryField(8), 0, 4, None), (BinaryField(8), 4, 0, None), (BinaryField(8), 10, 300, None),
 ]
 
 
@@ -599,6 +623,27 @@ def test_row_products_match_matmul(field, r, c, width):
                 assert all(type(e) is int for e in entries)
                 own = mask >> block.start & (1 << len(block)) - 1
                 assert own == sum(1 << j for j, e in enumerate(entries) if e), block
+
+
+@pytest.mark.parametrize("field", FIELDS + LANE_FIELDS, ids=repr)
+def test_every_row_is_one_int(field):
+    """One row form over every field: each row a basis keeps, as added,
+    back-substituted or restricted, each ``reduced(i)``, each ``unit(c)``
+    and each ``_row_products`` product, of no column too, is one int."""
+    rnd = random.Random(f"row form {field!r}")
+    r, n = 6, 12
+    for kind in KINDS:
+        rows = random_rows(field, r, n, kind, rnd)
+        basis = EchelonBasis(field, n)
+        basis.grow(rows)
+        reduced = basis.copy().back_substitute()
+        for b in (basis, reduced, reduced.restrict(rnd.getrandbits(n))):
+            assert {type(row) for row in b.rows} <= {int}
+            assert {type(b.reduced(i)) for i in range(b.rank)} <= {int}
+            assert {type(b.unit(c)) for c in range(n)} == {int}
+        for c in (n, 0):
+            product, _ = galois._row_products(as_matrix(field, [row[:c] for row in rows], r, c))
+            assert [type(x) for x in product([rnd.randrange(field.order) for _ in range(r)])] == [int, int]
 
 
 # Primes whose lanes _lane_reducer takes mod p in two phases and ones that
