@@ -255,7 +255,7 @@ def _cmd_transform(args):
 
     inst = model.load_instance(args.instance)
     umap = unicast.to_unicast(inst, args.L)
-    return unicast.unicast_transform_report(umap), EXIT_OK
+    return umap.to_json(), EXIT_OK
 
 
 def _cmd_bounds(args):

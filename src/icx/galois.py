@@ -20,12 +20,13 @@ a column is a bit, otherwise a lane of bits.  Over odd p ``_lane_reducer``
 takes every lane of a row mod p at once, in a few big-integer operations: to
 find a new row's pivot, to scale it and to read it.  Over GF(2^m) rows add
 by xor, and ``_lane_multiplier`` multiplies every lane of a row by one
-element at once, with shifts and xors.  The basis back-substitutes only the
-rows a caller asks for, or every row once, and then reads any column
-subset's reduced form off the back-substituted basis (``restrict``).  The
-rows whose pivots the subset keeps come first and are already 0 at one
-another's pivots, so a read reduces a row only against the rows
-``restrict`` added again.  That is the walk rank-mode ``verify`` and
+element at once, with shifts and xors; its one-lane product is
+``BinaryField.mul``.  The basis
+back-substitutes only the rows a caller asks for, or every row once, and
+then reads any column subset's reduced form off the back-substituted basis
+(``restrict``).  The rows whose pivots the subset keeps come first and are
+already 0 at one another's pivots, so a read reduces a row only against the
+rows ``restrict`` added again.  That is the walk rank-mode ``verify`` and
 V-only simulation share, which compares each desired stream's packed row
 with the unit row at its pivot, and decoder synthesis's left null spaces.
 ``Matrix.left_nullspace`` eliminates the matrix's columns: the transpose's
@@ -68,26 +69,6 @@ def _poly_mod(a: int, f: int) -> int:
     return a
 
 
-def _poly_mulmod(a: int, b: int, f: int) -> int:
-    """a b mod f for a below x^m, m the degree of f: each shift of a
-    reaches x^m at most, which one xor of f clears."""
-    m, r = _poly_degree(f), 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m:
-            a ^= f
-    return r
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
-
-
 def is_irreducible_gf2(f: int) -> bool:
     """Ben-Or's test: f of degree m >= 1 is irreducible over GF(2) iff
     gcd(f, x^(2^k) - x) = 1 for every k <= m/2.  Integers below 2 are not
@@ -97,8 +78,11 @@ def is_irreducible_gf2(f: int) -> bool:
         return False
     t = 0b10  # x^(2^k) mod f, squared once per k
     for _ in range(_poly_degree(f) // 2):
-        t = _poly_mulmod(t, t, f)
-        if _poly_gcd(f, t ^ 0b10) != 1:
+        t = _poly_mod(int(f"{t:b}", 4), f)  # over GF(2), t^2 is t's bits spread out
+        a, b = f, t ^ 0b10
+        while b:  # Euclid: a ends as gcd(f, x^(2^k) - x)
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
             return False
     return True
 
@@ -209,7 +193,7 @@ class BinaryField(Record):
         return self.canonical(a)
 
     def mul(self, a: int, b: int) -> int:
-        return _poly_mulmod(self.canonical(a), self.canonical(b), self.poly)
+        return _lane_multiplier(self.poly, 1)[1](self.canonical(a), self.canonical(b))
 
     def inv(self, a: int) -> int:
         a = self.canonical(a)
@@ -552,7 +536,7 @@ def _lane_reducer(p: int, width: int, ncols: int):
 @lru_cache
 def _lane_multiplier(poly: int, ncols: int) -> tuple:
     """(width, times) for rows of ncols elements of GF(2^m), poly the
-    reduction polynomial, of degree m.
+    reduction polynomial, of degree m; at ncols = 1, the field's product.
 
     A lane is 1 bit at m = 1, else the fewest of 1, 2, 4 or 5 bytes with a
     bit to spare above m, which ``_row_products``' nonzero test needs.
@@ -899,7 +883,8 @@ def spread_family(n: int) -> list[Subspace]:
 
     Views GF(2)^n as GF(2^(n/2))^2 and takes the one-dimensional subspaces
     over the large field: the vertical axis {(0, y)} plus one subspace
-    {(x, c*x)} per element c.
+    {(x, c*x)} per element c.  Their bases, [I; M_c] and [0; I], are
+    already in reduced column echelon form.
     """
     if n % 2 != 0:
         raise OddDimension(f"n={n} is odd")
@@ -912,14 +897,6 @@ def spread_family(n: int) -> list[Subspace]:
     def bits(x: int) -> list[int]:
         return [(x >> i) & 1 for i in range(m)]
 
-    out = []
-    # {(x, c*x) : x in GF(2^m)} for each c, then the vertical axis {(0, y)}.
-    for c in range(big.order):
-        cols = []
-        for i in range(m):
-            e = 1 << i
-            cols.append(bits(e) + bits(big.mul(c, e)))
-        out.append(Subspace.from_matrix(Matrix.from_cols(gf2, cols)))
-    cols = [[0] * m + bits(1 << i) for i in range(m)]
-    out.append(Subspace.from_matrix(Matrix.from_cols(gf2, cols)))
-    return out
+    bases = [[bits(1 << i) + bits(big.mul(c, 1 << i)) for i in range(m)] for c in range(big.order)]
+    bases.append([[0] * m + bits(1 << i) for i in range(m)])
+    return [Subspace._trusted(Matrix.from_cols(gf2, cols)) for cols in bases]

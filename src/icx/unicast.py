@@ -43,14 +43,19 @@ class UnicastMap(Record):
         return _copy_id(self.L, i, j)
 
     def to_json(self) -> dict:
+        """What ``icx transform`` prints: the id map and both instances."""
         return {
-            "original": {"messages": self.M, "L": self.L},
-            "auxiliaries": True,
-            "id_map": {
-                f"{i},{j}": _copy_id(self.L, i, j)
-                for i in range(1, self.M + 1)
-                for j in range(self.L + 1)
+            "map": {
+                "original": {"messages": self.M, "L": self.L},
+                "auxiliaries": True,
+                "id_map": {
+                    f"{i},{j}": _copy_id(self.L, i, j)
+                    for i in range(1, self.M + 1)
+                    for j in range(self.L + 1)
+                },
             },
+            "original": instance_to_json(self.original),
+            "transformed": instance_to_json(self.transformed),
         }
 
 
@@ -208,10 +213,3 @@ def groupcast_rank_chain(umap: UnicastMap, scheme: LinearScheme) -> list:
         steps.append(RankChainStep(i, umap.L, prev_dim, total_bound, prev_dim - total_bound))
     return steps
 
-
-def unicast_transform_report(umap: UnicastMap) -> dict:
-    return {
-        "map": umap.to_json(),
-        "original": instance_to_json(umap.original),
-        "transformed": instance_to_json(umap.transformed),
-    }

@@ -367,21 +367,28 @@ def interference_files(tmp_path_factory):
     return inst_path, scheme_path
 
 
-# (argv, the modules it must not load); None means only the instance model
-VERB_MODULE_CASES = [
-    (["gen", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2"], None),
-    (["validate", "{i}"], None),
-    (["check-feasibility", "{i}", "--L", "1"], {"galois", "scheme", "oracle", "symmetric", "unicast"}),
-    (["bounds", "{i}"], {"galois", "scheme", "oracle", "symmetric", "unicast"}),
-    (["verify", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
-    (["simulate", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
-    (["example", "2", "--verify", "--simulate"], {"alignment", "bounds", "oracle", "unicast"}),
-    (["transform", "{i}", "--L", "1"], {"alignment", "bounds", "oracle", "symmetric"}),
-    (["oracle", "{i}", "--minrank"], {"alignment", "bounds", "symmetric", "unicast"}),
-]
+# test id -> (argv, the modules it must not load); None means only the instance model
+VERB_MODULE_CASES = {
+    "gen": (["gen", "--family", "antidotes", "--K", "8", "--U", "1", "--D", "2"], None),
+    "validate": (["validate", "{i}"], None),
+    "check-feasibility": (["check-feasibility", "{i}", "--L", "1"], {"galois", "scheme", "oracle", "symmetric", "unicast"}),
+    "bounds": (["bounds", "{i}"], {"galois", "scheme", "oracle", "symmetric", "unicast"}),
+    "verify": (["verify", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
+    "simulate": (["simulate", "{i}", "{s}"], {"alignment", "bounds", "oracle", "symmetric", "unicast"}),
+    "example": (["example", "2", "--verify", "--simulate"], {"alignment", "bounds", "oracle", "unicast"}),
+    "transform": (["transform", "{i}", "--L", "1"], {"alignment", "bounds", "oracle", "symmetric"}),
+    "oracle": (["oracle", "{i}", "--minrank"], {"alignment", "bounds", "symmetric", "unicast"}),
+    "scheme-family": (
+        ["scheme", "--family", "interference", "--K", "6", "--U", "0", "--D", "1"], {"bounds", "oracle", "unicast"},
+    ),
+    "scheme-spread": (
+        ["scheme", "--instance", "{i}", "--construction", "spread"], {"bounds", "oracle", "symmetric", "unicast"},
+    ),
+    "oracle-scalar-search": (["oracle", "{i}", "--scalar-search"], {"alignment", "bounds", "symmetric", "unicast"}),
+}
 
 
-@pytest.mark.parametrize("argv, absent", VERB_MODULE_CASES, ids=[c[0][0] for c in VERB_MODULE_CASES])
+@pytest.mark.parametrize("argv, absent", VERB_MODULE_CASES.values(), ids=list(VERB_MODULE_CASES))
 def test_each_verb_loads_only_its_modules(interference_files, argv, absent):
     """A call imports its verb's icx modules only, and no verb loads
     dataclasses or inspect: the records are plain classes."""

@@ -182,21 +182,32 @@ def _clmul_mod(a: int, b: int, f: int) -> int:
 
 
 def test_poly_mulmod_matches_schoolbook_product():
-    """``_poly_mulmod`` reduces each shift of its first factor with one
-    conditional xor: every pair under every irreducible polynomial of degree
-    at most 4, then seeded random pairs at m = 8 and m = 32, also through
-    ``BinaryField.mul`` with arguments that need canonicalizing."""
+    """The one GF(2^m) product, ``_lane_multiplier``'s one-lane ``times``,
+    reduces each shift of a factor with one conditional xor: every pair under
+    every irreducible polynomial of degree at most 4, then seeded random
+    pairs at m = 8 and m = 32; ``BinaryField.mul`` agrees on each, and on
+    arguments that need canonicalizing."""
     for m in range(1, 5):
         for f in filter(is_irreducible_gf2, range(1 << m, 1 << (m + 1))):
+            field, times = BinaryField(m, f), galois._lane_multiplier(f, 1)[1]
             for a, b in itertools.product(range(1 << m), repeat=2):
-                assert galois._poly_mulmod(a, b, f) == _clmul_mod(a, b, f), (f, a, b)
+                assert times(a, b) == field.mul(a, b) == _clmul_mod(a, b, f), (f, a, b)
     rnd = random.Random("poly mulmod")
     for m in (8, 32):
         field = BinaryField(m)
+        times = galois._lane_multiplier(field.poly, 1)[1]
         for _ in range(2000):
             a, b = rnd.getrandbits(m), rnd.getrandbits(m)
-            assert galois._poly_mulmod(a, b, field.poly) == _clmul_mod(a, b, field.poly)
+            assert times(a, b) == field.mul(a, b) == _clmul_mod(a, b, field.poly)
             assert field.mul(-a, b | 1 << m) == _clmul_mod(a, galois._poly_mod(b | 1 << m, field.poly), field.poly)
+
+
+def test_irreducibility_past_the_field_degrees():
+    """Ben-Or's test answers above the degrees ``BinaryField`` takes: two
+    primitive trinomials, and a degree-42 product of one of them with x + 1."""
+    f = 1 << 41 | 1 << 3 | 1
+    assert is_irreducible_gf2(f) and is_irreducible_gf2(1 << 63 | 1 << 1 | 1)
+    assert not is_irreducible_gf2(f << 1 ^ f)  # (x + 1) f
 
 
 def test_smallest_prime_at_least():
@@ -483,12 +494,13 @@ def test_spread_family_n2():
     assert basis_cols == [(0, 1), (1, 0), (1, 1)]
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 def test_spread_family_counts_and_pairwise_trivial(n):
     subs = spread_family(n)
     assert len(subs) == 2 ** (n // 2) + 1
     for s in subs:
         assert s.dim == n // 2
+        assert s.basis == s.basis.column_echelon()  # kept as built, so already reduced
     for a, b in itertools.combinations(subs, 2):
         assert a.basis.hstack(b.basis).rank() == n
 
