@@ -56,13 +56,10 @@ class BoundCertificate(Record):
     def _sum(self, rates) -> tuple:
         """The sum of the term rates as (numerator, denominator > 0), in
         integers over the lcm of the rates' denominators.  Rates other than
-        ints and Fractions, subclasses included, go through Fraction() first."""
+        Fractions, ints and subclasses included, go through Fraction() first."""
         num, den = 0, 1
         for m in self.terms:
             r = rates[m]
-            if type(r) is int:
-                num += r * den
-                continue
             if type(r) is not Fraction:
                 r = Fraction(r)
             d = r._denominator  # read the slots: the properties are Python-level calls

@@ -55,9 +55,9 @@ def _positive_int(text):
     return count
 
 
-def _given(**kwargs):
-    """The options set on the command line; the rest keep the library's defaults."""
-    return {key: value for key, value in kwargs.items() if value is not None}
+def _given(args, *names) -> dict:
+    """The named options set on the command line, with their values; the rest keep the library's defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _build_parser():
@@ -144,7 +144,7 @@ def _build_parser():
 def _family_options(args) -> list:
     """The family options the call reads, defaults filled in; one given that it does not read is refused."""
     reads = _FAMILIES[args.family][0] if args.family else ("L",)  # --instance reads --L alone
-    unread = ", ".join(f"--{n}" for n in _FAMILY_DEFAULTS if n not in reads and getattr(args, n) is not None)
+    unread = ", ".join(f"--{n}" for n in _given(args, *(n for n in _FAMILY_DEFAULTS if n not in reads)))
     if unread:
         raise IcxError(f"{'--family ' + args.family if args.family else '--instance'} does not read {unread}")
     return [_FAMILY_DEFAULTS[name] if getattr(args, name) is None else getattr(args, name) for name in reads]
@@ -261,7 +261,7 @@ def _cmd_transform(args):
 def _cmd_bounds(args):
     from . import alignment, bounds, model
 
-    chain_options = ", ".join(f"--{name}" for name in ("L", "maxN", "budget") if getattr(args, name) is not None)
+    chain_options = ", ".join(f"--{name}" for name in _given(args, "L", "maxN", "budget"))
     if chain_options and (args.simple or args.family) and not args.chain:  # only the chain search reads them
         asked = " ".join(f"--{name}" for name in ("simple", "family") if getattr(args, name))
         raise IcxError(f"{asked} without --chain does not read {chain_options}")
@@ -282,7 +282,7 @@ def _cmd_bounds(args):
             alignment.edge_count(model.normalize(inst, L))
         out["simple"] = [c.to_json() for c in bounds.simple_bounds(inst)]
     if L is not None:
-        found = bounds.chain_bounds(inst, L, **_given(maxN=args.maxN, budget=args.budget))
+        found = bounds.chain_bounds(inst, L, **_given(args, "maxN", "budget"))
         out["chain"] = [c.to_json() for c in found]
     if args.family or (want_all and inst.family is not None and inst.family.kind != "custom"):
         value, cert = bounds.symmetric_capacity(inst)
@@ -296,11 +296,11 @@ def _cmd_bounds(args):
 def _cmd_oracle(args):
     from . import model, oracle
 
-    unread = ", ".join(name for name, value in (("--q", args.q), ("--n-max", args.n_max)) if value is not None)
+    unread = ", ".join(f"--{name}".replace("_", "-") for name in _given(args, "q", "n_max"))
     if args.minrank and unread:
         raise IcxError(f"--minrank does not read {unread}")
     inst = model.load_instance(args.instance)
-    budget = _given(budget=args.budget)
+    budget = _given(args, "budget")
     if args.minrank:
         res = oracle.minrank_gf2(inst, **budget)
     else:

@@ -156,6 +156,23 @@ def parse_json(text: str):
         raise ParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
+def read_record(obj, name: str, required, optional=()) -> tuple:
+    """The values of a file's JSON object at its required keys, then at its
+    optional ones (None where absent): the one rule for every object in a
+    file.  One that is not an object, lacks a required key or holds any other
+    key is a ParseError that names it."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{name} must be a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ParseError(f"{name} needs {' and '.join(map(repr, missing))}")
+    keys = (*required, *optional)
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ParseError(f"{name} has unknown keys {sorted(unknown)}")
+    return tuple(map(obj.get, keys))
+
+
 def read_file(path, parse):
     """parse(text) of a UTF-8 file; one that is not UTF-8 or does not parse is
     a ParseError that names it."""

@@ -51,6 +51,7 @@ from .errors import (
     OddDimension,
     Record,
     is_int,
+    read_record,
 )
 
 # ----------------------------------------------------------------------
@@ -226,25 +227,26 @@ class BinaryField(Record):
 Field = PrimeField | BinaryField
 
 
-def field_from_json(obj: dict) -> Field:
-    """The field of a JSON spec; ValueError for anything malformed."""
-    if not isinstance(obj, dict):
-        raise ValueError("field spec must be an object")
+def field_from_json(obj) -> Field:
+    """The field of a JSON spec: ``kind`` "prime" and ``p``, or ``kind``
+    "gf2m", ``m`` and an optional ``poly``, and no other key.  ParseError for
+    a spec that breaks the keys rule, ValueError for anything else malformed."""
 
-    def integer(key):
-        value = obj[key]
+    def integer(key, value):
         if not is_int(value):
             raise ValueError(f"'{key}' must be an integer, got {value!r}")
         return value
 
-    kind = obj.get("kind")
+    kind = read_record(obj, "field spec", ("kind",), ("p", "m", "poly"))[0]
     if kind == "prime":
-        return PrimeField(integer("p"))
+        _, p = read_record(obj, "prime spec", ("kind", "p"))
+        return PrimeField(integer("p", p))
     if kind == "gf2m":
+        _, m, poly = read_record(obj, "gf2m spec", ("kind", "m"), ("poly",))
         # BinaryField reads poly 0 as "the default": only an absent poly may mean that
-        if "poly" in obj and integer("poly") < 1:
-            raise ValueError(f"'poly' must be a positive integer, got {obj['poly']}")
-        return BinaryField(integer("m"), obj.get("poly", 0))
+        if "poly" in obj and integer("poly", poly) < 1:
+            raise ValueError(f"'poly' must be a positive integer, got {poly}")
+        return BinaryField(integer("m", m), poly or 0)
     raise ValueError(f"unknown field kind {kind!r}")
 
 

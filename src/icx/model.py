@@ -3,8 +3,8 @@
 An instance is messages 1..M and destinations, each desiring a nonempty set of
 messages (``wants``) and holding a disjoint set of side information (``has``);
 ``Instance`` refuses (BadParams) the parts that ``validate`` faults.  Symmetric
-families carry a tag so closed-form capacity formulas apply without
-pattern-matching raw sets."""
+families carry a tag, naming exactly the family's parameters, so closed-form
+capacity formulas apply without pattern-matching raw sets."""
 
 from __future__ import annotations
 
@@ -13,35 +13,34 @@ from typing import Optional
 
 from .errors import (
     BadParams, CannotNormalize, ParseError, Record, UnsupportedFamily, dump_json, is_int, parse_json, read_file,
-    write_file,
+    read_record, write_file,
 )
-
-FAMILY_KINDS = ("neighboring-antidotes", "neighboring-interference", "x-network", "custom")
 
 
 class FamilyTag(Record):
     """Symmetric family marker with its construction parameters, sorted
-    (name, value) pairs."""
+    (name, value) pairs: exactly its family's (``_FAMILIES``), or any for a
+    custom tag."""
 
     def __init__(self, kind: str, params: tuple = ()):
-        if kind not in FAMILY_KINDS:
+        if kind not in (*_FAMILIES, "custom"):  # a tuple: a kind read from a file may be unhashable
             raise BadParams(f"unknown family kind {kind!r}")
-        super().__init__(kind, tuple(sorted(params)))
+        params = tuple(sorted(params))
+        names = [name for name, _ in params]
+        if kind in _FAMILIES and names != sorted(_FAMILIES[kind][0]):
+            given = ", ".join(names) or "none"
+            raise BadParams(f"{kind} tag must name exactly {', '.join(_FAMILIES[kind][0])}, got {given}")
+        super().__init__(kind, params)
 
     @staticmethod
     def make(kind: str, **params: int) -> "FamilyTag":
         return FamilyTag(kind, tuple(sorted(params.items())))
 
     def param(self, name: str) -> int:
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
+        return dict(self.params)[name]
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        out.update({k: v for k, v in self.params})
-        return out
+        return {"kind": self.kind, **dict(self.params)}
 
 
 class Destination(Record):
@@ -304,10 +303,7 @@ def check_family(inst: Instance) -> tuple:
     if fam is None or fam.kind == "custom":
         raise UnsupportedFamily("instance carries no symmetric family tag")
     names, pairs = _FAMILIES[fam.kind]
-    try:
-        params = [fam.param(name) for name in names]
-    except KeyError as exc:
-        raise UnsupportedFamily(f"{fam.kind} tag lacks parameter {exc.args[0]!r}") from None
+    params = [fam.param(name) for name in names]
     K = params[0]
     size = K * params[1] if fam.kind == "x-network" else K
     # compare the sizes first, so a tag is never expanded beyond the instance
@@ -328,8 +324,6 @@ def check_family(inst: Instance) -> tuple:
 # instance files (JSON)
 # ----------------------------------------------------------------------
 
-_INSTANCE_KEYS = {"messages", "family", "destinations"}
-_DEST_KEYS = {"id", "wants", "has"}
 # Far beyond any instance the exact searches can treat, but small enough that
 # parsing and validating a file never exhausts memory.
 MAX_MESSAGES = 10_000
@@ -356,60 +350,46 @@ def instance_from_json(obj: dict) -> Instance:
 
 
 def _instance_parts(obj) -> tuple:
-    """(messages, destinations, family) read from a file's JSON, not yet validated."""
-    if not isinstance(obj, dict):
-        raise ParseError("instance file must contain a JSON object")
-    unknown = set(obj) - _INSTANCE_KEYS
-    if unknown:
-        raise ParseError(f"unknown instance keys: {sorted(unknown)}")
-    if "messages" not in obj or "destinations" not in obj:
-        raise ParseError("instance file needs 'messages' and 'destinations'")
-    if not is_int(obj["messages"]):
+    """(messages, destinations, family) read from a file's JSON, not yet
+    validated: each object holds exactly its keys (``read_record``), and the
+    family tag exactly its family's parameters (``FamilyTag``)."""
+    messages, destinations, tag = read_record(obj, "instance file", ("messages", "destinations"), ("family",))
+    if not is_int(messages):
         raise ParseError("'messages' must be an integer")
-    if obj["messages"] > MAX_MESSAGES:
-        raise ParseError(f"'messages' is {obj['messages']}, more than the limit of {MAX_MESSAGES}")
-    if not isinstance(obj["destinations"], list):
+    if messages > MAX_MESSAGES:
+        raise ParseError(f"'messages' is {messages}, more than the limit of {MAX_MESSAGES}")
+    if not isinstance(destinations, list):
         raise ParseError("'destinations' must be a list")
-    if len(obj["destinations"]) > MAX_DESTINATIONS:
+    if len(destinations) > MAX_DESTINATIONS:
         raise ParseError(
-            f"{len(obj['destinations'])} destinations, more than the limit of {MAX_DESTINATIONS}"
+            f"{len(destinations)} destinations, more than the limit of {MAX_DESTINATIONS}"
         )
     family = None
-    if "family" in obj and obj["family"] is not None:
-        if not isinstance(obj["family"], dict):
-            raise ParseError("'family' must be an object")
-        fam = dict(obj["family"])
-        kind = fam.pop("kind", None)
-        if kind is None:
-            raise ParseError("family needs a 'kind'")
-        for name, value in fam.items():
+    if tag is not None:
+        # a custom tag's parameters are free: FamilyTag judges the names
+        names = [key for key in tag if key != "kind"] if isinstance(tag, dict) else []
+        kind, *values = read_record(tag, "family", ("kind",), names)
+        for name, value in zip(names, values):
             if not is_int(value):
                 raise ParseError(f"family parameter {name!r} must be an integer")
         try:
-            family = FamilyTag.make(kind, **fam)
+            family = FamilyTag(kind, tuple(zip(names, values)))
         except BadParams as exc:
             raise ParseError(str(exc)) from exc
     dests = []
     held = 0
-    for i, dobj in enumerate(obj["destinations"]):
-        if not isinstance(dobj, dict):
-            raise ParseError(f"destination #{i + 1} must be an object")
-        unknown = set(dobj) - _DEST_KEYS
-        if unknown:
-            raise ParseError(f"destination #{i + 1}: unknown keys {sorted(unknown)}")
-        for key in _DEST_KEYS:
-            if key not in dobj:
-                raise ParseError(f"destination #{i + 1}: missing '{key}'")
-        if not is_int(dobj["id"]):
+    for i, dobj in enumerate(destinations):
+        ident, wants, has = read_record(dobj, f"destination #{i + 1}", ("id", "wants", "has"))
+        if not is_int(ident):
             raise ParseError(f"destination #{i + 1}: 'id' must be an integer")
-        for key in ("wants", "has"):
-            if not isinstance(dobj[key], list) or not all(map(is_int, dobj[key])):
+        for key, ids in (("wants", wants), ("has", has)):
+            if not isinstance(ids, list) or not all(map(is_int, ids)):
                 raise ParseError(f"destination #{i + 1}: '{key}' must be a list of integers")
-        held += len(dobj["has"])
+        held += len(has)
         if held > MAX_HELD_ENTRIES:
             raise ParseError(f"more than {MAX_HELD_ENTRIES} side-information entries")
-        dests.append(Destination(dobj["id"], frozenset(dobj["wants"]), frozenset(dobj["has"])))
-    return obj["messages"], tuple(dests), family
+        dests.append(Destination(ident, frozenset(wants), frozenset(has)))
+    return messages, tuple(dests), family
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -58,6 +58,7 @@ from .errors import (
     is_int,
     parse_json,
     read_file,
+    read_record,
     write_file,
 )
 from .galois import EchelonBasis, Field, Matrix, _row_products, field_from_json
@@ -524,7 +525,6 @@ def dimension_audit(inst: Instance, scheme: LinearScheme) -> DimensionAudit:
 # scheme files (JSON)
 # ----------------------------------------------------------------------
 
-_SCHEME_KEYS = {"field", "n", "V", "U"}
 # Like the instance caps in model: far beyond any scheme the checks can treat,
 # but small enough that parsing a file never exhausts memory.
 MAX_BLOCK_LENGTH = 10_000
@@ -563,19 +563,12 @@ def _key_ids(key: str, count: int):
 
 
 def scheme_from_json(obj: dict) -> LinearScheme:
-    if not isinstance(obj, dict):
-        raise ParseError("scheme file must contain a JSON object")
-    unknown = set(obj) - _SCHEME_KEYS
-    if unknown:
-        raise ParseError(f"unknown scheme keys: {sorted(unknown)}")
-    for key in ("field", "n", "V"):
-        if key not in obj:
-            raise ParseError(f"scheme file needs '{key}'")
+    """The scheme of a file's JSON: ``field``, ``n``, ``V`` and an optional ``U``, and no other key."""
+    field_obj, n, V_obj, U_obj = read_record(obj, "scheme file", ("field", "n", "V"), ("U",))
     try:
-        field = field_from_json(obj["field"])
-    except (KeyError, ValueError) as exc:
+        field = field_from_json(field_obj)
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"bad field spec: {exc}") from exc
-    n = obj["n"]
     if not is_int(n) or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {json.dumps(n)}")
     if n > MAX_BLOCK_LENGTH:
@@ -598,11 +591,10 @@ def scheme_from_json(obj: dict) -> LinearScheme:
         except Exception as exc:
             raise ParseError(f"{what}: {exc}") from exc
 
-    U_obj = obj.get("U")
-    if not isinstance(obj["V"], dict) or not isinstance(U_obj, (dict, type(None))):
+    if not isinstance(V_obj, dict) or not isinstance(U_obj, (dict, type(None))):
         raise ParseError("'V' and 'U' must be objects")
     V = {}
-    for key, rows in obj["V"].items():
+    for key, rows in V_obj.items():
         ids = _key_ids(key, 1)
         if ids is None:
             raise ParseError(f"V key {key!r} is not a message id")

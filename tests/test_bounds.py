@@ -246,7 +246,6 @@ def test_capacity_checks_tag_against_destinations():
     cases = [
         Instance(7, dests[1:], inst.family),  # one destination fewer
         Instance(7, copies, inst.family),  # right size, wrong multiset
-        Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=7, U=1)),  # D missing
         Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=10**9, U=1, D=2)),
         make_instance(10, window, tag),
     ]

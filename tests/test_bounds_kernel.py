@@ -383,9 +383,9 @@ class Reciprocal(Fraction):
 
 
 BIG = 10**30
-# rates that are neither an int nor a Fraction, subclasses and bool included,
-# are read through Fraction(): a subclass's public numerator and denominator
-# count, not its slots
+# rates other than Fractions, ints, subclasses and bool included, are read
+# through Fraction(): a subclass's public numerator and denominator count,
+# not its slots
 EDGE_RATES = {
     "decimals": [Decimal("0"), Decimal("0.25"), Decimal("1"), Decimal("0.3333")],
     "bools": [False, True],

@@ -465,6 +465,24 @@ def test_family_parameter_must_be_integer(tmp_path, capsys, verb, value):
     assert_one_line_error(*invoke(capsys, *argv), 1, f"{path}: family parameter 'K' must be an integer")
 
 
+@pytest.mark.parametrize(
+    "edit, names",
+    [(lambda tag: tag.update(Z=9), "D, K, U, Z"), (lambda tag: tag.pop("D"), "K, U")],
+    ids=["extra-Z", "no-D"],
+)
+@pytest.mark.parametrize("verb", ["validate", "bounds"])
+def test_family_tag_names_exactly_its_parameters(tmp_path, capsys, verb, edit, names):
+    """An antidotes tag with a parameter its family lacks, or without one it
+    has, is refused when the file is read, before any verb runs."""
+    obj = model.instance_to_json(gen_neighboring_antidotes(5, 1, 1))
+    edit(obj["family"])
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    argv = [verb, str(path)] + (["--family"] if verb == "bounds" else [])
+    message = f"{path}: neighboring-antidotes tag must name exactly K, U, D, got {names}"
+    assert_one_line_error(*invoke(capsys, *argv), 1, message)
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("flag", ["--maxN", "--budget"])
 def test_chain_search_flags_must_be_positive(tmp_path, capsys, infeasible_m4k3, flag, value):
@@ -1219,21 +1237,32 @@ STRICT_KEY_CASES = {
     "U-key-leading-zero": (
         "scheme", one_message_scheme('{"1": [[1]]}', '{"1@01": [[1]]}'), "U key '1@01' is not of the form 'm@k'",
     ),
-    "instance-not-object": ("instance", "[]", "instance file must contain a JSON object"),
+    "instance-not-object": ("instance", "[]", "instance file must be a JSON object"),
     "destinations-not-list": ("instance", '{"messages": 1, "destinations": {}}', "'destinations' must be a list"),
     "family-without-kind": (
         "instance", '{"messages": 1, "destinations": [{"id": 1, "wants": [1], "has": []}], "family": {"K": 1}}',
-        "family needs a 'kind'",
+        "family needs 'kind'",
     ),
-    "destination-not-object": ("instance", '{"messages": 1, "destinations": [5]}', "destination #1 must be an object"),
-    "scheme-not-object": ("scheme", "[]", "scheme file must contain a JSON object"),
+    "destination-not-object": ("instance", '{"messages": 1, "destinations": [5]}', "destination #1 must be a JSON object"),
+    "scheme-not-object": ("scheme", "[]", "scheme file must be a JSON object"),
     "scheme-key-unknown": (
         "scheme", '{"field": {"kind": "prime", "p": 3}, "n": 1, "V": {"1": [[1]]}, "W": 1}',
-        "unknown scheme keys: ['W']",
+        "scheme file has unknown keys ['W']",
     ),
     "V-not-rows": ("scheme", one_message_scheme('{"1": 5}'), "V[1] must be a list of rows"),
     "field-kind-unknown": (
         "scheme", '{"field": {"kind": "nope"}, "n": 1, "V": {"1": [[1]]}}', "bad field spec: unknown field kind 'nope'",
+    ),
+    "prime-spec-with-m": (
+        "scheme", '{"field": {"kind": "prime", "p": 3, "m": 2}, "n": 1, "V": {"1": [[1]]}}',
+        "bad field spec: prime spec has unknown keys ['m']",
+    ),
+    "gf2m-spec-with-p": (
+        "scheme", '{"field": {"kind": "gf2m", "m": 3, "p": 7}, "n": 1, "V": {"1": [[1]]}}',
+        "bad field spec: gf2m spec has unknown keys ['p']",
+    ),
+    "prime-spec-without-p": (
+        "scheme", '{"field": {"kind": "prime"}, "n": 1, "V": {"1": [[1]]}}', "bad field spec: prime spec needs 'p'",
     ),
 }
 

@@ -181,7 +181,7 @@ def _clmul_mod(a: int, b: int, f: int) -> int:
     return galois._poly_mod(product, f)
 
 
-def test_poly_mulmod_matches_schoolbook_product():
+def test_binary_field_mul_matches_schoolbook_product():
     """The one GF(2^m) product, ``_lane_multiplier``'s one-lane ``times``,
     reduces each shift of a factor with one conditional xor: every pair under
     every irreducible polynomial of degree at most 4, then seeded random

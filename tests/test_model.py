@@ -348,6 +348,21 @@ def test_check_family_returns_the_parameters_it_confirmed(inst, params):
     assert check_family(inst) == params
 
 
+@pytest.mark.parametrize("kind, params, names", [
+    ("neighboring-antidotes", {"K": 7, "U": 1}, "K, U, D, got K, U"),
+    ("neighboring-antidotes", {"K": 5, "U": 1, "D": 1, "Z": 9}, "K, U, D, got D, K, U, Z"),
+    ("neighboring-interference", {"K": 9, "U": 1, "L": 2}, "K, U, D, got K, L, U"),
+    ("x-network", {}, "K, L, got none"),
+], ids=["antidotes-without-D", "antidotes-with-Z", "interference-with-L", "x-network-bare"])
+def test_family_tag_names_exactly_its_familys_parameters(kind, params, names):
+    """A tag of one of the three families is valid by construction: it names
+    exactly that family's parameters, so check_family never meets one that
+    lacks a parameter.  A custom tag takes any."""
+    with pytest.raises(BadParams, match=f"^{kind} tag must name exactly {names}$"):
+        FamilyTag.make(kind, **params)
+    assert FamilyTag.make("custom", **params).params == tuple(sorted(params.items()))
+
+
 @pytest.mark.parametrize("family", [
     '{"kind": "neighboring-antidotes", "K": "5", "U": 1, "D": 1}',
     '{"kind": "neighboring-antidotes", "K": true, "U": 1, "D": 1}',
