@@ -12,7 +12,8 @@ import sys
 
 # Each handler imports the modules its verb needs, so a call loads no others.
 from .errors import (
-    BudgetExceeded, IcxError, Infeasible, ParseError, dump_json, fraction_text, parse_json, read_file, write_file,
+    BudgetExceeded, IcxError, Infeasible, ParseError, UnsupportedFamily, dump_json, fraction_text, parse_json,
+    read_file, write_file,
 )
 
 EXIT_OK = 0
@@ -165,8 +166,13 @@ def _cmd_gen(args):
 def _cmd_validate(args):
     from . import model
 
-    messages, dests, _ = read_file(args.instance, lambda text: model._instance_parts(parse_json(text)))
+    messages, dests, family = read_file(args.instance, lambda text: model._instance_parts(parse_json(text)))
     problems = model.validate(messages, dests)
+    if not problems and family is not None and family.kind != "custom":
+        try:
+            model.check_family(model.Instance(messages, dests, family))
+        except UnsupportedFamily as exc:
+            problems.append(str(exc))
     out = {"valid": not problems, "violations": problems, "messages": messages}
     return out, EXIT_OK if not problems else EXIT_NEGATIVE
 

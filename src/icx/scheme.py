@@ -134,16 +134,14 @@ def _check_scheme_matches(inst: Instance, scheme: LinearScheme):
 
 def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> VerificationReport:
     """Check a scheme against an instance; see the module docstring for modes."""
-    _check_scheme_matches(inst, scheme)
     if mode == "auto":
         mode = "decoder" if scheme.U is not None else "rank"
     if mode not in ("rank", "decoder"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "decoder" and scheme.U is None:
         raise SchemeMalformed("decoder mode requires combining matrices")
+    cols, total, masks, unheld = _stream_layout(inst, scheme, reverse=mode == "rank")
     diags = []
-    cols, total = _stream_columns(scheme)
-    masks, unheld = _column_masks(cols, total, reverse=mode == "rank")
     if mode == "rank":
         f = scheme.field
         for d, basis, wanted in _rank_checks(inst, scheme, cols, total, unheld):
@@ -185,10 +183,8 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     spans [V_S | J]'s rows, and its reduced rows with pivots in J are
     [0 | y J] with y V_S = 0: by descending pivot, ``Matrix.left_nullspace``.
     """
-    _check_scheme_matches(inst, scheme)
+    cols, total, masks, unheld = _stream_layout(inst, scheme)
     f, n = scheme.field, scheme.n
-    cols, total = _stream_columns(scheme)
-    masks, unheld = _column_masks(cols, total)
     J = Matrix.identity(f, n).take_cols(range(n - 1, -1, -1))
     echelon = _reduced_rows(Matrix.hstack_all(f, [*map(scheme.V.__getitem__, cols), J]))
     U = {}
@@ -207,28 +203,26 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     return LinearScheme(f, n, scheme.V, U)
 
 
-def _stream_columns(scheme: LinearScheme) -> tuple:
-    """(message -> the range of its stream columns in [V_1 | ... | V_K], ids
-    ascending; total, the number of those columns)."""
+def _stream_layout(inst: Instance, scheme: LinearScheme, reverse: bool = False) -> tuple:
+    """Every scheme check's set-up, once ``_check_scheme_matches`` passes:
+    (message -> the range of its stream columns in [V_1 | ... | V_K], ids
+    ascending; total, their count; message -> its columns as a bitmask,
+    reversed if reverse; a destination -> the columns it does not hold,
+    over the smaller side).  The check makes the instance's messages the
+    scheme's, so d.has is summed as it is."""
+    _check_scheme_matches(inst, scheme)
     ids = scheme.message_ids()
-    starts = [*accumulate(map(scheme.stream_count, ids), initial=0)]
-    return {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}, starts[-1]
-
-
-def _column_masks(cols: dict, total: int, reverse: bool = False) -> tuple:
-    """(message -> its columns in ``cols`` as a bitmask, reversed if reverse;
-    a destination -> the columns it does not hold, over the smaller side).
-    An Instance holds only its own messages, and ``_check_scheme_matches``
-    makes them the scheme's, so d.has is summed as it is."""
+    *starts, total = accumulate(map(scheme.stream_count, ids), initial=0)
+    cols = {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}
     masks = {m: ((1 << len(r)) - 1) << (total - r.stop if reverse else r.start) for m, r in cols.items()}
-    ids = frozenset(masks)  # the large side subtracts d.has from this one set, not from a copy of the keys
+    all_ids = frozenset(masks)  # the large side subtracts d.has from this one set, not from a copy of the keys
 
     def unheld(d):
         if 2 * len(d.has) <= len(masks):
             return (1 << total) - 1 - sum(map(masks.__getitem__, d.has))
-        return sum(map(masks.__getitem__, ids - d.has))
+        return sum(map(masks.__getitem__, all_ids - d.has))
 
-    return masks, unheld
+    return cols, total, masks, unheld
 
 
 def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, total: int, masks: dict, unheld):
@@ -401,8 +395,8 @@ def _failure(cols: dict, digits, checked: int, destination: int, message: int) -
 
 def _error_map(inst: Instance, scheme: LinearScheme):
     """The prologue of both simulators: SchemeMalformed unless the scheme
-    covers the instance's messages, else (cols, total, checks), the scheme's
-    ``_stream_columns`` and its exact decoding errors as checks (destination
+    covers the instance's messages, else (cols, total, checks), the first two
+    of ``_stream_layout`` and the exact decoding errors as checks (destination
     id, message, rows, support), in destination order and then message
     order; or, in place of all three, the result of its first singular
     check.  A tuple x fails a check iff, for some row r, the sum of r[c] x_c
@@ -436,11 +430,10 @@ def _error_map(inst: Instance, scheme: LinearScheme):
     and no rows, and only the checks that fail unpack their reads to build
     theirs.
     """
-    _check_scheme_matches(inst, scheme)
-    cols, total = _stream_columns(scheme)
+    cols, total, masks, unheld = _stream_layout(inst, scheme, reverse=scheme.U is None)
     checks = []
     if scheme.U is not None:
-        for k, m, rows, block, rank, leak in _decoder_checks(inst, scheme, cols, total, *_column_masks(cols, total)):
+        for k, m, rows, block, rank, leak in _decoder_checks(inst, scheme, cols, total, masks, unheld):
             if rows is None:
                 raise SchemeMalformed(f"simulation needs the combiner U[{m}@{k}]")
             if rank < block.rows:  # x_m in the kernel of U_{m,k} V_m, every other digit 0
@@ -448,7 +441,7 @@ def _error_map(inst: Instance, scheme: LinearScheme):
                 return _failure(cols, digits, 1, k, m)
             checks.append((k, m, rows, leak))
         return cols, total, checks
-    for d, basis, wanted in _rank_checks(inst, scheme, cols, total, _column_masks(cols, total, reverse=True)[1]):
+    for d, basis, wanted in _rank_checks(inst, scheme, cols, total, unheld):
         for m, reads, decoded in wanted:
             if decoded:
                 checks.append((d.id, m, (), 0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .errors import Record, TranslationFailed
 from .galois import EchelonBasis, Matrix, Subspace
 from .model import Destination, Instance, _check_generated_size, instance_to_json, normalize_groupcast
-from .scheme import LinearScheme, _independent_rows
+from .scheme import LinearScheme, _check_scheme_matches, _independent_rows
 
 
 def _copy_id(L: int, i: int, j: int) -> int:
@@ -119,6 +119,7 @@ def scheme_to_unicast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
     that was passed to ``to_unicast``, not by those of ``umap.original``: copy
     j of message i takes the combiner of the input destination it descends
     from."""
+    _check_scheme_matches(umap.original, scheme)
     f = scheme.field
     n = scheme.n
     V = {}
@@ -148,6 +149,7 @@ def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
 
     The result is a scheme for ``umap.original``, the normalized groupcast
     instance, and its combiners are keyed by that instance's destination ids."""
+    _check_scheme_matches(umap.transformed, scheme)
     f = scheme.field
     n = scheme.n
     V = {}
@@ -166,7 +168,8 @@ def scheme_to_groupcast(umap: UnicastMap, scheme: LinearScheme) -> LinearScheme:
         if U is not None:
             for j in range(1, umap.L + 1):
                 uid = umap.unicast_id(i, j)
-                ubar = scheme.U[(uid, uid)]
+                if (ubar := scheme.U.get((uid, uid))) is None:
+                    raise TranslationFailed(f"unicast scheme has no decoder for message {i}, copy {j}")
                 rows = _independent_rows(ubar @ V[i])
                 if rows is None:
                     raise TranslationFailed(
@@ -193,6 +196,7 @@ def groupcast_rank_chain(umap: UnicastMap, scheme: LinearScheme) -> list:
     Valid whenever every copy span avoids the auxiliary span, which holds for
     any verifying unicast scheme.
     """
+    _check_scheme_matches(umap.transformed, scheme)
     steps = []
     n = scheme.n
     for i in range(1, umap.M + 1):

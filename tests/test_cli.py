@@ -61,6 +61,21 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert any("both desired and held" in v for v in obj["violations"])
 
 
+def test_validate_checks_a_family_tag_against_the_destinations(tmp_path, capsys):
+    """An antidotes K=5 U=1 D=1 tag on destinations that hold every other
+    message is a violation, as it is an error for bounds; a custom tag names
+    no family and is not checked."""
+    dests = [({k}, {1, 2, 3, 4, 5} - {k}) for k in range(1, 6)]
+    path = write_instance(tmp_path, make_instance(5, dests, FamilyTag.make("neighboring-antidotes", K=5, U=1, D=1)))
+    code, out, err = invoke(capsys, "validate", path)
+    assert (code, err) == (1, "")
+    violation = "instance is not the neighboring-antidotes family K=5 U=1 D=1 that its tag names"
+    assert json.loads(out) == {"valid": False, "violations": [violation], "messages": 5}
+    custom = write_instance(tmp_path, make_instance(5, dests, FamilyTag.make("custom", K=5)), "custom.json")
+    code, out, _ = invoke(capsys, "validate", custom)
+    assert (code, json.loads(out)["violations"]) == (0, [])
+
+
 def test_check_feasibility_feasible(tmp_path, capsys, feasible_m4k3):
     path = write_instance(tmp_path, feasible_m4k3)
     code, out, _ = invoke(capsys, "check-feasibility", path, "--L", "2")
@@ -1151,7 +1166,6 @@ ARTEFACT_CASES = {
         ["transform", "{i}", "--L", "1"], gen_neighboring_antidotes(5, 1, 1), {"original": INSTANCE, "transformed": INSTANCE}
     ),
     "transform-L2": (["transform", "{i}", "--L", "2"], gen_x_network(6, 2), {"original": INSTANCE, "transformed": INSTANCE}),
-    **{f"example-{k}": (["example", str(k)], None, {"instance": INSTANCE, "scheme": SCHEME}) for k in (1, 2, 3)},
 }
 
 

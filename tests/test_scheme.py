@@ -41,7 +41,7 @@ from icx.scheme import (
     verify,
 )
 from icx.symmetric import build_antidote_scheme, build_interference_scheme, build_x_scheme, builtin_example
-from icx.unicast import scheme_to_unicast, to_unicast
+from icx.unicast import groupcast_rank_chain, scheme_to_groupcast, scheme_to_unicast, to_unicast
 
 
 def three_cycle_instance():
@@ -95,6 +95,44 @@ def test_verify_rejects_mismatched_messages():
     gf2 = PrimeField(2)
     with pytest.raises(SchemeMalformed):
         verify(inst, LinearScheme(gf2, 2, {1: Matrix.identity(gf2, 2)}))
+
+
+def without(sch, m):
+    """sch without message m's precoder and combiners."""
+    U = None if sch.U is None else {key: u for key, u in sch.U.items() if key[0] != m}
+    return LinearScheme(sch.field, sch.n, {i: v for i, v in sch.V.items() if i != m}, U)
+
+
+# entry point -> (the messages of the instance it meets, a call with a scheme
+# that lacks one of them).  inst is x-network K=6 L=2, umap its unicast
+# equivalent at L=2 (36 messages), gs inst's scheme with decoders and us its
+# translation.
+UNCOVERED = {
+    "verify-rank": (12, lambda inst, umap, gs, us: verify(inst, without(gs, 3), mode="rank")),
+    "verify-decoder": (12, lambda inst, umap, gs, us: verify(inst, without(gs, 3), mode="decoder")),
+    "synthesize_decoders": (12, lambda inst, umap, gs, us: synthesize_decoders(inst, without(build_x_scheme(6, 2), 3))),
+    "simulate_exhaustive": (12, lambda inst, umap, gs, us: simulate_exhaustive(inst, without(gs, 3))),
+    "simulate_sampled": (12, lambda inst, umap, gs, us: simulate_sampled(inst, without(gs, 3), 10)),
+    "dimension_audit": (12, lambda inst, umap, gs, us: dimension_audit(inst, without(gs, 3))),
+    "scheme_to_unicast": (12, lambda inst, umap, gs, us: scheme_to_unicast(umap, without(gs, 3))),
+    "scheme_to_groupcast": (
+        36, lambda inst, umap, gs, us: scheme_to_groupcast(umap, without(us, umap.unicast_id(2, 1)))
+    ),
+    "groupcast_rank_chain": (
+        36, lambda inst, umap, gs, us: groupcast_rank_chain(umap, without(us, umap.unicast_id(2, 0)))
+    ),
+}
+
+
+@pytest.mark.parametrize("messages, call", UNCOVERED.values(), ids=UNCOVERED)
+def test_every_scheme_check_refuses_a_scheme_that_misses_a_message(messages, call):
+    """Wherever a scheme meets an instance, one that does not cover the
+    instance's messages is SchemeMalformed, never a KeyError."""
+    inst = gen_x_network(6, 2)
+    umap = to_unicast(inst, 2)
+    gs = synthesize_decoders(inst, build_x_scheme(6, 2))
+    with pytest.raises(SchemeMalformed, match=rf"^scheme covers messages \[[\d, ]+\], instance has {messages}$"):
+        call(inst, umap, gs, scheme_to_unicast(umap, gs))
 
 
 def test_verify_missing_decoder_diagnostic():

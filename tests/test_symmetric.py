@@ -340,7 +340,6 @@ BUILDS = {
     "spread": lambda: build_rate_half_vector_scheme(
         Instance(5, tuple(Destination(k, {k}, set(range(1, 6)) - {k}) for k in range(1, 6)))
     ),
-    "example3": lambda: builtin_example(3).scheme,
 }
 
 

@@ -255,6 +255,15 @@ def test_translation_fails_when_a_copy_decoder_misses_the_intersection(groupcast
         scheme_to_groupcast(umap, LinearScheme(su.field, su.n, su.V, U))
 
 
+def test_translation_fails_when_a_copy_decoder_is_missing(groupcast_m2k3):
+    umap = to_unicast(groupcast_m2k3, 2)
+    su = scheme_to_unicast(umap, synthesize_decoders(groupcast_m2k3, groupcast_scheme_m2(groupcast_m2k3)))
+    uid = umap.unicast_id(1, 1)
+    U = {key: u for key, u in su.U.items() if key != (uid, uid)}
+    with pytest.raises(TranslationFailed, match="^unicast scheme has no decoder for message 1, copy 1$"):
+        scheme_to_groupcast(umap, LinearScheme(su.field, su.n, su.V, U))
+
+
 def crossed_ids():
     """Destinations listed 2, 1, 3, 4: normalization renumbers them 1, 2, 3, 4,
     so destination 2 of the input becomes destination 1 of umap.original."""
