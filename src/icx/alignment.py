@@ -32,18 +32,6 @@ if TYPE_CHECKING:  # the partition is pure combinatorics; only the builders need
 MAX_ALIGNMENT_EDGES = 1_000_000
 
 
-class AlignmentPartition(Record):
-    """The subsets P_1..P_Z of an instance with demand size L, a tuple of
-    frozensets ordered by smallest member."""
-
-    def __init__(self, L: int, subsets: tuple):
-        super().__init__(L, subsets)
-
-    @property
-    def Z(self) -> int:
-        return len(self.subsets)
-
-
 def edge_count(inst: Instance) -> int:
     """The number of triples ``edges`` lists, read from set sizes; BadParams past MAX_ALIGNMENT_EDGES."""
     M = inst.num_messages  # wants and has are disjoint subsets of 1..M
@@ -61,8 +49,9 @@ def edges(inst: Instance) -> frozenset:
     )
 
 
-def partition(inst: Instance) -> AlignmentPartition:
-    """Alignment subsets of an instance with uniform demand size."""
+def partition(inst: Instance) -> tuple:
+    """Alignment subsets P_1..P_Z of an instance with uniform demand size, as
+    frozensets ordered by smallest member."""
     sizes = inst.demand_sizes()
     if len(sizes) != 1:
         raise NotNormalized(f"demand sizes differ: {sorted(sizes)}")
@@ -83,19 +72,19 @@ def partition(inst: Instance) -> AlignmentPartition:
                     group += unseen - c
                     unseen &= c
             subsets.append(frozenset(group))
-    return AlignmentPartition(sizes.pop(), tuple(subsets))
+    return tuple(subsets)
 
 
 class FeasibilityVerdict(Record):
-    def __init__(self, feasible: bool, witness: Optional[tuple], partition: AlignmentPartition, instance: Instance):
+    def __init__(self, feasible: bool, witness: Optional[tuple], L: int, subsets: tuple, instance: Instance):
         # witness (i, j, k): i and j in one subset, j desired at k, i not held
         # there; instance is the normalized one whose destination ids it names
-        super().__init__(feasible, witness, partition, instance)
+        super().__init__(feasible, witness, L, subsets, instance)
 
     def to_json(self) -> dict:
-        part, subsets = self.partition, [sorted(s) for s in self.partition.subsets]
-        listed = sorted(map(list, edges(self.instance)))
-        out = {"feasible": self.feasible, "partition": {"L": part.L, "Z": part.Z, "edges": listed, "subsets": subsets}}
+        subsets = [sorted(s) for s in self.subsets]
+        part = {"L": self.L, "Z": len(subsets), "edges": sorted(map(list, edges(self.instance))), "subsets": subsets}
+        out = {"feasible": self.feasible, "partition": part}
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
@@ -109,14 +98,14 @@ def check_feasibility(inst: Instance, L: int) -> FeasibilityVerdict:
     destination ids referring to the normalized instance.
     """
     norm = normalize(inst, L)
-    part = partition(norm)
-    for sub in (s for s in part.subsets if len(s) > 1):
+    subsets = partition(norm)
+    for sub in (s for s in subsets if len(s) > 1):
         for i in sorted(sub):
             # (j, k): j in the subset is desired at k, where i is not held
             conflicts = [(j, d.id) for d in norm.destinations if i not in d.has for j in d.wants & sub if j != i]
             if conflicts:
-                return FeasibilityVerdict(False, (i, *min(conflicts, key=lambda c: c[0])), part, norm)
-    return FeasibilityVerdict(True, None, part, norm)
+                return FeasibilityVerdict(False, (i, *min(conflicts, key=lambda c: c[0])), L, subsets, norm)
+    return FeasibilityVerdict(True, None, L, subsets, norm)
 
 
 def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
@@ -134,10 +123,10 @@ def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
     if not verdict.feasible:
         raise Infeasible(verdict.witness)
     check_scheme_size(L + 1, inst.num_messages)
-    part = verdict.partition
-    field = PrimeField(smallest_prime_at_least(part.Z))
-    beams = mds_vector_family(part.Z, L + 1, field)
-    V = {m: beams.take_cols([t]) for t, sub in enumerate(part.subsets) for m in sub}
+    Z = len(verdict.subsets)
+    field = PrimeField(smallest_prime_at_least(Z))
+    beams = mds_vector_family(Z, L + 1, field)
+    V = {m: beams.take_cols([t]) for t, sub in enumerate(verdict.subsets) for m in sub}
     return LinearScheme(field, L + 1, V)
 
 
@@ -155,11 +144,10 @@ def build_rate_half_vector_scheme(inst: Instance) -> LinearScheme:
     verdict = check_feasibility(inst, 1)
     if not verdict.feasible:
         raise Infeasible(verdict.witness)
-    part = verdict.partition
     n = 2
-    while 2 ** (n // 2) + 1 < part.Z:
+    while 2 ** (n // 2) + 1 < len(verdict.subsets):
         n += 2
     check_scheme_size(n, n // 2 * inst.num_messages)
     subspaces = spread_family(n)
-    V = {m: subspaces[t].basis for t, sub in enumerate(part.subsets) for m in sub}
+    V = {m: subspaces[t].basis for t, sub in enumerate(verdict.subsets) for m in sub}
     return LinearScheme(PrimeField(2), n, V)

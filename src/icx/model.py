@@ -272,7 +272,9 @@ def _check_x_network(K: int, L: int):
 
 
 def _x_network_pairs(K: int, L: int):
-    """(wants, has) of destinations 1..K, for any K and L >= 1: built-in example 3 has K=5, L=3."""
+    """(wants, has) of destinations 1..K, for any K > L >= 1: built-in example 3 has K=5, L=3."""
+    if K <= L:  # the L*L window would hold every message, and the genie set would repeat some
+        raise BadParams(f"need K > L, got K={K}, L={L}")
     all_msgs = frozenset(range(1, K * L + 1))
     for k in range(1, K + 1):
         wants, window = x_network_sets(K, L, k)

@@ -48,6 +48,7 @@ from typing import Mapping, Optional
 
 from .errors import (
     BadParams,
+    DimensionMismatch,
     NoDecoderExists,
     ParseError,
     Record,
@@ -581,7 +582,7 @@ def scheme_from_json(obj: dict) -> LinearScheme:
                 raise ParseError(f"{what}: entry {json.dumps(bad[0])} is not an integer")
         try:
             return Matrix.from_rows(field, rows)
-        except Exception as exc:
+        except DimensionMismatch as exc:  # ragged rows: the entries are checked integers
             raise ParseError(f"{what}: {exc}") from exc
 
     if not isinstance(V_obj, dict) or not isinstance(U_obj, (dict, type(None))):

@@ -6,7 +6,7 @@ describe their structure (message count / destination count / demand size).
 
 import pytest
 
-from icx.model import Destination, FamilyTag, Instance
+from icx.model import Destination, FamilyTag, Instance, x_network_sets
 
 
 def make_instance(num_messages, dests, family=None):
@@ -15,6 +15,14 @@ def make_instance(num_messages, dests, family=None):
         tuple(Destination(i + 1, frozenset(w), frozenset(h)) for i, (w, h) in enumerate(dests)),
         family,
     )
+
+
+def x_network_windows(K, L):
+    """Destinations 1..K of the X-network window construction, for any K and
+    L, tagged x-network K L; the family is only its K > L cases."""
+    everything = set(range(1, K * L + 1))
+    dests = [(wants, everything - window) for wants, window in (x_network_sets(K, L, k) for k in range(1, K + 1))]
+    return make_instance(K * L, dests, FamilyTag.make("x-network", K=K, L=L))
 
 
 def is_multiple_unicast(inst):

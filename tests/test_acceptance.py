@@ -231,7 +231,7 @@ def test_criterion_6_rate_half_both_modes():
         if not verdict.feasible:
             continue
         feasible += 1
-        Z = verdict.partition.Z
+        Z = len(verdict.subsets)
         scalar = build_scalar_scheme(inst, 1)
         ok &= scalar.field == PrimeField(smallest_prime_at_least(Z))
         ok &= scalar.n == 2

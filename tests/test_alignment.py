@@ -34,25 +34,23 @@ import reference_alignment as ref
 
 
 def test_partition_feasible_m4k3(feasible_m4k3):
-    part = partition(feasible_m4k3)
+    subsets = partition(feasible_m4k3)
     assert edges(feasible_m4k3) == frozenset({(3, 4, 1)})
-    assert [sorted(s) for s in part.subsets] == [[1], [2], [3, 4]]
-    assert part.Z == 3
+    assert [sorted(s) for s in subsets] == [[1], [2], [3, 4]]
 
 
 def test_partition_complete_side_information():
     inst = make_instance(
         3, [({k}, {1, 2, 3} - {k}) for k in (1, 2, 3)]
     )
-    part = partition(inst)
     assert edges(inst) == frozenset()
-    assert part.Z == 3
+    assert partition(inst) == (frozenset({1}), frozenset({2}), frozenset({3}))
 
 
 def test_partition_chain_edges(chain_m5k5):
     assert (3, 4, 1) in edges(chain_m5k5)
     assert (4, 5, 2) in edges(chain_m5k5)
-    assert any({3, 4, 5} <= sub for sub in partition(chain_m5k5).subsets)
+    assert any({3, 4, 5} <= sub for sub in partition(chain_m5k5))
 
 
 def test_edge_cap_counts_from_set_sizes(monkeypatch):
@@ -65,7 +63,7 @@ def test_edge_cap_counts_from_set_sizes(monkeypatch):
         raise AssertionError("an interferer set or a partition was built")
 
     monkeypatch.setattr(Instance, "interferers", built)
-    monkeypatch.setattr("icx.alignment.AlignmentPartition", built)
+    monkeypatch.setattr("icx.alignment.partition", built)
     monkeypatch.setattr("icx.alignment.MAX_ALIGNMENT_EDGES", 119)
     for refused in (lambda: edges(inst), lambda: chain_bounds(inst, 1)):
         with pytest.raises(BadParams, match="^the alignment relation has 120 edges, more than the limit of 119$"):
@@ -105,8 +103,8 @@ def test_partition_commutes_with_message_relabeling(chain_m5k5):
             for d in inst.destinations
         ),
     )
-    before = {frozenset(relabel[m] for m in sub) for sub in partition(inst).subsets}
-    after = set(partition(relabeled).subsets)
+    before = {frozenset(relabel[m] for m in sub) for sub in partition(inst)}
+    after = set(partition(relabeled))
     assert before == after
 
 
@@ -135,7 +133,7 @@ def test_chain_instance_infeasible(chain_m5k5):
     verdict = check_feasibility(chain_m5k5, 2)
     assert not verdict.feasible
     i, j, k = verdict.witness
-    assert any({i, j} <= sub for sub in verdict.partition.subsets)
+    assert any({i, j} <= sub for sub in verdict.subsets)
 
 
 def test_adding_antidote_preserves_feasibility():
@@ -233,9 +231,9 @@ def test_scalar_scheme_three_cycle():
     inst = builtin_example(1).instance
     scheme = build_scalar_scheme(inst, 1)
     assert scheme.n == 2
-    part = check_feasibility(inst, 1).partition
-    assert part.Z == 2
-    assert [sorted(s) for s in part.subsets] == [[1], [2, 3]]
+    verdict = check_feasibility(inst, 1)
+    assert verdict.L == 1
+    assert [sorted(s) for s in verdict.subsets] == [[1], [2, 3]]
     assert verify(inst, scheme).valid
     assert simulate_exhaustive(inst, scheme).ok
 

@@ -30,7 +30,7 @@ from icx.symmetric import (
     builtin_example,
 )
 
-from conftest import make_instance
+from conftest import make_instance, x_network_windows
 
 
 def uniform(M, value):
@@ -235,6 +235,11 @@ def test_capacity_rejects_tampered_tag(tampered_antidotes):
         symmetric_capacity(inst)
 
 
+# (K, L) with K <= L: each L*L window covers all K*L messages, and the genie
+# set repeats some (K=2 L=4 claimed 1/10 with [2,3,4,4,5,6,7,7,8,8] <= 1)
+X_NETWORK_WINDOW_COVERS_ALL = [(1, 2), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4)]
+
+
 def test_capacity_checks_tag_against_destinations():
     # ids and destination order are ignored
     inst = gen_neighboring_antidotes(7, 1, 2)
@@ -248,10 +253,30 @@ def test_capacity_checks_tag_against_destinations():
         Instance(7, copies, inst.family),  # right size, wrong multiset
         Instance(7, dests, FamilyTag.make("neighboring-antidotes", K=10**9, U=1, D=2)),
         make_instance(10, window, tag),
+        *(x_network_windows(K, L) for K, L in X_NETWORK_WINDOW_COVERS_ALL),
     ]
     for case in cases:
         with pytest.raises(UnsupportedFamily):
             symmetric_capacity(case)
+
+
+def test_uncoded_scheme_never_violates_an_x_network_certificate():
+    """Every x-network tag that symmetric_capacity accepts for K <= 8, L <= 4
+    has a certificate that the verified uncoded scheme (one identity column
+    of GF(2)^(K*L) per message, rate 1/(K*L)) satisfies."""
+    gf2, accepted = PrimeField(2), []
+    for K in range(1, 9):
+        for L in range(1, 5):
+            inst = x_network_windows(K, L)
+            try:
+                _, cert = symmetric_capacity(inst)
+            except UnsupportedFamily:
+                continue
+            accepted.append((K, L))
+            eye = Matrix.identity(gf2, K * L)
+            report = verify(inst, LinearScheme(gf2, K * L, {m: eye.take_cols([m - 1]) for m in range(1, K * L + 1)}))
+            assert report.valid and not cert.violated_by(report.rates), (K, L)
+    assert (5, 3) in accepted and (2, 1) in accepted and not set(accepted) & set(X_NETWORK_WINDOW_COVERS_ALL)
 
 
 def test_capacity_example3_tagged_value():

@@ -24,7 +24,7 @@ from icx.model import (
 from icx.scheme import LinearScheme, load_scheme, save_scheme, scheme_from_json, serialize_scheme
 from icx.symmetric import build_antidote_scheme, build_interference_scheme
 
-from conftest import make_instance
+from conftest import make_instance, x_network_windows
 
 
 def invoke(capsys, *argv):
@@ -467,6 +467,20 @@ def test_bounds_family_rejects_tampered_tag(tmp_path, capsys):
             *invoke(capsys, *argv), 2,
             "instance is not the neighboring-antidotes family K=5 U=1 D=1 that its tag names",
         )
+
+
+@pytest.mark.parametrize("K, L", [(1, 2), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4)])
+def test_x_network_tag_needs_K_above_L(tmp_path, capsys, K, L):
+    """At K <= L the X-network windows cover every message, and the genie set
+    of the family certificate repeats messages (K=2 L=4 claimed capacity 1/10,
+    which the uncoded rate 1/8 violates): validate lists the tag as a
+    violation, and bounds refuses it, as for any tag its destinations miss."""
+    path = write_instance(tmp_path, x_network_windows(K, L))
+    message = f"instance is not the x-network family K={K} L={L} that its tag names"
+    code, out, err = invoke(capsys, "validate", path)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "violations": [message], "messages": K * L}
+    assert_one_line_error(*invoke(capsys, "bounds", path, "--family"), 2, message)
 
 
 @pytest.mark.parametrize("value", ['"5"', "true"], ids=["string", "bool"])
@@ -992,7 +1006,7 @@ def test_alignment_edge_list_is_capped(tmp_path, capsys, monkeypatch):
     def built(*args):
         raise AssertionError("a partition was built")
 
-    monkeypatch.setattr("icx.alignment.AlignmentPartition", built)
+    monkeypatch.setattr("icx.alignment.partition", built)
     assert_one_line_error(*invoke(capsys, "bounds", path, "--chain"), 2, message)
     assert_one_line_error(*invoke(capsys, "bounds", path), 2, message)
 
@@ -1264,6 +1278,7 @@ STRICT_KEY_CASES = {
         "scheme file has unknown keys ['W']",
     ),
     "V-not-rows": ("scheme", one_message_scheme('{"1": 5}'), "V[1] must be a list of rows"),
+    "V-ragged-rows": ("scheme", one_message_scheme('{"1": [[1], [1, 0]]}'), "V[1]: ragged rows"),
     "field-kind-unknown": (
         "scheme", '{"field": {"kind": "nope"}, "n": 1, "V": {"1": [[1]]}}', "bad field spec: unknown field kind 'nope'",
     ),
@@ -1286,7 +1301,7 @@ def test_file_keys_are_strict(tmp_path, capsys, bad, text, message):
     """A repeated key, or a scheme id not written as icx writes it, would
     otherwise name a message the file does not show; a file whose shape is
     not an instance's or a scheme's (not an object, a list or a field that is
-    not one, an unknown key or field kind) is refused by name."""
+    not one, ragged rows, an unknown key or field kind) is refused by name."""
     paths = {"instance": tmp_path / "inst.json", "scheme": tmp_path / "scheme.json"}
     paths["instance"].write_text(ONE_MESSAGE, encoding="utf-8")
     paths["scheme"].write_text(one_message_scheme('{"1": [[1]]}'), encoding="utf-8")

@@ -361,6 +361,17 @@ def test_package_does_not_import_numpy():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_package_lines_fit_in_120_columns():
+    """The package keeps every line within 120 columns, so no line count is cut by joining lines."""
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted(ROOT.glob("src/icx/*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 120
+    ]
+    assert wide == []
+
+
 def test_import_icx_loads_no_submodule_and_exports_no_name():
     """The package is a namespace for its submodules: ``import icx`` runs no
     code of theirs and adds no name of its own."""

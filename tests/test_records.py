@@ -11,7 +11,7 @@ from types import MappingProxyType
 
 import pytest
 
-from icx.alignment import AlignmentPartition, FeasibilityVerdict
+from icx.alignment import FeasibilityVerdict
 from icx.bounds import BoundCertificate
 from icx.errors import BadParams, DimensionMismatch, Record, SchemeMalformed
 from icx.galois import BinaryField, Matrix, PrimeField, Subspace
@@ -36,10 +36,6 @@ def _scheme():
     return LinearScheme(field=GF2, n=2, V={1: Matrix(GF2, 2, 1, (1, 0)), 2: Matrix(GF2, 2, 1, (0, 1))})
 
 
-def _partition():
-    return AlignmentPartition(L=1, subsets=(frozenset({1}), frozenset({2})))
-
-
 # class -> the keyword arguments of one object; each call builds fresh values
 CASES = {
     FamilyTag: lambda: dict(kind="neighboring-antidotes", params=(("U", 1), ("K", 5), ("D", 1))),
@@ -54,8 +50,9 @@ CASES = {
     VerificationReport: lambda: dict(valid=True, mode="rank", diagnostics=(), rates={1: Fraction(1, 2)}),
     SimulationResult: lambda: dict(ok=False, tuples_checked=4, counterexample={1: (1,)}, destination=1, message=1),
     DimensionAudit: lambda: dict(K=5, U=1, D=1, alpha=(2, 3), checks=((1, 2, Fraction(2), Fraction(0)),)),
-    AlignmentPartition: lambda: dict(L=1, subsets=(frozenset({1, 2}),)),
-    FeasibilityVerdict: lambda: dict(feasible=False, witness=(1, 2, 1), partition=_partition(), instance=_instance()),
+    FeasibilityVerdict: lambda: dict(
+        feasible=False, witness=(1, 2, 1), L=1, subsets=(frozenset({1}), frozenset({2})), instance=_instance()
+    ),
     UnicastMap: lambda: dict(original=_instance(), transformed=_instance(), L=1, source_destinations=(1, 2)),
     RankChainStep: lambda: dict(message=1, copies_used=2, dim=1, lower_bound=0, slack=1),
     BuiltinExample: lambda: dict(id=1, instance=_instance(), scheme=_scheme(), claimed_rate=Fraction(1, 2)),

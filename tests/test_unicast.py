@@ -64,6 +64,17 @@ def test_transform_counts(groupcast_m2k3):
     assert is_multiple_unicast(umap.transformed)
 
 
+def test_unicast_id_refuses_a_copy_outside_the_map(groupcast_m2k3):
+    """Copies are (i, j) with 1 <= i <= M and 0 <= j <= L (0 the auxiliary)."""
+    umap = to_unicast(groupcast_m2k3, 2)
+    M, L = umap.M, umap.L
+    assert umap.unicast_id(M, L) == M * (L + 1)
+    for i, j in [(0, 0), (M + 1, 0), (1, L + 1), (1, -1)]:
+        with pytest.raises(KeyError) as caught:
+            umap.unicast_id(i, j)
+        assert caught.value.args == (f"no copy ({i}, {j})",)
+
+
 def test_transform_smallest_case():
     inst = make_instance(1, [({1}, set())])
     umap = to_unicast(inst, 1)
