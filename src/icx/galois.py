@@ -23,12 +23,15 @@ by xor, and ``_lane_multiplier`` multiplies every lane of a row by one
 element at once, with shifts and xors; its one-lane product is
 ``BinaryField.mul``.  The basis
 back-substitutes only the rows a caller asks for, or every row once, and
-then reads any column subset's reduced form off the back-substituted basis
-(``restrict``).  The rows whose pivots the subset keeps come first and are
-already 0 at one another's pivots, so a read reduces a row only against the
-rows ``restrict`` added again.  That is the walk rank-mode ``verify`` and
-V-only simulation share, which compares each desired stream's packed row
-with the unit row at its pivot, and decoder synthesis's left null spaces.
+then reads the reduced form R of any column subset off the back-substituted
+basis (``restrict``).  A restriction costs only the rows whose pivots the
+subset drops and the rows it reads.  Those rows are cut to the subset and
+eliminated again.  The rows it keeps are 0 at one another's pivots, and the
+rows eliminated again at theirs, so ``read`` cuts a kept row only when it
+is read, after reducing it against the rows eliminated again alone.  That
+is the walk rank-mode ``verify`` and V-only simulation share, which
+compares each desired stream's packed row with the unit row at its pivot,
+and decoder synthesis's left null spaces.
 ``Matrix.left_nullspace`` eliminates the matrix's columns: the transpose's
 null space.  ``_row_products`` packs a matrix's rows once for many products
 and reads any block of columns of a packed product without unpacking the
@@ -278,10 +281,11 @@ class EchelonBasis:
     The pivots are those of the reduced row echelon form.  ``reduced``
     back-substitutes one row to its row of that form, packed, and
     ``reduced_row`` to a list; ``echelon_rows`` every row, sorted by pivot,
-    and ``back_substitute`` every row in place.  The first ``kept`` rows are
-    0 at one another's pivots as well (``restrict`` makes such a basis), so
-    they need no step against one another.  ``add`` returns the rank growth,
-    0 or 1; ``grow`` adds many and says which grew it.
+    and ``back_substitute`` every row in place.  ``restrict`` makes, from a
+    back-substituted basis, one of the rows it eliminates again for a column
+    subset, and ``read`` reads the subset's reduced form off the two.
+    ``add`` returns the rank growth, 0 or 1; ``grow`` adds many and says
+    which grew it.
 
     Vectors are sequences of n canonical elements.  A row is one int, column
     j the lane of W bits from bit W j, so a step is a few big-integer
@@ -291,7 +295,7 @@ class EchelonBasis:
     ``_lane_multiplier`` gives.  Over odd p a step adds (p - t) times a
     canonical row, which makes the lane being cleared a multiple of p and
     adds less than p^2 to each lane, and a row is reduced mod p, all its
-    lanes at once, when it is kept and when it is read.  A basis promised at
+    lanes at once, after the steps that reduce it, if any.  A basis promised at
     most ``bound`` rows (n by default) refuses any vector once it holds
     bound < n rows, so a row takes at most bound - 1 steps when added and
     as many when back-substituted, W is the width ``_lane_bytes(p, bound)``
@@ -299,7 +303,7 @@ class EchelonBasis:
     pivot when its entry there is not 1.
     """
 
-    __slots__ = ("field", "n", "bound", "pivots", "rows", "kept", "_codec")
+    __slots__ = ("field", "n", "bound", "pivots", "rows", "_source", "_codec")
 
     def __init__(self, field: Field, n: int, bound: Optional[int] = None):
         self.field = field
@@ -307,7 +311,7 @@ class EchelonBasis:
         self.bound = n if bound is None else min(bound, n)
         self.pivots: list = []  # pivot column of each row, in insertion order
         self.rows: list = []
-        self.kept = 0
+        self._source = None  # (rows, pivot -> row, cols) of the basis restricted, for read
         if isinstance(field, PrimeField):
             p, times = field.p, None
             W = 8 * _lane_bytes(p, self.bound) if p > 2 else 1
@@ -322,18 +326,21 @@ class EchelonBasis:
         return len(self.pivots)
 
     def _reduce(self, v, pairs):
-        """v less the multiple of each (pivot, row) in pairs that clears v there."""
-        p, W, _, _, _, times = self._codec
+        """v less the multiple of each (pivot, row) in pairs that clears v
+        there, canonical as v and the rows are: over odd p taken mod p if
+        a step added to it, else v itself."""
+        p, W, _, _, modp, times = self._codec
         mask = (1 << W) - 1
         if p == 2:
             for c, b in pairs:
                 if t := v >> W * c & mask:
                     v ^= b if t == 1 else times(t, b)
-        else:
-            for c, b in pairs:
-                if t := (v >> W * c & mask) % p:
-                    v += (p - t) * b
-        return v
+            return v
+        out = v
+        for c, b in pairs:
+            if t := (out >> W * c & mask) % p:
+                out += (p - t) * b
+        return v if out is v else modp(out)
 
     def unpack(self, row) -> list:
         """The entries of a canonical row: one of this basis, one ``pack``
@@ -362,10 +369,7 @@ class EchelonBasis:
                 raise DimensionMismatch(f"a basis promised at most {self.bound} rows was given one more vector")
             return 0
         _, W, _, _, modp, times = self._codec
-        v = self._reduce(v, zip(pivots, self.rows))
-        if modp:
-            v = modp(v)
-        if not v:
+        if not (v := self._reduce(v, zip(pivots, self.rows))):
             return 0
         c = ((v & -v).bit_length() - 1) // W  # with every lane canonical, the lowest set bit is in the pivot's lane
         if W > 1 and (t := v >> W * c & (1 << W) - 1) != 1:  # over GF(2) and GF(2^1) t is 1
@@ -395,23 +399,19 @@ class EchelonBasis:
         """
         other = EchelonBasis.__new__(EchelonBasis)
         other.field, other.n, other.bound, other._codec = self.field, self.n, self.bound, self._codec
-        other.pivots, other.rows, other.kept = self.pivots[:], self.rows[:], self.kept
+        other.pivots, other.rows, other._source = self.pivots[:], self.rows[:], self._source
         return other
 
     def _later(self, i: int):
-        """(pivot, row) of each row that row i is reduced against: those
-        inserted after it, less the other ``kept`` rows if it is one."""
-        j = max(i + 1, self.kept)
-        return zip(self.pivots[j:], self.rows[j:])
+        """(pivot, row) of each row inserted after row i, which it is reduced against."""
+        return zip(self.pivots[i + 1 :], self.rows[i + 1 :])
 
     def reduced(self, i: int):
         """The row of the reduced row echelon form with pivot ``pivots[i]``,
         canonical and packed as the basis packs its rows: row i reduced
         against the rows inserted after it, in insertion order, is cleared
         in their pivots, as each is 0 in the pivots of the rows before it."""
-        v = self._reduce(self.rows[i], self._later(i))
-        modp = self._codec[4]
-        return modp(v) if modp else v
+        return self._reduce(self.rows[i], self._later(i))
 
     def reduced_row(self, i: int) -> list:
         """``reduced`` as a list."""
@@ -426,33 +426,37 @@ class EchelonBasis:
     def back_substitute(self) -> "EchelonBasis":
         """Make every row, in place, its canonical row of the reduced row
         echelon form, 0 at every other row's pivot."""
-        modp = self._codec[4]
         for i, row in enumerate(self.rows):
-            if (v := self._reduce(row, self._later(i))) is not row:
-                self.rows[i] = modp(v) if modp else v
+            self.rows[i] = self._reduce(row, self._later(i))
         return self
 
-    def restrict(self, cols: int) -> "EchelonBasis":
-        """For a back-substituted basis of A's rows, one of A_cols's rows with
-        its reduced form's pivots, cols a bitmask of columns: the rows whose
-        pivot is in cols, cut (``row & mask``, mask all ones in the lanes of
-        cols), then the others cut and added.  Each of those is already 0
-        at the kept pivots, so it is reduced only against the rows added
-        before it.  The result is not back-substituted, but its ``kept``
-        leading rows are 0 at one another's pivots, so a read reduces one
-        only against the rows added again."""
-        W, pack = self._codec[1:3]
-        keep = [cols >> c & 1 for c in self.pivots]
-        if W > 1 and keep:  # lanes of ones at cols
-            cols = pack(_lane_codec(1, self.n)[1](cols)) * ((1 << W) - 1)
-        out = self.copy()
-        out.pivots, out.rows = [], []
-        for row, kept in zip(self.rows, keep):
-            if not kept:
-                out.add_row(row & cols)
-        out.pivots[:0], out.rows[:0] = compress(self.pivots, keep), map(cols.__and__, compress(self.rows, keep))
-        out.kept = sum(keep)
+    def restrict(self, cols: int, row_of: dict, held: Iterable[int]) -> "EchelonBasis":
+        """For a back-substituted basis of A's rows, the rows that A_cols's
+        reduced form R needs eliminated again, for ``read``: cols a mask of
+        all ones in the lanes of some columns (``unit(b) - unit(a)`` for
+        columns a to b - 1, or a sum of such), row_of this basis's pivot ->
+        row index and held the rows whose pivot is not in cols.  Each of
+        those is cut (``row & cols``) and added.  It is 0 at every other
+        pivot of this basis, so it is reduced only against the rows added
+        before it, and stays 0 at the pivots in cols.  No other row is
+        touched until it is read."""
+        out = EchelonBasis.__new__(EchelonBasis)
+        out.field, out.n, out.bound, out._codec = self.field, self.n, self.bound, self._codec
+        out.pivots, out.rows, out._source = [], [], (self.rows, row_of, cols)
+        for i in held:
+            out.add_row(self.rows[i] & cols)
         return out
+
+    def read(self, c: int):
+        """For a basis ``restrict`` made, R's row with pivot c, canonical
+        and packed, or None if c, one of cols, is no pivot of R.  A row
+        of the basis restricted whose pivot c is in cols is reduced against
+        every row added, then cut; an added row only against those added
+        after it.  Both are then 0 at every other pivot of R."""
+        rows, row_of, cols = self._source
+        if (i := row_of.get(c)) is None:
+            return self.reduced(self.pivots.index(c)) if c in self.pivots else None
+        return self._reduce(rows[i], zip(self.pivots, self.rows)) & cols
 
 
 def _rref(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> tuple:

@@ -160,10 +160,16 @@ def best_scalar_scheme(
         raise BadParams(f"q must be a prime in [2, 2^31), got {q}") from None
     M = inst.num_messages
     query = f"best scalar scheme over GF({q}), n <= {n_max}"
+    roles = [[] for _ in range(M + 1)]  # message -> (destination index, desired?), for every length
+    for i, d in enumerate(inst.destinations):
+        for m in d.wants:
+            roles[m].append((i, True))
+        for m in inst.interferers(d):
+            roles[m].append((i, False))
     checked_total = nodes = 0
     for n in range(1, n_max + 1):
         checked_total += ((q**n - 1) // (q - 1)) ** (M - 1)
-        beams, nodes = _first_valid_beams(inst, field, n, nodes, budget)
+        beams, nodes = _first_valid_beams(inst, roles, field, n, nodes, budget)
         if beams is not None:
             V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
             return OracleResult(query, n, checked_total, witness_scheme=LinearScheme(field, n, V))
@@ -185,9 +191,10 @@ def _canonical(field: Field, n: int, r: int, inside: bool = True):
         yield (0,) * r + (1,) + pad[1:]
 
 
-def _first_valid_beams(inst, field, n, nodes, budget):
+def _first_valid_beams(inst, roles, field, n, nodes, budget):
     """(The first valid beam assignment or None; the nodes visited so far,
-    this search's added).
+    this search's added).  roles[m] lists (destination index, desired?)
+    for each destination that wants message m or has it as interference.
 
     Message m ranges over _canonical(field, n, r), r the dimension of the
     span of the beams before it (message 1 takes e_1 alone).  Every
@@ -206,12 +213,6 @@ def _first_valid_beams(inst, field, n, nodes, budget):
     must grow it exactly when it grows the interference span.
     """
     M = inst.num_messages
-    roles = [[] for _ in range(M + 1)]  # message -> (destination index, desired?)
-    for i, d in enumerate(inst.destinations):
-        for m in d.wants:
-            roles[m].append((i, True))
-        for m in inst.interferers(d):
-            roles[m].append((i, False))
     beams = [None] * M
     empty = EchelonBasis(field, n)
 

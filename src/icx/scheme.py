@@ -14,8 +14,10 @@ field; the broadcast word is sum_m V_m X_m.  Verification runs in two modes:
   holds exactly when every desired stream decodes, which one reduced form
   of [V_1 | ... | V_K] per call, restricted once per destination to the
   streams it does not hold, shows row by row: a stream decodes when its
-  packed row equals the unit row at its pivot.  Only a destination that
-  fails unpacks its rows and reads the two ranks, to name what fails.
+  packed row equals the unit row at its pivot.  A restriction eliminates
+  again only the rows whose pivots the destination holds, and reads only
+  the desired streams' rows.  Only a destination that fails unpacks its
+  rows and reads the two ranks, to name what fails.
 
 The two modes accept exactly the same schemes; ``synthesize_decoders`` turns
 a rank-mode-valid scheme into a decoder-mode one, reading every combiner off
@@ -43,7 +45,7 @@ import random
 from types import MappingProxyType
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, Optional
 
 from .errors import (
@@ -141,11 +143,11 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "decoder" and scheme.U is None:
         raise SchemeMalformed("decoder mode requires combining matrices")
-    cols, total, masks, unheld = _stream_layout(inst, scheme, reverse=mode == "rank")
+    cols, total, masks, unheld = _stream_layout(inst, scheme)
     diags = []
     if mode == "rank":
         f = scheme.field
-        for d, basis, wanted in _rank_checks(inst, scheme, cols, total, unheld):
+        for d, basis, wanted in _rank_checks(inst, scheme, cols, total):
             if all(decoded for *_, decoded in wanted):
                 continue
             desired = sum(map(masks.__getitem__, d.wants))
@@ -155,12 +157,13 @@ def verify(inst: Instance, scheme: LinearScheme, mode: str = "auto") -> Verifica
             if interference := unheld(d) & ~desired:
                 # R's rank is rank [V_int | V_des].  Cut to V_int, its reduced rows
                 # with pivots there stay independent; those with desired pivots are
-                # 0 at every pivot, so they add only the rank of their cuts.
+                # 0 at every pivot, so they add only the rank of their cuts: rank_int
+                # is rank R - len(des_rows) + rank cuts, and rank R = rank_des + rank_int
+                # iff len(des_rows) = rank_des + rank cuts.
                 des_rows = [basis.unpack(row) for _, reads, _ in wanted for row in reads if row is not None]
-                at = [c for c in range(interference.bit_length()) if interference >> c & 1]
+                at = [total - 1 - c for c in range(interference.bit_length()) if interference >> c & 1]  # R reversed
                 cuts = Matrix._trusted(f, len(des_rows), len(at), tuple(row[c] for row in des_rows for c in at))
-                rank_int = basis.rank - len(des_rows) + cuts.rank()
-                if basis.rank != rank_des + rank_int:
+                if len(des_rows) != rank_des + cuts.rank():
                     diags.append(Diagnostic("resolvability", d.id))
     else:
         for k, m, rows, _, rank, leak in _decoder_checks(inst, scheme, cols, total, masks, unheld):
@@ -183,18 +186,20 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     reversed identity, is reduced once per call.  Restricted to S and J it
     spans [V_S | J]'s rows, and its reduced rows with pivots in J are
     [0 | y J] with y V_S = 0: by descending pivot, ``Matrix.left_nullspace``.
+    Those that are rows of the one form have y V = 0, so y V_m = 0 and none
+    is ever chosen: only the J pivots of the rows eliminated again are read.
     """
-    cols, total, masks, unheld = _stream_layout(inst, scheme)
+    cols, total, _, _ = _stream_layout(inst, scheme)
     f, n = scheme.field, scheme.n
     J = Matrix.identity(f, n).take_cols(range(n - 1, -1, -1))
-    echelon = _reduced_rows(Matrix.hstack_all(f, [*map(scheme.V.__getitem__, cols), J]))
+    restrict = _restrictions(Matrix.hstack_all(f, [*map(scheme.V.__getitem__, cols), J]), cols)
     U = {}
     for d in inst.destinations:
-        not_held = unheld(d) | ((1 << n) - 1) << total  # and every J column
         for m in sorted(d.wants):
-            basis = echelon.restrict(not_held & ~masks[m])
-            js = sorted((c, i) for i, c in enumerate(basis.pivots) if c >= total)[::-1]  # J pivots, descending
-            ann = Matrix._trusted(f, len(js), n, tuple(e for _, i in js for e in basis.reduced_row(i)[total:][::-1]))
+            basis = restrict((*d.has, m))
+            js = sorted((c for c in basis.pivots if c >= total), reverse=True)  # J pivots, descending
+            ys = [basis.unpack(basis.read(c))[total:][::-1] for c in js]
+            ann = Matrix._trusted(f, len(ys), n, tuple(chain.from_iterable(ys)))
             rows = _independent_rows(ann @ scheme.V[m])
             if rows is None:
                 raise NoDecoderExists(
@@ -204,18 +209,18 @@ def synthesize_decoders(inst: Instance, scheme: LinearScheme) -> LinearScheme:
     return LinearScheme(f, n, scheme.V, U)
 
 
-def _stream_layout(inst: Instance, scheme: LinearScheme, reverse: bool = False) -> tuple:
+def _stream_layout(inst: Instance, scheme: LinearScheme) -> tuple:
     """Every scheme check's set-up, once ``_check_scheme_matches`` passes:
     (message -> the range of its stream columns in [V_1 | ... | V_K], ids
-    ascending; total, their count; message -> its columns as a bitmask,
-    reversed if reverse; a destination -> the columns it does not hold,
-    over the smaller side).  The check makes the instance's messages the
-    scheme's, so d.has is summed as it is."""
+    ascending; total, their count; message -> its columns as a bitmask; a
+    destination -> the columns it does not hold, over the smaller side).
+    The check makes the instance's messages the scheme's, so d.has is
+    summed as it is."""
     _check_scheme_matches(inst, scheme)
     ids = scheme.message_ids()
     *starts, total = accumulate(map(scheme.stream_count, ids), initial=0)
     cols = {m: range(s, s + scheme.stream_count(m)) for m, s in zip(ids, starts)}
-    masks = {m: ((1 << len(r)) - 1) << (total - r.stop if reverse else r.start) for m, r in cols.items()}
+    masks = {m: ((1 << len(r)) - 1) << r.start for m, r in cols.items()}
     all_ids = frozenset(masks)  # the large side subtracts d.has from this one set, not from a copy of the keys
 
     def unheld(d):
@@ -252,42 +257,56 @@ def _decoder_checks(inst: Instance, scheme: LinearScheme, cols: dict, total: int
             yield d.id, m, (read(row, range(total)) for row, _ in products), block, rank, leak
 
 
-def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, total: int, unheld):
+def _rank_checks(inst: Instance, scheme: LinearScheme, cols: dict, total: int):
     """Each destination d, in order, as V alone decides it: (d, basis,
     wanted).  basis is [V_1 | ... | V_K], reduced once per call with its
     streams reversed (column c is stream total - 1 - c), restricted to the
-    streams d does not hold, the reversed bitmask ``unheld(d)``.  A valid
-    instance holds no wanted stream, so it spans [V_int | V_des]'s rows.  R
-    for short.  wanted lists (m, reads, decoded) for each message d wants,
-    in id order: reads holds for each of m's streams its row of R, packed
-    (``reduced``; ``basis.unpack`` gives its entries), if the stream is a
-    pivot of R, else None, and decoded says whether every one of m's
-    streams is decoded.
+    streams d does not hold.  A valid instance holds no wanted stream, so it
+    spans [V_int | V_des]'s rows.  R for short.  wanted lists (m, reads,
+    decoded) for each message d wants, in id order: reads holds for each of
+    m's streams its row of R, packed (``read``; ``basis.unpack`` gives its
+    entries), if the stream is a pivot of R, else None, and decoded says
+    whether every one of m's streams is decoded.
 
     A stream's symbol is a function of what d sees iff its unit vector is in
     R's row space, iff R has it as a row: iff the stream is a pivot and its
     packed row is the unit row at that pivot (``unit``).  Every other entry
-    of a row sits at a free column of R, since R is 0 at the other pivots.
-    The rows ``restrict`` kept are 0 at one another's pivots already, so a
-    read reduces a row only against the rows it added again."""
+    of a row sits at a free column of R, since R is 0 at the other pivots."""
     vfull = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in cols])
-    echelon = _reduced_rows(vfull.take_cols(range(total - 1, -1, -1)))
+    at = {m: range(total - r.stop, total - r.start) for m, r in cols.items()}  # m's columns, reversed
+    # the entries reversed: V's rows, last first, each with its streams reversed, which span what V reversed spans
+    restrict = _restrictions(Matrix._trusted(vfull.field, vfull.rows, total, vfull.entries[::-1]), at)
     for d in inst.destinations:
-        basis = echelon.restrict(unheld(d))
-        row_of = {c: i for i, c in enumerate(basis.pivots)}  # reversed stream -> its basis row
+        basis = restrict(d.has)
         wanted = []
         for m in sorted(d.wants):
-            at = [total - 1 - t for t in cols[m]]
-            reads = [None if (i := row_of.get(c)) is None else basis.reduced(i) for c in at]
-            wanted.append((m, reads, all(row == basis.unit(c) for c, row in zip(at, reads))))
+            streams = at[m][::-1]  # in stream order
+            reads = list(map(basis.read, streams))
+            wanted.append((m, reads, all(row == basis.unit(c) for c, row in zip(streams, reads))))
         yield d, basis, wanted
 
 
-def _reduced_rows(mat: Matrix) -> EchelonBasis:
-    """A basis of mat's rows, sized for mat.rows of them, back-substituted."""
-    basis = EchelonBasis(mat.field, mat.cols, mat.rows)
-    basis.grow(mat._row_tuples())
-    return basis.back_substitute()
+def _restrictions(mat: Matrix, at: dict) -> tuple:
+    """restrict: held -> R, held the ids of distinct messages and R the
+    reduced form of mat's rows cut to every column but theirs, as
+    ``EchelonBasis.restrict`` gives it for ``read``.  at maps each message
+    to the range of its columns in mat.  mat's rows are reduced and
+    back-substituted here, once per call, and each message's lane mask,
+    the rows whose pivots are its columns and the form's pivot -> row map
+    are built here too, so a restriction touches only the held rows."""
+    echelon = EchelonBasis(mat.field, mat.cols, mat.rows)
+    echelon.grow(mat._row_tuples())
+    echelon.back_substitute()
+    row_of = {c: i for i, c in enumerate(echelon.pivots)}
+    lanes = {m: echelon.unit(r.stop) - echelon.unit(r.start) for m, r in at.items()}  # all ones in m's lanes
+    held_rows = {m: [row_of[c] for c in r if c in row_of] for m, r in at.items()}
+    everything = echelon.unit(mat.cols) - 1
+
+    def restrict(held):
+        cols = everything - sum(map(lanes.__getitem__, held))
+        return echelon.restrict(cols, row_of, chain.from_iterable(map(held_rows.__getitem__, held)))
+
+    return restrict
 
 
 def _independent_rows(mat: Matrix):
@@ -425,13 +444,13 @@ def _error_map(inst: Instance, scheme: LinearScheme):
     straight off R: -R[j][s] at every other column s if the stream is the
     pivot of row j (nonzero only at free columns), and the unit vector at
     the stream itself if it is free.  ``_rank_checks`` gives each destination's
-    R, which ``restrict`` reads off one back-substituted form of V per call,
-    and each desired stream's row of R, packed, and says whether the check's
-    streams all decode.  Such a check has only zero rows: it gets support 0
-    and no rows, and only the checks that fail unpack their reads to build
-    theirs.
+    R, which ``restrict`` and ``read`` read off one back-substituted form of
+    V per call, and each desired stream's row of R, packed, and says whether
+    the check's streams all decode.  Such a check has only zero rows: it
+    gets support 0 and no rows, and only the checks that fail unpack their
+    reads to build theirs.
     """
-    cols, total, masks, unheld = _stream_layout(inst, scheme, reverse=scheme.U is None)
+    cols, total, masks, unheld = _stream_layout(inst, scheme)
     checks = []
     if scheme.U is not None:
         for k, m, rows, block, rank, leak in _decoder_checks(inst, scheme, cols, total, masks, unheld):
@@ -442,7 +461,7 @@ def _error_map(inst: Instance, scheme: LinearScheme):
                 return _failure(cols, digits, 1, k, m)
             checks.append((k, m, rows, leak))
         return cols, total, checks
-    for d, basis, wanted in _rank_checks(inst, scheme, cols, total, unheld):
+    for d, basis, wanted in _rank_checks(inst, scheme, cols, total):
         for m, reads, decoded in wanted:
             if decoded:
                 checks.append((d.id, m, (), 0))

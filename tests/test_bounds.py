@@ -1,6 +1,7 @@
 """Outer-bound certificates: simple, chain, and family formulas."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from icx.bounds import (
     symmetric_capacity,
     x_outer_bound_messages,
 )
+from icx import model
 from icx.errors import BadParams, BudgetExceeded, UnsupportedFamily
 from icx.galois import Matrix, PrimeField
 from icx.model import (
@@ -277,6 +279,53 @@ def test_uncoded_scheme_never_violates_an_x_network_certificate():
             report = verify(inst, LinearScheme(gf2, K * L, {m: eye.take_cols([m - 1]) for m in range(1, K * L + 1)}))
             assert report.valid and not cert.violated_by(report.rates), (K, L)
     assert (5, 3) in accepted and (2, 1) in accepted and not set(accepted) & set(X_NETWORK_WINDOW_COVERS_ALL)
+
+
+def peels(inst, messages):
+    """Whether messages are an acyclic set of inst: they peel away when one
+    that some destination wants while it holds none of those left is
+    removed, again and again.  Such a set S bounds every code's rates by
+    sum over S of R_m <= 1: a destination given every message outside S
+    decodes the first one peeled, and then, holding it, can act as the
+    destination that let the next one go (the MAIS bound of Bar-Yossef et
+    al., FOCS 2006, whose argument holds for groupcast)."""
+    left = set(messages)
+    while left:
+        m = next((m for m in left if any(m in d.wants and not d.has & left for d in inst.destinations)), None)
+        if m is None:
+            return False
+        left.remove(m)
+    return True
+
+
+def test_interference_and_x_network_certificates_are_acyclic_sets():
+    """The genie-chain certificate ``symmetric_capacity`` gives an
+    interference or x-network instance is sound on the instance itself, not
+    only by the paper's theorem: its terms are distinct, its rhs is 1 and
+    they are an acyclic set of the instance (``peels``).  Checked on every
+    accepted interference tag with K <= 20 (149 tags) and every accepted
+    x-network tag with K <= 20 and L <= 6 (99 tags, the 15 with L < K < 2L
+    among them, which ``gen_x_network`` refuses), each built through
+    ``model._family_instance``.  The check itself is no formality: in
+    example 1 messages 2 and 3 are each held where the other is wanted, so
+    no set holding both peels, while message 1 with either one does."""
+    tags = [("neighboring-interference", K, {"K": K, "U": U, "D": D})
+            for K in range(1, 21) for D in range(K) for U in range(D + 1)]
+    tags += [("x-network", K * L, {"K": K, "L": L}) for K in range(1, 21) for L in range(1, 7)]
+    accepted = Counter()
+    for kind, M, params in tags:
+        try:
+            inst = model._family_instance(kind, M, **params)
+        except BadParams:
+            continue
+        _, cert = symmetric_capacity(inst)
+        assert cert.rhs == 1 and len(set(cert.terms)) == len(cert.terms), params
+        assert peels(inst, cert.terms), params
+        narrow = kind == "x-network" and params["K"] < 2 * params["L"]
+        accepted[kind, narrow] += 1
+    assert accepted == {("neighboring-interference", False): 149, ("x-network", False): 84, ("x-network", True): 15}
+    cycle = builtin_example(1).instance
+    assert not peels(cycle, {1, 2, 3}) and not peels(cycle, {2, 3}) and peels(cycle, {1, 2}) and peels(cycle, {1, 3})
 
 
 def test_capacity_example3_tagged_value():

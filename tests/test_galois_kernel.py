@@ -314,15 +314,26 @@ RESTRICT_SHAPES = [
 ]
 
 
+def restricted(basis, cols):
+    """``basis.restrict`` to the columns of the bitmask cols, called as the
+    scheme walk calls it: all ones in the lanes of cols, the pivot -> row
+    map and the rows whose pivot is not in cols.  (The result, R's pivots:
+    the basis's pivots in cols, then those of the rows added again.)"""
+    lanes = sum(basis.unit(j + 1) - basis.unit(j) for j in range(basis.n) if cols >> j & 1)
+    row_of = {p: i for i, p in enumerate(basis.pivots)}
+    sub = basis.restrict(lanes, row_of, [i for i, p in enumerate(basis.pivots) if not cols >> p & 1])
+    return sub, [p for p in basis.pivots if cols >> p & 1] + sub.pivots
+
+
 @pytest.mark.parametrize(
     "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
 )
 def test_restricted_reduced_form_gives_left_null_spaces(field, r, c):
     """Reduce [A | J] once, J the reversed r x r identity, and restrict it
     to columns S of A and every column of J: its rows with a pivot in J,
-    reduced (``reduced_row``) and by descending pivot, are [0 | y J] for
-    the rows y of ``A_S.left_nullspace()``, in order, which are the
-    reference's left null space of A_S."""
+    read (``read``) by descending pivot, are [0 | y J] for the rows y of
+    ``A_S.left_nullspace()``, in order, which are the reference's left null
+    space of A_S."""
     rnd = random.Random(f"restricted left {field!r} {r} {c}")
     for kind in KINDS:
         a = as_matrix(field, random_rows(field, r, c, kind, rnd), r, c)
@@ -330,9 +341,8 @@ def test_restricted_reduced_form_gives_left_null_spaces(field, r, c):
         basis.grow(row + (0,) * (r - 1 - i) + (1,) + (0,) * i for i, row in enumerate(a._row_tuples()))
         basis.back_substitute()
         for cols in (0, (1 << c) - 1, *(rnd.getrandbits(c) for _ in range(4))):
-            sub = basis.restrict(cols | ((1 << r) - 1) << c)
-            in_j = sorted(((p, i) for i, p in enumerate(sub.pivots) if p >= c), reverse=True)
-            ys = [sub.reduced_row(i) for _, i in in_j]
+            sub, pivots = restricted(basis, cols | ((1 << r) - 1) << c)
+            ys = [sub.unpack(sub.read(p)) for p in sorted((p for p in pivots if p >= c), reverse=True)]
             kept = [j for j in range(c) if cols >> j & 1]
             left = a.take_cols(kept).left_nullspace().row_list()
             assert [y[:c] for y in ys] == [[0] * c] * len(ys)
@@ -340,54 +350,60 @@ def test_restricted_reduced_form_gives_left_null_spaces(field, r, c):
             assert left == ref.left_nullspace(field, [[row[j] for j in kept] for row in a.row_list()], len(kept))
 
 
+def restricted_bases(field, r, c, rnd):
+    """(basis, cols, the rows of [A | J] with every column outside cols set
+    to 0) for a back-substituted basis of [A | J], cols no column, every
+    column and four random subsets, A dense, sparse and rank-deficient in
+    turn."""
+    for kind in KINDS:
+        rows = [[*row] + [0] * (r - 1 - i) + [1] + [0] * i for i, row in enumerate(random_rows(field, r, c, kind, rnd))]
+        basis = EchelonBasis(field, c + r, r)
+        basis.grow(rows)
+        basis.back_substitute()
+        for cols in (0, (1 << c + r) - 1, *(rnd.getrandbits(c + r) for _ in range(4))):
+            yield basis, cols, [[e if cols >> j & 1 else 0 for j, e in enumerate(row)] for row in rows]
+
+
 @pytest.mark.parametrize(
     "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
 )
 def test_restrict_of_a_back_substituted_basis_is_the_cut_rows_reduced_form(field, r, c):
-    """``restrict`` takes a back-substituted basis, so each row it adds back
-    is reduced only against the rows added before it.  On the bases of
-    [A | J] above, back-substituted and restricted to no column, every
-    column and four random subsets, ``echelon_rows`` is the reference's
-    reduced form of [A | J] with every other column set to 0."""
-    rnd = random.Random(f"restrict precondition {field!r} {r} {c}")
-    for kind in KINDS:
-        rows = [[*row] + [0] * (r - 1 - i) + [1] + [0] * i for i, row in enumerate(random_rows(field, r, c, kind, rnd))]
-        basis = EchelonBasis(field, c + r, r)
-        basis.grow(rows)
-        basis.back_substitute()
-        for cols in (0, (1 << c + r) - 1, *(rnd.getrandbits(c + r) for _ in range(4))):
-            cut = [[e if cols >> j & 1 else 0 for j, e in enumerate(row)] for row in rows]
-            reduced, pivots = ref.rref(field, cut, c + r)
-            assert basis.restrict(cols).echelon_rows() == (reduced[: len(pivots)], pivots)
+    """``restrict`` takes a back-substituted basis, so it adds again only
+    the rows whose pivot is outside cols, each cut to cols, in order, and
+    reduces each only against the rows added before it.  On the bases of
+    [A | J] above, R's pivots are the reference's pivots of [A | J] with
+    every other column set to 0, its row at each (``read``) is the
+    reference's row there, and ``read`` gives None at every other column
+    of cols."""
+    add_row, added = EchelonBasis.add_row, []
 
+    def spy(self, v):
+        added.append(v)
+        return add_row(self, v)
 
-def restricted_bases(field, r, c, rnd):
-    """(basis, cols, its restriction to cols, the rows of [A | J] with every
-    column outside cols set to 0) for a back-substituted basis of [A | J],
-    cols no column, every column and four random subsets, A dense, sparse
-    and rank-deficient in turn."""
-    for kind in KINDS:
-        rows = [[*row] + [0] * (r - 1 - i) + [1] + [0] * i for i, row in enumerate(random_rows(field, r, c, kind, rnd))]
-        basis = EchelonBasis(field, c + r, r)
-        basis.grow(rows)
-        basis.back_substitute()
-        for cols in (0, (1 << c + r) - 1, *(rnd.getrandbits(c + r) for _ in range(4))):
-            cut = [[e if cols >> j & 1 else 0 for j, e in enumerate(row)] for row in rows]
-            yield basis, cols, basis.restrict(cols), cut
+    for basis, cols, cut in restricted_bases(field, r, c, random.Random(f"restrict precondition {field!r} {r} {c}")):
+        added.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EchelonBasis, "add_row", spy)
+            sub, pivots = restricted(basis, cols)
+        dropped = [basis.unpack(row) for row, p in zip(basis.rows, basis.pivots) if not cols >> p & 1]
+        assert added == [basis.pack([e if cols >> j & 1 else 0 for j, e in enumerate(row)]) for row in dropped]
+        reduced, ref_pivots = ref.rref(field, cut, c + r)
+        assert sorted(pivots) == ref_pivots
+        assert [sub.unpack(sub.read(p)) for p in ref_pivots] == reduced[: len(ref_pivots)]
+        assert all(sub.read(j) is None for j in range(c + r) if cols >> j & 1 and j not in ref_pivots)
 
 
 @pytest.mark.parametrize(
     "field, r, c", [pytest.param(*shape, id=f"{shape[0]!r}-{shape[1]}x{shape[2]}") for shape in RESTRICT_SHAPES]
 )
 def test_restricted_reads_reduce_only_against_rows_added_again(field, r, c, monkeypatch):
-    """A restricted basis records how many rows it kept (``kept``): they lead
-    it and are 0 at one another's pivots.  ``reduced`` and ``reduced_row``
-    of row i reduce it only against the rows after it and after the kept
-    ones, so a kept row meets every row ``restrict`` added again and no kept
-    row, and an added row the added rows after it: counted as the (pivot,
-    row) pairs ``_reduce`` is given.  The reads, packed and unpacked, are
-    the reference's rows of the reduced form of [A | J] with every other
-    column set to 0, at every field and lane width."""
+    """``read`` reduces a row only against rows ``restrict`` added again:
+    a row of the basis whose pivot is in cols against every one of them,
+    and an added row against the added rows after it, counted as the
+    (pivot, row) pairs ``_reduce`` is given.  The reads, packed and
+    unpacked, are the reference's rows of the reduced form of [A | J] with
+    every other column set to 0, at every field and lane width."""
     steps, reduce = [], EchelonBasis._reduce
 
     def counting(self, v, pairs):
@@ -396,17 +412,16 @@ def test_restricted_reads_reduce_only_against_rows_added_again(field, r, c, monk
         return reduce(self, v, pairs)
 
     monkeypatch.setattr(EchelonBasis, "_reduce", counting)
-    for basis, cols, sub, cut in restricted_bases(field, r, c, random.Random(f"restricted reads {field!r} {r} {c}")):
-        kept = [p for p in basis.pivots if cols >> p & 1]
-        assert (sub.kept, sub.pivots[: sub.kept]) == (len(kept), kept)
-        reduced, pivots = ref.rref(field, cut, c + r)
-        expected = dict(zip(pivots, reduced))
-        assert sorted(sub.pivots) == pivots
-        for i, pivot in enumerate(sub.pivots):
+    for basis, cols, cut in restricted_bases(field, r, c, random.Random(f"restricted reads {field!r} {r} {c}")):
+        sub, pivots = restricted(basis, cols)
+        reduced, ref_pivots = ref.rref(field, cut, c + r)
+        expected = dict(zip(ref_pivots, reduced))
+        assert sorted(pivots) == ref_pivots
+        for pivot in pivots:
             steps.clear()
-            assert sub.unpack(sub.reduced(i)) == expected[pivot]
-            assert sub.reduced_row(i) == expected[pivot]
-            assert steps == [sub.rank - max(i + 1, sub.kept)] * 2
+            assert sub.unpack(sub.read(pivot)) == expected[pivot]
+            later = sub.pivots[sub.pivots.index(pivot) + 1 :] if pivot in sub.pivots else sub.pivots
+            assert steps == [len(later)]
 
 
 @pytest.mark.parametrize(
@@ -415,17 +430,18 @@ def test_restricted_reads_reduce_only_against_rows_added_again(field, r, c, monk
 def test_packed_unit_row_test_agrees_with_the_entries(field, r, c):
     """A desired stream decodes iff its row of the reduced form has its
     pivot as its only nonzero entry.  ``_rank_checks`` decides that on the
-    packed row, ``reduced(i) == unit(pivots[i])``; on every read of the
+    packed row, ``read(pivot) == unit(pivot)``; on every read of the
     restricted bases above the two agree, over every field and lane width,
     and ``unit`` is the unit vector as ``pack`` packs it.  Both outcomes
     occur on every shape with more than one row and column of A."""
     seen = set()
-    for _, _, sub, _ in restricted_bases(field, r, c, random.Random(f"unit rows {field!r} {r} {c}")):
-        for i, pivot in enumerate(sub.pivots):
-            row = sub.reduced_row(i)
+    for basis, cols, _ in restricted_bases(field, r, c, random.Random(f"unit rows {field!r} {r} {c}")):
+        sub, pivots = restricted(basis, cols)
+        for pivot in pivots:
+            row = sub.unpack(sub.read(pivot))
             decodes = len(row) - row.count(0) == 1
             assert sub.unit(pivot) == sub.pack([int(j == pivot) for j in range(c + r)])
-            assert (sub.reduced(i) == sub.unit(pivot)) == decodes
+            assert (sub.read(pivot) == sub.unit(pivot)) == decodes
             seen.add(decodes)
     if min(r, c) > 1:
         assert seen == {True, False}
@@ -539,24 +555,39 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
     """``Matrix.rank`` reads the size of a packed basis: it runs no full
     reduced form (``_rref``) and back-substitutes nothing.  Rank-mode
     ``verify`` reduces V once per call (one ``back_substitute``) and no
-    matrix per destination: on a valid scheme each destination restricts
-    that one form once (``restrict``) and reads the packed row of each
-    desired stream once (``reduced``), and nothing runs ``_rref``,
-    ``echelon_rows`` or ``reduced_row``: no row is unpacked."""
-    calls = []
+    matrix per destination.  On a valid scheme each destination restricts
+    that one form once (``restrict``), which adds again exactly the rows
+    whose pivots are streams the destination holds, and reads the row of
+    each desired stream once, in stream order (``read``).  Nothing runs
+    ``_rref``, ``echelon_rows``, ``reduced_row`` or ``unpack``: no row is
+    unpacked."""
+    calls, forms = [], []
+    restrict, back_substitute = EchelonBasis.restrict, EchelonBasis.back_substitute
 
     def spying(owner, name):
         real = getattr(owner, name)
 
         def spy(*args):
-            calls.append(name)
+            calls.append(name if name != "read" else (name, args[1]))
             return real(*args)
 
         monkeypatch.setattr(owner, name, spy)
 
+    def spy_back_substitute(self):
+        calls.append("back_substitute")
+        forms.append(self)
+        return back_substitute(self)
+
+    def spy_restrict(self, cols, row_of, held):
+        held = list(held)
+        calls.append(("restrict", sorted(held)))
+        return restrict(self, cols, row_of, held)
+
     spying(galois, "_rref")
-    for name in ("echelon_rows", "reduced_row", "reduced", "back_substitute", "restrict"):
+    for name in ("echelon_rows", "reduced_row", "read", "unpack"):
         spying(EchelonBasis, name)
+    monkeypatch.setattr(EchelonBasis, "back_substitute", spy_back_substitute)
+    monkeypatch.setattr(EchelonBasis, "restrict", spy_restrict)
     rnd = random.Random("rank only")
     for field in FIELDS:
         for r, c in ((0, 3), (3, 0), (7, 12), (30, 9)):
@@ -567,8 +598,17 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
     scheme = build_antidote_scheme(32, 2, 4)
     report = verify(inst, scheme, mode="rank")
     assert report.valid and report.mode == "rank"
-    streams = [sum(map(scheme.stream_count, d.wants)) for d in inst.destinations]
-    assert calls == ["back_substitute"] + [name for s in streams for name in ["restrict"] + ["reduced"] * s]
+    (form,) = forms
+    owner = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))][::-1]  # form column -> message
+    first = {m: owner.index(m) for m in scheme.message_ids()}  # a message's columns are reversed: last stream first
+    expected = ["back_substitute"]
+    for d in inst.destinations:
+        expected.append(("restrict", [i for i, p in enumerate(form.pivots) if owner[p] in d.has]))
+        for m in sorted(d.wants):
+            expected += [("read", first[m] + scheme.stream_count(m) - 1 - t) for t in range(scheme.stream_count(m))]
+    assert calls == expected
+    held = [len(call[1]) for call in calls if call[0] == "restrict"]
+    assert 0 < sum(held) < form.rank * len(inst.destinations) / 4  # a destination holds few of the 30 pivots
 
 
 # (field, rows, cols, lane bytes) for _row_products.  Over odd p a product
@@ -628,8 +668,9 @@ def test_row_products_match_matmul(field, r, c, width):
 @pytest.mark.parametrize("field", FIELDS + LANE_FIELDS, ids=repr)
 def test_every_row_is_one_int(field):
     """One row form over every field: each row a basis keeps, as added,
-    back-substituted or restricted, each ``reduced(i)``, each ``unit(c)``
-    and each ``_row_products`` product, of no column too, is one int."""
+    back-substituted or restricted, each ``reduced(i)``, each ``read`` of
+    a restriction, each ``unit(c)`` and each ``_row_products`` product, of
+    no column too, is one int."""
     rnd = random.Random(f"row form {field!r}")
     r, n = 6, 12
     for kind in KINDS:
@@ -637,10 +678,12 @@ def test_every_row_is_one_int(field):
         basis = EchelonBasis(field, n)
         basis.grow(rows)
         reduced = basis.copy().back_substitute()
-        for b in (basis, reduced, reduced.restrict(rnd.getrandbits(n))):
+        sub, pivots = restricted(reduced, rnd.getrandbits(n))
+        for b in (basis, reduced, sub):
             assert {type(row) for row in b.rows} <= {int}
             assert {type(b.reduced(i)) for i in range(b.rank)} <= {int}
             assert {type(b.unit(c)) for c in range(n)} == {int}
+        assert {type(sub.read(p)) for p in pivots} <= {int}
         for c in (n, 0):
             product, _ = galois._row_products(as_matrix(field, [row[:c] for row in rows], r, c))
             assert [type(x) for x in product([rnd.randrange(field.order) for _ in range(r)])] == [int, int]

@@ -14,7 +14,7 @@ import reference_oracle as ref
 from icx.bounds import simple_bounds
 from icx.errors import BadParams, BudgetExceeded
 from icx.galois import Matrix, PrimeField
-from icx.model import gen_neighboring_antidotes
+from icx.model import Instance, gen_neighboring_antidotes
 from icx.oracle import best_scalar_scheme, minrank_gf2
 from icx.scheme import LinearScheme, simulate_exhaustive, verify
 from icx.symmetric import builtin_example
@@ -408,3 +408,25 @@ def test_oracle_limits_match_reference():
     for q in (4, 2**31 + 11):  # not a prime, and a prime past the field's range
         with pytest.raises(BadParams):
             best_scalar_scheme(pentagon, q, 2)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_scalar_search_lists_interferers_once_per_call(n_max, monkeypatch):
+    """``best_scalar_scheme`` builds its role lists once per call and every
+    length's search reads them: ``Instance.interferers`` runs once per
+    destination, whatever n_max.  On antidotes K=5 U=0 D=1 over GF(2) no
+    length below 4 works, so n_max lengths are searched, and the result is
+    the reference's."""
+    inst = gen_neighboring_antidotes(5, 0, 1)
+    calls, interferers = [], Instance.interferers
+
+    def spy(self, d):
+        calls.append(d.id)
+        return interferers(self, d)
+
+    monkeypatch.setattr(Instance, "interferers", spy)
+    res = best_scalar_scheme(inst, 2, n_max)
+    assert sorted(calls) == [d.id for d in inst.destinations]
+    assert res.value == (4 if n_max == 4 else None)
+    monkeypatch.undo()
+    assert outcome(res) == outcome(ref.best_scalar_scheme(inst, 2, n_max, limits=False))

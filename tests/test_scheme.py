@@ -737,17 +737,17 @@ def test_simulate_rank_deficient_unheld_columns(field, no_synthesis):
 def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
     """V-only simulation reduces V once per call, all its streams reversed
     (one ``back_substitute``), and no matrix per destination: each
-    destination restricts that form to its unheld streams and reads R a row
-    at a time, packed (``reduced``).  On antidotes K=32 U=2 D=4 over GF(37)
-    ``simulate_sampled`` forms no full reduced form (``_rref``,
-    ``echelon_rows``) and back-substitutes a row of a destination's basis
-    only for a desired stream at its pivot, each at most once: 96 rows of
-    the 960.  With V_1
-    moved onto V_2 the scheme fails, and the error rows of the checks that
-    fail are built from those same reads: still no row is read twice."""
-    names, reduced = [], []
-    rref, echelon_rows, reduced_row = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.reduced
-    back_substitute, restrict = EchelonBasis.back_substitute, EchelonBasis.restrict
+    destination restricts that form once (``restrict``), which adds again
+    exactly the rows whose pivots are streams it holds, and reads each
+    desired stream's row of R once (``read``), packed.  On antidotes K=32
+    U=2 D=4 over GF(37) ``simulate_sampled`` forms no full reduced form
+    (``_rref``, ``echelon_rows``) and, on the valid scheme, unpacks no row.
+    With V_1 moved onto V_2 the scheme fails, and the error rows of the
+    checks that fail are built from those same reads: each row unpacked is
+    one a read gave, and none is unpacked twice."""
+    names, forms, reads, unpacked = [], [], [], []
+    rref, echelon_rows, unpack = galois._rref, EchelonBasis.echelon_rows, EchelonBasis.unpack
+    back_substitute, restrict, read = EchelonBasis.back_substitute, EchelonBasis.restrict, EchelonBasis.read
 
     def spy_rref(*args):
         names.append("_rref")
@@ -759,34 +759,48 @@ def test_v_only_simulation_back_substitutes_only_the_rows_it_reads(monkeypatch):
 
     def spy_back_substitute(self):
         names.append(("back_substitute", self.n, self.rank))
+        forms.append(self)
         return back_substitute(self)
 
-    def spy_restrict(self, cols):
-        names.append("restrict")
-        return restrict(self, cols)
+    def spy_restrict(self, cols, row_of, held):
+        held = list(held)
+        names.append(("restrict", sorted(held)))
+        return restrict(self, cols, row_of, held)
 
-    def spy_reduced_row(self, i):
-        reduced.append((self, i))  # the basis is kept alive, so its id stays unique
-        return reduced_row(self, i)
+    def spy_read(self, c):
+        row = read(self, c)
+        names.append(("read", c))
+        reads.append(row)
+        return row
+
+    def spy_unpack(self, row):
+        unpacked.append(row)
+        return unpack(self, row)
 
     monkeypatch.setattr(galois, "_rref", spy_rref)
     monkeypatch.setattr(EchelonBasis, "echelon_rows", spy_echelon_rows)
     monkeypatch.setattr(EchelonBasis, "back_substitute", spy_back_substitute)
     monkeypatch.setattr(EchelonBasis, "restrict", spy_restrict)
-    monkeypatch.setattr(EchelonBasis, "reduced", spy_reduced_row)
+    monkeypatch.setattr(EchelonBasis, "read", spy_read)
+    monkeypatch.setattr(EchelonBasis, "unpack", spy_unpack)
     inst, valid = gen_neighboring_antidotes(32, 2, 4), build_antidote_scheme(32, 2, 4)
     for scheme in (valid, LinearScheme(valid.field, valid.n, {**valid.V, 1: valid.V[2]})):
         rank = Matrix.hstack_all(scheme.field, [scheme.V[m] for m in scheme.message_ids()]).rank()
-        names.clear(), reduced.clear()
+        for spied in (names, forms, reads, unpacked):
+            spied.clear()
         assert simulate_sampled(inst, scheme, 50, seed=0).ok == (scheme is valid)
-        assert names == [("back_substitute", 96, rank)] + ["restrict"] * len(inst.destinations)
-        rows = [(id(basis), i) for basis, i in reduced]
-        assert len(set(rows)) == len(rows)
-        per_basis = Counter(b for b, _ in rows)
-        assert len(per_basis) <= len(inst.destinations)
-        assert max(per_basis.values()) <= 3  # one wanted message of U + 1 streams
-        assert 0 < len(rows) <= sum(scheme.stream_count(m) for d in inst.destinations for m in d.wants)
-        assert len(rows) < sum(basis.rank for basis in {id(b): b for b, _ in reduced}.values())
+        (form,) = forms
+        owner = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))][::-1]  # column -> message
+        expected = [("back_substitute", 96, rank)]
+        for d in inst.destinations:
+            expected.append(("restrict", [i for i, p in enumerate(form.pivots) if owner[p] in d.has]))
+            expected += sorted((("read", c) for c, m in enumerate(owner) if m in d.wants), reverse=True)
+        assert names == expected
+        if scheme is valid:
+            assert unpacked == []
+        else:
+            assert 0 < len(unpacked) == len({id(row) for row in unpacked})
+            assert {id(row) for row in unpacked} <= {id(row) for row in reads if row is not None}
 
 
 def desired_pivot_with_free_entries(inst, scheme):
@@ -948,16 +962,22 @@ def check_sampled(inst, scheme, kind, count, seed):
 
 def check_earlier_partner(inst, scheme, res):
     """Some tuple before the reported one has its broadcast word and antidote
-    symbols at the reported destination but other symbols of the reported message."""
+    symbols at the reported destination but other symbols of the reported message.
+
+    It is sought along each basis vector of the null space of V on the
+    streams the destination does not hold, reduced with those streams
+    reversed, so that each vector leads, in stream order, with its 1 at its
+    own free stream: a failing tuple differs in the message's symbols from
+    the tuple one of them takes it to, which is earlier."""
     f = scheme.field
     streams = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))]
-    x = [e for m in scheme.message_ids() for e in res.counterexample[m]]
+    x = [e for m in scheme.message_ids() for e in res.counterexample.get(m, ())]  # a message without streams is left out
     d = next(d for d in inst.destinations if d.id == res.destination)
     unheld = [s for s, m in enumerate(streams) if m not in d.has]
     vfull = Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()])
-    for z in vfull.take_cols(unheld).nullspace().col_list():
+    for z in vfull.take_cols(unheld[::-1]).nullspace().col_list():
         shift = [0] * len(x)
-        for s, e in zip(unheld, z):
+        for s, e in zip(unheld[::-1], z):
             shift[s] = e
         lead = next(s for s, e in enumerate(shift) if e)
         c = f.mul(x[lead], f.inv(shift[lead]))  # zeroes y's digit at lead
@@ -1067,6 +1087,85 @@ def test_sampled_count_must_be_positive(count):
     ex = builtin_example(1)
     with pytest.raises(BadParams):
         simulate_sampled(ex.instance, ex.scheme, count)
+
+
+def walk_cases(inst, scheme):
+    """The cases of the restricted walk this scheme meets, read off the
+    reference's reduced forms of V with its streams reversed: the parent
+    (every stream) and R (a destination's unheld streams, every other
+    column set to 0).  "new pivot": a desired stream is no pivot of the
+    parent but one of R, the pivot of a row eliminated again.  "kept,
+    decodes" and "kept, fails": a desired stream is a pivot of the parent,
+    so of R, and the parent's row there, cut to the unheld streams, is not
+    the unit row; R's row there is, or is not."""
+    f = scheme.field
+    owner = [m for m in scheme.message_ids() for _ in range(scheme.stream_count(m))][::-1]  # column -> message
+    vrows = [row[::-1] for row in Matrix.hstack_all(f, [scheme.V[m] for m in scheme.message_ids()]).row_list()]
+    parent, parent_pivots = ref_galois.rref(f, vrows, len(owner))
+    found = set()
+    for d in inst.destinations:
+        keep = [int(m not in d.has) for m in owner]
+        reduced, pivots = ref_galois.rref(f, [[e * k for e, k in zip(row, keep)] for row in vrows], len(owner))
+        for c in (c for c, m in enumerate(owner) if m in d.wants):
+            unit = [int(j == c) for j in range(len(owner))]
+            if c in pivots and c not in parent_pivots:
+                found.add("new pivot")
+            elif c in parent_pivots and [e * k for e, k in zip(parent[parent_pivots.index(c)], keep)] != unit:
+                found.add("kept, decodes" if reduced[pivots.index(c)] == unit else "kept, fails")
+    return found
+
+
+def random_walk_case(rnd, field):
+    """A seeded random V-only scheme: 2-4 messages of 0-2 streams, n 1-4,
+    1-4 destinations wanting 1 or 2 messages, entries mostly 0, 1 and 2."""
+    M, n = rnd.randrange(2, 5), rnd.randrange(1, 5)
+    entry = lambda: rnd.choice((0, 0, 1, 2, rnd.randrange(field.order)))
+    V = {m: Matrix(field, n, k, tuple(entry() for _ in range(n * k))) for m in range(1, M + 1) for k in [rnd.randrange(3)]}
+    dests = []
+    for _ in range(rnd.randrange(1, 5)):
+        wants = set(rnd.sample(range(1, M + 1), rnd.randrange(1, 3)))
+        dests.append((wants, {m for m in range(1, M + 1) if m not in wants and rnd.random() < 0.4}))
+    return make_instance(M, dests), LinearScheme(field, n, V)
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(3), PrimeField(37), BinaryField(8), BinaryField(32)], ids=repr
+)
+def test_restricted_walk_cases_match_the_references(field):
+    """Seeded V-only schemes drawn until each case the restricted walk can
+    get wrong has been met five times (``walk_cases``): a desired stream
+    that becomes the pivot of a row eliminated again, and a kept pivot
+    whose cut row is not the unit row, whether reducing it leaves the unit
+    row or not.  On each, rank-mode ``verify`` gives the reference's report,
+    diagnostics in order, and ``synthesize_decoders`` its combiners or its
+    refusal.  ``simulate_exhaustive`` gives the naive reference's result
+    where the tuples are few enough to list, and elsewhere passes exactly
+    when the scheme decodes, with an earlier partner for a failing tuple;
+    ``simulate_sampled`` is checked as ``check_sampled`` checks it."""
+    rnd = random.Random(f"restricted walk {field!r}")
+    met = Counter()
+    for draw in itertools.count():
+        assert draw < 4000, met
+        inst, scheme = random_walk_case(rnd, field)
+        cases = walk_cases(inst, scheme)
+        if not cases or all(met[case] >= 5 for case in cases):
+            continue
+        met.update(cases)
+        assert verify(inst, scheme, mode="rank") == reference_verify.verify_rank(inst, scheme)
+        combiners = synthesis_outcome(synthesize_decoders, inst, scheme)
+        assert combiners == synthesis_outcome(reference_verify.synthesize_decoders, inst, scheme)
+        kind = "decodable" if isinstance(combiners, dict) else "collision"
+        exhaustive = simulate_exhaustive(inst, scheme)
+        if field.order ** sum(map(scheme.stream_count, scheme.V)) <= 2000:
+            expected = reference.simulate_least(inst, scheme, reference.lexicographic_tuples(scheme))
+            assert outcome(exhaustive) == expected
+        else:
+            assert exhaustive.ok == (kind == "decodable")
+            if not exhaustive.ok:
+                check_earlier_partner(inst, scheme, exhaustive)
+        check_sampled(inst, scheme, kind, 20, draw)
+        if len(met) == 3 and min(met.values()) >= 5:
+            break
 
 
 # ----------------------------------------------------------------------
