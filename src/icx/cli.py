@@ -186,7 +186,7 @@ def _cmd_check_feasibility(args):
 
 
 def _cmd_scheme(args):
-    from . import alignment, model, scheme as schemes
+    from . import model, scheme as schemes
 
     if bool(args.family) == bool(args.instance):
         raise IcxError("pass exactly one of --family or --instance")
@@ -202,6 +202,8 @@ def _cmd_scheme(args):
         inst = _family_call(args, model)  # the instance caps refuse first
         built = _family_call(args, symmetric, builder=True)
     else:
+        from . import alignment
+
         (L,) = _family_options(args)
         inst = model.load_instance(args.instance)
         if args.construction == "spread":

@@ -21,17 +21,18 @@ takes every lane of a row mod p at once, in a few big-integer operations: to
 find a new row's pivot, to scale it and to read it.  Over GF(2^m) rows add
 by xor, and ``_lane_multiplier`` multiplies every lane of a row by one
 element at once, with shifts and xors; its one-lane product is
-``BinaryField.mul``.  The basis
-back-substitutes only the rows a caller asks for, or every row once, and
-then reads the reduced form R of any column subset off the back-substituted
-basis (``restrict``).  A restriction costs only the rows whose pivots the
-subset drops and the rows it reads.  Those rows are cut to the subset and
-eliminated again.  The rows it keeps are 0 at one another's pivots, and the
-rows eliminated again at theirs, so ``read`` cuts a kept row only when it
-is read, after reducing it against the rows eliminated again alone.  That
-is the walk rank-mode ``verify`` and V-only simulation share, which
-compares each desired stream's packed row with the unit row at its pivot,
-and decoder synthesis's left null spaces.
+``BinaryField.mul``.  One method of the basis, ``reduced``, states a
+row of the reduced form: a full reduced form unpacks it for every row, and
+the basis back-substitutes with it only the rows a caller asks for, or
+every row once, and then reads the reduced form R of any column subset
+off the back-substituted basis (``restrict``).  A restriction costs only
+the rows whose pivots the subset drops and the rows it reads.  Those rows
+are cut to the subset and eliminated again.  The rows it keeps are 0 at
+one another's pivots, and the rows eliminated again at theirs, so ``read``
+cuts a kept row only when it is read, after reducing it against the rows
+eliminated again alone.  That is the walk rank-mode ``verify`` and V-only
+simulation share, which compares each desired stream's packed row with the
+unit row at its pivot, and decoder synthesis's left null spaces.
 ``Matrix.left_nullspace`` eliminates the matrix's columns: the transpose's
 null space.  ``_row_products`` packs a matrix's rows once for many products
 and reads any block of columns of a packed product without unpacking the
@@ -279,13 +280,13 @@ class EchelonBasis:
     pivot.  ``add`` rewrites no row, so each is 0 in the pivots of the rows
     before it, an add costs a step per row and ``copy`` copies two lists.
     The pivots are those of the reduced row echelon form.  ``reduced``
-    back-substitutes one row to its row of that form, packed, and
-    ``reduced_row`` to a list; ``echelon_rows`` every row, sorted by pivot,
-    and ``back_substitute`` every row in place.  ``restrict`` makes, from a
-    back-substituted basis, one of the rows it eliminates again for a column
-    subset, and ``read`` reads the subset's reduced form off the two.
-    ``add`` returns the rank growth, 0 or 1; ``grow`` adds many and says
-    which grew it.
+    back-substitutes one row to its row of that form, packed; it is the one
+    statement of such a row, which ``echelon_rows`` unpacks for every row,
+    sorted by pivot, and ``back_substitute`` keeps for every row in place.
+    ``restrict`` makes, from a back-substituted basis, one of the rows it
+    eliminates again for a column subset, and ``read`` reads the subset's
+    reduced form off the two.  ``add`` returns the rank growth, 0 or 1;
+    ``grow`` adds many and says which grew it.
 
     Vectors are sequences of n canonical elements.  A row is one int, column
     j the lane of W bits from bit W j, so a step is a few big-integer
@@ -402,32 +403,24 @@ class EchelonBasis:
         other.pivots, other.rows, other._source = self.pivots[:], self.rows[:], self._source
         return other
 
-    def _later(self, i: int):
-        """(pivot, row) of each row inserted after row i, which it is reduced against."""
-        return zip(self.pivots[i + 1 :], self.rows[i + 1 :])
-
     def reduced(self, i: int):
         """The row of the reduced row echelon form with pivot ``pivots[i]``,
         canonical and packed as the basis packs its rows: row i reduced
         against the rows inserted after it, in insertion order, is cleared
         in their pivots, as each is 0 in the pivots of the rows before it."""
-        return self._reduce(self.rows[i], self._later(i))
-
-    def reduced_row(self, i: int) -> list:
-        """``reduced`` as a list."""
-        return self.unpack(self.reduced(i))
+        return self._reduce(self.rows[i], zip(self.pivots[i + 1 :], self.rows[i + 1 :]))
 
     def echelon_rows(self) -> tuple:
         """(rows of the reduced row echelon form as lists, sorted by pivot;
         their pivots)."""
         order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        return [self.reduced_row(i) for i in order], [self.pivots[i] for i in order]
+        return [self.unpack(self.reduced(i)) for i in order], [self.pivots[i] for i in order]
 
     def back_substitute(self) -> "EchelonBasis":
         """Make every row, in place, its canonical row of the reduced row
-        echelon form, 0 at every other row's pivot."""
-        for i, row in enumerate(self.rows):
-            self.rows[i] = self._reduce(row, self._later(i))
+        echelon form, 0 at every other row's pivot.  Each is reduced against
+        the later rows as they stand, before any of them is replaced."""
+        self.rows[:] = [self.reduced(i) for i in range(len(self.rows))]
         return self
 
     def restrict(self, cols: int, row_of: dict, held: Iterable[int]) -> "EchelonBasis":

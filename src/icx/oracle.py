@@ -81,7 +81,7 @@ def minrank_gf2(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleRe
     gf2 = PrimeField(2)
     empty = EchelonBasis(gf2, K)
     # a 0/1 row packs to the sum of its unit rows packed, as no two share a column
-    unit = [empty.pack([0] * c + [1] + [0] * (K - 1 - c)) for c in range(K)]
+    unit = [empty.unit(c) for c in range(K)]
 
     def rows(i):
         """Row i's candidates, packed: its free-entry patterns in increasing order."""

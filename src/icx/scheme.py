@@ -606,20 +606,16 @@ def scheme_from_json(obj: dict) -> LinearScheme:
 
     if not isinstance(V_obj, dict) or not isinstance(U_obj, (dict, type(None))):
         raise ParseError("'V' and 'U' must be objects")
-    V = {}
-    for key, rows in V_obj.items():
-        ids = _key_ids(key, 1)
-        if ids is None:
-            raise ParseError(f"V key {key!r} is not a message id")
-        V[ids[0]] = read_matrix(rows, f"V[{key}]")
-    U = None
-    if U_obj is not None:
-        U = {}
-        for key, rows in U_obj.items():
-            ids = _key_ids(key, 2)
+    V, U = {}, None if U_obj is None else {}
+    for name, block, out, count, form in (
+        ("V", V_obj, V, 1, "a message id"),
+        ("U", U_obj or {}, U, 2, "of the form 'm@k'"),
+    ):
+        for key, rows in block.items():
+            ids = _key_ids(key, count)
             if ids is None:
-                raise ParseError(f"U key {key!r} is not of the form 'm@k'")
-            U[ids] = read_matrix(rows, f"U[{key}]")
+                raise ParseError(f"{name} key {key!r} is not {form}")
+            out[ids[0] if count == 1 else ids] = read_matrix(rows, f"{name}[{key}]")
     try:
         return LinearScheme(field, n, V, U)
     except SchemeMalformed as exc:

@@ -3,6 +3,7 @@
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -326,6 +327,33 @@ def test_interference_and_x_network_certificates_are_acyclic_sets():
     assert accepted == {("neighboring-interference", False): 149, ("x-network", False): 84, ("x-network", True): 15}
     cycle = builtin_example(1).instance
     assert not peels(cycle, {1, 2, 3}) and not peels(cycle, {2, 3}) and peels(cycle, {1, 2}) and peels(cycle, {1, 3})
+
+
+def test_antidotes_capacity_is_at_most_one_over_the_mais():
+    """The antidotes ``family-formula`` value never exceeds 1/MAIS, the
+    symmetric rate the largest acyclic set allows (``peels``), found here
+    by brute force.  Acyclic sets are closed under subsets, as a subset
+    peels in the order its superset does, so the MAIS is the size below
+    the first at which no subset peels.  Checked on every accepted
+    antidotes tag with K <= 10 (125 tags, K = 1 included).  The two agree
+    on 102 of them; on the rest the formula is the tighter bound, resting
+    on the paper's theorem (K=8 U=2 D=2: 3/8 against 1/MAIS = 1/2)."""
+    tags = [(K, U, D) for K in range(1, 11) for D in range(K) for U in range(D + 1)]
+    accepted = Counter()
+    for K, U, D in tags:
+        try:
+            inst = gen_neighboring_antidotes(K, U, D)
+        except BadParams:
+            continue
+        value, _ = symmetric_capacity(inst)
+        size = 1
+        while size < K and any(peels(inst, s) for s in combinations(range(1, K + 1), size + 1)):
+            size += 1
+        assert value <= Fraction(1, size), (K, U, D)
+        accepted[value == Fraction(1, size)] += 1
+        if (K, U, D) == (8, 2, 2):
+            assert (value, size) == (Fraction(3, 8), 2)
+    assert accepted == {True: 102, False: 23}
 
 
 def test_capacity_example3_tagged_value():

@@ -394,7 +394,7 @@ VERB_MODULE_CASES = {
     "transform": (["transform", "{i}", "--L", "1"], {"alignment", "bounds", "oracle", "symmetric"}),
     "oracle": (["oracle", "{i}", "--minrank"], {"alignment", "bounds", "symmetric", "unicast"}),
     "scheme-family": (
-        ["scheme", "--family", "interference", "--K", "6", "--U", "0", "--D", "1"], {"bounds", "oracle", "unicast"},
+        ["scheme", "--family", "interference", "--K", "6", "--U", "0", "--D", "1"], {"alignment", "bounds", "oracle", "unicast"},
     ),
     "scheme-spread": (
         ["scheme", "--instance", "{i}", "--construction", "spread"], {"bounds", "oracle", "symmetric", "unicast"},

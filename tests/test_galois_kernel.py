@@ -559,8 +559,7 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
     that one form once (``restrict``), which adds again exactly the rows
     whose pivots are streams the destination holds, and reads the row of
     each desired stream once, in stream order (``read``).  Nothing runs
-    ``_rref``, ``echelon_rows``, ``reduced_row`` or ``unpack``: no row is
-    unpacked."""
+    ``_rref``, ``echelon_rows`` or ``unpack``: no row is unpacked."""
     calls, forms = [], []
     restrict, back_substitute = EchelonBasis.restrict, EchelonBasis.back_substitute
 
@@ -584,7 +583,7 @@ def test_rank_only_callers_never_back_substitute(monkeypatch):
         return restrict(self, cols, row_of, held)
 
     spying(galois, "_rref")
-    for name in ("echelon_rows", "reduced_row", "read", "unpack"):
+    for name in ("echelon_rows", "read", "unpack"):
         spying(EchelonBasis, name)
     monkeypatch.setattr(EchelonBasis, "back_substitute", spy_back_substitute)
     monkeypatch.setattr(EchelonBasis, "restrict", spy_restrict)
