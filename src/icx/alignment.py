@@ -111,23 +111,21 @@ def check_feasibility(inst: Instance, L: int) -> FeasibilityVerdict:
 def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
     """Scalar scheme at rate 1/(L+1): one beam per alignment subset.
 
-    Block length L+1 over the smallest prime field with at least Z elements;
-    subset t rides on column t of an MDS family, so the at most L+1 distinct
-    beams seen after antidote cancellation at any destination are independent.
-    Verifies against normalize(inst, L).
+    Every message of subset t rides on column t of ``mds_vector_family(Z, L+1)``,
+    so the block length is L+1 and the field the family's: the smallest prime
+    field with at least Z elements.  Any L+1 of its columns are independent, so
+    the at most L+1 distinct beams seen after antidote cancellation at any
+    destination are.  Verifies against normalize(inst, L).
     """
-    from .galois import PrimeField, mds_vector_family, smallest_prime_at_least
-    from .scheme import LinearScheme, check_scheme_size
+    from .galois import mds_vector_family
+    from .scheme import check_scheme_size, column_scheme
 
     verdict = check_feasibility(inst, L)
     if not verdict.feasible:
         raise Infeasible(verdict.witness)
     check_scheme_size(L + 1, inst.num_messages)
-    Z = len(verdict.subsets)
-    field = PrimeField(smallest_prime_at_least(Z))
-    beams = mds_vector_family(Z, L + 1, field)
-    V = {m: beams.take_cols([t]) for t, sub in enumerate(verdict.subsets) for m in sub}
-    return LinearScheme(field, L + 1, V)
+    beams = mds_vector_family(len(verdict.subsets), L + 1)
+    return column_scheme(beams, {m: [t] for t, sub in enumerate(verdict.subsets) for m in sub})
 
 
 def build_rate_half_vector_scheme(inst: Instance) -> LinearScheme:

@@ -67,14 +67,6 @@ class DimensionMismatch(IcxError):
     """Matrix or subspace dimensions are incompatible."""
 
 
-class FieldTooSmall(IcxError):
-    """The field does not have enough elements for the construction."""
-
-
-class OddDimension(IcxError):
-    """Spread construction requires an even ambient dimension."""
-
-
 class BadParams(IcxError):
     """Family generator parameters violate the constructor preconditions."""
 

@@ -51,8 +51,6 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
-    FieldTooSmall,
-    OddDimension,
     Record,
     is_int,
     read_record,
@@ -854,27 +852,18 @@ class Subspace(Record):
 # ----------------------------------------------------------------------
 
 
-def mds_vector_family(count: int, dim: int, field: Field) -> Matrix:
-    """dim x count matrix whose every min(dim, count) columns are independent.
+def mds_vector_family(count: int, dim: int) -> Matrix:
+    """dim x count matrix over GF(p), p the smallest prime at least count,
+    whose every min(dim, count) columns are independent.
 
-    Column t is the moment vector (1, t, t^2, ..., t^(dim-1)) of the t-th
-    field element, t = 0..count-1; any square submatrix built from distinct
-    evaluation points is Vandermonde, hence invertible.
+    Column t is the moment vector (1, t, t^2, ..., t^(dim-1)), t = 0..count-1:
+    the count points are distinct in GF(p), so any square submatrix is
+    Vandermonde, hence invertible.
     """
     if dim < 1:
         raise DimensionMismatch("dim must be >= 1")
-    if field.order < count:
-        raise FieldTooSmall(
-            f"{field} has {field.order} elements, need at least {count} evaluation points"
-        )
-    cols = []
-    for t in range(count):
-        x = field.canonical(t)
-        v = [1]
-        for _ in range(dim - 1):
-            v.append(field.mul(v[-1], x))
-        cols.append(v)
-    return Matrix.from_cols(field, cols) if cols else Matrix.zeros(field, dim, 0)
+    field = PrimeField(smallest_prime_at_least(count))
+    return Matrix._trusted(field, dim, count, tuple(pow(t, i, field.p) for i in range(dim) for t in range(count)))
 
 
 def spread_family(n: int) -> list[Subspace]:
@@ -885,10 +874,8 @@ def spread_family(n: int) -> list[Subspace]:
     {(x, c*x)} per element c.  Their bases, [I; M_c] and [0; I], are
     already in reduced column echelon form.
     """
-    if n % 2 != 0:
-        raise OddDimension(f"n={n} is odd")
-    if not 2 <= n <= 32:
-        raise DimensionMismatch("n out of supported range [2, 32]")
+    if n % 2 or not 2 <= n <= 32:
+        raise DimensionMismatch(f"n={n} is not an even length in [2, 32]")
     m = n // 2
     big = BinaryField(m)
     gf2 = PrimeField(2)

@@ -46,7 +46,7 @@ from types import MappingProxyType
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     BadParams,
@@ -552,6 +552,14 @@ def check_scheme_size(n: int, streams: int):
     entries = n * streams
     if entries > MAX_MATRIX_ENTRIES:
         raise BadParams(f"the scheme would have {entries} matrix entries, more than the limit of {MAX_MATRIX_ENTRIES}")
+
+
+def column_scheme(beams: Matrix, columns: Mapping[int, Sequence[int]]) -> LinearScheme:
+    """The scheme in which message m rides on the columns ``columns[m]``
+    (0-based) of one beam matrix: its block length is ``beams.rows`` and its
+    field ``beams.field``.  Builders call check_scheme_size before they build
+    the beams."""
+    return LinearScheme(beams.field, beams.rows, {m: beams.take_cols(cols) for m, cols in columns.items()})
 
 
 def scheme_to_json(scheme: LinearScheme) -> dict:

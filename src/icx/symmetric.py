@@ -1,14 +1,19 @@
 """Capacity-achieving schemes for the symmetric families, and built-in examples.
 
-Neighboring antidotes: message i rides on beamforming vectors z_i..z_{i+U}
-taken from a family where any n are independent, so adjacent messages overlap
+Every builder here gives each message some columns of one beam matrix, through
+``scheme.column_scheme``: the beams fix the field and the block length.
+
+Neighboring antidotes: message i rides on columns z_i..z_{i+U} of
+``mds_vector_family(K, n)``, over GF(p) for p the smallest prime at least K,
+where any n columns are independent, so adjacent messages overlap
 in U dimensions and the K-A-1 interferers at each destination collapse into
 U + (K-A-1) dimensions (at A = K-2, one interferer: built with U = 0).
 
 Neighboring interference and the X family use GF(2) identity columns assigned
 periodically, as antidotes does at A = K-1 with n = 1; ``_unit_column_scheme``
 builds all three.  The divisibility preconditions of the generators are exactly
-what keeps the periodic assignment consistent around the circle.
+what keeps the periodic assignment consistent around the circle.  Worked
+examples 1 and 2 take identity columns too, over any field.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParams, Record
-from .galois import (
-    Field,
-    Matrix,
-    PrimeField,
-    mds_vector_family,
-    smallest_prime_at_least,
-)
+from .galois import Field, Matrix, PrimeField, mds_vector_family
 from .model import (
     Destination,
     Instance,
@@ -31,16 +30,14 @@ from .model import (
     _check_x_network,
     _family_instance,
 )
-from .scheme import LinearScheme, check_scheme_size
+from .scheme import LinearScheme, check_scheme_size, column_scheme
 
 
 def _unit_column_scheme(n: int, columns: list) -> LinearScheme:
     """The GF(2) scheme of block length n in which message m rides on
     identity column ``columns[m - 1]`` (0-based)."""
     check_scheme_size(n, len(columns))
-    gf2 = PrimeField(2)
-    eye = Matrix.identity(gf2, n)
-    return LinearScheme(gf2, n, {m: eye.take_cols([c]) for m, c in enumerate(columns, start=1)})
+    return column_scheme(Matrix.identity(PrimeField(2), n), {m: [c] for m, c in enumerate(columns, start=1)})
 
 
 def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
@@ -58,13 +55,7 @@ def build_antidote_scheme(K: int, U: int, D: int) -> LinearScheme:
         U = 0  # a single interferer: nothing to align
     n = K - A + 2 * U
     check_scheme_size(n, K * (U + 1))
-    field = PrimeField(smallest_prime_at_least(K))
-    z = mds_vector_family(K, n, field)
-    V = {}
-    for i in range(1, K + 1):
-        cols = [(i - 1 + t) % K for t in range(U + 1)]
-        V[i] = z.take_cols(cols)
-    return LinearScheme(field, n, V)
+    return column_scheme(mds_vector_family(K, n), {i: [(i - 1 + t) % K for t in range(U + 1)] for i in range(1, K + 1)})
 
 
 def build_interference_scheme(K: int, U: int, D: int) -> LinearScheme:
@@ -126,8 +117,7 @@ def _example1(field: Field) -> BuiltinExample:
             Destination(3, frozenset({3}), frozenset({2})),
         ),
     )
-    eye = Matrix.identity(field, 2)
-    V = {1: eye.take_cols([1]), 2: eye.take_cols([0]), 3: eye.take_cols([0])}
+    V = column_scheme(Matrix.identity(field, 2), {1: [1], 2: [0], 3: [0]}).V
     U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(1, inst, LinearScheme(field, 2, V, U), Fraction(1, 2))
 
@@ -142,8 +132,7 @@ def _example2(field: Field) -> BuiltinExample:
         has = frozenset({(k + 1) % 5 + 1, (k + 2) % 5 + 1})
         dests.append(Destination(k, frozenset({k}), has))
     inst = Instance(5, tuple(dests))
-    eye = Matrix.identity(field, 5)
-    V = {k: eye.take_cols([2 * k % 5, (2 * k + 1) % 5]) for k in range(1, 6)}  # 0-based columns
+    V = column_scheme(Matrix.identity(field, 5), {k: [2 * k % 5, (2 * k + 1) % 5] for k in range(1, 6)}).V
     U = {(k, k): v.transpose() for k, v in V.items()}  # U_{k,k} = V_k^T reads the coordinates V_k occupies
     return BuiltinExample(2, inst, LinearScheme(field, 5, V, U), Fraction(2, 5))
 

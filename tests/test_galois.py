@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icx import galois
-from icx.errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    FieldTooSmall,
-    OddDimension,
-)
+from icx.errors import DimensionMismatch, DivisionByZero, FieldMismatch
 from icx.galois import (
     BinaryField,
     Matrix,
@@ -452,39 +446,34 @@ def test_three_matrix_bound_needs_joint_hypothesis():
 
 
 def test_mds_small_example():
-    m = mds_vector_family(3, 2, PrimeField(3))
+    m = mds_vector_family(3, 2)
+    assert m.field == PrimeField(3)
     assert m.col_list() == [[1, 0], [1, 1], [1, 2]]
     for a, b in itertools.combinations(range(3), 2):
         assert m.take_cols([a, b]).rank() == 2
 
 
 def test_mds_every_7_of_8_over_gf11():
-    m = mds_vector_family(8, 7, PrimeField(11))
+    m = mds_vector_family(8, 7)
+    assert m.field == PrimeField(11)
     for sub in itertools.combinations(range(8), 7):
         assert m.take_cols(list(sub)).rank() == 7
 
 
-def test_mds_field_too_small():
-    with pytest.raises(FieldTooSmall):
-        mds_vector_family(4, 2, PrimeField(3))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([PrimeField(7), PrimeField(11), BinaryField(3)]),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=2**30),
-)
-def test_mds_random_subsets_full_rank(field, count, dim, seed):
-    rnd = random.Random(seed)
-    if field.order < count:
-        return
-    m = mds_vector_family(count, dim, field)
-    k = min(dim, count)
-    for _ in range(5):
-        sub = sorted(rnd.sample(range(count), k))
-        assert m.take_cols(sub).rank() == k
+def test_mds_random_subsets_full_rank():
+    """For every count 1-12 and dim 1-6 the family is a dim x count matrix over
+    the smallest prime field with at least count elements, and random sets of
+    min(dim, count) of its columns are independent."""
+    rnd = random.Random(49)
+    for count in range(1, 13):
+        for dim in range(1, 7):
+            m = mds_vector_family(count, dim)
+            assert m.field == PrimeField(smallest_prime_at_least(count))
+            assert (m.rows, m.cols) == (dim, count)
+            k = min(dim, count)
+            for _ in range(5):
+                sub = sorted(rnd.sample(range(count), k))
+                assert m.take_cols(sub).rank() == k
 
 
 def test_spread_family_n2():
@@ -514,5 +503,6 @@ def test_spread_family_n4_intersections_brute_force():
 
 
 def test_spread_family_rejects_odd():
-    with pytest.raises(OddDimension):
-        spread_family(3)
+    for n in (3, 0, 34):
+        with pytest.raises(DimensionMismatch, match=f"^n={n} is not an even length in \\[2, 32\\]$"):
+            spread_family(n)

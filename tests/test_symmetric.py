@@ -1,16 +1,19 @@
 """Family scheme constructors and the three built-in worked examples."""
 
+import hashlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import icx.galois
 import icx.model
 import icx.symmetric
-from icx.errors import BadParams
+from icx.errors import BadParams, IcxError
 from icx.galois import BinaryField, Matrix, PrimeField
 from icx.model import (
     Destination,
@@ -350,14 +353,32 @@ def matrix_entries(sch: LinearScheme) -> int:
 @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
 def test_builders_refuse_one_entry_past_the_cap(monkeypatch, build):
     """Each builder counts its scheme's entries: built at a limit of exactly
-    that count, refused with BadParams one short of it."""
+    that count, refused with BadParams one short of it, and refused before it
+    builds its beams (an MDS family, an identity matrix or a spread)."""
     sch = build()
     entries = matrix_entries(sch)
+    calls = []
+
+    def spy(name, real):
+        def beams(*args):
+            calls.append(name)
+            return real(*args)
+        return beams
+
+    # each where the builders look it up: symmetric binds mds_vector_family at
+    # import, the alignment builders import from galois when called
+    for module in (icx.symmetric, icx.galois):
+        monkeypatch.setattr(module, "mds_vector_family", spy("mds_vector_family", icx.galois.mds_vector_family))
+    monkeypatch.setattr(icx.galois, "spread_family", spy("spread_family", icx.galois.spread_family))
+    monkeypatch.setattr(Matrix, "identity", staticmethod(spy("Matrix.identity", Matrix.identity)))
     monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries)
     assert build() == sch
+    assert calls  # the spies see the beams of an accepted scheme
+    calls.clear()
     monkeypatch.setattr("icx.scheme.MAX_MATRIX_ENTRIES", entries - 1)
     with pytest.raises(BadParams, match=f"^the scheme would have {entries} matrix entries, more than the limit of {entries - 1}$"):
         build()
+    assert calls == []
 
 
 # (builder, its generator's name, good parameters, bad parameters each): each
@@ -397,3 +418,52 @@ def test_family_builders_validate_without_generating(monkeypatch, build, generat
         with pytest.raises(BadParams) as refused:
             build(*bad)
         assert str(refused.value) == expected[bad]
+
+
+# ----------------------------------------------------------------------
+# builder output, pinned byte for byte
+# ----------------------------------------------------------------------
+
+BUILDER_OUTPUT_SHA256 = "4ad260e5d1a69574016c55f57a4d82df3028b7cd7478da88422de85c52dc4341"
+
+
+def builder_outputs():
+    """The scheme text of every scheme the three family builders accept for
+    K <= 24 (U <= D < K, L <= 7), then, on 200 seeded random instances, the
+    scalar and the rate-1/2 vector builders' scheme text or refusal."""
+    for K in range(1, 25):
+        for U in range(K):
+            for D in range(U, K):
+                for build in (build_antidote_scheme, build_interference_scheme):
+                    try:
+                        yield serialize_scheme(build(K, U, D))
+                    except BadParams:
+                        pass
+        for L in range(1, 8):
+            try:
+                yield serialize_scheme(build_x_scheme(K, L))
+            except BadParams:
+                pass
+    rnd = random.Random(49)
+    for _ in range(200):
+        M, L, p = rnd.randint(2, 10), rnd.randint(1, 3), rnd.choice([0.3, 0.6, 0.9])
+        dests = []
+        for k in range(1, rnd.randint(1, 10) + 1):
+            wants = set(rnd.sample(range(1, M + 1), min(M, rnd.choice([L, L, L + 1]))))
+            has = {m for m in range(1, M + 1) if m not in wants and rnd.random() < p}
+            dests.append(Destination(k, frozenset(wants), frozenset(has)))
+        inst = Instance(M, tuple(dests))
+        for build, args in ((build_scalar_scheme, (inst, L)), (build_rate_half_vector_scheme, (inst,))):
+            try:
+                yield serialize_scheme(build(*args))
+            except IcxError as exc:
+                yield f"{type(exc).__name__}: {exc}\n"
+
+
+def test_builder_output_is_pinned():
+    """One SHA-256 over the builders' output: 1,627 family schemes, and 400
+    scalar and rate-1/2 results of which 120 are schemes, over GF(2) to GF(11)."""
+    digest = hashlib.sha256()
+    for text in builder_outputs():
+        digest.update(text.encode())
+    assert digest.hexdigest() == BUILDER_OUTPUT_SHA256
