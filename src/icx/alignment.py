@@ -131,13 +131,13 @@ def build_scalar_scheme(inst: Instance, L: int) -> LinearScheme:
 def build_rate_half_vector_scheme(inst: Instance) -> LinearScheme:
     """Rate-1/2 vector scheme over GF(2), decided at L = 1 (single demands).
 
-    Each alignment subset gets one member of a pairwise-trivially-intersecting
-    family of (n/2)-dim subspaces of GF(2)^n, with n the smallest even block
-    length whose family has at least Z members.  Verifies against
-    normalize(inst, 1).
+    Every message of subset t rides on member t of ``spread_family(n)``, its
+    columns t*n/2 .. (t+1)*n/2 - 1: pairwise-trivially-intersecting
+    (n/2)-dim subspaces of GF(2)^n, with n the smallest even block length
+    whose family has at least Z members.  Verifies against normalize(inst, 1).
     """
-    from .galois import PrimeField, spread_family
-    from .scheme import LinearScheme, check_scheme_size
+    from .galois import spread_family
+    from .scheme import check_scheme_size, column_scheme
 
     verdict = check_feasibility(inst, 1)
     if not verdict.feasible:
@@ -145,7 +145,7 @@ def build_rate_half_vector_scheme(inst: Instance) -> LinearScheme:
     n = 2
     while 2 ** (n // 2) + 1 < len(verdict.subsets):
         n += 2
-    check_scheme_size(n, n // 2 * inst.num_messages)
-    subspaces = spread_family(n)
-    V = {m: subspaces[t].basis for t, sub in enumerate(verdict.subsets) for m in sub}
-    return LinearScheme(PrimeField(2), n, V)
+    half = n // 2
+    check_scheme_size(n, half * inst.num_messages)
+    columns = {m: range(t * half, (t + 1) * half) for t, sub in enumerate(verdict.subsets) for m in sub}
+    return column_scheme(spread_family(n), columns)

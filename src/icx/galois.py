@@ -866,23 +866,21 @@ def mds_vector_family(count: int, dim: int) -> Matrix:
     return Matrix._trusted(field, dim, count, tuple(pow(t, i, field.p) for i in range(dim) for t in range(count)))
 
 
-def spread_family(n: int) -> list[Subspace]:
-    """All 2^(n/2)+1 pairwise-trivially-intersecting (n/2)-dim subspaces of GF(2)^n.
-
-    Views GF(2)^n as GF(2^(n/2))^2 and takes the one-dimensional subspaces
-    over the large field: the vertical axis {(0, y)} plus one subspace
-    {(x, c*x)} per element c.  Their bases, [I; M_c] and [0; I], are
-    already in reduced column echelon form.
-    """
+def spread_family(n: int) -> Matrix:
+    """All 2^(n/2)+1 pairwise-trivially-intersecting (n/2)-dim subspaces of
+    GF(2)^n as one n-row GF(2) matrix: member t is columns t*n/2 through
+    (t+1)*n/2 - 1.  Views GF(2)^n as GF(2^(n/2))^2 and takes the
+    one-dimensional subspaces over the large field, {(x, c*x)} for c = 0, 1,
+    ... as [I; M_c], then the vertical axis {(0, y)} as [0; I]: each member's
+    columns are already in reduced column echelon form."""
     if n % 2 or not 2 <= n <= 32:
         raise DimensionMismatch(f"n={n} is not an even length in [2, 32]")
     m = n // 2
     big = BinaryField(m)
-    gf2 = PrimeField(2)
 
     def bits(x: int) -> list[int]:
         return [(x >> i) & 1 for i in range(m)]
 
-    bases = [[bits(1 << i) + bits(big.mul(c, 1 << i)) for i in range(m)] for c in range(big.order)]
-    bases.append([[0] * m + bits(1 << i) for i in range(m)])
-    return [Subspace._trusted(Matrix.from_cols(gf2, cols)) for cols in bases]
+    cols = [bits(1 << i) + bits(big.mul(c, 1 << i)) for c in range(big.order) for i in range(m)]
+    cols += [[0] * m + bits(1 << i) for i in range(m)]
+    return Matrix.from_cols(PrimeField(2), cols)

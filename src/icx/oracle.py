@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import BadParams, BudgetExceeded, Record
 from .galois import EchelonBasis, Field, Matrix, PrimeField
 from .model import Instance
-from .scheme import LinearScheme, scheme_to_json, synthesize_decoders
+from .scheme import LinearScheme, column_scheme, scheme_to_json, synthesize_decoders
 
 DEFAULT_ORACLE_BUDGET = 2**20
 
@@ -128,8 +128,7 @@ def _scheme_from_fitting(inst, fitting, rank):
     column m of the reduced rows, and ``synthesize_decoders`` finds the
     combiners (row m of the fitting matrix, over the reduced rows, is one)."""
     rows = fitting.rref().take_rows(range(rank))
-    V = {m: rows.take_cols([m - 1]) for m in range(1, inst.num_messages + 1)}
-    return synthesize_decoders(inst, LinearScheme(fitting.field, rank, V))
+    return synthesize_decoders(inst, column_scheme(rows, {m: [m - 1] for m in range(1, inst.num_messages + 1)}))
 
 
 def best_scalar_scheme(
@@ -171,8 +170,8 @@ def best_scalar_scheme(
         checked_total += ((q**n - 1) // (q - 1)) ** (M - 1)
         beams, nodes = _first_valid_beams(inst, roles, field, n, nodes, budget)
         if beams is not None:
-            V = {m: Matrix.from_cols(field, [list(beams[m - 1])]) for m in range(1, M + 1)}
-            return OracleResult(query, n, checked_total, witness_scheme=LinearScheme(field, n, V))
+            witness = column_scheme(Matrix.from_cols(field, beams), {m: [m - 1] for m in range(1, M + 1)})
+            return OracleResult(query, n, checked_total, witness_scheme=witness)
     return OracleResult(query, None, checked_total)
 
 

@@ -557,8 +557,9 @@ def check_scheme_size(n: int, streams: int):
 def column_scheme(beams: Matrix, columns: Mapping[int, Sequence[int]]) -> LinearScheme:
     """The scheme in which message m rides on the columns ``columns[m]``
     (0-based) of one beam matrix: its block length is ``beams.rows`` and its
-    field ``beams.field``.  Builders call check_scheme_size before they build
-    the beams."""
+    field ``beams.field``.  The family and alignment builders (each after
+    check_scheme_size, before it builds the beams), the three examples' V and
+    both oracles' witnesses (message m on column m - 1) are made here."""
     return LinearScheme(beams.field, beams.rows, {m: beams.take_cols(cols) for m, cols in columns.items()})
 
 

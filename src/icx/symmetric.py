@@ -147,24 +147,24 @@ def _example3(field: Field) -> BuiltinExample:
     def t(i):
         return tuple(1 if r == i - 1 else 0 for r in range(6))
 
-    V_cols = {
-        1: t(6),
-        2: t(4),
-        3: t(1),
-        4: t(5),
-        5: t(2),
-        6: t(6),
-        7: t(3),
-        8: (0, 0, 0, 1, 1, 1),
-        9: t(5),
-        10: (1, 1, 1, -1, -1, 0),
-        11: (0, 1, 1, 0, -1, 0),
-        12: t(3),
-        13: t(1),
-        14: (1, 1, 0, 0, 0, 1),
-        15: (1, 1, 1, -1, -1, 0),
-    }
-    V = {m: Matrix.from_cols(field, [V_cols[m]]) for m in V_cols}
+    cols = [  # column m - 1 is message m's beam
+        t(6),
+        t(4),
+        t(1),
+        t(5),
+        t(2),
+        t(6),
+        t(3),
+        (0, 0, 0, 1, 1, 1),  # V_8
+        t(5),
+        (1, 1, 1, -1, -1, 0),  # V_10
+        (0, 1, 1, 0, -1, 0),  # V_11
+        t(3),
+        t(1),
+        (1, 1, 0, 0, 0, 1),  # V_14
+        (1, 1, 1, -1, -1, 0),
+    ]
+    V = column_scheme(Matrix.from_cols(field, cols), {m: [m - 1] for m in range(1, 16)}).V
     U_rows = {
         (3, 1): [1, 0, 0, 0, 0, 0],
         (5, 1): [0, 1, 0, 0, 0, 0],

@@ -244,12 +244,11 @@ def test_criterion_6_rate_half_both_modes():
         ok &= rep.valid and set(rep.rates.values()) == {Fraction(1, 2)}
     ok &= feasible >= 40
     for n in (2, 4, 6, 8):
-        subs = spread_family(n)
-        ok &= len(subs) == 2 ** (n // 2) + 1
-        ok &= all(s.dim == n // 2 for s in subs)
-        ok &= all(
-            a.basis.hstack(b.basis).rank() == n for a, b in itertools.combinations(subs, 2)
-        )
+        spread, half = spread_family(n), n // 2  # member t is columns t*n/2 .. (t+1)*n/2 - 1
+        ok &= (spread.rows, spread.cols) == (n, (2**half + 1) * half)
+        subs = [spread.take_cols(range(t * half, (t + 1) * half)) for t in range(2**half + 1)]
+        ok &= all(s.rank() == half for s in subs)
+        ok &= all(a.hstack(b).rank() == n for a, b in itertools.combinations(subs, 2))
     report(6, ok, f"{feasible} feasible single-demand instances pass both rate-half modes")
 
 

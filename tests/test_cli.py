@@ -12,6 +12,7 @@ import pytest
 import icx
 from icx import model
 from icx.cli import run
+from icx.errors import CannotNormalize
 from icx.model import (
     FamilyTag,
     gen_neighboring_antidotes,
@@ -428,6 +429,19 @@ def test_transform_verb(tmp_path, capsys, groupcast_m2k3):
     assert obj["transformed"]["messages"] == 6
     assert len(obj["transformed"]["destinations"]) == 6
     assert obj["map"]["id_map"]["1,0"] == 1
+
+
+def test_transform_refuses_a_message_wanted_past_L(tmp_path, capsys):
+    """Destinations 1 and 2 want message 1 and destination 3 wants message 2,
+    none holding anything: at L = 1 message 1 has one destination too many,
+    in the library and as exit 2 on the command line; at L = 2 it fits."""
+    inst = make_instance(2, [({1}, ()), ({1}, ()), ({2}, ())])
+    message = "message 1 is desired by 2 > L=1 destinations"
+    with pytest.raises(CannotNormalize, match=f"^{message}$"):
+        model.normalize_groupcast(inst, 1)
+    path = write_instance(tmp_path, inst)
+    assert_one_line_error(*invoke(capsys, "transform", path, "--L", "1"), 2, message)
+    assert invoke(capsys, "transform", path, "--L", "2")[0] == 0
 
 
 def test_bounds_verb(tmp_path, capsys, infeasible_m4k3):

@@ -310,6 +310,30 @@ def test_mixed_field_matmul_rejected():
         a @ b
 
 
+# each shape check with the message of its DimensionMismatch, or None for
+# the one shape that is no refusal: an empty stack is the 0x0 matrix
+SHAPE_CHECKS = {
+    "from_cols-ragged": (lambda f: Matrix.from_cols(f, [[1, 0], [1]]), "ragged columns"),
+    "matmul": (lambda f: Matrix.zeros(f, 2, 3) @ Matrix.zeros(f, 2, 3), "cannot multiply 2x3 by 2x3"),
+    "add": (lambda f: Matrix.zeros(f, 2, 3).add(Matrix.zeros(f, 3, 2)), "shape mismatch in add"),
+    "hstack": (lambda f: Matrix.zeros(f, 2, 1).hstack(Matrix.zeros(f, 3, 1)), "row count mismatch in hstack"),
+    "inverse": (lambda f: Matrix.zeros(f, 2, 3).inverse(), "inverse of a non-square matrix"),
+    "contains": (lambda f: Subspace.from_matrix(Matrix.identity(f, 2)).contains([1, 0, 0]), "vector length mismatch"),
+    "mds-dim-0": (lambda f: mds_vector_family(3, 0), "dim must be >= 1"),
+    "hstack_all-empty": (lambda f: Matrix.hstack_all(f, []), None),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_CHECKS.values(), ids=SHAPE_CHECKS)
+def test_shape_checks(call, message):
+    field = PrimeField(3)
+    if message is None:
+        assert call(field) == Matrix.zeros(field, 0, 0)
+    else:
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            call(field)
+
+
 # ----------------------------------------------------------------------
 # subspaces
 # ----------------------------------------------------------------------
@@ -476,28 +500,41 @@ def test_mds_random_subsets_full_rank():
                 assert m.take_cols(sub).rank() == k
 
 
+def _spread_members(n: int) -> list:
+    """spread_family(n) as its members: member t is its columns t*n/2 through (t+1)*n/2 - 1."""
+    spread, half = spread_family(n), n // 2
+    assert isinstance(spread, Matrix) and spread.field == PrimeField(2)
+    assert spread.rows == n and spread.cols % half == 0
+    return [spread.take_cols(range(t * half, (t + 1) * half)) for t in range(spread.cols // half)]
+
+
 def test_spread_family_n2():
-    subs = spread_family(2)
-    assert len(subs) == 3
-    basis_cols = sorted(tuple(s.basis.col(0)) for s in subs)
-    assert basis_cols == [(0, 1), (1, 0), (1, 1)]
+    members = _spread_members(2)
+    assert len(members) == 3
+    basis_cols = [tuple(b.col(0)) for b in members]
+    assert sorted(basis_cols) == [(0, 1), (1, 0), (1, 1)]
+    assert basis_cols == [(1, 0), (1, 1), (0, 1)]  # c = 0, c = 1, then the vertical axis
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 def test_spread_family_counts_and_pairwise_trivial(n):
-    subs = spread_family(n)
-    assert len(subs) == 2 ** (n // 2) + 1
-    for s in subs:
-        assert s.dim == n // 2
-        assert s.basis == s.basis.column_echelon()  # kept as built, so already reduced
-    for a, b in itertools.combinations(subs, 2):
-        assert a.basis.hstack(b.basis).rank() == n
+    members = _spread_members(n)
+    half = n // 2
+    assert len(members) == 2**half + 1
+    for t, b in enumerate(members):
+        assert b.cols == half
+        assert b == b.column_echelon()  # kept as built, so already reduced
+        # [I; M_c] for every c, then the vertical axis [0; I]
+        top = Matrix.identity(PrimeField(2), half) if t < 2**half else Matrix.zeros(PrimeField(2), half, half)
+        assert b.take_rows(range(half)) == top
+    for a, b in itertools.combinations(members, 2):
+        assert a.hstack(b).rank() == n
 
 
 def test_spread_family_n4_intersections_brute_force():
-    subs = spread_family(4)
-    assert len(subs) == 5
-    spans = [_enumerate_span(s) for s in subs]
+    members = _spread_members(4)
+    assert len(members) == 5
+    spans = [_enumerate_span(Subspace(b)) for b in members]
     for sa, sb in itertools.combinations(spans, 2):
         assert sa & sb == {(0, 0, 0, 0)}
 

@@ -960,6 +960,24 @@ def check_sampled(inst, scheme, kind, count, seed):
         assert outcome(res) == reference.simulate(inst, scheme, tuples)
 
 
+def test_sampled_pass_means_no_counterexample_in_the_sample():
+    """Interference K=9 U=1 D=2 with V_1 := V_2 fails exhaustive simulation
+    at tuple 257 (destination 1, message 1), yet seed 1's one tuple and seed
+    3's three all decode: a sampled pass vouches for its sample and nothing
+    more.  Seed 0 draws a failing tuple first."""
+    inst, base = gen_neighboring_interference(9, 1, 2), build_interference_scheme(9, 1, 2)
+    V = dict(base.V)
+    V[1] = V[2]
+    collide = LinearScheme(base.field, base.n, V)
+    exhaustive = simulate_exhaustive(inst, collide)
+    assert (exhaustive.ok, exhaustive.tuples_checked, exhaustive.destination, exhaustive.message) == (False, 257, 1, 1)
+    for count, seed in ((1, 1), (3, 3)):
+        assert outcome(simulate_sampled(inst, collide, count, seed=seed)) == (True, count, None, None, None)
+        check_sampled(inst, collide, "collision", count, seed)
+    assert not simulate_sampled(inst, collide, 3, seed=0).ok
+    check_sampled(inst, collide, "collision", 3, 0)
+
+
 def check_earlier_partner(inst, scheme, res):
     """Some tuple before the reported one has its broadcast word and antidote
     symbols at the reported destination but other symbols of the reported message.

@@ -23,6 +23,7 @@ from icx.model import (
     gen_x_network,
 )
 from icx.alignment import build_rate_half_vector_scheme, build_scalar_scheme
+from icx.bounds import symmetric_capacity
 from icx.scheme import LinearScheme, serialize_scheme, simulate_exhaustive, verify
 from icx.symmetric import (
     build_antidote_scheme,
@@ -139,6 +140,18 @@ def test_antidote_scheme_circular_shift_invariance():
     )
     v_only = LinearScheme(scheme.field, scheme.n, scheme.V)
     assert verify(shifted_inst, shifted_scheme).valid == verify(inst, v_only).valid
+
+
+def test_antidote_scheme_reaches_the_family_capacity():
+    """The capacity ``bounds --family`` prints for antidotes is reached: on
+    every accepted tag with K <= 16, A = K-2 and A = K-1 included, verify
+    accepts build_antidote_scheme at one rate, symmetric_capacity's value."""
+    tags = [(K, U, D) for K in range(1, 17) for D in range(K) for U in range(D + 1) if U + D < K]
+    for K, U, D in tags:
+        inst = gen_neighboring_antidotes(K, U, D)
+        rep = verify(inst, build_antidote_scheme(K, U, D))
+        assert rep.valid and set(rep.rates.values()) == {symmetric_capacity(inst)[0]}, (K, U, D)
+    assert len(tags) == 444 and sum(U + D >= K - 2 for K, U, D in tags) == 136
 
 
 # ----------------------------------------------------------------------
